@@ -10,11 +10,11 @@ Shard budgets default to a frozen even split; a scenario's ``rebalance``
 block attaches an epoch-driven :class:`Rebalancer` that moves budget
 credits between shards online (see :mod:`repro.cluster.rebalance`).
 
-Cluster replays are routing-plan driven by default: a vectorized pass
-(:mod:`repro.cluster.routing`) computes every request's shard up front
-and each shard replays its stable sub-trace at single-server speed;
-``cluster.partitioned_replay: false`` keeps the legacy per-request loop
-selectable as the bit-exactness oracle.
+Cluster replays are routing-plan driven: a vectorized pass
+(:mod:`repro.cluster.routing`) computes every request's shard up front,
+and between barriers each (shard, app) run replays at single-server
+speed through one kernel (:mod:`repro.cluster.kernel`) shared by the
+offline replay, the parallel workers and the live batch path.
 """
 
 from repro.cluster.cluster import (

@@ -33,7 +33,6 @@ from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import (
     OP_CODES,
-    OUTCOME_DEAD,
     AccessOutcome,
     HitMissCounter,
     StatsRegistry,
@@ -41,6 +40,7 @@ from repro.cache.stats import (
 from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import CacheError, ConfigurationError
 from repro.cluster.hashring import HashRing
+from repro.cluster.kernel import flush_runs, replay_runs
 from repro.cluster.rebalance import epoch_windows
 from repro.cluster.routing import (
     LiveRouter,
@@ -48,6 +48,7 @@ from repro.cluster.routing import (
     build_routing_plan,
     hash_keys_u64,
     occurrence_index,
+    remember_column,
 )
 from repro.workloads.trace import Request
 
@@ -99,38 +100,23 @@ class ClusterConfig:
     the same effective value (and shard-count sweeps with a fixed
     replication stay valid at small shard counts).
 
-    ``partitioned_replay`` (default ``True``) selects the
-    routing-plan-driven replay: the whole trace is routed in one
-    vectorized pass and each shard replays its stable sub-trace with the
-    single-server fast loop (see :mod:`repro.cluster.routing`). Setting
-    it to ``False`` keeps the legacy per-request routing loop -- bit-
-    identical by construction, kept as the oracle the parity/property
-    tests compare against (and as an escape hatch).
-
-    ``parallel_workers`` (default ``0``) fans the partitioned replay's
-    per-shard loops out across that many worker processes over
-    shared-memory trace columns (see :mod:`repro.cluster.parallel`).
-    ``0`` and ``1`` replay serially in-process; values above the shard
-    count clamp to it, and a one-shard cluster always replays serially.
-    Requires ``partitioned_replay`` (the per-request oracle is
-    inherently sequential). The parallel path is bit-identical to the
-    serial partitioned loop -- the property tests pin that down -- so
-    this knob trades nothing but processes for wall-clock.
+    ``parallel_workers`` (default ``0``) fans the replay's per-shard
+    runs out across that many worker processes over shared-memory trace
+    columns (see :mod:`repro.cluster.parallel`). ``0`` and ``1`` replay
+    in-process; values above the shard count clamp to it, and a
+    one-shard cluster always replays in-process. The two executors run
+    the same kernel and are bit-identical -- the property tests pin
+    that down -- so this knob trades nothing but processes for
+    wall-clock.
     """
 
     shards: int = 1
     hash_seed: int = 0
     replication: int = 1
     virtual_nodes: int = 64
-    partitioned_replay: bool = True
     parallel_workers: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.partitioned_replay, bool):
-            raise ConfigurationError(
-                f"partitioned_replay must be a boolean, got "
-                f"{self.partitioned_replay!r}"
-            )
         if self.shards < 1:
             raise ConfigurationError(
                 f"cluster needs at least one shard, got {self.shards}"
@@ -155,11 +141,6 @@ class ClusterConfig:
                 f"parallel_workers must be >= 0, got "
                 f"{self.parallel_workers}"
             )
-        if self.parallel_workers > 1 and not self.partitioned_replay:
-            raise ConfigurationError(
-                "parallel_workers requires partitioned_replay: the "
-                "per-request oracle loop is inherently sequential"
-            )
         if self.replication > self.shards:
             object.__setattr__(self, "replication", self.shards)
 
@@ -169,7 +150,6 @@ class ClusterConfig:
             "hash_seed": self.hash_seed,
             "replication": self.replication,
             "virtual_nodes": self.virtual_nodes,
-            "partitioned_replay": self.partitioned_replay,
             "parallel_workers": self.parallel_workers,
         }
 
@@ -187,7 +167,6 @@ class ClusterConfig:
             "hash_seed",
             "replication",
             "virtual_nodes",
-            "partitioned_replay",
             "parallel_workers",
         }
         unknown = set(payload) - known
@@ -201,7 +180,6 @@ class ClusterConfig:
                 hash_seed=int(payload.get("hash_seed", 0)),
                 replication=int(payload.get("replication", 1)),
                 virtual_nodes=int(payload.get("virtual_nodes", 64)),
-                partitioned_replay=payload.get("partitioned_replay", True),
                 parallel_workers=int(payload.get("parallel_workers", 0)),
             )
         except (TypeError, ValueError) as exc:
@@ -560,11 +538,11 @@ class Cluster:
     def _successor_column(self, mask: Tuple[bool, ...]) -> np.ndarray:
         """Per ring position, the replica row under ``mask``.
 
-        Memoized per live set, exactly like the columns
+        Memoized like the columns
         :class:`~repro.cluster.routing.LiveRouter` builds for the bulk
-        failover replay; the object API shares them so repeat requests
-        never re-walk the ring. Rows have ``min(replication, alive)``
-        entries (the tables clamp).
+        failover replay (the all-live entry plus the latest other live
+        set), so repeat requests never re-walk the ring. Rows have
+        ``min(replication, alive)`` entries (the tables clamp).
         """
         column = self._successor_columns.get(mask)
         if column is None:
@@ -573,7 +551,7 @@ class Cluster:
             else:
                 table = self.ring.live_successor_table(self.replication, mask)
             column = np.asarray(table, dtype=np.int64)
-            self._successor_columns[mask] = column
+            remember_column(self._successor_columns, mask, column)
         return column
 
     def _position_of(self, key: object) -> int:
@@ -601,31 +579,46 @@ class Cluster:
         self._spread[key] = turn + 1
         return int(replicas[turn % len(replicas)])
 
+    def _barrier(self, offset: int, injector=None) -> None:
+        """Run the hooks due once ``offset`` requests have been handled.
+
+        The only place the barrier order is written: sample the fault
+        metrics, then the rebalance epoch (if ``offset`` is a multiple
+        of ``epoch_requests``), then the fault events pinned to
+        ``offset`` -- so an epoch sees the pre-event live set and a
+        crash drains budgets the epoch just moved. ``injector`` is the
+        fault injector when ``offset`` is one of its barriers (every
+        window stop of an offline replay; the object API asks
+        :meth:`~repro.cluster.faults.FaultInjector.is_barrier`), else
+        ``None``.
+        """
+        if injector is not None:
+            injector.on_barrier(offset)
+        rebalancer = self.rebalancer
+        if rebalancer is not None:
+            epoch = rebalancer.config.epoch_requests
+            if epoch and offset % epoch == 0:
+                rebalancer.on_epoch()
+        if injector is not None:
+            injector.apply_events(offset)
+
     def _after_object_requests(self, count: int) -> None:
-        """Advance the object-API request counter; with a rebalancer
-        attached, fire the epoch barrier exactly where the replay loops
-        would (after every ``epoch_requests``-th request), and with a
+        """Advance the object-API request counter (the live server's
+        virtual clock) and run :meth:`_barrier` at the new offset. A
         *serving* fault injector
-        (:meth:`~repro.cluster.faults.FaultInjector.begin_serving`) run
-        its barrier hooks in replay order -- sampling, epoch, events.
-        Callers that batch must split at epoch *and* fault barriers
-        before calling this."""
+        (:meth:`~repro.cluster.faults.FaultInjector.begin_serving`)
+        takes part at its own barrier offsets. Callers that batch must
+        split at epoch *and* fault barriers before calling this."""
         self._object_requests += count
         injector = self.fault_injector
-        at_barrier = (
+        at_fault_barrier = (
             injector is not None
             and injector.serving
             and injector.is_barrier(self._object_requests)
         )
-        if at_barrier:
-            injector.on_barrier(self._object_requests)
-        rebalancer = self.rebalancer
-        if rebalancer is not None:
-            epoch = rebalancer.config.epoch_requests
-            if epoch and self._object_requests % epoch == 0:
-                rebalancer.on_epoch()
-        if at_barrier:
-            injector.apply_events(self._object_requests)
+        self._barrier(
+            self._object_requests, injector if at_fault_barrier else None
+        )
 
     def process(self, request: Request) -> AccessOutcome:
         """Route one request to its shard (object API).
@@ -670,9 +663,10 @@ class Cluster:
         The serving hot path: routes the whole batch with the same bulk
         primitives the compiled replay uses (one vectorized hash +
         ``searchsorted`` for keys not yet memoized, precomputed
-        successor columns, occurrence-index replica turns), then replays
-        per-(shard, app) runs through ``process_fast`` with bulk stats
-        flushes. Returns one packed outcome code per request (see
+        successor columns, occurrence-index replica turns), then hands
+        each window to the replay kernel
+        (:func:`repro.cluster.kernel.replay_runs`). Returns one packed
+        outcome code per request (see
         :func:`repro.cache.stats.pack_outcome`), in request order.
 
         Bit-identical to calling :meth:`process` per request -- down to
@@ -708,6 +702,13 @@ class Cluster:
         else:
             shard_column = self._route_batch(keys, count)
         out = np.empty(count, dtype=np.int64)
+        columns = (
+            np.fromiter(keys, dtype=object, count=count),
+            op_column,
+            class_column,
+            chunk_column,
+            item_column,
+        )
         rebalancer = self.rebalancer
         epoch = (
             rebalancer.config.epoch_requests if rebalancer is not None else 0
@@ -727,19 +728,18 @@ class Cluster:
                 shard_column[start:stop] = self._route_batch(
                     keys[start:stop], stop - start
                 )
-            self._process_batch_window(
-                keys,
-                op_column,
-                class_column,
-                chunk_column,
-                item_column,
+            runs = replay_runs(
+                self.servers,
                 app_names,
-                app_column,
+                columns,
                 shard_column,
-                out,
+                app_column,
                 start,
                 stop,
+                dead=injector.dead_shards() if injector is not None else (),
+                out=out,
             )
+            flush_runs(self.servers, app_names, runs)
             self._after_object_requests(stop - start)
             start = stop
         return out
@@ -891,77 +891,6 @@ class Cluster:
             spread[key] = int(base[key_id] + occurrences[key_id])
         return column[positions, turns % column.shape[1]]
 
-    def _process_batch_window(
-        self,
-        keys: Sequence[object],
-        op_column: np.ndarray,
-        class_column: np.ndarray,
-        chunk_column: np.ndarray,
-        item_column: np.ndarray,
-        app_names: List[str],
-        app_column: np.ndarray,
-        shard_column: np.ndarray,
-        out: np.ndarray,
-        start: int,
-        stop: int,
-    ) -> None:
-        """Process batch positions ``[start, stop)`` as per-(shard, app)
-        runs -- the :meth:`_replay_window` pattern, plus a per-request
-        outcome column. Requests for a dead shard (``miss-through``)
-        record tagged dead misses and never reach an engine."""
-        num_apps = len(app_names)
-        window = shard_column[start:stop] * num_apps + app_column[start:stop]
-        order = np.argsort(window, kind="stable")
-        sorted_runs = window[order]
-        run_bounds = np.flatnonzero(sorted_runs[1:] != sorted_runs[:-1]) + 1
-        run_starts = np.concatenate(([0], run_bounds))
-        run_stops = np.concatenate((run_bounds, [len(sorted_runs)]))
-        injector = self.fault_injector
-        live = injector.live if injector is not None else None
-        for run_start, run_stop in zip(run_starts, run_stops):
-            if run_start == run_stop:
-                continue  # empty window
-            shard, app_id = divmod(int(sorted_runs[run_start]), num_apps)
-            picks = order[run_start:run_stop]
-            if start:
-                picks = picks + start
-            server = self.servers[shard]
-            app = app_names[app_id]
-            record_bulk = server.stats.record_code_bulk
-            if live is not None and not live[shard]:
-                out[picks] = OUTCOME_DEAD
-                run_ops, op_counts = np.unique(
-                    op_column[picks], return_counts=True
-                )
-                for op, op_count in zip(
-                    run_ops.tolist(), op_counts.tolist()
-                ):
-                    record_bulk(app, op, OUTCOME_DEAD, op_count)
-                continue
-            engine = server.engines[app]
-            process = engine.process_fast
-            codes = np.empty(len(picks), dtype=np.int64)
-            counts: Dict[int, int] = {}
-            position = 0
-            for pick, op, class_index, chunk, nbytes in zip(
-                picks.tolist(),
-                op_column[picks].tolist(),
-                class_column[picks].tolist(),
-                chunk_column[picks].tolist(),
-                item_column[picks].tolist(),
-            ):
-                code = process(keys[pick], op, class_index, chunk, nbytes)
-                codes[position] = code
-                position += 1
-                packed = (code << 2) | op
-                try:
-                    counts[packed] += 1
-                except KeyError:
-                    counts[packed] = 1
-            out[picks] = codes
-            for packed, packed_count in counts.items():
-                record_bulk(app, packed & 3, packed >> 2, packed_count)
-
     def replay_compiled(
         self, trace, plan: Optional[RoutingPlan] = None
     ) -> StatsRegistry:
@@ -969,46 +898,86 @@ class Cluster:
 
         Per-shard stats land in each shard server's own registry; the
         returned registry is the cluster-wide aggregate. A one-shard
-        cluster without a rebalancer delegates to
+        cluster with nothing attached delegates to
         :meth:`CacheServer.replay_compiled` unchanged, which is what the
-        parity tests pin down.
+        parity tests pin down. Everything else is one loop over four
+        parts:
 
-        By default the replay is *partitioned*: a vectorized
-        :class:`~repro.cluster.routing.RoutingPlan` (built here, or
-        passed in by callers that cache plans across replays) assigns
-        every request its shard up front, and each shard then replays
-        its stable sub-trace through the single-server fast loop.
-        Shards share no state between rebalance barriers, so the result
-        is bit-identical to the legacy per-request routing loop -- which
-        ``config.partitioned_replay == False`` keeps selectable as the
-        oracle. With a rebalancer attached, partitioning happens within
-        each epoch window so :meth:`Rebalancer.on_epoch` barriers land
-        exactly where the per-request loop puts them.
+        * **windows** -- the fault injector's merged barriers (fault
+          offsets, rebalance epochs, metric sampling grid) if one is
+          attached, else the rebalancer's epochs, else the whole trace;
+        * **routing** -- a vectorized
+          :class:`~repro.cluster.routing.RoutingPlan` (built here, or
+          passed in by callers that cache plans across replays) assigns
+          every request its shard up front; under ``failover`` with a
+          shard down the :class:`~repro.cluster.routing.LiveRouter`
+          re-derives the column for the live set, while ``miss-through``
+          keeps the plan and marks the down shards ``dead``;
+        * **executor** -- the window's per-(shard, app) runs go through
+          the replay kernel (:func:`repro.cluster.kernel.replay_runs`),
+          in-process or, with ``parallel_workers >= 2``, on a
+          :class:`~repro.cluster.parallel.WorkerPool`;
+        * **barrier** -- :meth:`_barrier` at the window's stop offset.
+
+        Shards share no state between barriers, so the result is
+        bit-identical to replaying one request at a time
+        (``tests/cluster/reference.py`` is that loop).
         """
-        partitioned = self.config.partitioned_replay
-        if (
-            partitioned
-            and self.config.parallel_workers > 1
-            and len(self.servers) > 1
-        ):
-            from repro.cluster.parallel import replay_parallel
-
-            return replay_parallel(self, trace, plan)
-        if self.fault_injector is not None:
-            if partitioned:
-                return self._replay_faults_partitioned(trace, plan)
-            return self._replay_faults_per_request(trace)
-        if self.rebalancer is not None:
-            if partitioned:
-                return self._replay_epochs_partitioned(trace, plan)
-            return self._replay_with_epochs(trace)
-        if len(self.servers) == 1:
+        injector = self.fault_injector
+        rebalancer = self.rebalancer
+        if injector is None and rebalancer is None and self.shards == 1:
             self.servers[0].replay_compiled(trace)
             return self.aggregate_stats()
         self._check_geometry(trace)
-        if partitioned:
-            return self._replay_partitioned(trace, plan)
-        return self._replay_per_request(trace)
+        plan = self._resolve_plan(trace, plan)
+        self._require_engines(trace)
+        router = LiveRouter(trace, self.ring, self.replication, base_plan=plan)
+        app_table = trace.app_table
+        app_column = np.asarray(trace.app_ids, dtype=np.int64)
+        columns = trace.replay_columns()
+        pool = None
+        if self.config.parallel_workers > 1 and self.shards > 1:
+            from repro.cluster.parallel import WorkerPool
+
+            pool = self._parallel = WorkerPool(self, trace, plan)
+            self._parallel_memory = None
+        try:
+            # The pool is up before the injector begins: an offset-0
+            # crash already moves budgets, and those moves must reach
+            # the workers' engines too.
+            epoch = (
+                rebalancer.config.epoch_requests if rebalancer is not None else 0
+            )
+            if injector is not None:
+                injector.begin(len(trace), epoch)
+                windows = injector.windows()
+            else:
+                windows = epoch_windows(len(trace), epoch)
+            for start, stop in windows:
+                shard_column = router.shard_ids(self._route_mask())
+                dead = injector.dead_shards() if injector is not None else ()
+                if pool is not None:
+                    pool.replay_window(start, stop, shard_column, dead)
+                else:
+                    runs = replay_runs(
+                        self.servers,
+                        app_table,
+                        columns,
+                        shard_column,
+                        app_column,
+                        start,
+                        stop,
+                        dead=dead,
+                    )
+                    flush_runs(self.servers, app_table, runs)
+                self._barrier(stop, injector)
+            if pool is not None:
+                self._parallel_memory = pool.finish()
+        finally:
+            if pool is not None:
+                self._parallel = None
+                pool.shutdown()
+        return self.aggregate_stats()
 
     # -- shared replay guards ------------------------------------------
 
@@ -1045,9 +1014,8 @@ class Cluster:
         return plan
 
     def _require_engines(self, trace) -> None:
-        """Raise like the per-request loop would for apps that have
-        requests in ``trace`` but no registered engine (partitioned
-        replays fail fast instead of mid-shard)."""
+        """Raise for apps that have requests in ``trace`` but no
+        registered engine (up front, instead of mid-run)."""
         engines = self.servers[0].engines
         for app_id in np.unique(np.asarray(trace.app_ids, dtype=np.int64)):
             name = trace.app_table[app_id]
@@ -1055,386 +1023,6 @@ class Cluster:
                 raise ConfigurationError(
                     f"request for unknown app {name!r}"
                 )
-
-    # -- partitioned fast paths ----------------------------------------
-
-    def _replay_partitioned(
-        self, trace, plan: Optional[RoutingPlan]
-    ) -> StatsRegistry:
-        """The static fast path: one stable partition, then each shard
-        replays per-(shard, app) runs through the flat loop in
-        :meth:`_replay_window` (no replication branch, no per-request
-        ring lookups, no nested engine-list indexing)."""
-        plan = self._resolve_plan(trace, plan)
-        self._require_engines(trace)
-        app_column = np.asarray(trace.app_ids, dtype=np.int64)
-        self._replay_window(trace, plan.shard_ids, app_column, 0, len(trace))
-        return self.aggregate_stats()
-
-    def _replay_epochs_partitioned(
-        self, trace, plan: Optional[RoutingPlan]
-    ) -> StatsRegistry:
-        """The rebalancing fast path: partition within each epoch window,
-        replay every shard's slice of the window with the flat loop,
-        then hand control to the rebalancer exactly where the
-        per-request loop would (after every ``epoch_requests``-th
-        request; a trailing partial window ends without a barrier).
-        Shards exchange no state inside a window, so per-window
-        partitioning preserves bit-identical results."""
-        self._check_geometry(trace)
-        plan = self._resolve_plan(trace, plan)
-        self._require_engines(trace)
-        rebalancer = self.rebalancer
-        epoch_requests = rebalancer.config.epoch_requests
-        app_column = np.asarray(trace.app_ids, dtype=np.int64)
-        for start, stop in epoch_windows(len(trace), epoch_requests):
-            self._replay_window(
-                trace, plan.shard_ids, app_column, start, stop
-            )
-            if stop - start == epoch_requests:
-                rebalancer.on_epoch()
-        return self.aggregate_stats()
-
-    def _replay_faults_partitioned(
-        self, trace, plan: Optional[RoutingPlan]
-    ) -> StatsRegistry:
-        """The fault-aware fast path: partition and replay between the
-        injector's merged barriers (fault offsets, rebalance epochs, and
-        the metric sampling grid), re-deriving the routing column per
-        live set under the ``failover`` policy (``miss-through`` keeps
-        the base plan and tags dead-shard runs). The barrier protocol --
-        sample, then epoch, then events -- matches
-        :meth:`_replay_faults_per_request` exactly, which the property
-        tests pin down."""
-        self._check_geometry(trace)
-        plan = self._resolve_plan(trace, plan)
-        self._require_engines(trace)
-        injector = self.fault_injector
-        rebalancer = self.rebalancer
-        epoch_requests = (
-            rebalancer.config.epoch_requests if rebalancer is not None else 0
-        )
-        injector.begin(len(trace), epoch_requests)
-        failover = injector.policy == "failover"
-        router = (
-            LiveRouter(trace, self.ring, self.replication, base_plan=plan)
-            if failover
-            else None
-        )
-        app_column = np.asarray(trace.app_ids, dtype=np.int64)
-        no_dead = frozenset()
-        for start, stop in injector.windows():
-            if failover:
-                shard_column = router.shard_ids(injector.live)
-                dead = no_dead
-            else:
-                shard_column = plan.shard_ids
-                dead = injector.dead_shards()
-            self._replay_window(
-                trace, shard_column, app_column, start, stop, dead=dead
-            )
-            injector.on_barrier(stop)
-            if epoch_requests and stop % epoch_requests == 0:
-                rebalancer.on_epoch()
-            injector.apply_events(stop)
-        return self.aggregate_stats()
-
-    def _replay_window(
-        self,
-        trace,
-        shard_ids: np.ndarray,
-        app_column: np.ndarray,
-        start: int,
-        stop: int,
-        dead: frozenset = frozenset(),
-    ) -> None:
-        """Replay requests ``[start, stop)`` as per-(shard, app) runs.
-
-        Within one replay window shards are independent servers and, on
-        each shard, per-app engines and per-app stats share no state --
-        so the interleaved request order only matters *within* one
-        (shard, app) run, which the stable partition preserves. Each run
-        then replays with everything hoisted out of the loop: the
-        engine's bound ``process_fast``, flat column slices, and a tally
-        of identical packed outcomes that is flushed through
-        :meth:`StatsRegistry.record_code_bulk` (integer counters, so
-        batching is bit-identical).
-
-        Runs addressed to a ``dead`` shard (the fault layer's
-        ``miss-through`` policy) never reach an engine: each request is
-        recorded on the dead shard's registry with the ``OUTCOME_DEAD``
-        code -- GETs count as misses, SETs as sets -- which is
-        order-free, so the bulk tally stays bit-identical to the
-        per-request oracle.
-        """
-        num_apps = len(trace.app_table)
-        window = (
-            shard_ids[start:stop].astype(np.int64) * num_apps
-            + app_column[start:stop]
-        )
-        order = np.argsort(window, kind="stable")
-        sorted_runs = window[order]
-        run_bounds = np.flatnonzero(sorted_runs[1:] != sorted_runs[:-1]) + 1
-        run_starts = np.concatenate(([0], run_bounds))
-        run_stops = np.concatenate((run_bounds, [len(sorted_runs)]))
-        keys, op_codes, slab_classes, chunk_bytes, item_bytes = (
-            trace.replay_columns()
-        )
-        for run_start, run_stop in zip(run_starts, run_stops):
-            if run_start == run_stop:
-                continue  # empty window
-            shard, app_id = divmod(int(sorted_runs[run_start]), num_apps)
-            picks = order[run_start:run_stop]
-            if start:
-                picks = picks + start
-            server = self.servers[shard]
-            if dead and shard in dead:
-                record_bulk = server.stats.record_code_bulk
-                app = trace.app_table[app_id]
-                ops, op_counts = np.unique(
-                    op_codes[picks], return_counts=True
-                )
-                for op, count in zip(ops.tolist(), op_counts.tolist()):
-                    record_bulk(app, op, OUTCOME_DEAD, count)
-                continue
-            engine = server.engines[trace.app_table[app_id]]
-            process = engine.process_fast
-            # Tally identical (op, outcome-code) pairs instead of paying
-            # the per-request stats dict walk; ops fit in 2 bits of the
-            # packed key. The columns are C-gathered numpy mirrors
-            # (``tolist`` hands the loop plain Python objects -- keys
-            # stay the interned strings).
-            counts: Dict[int, int] = {}
-            for key, op, class_index, chunk, nbytes in zip(
-                keys[picks].tolist(),
-                op_codes[picks].tolist(),
-                slab_classes[picks].tolist(),
-                chunk_bytes[picks].tolist(),
-                item_bytes[picks].tolist(),
-            ):
-                packed = (
-                    process(key, op, class_index, chunk, nbytes) << 2
-                ) | op
-                try:
-                    counts[packed] += 1
-                except KeyError:
-                    counts[packed] = 1
-            record_bulk = server.stats.record_code_bulk
-            app = engine.app
-            for packed, count in counts.items():
-                record_bulk(app, packed & 3, packed >> 2, count)
-
-    # -- legacy per-request loops (the bit-exactness oracle) ------------
-
-    def _replay_per_request(self, trace) -> StatsRegistry:
-        """The pre-routing-plan static loop, kept selectable via
-        ``cluster.partitioned_replay: false`` as the oracle the parity
-        and property tests compare the partitioned path against.
-
-        Routing is a pure function of the key, so memoize it per key
-        id -- lazily, because app-filtered sub-traces keep the full
-        key table and eagerly hashing never-replayed keys would waste
-        the filtering.
-        """
-        replication = self.replication
-        if replication > 1:
-            replicas_of_key: List[Optional[List[int]]] = [None] * len(
-                trace.key_table
-            )
-            turn_of_key = [0] * len(trace.key_table)
-        else:
-            primary_of_key: List[Optional[int]] = [None] * len(
-                trace.key_table
-            )
-        engines = [
-            [server.engines.get(name) for name in trace.app_table]
-            for server in self.servers
-        ]
-        records = [server.stats.record_code for server in self.servers]
-        for app_id, key_id, key, op, class_index, chunk, item_bytes in zip(
-            trace.app_ids,
-            trace.key_ids,
-            trace.keys,
-            trace.op_codes,
-            trace.slab_classes,
-            trace.chunk_bytes,
-            trace.item_bytes,
-        ):
-            if replication > 1:
-                choices = replicas_of_key[key_id]
-                if choices is None:
-                    choices = replicas_of_key[key_id] = self.ring.shards_for(
-                        key, replication
-                    )
-                turn = turn_of_key[key_id]
-                turn_of_key[key_id] = turn + 1
-                shard = choices[turn % len(choices)]
-            else:
-                shard = primary_of_key[key_id]
-                if shard is None:
-                    shard = primary_of_key[key_id] = self.ring.shard_for(key)
-            engine = engines[shard][app_id]
-            if engine is None:
-                raise ConfigurationError(
-                    f"request for unknown app {trace.app_table[app_id]!r}"
-                )
-            records[shard](
-                engine.app,
-                op,
-                engine.process_fast(key, op, class_index, chunk, item_bytes),
-            )
-        return self.aggregate_stats()
-
-    def _replay_with_epochs(self, trace) -> StatsRegistry:
-        """The legacy rebalancing replay (the epoch-path oracle,
-        selected by ``cluster.partitioned_replay: false``): the
-        per-request loop plus an epoch counter that hands control to
-        the rebalancer every ``epoch_requests`` requests. Unlike the
-        static path, a one-shard cluster runs the full loop here too
-        (rebalancing degenerates to timeline recording; there is never
-        a donor shard) -- as does the partitioned equivalent."""
-        self._check_geometry(trace)
-        rebalancer = self.rebalancer
-        epoch_requests = rebalancer.config.epoch_requests
-        replication = self.replication
-        if replication > 1:
-            replicas_of_key: List[Optional[List[int]]] = [None] * len(
-                trace.key_table
-            )
-            turn_of_key = [0] * len(trace.key_table)
-        else:
-            primary_of_key: List[Optional[int]] = [None] * len(
-                trace.key_table
-            )
-        engines = [
-            [server.engines.get(name) for name in trace.app_table]
-            for server in self.servers
-        ]
-        records = [server.stats.record_code for server in self.servers]
-        until_epoch = epoch_requests
-        for app_id, key_id, key, op, class_index, chunk, item_bytes in zip(
-            trace.app_ids,
-            trace.key_ids,
-            trace.keys,
-            trace.op_codes,
-            trace.slab_classes,
-            trace.chunk_bytes,
-            trace.item_bytes,
-        ):
-            if replication > 1:
-                choices = replicas_of_key[key_id]
-                if choices is None:
-                    choices = replicas_of_key[key_id] = self.ring.shards_for(
-                        key, replication
-                    )
-                turn = turn_of_key[key_id]
-                turn_of_key[key_id] = turn + 1
-                shard = choices[turn % len(choices)]
-            else:
-                shard = primary_of_key[key_id]
-                if shard is None:
-                    shard = primary_of_key[key_id] = self.ring.shard_for(key)
-            engine = engines[shard][app_id]
-            if engine is None:
-                raise ConfigurationError(
-                    f"request for unknown app {trace.app_table[app_id]!r}"
-                )
-            records[shard](
-                engine.app,
-                op,
-                engine.process_fast(key, op, class_index, chunk, item_bytes),
-            )
-            until_epoch -= 1
-            if until_epoch == 0:
-                until_epoch = epoch_requests
-                rebalancer.on_epoch()
-        return self.aggregate_stats()
-
-    def _replay_faults_per_request(self, trace) -> StatsRegistry:
-        """The fault-aware oracle (``cluster.partitioned_replay:
-        false``): per-request routing between the injector's merged
-        barriers. Under ``failover`` each key's replica set is the ring's
-        live-successor walk, re-resolved whenever the live set changes
-        (``live_version`` stamps); round-robin turn counters are global
-        occurrence indices and never reset. Under ``miss-through``
-        routing stays the all-live walk and requests landing on a dead
-        shard are recorded with ``OUTCOME_DEAD`` instead of reaching an
-        engine. The property tests assert this loop and
-        :meth:`_replay_faults_partitioned` are bit-identical."""
-        self._check_geometry(trace)
-        injector = self.fault_injector
-        rebalancer = self.rebalancer
-        epoch_requests = (
-            rebalancer.config.epoch_requests if rebalancer is not None else 0
-        )
-        injector.begin(len(trace), epoch_requests)
-        failover = injector.policy == "failover"
-        replication = self.replication
-        n_keys = len(trace.key_table)
-        replicas_of_key: List[Optional[List[int]]] = [None] * n_keys
-        route_version = [-1] * n_keys
-        turn_of_key = [0] * n_keys
-        records = [server.stats.record_code for server in self.servers]
-        app_ids = trace.app_ids
-        key_ids = trace.key_ids
-        keys = trace.keys
-        op_codes = trace.op_codes
-        slab_classes = trace.slab_classes
-        chunk_column = trace.chunk_bytes
-        item_column = trace.item_bytes
-        ring = self.ring
-        for start, stop in injector.windows():
-            # Restarts swap in factory-fresh engines, so the engine rows
-            # must be re-resolved per window (stats registries persist).
-            engines = [
-                [server.engines.get(name) for name in trace.app_table]
-                for server in self.servers
-            ]
-            live = injector.live
-            version = injector.live_version
-            for i in range(start, stop):
-                key_id = key_ids[i]
-                if failover:
-                    if route_version[key_id] != version:
-                        replicas_of_key[key_id] = ring.shards_for_live(
-                            keys[i], replication, live
-                        )
-                        route_version[key_id] = version
-                elif replicas_of_key[key_id] is None:
-                    replicas_of_key[key_id] = ring.shards_for(
-                        keys[i], replication
-                    )
-                choices = replicas_of_key[key_id]
-                turn = turn_of_key[key_id]
-                turn_of_key[key_id] = turn + 1
-                shard = choices[turn % len(choices)]
-                app_id = app_ids[i]
-                engine = engines[shard][app_id]
-                if engine is None:
-                    raise ConfigurationError(
-                        f"request for unknown app "
-                        f"{trace.app_table[app_id]!r}"
-                    )
-                op = op_codes[i]
-                if not live[shard]:
-                    records[shard](engine.app, op, OUTCOME_DEAD)
-                    continue
-                records[shard](
-                    engine.app,
-                    op,
-                    engine.process_fast(
-                        keys[i],
-                        op,
-                        slab_classes[i],
-                        chunk_column[i],
-                        item_column[i],
-                    ),
-                )
-            injector.on_barrier(stop)
-            if epoch_requests and stop % epoch_requests == 0:
-                rebalancer.on_epoch()
-            injector.apply_events(stop)
-        return self.aggregate_stats()
 
     # ------------------------------------------------------------------
 

@@ -14,8 +14,9 @@ offsets, plus the degradation policy and recovery-metric knobs. It
 round-trips through JSON (the scenario ``faults`` block) and is
 sweepable like every other block. During replay the schedule's offsets
 become window barriers merged with the rebalancer's epoch boundaries and
-the metric sampling grid, so the partitioned fast path and the
-per-request oracle replay fault timelines identically.
+the metric sampling grid; every executor of the replay -- in-process,
+worker pool, live batches -- stops at the same offsets, so a seed fixes
+the fault timeline.
 
 Two degradation policies model the two real memcache behaviors:
 
@@ -256,9 +257,9 @@ class FaultInjector:
 
     Attach with :meth:`repro.cluster.Cluster.attach_faults`; the replay
     then runs window-by-window between the merged barriers
-    (:meth:`windows`), calling :meth:`on_barrier` (metric sampling),
-    the rebalancer's epoch hook, and :meth:`apply_events` at each one --
-    in that order, identically in the partitioned and per-request loops.
+    (:meth:`windows`), and at each one the cluster's barrier method
+    calls :meth:`on_barrier` (metric sampling), the rebalancer's epoch
+    hook, and :meth:`apply_events` -- in that order.
 
     Determinism: the schedule is fixed data, the live mask changes only
     at scheduled offsets, restarted engines are rebuilt through the
@@ -278,9 +279,6 @@ class FaultInjector:
         self.schedule = schedule
         self.policy = schedule.policy
         self.live: List[bool] = [True] * cluster.shards
-        #: Bumped on every live-set change; the per-request oracle uses
-        #: it to invalidate per-key route caches.
-        self.live_version = 0
         self.fault_evictions = 0
         self.records: List[Dict[str, Any]] = []
         self.timeline = TimelineRecorder(interval=1.0)
@@ -310,7 +308,6 @@ class FaultInjector:
         """
         self._total = total
         self.live = [True] * self.cluster.shards
-        self.live_version = 0
         self.fault_evictions = 0
         self.records = []
         self._down = {}
@@ -462,7 +459,6 @@ class FaultInjector:
     def _crash(self, event: FaultEvent) -> None:
         shard = event.shard
         self.live[shard] = False
-        self.live_version += 1
         engines = self.cluster.servers[shard].engines
         self._saved_budgets[shard] = {
             app: engine.budget_bytes for app, engine in engines.items()
@@ -510,7 +506,6 @@ class FaultInjector:
     def _restart(self, event: FaultEvent) -> None:
         shard = event.shard
         self.live[shard] = True
-        self.live_version += 1
         record = self._down.pop(shard)
         record["restart_at"] = event.at
         record["downtime_requests"] = event.at - record["crash_at"]

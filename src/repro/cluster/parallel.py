@@ -1,26 +1,24 @@
-"""Process-parallel partitioned replay over shared-memory trace columns.
+"""The worker-pool executor: replay windows across processes.
 
-Cliffhanger's no-coordination design (paper section 4.3) makes shards
-fully independent between rebalance barriers, and the partitioned replay
-already splits every window into per-(shard, app) runs -- so the
-per-shard fast loops are embarrassingly parallel. This module fans them
-out across worker processes:
+:meth:`repro.cluster.Cluster.replay_compiled` is one window driver with
+two executors. In-process it calls the replay kernel
+(:func:`repro.cluster.kernel.replay_runs`) directly; with
+``cluster.parallel_workers >= 2`` it hands each window to the
+:class:`WorkerPool` here, whose workers run the *same* kernel restricted
+to the shards they own. Shards are independent between barriers (paper
+section 4.3), so the fan-out changes nothing but wall-clock:
 
 * The trace's replay columns and the routing plan's ``shard_ids`` go
   into one :class:`~repro.workloads.compiled.SharedTraceColumns`
   segment; workers map the numeric columns zero-copy and rebuild only
   the interned key strings (once, from the shared utf-8 blob).
-* Each worker owns a contiguous block of shards, builds those shards'
-  engines cold through the cluster's registered factories, and replays
-  its shards' runs of each window -- the same stable partition, the
-  same per-run order, the same packed-outcome tallies as the serial
-  loop.
-* Rebalance epochs and fault barriers are synchronization points: the
-  parent collects every worker's per-run tallies for the window,
-  applies them to its own shard registries through
-  ``record_code_bulk`` (order-free integer adds, flushed in the serial
-  loop's run order), runs ``on_barrier``/``on_epoch``/``apply_events``
-  against its own state, and only then releases the next window.
+* Each worker owns a contiguous block of shards and builds those
+  shards' engines cold through the cluster's registered factories.
+* :meth:`WorkerPool.replay_window` is the synchronization point: it
+  returns once every worker's run tallies for the window have been
+  flushed into the parent's shard registries, so the driver's barrier
+  (sample, rebalance epoch, fault events) reads exactly the state the
+  in-process executor would have left.
 
 The parent's engines never process a request: they are empty
 *bookkeeping mirrors*. Budget moves go through
@@ -30,35 +28,28 @@ floors, and reports see the right budgets -- ``grow_budget`` and
 ``shrink_budget`` touch only ``budget_bytes`` floats, identical whether
 the queues hold items or not) and forwards the command to the owning
 worker, whose engines hold the actual items and report the real
-eviction counts. Fault-time routing changes reach workers through the
-segment's parent-writable scratch column, written strictly before the
-window that uses it.
-
-The result is bit-identical to the serial partitioned loop -- down to
-per-shard per-(app, class) counters, rebalance timelines, and fault
-records -- which the Hypothesis property tests pin down. The serial
-path stays the default and the oracle.
+eviction counts. A routing column other than the plan's (``failover``
+with a shard down) reaches workers through the segment's
+parent-writable scratch column, written strictly before the window that
+uses it.
 """
+
 
 from __future__ import annotations
 
 import traceback
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import OUTCOME_DEAD
 from repro.cluster.cluster import Cluster, scale_engine_budgets
-from repro.cluster.rebalance import epoch_windows
-from repro.cluster.routing import LiveRouter, RoutingPlan
+from repro.cluster.kernel import Run, flush_runs, replay_runs
+from repro.cluster.routing import RoutingPlan
 from repro.common.errors import ConfigurationError
 from repro.common.mp import get_mp_context
 from repro.workloads.compiled import SharedTraceColumns
-
-#: One (shard, app_id, [(packed_code, count), ...]) tally per run.
-Run = Tuple[int, int, List[Tuple[int, int]]]
 
 
 def partition_shards(shards: int, workers: int) -> List[List[int]]:
@@ -103,114 +94,6 @@ def build_shard_servers(
     return servers
 
 
-def window_runs(
-    servers: Dict[int, CacheServer],
-    app_table: Sequence[str],
-    total_shards: int,
-    keys: np.ndarray,
-    op_codes: np.ndarray,
-    slab_classes: np.ndarray,
-    chunk_bytes: np.ndarray,
-    item_bytes: np.ndarray,
-    shard_column: np.ndarray,
-    app_ids: np.ndarray,
-    start: int,
-    stop: int,
-    dead: frozenset = frozenset(),
-) -> List[Run]:
-    """Replay one window's runs for the shards in ``servers``.
-
-    The owned-shard restriction of :meth:`Cluster._replay_window`: the
-    window is filtered to owned shards, stable-sorted by the same
-    ``shard * num_apps + app`` composite (a stable sort of a subsequence
-    preserves the original within-run order, so each run's request
-    sequence is identical to the serial loop's), and each run is
-    replayed with the hoisted ``process_fast`` fast loop. Instead of
-    recording into registries, identical packed ``(code << 2) | op``
-    outcomes are tallied per run and returned for the parent to flush --
-    integer adds, so deferring them is bit-identical. Runs addressed to
-    a ``dead`` owned shard (miss-through) tally ``OUTCOME_DEAD`` per op
-    without touching an engine, exactly like the serial window.
-    """
-    owned_lookup = np.zeros(total_shards, dtype=bool)
-    owned_lookup[list(servers)] = True
-    window_shards = shard_column[start:stop]
-    picks = np.flatnonzero(owned_lookup[window_shards])
-    runs: List[Run] = []
-    if len(picks) == 0:
-        return runs
-    num_apps = len(app_table)
-    composite = (
-        window_shards[picks].astype(np.int64) * num_apps
-        + app_ids[start:stop][picks]
-    )
-    order = np.argsort(composite, kind="stable")
-    sorted_runs = composite[order]
-    run_bounds = np.flatnonzero(sorted_runs[1:] != sorted_runs[:-1]) + 1
-    run_starts = np.concatenate(([0], run_bounds))
-    run_stops = np.concatenate((run_bounds, [len(sorted_runs)]))
-    sorted_picks = picks[order] + start
-    for run_start, run_stop in zip(run_starts, run_stops):
-        shard, app_id = divmod(int(sorted_runs[run_start]), num_apps)
-        run_picks = sorted_picks[run_start:run_stop]
-        if dead and shard in dead:
-            ops, op_counts = np.unique(
-                op_codes[run_picks], return_counts=True
-            )
-            runs.append(
-                (
-                    shard,
-                    app_id,
-                    [
-                        ((OUTCOME_DEAD << 2) | op, count)
-                        for op, count in zip(
-                            ops.tolist(), op_counts.tolist()
-                        )
-                    ],
-                )
-            )
-            continue
-        engine = servers[shard].engines[app_table[app_id]]
-        process = engine.process_fast
-        counts: Dict[int, int] = {}
-        for key, op, class_index, chunk, nbytes in zip(
-            keys[run_picks].tolist(),
-            op_codes[run_picks].tolist(),
-            slab_classes[run_picks].tolist(),
-            chunk_bytes[run_picks].tolist(),
-            item_bytes[run_picks].tolist(),
-        ):
-            packed = (
-                process(key, op, class_index, chunk, nbytes) << 2
-            ) | op
-            try:
-                counts[packed] += 1
-            except KeyError:
-                counts[packed] = 1
-        runs.append((shard, app_id, list(counts.items())))
-    return runs
-
-
-def apply_runs(
-    cluster: Cluster, app_table: Sequence[str], runs: List[Run]
-) -> None:
-    """Flush worker tallies into the parent's shard registries.
-
-    Sorted by the serial loop's composite run order before flushing, so
-    registry keys are even *inserted* in the serial order -- counters
-    are order-free integer adds, but keeping iteration order identical
-    too means serialized reports cannot differ either.
-    """
-    num_apps = len(app_table)
-    runs.sort(key=lambda run: run[0] * num_apps + run[1])
-    servers = cluster.servers
-    for shard, app_id, tallies in runs:
-        record_bulk = servers[shard].stats.record_code_bulk
-        app = app_table[app_id]
-        for packed, count in tallies:
-            record_bulk(app, packed & 3, packed >> 2, count)
-
-
 def _worker_main(conn, payload: Dict[str, Any]) -> None:
     """Worker process entry: attach columns, build owned shards, serve
     commands until ``finish``. Any exception is shipped back as an
@@ -222,8 +105,15 @@ def _worker_main(conn, payload: Dict[str, Any]) -> None:
         servers = build_shard_servers(geometry, payload["owned"], apps)
         factories = {app: factory for app, _, factory in apps}
         app_table = payload["app_table"]
-        total_shards = payload["total_shards"]
-        keys = columns.keys()
+        owned = np.zeros(payload["total_shards"], dtype=bool)
+        owned[payload["owned"]] = True
+        replay_columns = (
+            columns.keys(),
+            columns.op_codes,
+            columns.slab_classes,
+            columns.chunk_bytes,
+            columns.item_bytes,
+        )
         while True:
             message = conn.recv()
             command = message[0]
@@ -235,20 +125,16 @@ def _worker_main(conn, payload: Dict[str, Any]) -> None:
                         if use_scratch
                         else columns.shard_ids
                     )
-                    runs = window_runs(
+                    runs = replay_runs(
                         servers,
                         app_table,
-                        total_shards,
-                        keys,
-                        columns.op_codes,
-                        columns.slab_classes,
-                        columns.chunk_bytes,
-                        columns.item_bytes,
+                        replay_columns,
                         shard_column,
                         columns.app_ids,
                         start,
                         stop,
-                        frozenset(dead),
+                        dead=dead,
+                        owned=owned,
                     )
                     conn.send(("ok", runs))
                 elif command == "scale":
@@ -303,11 +189,13 @@ class WorkerPool:
         plan: RoutingPlan,
         start_method: Optional[str] = None,
     ) -> None:
+        _require_fresh(cluster)
         context = get_mp_context(start_method)
         self.cluster = cluster
         self.app_table = list(trace.app_table)
         self.columns = SharedTraceColumns.export(trace, plan.shard_ids)
-        self._scratch_mask: Optional[Tuple[bool, ...]] = None
+        self._plan_column = plan.shard_ids
+        self._scratch_source: Optional[np.ndarray] = None
         blocks = partition_shards(
             cluster.shards, cluster.config.parallel_workers
         )
@@ -366,35 +254,35 @@ class WorkerPool:
 
     # -- replay protocol -----------------------------------------------
 
-    def set_scratch(
-        self, column: np.ndarray, mask: Tuple[bool, ...]
-    ) -> None:
-        """Publish a fault-window routing column to the workers.
-
-        Written before the window command is broadcast, so every worker
-        observes the full column before touching it; memoized per live
-        mask because schedules revisit live sets.
-        """
-        if mask != self._scratch_mask:
-            self.columns.scratch_shard_ids[:] = column
-            self._scratch_mask = mask
-
     def replay_window(
         self,
         start: int,
         stop: int,
-        use_scratch: bool = False,
-        dead: Tuple[int, ...] = (),
+        shard_column: np.ndarray,
+        dead: Collection[int] = (),
     ) -> None:
-        """Replay ``[start, stop)`` on every worker and apply the merged
-        tallies to the parent's registries (the barrier: this returns
-        only when the whole window is done and accounted)."""
+        """Replay ``[start, stop)`` on every worker and flush the merged
+        tallies into the parent's registries; returns only when the
+        whole window is done and accounted.
+
+        A ``shard_column`` other than the plan's is published through
+        the scratch column before the window command is broadcast, so
+        every worker observes the full column before touching it. The
+        last published column is remembered (by identity -- the router
+        hands back the same array while the live set holds), so a run of
+        windows under one live set copies once.
+        """
+        use_scratch = shard_column is not self._plan_column
+        if use_scratch and shard_column is not self._scratch_source:
+            self.columns.scratch_shard_ids[:] = shard_column
+            self._scratch_source = shard_column
+        message = ("window", start, stop, use_scratch, tuple(dead))
         for connection in self.connections:
-            connection.send(("window", start, stop, use_scratch, dead))
+            connection.send(message)
         runs: List[Run] = []
         for worker in range(len(self.connections)):
             runs.extend(self._receive(worker))
-        apply_runs(self.cluster, self.app_table, runs)
+        flush_runs(self.cluster.servers, self.app_table, runs)
 
     def scale_shard(self, shard: int, target: float) -> int:
         """Forward a budget resize to the owning worker; returns the
@@ -451,74 +339,3 @@ def _require_fresh(cluster: Cluster) -> None:
                     f"{cluster.app_shares.get(app)}); replay serially "
                     f"(parallel_workers: 0)"
                 )
-
-
-def replay_parallel(
-    cluster: Cluster,
-    trace,
-    plan: Optional[RoutingPlan] = None,
-    start_method: Optional[str] = None,
-):
-    """Drive one parallel replay: the windows/barriers of the serial
-    partitioned paths, with the replay loops fanned out to workers.
-
-    Control logic stays entirely in the parent -- the rebalancer and
-    fault injector read the parent's registries (updated from worker
-    tallies at each barrier) and the parent's engine budgets (updated by
-    the same arithmetic the workers run) -- so decision sequences are
-    bit-identical to the serial replay's.
-    """
-    cluster._check_geometry(trace)
-    plan = cluster._resolve_plan(trace, plan)
-    cluster._require_engines(trace)
-    _require_fresh(cluster)
-    pool = WorkerPool(cluster, trace, plan, start_method=start_method)
-    cluster._parallel = pool
-    cluster._parallel_memory = None
-    try:
-        injector = cluster.fault_injector
-        rebalancer = cluster.rebalancer
-        epoch_requests = (
-            rebalancer.config.epoch_requests if rebalancer is not None else 0
-        )
-        if injector is not None:
-            injector.begin(len(trace), epoch_requests)
-            failover = injector.policy == "failover"
-            router = (
-                LiveRouter(
-                    trace, cluster.ring, cluster.replication, base_plan=plan
-                )
-                if failover
-                else None
-            )
-            all_live = (True,) * cluster.shards
-            for start, stop in injector.windows():
-                use_scratch = False
-                dead: Tuple[int, ...] = ()
-                if failover:
-                    mask = tuple(bool(flag) for flag in injector.live)
-                    if mask != all_live:
-                        pool.set_scratch(
-                            router.shard_ids(injector.live), mask
-                        )
-                        use_scratch = True
-                else:
-                    dead = tuple(sorted(injector.dead_shards()))
-                pool.replay_window(start, stop, use_scratch, dead)
-                injector.on_barrier(stop)
-                if epoch_requests and stop % epoch_requests == 0:
-                    rebalancer.on_epoch()
-                injector.apply_events(stop)
-        elif rebalancer is not None:
-            for start, stop in epoch_windows(len(trace), epoch_requests):
-                pool.replay_window(start, stop)
-                if stop - start == epoch_requests:
-                    rebalancer.on_epoch()
-        else:
-            if len(trace) > 0:
-                pool.replay_window(0, len(trace))
-        cluster._parallel_memory = pool.finish()
-    finally:
-        cluster._parallel = None
-        pool.shutdown()
-    return cluster.aggregate_stats()

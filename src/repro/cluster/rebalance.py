@@ -52,12 +52,12 @@ POLICIES = ("shadow", "load")
 def epoch_windows(total_requests: int, epoch_requests: int):
     """Yield ``(start, stop)`` request-index windows between barriers.
 
-    The partitioned epoch replay partitions each window independently
-    and calls :meth:`Rebalancer.on_epoch` after every *full* window --
-    exactly where the per-request loop's countdown fires: after request
-    ``epoch_requests``, ``2 * epoch_requests``, ...; a trailing partial
-    window replays without a barrier. ``epoch_requests <= 0`` (no
-    rebalancing) degenerates to one window covering the whole trace.
+    The replay runs each window independently and the cluster's
+    barrier calls :meth:`Rebalancer.on_epoch` after every *full* one:
+    after request ``epoch_requests``, ``2 * epoch_requests``, ...; a
+    trailing partial window ends without an epoch. ``epoch_requests <=
+    0`` (no rebalancing) degenerates to one window covering the whole
+    trace.
     """
     if epoch_requests <= 0:
         if total_requests > 0:

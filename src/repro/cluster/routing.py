@@ -1,6 +1,6 @@
 """Vectorized routing plans: per-request shard ids computed in bulk.
 
-The per-request cluster loop pays routing taxes Cliffhanger's
+Routing one request at a time pays taxes Cliffhanger's
 no-coordination design (paper section 4.3) does not require: shards are
 fully independent between rebalance epochs, so *where* each request goes
 is a pure function of the trace and the ring -- it can be computed once,
@@ -16,7 +16,7 @@ trace:
 * for replication R > 1, the per-request replica is resolved ahead of
   time from the key's occurrence index (the round-robin "turn" the lazy
   per-key counters would have reached), so the precomputed choice is
-  identical to the legacy loop's.
+  identical to routing request by request.
 
 Plans are cached through :class:`~repro.workloads.compiled.TraceCache`
 (:func:`get_routing_plan`), keyed by the trace's routing digest plus
@@ -85,8 +85,8 @@ def hash_keys_u64(keys: List[str], salt: int = 0) -> np.ndarray:
 def occurrence_index(key_ids: np.ndarray) -> np.ndarray:
     """Per position, how many earlier positions hold the same key id.
 
-    This is exactly the round-robin "turn" the legacy replay loop's lazy
-    per-key counters would have reached at each request. Computed with a
+    This is exactly the round-robin "turn" lazy per-key counters
+    would have reached at each request. Computed with a
     stable sort: within each key's group the original order survives, so
     ``arange - group_start`` is the occurrence count.
     """
@@ -296,6 +296,25 @@ def build_routing_plan(
     )
 
 
+def remember_column(
+    memo: Dict[Tuple[bool, ...], np.ndarray],
+    mask: Tuple[bool, ...],
+    column: np.ndarray,
+) -> None:
+    """Store ``column`` in a per-live-mask memo, keeping it bounded.
+
+    A memo holds the all-live entry plus the most recent other live set:
+    every window between two fault events routes under one mask, and
+    crash/restart pairs return to all-live, so older masks are dead
+    weight -- and with full-trace columns as values, one entry per
+    distinct mask would grow without limit on a long schedule.
+    """
+    if not all(mask):
+        for stale in [known for known in memo if not all(known)]:
+            del memo[stale]
+    memo[mask] = column
+
+
 class LiveRouter:
     """Per-live-set routing columns for the fault-aware failover replay.
 
@@ -306,10 +325,11 @@ class LiveRouter:
     the expensive, live-set-independent halves across windows: the
     per-key ring positions, the per-request round-robin turns, and the
     ring's full successor order. A window's column is then one
-    table-filter plus one gather, memoized per live set (schedules
-    revisit live sets -- crash/restart pairs return to all-live).
+    table-filter plus one gather, memoized through
+    :func:`remember_column` (the all-live column plus the latest other
+    live set).
 
-    The routing contract matches the per-request oracle exactly: a key's
+    The routing contract matches the per-request reference exactly: a key's
     replica set is the first ``min(replication, live_count)`` *live*
     successors clockwise of its hash, and its round-robin turn is its
     occurrence index over the whole trace (counters do not reset at
@@ -368,7 +388,7 @@ class LiveRouter:
                 self._turns % np.int64(effective),
             ]
         column = np.ascontiguousarray(column, dtype=np.int32)
-        self._columns[mask] = column
+        remember_column(self._columns, mask, column)
         return column
 
 

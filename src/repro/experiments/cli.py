@@ -78,24 +78,15 @@ def _print_listing() -> None:
     print("scenario blocks:")
     print(
         "  cluster: shards, hash_seed, replication, virtual_nodes, "
-        "partitioned_replay, parallel_workers"
+        "parallel_workers"
     )
-    print(
-        "    (partitioned_replay: false selects the legacy per-request "
-        "routing loop,"
-    )
-    print(
-        "     kept as the bit-exactness oracle; default true replays "
-        "per-shard runs"
-    )
-    print("     from a cached vectorized routing plan)")
     print(
         "    (parallel_workers: >= 2 fans per-shard replay loops across "
         "worker processes"
     )
     print(
-        "     over shared-memory columns, bit-identical to serial; "
-        "0 = serial, default)"
+        "     over shared-memory columns, bit-identical to in-process; "
+        "0 = in-process, default)"
     )
     print(
         "  rebalance: epoch_requests, credit_bytes, min_shard_fraction, "

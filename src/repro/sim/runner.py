@@ -170,31 +170,23 @@ def build_cluster(
     return cluster
 
 
-def replay_on_cluster(
-    scenario: Scenario, trace
-) -> Tuple["Cluster", StatsRegistry, float]:
-    """Replay an already-loaded trace across the scenario's cluster.
+def prepare_cluster(scenario: Scenario, trace):
+    """The scenario's cluster, ready to replay or serve, plus the
+    compiled trace it will see: ``(cluster, compiled)``.
 
-    Returns ``(cluster, aggregated_stats, elapsed_seconds)``. Cluster
-    replays always take the compiled fast path; per-request observers
-    are a single-server feature. A ``rebalance`` block with a nonzero
-    ``epoch_requests`` attaches an online
-    :class:`~repro.cluster.rebalance.Rebalancer` (seeded from the
-    scenario seed) before the replay; otherwise the static even split
-    runs untouched.
-
-    Partitioned replays fetch their
-    :class:`~repro.cluster.routing.RoutingPlan` through the global
-    two-level trace cache, so a sweep over schemes/budgets/rebalance
-    settings routes each (trace, ring) pair once -- including across
-    worker processes sharing the on-disk store.
+    A ``rebalance`` block with a nonzero ``epoch_requests`` attaches an
+    online :class:`~repro.cluster.rebalance.Rebalancer` (seeded from the
+    scenario seed); otherwise the static even split runs untouched. A
+    non-empty ``faults`` schedule attaches a
+    :class:`~repro.cluster.FaultInjector`; an empty one attaches
+    nothing, so the run stays byte-identical to a scenario without the
+    block (the parity tests pin it).
     """
     from repro.cluster import (
         FaultInjector,
         FaultSchedule,
         RebalanceConfig,
         Rebalancer,
-        get_routing_plan,
     )
 
     chosen = _chosen_apps(scenario, trace)
@@ -206,8 +198,6 @@ def replay_on_cluster(
                 Rebalancer(cluster, rebalance, seed=scenario.seed)
             )
     if scenario.faults is not None:
-        # An empty schedule attaches nothing: the replay must stay on
-        # the fault-free paths, byte for byte (the parity tests pin it).
         schedule = FaultSchedule.from_dict(scenario.faults)
         if schedule.enabled:
             cluster.attach_faults(FaultInjector(cluster, schedule))
@@ -219,11 +209,31 @@ def replay_on_cluster(
         )
     if set(chosen) != set(trace.app_names):
         compiled = compiled.select_apps(chosen)
+    return cluster, compiled
+
+
+def replay_on_cluster(
+    scenario: Scenario, trace
+) -> Tuple["Cluster", StatsRegistry, float]:
+    """Replay an already-loaded trace across the scenario's cluster
+    (built by :func:`prepare_cluster`).
+
+    Returns ``(cluster, aggregated_stats, elapsed_seconds)``. Cluster
+    replays always take the compiled fast path; per-request observers
+    are a single-server feature.
+
+    Replays fetch their
+    :class:`~repro.cluster.routing.RoutingPlan` through the global
+    two-level trace cache, so a sweep over schemes/budgets/rebalance
+    settings routes each (trace, ring) pair once -- including across
+    worker processes sharing the on-disk store.
+    """
+    from repro.cluster import get_routing_plan
+
+    cluster, compiled = prepare_cluster(scenario, trace)
     started = time.perf_counter()
     plan = None
-    if cluster.config.partitioned_replay and (
-        cluster.shards > 1 or cluster.rebalancer is not None
-    ):
+    if cluster.shards > 1 or cluster.rebalancer is not None:
         plan = get_routing_plan(
             compiled, cluster.ring, cluster.replication
         )
@@ -240,47 +250,18 @@ def serve_on_cluster(
 
     Returns ``(cluster, aggregated_stats, elapsed_seconds,
     serve_payload)``. The cluster is built exactly like a replay
-    (same budgets, seeds and optional rebalancer), but requests flow
-    through the asyncio server's batch hot path
-    (:meth:`~repro.cluster.Cluster.process_batch`) instead of the
-    offline replay loops, so the stats afterwards reflect whatever the
-    open-loop schedule actually delivered -- shed requests never reach
-    the cluster. A ``faults`` block attaches a
-    :class:`~repro.cluster.FaultInjector` exactly like an offline
-    replay; the serve harness arms it on the virtual-time axis so the
-    fault timeline is seed-deterministic even though wall-clock
-    latencies are not.
+    (:func:`prepare_cluster`: same budgets, seeds, optional rebalancer
+    and fault injector), but requests flow through the asyncio server's
+    batch hot path (:meth:`~repro.cluster.Cluster.process_batch`)
+    instead of the offline replay, so the stats afterwards reflect
+    whatever the open-loop schedule actually delivered -- shed requests
+    never reach the cluster. The serve harness arms an attached fault
+    injector on the virtual-time axis so the fault timeline is
+    seed-deterministic even though wall-clock latencies are not.
     """
-    from repro.cluster import (
-        FaultInjector,
-        FaultSchedule,
-        RebalanceConfig,
-        Rebalancer,
-    )
     from repro.serve import ServeConfig, run_serve
 
-    chosen = _chosen_apps(scenario, trace)
-    cluster = build_cluster(scenario, trace)
-    if scenario.rebalance is not None:
-        rebalance = RebalanceConfig.from_dict(scenario.rebalance)
-        if rebalance.enabled:
-            cluster.attach_rebalancer(
-                Rebalancer(cluster, rebalance, seed=scenario.seed)
-            )
-    if scenario.faults is not None:
-        # An empty schedule attaches nothing: the no-fault serve path
-        # must stay byte-identical to a scenario without the block.
-        schedule = FaultSchedule.from_dict(scenario.faults)
-        if schedule.enabled:
-            cluster.attach_faults(FaultInjector(cluster, schedule))
-    compiled = getattr(trace, "compiled", None)
-    if compiled is None:
-        raise ConfigurationError(
-            f"workload {scenario.workload!r} has no compiled trace; "
-            "serve scenarios need one"
-        )
-    if set(chosen) != set(trace.app_names):
-        compiled = compiled.select_apps(chosen)
+    cluster, compiled = prepare_cluster(scenario, trace)
     config = ServeConfig.from_dict(scenario.serve)
     started = time.perf_counter()
     report = run_serve(cluster, compiled, config, seed=scenario.seed)

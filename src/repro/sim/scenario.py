@@ -60,19 +60,13 @@ class Scenario:
             (e.g. ``{"credit_bytes": 4096.0}``).
         cluster: Optional multi-server block
             (``{"shards": N, "hash_seed": S, "replication": R,
-            "virtual_nodes": V, "partitioned_replay": true,
-            "parallel_workers": W}``); when
+            "virtual_nodes": V, "parallel_workers": W}``); when
             present the replay routes keys across N shard servers by
             consistent hashing (see :mod:`repro.cluster`). Budgets are
-            split evenly per shard. ``partitioned_replay`` (default
-            ``true``) replays per-shard runs from a cached vectorized
-            routing plan at single-server speed; ``false`` keeps the
-            legacy per-request routing loop, the bit-exactness oracle
-            the parity/property tests compare against.
-            ``parallel_workers`` (default ``0`` = serial; requires the
-            partitioned path) fans the per-shard replay loops out
-            across W worker processes over shared-memory trace columns
-            -- bit-identical to the serial replay, worth wall-clock
+            split evenly per shard. ``parallel_workers`` (default ``0``
+            = in-process) fans the per-shard replay runs out across W
+            worker processes over shared-memory trace columns --
+            bit-identical to the in-process replay, worth wall-clock
             only on multi-core machines (see
             :mod:`repro.cluster.parallel`).
         rebalance: Optional online-rebalancing block

@@ -1,0 +1,78 @@
+"""The one reference replay the cluster parity suites compare against."""
+
+from __future__ import annotations
+
+from repro.cache.stats import OUTCOME_DEAD
+from repro.cluster.rebalance import epoch_windows
+
+
+def replay_reference(cluster, trace):
+    """Replay ``trace`` across ``cluster`` one request at a time.
+
+    Deliberately naive, and deliberately sharing nothing with the
+    production path (:meth:`repro.cluster.Cluster.replay_compiled`) but
+    the ring, the engines and the rebalancer/injector hooks: no routing
+    plan, no partitioning, no tallies. Every request walks the ring for
+    its replica set (memoized per key until the live set changes), takes
+    its round-robin turn (a global per-key occurrence count that never
+    resets), and is recorded on its shard's registry as it happens.
+
+    With a fault injector attached the windows are the injector's merged
+    barriers; with only a rebalancer they are its epochs; with neither
+    the whole trace is one window. After each window the hooks run in
+    the barrier order -- sample, rebalance epoch, fault events. Under
+    ``failover`` routing follows the live successors; under
+    ``miss-through`` it stays the all-live walk and a request landing on
+    a dead shard is recorded as ``OUTCOME_DEAD`` without reaching an
+    engine. Returns the cluster-wide aggregate registry.
+    """
+    injector, rebalancer = cluster.fault_injector, cluster.rebalancer
+    epoch = rebalancer.config.epoch_requests if rebalancer is not None else 0
+    if injector is not None:
+        injector.begin(len(trace), epoch)
+        windows = injector.windows()
+    else:
+        windows = epoch_windows(len(trace), epoch)
+    failover = injector is not None and injector.policy == "failover"
+    ring, replication = cluster.ring, cluster.replication
+    replicas_of_key = {}
+    routed_live = None
+    turn_of_key = [0] * len(trace.key_table)
+    for start, stop in windows:
+        live = list(cluster.live_mask())
+        if failover and live != routed_live:
+            replicas_of_key.clear()
+            routed_live = live
+        for i in range(start, stop):
+            key, key_id = trace.keys[i], trace.key_ids[i]
+            choices = replicas_of_key.get(key_id)
+            if choices is None:
+                choices = replicas_of_key[key_id] = (
+                    ring.shards_for_live(key, replication, live)
+                    if failover
+                    else ring.shards_for(key, replication)
+                )
+            shard = choices[turn_of_key[key_id] % len(choices)]
+            turn_of_key[key_id] += 1
+            server = cluster.servers[shard]
+            # Restarts swap in fresh engines: look the engine up each time.
+            engine = server.engines[trace.app_table[trace.app_ids[i]]]
+            op = trace.op_codes[i]
+            if live[shard]:
+                code = engine.process_fast(
+                    key,
+                    op,
+                    trace.slab_classes[i],
+                    trace.chunk_bytes[i],
+                    trace.item_bytes[i],
+                )
+            else:
+                code = OUTCOME_DEAD
+            server.stats.record_code(engine.app, op, code)
+        if injector is not None:
+            injector.on_barrier(stop)
+        if epoch and stop % epoch == 0:
+            rebalancer.on_epoch()
+        if injector is not None:
+            injector.apply_events(stop)
+    return cluster.aggregate_stats()

@@ -41,23 +41,18 @@ class TestConfig:
         assert config == ClusterConfig.from_dict(config.to_dict())
         assert config.replication == 1
 
-    def test_partitioned_replay_knob_round_trips(self):
-        config = ClusterConfig.from_dict(
-            {"shards": 2, "partitioned_replay": False}
-        )
-        assert config.partitioned_replay is False
-        assert config == ClusterConfig.from_dict(config.to_dict())
-        assert ClusterConfig.from_dict({"shards": 2}).partitioned_replay
-
-    def test_partitioned_replay_must_be_boolean(self):
-        with pytest.raises(ConfigurationError, match="partitioned_replay"):
-            ClusterConfig.from_dict(
-                {"shards": 2, "partitioned_replay": "false"}
-            )
-
     def test_unknown_and_bad_fields_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown cluster"):
             ClusterConfig.from_dict({"shards": 2, "nodes": 3})
+        # The retired replay-loop selector is an unknown field like any
+        # other.
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown cluster fields: partitioned_replay",
+        ):
+            ClusterConfig.from_dict(
+                {"shards": 2, "partitioned_replay": False}
+            )
         with pytest.raises(ConfigurationError):
             ClusterConfig.from_dict({"shards": 0})
         with pytest.raises(ConfigurationError):

@@ -7,12 +7,13 @@ Three layers of guarantees:
    crashes, restart-before-crash) and round-trip through JSON, so a
    scenario's ``faults`` block is sweepable like any other knob.
 2. **No faults means no drift.** An empty or omitted schedule leaves the
-   replay bit-identical to the fault-free paths -- exact float equality
-   down to per-shard per-(app, class) counters, on both the partitioned
-   fast path and the legacy per-request oracle.
+   replay bit-identical to the fault-free run -- exact float equality
+   down to per-shard per-(app, class) counters, for the production
+   replay and the per-request reference alike.
 3. **Faulted replays stay deterministic and conservative.** A Hypothesis
-   property drives random schedules through both replay loops and
-   asserts they agree bit for bit (including dead-shard tagging); with a
+   property drives random schedules through the production replay and
+   the reference (``tests/cluster/reference.py``) and asserts they
+   agree bit for bit (including dead-shard tagging); with a
    rebalancer attached, total budget is conserved across every sampled
    epoch and no shard ever pierces the floor; a fixed seed reproduces
    the identical fault timeline.
@@ -28,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import FaultEvent, FaultInjector, FaultSchedule
 from repro.common.errors import ConfigurationError
 from repro.sim import Scenario, load_workload, run_scenario
+from tests.cluster.helpers import run_reference, schedules, shard_snapshots
 
 SEED = 0
 
@@ -53,27 +55,6 @@ TOTAL = sum(
         "zipf", scale=0.1, seed=SEED, **WORKLOAD_PARAMS
     ).requests_per_app.values()
 )
-
-
-def counters_snapshot(stats):
-    return {
-        key: (
-            c.get_hits,
-            c.get_misses,
-            c.sets,
-            c.shadow_hits,
-            c.evictions,
-            c.dead_requests,
-        )
-        for key, c in stats.by_app_class.items()
-    }
-
-
-def shard_snapshots(result):
-    return [
-        counters_snapshot(server.stats)
-        for server in result.cluster.servers
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +163,18 @@ def test_single_shard_cluster_rejects_enabled_schedule():
 
 
 # ---------------------------------------------------------------------------
-# No faults means no drift (both replay loops)
+# No faults means no drift (production replay and reference)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "partitioned", [True, False], ids=["partitioned", "legacy"]
+    "run",
+    [lambda scenario: run_scenario(scenario, keep_server=True), run_reference],
+    ids=["production", "reference"],
 )
-def test_empty_schedule_bit_identical_to_no_faults(partitioned):
-    cluster = dict(BASE.cluster, partitioned_replay=partitioned)
-    plain = run_scenario(
-        BASE.replace(cluster=cluster), keep_server=True
-    )
-    gated = run_scenario(
-        BASE.replace(cluster=cluster, faults={"events": []}),
-        keep_server=True,
-    )
+def test_empty_schedule_bit_identical_to_no_faults(run):
+    plain = run(BASE)
+    gated = run(BASE.replace(faults={"events": []}))
     assert gated.hit_rates == plain.hit_rates  # exact float equality
     assert gated.overall_hit_rate == plain.overall_hit_rate
     assert gated.requests == plain.requests
@@ -355,56 +332,18 @@ def test_fixed_seed_reproduces_identical_fault_timeline():
 
 
 # ---------------------------------------------------------------------------
-# Property: both replay loops agree on any valid schedule, and the
-# rebalancer conserves budget around crashes.
+# Property: the production replay agrees with the reference on any valid
+# schedule, and the rebalancer conserves budget around crashes.
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def schedules(draw, total=TOTAL, shards=4):
-    """A valid crash(/restart) schedule over 1-2 distinct shards."""
-    pairs = draw(st.integers(min_value=1, max_value=2))
-    targets = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=shards - 1),
-            min_size=pairs,
-            max_size=pairs,
-            unique=True,
-        )
-    )
-    offsets = sorted(
-        draw(
-            st.lists(
-                st.integers(min_value=1, max_value=total - 1),
-                min_size=2 * pairs,
-                max_size=2 * pairs,
-                unique=True,
-            )
-        )
-    )
-    # Crashes first (offset order), then restarts in the same shard
-    # order: globally non-decreasing and per-shard alternating. With
-    # pairs < shards at least one shard always stays live.
-    events = [
-        {"kind": "crash", "shard": shard, "at": offsets[i]}
-        for i, shard in enumerate(targets)
-    ] + [
-        {"kind": "restart", "shard": shard, "at": offsets[pairs + i]}
-        for i, shard in enumerate(targets)
-    ]
-    policy = draw(st.sampled_from(["failover", "miss-through"]))
-    return {"events": events, "policy": policy}
 
 
 @settings(max_examples=15, deadline=None)
 @given(
-    faults=schedules(),
+    faults=schedules(TOTAL),
     replication=st.integers(min_value=1, max_value=2),
     rebalance=st.booleans(),
 )
-def test_partitioned_faulted_replay_matches_legacy_oracle(
-    faults, replication, rebalance
-):
+def test_faulted_replay_matches_reference(faults, replication, rebalance):
     extra = {}
     if rebalance:
         extra["rebalance"] = {"epoch_requests": 400, "policy": "shadow"}
@@ -414,18 +353,11 @@ def test_partitioned_faulted_replay_matches_legacy_oracle(
         **extra,
     )
     fast = run_scenario(base, keep_server=True)
-    legacy = run_scenario(
-        base.replace(
-            cluster=dict(base.cluster, partitioned_replay=False)
-        ),
-        keep_server=True,
-    )
-    assert fast.hit_rates == legacy.hit_rates  # exact float equality
-    assert fast.overall_hit_rate == legacy.overall_hit_rate
-    assert shard_snapshots(fast) == shard_snapshots(legacy)
-    assert (
-        fast.cluster_report["faults"] == legacy.cluster_report["faults"]
-    )
+    reference = run_reference(base)
+    assert fast.hit_rates == reference.hit_rates  # exact float equality
+    assert fast.overall_hit_rate == reference.overall_hit_rate
+    assert shard_snapshots(fast) == shard_snapshots(reference)
+    assert fast.cluster_report == reference.cluster_report
     if rebalance:
         # Conservation every sampled epoch: the rebalancer's timeline
         # records each shard's budget at every epoch barrier, through

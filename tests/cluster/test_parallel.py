@@ -1,19 +1,19 @@
-"""Process-parallel replay: bit-exact parity with the serial oracle.
+"""Process-parallel replay: bit-exact parity with the in-process one.
 
-The parallel path's contract is absolute: fanning the per-shard replay
-loops out to worker processes must change *nothing* -- per-shard
-per-(app, class) counters, rebalance timelines, fault records, shard
-load reports -- versus the serial partitioned replay, which itself is
-pinned against the per-request oracle. These tests compare whole
-serialized results (minus wall-clock timings and the worker-count knob
-itself), under every replay mode the cluster has: static, rebalanced,
-faulted (both policies), faulted + rebalanced, fork and spawn start
-methods, and Hypothesis-driven random fault schedules.
+The worker pool's contract is absolute: fanning the per-shard runs out
+to worker processes must change *nothing* -- per-shard per-(app, class)
+counters, rebalance timelines, fault records, shard load reports --
+versus the in-process executor, which itself is pinned against the
+per-request reference. These tests compare whole serialized results
+(minus wall-clock timings and the worker-count knob itself), under
+every replay mode the cluster has: static, rebalanced, faulted (both
+policies), faulted + rebalanced, fork and spawn start methods, and
+Hypothesis-driven random fault schedules.
 
 Alongside parity: the knob's validation surface, the fresh-cluster
 guard, sweep reachability, worker-failure propagation, shared-memory
 hygiene (no ``/dev/shm`` leaks), and in-process unit coverage of the
-worker-side helpers.
+replay kernel the workers run (owned-shard filter, dead-shard tallies).
 """
 
 from __future__ import annotations
@@ -21,23 +21,24 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.server import CacheServer
-from repro.cluster import ClusterConfig
+from repro.cache.stats import OUTCOME_DEAD
+from repro.cluster import ClusterConfig, build_routing_plan
 from repro.cluster.cluster import scale_engine_budgets
+from repro.cluster.kernel import flush_runs, replay_runs
 from repro.cluster.parallel import (
     WorkerPool,
-    apply_runs,
     build_shard_servers,
     partition_shards,
-    replay_parallel,
-    window_runs,
 )
 from repro.common.errors import ConfigurationError
 from repro.sim import Scenario, load_workload, run_scenario
 from repro.sim.runner import build_cluster
+from tests.cluster.helpers import counters_snapshot, shard_snapshots
 
 SEED = 0
 SHARDS = 4
@@ -72,27 +73,6 @@ FAULTS = {
         {"kind": "crash", "shard": 3, "at": 11_000},
     ],
 }
-
-
-def counters_snapshot(stats):
-    return {
-        key: (
-            c.get_hits,
-            c.get_misses,
-            c.sets,
-            c.shadow_hits,
-            c.evictions,
-            c.dead_requests,
-        )
-        for key, c in stats.by_app_class.items()
-    }
-
-
-def shard_snapshots(result):
-    return [
-        counters_snapshot(server.stats)
-        for server in result.cluster.servers
-    ]
 
 
 def comparable(result):
@@ -174,6 +154,19 @@ def test_faulted_rebalanced_parallel_identical_to_serial(policy):
     )
 
 
+def test_offset_zero_crash_reaches_the_workers():
+    # A crash at offset 0 drains budgets before the first window: the
+    # pool must already be up so the workers' engines shrink too.
+    serial, _ = assert_parity(
+        BASE.replace(
+            faults={"events": [{"kind": "crash", "shard": 0, "at": 0}]},
+            rebalance=dict(REBALANCE),
+        )
+    )
+    crash = serial.cluster_report["faults"]["crashes"][0]
+    assert crash["budget_moved_bytes"] > 0
+
+
 def test_replicated_parallel_identical_to_serial():
     assert_parity(
         BASE.replace(cluster=dict(BASE.cluster, replication=2))
@@ -186,19 +179,33 @@ def test_more_workers_than_shards_clamps():
     assert_parity(BASE, workers=16)
 
 
-def test_spawn_start_method_identical_to_fork():
-    workload = load_workload("zipf", scale=0.1, seed=SEED, **WORKLOAD_PARAMS)
-    compiled = workload.compiled
-    scenario = with_workers(BASE, 2)
-    spawn_cluster = build_cluster(scenario, workload)
-    stats = replay_parallel(spawn_cluster, compiled, start_method="spawn")
-    serial_cluster = build_cluster(BASE, workload)
-    serial_stats = serial_cluster.replay_compiled(compiled)
-    assert counters_snapshot(stats) == counters_snapshot(serial_stats)
+def test_spawn_pool_tallies_identical_to_in_process_kernel():
+    # The pool under the ``spawn`` start method (fresh interpreters,
+    # pickled factories) against the kernel called in-process: same
+    # window, same registries, same used bytes.
+    pool_cluster, compiled = make_direct_cluster(workers=2)
+    plan = build_routing_plan(
+        compiled, pool_cluster.ring, pool_cluster.replication
+    )
+    pool = WorkerPool(pool_cluster, compiled, plan, start_method="spawn")
+    try:
+        pool.replay_window(0, len(compiled), plan.shard_ids)
+        memory = pool.finish()
+    finally:
+        pool.shutdown()
+    local_cluster, _ = make_direct_cluster()
+    flush_runs(
+        local_cluster.servers,
+        compiled.app_table,
+        kernel_runs(local_cluster.servers, compiled, plan),
+    )
     assert [
-        counters_snapshot(s.stats) for s in spawn_cluster.servers
-    ] == [counters_snapshot(s.stats) for s in serial_cluster.servers]
-    assert spawn_cluster.report() == serial_cluster.report()
+        counters_snapshot(s.stats) for s in pool_cluster.servers
+    ] == [counters_snapshot(s.stats) for s in local_cluster.servers]
+    assert memory == {
+        shard: server.memory_in_use()
+        for shard, server in enumerate(local_cluster.servers)
+    }
     assert shm_entries() == []
 
 
@@ -234,13 +241,6 @@ def test_parallel_matches_serial_on_random_schedules(
 # ---------------------------------------------------------------------------
 # Knob surface
 # ---------------------------------------------------------------------------
-
-
-def test_parallel_workers_requires_partitioned_replay():
-    with pytest.raises(ConfigurationError, match="partitioned_replay"):
-        ClusterConfig(
-            shards=2, partitioned_replay=False, parallel_workers=2
-        )
 
 
 @pytest.mark.parametrize("bad", [-1, True, 2.5, "two"])
@@ -315,8 +315,6 @@ def test_worker_failure_propagates_and_cleans_up():
     compiled = workload.compiled
     scenario = with_workers(BASE, 2)
     cluster = build_cluster(scenario, workload)
-    from repro.cluster.routing import build_routing_plan
-
     plan = build_routing_plan(compiled, cluster.ring, cluster.replication)
     pool = WorkerPool(cluster, compiled, plan)
     try:
@@ -331,8 +329,8 @@ def test_worker_failure_propagates_and_cleans_up():
 
 
 # ---------------------------------------------------------------------------
-# Worker-side helpers, in process (subprocess code is invisible to
-# coverage; the replay logic itself is exercised here directly)
+# The kernel the workers run, in process (subprocess code is invisible
+# to coverage; the replay logic itself is exercised here directly)
 # ---------------------------------------------------------------------------
 
 
@@ -352,140 +350,95 @@ def make_direct_cluster(workers=0):
     return build_cluster(scenario, workload), workload.compiled
 
 
-def test_window_runs_matches_serial_window_in_process():
-    import numpy as np
-
-    from repro.cluster.routing import build_routing_plan
-
-    serial_cluster, compiled = make_direct_cluster()
-    plan = build_routing_plan(
-        compiled, serial_cluster.ring, serial_cluster.replication
-    )
-    app_column = np.asarray(compiled.app_ids, dtype=np.int64)
-    serial_cluster._replay_window(
-        compiled, plan.shard_ids, app_column, 0, len(compiled)
-    )
-
-    mirror_cluster, _ = make_direct_cluster()
-    servers = {
-        shard: server
-        for shard, server in enumerate(mirror_cluster.servers)
-    }
-    keys, op_codes, slab_classes, chunk_bytes, item_bytes = (
-        compiled.replay_columns()
-    )
-    runs = window_runs(
+def kernel_runs(servers, compiled, plan, stop=None, **kwargs):
+    """One kernel call over ``[0, stop)`` of ``compiled`` for ``servers``."""
+    return replay_runs(
         servers,
         compiled.app_table,
-        mirror_cluster.shards,
-        keys,
-        op_codes,
-        slab_classes,
-        chunk_bytes,
-        item_bytes,
+        compiled.replay_columns(),
         plan.shard_ids,
-        app_column,
+        np.asarray(compiled.app_ids, dtype=np.int64),
         0,
-        len(compiled),
+        len(compiled) if stop is None else stop,
+        **kwargs,
     )
-    # The mirror's engines processed everything; its *registries* are
-    # still empty until the tallies are applied (the parent's job).
+
+
+def owned_lookup(cluster, shards):
+    lookup = np.zeros(cluster.shards, dtype=bool)
+    lookup[list(shards)] = True
+    return lookup
+
+
+def test_kernel_owned_blocks_add_up_to_the_whole_window():
+    whole_cluster, compiled = make_direct_cluster()
+    plan = build_routing_plan(
+        compiled, whole_cluster.ring, whole_cluster.replication
+    )
+    whole = kernel_runs(whole_cluster.servers, compiled, plan)
+
+    split_cluster, _ = make_direct_cluster()
+    split = []
+    for block in partition_shards(split_cluster.shards, 3):
+        servers = {shard: split_cluster.servers[shard] for shard in block}
+        split.extend(
+            kernel_runs(
+                servers,
+                compiled,
+                plan,
+                owned=owned_lookup(split_cluster, block),
+            )
+        )
+    # Contiguous blocks in worker order concatenate to the serial run
+    # order, tally for tally -- what lets the pool skip a re-sort.
+    assert split == whole
+    # The engines processed everything; the *registries* stay empty
+    # until the tallies are flushed (the parent's job).
     assert all(
-        not server.stats.by_app_class
-        for server in mirror_cluster.servers
+        not server.stats.by_app_class for server in split_cluster.servers
     )
-    apply_runs(mirror_cluster, compiled.app_table, runs)
+    flush_runs(split_cluster.servers, compiled.app_table, split)
+    flush_runs(whole_cluster.servers, compiled.app_table, whole)
     assert [
-        counters_snapshot(s.stats) for s in mirror_cluster.servers
-    ] == [counters_snapshot(s.stats) for s in serial_cluster.servers]
+        counters_snapshot(s.stats) for s in split_cluster.servers
+    ] == [counters_snapshot(s.stats) for s in whole_cluster.servers]
 
 
-def test_window_runs_dead_shards_tally_without_engines():
-    import numpy as np
-
-    from repro.cache.stats import OUTCOME_DEAD
-    from repro.cluster.routing import build_routing_plan
-
+def test_kernel_dead_shards_tally_without_engines():
     cluster, compiled = make_direct_cluster()
     plan = build_routing_plan(compiled, cluster.ring, cluster.replication)
-    app_column = np.asarray(compiled.app_ids, dtype=np.int64)
-    servers = {
-        shard: server for shard, server in enumerate(cluster.servers)
-    }
-    keys, op_codes, slab_classes, chunk_bytes, item_bytes = (
-        compiled.replay_columns()
-    )
-    runs = window_runs(
-        servers,
-        compiled.app_table,
-        cluster.shards,
-        keys,
-        op_codes,
-        slab_classes,
-        chunk_bytes,
-        item_bytes,
-        plan.shard_ids,
-        app_column,
-        0,
-        1_000,
-        dead=frozenset({1}),
+    out = np.full(1_000, -1, dtype=np.int64)
+    runs = kernel_runs(
+        cluster.servers, compiled, plan, stop=1_000, dead={1}, out=out
     )
     dead_runs = [run for run in runs if run[0] == 1]
     assert dead_runs
     for _, _, tallies in dead_runs:
-        for packed, count in tallies:
+        for packed, count in tallies.items():
             assert packed >> 2 == OUTCOME_DEAD
             assert count > 0
-    # Dead shard 1's engines never saw a request.
+    # Dead shard 1's engines never saw a request, and the outcome column
+    # says so request by request.
     assert cluster.servers[1].memory_in_use() == 0
+    on_dead = plan.shard_ids[:1_000] == 1
+    assert (out[on_dead] == OUTCOME_DEAD).all()
+    assert (out[~on_dead] != OUTCOME_DEAD).all()
+    assert (out >= 0).all()
 
 
-def test_window_runs_skips_unowned_shards():
-    import numpy as np
-
-    from repro.cluster.routing import build_routing_plan
-
+def test_kernel_skips_unowned_shards():
     cluster, compiled = make_direct_cluster()
     plan = build_routing_plan(compiled, cluster.ring, cluster.replication)
-    app_column = np.asarray(compiled.app_ids, dtype=np.int64)
     servers = {0: cluster.servers[0]}  # own shard 0 only
-    keys, op_codes, slab_classes, chunk_bytes, item_bytes = (
-        compiled.replay_columns()
-    )
-    runs = window_runs(
-        servers,
-        compiled.app_table,
-        cluster.shards,
-        keys,
-        op_codes,
-        slab_classes,
-        chunk_bytes,
-        item_bytes,
-        plan.shard_ids,
-        app_column,
-        0,
-        len(compiled),
-    )
+    owned = owned_lookup(cluster, [0])
+    runs = kernel_runs(servers, compiled, plan, owned=owned)
     assert runs
     assert {run[0] for run in runs} == {0}
     # An empty window yields no runs at all.
-    assert (
-        window_runs(
-            servers,
-            compiled.app_table,
-            cluster.shards,
-            keys,
-            op_codes,
-            slab_classes,
-            chunk_bytes,
-            item_bytes,
-            plan.shard_ids,
-            app_column,
-            0,
-            0,
-        )
-        == []
-    )
+    assert kernel_runs(servers, compiled, plan, stop=0, owned=owned) == []
+    # Neither does a window holding only other shards' requests.
+    nobody = owned_lookup(cluster, [])
+    assert kernel_runs(servers, compiled, plan, owned=nobody) == []
 
 
 def test_build_shard_servers_rejects_misnamed_factory():

@@ -19,6 +19,11 @@ import json
 import pytest
 
 from repro.sim import Scenario, Sweep, run_scenario
+from tests.cluster.helpers import (
+    counters_snapshot,
+    run_reference,
+    shard_snapshots,
+)
 
 SCALE = 0.02
 SEED = 0
@@ -29,13 +34,6 @@ MEMCACHIER = Scenario(
     seed=SEED,
     workload_params={"apps": [3, 19]},
 )
-
-
-def counters_snapshot(stats):
-    return {
-        key: (c.get_hits, c.get_misses, c.sets, c.shadow_hits, c.evictions)
-        for key, c in stats.by_app_class.items()
-    }
 
 
 @pytest.mark.parametrize("scheme", ["default", "cliffhanger"])
@@ -174,12 +172,7 @@ def test_disabled_rebalance_bit_identical_to_static_split(rebalance):
     # Down to per-(app, slab class) counters, aggregated...
     assert counters_snapshot(gated.stats) == counters_snapshot(plain.stats)
     # ...and per shard server.
-    for plain_shard, gated_shard in zip(
-        plain.cluster.servers, gated.cluster.servers
-    ):
-        assert counters_snapshot(gated_shard.stats) == counters_snapshot(
-            plain_shard.stats
-        )
+    assert shard_snapshots(gated) == shard_snapshots(plain)
     # The report shows no rebalance section either way.
     assert plain.cluster_report["rebalance"] is None
     assert gated.cluster_report["rebalance"] is None
@@ -199,10 +192,10 @@ def test_one_shard_disabled_rebalance_still_matches_server_path():
 
 
 # ---------------------------------------------------------------------------
-# Partitioned-replay parity: the default routing-plan path must reproduce
-# the legacy per-request loop (``partitioned_replay: false``) bit for bit,
-# through the full scenario layer -- static splits, replication > 1, and
-# the epoch-driven rebalance path.
+# Replay-vs-reference parity: the production replay must reproduce the
+# naive per-request reference (``tests/cluster/reference.py``) bit for
+# bit, through the full scenario layer -- static splits, replication > 1,
+# and the epoch-driven rebalance path.
 # ---------------------------------------------------------------------------
 
 
@@ -215,57 +208,33 @@ def test_one_shard_disabled_rebalance_still_matches_server_path():
     ],
     ids=["static", "replicated", "replicated-uneven-ring"],
 )
-def test_partitioned_scenario_bit_identical_to_legacy_loop(cluster):
+def test_scenario_replay_bit_identical_to_reference(cluster):
     base = DYNAMIC.replace(cluster=cluster)
     fast = run_scenario(base, keep_server=True)
-    legacy = run_scenario(
-        base.replace(cluster=dict(cluster, partitioned_replay=False)),
-        keep_server=True,
+    reference = run_reference(base)
+    assert fast.hit_rates == reference.hit_rates  # exact float equality
+    assert fast.overall_hit_rate == reference.overall_hit_rate
+    assert fast.requests == reference.requests
+    assert counters_snapshot(fast.stats) == counters_snapshot(
+        reference.stats
     )
-    assert fast.hit_rates == legacy.hit_rates  # exact float equality
-    assert fast.overall_hit_rate == legacy.overall_hit_rate
-    assert fast.requests == legacy.requests
-    assert counters_snapshot(fast.stats) == counters_snapshot(legacy.stats)
-    for fast_shard, legacy_shard in zip(
-        fast.cluster.servers, legacy.cluster.servers
-    ):
-        assert counters_snapshot(fast_shard.stats) == counters_snapshot(
-            legacy_shard.stats
-        )
-    # The knob is the only report difference.
-    fast_report = fast.cluster_report
-    legacy_report = legacy.cluster_report
-    assert fast_report["shard_loads"] == legacy_report["shard_loads"]
-    assert fast_report["imbalance"] == legacy_report["imbalance"]
+    assert shard_snapshots(fast) == shard_snapshots(reference)
+    assert fast.cluster_report == reference.cluster_report
 
 
-def test_partitioned_rebalance_scenario_bit_identical_to_legacy_loop():
+def test_rebalance_scenario_replay_bit_identical_to_reference():
     base = DYNAMIC.replace(
         scheme="hill",
         cluster={"shards": 4, "virtual_nodes": 4},
         rebalance={"epoch_requests": 2000, "policy": "shadow"},
     )
     fast = run_scenario(base, keep_server=True)
-    legacy = run_scenario(
-        base.replace(
-            cluster={
-                "shards": 4,
-                "virtual_nodes": 4,
-                "partitioned_replay": False,
-            }
-        ),
-        keep_server=True,
+    reference = run_reference(base)
+    assert fast.hit_rates == reference.hit_rates
+    assert fast.overall_hit_rate == reference.overall_hit_rate
+    assert shard_snapshots(fast) == shard_snapshots(reference)
+    # Same epochs, same transfers, same per-epoch budget timeline.
+    assert (
+        fast.cluster_report["rebalance"]
+        == reference.cluster_report["rebalance"]
     )
-    assert fast.hit_rates == legacy.hit_rates
-    assert fast.overall_hit_rate == legacy.overall_hit_rate
-    for fast_shard, legacy_shard in zip(
-        fast.cluster.servers, legacy.cluster.servers
-    ):
-        assert counters_snapshot(fast_shard.stats) == counters_snapshot(
-            legacy_shard.stats
-        )
-    fast_rebalance = fast.cluster_report["rebalance"]
-    legacy_rebalance = legacy.cluster_report["rebalance"]
-    assert fast_rebalance["transfers"] == legacy_rebalance["transfers"]
-    assert fast_rebalance["shard_budgets"] == legacy_rebalance["shard_budgets"]
-    assert fast_rebalance["timeline"] == legacy_rebalance["timeline"]

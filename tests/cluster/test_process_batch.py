@@ -198,7 +198,6 @@ class TestBatchParity:
 
         def kill(cluster):
             cluster.fault_injector.live[dead_shard] = False
-            cluster.fault_injector.live_version += 1
 
         oracle_codes = run_oracle(oracle, requests[:flip_at])
         kill(oracle)

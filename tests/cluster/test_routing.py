@@ -1,16 +1,16 @@
 """Routing plans: vectorized hashing, partitioning, caching, and the
-partitioned-vs-oracle bit-identity property.
+replay-vs-reference bit-identity property.
 
-The partitioned cluster replay stands on three exact equivalences:
+The cluster replay stands on three exact equivalences:
 
 * the bulk splitmix64 pass equals :func:`stable_hash_u64` per key;
-* the plan's ``shard_ids`` equal the legacy loop's lazy ring lookups
-  and round-robin replica counters;
+* the plan's ``shard_ids`` equal lazy per-key ring lookups and
+  round-robin replica counters;
 * replaying per-(shard, app) runs equals the interleaved per-request
   loop, down to per-shard per-(app, class) counters -- pinned by a
   Hypothesis property over random shard counts, replication factors,
-  hash seeds, and traces with deletes, against the kept-as-oracle
-  ``cluster.partitioned_replay: false`` path.
+  hash seeds, and traces with deletes, against
+  :func:`tests.cluster.reference.replay_reference`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.common.errors import ConfigurationError, TraceFormatError
 from repro.common.hashing import stable_hash_u64
 from repro.workloads.compiled import CompiledTrace, TraceCache
 from repro.workloads.trace import Request
+from tests.cluster.reference import replay_reference
 
 GEO = SlabGeometry.default()
 
@@ -233,14 +234,13 @@ def test_digest_covers_keys_not_budgets():
 # ---------------------------------------------------------------------------
 
 
-def fcfs_cluster(shards, replication=1, partitioned=True, seed=5, apps=("a",)):
+def fcfs_cluster(shards, replication=1, seed=5, apps=("a",)):
     cluster = Cluster(
         ClusterConfig(
             shards=shards,
             replication=replication,
             hash_seed=seed,
             virtual_nodes=8,
-            partitioned_replay=partitioned,
         ),
         GEO,
     )
@@ -280,7 +280,7 @@ def test_mismatched_plan_rejected():
         cluster.replay_compiled(trace, plan=other_vnodes)
 
 
-def test_partitioned_unknown_app_still_rejected():
+def test_unknown_app_rejected_up_front():
     trace = compile_trace([("ghost", "k", "get", 64)])
     with pytest.raises(ConfigurationError, match="unknown app"):
         fcfs_cluster(2).replay_compiled(trace)
@@ -390,7 +390,7 @@ def test_corrupt_cached_plan_is_rebuilt_and_repaired(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The bit-identity property: partitioned replay == per-request oracle
+# The bit-identity property: production replay == per-request reference
 # ---------------------------------------------------------------------------
 
 
@@ -420,18 +420,14 @@ requests_strategy = st.lists(
     replication=st.integers(min_value=1, max_value=3),
     hash_seed=st.integers(min_value=0, max_value=2**32),
 )
-def test_partitioned_bit_identical_to_oracle(
+def test_replay_bit_identical_to_reference(
     rows, shards, replication, hash_seed
 ):
     trace = compile_trace(rows)
-    fast = fcfs_cluster(
-        shards, replication, partitioned=True, seed=hash_seed, apps=("a", "b")
-    )
-    oracle = fcfs_cluster(
-        shards, replication, partitioned=False, seed=hash_seed, apps=("a", "b")
-    )
+    fast = fcfs_cluster(shards, replication, seed=hash_seed, apps=("a", "b"))
+    oracle = fcfs_cluster(shards, replication, seed=hash_seed, apps=("a", "b"))
     fast_stats = fast.replay_compiled(trace)
-    oracle_stats = oracle.replay_compiled(trace)
+    oracle_stats = replay_reference(oracle, trace)
     assert (
         fast_stats.total.get_hits,
         fast_stats.total.get_misses,
@@ -448,7 +444,7 @@ def test_partitioned_bit_identical_to_oracle(
 
 
 @pytest.mark.parametrize("replication", [1, 2])
-def test_partitioned_epoch_path_bit_identical_to_oracle(replication):
+def test_epoch_replay_bit_identical_to_reference(replication):
     rows = []
     for i in range(2500):
         rows.append(
@@ -461,10 +457,8 @@ def test_partitioned_epoch_path_bit_identical_to_oracle(replication):
         )
     trace = compile_trace(rows)
 
-    def with_rebalancer(partitioned):
-        cluster = fcfs_cluster(
-            4, replication, partitioned=partitioned, apps=("a", "b")
-        )
+    def with_rebalancer():
+        cluster = fcfs_cluster(4, replication, apps=("a", "b"))
         cluster.attach_rebalancer(
             Rebalancer(
                 cluster,
@@ -476,9 +470,9 @@ def test_partitioned_epoch_path_bit_identical_to_oracle(replication):
         )
         return cluster
 
-    fast, oracle = with_rebalancer(True), with_rebalancer(False)
+    fast, oracle = with_rebalancer(), with_rebalancer()
     fast.replay_compiled(trace)
-    oracle.replay_compiled(trace)
+    replay_reference(oracle, trace)
     for fast_shard, oracle_shard in zip(fast.servers, oracle.servers):
         assert counters(fast_shard) == counters(oracle_shard)
     # Same epochs, same transfers, same per-epoch budget timeline.

@@ -57,7 +57,8 @@ def test_list_enumerates_experiments_schemes_and_workloads(capsys):
     for entry in ("cluster_rebalance", "cliffhanger", "flash-crowd"):
         assert entry in out
     # New scenario-visible knobs surface in the listing.
-    assert "partitioned_replay" in out
+    assert "parallel_workers" in out
+    assert "partitioned_replay" not in out
     assert "policy (shadow|load)" in out
     assert "faults:" in out
     assert "policy (failover|miss-through)" in out
@@ -155,6 +156,16 @@ def test_unknown_scenario_field_exits_2(capsys):
     spec["rebalancing"] = {"epoch_requests": 5}  # typo'd field
     assert main(["run", json.dumps(spec)]) == 2
     assert "rebalancing" in one_error_line(capsys)
+
+
+def test_retired_partitioned_replay_knob_exits_2(capsys):
+    spec = dict(TINY_SCENARIO)
+    spec["cluster"] = {"shards": 2, "partitioned_replay": False}
+    assert main(["run", json.dumps(spec)]) == 2
+    assert (
+        "unknown cluster fields: partitioned_replay"
+        in one_error_line(capsys)
+    )
 
 
 def test_rebalance_without_cluster_exits_2(capsys):

@@ -112,7 +112,6 @@ def test_cluster_block_normalized_with_defaults():
         "hash_seed": 0,
         "replication": 1,
         "virtual_nodes": 64,
-        "partitioned_replay": True,
         "parallel_workers": 0,
     }
     assert Scenario.from_dict(scenario.to_dict()) == scenario
