@@ -7,9 +7,9 @@ fronts the shard cluster (pipelined connections, a bounded request
 queue, shed-vs-queue backpressure), and an open-loop generator replays
 the workload's trace at a target request rate, measuring latency from
 each request's *scheduled* arrival -- so overload shows up in the tail
-percentiles instead of hiding in a slowing client. The server's hot
-path batches every queue drain into one ``Cluster.process_batch`` call,
-which the property tests prove bit-identical to per-request processing.
+percentiles instead of hiding in a slowing client. The server executes
+every queue drain as one ``Cluster.process_batch`` call, which the
+property tests prove bit-identical to handling requests one at a time.
 
 This demo serves a short Zipf stream three ways:
 

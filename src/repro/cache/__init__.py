@@ -12,6 +12,8 @@ This package implements the systems the paper's algorithms run on top of:
 * :mod:`repro.cache.engines` -- memory-management engines: the default
   first-come-first-serve Memcached behaviour, statically planned
   allocations, and the log-structured (global LRU) mode.
+* :mod:`repro.cache.kernel` -- the one loop that walks requests into
+  ``Engine.process_fast``: per-(shard, app) runs with tallied outcomes.
 * :mod:`repro.cache.server` -- the multi-tenant cache server tying it all
   together.
 * :mod:`repro.cache.stats` -- hit/miss accounting and time series.

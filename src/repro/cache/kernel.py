@@ -2,11 +2,13 @@
 
 Cliffhanger "runs on each memory cache server and does not require any
 coordination between different servers" (paper section 4.3), so between
-two barriers a cluster replay is nothing more than independent runs: one
-per (shard, app) pair, each touching one engine and one stats slice.
-:func:`replay_runs` is the only place that fact is written down. The
-offline driver (:meth:`repro.cluster.Cluster.replay_compiled`), the
-parallel workers (:mod:`repro.cluster.parallel`) and the live batch path
+two barriers a replay is nothing more than independent runs: one per
+(shard, app) pair, each touching one engine and one stats slice.
+:func:`replay_runs` is the only place that fact is written down. A
+single server (:meth:`repro.cache.server.CacheServer.replay_compiled`,
+the one-shard case), the cluster's offline driver
+(:meth:`repro.cluster.Cluster.replay_compiled`), the parallel workers
+(:mod:`repro.cluster.parallel`) and the live batch path
 (:meth:`repro.cluster.Cluster.process_batch`) all call it; they differ
 only in which columns they pass and where the returned tallies go
 (:func:`flush_runs` in-process, a pipe from a worker).
@@ -15,6 +17,7 @@ only in which columns they pass and where the returned tallies go
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Collection,
     Dict,
     List,
@@ -27,8 +30,14 @@ from typing import (
 
 import numpy as np
 
-from repro.cache.server import CacheServer
 from repro.cache.stats import OUTCOME_DEAD
+
+if TYPE_CHECKING:  # circular at runtime: server.py replays through us
+    from repro.cache.server import CacheServer
+
+    #: Shard index -> server: a cluster's list, a worker's owned subset,
+    #: or the 1-tuple of a server replaying on its own.
+    Servers = Union[Sequence[CacheServer], Mapping[int, CacheServer]]
 
 #: One run's outcome tally: ``(shard, app_id, {(code << 2) | op: count})``.
 Run = Tuple[int, int, Dict[int, int]]
@@ -37,8 +46,6 @@ Run = Tuple[int, int, Dict[int, int]]
 ReplayColumns = Tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
 ]
-#: Shard index -> server: the cluster's list, or a worker's owned subset.
-Servers = Union[Sequence[CacheServer], Mapping[int, CacheServer]]
 
 
 def replay_runs(

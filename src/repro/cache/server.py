@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
 from repro.cache.engines import Engine
+from repro.cache.kernel import flush_runs, replay_runs
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import AccessOutcome, OpCounter, StatsRegistry
 from repro.workloads.trace import Request
@@ -82,48 +85,53 @@ class CacheServer:
             process(request)
         return self.stats
 
-    def replay_compiled(self, trace) -> StatsRegistry:
-        """Replay a :class:`~repro.workloads.compiled.CompiledTrace`.
+    def check_replayable(self, trace, app_column: np.ndarray) -> None:
+        """Raise unless the compiled ``trace`` can replay here.
 
-        The allocation-free hot path: per request, one engine dispatch on
-        a precomputed app id, one :meth:`Engine.process_fast` call with
-        integer arguments, and one packed-code stats update. Per-request
-        observers need :class:`Request`/:class:`AccessOutcome` objects, so
-        their presence falls back to the object path (same results).
+        It must have been compiled for this server's slab ladder, and
+        every app with a request in it (``app_column`` is its app-id
+        column) must be registered. Checked before the first request, so
+        a bad trace never leaves engines and stats half-mutated.
         """
-        # The geometry check must precede the observer fallback: the
-        # object path would silently re-classify a trace compiled for a
-        # different slab ladder instead of reporting the mismatch.
         if trace.geometry.chunk_sizes != self.geometry.chunk_sizes:
             raise ConfigurationError(
                 "compiled trace was built for a different slab geometry "
                 f"({trace.geometry.chunk_sizes} vs "
                 f"{self.geometry.chunk_sizes}); recompile it"
             )
+        for app_id in np.unique(app_column):
+            name = trace.app_table[app_id]
+            if name not in self.engines:
+                raise ConfigurationError(f"request for unknown app {name!r}")
+
+    def replay_compiled(self, trace) -> StatsRegistry:
+        """Replay a :class:`~repro.workloads.compiled.CompiledTrace`.
+
+        A single server is the one-shard case of the replay kernel
+        (:func:`repro.cache.kernel.replay_runs`): one run per app, each
+        looping :meth:`Engine.process_fast` over integer columns and
+        tallying packed outcome codes that are flushed to the registry
+        once. Per-request observers need
+        :class:`Request`/:class:`AccessOutcome` objects, so their
+        presence falls back to the object path (same results).
+        """
+        app_column = np.asarray(trace.app_ids, dtype=np.int64)
+        # Before the observer fallback: the object path would silently
+        # re-classify a trace compiled for a different slab ladder.
+        self.check_replayable(trace, app_column)
         if self._observers:
             return self.replay(trace.iter_requests())
-        # Unregistered apps only raise when a request for them appears,
-        # matching :meth:`process`.
-        engine_of_app = [self.engines.get(name) for name in trace.app_table]
-        record = self.stats.record_code
-        for app_id, key, op, class_index, chunk, item_bytes in zip(
-            trace.app_ids,
-            trace.keys,
-            trace.op_codes,
-            trace.slab_classes,
-            trace.chunk_bytes,
-            trace.item_bytes,
-        ):
-            engine = engine_of_app[app_id]
-            if engine is None:
-                raise ConfigurationError(
-                    f"request for unknown app {trace.app_table[app_id]!r}"
-                )
-            record(
-                engine.app,
-                op,
-                engine.process_fast(key, op, class_index, chunk, item_bytes),
-            )
+        servers = (self,)
+        runs = replay_runs(
+            servers,
+            trace.app_table,
+            trace.replay_columns(),
+            np.zeros(len(trace), dtype=np.int64),
+            app_column,
+            0,
+            len(trace),
+        )
+        flush_runs(servers, trace.app_table, runs)
         return self.stats
 
     # ------------------------------------------------------------------

@@ -130,21 +130,6 @@ class HitMissCounter:
             self.dead_requests += 1
         self.evictions += outcome.evicted
 
-    def record_code(self, op: int, code: int) -> None:
-        """Record a packed outcome code (allocation-free replay path)."""
-        if op == OP_GET:
-            if code & OUTCOME_HIT:
-                self.get_hits += 1
-            else:
-                self.get_misses += 1
-        elif op == OP_SET:
-            self.sets += 1
-        if code & OUTCOME_SHADOW_HIT:
-            self.shadow_hits += 1
-        if code & OUTCOME_DEAD:
-            self.dead_requests += 1
-        self.evictions += code >> EVICTED_SHIFT
-
     def merge(self, other: "HitMissCounter") -> None:
         self.get_hits += other.get_hits
         self.get_misses += other.get_misses
@@ -183,7 +168,7 @@ class StatsRegistry:
         self.by_app: Dict[str, HitMissCounter] = {}
         self.by_app_class: Dict[Tuple[str, Optional[int]], HitMissCounter] = {}
         # (app, slab_class) -> (total, app, class) counter triple; resolved
-        # once so the per-request fast path is a dict hit plus int adds.
+        # once so recording a code is a dict hit plus int adds.
         self._triples: Dict[
             Tuple[str, Optional[int]], Tuple[HitMissCounter, ...]
         ] = {}
@@ -201,44 +186,16 @@ class StatsRegistry:
         class_counter.record(outcome)
 
     def record_code(self, app: str, op: int, code: int) -> None:
-        """Record a packed outcome code for ``app`` (fast replay path)."""
-        slab = (code >> CLASS_SHIFT) & CLASS_MASK
-        key = (app, slab - 1 if slab else None)
-        triple = self._triples.get(key)
-        if triple is None:
-            triple = self._make_triple(key)
-        evicted = code >> EVICTED_SHIFT
-        if op == OP_GET:
-            if code & OUTCOME_HIT:
-                for counter in triple:
-                    counter.get_hits += 1
-            else:
-                for counter in triple:
-                    counter.get_misses += 1
-        elif op == OP_SET:
-            for counter in triple:
-                counter.sets += 1
-        if code & OUTCOME_SHADOW_HIT:
-            for counter in triple:
-                counter.shadow_hits += 1
-        if code & OUTCOME_DEAD:
-            for counter in triple:
-                counter.dead_requests += 1
-        if evicted:
-            for counter in triple:
-                counter.evictions += evicted
+        """Record one packed outcome code for ``app``."""
+        self.record_code_bulk(app, op, code, 1)
 
     def record_code_bulk(self, app: str, op: int, code: int, count: int) -> None:
-        """:meth:`record_code` applied ``count`` times in one call.
+        """Record ``count`` requests of ``app`` that share one ``(op,
+        code)`` outcome.
 
-        The partitioned cluster replay tallies identical ``(op, code)``
-        outcomes per run and flushes them here; every counter update is
-        an integer addition, so the batched result is bit-identical to
-        ``count`` sequential calls. The bit decode below deliberately
-        mirrors :meth:`record_code` rather than delegating (that method
-        is the single-server per-request hot path); when outcome bits
-        change, change both -- ``tests/cache/test_stats.py`` pins their
-        equivalence across every flag combination.
+        The replay kernel tallies identical outcomes per run and flushes
+        them here; every counter update is an integer addition, so the
+        batched result is bit-identical to ``count`` single records.
         """
         slab = (code >> CLASS_SHIFT) & CLASS_MASK
         key = (app, slab - 1 if slab else None)

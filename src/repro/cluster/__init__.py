@@ -12,9 +12,12 @@ credits between shards online (see :mod:`repro.cluster.rebalance`).
 
 Cluster replays are routing-plan driven: a vectorized pass
 (:mod:`repro.cluster.routing`) computes every request's shard up front,
-and between barriers each (shard, app) run replays at single-server
-speed through one kernel (:mod:`repro.cluster.kernel`) shared by the
-offline replay, the parallel workers and the live batch path.
+and between barriers each (shard, app) run goes through the cache
+layer's one replay kernel (:mod:`repro.cache.kernel`) -- the same code a
+bare :class:`~repro.cache.server.CacheServer` replays with -- whether
+the caller is the offline replay, a parallel worker or the live batch
+path (:meth:`Cluster.process_batch`, the only way requests enter a
+cluster one batch at a time).
 """
 
 from repro.cluster.cluster import (

@@ -4,9 +4,10 @@ Cliffhanger "runs on each memory cache server and does not require any
 coordination between different servers" (paper section 4.3). The cluster
 layer leans on exactly that: each shard hosts its own per-app engines
 and optimizes locally; the only shared state is the consistent-hash ring
-that routes keys. A :class:`Cluster` therefore composes the existing
-single-server machinery unchanged -- a one-shard cluster replays
-bit-identically to a bare :class:`CacheServer`.
+that routes keys. A :class:`Cluster` therefore adds only routing and
+barriers around the request-execution path a single server already has
+(:mod:`repro.cache.kernel`): a one-shard cluster is that path's N=1
+case and replays bit-identically to a bare :class:`CacheServer`.
 
 Replication (``replication`` R > 1) spreads each key's requests
 round-robin across its R successor shards on the ring. Every replica
@@ -29,18 +30,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cache.engines import Engine
+from repro.cache.kernel import flush_runs, replay_runs
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import (
-    OP_CODES,
-    AccessOutcome,
-    HitMissCounter,
-    StatsRegistry,
-)
+from repro.cache.stats import OP_CODES, HitMissCounter, StatsRegistry
 from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import CacheError, ConfigurationError
 from repro.cluster.hashring import HashRing
-from repro.cluster.kernel import flush_runs, replay_runs
 from repro.cluster.rebalance import epoch_windows
 from repro.cluster.routing import (
     LiveRouter,
@@ -50,7 +46,6 @@ from repro.cluster.routing import (
     occurrence_index,
     remember_column,
 )
-from repro.workloads.trace import Request
 
 #: Engine factory for one tenant: ``(shard_index, budget_share) -> Engine``.
 EngineFactory = Callable[[int, float], Engine]
@@ -425,9 +420,9 @@ class Cluster:
         # RoutingPlan/LiveRouter machinery routes compiled traces with.
         self._key_positions: Dict[object, int] = {}
         self._successor_columns: Dict[Tuple[bool, ...], np.ndarray] = {}
-        # Object-API request counter; with a rebalancer attached every
-        # ``epoch_requests``-th call to process()/process_batch() hands
-        # control to the rebalancer, like the replay loops do.
+        # Object-API request counter; with a rebalancer attached
+        # process_batch() hands control to the rebalancer every
+        # ``epoch_requests`` requests, like the offline replay does.
         self._object_requests = 0
 
     @property
@@ -516,8 +511,8 @@ class Cluster:
 
     @property
     def object_requests(self) -> int:
-        """Requests processed through the object API (:meth:`process` /
-        :meth:`process_batch`) -- the live server's virtual clock."""
+        """Requests processed through the object API
+        (:meth:`process_batch`) -- the live server's virtual clock."""
         return self._object_requests
 
     # ------------------------------------------------------------------
@@ -554,25 +549,19 @@ class Cluster:
             remember_column(self._successor_columns, mask, column)
         return column
 
-    def _position_of(self, key: object) -> int:
-        position = self._key_positions.get(key)
-        if position is None:
-            position = self._key_positions[key] = self.ring.position_for(key)
-        return position
-
     def route(self, key: object) -> int:
-        """Shard index serving the next request for ``key``.
+        """Shard index serving the next request for ``key``: the scalar
+        form of :meth:`_route_batch`, over the same memos.
 
         With ``replication == 1`` this is the ring's primary; otherwise
         the key's requests round-robin across its replica set. Each key
         is hashed at most once per cluster: its ring position is
-        memoized and looked up in the per-live-set successor columns the
-        bulk routing plans already use, so a repeat request costs two
-        dict hits instead of a hash plus a ring walk.
+        memoized and looked up in the per-live-set successor columns.
         """
-        replicas = self._successor_column(self._route_mask())[
-            self._position_of(key)
-        ]
+        position = self._key_positions.get(key)
+        if position is None:
+            position = self._key_positions[key] = self.ring.position_for(key)
+        replicas = self._successor_column(self._route_mask())[position]
         if self.replication == 1:
             return int(replicas[0])
         turn = self._spread.get(key, 0)
@@ -620,34 +609,6 @@ class Cluster:
             self._object_requests, injector if at_fault_barrier else None
         )
 
-    def process(self, request: Request) -> AccessOutcome:
-        """Route one request to its shard (object API).
-
-        This is the per-request bit-exactness oracle
-        :meth:`process_batch` is proven against. With a fault injector
-        attached, a request routed to a dead shard (the ``miss-through``
-        policy; ``failover`` routing never picks one) is recorded on
-        that shard's registry as a tagged dead miss without reaching an
-        engine. With a rebalancer attached, every ``epoch_requests``-th
-        object-API request hands control to the rebalancer.
-        """
-        shard = self.route(request.key)
-        server = self.servers[shard]
-        injector = self.fault_injector
-        if injector is not None and not injector.live[shard]:
-            if request.app not in server.engines:
-                raise ConfigurationError(
-                    f"request for unknown app {request.app!r}"
-                )
-            outcome = AccessOutcome(
-                hit=False, app=request.app, op=request.op, dead=True
-            )
-            server.stats.record(outcome)
-        else:
-            outcome = server.process(request)
-        self._after_object_requests(1)
-        return outcome
-
     # -- plan-backed batch object API ----------------------------------
 
     def process_batch(
@@ -665,15 +626,16 @@ class Cluster:
         ``searchsorted`` for keys not yet memoized, precomputed
         successor columns, occurrence-index replica turns), then hands
         each window to the replay kernel
-        (:func:`repro.cluster.kernel.replay_runs`). Returns one packed
+        (:func:`repro.cache.kernel.replay_runs`). Returns one packed
         outcome code per request (see
         :func:`repro.cache.stats.pack_outcome`), in request order.
 
-        Bit-identical to calling :meth:`process` per request -- down to
-        per-shard per-(app, class) counters, replica round-robin state,
-        rebalance epoch barriers (the batch splits at epoch boundaries
-        mid-batch) and fault handling -- except that per-request
-        observers never fire; the property tests pin the parity down.
+        Bit-identical to handling the requests one at a time
+        (``tests/cluster/reference.py::process_reference`` is that walk)
+        -- down to per-shard per-(app, class) counters, replica
+        round-robin state, rebalance epoch barriers (the batch splits at
+        epoch boundaries mid-batch) and fault handling; the property
+        tests pin the parity down. Per-request observers never fire.
 
         ``ops`` entries are ``"get"``/``"set"``/``"delete"`` or their
         integer codes; ``ops``, ``value_sizes``, ``apps`` and
@@ -833,12 +795,11 @@ class Cluster:
     def _route_batch(self, keys: Sequence[object], count: int) -> np.ndarray:
         """Shard per request, resolved in bulk.
 
-        Keys already routed through :meth:`route` (or an earlier batch)
-        reuse their memoized ring positions; the rest are hashed in one
-        vectorized pass. Replica turns are each key's memoized counter
-        plus its occurrence index within the batch -- exactly the
-        sequence per-request :meth:`route` calls would have produced --
-        and the counters advance past the batch.
+        Keys routed before reuse their memoized ring positions; the
+        rest are hashed in one vectorized pass. Replica turns are each
+        key's memoized counter plus its occurrence index within the
+        batch -- exactly the sequence routing one request at a time
+        would have produced -- and the counters advance past the batch.
         """
         column = self._successor_column(self._route_mask())
         unique_ids: Dict[object, int] = {}
@@ -897,11 +858,10 @@ class Cluster:
         """Replay a compiled trace across the shards.
 
         Per-shard stats land in each shard server's own registry; the
-        returned registry is the cluster-wide aggregate. A one-shard
-        cluster with nothing attached delegates to
-        :meth:`CacheServer.replay_compiled` unchanged, which is what the
-        parity tests pin down. Everything else is one loop over four
-        parts:
+        returned registry is the cluster-wide aggregate. One loop over
+        four parts, whatever the shard count (a one-shard cluster is its
+        N=1 case, and the parity tests pin it to
+        :meth:`CacheServer.replay_compiled`):
 
         * **windows** -- the fault injector's merged barriers (fault
           offsets, rebalance epochs, metric sampling grid) if one is
@@ -914,7 +874,7 @@ class Cluster:
           re-derives the column for the live set, while ``miss-through``
           keeps the plan and marks the down shards ``dead``;
         * **executor** -- the window's per-(shard, app) runs go through
-          the replay kernel (:func:`repro.cluster.kernel.replay_runs`),
+          the replay kernel (:func:`repro.cache.kernel.replay_runs`),
           in-process or, with ``parallel_workers >= 2``, on a
           :class:`~repro.cluster.parallel.WorkerPool`;
         * **barrier** -- :meth:`_barrier` at the window's stop offset.
@@ -925,15 +885,12 @@ class Cluster:
         """
         injector = self.fault_injector
         rebalancer = self.rebalancer
-        if injector is None and rebalancer is None and self.shards == 1:
-            self.servers[0].replay_compiled(trace)
-            return self.aggregate_stats()
-        self._check_geometry(trace)
-        plan = self._resolve_plan(trace, plan)
-        self._require_engines(trace)
-        router = LiveRouter(trace, self.ring, self.replication, base_plan=plan)
         app_table = trace.app_table
         app_column = np.asarray(trace.app_ids, dtype=np.int64)
+        # Every shard has the same ladder and tenants as shard 0.
+        self.servers[0].check_replayable(trace, app_column)
+        plan = self._resolve_plan(trace, plan)
+        router = LiveRouter(trace, self.ring, self.replication, base_plan=plan)
         columns = trace.replay_columns()
         pool = None
         if self.config.parallel_workers > 1 and self.shards > 1:
@@ -979,16 +936,6 @@ class Cluster:
                 pool.shutdown()
         return self.aggregate_stats()
 
-    # -- shared replay guards ------------------------------------------
-
-    def _check_geometry(self, trace) -> None:
-        if trace.geometry.chunk_sizes != self.geometry.chunk_sizes:
-            raise ConfigurationError(
-                "compiled trace was built for a different slab geometry "
-                f"({trace.geometry.chunk_sizes} vs "
-                f"{self.geometry.chunk_sizes}); recompile it"
-            )
-
     def _resolve_plan(self, trace, plan: Optional[RoutingPlan]) -> RoutingPlan:
         """Validate a caller-supplied plan, or build one for this replay.
 
@@ -1012,17 +959,6 @@ class Cluster:
                 f"vnodes, replication {self.replication})"
             )
         return plan
-
-    def _require_engines(self, trace) -> None:
-        """Raise for apps that have requests in ``trace`` but no
-        registered engine (up front, instead of mid-run)."""
-        engines = self.servers[0].engines
-        for app_id in np.unique(np.asarray(trace.app_ids, dtype=np.int64)):
-            name = trace.app_table[app_id]
-            if name not in engines:
-                raise ConfigurationError(
-                    f"request for unknown app {name!r}"
-                )
 
     # ------------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 :meth:`repro.cluster.Cluster.replay_compiled` is one window driver with
 two executors. In-process it calls the replay kernel
-(:func:`repro.cluster.kernel.replay_runs`) directly; with
+(:func:`repro.cache.kernel.replay_runs`) directly; with
 ``cluster.parallel_workers >= 2`` it hands each window to the
 :class:`WorkerPool` here, whose workers run the *same* kernel restricted
 to the shards they own. Shards are independent between barriers (paper
@@ -42,10 +42,10 @@ from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cache.kernel import Run, flush_runs, replay_runs
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
 from repro.cluster.cluster import Cluster, scale_engine_budgets
-from repro.cluster.kernel import Run, flush_runs, replay_runs
 from repro.cluster.routing import RoutingPlan
 from repro.common.errors import ConfigurationError
 from repro.common.mp import get_mp_context

@@ -60,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport", choices=("memory", "tcp"), default="memory"
     )
     parser.add_argument(
-        "--per-request",
-        action="store_true",
-        help="pin the server to the per-request oracle path (baseline)",
-    )
-    parser.add_argument(
         "--retry-attempts",
         type=int,
         default=1,
@@ -229,7 +224,6 @@ def _run_measurement(args) -> int:
         queue_depth=args.queue_depth,
         max_batch=args.max_batch,
         transport=args.transport,
-        per_request=args.per_request,
         queue_deadline_s=args.queue_deadline,
         max_inflight=args.max_inflight,
         retry=retry,

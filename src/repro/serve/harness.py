@@ -62,9 +62,6 @@ class ServeConfig:
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     max_batch: int = DEFAULT_MAX_BATCH
     transport: str = "memory"
-    #: Pin the worker to the per-request oracle path (benchmark
-    #: baseline); the batch path is the default and the product.
-    per_request: bool = False
     #: Server-side graceful degradation: drained commands older than
     #: this are answered ``BUSY`` unexecuted (0 = never expire).
     queue_deadline_s: float = 0.0
@@ -140,7 +137,6 @@ class ServeConfig:
             "queue_depth": self.queue_depth,
             "max_batch": self.max_batch,
             "transport": self.transport,
-            "per_request": self.per_request,
             "queue_deadline_s": self.queue_deadline_s,
             "max_inflight": self.max_inflight,
             "retry": dict(self.retry) if self.retry is not None else None,
@@ -157,7 +153,7 @@ class ServeConfig:
         known = {
             "rate", "duration_s", "arrivals", "backpressure",
             "connections", "queue_depth", "max_batch", "transport",
-            "per_request", "queue_deadline_s", "max_inflight", "retry",
+            "queue_deadline_s", "max_inflight", "retry",
         }
         unknown = set(payload) - known
         if unknown:
@@ -242,7 +238,6 @@ async def _run_serve(
         backpressure=config.backpressure,
         queue_depth=config.queue_depth,
         max_batch=config.max_batch,
-        per_request=config.per_request,
         queue_deadline_s=config.queue_deadline_s,
         max_inflight=config.max_inflight,
     )

@@ -6,8 +6,7 @@ one bounded server-wide queue. A single worker coroutine drains the
 queue -- up to ``max_batch`` commands per wake, across connections --
 and executes the whole drain as one
 :meth:`~repro.serve.service.CacheService.execute` call, so the server's
-hot path is :meth:`~repro.cluster.Cluster.process_batch`, not
-per-request routing.
+only execution path is :meth:`~repro.cluster.Cluster.process_batch`.
 
 Overload behavior is explicit and configurable:
 
@@ -44,6 +43,11 @@ from repro.serve.service import CacheService
 DEFAULT_QUEUE_DEPTH = 1024
 #: Most commands one worker wake batches into a single execute call.
 DEFAULT_MAX_BATCH = 256
+#: Most queue-depth samples :class:`ServerMetrics` keeps (even). A full
+#: timeline drops every other sample and records half as often from
+#: then on, so a server up for days holds a bounded, evenly spaced
+#: timeline instead of one entry per worker wake.
+MAX_QUEUE_DEPTH_SAMPLES = 4096
 
 BACKPRESSURE_POLICIES = ("queue", "shed")
 
@@ -58,6 +62,8 @@ class ServerMetrics:
         "shed_inflight",
         "batches",
         "queue_depths",
+        "queue_depth_high_water",
+        "_depth_stride",
     )
 
     def __init__(self) -> None:
@@ -70,13 +76,26 @@ class ServerMetrics:
         #: per-connection in-flight cap.
         self.shed_inflight = 0
         self.batches = 0
-        #: Queue depth sampled at each worker wake (commands pending
-        #: including the batch about to run) -- the overload timeline.
+        #: Queue depth (commands pending including the batch about to
+        #: run) at every ``_depth_stride``-th worker wake -- the overload
+        #: timeline, at most :data:`MAX_QUEUE_DEPTH_SAMPLES` long.
         self.queue_depths: List[int] = []
+        self._depth_stride = 1
+        #: Deepest queue any wake found; exact, unlike the timeline.
+        self.queue_depth_high_water = 0
 
-    @property
-    def queue_depth_high_water(self) -> int:
-        return max(self.queue_depths) if self.queue_depths else 0
+    def record_wake(self, depth: int) -> None:
+        """Count one worker wake that found ``depth`` commands pending."""
+        if depth > self.queue_depth_high_water:
+            self.queue_depth_high_water = depth
+        if self.batches % self._depth_stride == 0:
+            if len(self.queue_depths) == MAX_QUEUE_DEPTH_SAMPLES:
+                # The cap is even, so this wake is on the doubled
+                # stride too and the timeline stays evenly spaced.
+                del self.queue_depths[1::2]
+                self._depth_stride *= 2
+            self.queue_depths.append(depth)
+        self.batches += 1
 
     def to_dict(self) -> dict:
         return {
@@ -117,7 +136,6 @@ class CacheServerProcess:
         backpressure: str = "queue",
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         max_batch: int = DEFAULT_MAX_BATCH,
-        per_request: bool = False,
         queue_deadline_s: float = 0.0,
         max_inflight: int = 0,
     ) -> None:
@@ -152,9 +170,6 @@ class CacheServerProcess:
         # cache totals; the service renders them.
         service.server_metrics = self.metrics
         service.server = self
-        #: True pins the worker to the per-request oracle path -- the
-        #: benchmark's baseline, never the default.
-        self.per_request = per_request
         self._queue: "asyncio.Queue[_Job]" = asyncio.Queue(
             maxsize=queue_depth
         )
@@ -273,21 +288,13 @@ class CacheServerProcess:
                     jobs.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            self.metrics.batches += 1
-            self.metrics.queue_depths.append(
-                len(jobs) + self._queue.qsize()
-            )
+            self.metrics.record_wake(len(jobs) + self._queue.qsize())
             if self.queue_deadline_s > 0:
                 jobs = self._shed_expired(jobs)
             if jobs:
                 commands = [item.command for item in jobs]
                 try:
-                    if self.per_request:
-                        responses = self.service.execute_per_request(
-                            commands
-                        )
-                    else:
-                        responses = self.service.execute(commands)
+                    responses = self.service.execute(commands)
                 except Exception:  # the server must never die mid-batch
                     responses = [server_error("internal error")] * len(jobs)
                 for item, response in zip(jobs, responses):

@@ -1,12 +1,12 @@
 """Protocol commands -> cluster requests: the serving data plane.
 
 A :class:`CacheService` owns the translation between wire commands and
-the simulator's object API. Its hot path is :meth:`execute`: every
+the simulator's object API. :meth:`execute` is the only way in: every
 command of a drained queue batch -- across connections -- flattens into
-one :meth:`repro.cluster.Cluster.process_batch` call, so the server
-rides the vectorized routing plan instead of hashing per request.
-:meth:`execute_per_request` keeps the per-request oracle reachable (the
-benchmark gate compares the two; the batch path must win >= 2x).
+one :meth:`repro.cluster.Cluster.process_batch` call, so live serving
+rides the same vectorized routing and replay kernel as offline replay.
+Control commands answer after the batch's data-plane rows, so a
+``stats`` mid-batch already counts the commands queued behind it.
 
 The simulator models sizes, not payloads, so the service keeps a small
 real value store on the side: SETs remember their bytes, GETs serve
@@ -119,6 +119,10 @@ class CacheService:
         apps: List[str] = []
         owners: List[int] = []  # row -> command index
         preset: Dict[int, bytes] = {}
+        # Sizes this batch's own SETs and DELETEs leave behind: a later
+        # row for the same key must be sized as if they had already run,
+        # or where a wake cuts the stream would show in the counters.
+        resized: Dict[str, int] = {}
         largest_chunk = self.cluster.geometry.chunk_sizes[-1]
         for index, command in enumerate(commands):
             if command.op == "set":
@@ -132,23 +136,28 @@ class CacheService:
                 sizes.append(len(command.data))
                 apps.append(self.app_of_key(key))
                 owners.append(index)
+                resized[key] = len(command.data)
             elif command.op == "get":
                 for key in command.keys:
                     keys.append(key)
                     ops.append(OP_CODES["get"])
-                    sizes.append(self._fill_size(key))
+                    sizes.append(self._fill_size(key, resized))
                     apps.append(self.app_of_key(key))
                     owners.append(index)
             elif command.op == "delete":
                 key = command.keys[0]
                 keys.append(key)
                 ops.append(OP_CODES["delete"])
-                sizes.append(self._fill_size(key))
+                sizes.append(self._fill_size(key, resized))
                 apps.append(self.app_of_key(key))
                 owners.append(index)
+                resized[key] = self.default_value_size
         return keys, ops, sizes, apps, owners, preset
 
-    def _fill_size(self, key: str) -> int:
+    def _fill_size(self, key: str, resized: Dict[str, int]) -> int:
+        size = resized.get(key)
+        if size is not None:
+            return size
         remembered = self._values.get(key)
         return remembered[2] if remembered else self.default_value_size
 
@@ -170,35 +179,6 @@ class CacheService:
                 ]
         else:
             codes = []
-        return self._render(commands, keys, ops, owners, codes, preset)
-
-    def execute_per_request(self, commands: Sequence[Command]) -> List[bytes]:
-        """The per-request oracle: same responses, one
-        :meth:`~repro.cluster.Cluster.process` call per row."""
-        from repro.workloads.trace import Request
-
-        keys, ops, sizes, apps, owners, preset = self._rows(commands)
-        op_names = ("get", "set", "delete")
-        codes: List[int] = []
-        try:
-            for key, op, size, app in zip(keys, ops, sizes, apps):
-                outcome = self.cluster.process(
-                    Request(
-                        time=0.0,
-                        app=app,
-                        key=key,
-                        op=op_names[op],
-                        value_size=size,
-                    )
-                )
-                codes.append(OUTCOME_HIT if outcome.hit else 0)
-        except (CacheError, ConfigurationError) as exc:
-            failure = server_error(str(exc))
-            return [
-                failure if command.op in ("get", "set", "delete")
-                else self._control(command)
-                for command in commands
-            ]
         return self._render(commands, keys, ops, owners, codes, preset)
 
     # ------------------------------------------------------------------

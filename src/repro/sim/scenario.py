@@ -94,10 +94,14 @@ class Scenario:
             "max_inflight": I, "retry": {...}}``); requires a
             ``cluster`` block. Instead of replaying the trace offline,
             the scenario stands up the asyncio memcached-style server
-            (see :mod:`repro.serve`) and drives it open-loop at
-            ``rate`` req/s for ``duration_s`` seconds; the result's
-            cluster report grows a ``serve`` section with latency
-            percentiles, shed counts and the queue-depth timeline. A
+            (see :mod:`repro.serve`; each queue drain of up to
+            ``max_batch`` commands executes as one
+            :meth:`~repro.cluster.Cluster.process_batch` call, through
+            the same kernel as an offline replay) and drives it
+            open-loop at ``rate`` req/s for ``duration_s`` seconds; the
+            result's cluster report grows a ``serve`` section with
+            latency percentiles, shed counts and the queue-depth
+            timeline (decimated on long runs). A
             ``retry`` sub-block gives the load generator's clients a
             :class:`~repro.serve.RetryPolicy` (attempts, capped
             exponential backoff, per-request deadline, retry budget,

@@ -330,3 +330,24 @@ class TestCacheServer:
         server.add_observer(lambda req, out: seen.append(out.hit))
         server.replay_compiled(compiled)
         assert seen == [False, True]
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_unknown_app_in_compiled_trace_raises_before_replaying(
+        self, observed
+    ):
+        """Regression: a trace naming an unregistered app used to replay
+        its prefix and only then raise, leaving engines and stats
+        half-mutated. The check now runs before the first request."""
+        from repro.workloads.compiled import CompiledTrace
+
+        compiled = CompiledTrace.compile(
+            [get("k1"), put("k2"), get("k3", app="ghost"), get("k4")], GEO
+        )
+        server = CacheServer(GEO)
+        server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))
+        if observed:
+            server.add_observer(lambda req, out: None)
+        with pytest.raises(ConfigurationError, match="unknown app 'ghost'"):
+            server.replay_compiled(compiled)
+        assert server.stats.total.gets + server.stats.total.sets == 0
+        assert server.memory_in_use() == 0

@@ -66,12 +66,12 @@ class TestStatsRegistry:
         assert registry.total.gets == 3
 
     def test_record_code_bulk_equals_repeated_record_code(self):
-        """Pin the bulk flush to the per-request decode, flag by flag.
+        """A bulk flush of ``count`` equals ``count`` single records.
 
-        ``record_code_bulk`` mirrors ``record_code``'s bit decode
-        instead of delegating (hot path); this sweep over every
-        hit/shadow/dead flag combination, op, slab class and eviction
-        count is what keeps the two copies from drifting.
+        ``record_code`` delegates to ``record_code_bulk`` (one bit
+        decode), so this sweep over every hit/shadow/dead flag
+        combination, op, slab class and eviction count pins the part
+        that can still go wrong: every counter scaling with ``count``.
         """
         codes = [
             pack_outcome(hit, slab, shadow, evicted, dead=dead)

@@ -1,8 +1,11 @@
-"""The one reference replay the cluster parity suites compare against."""
+"""The naive references the cluster parity suites compare against: one
+per entry point -- :func:`replay_reference` for the offline replay
+(:meth:`Cluster.replay_compiled`), :func:`process_reference` for the
+live object API (:meth:`Cluster.process_batch`)."""
 
 from __future__ import annotations
 
-from repro.cache.stats import OUTCOME_DEAD
+from repro.cache.stats import OUTCOME_DEAD, AccessOutcome
 from repro.cluster.rebalance import epoch_windows
 
 
@@ -76,3 +79,42 @@ def replay_reference(cluster, trace):
         if injector is not None:
             injector.apply_events(stop)
     return cluster.aggregate_stats()
+
+
+def process_reference(cluster, request):
+    """Handle one object-API ``request`` on ``cluster``, the naive way.
+
+    The walk :meth:`repro.cluster.Cluster.process_batch` must equal
+    request for request. It shares only the ring, the engines, the
+    replica round-robin counters (``_spread``) and the barrier hook
+    (``_after_object_requests``) with that path: the ring is walked per
+    request -- live successors under ``failover``, the all-live walk
+    otherwise -- with no memoized positions or successor columns, and
+    the outcome is recorded as an object on the shard's registry. A
+    request landing on a dead shard (``miss-through``) is recorded as a
+    tagged dead miss without reaching an engine. Returns the
+    :class:`~repro.cache.stats.AccessOutcome`.
+    """
+    injector = cluster.fault_injector
+    if injector is not None and injector.policy == "failover":
+        replicas = cluster.ring.shards_for_live(
+            request.key, cluster.replication, injector.live
+        )
+    else:
+        replicas = cluster.ring.shards_for(request.key, cluster.replication)
+    if cluster.replication == 1:
+        shard = replicas[0]
+    else:
+        turn = cluster._spread.get(request.key, 0)
+        cluster._spread[request.key] = turn + 1
+        shard = replicas[turn % len(replicas)]
+    server = cluster.servers[shard]
+    if injector is not None and not injector.live[shard]:
+        outcome = AccessOutcome(
+            hit=False, app=request.app, op=request.op, dead=True
+        )
+        server.stats.record(outcome)
+    else:
+        outcome = server.process(request)
+    cluster._after_object_requests(1)
+    return outcome

@@ -86,8 +86,7 @@ class TestRouting:
 
     def test_object_api_routes_like_the_ring(self):
         cluster = build(3)
-        request = Request(0.0, "a", "hot", "get", value_size=100)
-        cluster.process(request)
+        cluster.process_batch(["hot"], "get", 100, "a")
         shard = cluster.ring.shard_for("hot")
         assert cluster.servers[shard].stats.total.gets == 1
 

@@ -29,7 +29,7 @@ from repro.cache.server import CacheServer
 from repro.cache.stats import OUTCOME_DEAD
 from repro.cluster import ClusterConfig, build_routing_plan
 from repro.cluster.cluster import scale_engine_budgets
-from repro.cluster.kernel import flush_runs, replay_runs
+from repro.cache.kernel import flush_runs, replay_runs
 from repro.cluster.parallel import (
     WorkerPool,
     build_shard_servers,

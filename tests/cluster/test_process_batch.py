@@ -1,9 +1,10 @@
-"""Object-API batch parity: ``process_batch`` vs the per-request oracle.
+"""Object-API batch parity: ``process_batch`` vs the per-request walk.
 
-``Cluster.process_batch`` is the serving hot path -- it must be
-bit-identical to calling :meth:`Cluster.process` once per request, down
-to per-shard per-(app, slab class) counters, packed outcome codes,
-replica round-robin state and rebalance epoch barriers. A Hypothesis
+``Cluster.process_batch`` is the only way requests enter a live cluster
+-- it must be bit-identical to handling them one at a time
+(``tests/cluster/reference.py::process_reference``), down to per-shard
+per-(app, slab class) counters, packed outcome codes, replica
+round-robin state and rebalance epoch barriers. A Hypothesis
 property drives random request sequences (mixed ops, shared keys,
 multiple tenants) through both paths on twin clusters, under
 replication, live-set failover/miss-through flips between batches, and
@@ -28,6 +29,7 @@ from repro.cluster import (
 )
 from repro.common.errors import CacheError, ConfigurationError
 from repro.workloads.trace import Request
+from tests.cluster.reference import process_reference
 
 GEO = SlabGeometry.default()
 
@@ -62,7 +64,7 @@ def make_requests(spec):
 def run_oracle(cluster, requests):
     codes = []
     for request in requests:
-        outcome = cluster.process(request)
+        outcome = process_reference(cluster, request)
         codes.append(
             pack_outcome(
                 hit=outcome.hit,

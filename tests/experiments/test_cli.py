@@ -299,6 +299,15 @@ def test_serve_bad_degradation_fields_exit_2(capsys):
     assert "max_inflight" in one_error_line(capsys)
 
 
+def test_serve_removed_per_request_knob_exits_2(capsys):
+    spec = dict(CHAOS_SCENARIO)
+    spec["serve"] = dict(spec["serve"], per_request=True)
+    assert main(["run", json.dumps(spec)]) == 2
+    assert one_error_line(capsys) == (
+        "error: unknown serve fields: per_request"
+    )
+
+
 def test_bad_sweep_spec_exits_2(capsys):
     sweep = dict(TINY_SWEEP)
     sweep["axis"] = sweep.pop("axes")  # typo'd field

@@ -16,6 +16,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from repro.serve.cli import main
 
 FAST = [
@@ -68,6 +70,12 @@ class TestMeasurementMode:
     def test_crash_bad_shard_exits_2(self, capsys):
         assert main(FAST + ["--shards", "2", "--crash", "7@10"]) == 2
         assert "shard" in one_error_line(capsys)
+
+    def test_removed_per_request_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(FAST + ["--per-request"])
+        assert usage.value.code == 2
+        assert "--per-request" in capsys.readouterr().err
 
     def test_bad_listen_exits_2(self, capsys):
         assert main(["--listen", "nocolon"]) == 2

@@ -50,6 +50,11 @@ class TestServeConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown serve"):
             ServeConfig.from_dict({"rate": 100.0, "ratee": 1})
+        # The retired per-request knob is just another unknown field.
+        with pytest.raises(
+            ConfigurationError, match="^unknown serve fields: per_request$"
+        ):
+            ServeConfig.from_dict({"per_request": False})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigurationError, match="mapping"):
@@ -117,14 +122,6 @@ class TestRunServe:
         depths = payload["queue_depth"]
         assert depths["batches"] >= 1
         assert len(depths["depths"]) == depths["batches"]
-
-    def test_per_request_oracle_path_serves_too(self):
-        cluster, compiled = self.make_cluster_and_trace()
-        config = ServeConfig(
-            rate=1000.0, duration_s=0.05, arrivals="fixed", per_request=True
-        )
-        report = run_serve(cluster, compiled, config, seed=0)
-        assert report.result.completed == report.result.issued == 50
 
 
 class TestScenarioValidation:

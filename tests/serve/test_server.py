@@ -20,7 +20,13 @@ import pytest
 from repro.cache.slabs import SlabGeometry
 from repro.cluster import Cluster, ClusterConfig
 from repro.serve.protocol import BUSY, Command
-from repro.serve.server import CacheServerProcess, MemoryClient, TCPClient
+from repro.serve.server import (
+    MAX_QUEUE_DEPTH_SAMPLES,
+    CacheServerProcess,
+    MemoryClient,
+    ServerMetrics,
+    TCPClient,
+)
 from repro.serve.service import CacheService
 
 GEO = SlabGeometry.default()
@@ -596,3 +602,23 @@ class TestStatsWire:
                 await server.close()
 
         asyncio.run(scenario())
+
+
+class TestQueueDepthTimelineIsBounded:
+    def test_long_running_server_keeps_a_capped_timeline(self):
+        """Regression (ROADMAP 4c): one sample per worker wake, forever,
+        and a whole-list ``max`` per ``stats`` command. Ten times the
+        cap in wakes must leave at most the cap in samples -- evenly
+        spaced -- and the high water exact."""
+        metrics = ServerMetrics()
+        wakes = 10 * MAX_QUEUE_DEPTH_SAMPLES
+        peak_at = wakes // 2 + 1  # an odd wake: decimation drops it
+        for wake in range(wakes):
+            metrics.record_wake(10_000_000 if wake == peak_at else wake)
+        assert metrics.batches == wakes
+        assert metrics.queue_depth_high_water == 10_000_000
+        depths = metrics.queue_depths
+        assert MAX_QUEUE_DEPTH_SAMPLES // 2 < len(depths)
+        assert len(depths) <= MAX_QUEUE_DEPTH_SAMPLES
+        stride = depths[1] - depths[0]
+        assert depths == list(range(0, wakes, stride))

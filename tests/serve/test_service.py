@@ -1,7 +1,8 @@
-"""CacheService: wire semantics over the batch path, batch == oracle."""
+"""CacheService: wire semantics, and batching that clients cannot see."""
 
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.slabs import SlabGeometry
 from repro.cluster import Cluster, ClusterConfig
@@ -13,6 +14,7 @@ from repro.serve.protocol import (
     Command,
 )
 from repro.serve.service import CacheService
+from tests.cluster.helpers import counters_snapshot
 
 GEO = SlabGeometry.default()
 
@@ -115,20 +117,66 @@ class TestWireSemantics:
         assert stats.app_hit_rate("zipf01") == 0.0  # one miss, counted
 
 
-class TestBatchOracleParity:
-    def test_responses_identical_to_per_request_path(self):
-        commands = [
-            Command(op="set", keys=["a"], flags=1, data=b"one"),
-            Command(op="get", keys=["a", "b"]),
-            Command(op="set", keys=["b"], flags=2, data=b"two"),
-            Command(op="get", keys=["b"]),
-            Command(op="delete", keys=["a"]),
-            Command(op="get", keys=["a"]),
-            Command(op="set", keys=["big"], data=b"z" * (2 << 20)),
-            Command(op="stats"),
+def shard_counters(service):
+    """Per-shard ``(app, class)`` counters, comparable."""
+    return [
+        counters_snapshot(server.stats)
+        for server in service.cluster.servers
+    ]
+
+
+KEYS = st.sampled_from(["a", "b", "c", "d"])
+COMMANDS = st.lists(
+    st.one_of(
+        st.builds(
+            Command,
+            op=st.just("set"),
+            keys=st.lists(KEYS, min_size=1, max_size=1),
+            flags=st.integers(min_value=0, max_value=9),
+            data=st.sampled_from(
+                # the last one exceeds the largest chunk: a preset error
+                [b"", b"one", b"x" * 300, b"y" * 5000, b"z" * (2 << 20)]
+            ),
+        ),
+        st.builds(
+            Command,
+            op=st.just("get"),
+            keys=st.lists(KEYS, min_size=1, max_size=3),
+        ),
+        st.builds(
+            Command,
+            op=st.just("delete"),
+            keys=st.lists(KEYS, min_size=1, max_size=1),
+        ),
+        st.just(Command(op="stats")),
+    ),
+    max_size=30,
+)
+
+
+class TestBatchingIsInvisible:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        commands=COMMANDS,
+        shards=st.integers(min_value=1, max_value=3),
+        replication=st.integers(min_value=1, max_value=2),
+    )
+    def test_one_batch_equals_one_command_at_a_time(
+        self, commands, shards, replication
+    ):
+        """However the worker's wakes happen to cut the command stream,
+        clients see the same bytes and the shards the same counters:
+        ``execute(commands)`` equals ``execute([c])`` per command on a
+        fresh service. ``stats`` is the one command that can tell -- it
+        answers after its batch's data-plane rows, i.e. with the state
+        the one-at-a-time service reaches at the end."""
+        batched = make_service(shards, replication)
+        singly = make_service(shards, replication)
+        together = batched.execute(commands)
+        one_by_one = [one(singly, command) for command in commands]
+        final_stats = one(singly, Command(op="stats"))
+        assert together == [
+            final_stats if command.op == "stats" else response
+            for command, response in zip(commands, one_by_one)
         ]
-        batch = make_service(shards=3, replication=2)
-        oracle = make_service(shards=3, replication=2)
-        assert batch.execute(commands) == oracle.execute_per_request(
-            commands
-        )
+        assert shard_counters(batched) == shard_counters(singly)
