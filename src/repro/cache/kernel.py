@@ -6,11 +6,11 @@ two barriers a replay is nothing more than independent runs: one per
 (shard, app) pair, each touching one engine and one stats slice.
 :func:`replay_runs` is the only place that fact is written down. A
 single server (:meth:`repro.cache.server.CacheServer.replay_compiled`,
-the one-shard case), the cluster's offline driver
-(:meth:`repro.cluster.Cluster.replay_compiled`), the parallel workers
-(:mod:`repro.cluster.parallel`) and the live batch path
-(:meth:`repro.cluster.Cluster.process_batch`) all call it; they differ
-only in which columns they pass and where the returned tallies go
+the one-shard case), the cluster's window driver (``Cluster._drive``,
+behind both the offline :meth:`repro.cluster.Cluster.replay_compiled`
+and the live :meth:`repro.cluster.Cluster.process_batch`) and the
+parallel workers (:mod:`repro.cluster.parallel`) all call it; they
+differ only in which columns they pass and where the returned tallies go
 (:func:`flush_runs` in-process, a pipe from a worker).
 """
 

@@ -10,14 +10,14 @@ Shard budgets default to a frozen even split; a scenario's ``rebalance``
 block attaches an epoch-driven :class:`Rebalancer` that moves budget
 credits between shards online (see :mod:`repro.cluster.rebalance`).
 
-Cluster replays are routing-plan driven: a vectorized pass
-(:mod:`repro.cluster.routing`) computes every request's shard up front,
-and between barriers each (shard, app) run goes through the cache
-layer's one replay kernel (:mod:`repro.cache.kernel`) -- the same code a
-bare :class:`~repro.cache.server.CacheServer` replays with -- whether
-the caller is the offline replay, a parallel worker or the live batch
-path (:meth:`Cluster.process_batch`, the only way requests enter a
-cluster one batch at a time).
+One clock, one window driver, one router: requests count on a single
+clock (trace position offline, requests served live); one loop
+(:meth:`Cluster._drive`) runs them window by window between barriers --
+rebalance epochs, the armed fault injector's offsets -- for the offline
+replay, the worker pool and the live :meth:`Cluster.process_batch`
+alike; one :class:`Router` turns keys into shards for all of them.
+Inside a window each (shard, app) run goes through the cache layer's one
+replay kernel (:mod:`repro.cache.kernel`), as on a bare ``CacheServer``.
 """
 
 from repro.cluster.cluster import (
@@ -36,7 +36,7 @@ from repro.cluster.faults import (
 from repro.cluster.hashring import HashRing
 from repro.cluster.rebalance import RebalanceConfig, Rebalancer
 from repro.cluster.routing import (
-    LiveRouter,
+    Router,
     RoutingPlan,
     build_routing_plan,
     get_routing_plan,
@@ -51,9 +51,9 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "HashRing",
-    "LiveRouter",
     "RebalanceConfig",
     "Rebalancer",
+    "Router",
     "RoutingPlan",
     "ShardLoad",
     "build_routing_plan",

@@ -1,25 +1,31 @@
 """Multi-server simulation: N :class:`CacheServer` shards behind a ring.
 
 Cliffhanger "runs on each memory cache server and does not require any
-coordination between different servers" (paper section 4.3). The cluster
-layer leans on exactly that: each shard hosts its own per-app engines
-and optimizes locally; the only shared state is the consistent-hash ring
-that routes keys. A :class:`Cluster` therefore adds only routing and
-barriers around the request-execution path a single server already has
-(:mod:`repro.cache.kernel`): a one-shard cluster is that path's N=1
-case and replays bit-identically to a bare :class:`CacheServer`.
+coordination between different servers" (paper section 4.3), so a
+cluster run is nothing but *windows of independent (shard, app) runs
+separated by barriers*. A :class:`Cluster` adds two things around the
+request-execution path a single server already has
+(:mod:`repro.cache.kernel`):
 
-Replication (``replication`` R > 1) spreads each key's requests
-round-robin across its R successor shards on the ring. Every replica
-fills its cache independently, so replication trades per-replica hit
-rate for hot-shard load relief -- the standard "replicate the hot
-partition" memcache deployment move.
+* **one router** (:class:`~repro.cluster.routing.Router`): key -> shard
+  under a live mask and the key's replica turn. The cluster only picks
+  the mask (:meth:`Cluster._route_mask`: failover vs. miss-through).
+* **one window driver on one clock** (:meth:`Cluster._drive`): find the
+  next barrier after the clock -- the next rebalance-epoch multiple or
+  the armed fault injector's next offset -- route the window, execute
+  it (in-process kernel or worker pool), run :meth:`Cluster._barrier`.
+  The offline replay drives a whole trace from clock 0; the live batch
+  path drives one batch from the requests served so far. Same loop, so
+  a seed and a schedule fix where every hook fires whoever is driving.
 
-Shard budgets start frozen at an even split. Attaching a
-:class:`~repro.cluster.rebalance.Rebalancer` turns the split online:
-every epoch the replay pauses to move budget credits between shards
-(see :mod:`repro.cluster.rebalance`); with no rebalancer attached the
-replay is bit-identical to the static path.
+A one-shard cluster is the N=1 case and replays bit-identically to a
+bare :class:`CacheServer`. Replication (R > 1) spreads each key's
+requests round-robin across its R successor shards; every replica fills
+its cache independently, trading per-replica hit rate for hot-shard
+load relief. Shard budgets start frozen at an even split; an attached
+:class:`~repro.cluster.rebalance.Rebalancer` moves credits between
+shards at every epoch barrier (without one the run is bit-identical to
+the static path).
 """
 
 from __future__ import annotations
@@ -30,21 +36,18 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cache.engines import Engine
-from repro.cache.kernel import flush_runs, replay_runs
+from repro.cache.kernel import ReplayColumns, flush_runs, replay_runs
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_CODES, HitMissCounter, StatsRegistry
 from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import CacheError, ConfigurationError
 from repro.cluster.hashring import HashRing
-from repro.cluster.rebalance import epoch_windows
 from repro.cluster.routing import (
-    LiveRouter,
+    Router,
     RoutingPlan,
+    TraceColumns,
     build_routing_plan,
-    hash_keys_u64,
-    occurrence_index,
-    remember_column,
 )
 
 #: Engine factory for one tenant: ``(shard_index, budget_share) -> Engine``.
@@ -389,6 +392,7 @@ class Cluster:
             seed=config.hash_seed,
             virtual_nodes=config.virtual_nodes,
         )
+        self.router = Router(self.ring, config.replication)
         self.servers = [
             CacheServer(self.geometry) for _ in range(config.shards)
         ]
@@ -411,19 +415,10 @@ class Cluster:
         #: parallel replay (the parent's engines stay empty mirrors);
         #: consulted by :meth:`report` / :meth:`memory_in_use`.
         self._parallel_memory: Optional[Dict[int, float]] = None
-        # Per-key round-robin counters for the object API (the compiled
-        # replay keeps its own array-based counters).
-        self._spread: Dict[object, int] = {}
-        # Object-API routing memos: each key's ring position (live-set
-        # independent, hashed at most once per cluster) and per-live-set
-        # successor columns -- the same tables the bulk
-        # RoutingPlan/LiveRouter machinery routes compiled traces with.
-        self._key_positions: Dict[object, int] = {}
-        self._successor_columns: Dict[Tuple[bool, ...], np.ndarray] = {}
-        # Object-API request counter; with a rebalancer attached
-        # process_batch() hands control to the rebalancer every
-        # ``epoch_requests`` requests, like the offline replay does.
-        self._object_requests = 0
+        #: The live clock: requests served through :meth:`process_batch`
+        #: so far. Epochs and fault offsets count on it exactly as they
+        #: count trace positions in an offline replay.
+        self.object_requests = 0
 
     @property
     def shards(self) -> int:
@@ -493,14 +488,14 @@ class Cluster:
 
     def attach_rebalancer(self, rebalancer) -> None:
         """Install a :class:`~repro.cluster.rebalance.Rebalancer`; the
-        next :meth:`replay_compiled` takes the epoch-driven path and the
+        window driver then stops at every epoch multiple and the
         cluster report grows a ``rebalance`` section."""
         self.rebalancer = rebalancer
 
     def attach_faults(self, injector) -> None:
-        """Install a :class:`~repro.cluster.faults.FaultInjector`; the
-        next :meth:`replay_compiled` takes the fault-aware path and the
-        cluster report grows a ``faults`` section."""
+        """Install a :class:`~repro.cluster.faults.FaultInjector`; once
+        armed, the window driver stops at its offsets and the cluster
+        report grows a ``faults`` section."""
         self.fault_injector = injector
 
     def live_mask(self) -> List[bool]:
@@ -508,12 +503,6 @@ class Cluster:
         if self.fault_injector is not None:
             return self.fault_injector.live
         return [True] * len(self.servers)
-
-    @property
-    def object_requests(self) -> int:
-        """Requests processed through the object API
-        (:meth:`process_batch`) -- the live server's virtual clock."""
-        return self._object_requests
 
     # ------------------------------------------------------------------
 
@@ -523,50 +512,21 @@ class Cluster:
         ``failover`` masks crashed shards out of the successor walk;
         ``miss-through`` (and no injector at all) keeps the all-live
         walk and lets dead shards swallow their requests as tagged
-        misses -- the same split the replay loops make.
+        misses.
         """
         injector = self.fault_injector
         if injector is not None and injector.policy == "failover":
             return tuple(bool(flag) for flag in injector.live)
-        return (True,) * len(self.servers)
-
-    def _successor_column(self, mask: Tuple[bool, ...]) -> np.ndarray:
-        """Per ring position, the replica row under ``mask``.
-
-        Memoized like the columns
-        :class:`~repro.cluster.routing.LiveRouter` builds for the bulk
-        failover replay (the all-live entry plus the latest other live
-        set), so repeat requests never re-walk the ring. Rows have
-        ``min(replication, alive)`` entries (the tables clamp).
-        """
-        column = self._successor_columns.get(mask)
-        if column is None:
-            if all(mask):
-                table = self.ring.successor_table(self.replication)
-            else:
-                table = self.ring.live_successor_table(self.replication, mask)
-            column = np.asarray(table, dtype=np.int64)
-            remember_column(self._successor_columns, mask, column)
-        return column
+        return self.router.all_live
 
     def route(self, key: object) -> int:
-        """Shard index serving the next request for ``key``: the scalar
-        form of :meth:`_route_batch`, over the same memos.
+        """Shard index serving the next request for ``key``.
 
-        With ``replication == 1`` this is the ring's primary; otherwise
-        the key's requests round-robin across its replica set. Each key
-        is hashed at most once per cluster: its ring position is
-        memoized and looked up in the per-live-set successor columns.
+        With ``replication == 1`` this is the ring's primary (the next
+        live successor under ``failover``); otherwise the key's requests
+        round-robin across its replica set.
         """
-        position = self._key_positions.get(key)
-        if position is None:
-            position = self._key_positions[key] = self.ring.position_for(key)
-        replicas = self._successor_column(self._route_mask())[position]
-        if self.replication == 1:
-            return int(replicas[0])
-        turn = self._spread.get(key, 0)
-        self._spread[key] = turn + 1
-        return int(replicas[turn % len(replicas)])
+        return self.router.route(key, self._route_mask())
 
     def _barrier(self, offset: int, injector=None) -> None:
         """Run the hooks due once ``offset`` requests have been handled.
@@ -576,10 +536,8 @@ class Cluster:
         of ``epoch_requests``), then the fault events pinned to
         ``offset`` -- so an epoch sees the pre-event live set and a
         crash drains budgets the epoch just moved. ``injector`` is the
-        fault injector when ``offset`` is one of its barriers (every
-        window stop of an offline replay; the object API asks
-        :meth:`~repro.cluster.faults.FaultInjector.is_barrier`), else
-        ``None``.
+        fault injector while its schedule still has a barrier at or
+        after ``offset``, else ``None``.
         """
         if injector is not None:
             injector.on_barrier(offset)
@@ -591,23 +549,63 @@ class Cluster:
         if injector is not None:
             injector.apply_events(offset)
 
-    def _after_object_requests(self, count: int) -> None:
-        """Advance the object-API request counter (the live server's
-        virtual clock) and run :meth:`_barrier` at the new offset. A
-        *serving* fault injector
-        (:meth:`~repro.cluster.faults.FaultInjector.begin_serving`)
-        takes part at its own barrier offsets. Callers that batch must
-        split at epoch *and* fault barriers before calling this."""
-        self._object_requests += count
+    def _drive(
+        self,
+        clock: int,
+        count: int,
+        app_table: Sequence[str],
+        columns: ReplayColumns,
+        app_column: np.ndarray,
+        route_window: Callable[[int, int, Tuple[bool, ...]], np.ndarray],
+        out: Optional[np.ndarray] = None,
+    ) -> None:
+        """The one window loop: run the ``count`` requests in
+        ``columns``, the first of them at clock ``clock``.
+
+        Each window runs up to the next barrier after the clock (the
+        rebalancer's next epoch multiple or the armed injector's next
+        offset, whichever is first) or to the last request.
+        ``route_window(start, stop, mask)`` returns a shard column whose
+        rows ``[start, stop)`` are routed under ``mask`` -- per window,
+        because the barrier before it may have flipped the live mask.
+        """
         injector = self.fault_injector
-        at_fault_barrier = (
-            injector is not None
-            and injector.serving
-            and injector.is_barrier(self._object_requests)
-        )
-        self._barrier(
-            self._object_requests, injector if at_fault_barrier else None
-        )
+        rebalancer = self.rebalancer
+        epoch = rebalancer.config.epoch_requests if rebalancer is not None else 0
+        pool = self._parallel
+        limit = clock + count
+        row = 0
+        while clock < limit:
+            fault_stop = (
+                injector.next_barrier(clock) if injector is not None else None
+            )
+            epoch_stop = clock - clock % epoch + epoch if epoch else None
+            stop = min(
+                s for s in (limit, fault_stop, epoch_stop) if s is not None
+            )
+            stop_row = row + stop - clock
+            shard_column = route_window(row, stop_row, self._route_mask())
+            dead = injector.dead_shards() if injector is not None else ()
+            if pool is not None:
+                pool.replay_window(row, stop_row, shard_column, dead)
+            else:
+                runs = replay_runs(
+                    self.servers,
+                    app_table,
+                    columns,
+                    shard_column,
+                    app_column,
+                    row,
+                    stop_row,
+                    dead=dead,
+                    out=out,
+                )
+                flush_runs(self.servers, app_table, runs)
+            clock, row = stop, stop_row
+            if stop in (fault_stop, epoch_stop):
+                self._barrier(
+                    stop, injector if fault_stop is not None else None
+                )
 
     # -- plan-backed batch object API ----------------------------------
 
@@ -621,21 +619,17 @@ class Cluster:
     ) -> np.ndarray:
         """Process many object-API requests in one vectorized pass.
 
-        The serving hot path: routes the whole batch with the same bulk
-        primitives the compiled replay uses (one vectorized hash +
-        ``searchsorted`` for keys not yet memoized, precomputed
-        successor columns, occurrence-index replica turns), then hands
-        each window to the replay kernel
-        (:func:`repro.cache.kernel.replay_runs`). Returns one packed
-        outcome code per request (see
-        :func:`repro.cache.stats.pack_outcome`), in request order.
+        The serving hot path: :meth:`_drive` from the live clock
+        (``object_requests``) over this batch, each window routed by
+        the router's ``route_batch``. Returns one packed outcome code
+        per request (:func:`repro.cache.stats.pack_outcome`), in order.
 
         Bit-identical to handling the requests one at a time
         (``tests/cluster/reference.py::process_reference`` is that walk)
         -- down to per-shard per-(app, class) counters, replica
-        round-robin state, rebalance epoch barriers (the batch splits at
-        epoch boundaries mid-batch) and fault handling; the property
-        tests pin the parity down. Per-request observers never fire.
+        round-robin state, and rebalance epochs and fault barriers
+        landing mid-batch; the property tests pin the parity down.
+        Per-request observers never fire.
 
         ``ops`` entries are ``"get"``/``"set"``/``"delete"`` or their
         integer codes; ``ops``, ``value_sizes``, ``apps`` and
@@ -652,17 +646,7 @@ class Cluster:
         class_column, chunk_column, item_column = self._batch_classes(
             keys, value_sizes, key_sizes, count
         )
-        injector = self.fault_injector
-        serving_faults = injector is not None and injector.serving
-        if serving_faults:
-            # The live mask can flip at a fault barrier mid-batch, so
-            # routing must happen per window, after events apply; the
-            # occurrence-index replica turns still advance through the
-            # same global sequence because each window routes its slice
-            # against the memoized counters.
-            shard_column = np.empty(count, dtype=np.int64)
-        else:
-            shard_column = self._route_batch(keys, count)
+        shard_column = np.empty(count, dtype=np.int32)
         out = np.empty(count, dtype=np.int64)
         columns = (
             np.fromiter(keys, dtype=object, count=count),
@@ -671,39 +655,25 @@ class Cluster:
             chunk_column,
             item_column,
         )
-        rebalancer = self.rebalancer
-        epoch = (
-            rebalancer.config.epoch_requests if rebalancer is not None else 0
-        )
-        start = 0
-        while start < count:
-            stop = count
-            if epoch:
-                into_epoch = self._object_requests % epoch
-                stop = min(count, start + epoch - into_epoch)
-            if serving_faults:
-                barrier = injector.next_barrier(self._object_requests)
-                if barrier is not None:
-                    stop = min(
-                        stop, start + barrier - self._object_requests
-                    )
-                shard_column[start:stop] = self._route_batch(
-                    keys[start:stop], stop - start
-                )
-            runs = replay_runs(
-                self.servers,
-                app_names,
-                columns,
-                shard_column,
-                app_column,
-                start,
-                stop,
-                dead=injector.dead_shards() if injector is not None else (),
-                out=out,
+
+        def route_window(start, stop, mask):
+            # The router's per-key turn counters carry the round-robin
+            # sequence from one window (and one batch) to the next.
+            shard_column[start:stop] = self.router.route_batch(
+                keys[start:stop], mask
             )
-            flush_runs(self.servers, app_names, runs)
-            self._after_object_requests(stop - start)
-            start = stop
+            return shard_column
+
+        self._drive(
+            self.object_requests,
+            count,
+            app_names,
+            columns,
+            app_column,
+            route_window,
+            out,
+        )
+        self.object_requests += count
         return out
 
     def _batch_ops(
@@ -792,106 +762,38 @@ class Cluster:
             )
         return class_column, ladder[class_column], item_column
 
-    def _route_batch(self, keys: Sequence[object], count: int) -> np.ndarray:
-        """Shard per request, resolved in bulk.
-
-        Keys routed before reuse their memoized ring positions; the
-        rest are hashed in one vectorized pass. Replica turns are each
-        key's memoized counter plus its occurrence index within the
-        batch -- exactly the sequence routing one request at a time
-        would have produced -- and the counters advance past the batch.
-        """
-        column = self._successor_column(self._route_mask())
-        unique_ids: Dict[object, int] = {}
-        unique_keys: List[object] = []
-        key_ids = np.empty(count, dtype=np.int64)
-        for i, key in enumerate(keys):
-            key_id = unique_ids.get(key)
-            if key_id is None:
-                key_id = unique_ids[key] = len(unique_keys)
-                unique_keys.append(key)
-            key_ids[i] = key_id
-        memo = self._key_positions
-        unique_positions = np.empty(len(unique_keys), dtype=np.int64)
-        missing: List[int] = []
-        for key_id, key in enumerate(unique_keys):
-            position = memo.get(key)
-            if position is None:
-                missing.append(key_id)
-            else:
-                unique_positions[key_id] = position
-        if missing:
-            missing_keys = [unique_keys[key_id] for key_id in missing]
-            if all(isinstance(key, str) for key in missing_keys):
-                tokens, _ = self.ring.token_table()
-                token_column = np.asarray(tokens, dtype=np.uint64)
-                hashes = hash_keys_u64(missing_keys, salt=self.ring.seed)
-                found = np.searchsorted(
-                    token_column, hashes, side="right"
-                ) % len(token_column)
-                positions_found = found.tolist()
-            else:  # exotic keys: scalar fallback
-                positions_found = [
-                    self.ring.position_for(key) for key in missing_keys
-                ]
-            for key_id, position in zip(missing, positions_found):
-                unique_positions[key_id] = position
-                memo[unique_keys[key_id]] = position
-        positions = unique_positions[key_ids]
-        if self.replication == 1:
-            return column[positions, 0]
-        spread = self._spread
-        base = np.fromiter(
-            (spread.get(key, 0) for key in unique_keys),
-            dtype=np.int64,
-            count=len(unique_keys),
-        )
-        turns = occurrence_index(key_ids) + base[key_ids]
-        occurrences = np.bincount(key_ids, minlength=len(unique_keys))
-        for key_id, key in enumerate(unique_keys):
-            spread[key] = int(base[key_id] + occurrences[key_id])
-        return column[positions, turns % column.shape[1]]
-
     def replay_compiled(
         self, trace, plan: Optional[RoutingPlan] = None
     ) -> StatsRegistry:
         """Replay a compiled trace across the shards.
 
         Per-shard stats land in each shard server's own registry; the
-        returned registry is the cluster-wide aggregate. One loop over
-        four parts, whatever the shard count (a one-shard cluster is its
-        N=1 case, and the parity tests pin it to
+        returned registry is the cluster-wide aggregate. This is
+        :meth:`_drive` from clock 0 over the whole trace, whatever the
+        shard count (the parity tests pin a one-shard cluster to
         :meth:`CacheServer.replay_compiled`):
 
-        * **windows** -- the fault injector's merged barriers (fault
-          offsets, rebalance epochs, metric sampling grid) if one is
-          attached, else the rebalancer's epochs, else the whole trace;
-        * **routing** -- a vectorized
-          :class:`~repro.cluster.routing.RoutingPlan` (built here, or
-          passed in by callers that cache plans across replays) assigns
+        * **routing** -- a :class:`~repro.cluster.routing.RoutingPlan`
+          (built here, or passed in by callers that cache plans) assigns
           every request its shard up front; under ``failover`` with a
-          shard down the :class:`~repro.cluster.routing.LiveRouter`
+          shard down :class:`~repro.cluster.routing.TraceColumns`
           re-derives the column for the live set, while ``miss-through``
           keeps the plan and marks the down shards ``dead``;
-        * **executor** -- the window's per-(shard, app) runs go through
-          the replay kernel (:func:`repro.cache.kernel.replay_runs`),
-          in-process or, with ``parallel_workers >= 2``, on a
-          :class:`~repro.cluster.parallel.WorkerPool`;
-        * **barrier** -- :meth:`_barrier` at the window's stop offset.
+        * **executor** -- in-process or, with ``parallel_workers >= 2``,
+          a :class:`~repro.cluster.parallel.WorkerPool`;
+        * **faults** -- an attached injector is armed for
+          ``len(trace)`` requests and disarmed afterwards.
 
         Shards share no state between barriers, so the result is
         bit-identical to replaying one request at a time
         (``tests/cluster/reference.py`` is that loop).
         """
         injector = self.fault_injector
-        rebalancer = self.rebalancer
-        app_table = trace.app_table
         app_column = np.asarray(trace.app_ids, dtype=np.int64)
         # Every shard has the same ladder and tenants as shard 0.
         self.servers[0].check_replayable(trace, app_column)
         plan = self._resolve_plan(trace, plan)
-        router = LiveRouter(trace, self.ring, self.replication, base_plan=plan)
-        columns = trace.replay_columns()
+        routes = TraceColumns(self.router, trace, plan)
         pool = None
         if self.config.parallel_workers > 1 and self.shards > 1:
             from repro.cluster.parallel import WorkerPool
@@ -902,35 +804,21 @@ class Cluster:
             # The pool is up before the injector begins: an offset-0
             # crash already moves budgets, and those moves must reach
             # the workers' engines too.
-            epoch = (
-                rebalancer.config.epoch_requests if rebalancer is not None else 0
-            )
             if injector is not None:
-                injector.begin(len(trace), epoch)
-                windows = injector.windows()
-            else:
-                windows = epoch_windows(len(trace), epoch)
-            for start, stop in windows:
-                shard_column = router.shard_ids(self._route_mask())
-                dead = injector.dead_shards() if injector is not None else ()
-                if pool is not None:
-                    pool.replay_window(start, stop, shard_column, dead)
-                else:
-                    runs = replay_runs(
-                        self.servers,
-                        app_table,
-                        columns,
-                        shard_column,
-                        app_column,
-                        start,
-                        stop,
-                        dead=dead,
-                    )
-                    flush_runs(self.servers, app_table, runs)
-                self._barrier(stop, injector)
+                injector.begin(len(trace))
+            self._drive(
+                0,
+                len(trace),
+                trace.app_table,
+                trace.replay_columns(),
+                app_column,
+                lambda start, stop, mask: routes.shard_ids(mask),
+            )
             if pool is not None:
                 self._parallel_memory = pool.finish()
         finally:
+            if injector is not None:
+                injector.finish(len(trace))
             if pool is not None:
                 self._parallel = None
                 pool.shutdown()

@@ -12,11 +12,11 @@ A :class:`FaultSchedule` is pure data: an ordered list of
 :class:`FaultEvent` crash/restart actions pinned to absolute request
 offsets, plus the degradation policy and recovery-metric knobs. It
 round-trips through JSON (the scenario ``faults`` block) and is
-sweepable like every other block. During replay the schedule's offsets
-become window barriers merged with the rebalancer's epoch boundaries and
-the metric sampling grid; every executor of the replay -- in-process,
-worker pool, live batches -- stops at the same offsets, so a seed fixes
-the fault timeline.
+sweepable like every other block. Offsets count requests on the
+cluster's one clock (trace position offline, requests served live), and
+the one window driver stops at each of them, at the metric sampling grid
+and at the rebalancer's epochs whoever is driving -- offline replay,
+worker pool or live batches -- so a seed fixes the fault timeline.
 
 Two degradation policies model the two real memcache behaviors:
 
@@ -253,13 +253,15 @@ class FaultSchedule:
 
 
 class FaultInjector:
-    """Executes one :class:`FaultSchedule` against one cluster replay.
+    """Executes one :class:`FaultSchedule` against one cluster.
 
-    Attach with :meth:`repro.cluster.Cluster.attach_faults`; the replay
-    then runs window-by-window between the merged barriers
-    (:meth:`windows`), and at each one the cluster's barrier method
-    calls :meth:`on_barrier` (metric sampling), the rebalancer's epoch
-    hook, and :meth:`apply_events` -- in that order.
+    Attach with :meth:`repro.cluster.Cluster.attach_faults`. Whoever
+    drives requests arms it with :meth:`begin` and disarms it with
+    :meth:`finish` (an offline replay does both itself; the serve
+    harness does it around a live run). While armed, the cluster's
+    window driver stops where :meth:`next_barrier` says and there calls
+    :meth:`on_barrier` (metric sampling), the rebalancer's epoch hook
+    and :meth:`apply_events` -- in that order.
 
     Determinism: the schedule is fixed data, the live mask changes only
     at scheduled offsets, restarted engines are rebuilt through the
@@ -287,24 +289,27 @@ class FaultInjector:
         self._down: Dict[int, Dict[str, Any]] = {}
         self._saved_budgets: Dict[int, Dict[str, float]] = {}
         self._total = 0
-        self._windows: List[Tuple[int, int]] = []
+        #: The injector's own barrier offsets, sorted: the sampling
+        #: grid, the event offsets and ``total``. Empty while disarmed.
+        self._offsets: List[int] = []
+        self._sampled_at: Optional[int] = None
         self._last_hits = 0
         self._last_gets = 0
         self._window_rate = 0.0
-        #: True between :meth:`begin_serving` and :meth:`finish_serving`:
-        #: the cluster's object API drives the barriers incrementally
-        #: instead of the replay loops iterating :meth:`windows`.
-        self.serving = False
-        self._barrier_offsets: List[int] = []
-        self._barrier_set: frozenset = frozenset()
 
     # ------------------------------------------------------------------
-    # Replay protocol
+    # Driver protocol
     # ------------------------------------------------------------------
 
-    def begin(self, total: int, epoch_requests: int = 0) -> None:
-        """Reset per-replay state, lay out the merged barrier windows,
-        and apply offset-0 events (a crash at 0 precedes every request).
+    def begin(self, total: int) -> None:
+        """Arm the schedule for a run of ``total`` requests.
+
+        Resets per-run state, lays out the barrier offsets and applies
+        offset-0 events (a crash at 0 precedes every request). ``total``
+        is ``len(trace)`` offline and the *scheduled* request count
+        (``rate x duration`` rounded) live, so both lay out the same
+        barriers; time is "requests processed", so a seed and a schedule
+        reproduce the fault timeline however an event loop interleaves.
         """
         self._total = total
         self.live = [True] * self.cluster.shards
@@ -320,61 +325,29 @@ class FaultInjector:
         if total > 0:
             barriers.add(total)
             barriers.update(range(self.sample_step, total, self.sample_step))
-            if epoch_requests > 0:
-                barriers.update(
-                    range(epoch_requests, total + 1, epoch_requests)
-                )
             barriers.update(at for at in self._events_at if 0 < at < total)
-        offsets = sorted(barriers)
-        self._windows = list(zip([0] + offsets[:-1], offsets))
+        self._offsets = sorted(barriers)
+        self._sampled_at = None
         self._last_hits, self._last_gets = self._cluster_totals()
         self._window_rate = 0.0
         self.apply_events(0)
 
-    def windows(self) -> List[Tuple[int, int]]:
-        """The replay's ``(start, stop)`` windows between barriers."""
-        return self._windows
-
-    # ------------------------------------------------------------------
-    # Live-serving protocol
-    # ------------------------------------------------------------------
-
-    def begin_serving(self, total: int, epoch_requests: int = 0) -> None:
-        """Arm the schedule for the live server's virtual-time axis.
-
-        ``total`` is the *scheduled* request count (``rate x duration``
-        rounded): the same value an offline replay of that many requests
-        would pass to :meth:`begin`, so the barrier layout -- sampling
-        grid, epoch boundaries, event offsets -- is identical. The
-        cluster's object API then consumes the barriers incrementally
-        (:meth:`next_barrier` / :meth:`is_barrier`) as drained requests
-        flow through :meth:`~repro.cluster.Cluster.process_batch`:
-        virtual time is "requests processed", so a fixed seed and
-        schedule reproduce the identical fault timeline no matter how
-        the event loop interleaves connections.
-        """
-        self.begin(total, epoch_requests)
-        self._barrier_offsets = sorted(stop for _, stop in self._windows)
-        self._barrier_set = frozenset(self._barrier_offsets)
-        self.serving = True
-
-    def next_barrier(self, processed: int) -> Optional[int]:
-        """The first barrier offset strictly after ``processed``."""
-        index = bisect_right(self._barrier_offsets, processed)
-        if index >= len(self._barrier_offsets):
+    def next_barrier(self, clock: int) -> Optional[int]:
+        """The injector's first barrier offset strictly after ``clock``;
+        ``None`` once the schedule has run out (or while disarmed)."""
+        index = bisect_right(self._offsets, clock)
+        if index >= len(self._offsets):
             return None
-        return self._barrier_offsets[index]
+        return self._offsets[index]
 
-    def is_barrier(self, offset: int) -> bool:
-        return offset in self._barrier_set
-
-    def finish_serving(self, processed: int) -> None:
-        """Close the run at ``processed`` requests: sample the tail
-        window (an under-driven run never reaches the ``total`` barrier)
-        and disarm the live clock."""
-        if self.serving and not self.is_barrier(processed):
+    def finish(self, processed: int) -> None:
+        """Disarm at ``processed`` requests: sample the tail window if
+        the run stopped between barriers (an under-driven live run never
+        reaches ``total``), then drop the offsets so later requests are
+        neither split nor sampled at them."""
+        if self._offsets and processed != self._sampled_at:
             self.on_barrier(processed)
-        self.serving = False
+        self._offsets = []
 
     def dead_shards(self) -> frozenset:
         """Currently-crashed shard indices (miss-through tagging)."""
@@ -391,6 +364,7 @@ class FaultInjector:
         window at or after its restart whose rate is back within ε of
         the pre-fault window's.
         """
+        self._sampled_at = offset
         hits, gets = self._cluster_totals()
         window_hits = hits - self._last_hits
         window_gets = gets - self._last_gets

@@ -16,7 +16,7 @@ shards clockwise of the key, the standard successor-list placement.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import stable_hash_u64
@@ -82,25 +82,39 @@ class HashRing:
         """
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
-        count = min(count, self.shards)
-        token = stable_hash_u64(key, salt=self.seed)
-        start = bisect_right(self._tokens, token) % len(self._tokens)
-        return self._distinct_owners_from(start, count)
+        return self._distinct_owners_from(
+            self.position_for(key), min(count, self.shards)
+        )
 
-    def _distinct_owners_from(self, start: int, count: int) -> List[int]:
-        """The first ``count`` distinct owners walking clockwise from
-        ring position ``start`` -- the one replica-placement walk behind
-        both the per-key oracle (:meth:`shards_for`) and the bulk table
-        (:meth:`successor_table`), so the two can never diverge."""
+    def _distinct_owners_from(
+        self, start: int, count: int, live: Optional[Sequence[bool]] = None
+    ) -> List[int]:
+        """The first ``count`` distinct (``live``, if given) owners
+        walking clockwise from ring position ``start`` -- the one
+        replica-placement walk behind the per-key oracles
+        (:meth:`shards_for`, :meth:`shards_for_live`) and the bulk table
+        (:meth:`successor_table`), so they can never diverge."""
         total = len(self._tokens)
         replicas: List[int] = []
         for step in range(total):
             owner = self._owners[(start + step) % total]
-            if owner not in replicas:
+            if owner not in replicas and (live is None or live[owner]):
                 replicas.append(owner)
                 if len(replicas) == count:
                     break
         return replicas
+
+    def _live_count(self, count: int, live: Sequence[bool]) -> int:
+        """``count`` clamped to the live-shard total (validated)."""
+        if count < 1:
+            raise ConfigurationError(f"count must be >= 1, got {count}")
+        alive = sum(1 for flag in live if flag)
+        if alive == 0:
+            raise ConfigurationError(
+                "no live shards on the ring; a fault schedule must never "
+                "crash every shard at once"
+            )
+        return min(count, alive)
 
     def shards_for_live(
         self, key: object, count: int, live: Sequence[bool]
@@ -114,26 +128,9 @@ class HashRing:
         of live shards; with every shard live this equals
         :meth:`shards_for`.
         """
-        if count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {count}")
-        alive = sum(1 for flag in live if flag)
-        if alive == 0:
-            raise ConfigurationError(
-                "no live shards on the ring; a fault schedule must never "
-                "crash every shard at once"
-            )
-        count = min(count, alive)
-        token = stable_hash_u64(key, salt=self.seed)
-        start = bisect_right(self._tokens, token) % len(self._tokens)
-        total = len(self._tokens)
-        replicas: List[int] = []
-        for step in range(total):
-            owner = self._owners[(start + step) % total]
-            if live[owner] and owner not in replicas:
-                replicas.append(owner)
-                if len(replicas) == count:
-                    break
-        return replicas
+        return self._distinct_owners_from(
+            self.position_for(key), self._live_count(count, live), live
+        )
 
     def live_successor_table(
         self, count: int, live: Sequence[bool]
@@ -148,25 +145,16 @@ class HashRing:
         what the clockwise walk skipping dead tokens would produce.
         ``count`` is clamped to the live-shard total.
         """
-        if count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {count}")
         if len(live) != self.shards:
             raise ConfigurationError(
                 f"live mask covers {len(live)} shard(s); ring has "
                 f"{self.shards}"
             )
-        alive = sum(1 for flag in live if flag)
-        if alive == 0:
-            raise ConfigurationError(
-                "no live shards on the ring; a fault schedule must never "
-                "crash every shard at once"
-            )
-        count = min(count, alive)
-        table = []
-        for full in self.successor_table(self.shards):
-            live_order = [owner for owner in full if live[owner]]
-            table.append(live_order[:count])
-        return table
+        count = self._live_count(count, live)
+        return [
+            [owner for owner in full if live[owner]][:count]
+            for full in self.successor_table(self.shards)
+        ]
 
     def token_table(self) -> Tuple[List[int], List[int]]:
         """The ring's sorted ``(tokens, owners)`` columns.

@@ -1,10 +1,10 @@
 """The worker-pool executor: replay windows across processes.
 
-:meth:`repro.cluster.Cluster.replay_compiled` is one window driver with
-two executors. In-process it calls the replay kernel
+The cluster's window driver (``Cluster._drive``) has two executors.
+In-process it calls the replay kernel
 (:func:`repro.cache.kernel.replay_runs`) directly; with
-``cluster.parallel_workers >= 2`` it hands each window to the
-:class:`WorkerPool` here, whose workers run the *same* kernel restricted
+``cluster.parallel_workers >= 2`` an offline replay hands each window to
+the :class:`WorkerPool` here, whose workers run the *same* kernel restricted
 to the shards they own. Shards are independent between barriers (paper
 section 4.3), so the fan-out changes nothing but wall-clock:
 

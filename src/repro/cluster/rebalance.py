@@ -28,6 +28,11 @@ that shard's per-app engines proportionally, through the same
 Every epoch's resulting allocation is sampled into a
 :class:`~repro.cache.stats.TimelineRecorder`, which is what the cluster
 report exposes as the rebalance timeline.
+
+The rebalancer keeps no clock: the cluster's window driver stops at
+every multiple of ``epoch_requests`` on its own (trace position offline,
+requests served live) and calls :meth:`Rebalancer.on_epoch` from its
+barrier; a run that ends partway into an epoch ends without one.
 """
 
 from __future__ import annotations
@@ -47,24 +52,6 @@ from repro.core.hill_climbing import HillClimber
 
 #: Signal policies :class:`RebalanceConfig` accepts.
 POLICIES = ("shadow", "load")
-
-
-def epoch_windows(total_requests: int, epoch_requests: int):
-    """Yield ``(start, stop)`` request-index windows between barriers.
-
-    The replay runs each window independently and the cluster's
-    barrier calls :meth:`Rebalancer.on_epoch` after every *full* one:
-    after request ``epoch_requests``, ``2 * epoch_requests``, ...; a
-    trailing partial window ends without an epoch. ``epoch_requests <=
-    0`` (no rebalancing) degenerates to one window covering the whole
-    trace.
-    """
-    if epoch_requests <= 0:
-        if total_requests > 0:
-            yield 0, total_requests
-        return
-    for start in range(0, total_requests, epoch_requests):
-        yield start, min(start + epoch_requests, total_requests)
 
 
 @dataclass(frozen=True)
@@ -155,7 +142,7 @@ class Rebalancer:
     """Algorithm 1 over the shards of one :class:`~repro.cluster.Cluster`.
 
     Attach with :meth:`repro.cluster.Cluster.attach_rebalancer`; the
-    cluster replay then calls :meth:`on_epoch` every
+    cluster's window driver then calls :meth:`on_epoch` every
     ``config.epoch_requests`` requests. Determinism: the victim RNG is
     seeded from ``seed``, signals are integer counters, and ties go to
     the lowest shard index, so a fixed scenario seed yields a fixed epoch

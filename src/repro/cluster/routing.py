@@ -1,37 +1,38 @@
-"""Vectorized routing plans: per-request shard ids computed in bulk.
+"""The one router: key -> shard, in bulk, for every caller.
 
-Routing one request at a time pays taxes Cliffhanger's
-no-coordination design (paper section 4.3) does not require: shards are
-fully independent between rebalance epochs, so *where* each request goes
-is a pure function of the trace and the ring -- it can be computed once,
-in bulk, and reused across every replay of the same (trace, ring) pair.
+Shards are fully independent between barriers (paper section 4.3), so
+*where* a request goes is a pure function of its key, the ring, the live
+set and how often the key was seen before. :class:`Router` owns the ring
+and the effective replication, and holds the only implementation of the
+three steps every route takes:
 
-A :class:`RoutingPlan` is one ``shard_ids`` column for a whole compiled
-trace:
+* *keys -> ring positions*: a bulk splitmix64 pass (numpy;
+  bit-identical to :func:`repro.common.hashing.stable_hash_u64`) plus
+  one ``searchsorted`` against the ring's token column;
+* *live mask -> successor rows*: per ring position, the first
+  ``min(replication, alive)`` distinct live owners clockwise;
+* *gather*: a request's replica is its key's round-robin "turn" -- the
+  count lazy per-key counters would have reached -- so a precomputed
+  choice is identical to routing request by request.
 
-* the primary shard per key comes from a bulk splitmix64 pass over the
-  trace's ``key_table`` (numpy; bit-identical to
-  :func:`repro.common.hashing.stable_hash_u64`), followed by one
-  ``searchsorted`` against the ring's token column;
-* for replication R > 1, the per-request replica is resolved ahead of
-  time from the key's occurrence index (the round-robin "turn" the lazy
-  per-key counters would have reached), so the precomputed choice is
-  identical to routing request by request.
-
-Plans are cached through :class:`~repro.workloads.compiled.TraceCache`
-(:func:`get_routing_plan`), keyed by the trace's routing digest plus
-every ring parameter, so sweeps over schemes/budgets re-route nothing.
+Its callers differ only in where positions and turns come from:
+:func:`build_routing_plan` (a whole compiled trace, all shards live,
+cached through :func:`get_routing_plan` so sweeps re-route nothing),
+:class:`TraceColumns` (the same trace under another live mask --
+``failover`` with a shard down) and :meth:`Router.route_batch` (a live
+batch, from a per-key position memo and per-key turn counters).
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError, TraceFormatError
-from repro.common.hashing import _splitmix64, stable_hash_u64
+from repro.common.hashing import _splitmix64
 
 if TYPE_CHECKING:  # circular at runtime: compiled.py routes through us
     from repro.cluster.hashring import HashRing
@@ -40,6 +41,10 @@ if TYPE_CHECKING:  # circular at runtime: compiled.py routes through us
 #: Bump when the on-disk plan layout (or the routing math) changes;
 #: stale files are rebuilt.
 PLAN_FORMAT_VERSION = 1
+#: Most entries the live key -> ring-position memo holds; a pure cache
+#: (a miss costs one re-hash), dropped whole when full, so a server
+#: under a unique-key stream stays bounded while its engines evict.
+POSITION_MEMO_CAP = 1 << 20
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -53,7 +58,7 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def hash_keys_u64(keys: List[str], salt: int = 0) -> np.ndarray:
+def hash_keys_u64(keys: Sequence[str], salt: int = 0) -> np.ndarray:
     """:func:`stable_hash_u64` over a column of string keys, vectorized.
 
     FNV-1a consumes one byte position per pass over the whole column
@@ -109,7 +114,7 @@ def effective_replication(replication: int, shards: int) -> int:
 
     Every consumer of a replication parameter -- plan construction, plan
     cache keys, :meth:`RoutingPlan.matches_ring`, and
-    :class:`LiveRouter` -- must agree on how out-of-range values clamp,
+    :class:`Router` -- must agree on how out-of-range values clamp,
     or a plan keyed/built at one effective value can be matched (or
     missed) at another. This is the single definition: at least one
     replica, at most one per shard.
@@ -236,66 +241,6 @@ class RoutingPlan:
             )
 
 
-def ring_positions(trace: "CompiledTrace", ring: "HashRing") -> np.ndarray:
-    """Per trace key, the ring position its hash bisects to.
-
-    The shared first half of every bulk routing pass: one vectorized
-    splitmix64 sweep over ``trace.key_table`` plus one ``searchsorted``
-    against the ring's token column. ``positions[key_id]`` indexes the
-    ring's ``token_table()``/``successor_table()`` rows.
-    """
-    key_table = trace.key_table
-    if all(isinstance(key, str) for key in key_table):
-        hashes = hash_keys_u64(key_table, salt=ring.seed)
-    else:  # hand-built traces with exotic keys: scalar fallback
-        hashes = np.fromiter(
-            (stable_hash_u64(key, salt=ring.seed) for key in key_table),
-            dtype=np.uint64,
-            count=len(key_table),
-        )
-    tokens, _ = ring.token_table()
-    token_column = np.asarray(tokens, dtype=np.uint64)
-    # bisect_right then wrap-to-0 at the end of the ring == mod.
-    return np.searchsorted(token_column, hashes, side="right") % len(
-        token_column
-    )
-
-
-def build_routing_plan(
-    trace: "CompiledTrace", ring: "HashRing", replication: int = 1
-) -> RoutingPlan:
-    """Route every request of a compiled trace through ``ring`` at once.
-
-    Bit-identical to routing the trace through
-    :meth:`~repro.cluster.hashring.HashRing.shard_for` /
-    ``shards_for`` with lazy per-key round-robin counters starting at 0
-    (what one ``Cluster.replay_compiled`` call does): the replica turn is
-    the key's occurrence index in this trace.
-    """
-    if replication < 1:
-        raise ConfigurationError(
-            f"replication must be >= 1, got {replication}"
-        )
-    replication = effective_replication(replication, ring.shards)
-    positions = ring_positions(trace, ring)
-    key_ids = np.asarray(trace.key_ids, dtype=np.int64)
-    if replication == 1:
-        _, owners = ring.token_table()
-        primary = np.asarray(owners, dtype=np.int32)[positions]
-        shard_ids = primary[key_ids]
-    else:
-        successors = np.asarray(
-            ring.successor_table(replication), dtype=np.int32
-        )
-        turns = occurrence_index(key_ids)
-        shard_ids = successors[
-            positions[key_ids], turns % np.int64(replication)
-        ]
-    return RoutingPlan(
-        ring.shards, ring.seed, ring.virtual_nodes, replication, shard_ids
-    )
-
-
 def remember_column(
     memo: Dict[Tuple[bool, ...], np.ndarray],
     mask: Tuple[bool, ...],
@@ -315,81 +260,197 @@ def remember_column(
     memo[mask] = column
 
 
-class LiveRouter:
-    """Per-live-set routing columns for the fault-aware failover replay.
+class Router:
+    """Key -> shard under a live mask and a replica turn (the module
+    docstring lists the three steps and the callers).
 
-    Crashing a shard changes where its keys land (next live successor)
-    without moving anyone else's keys -- consistent hashing's whole
-    point -- so the fault replay re-derives the routing column at every
-    fault window instead of once per (trace, ring). This router shares
-    the expensive, live-set-independent halves across windows: the
-    per-key ring positions, the per-request round-robin turns, and the
-    ring's full successor order. A window's column is then one
-    table-filter plus one gather, memoized through
-    :func:`remember_column` (the all-live column plus the latest other
-    live set).
+    The live paths (:meth:`route_batch`, :meth:`route`) keep two dicts:
+    a key -> position memo (a cache, capped at
+    :data:`POSITION_MEMO_CAP`) and ``spread``, each key's request count
+    so far (round-robin *state*: turns never reset when the live set
+    changes, like lazy counters over :meth:`HashRing.shards_for_live`).
+    """
 
-    The routing contract matches the per-request reference exactly: a key's
-    replica set is the first ``min(replication, live_count)`` *live*
-    successors clockwise of its hash, and its round-robin turn is its
-    occurrence index over the whole trace (counters do not reset at
-    fault barriers).
+    def __init__(self, ring: "HashRing", replication: int) -> None:
+        self.ring = ring
+        self.replication = effective_replication(replication, ring.shards)
+        self.all_live: Tuple[bool, ...] = (True,) * ring.shards
+        self._tokens = np.asarray(ring.token_table()[0], dtype=np.uint64)
+        self._successors: Dict[Tuple[bool, ...], np.ndarray] = {}
+        self._position_memo: Dict[object, int] = {}
+        self.spread: Dict[object, int] = {}
+
+    def positions(self, keys: Sequence[object]) -> np.ndarray:
+        """Per key, the ring position its hash bisects to: the row of
+        :meth:`successors` its replica set sits in."""
+        if all(isinstance(key, str) for key in keys):
+            hashes = hash_keys_u64(
+                cast("Sequence[str]", keys), salt=self.ring.seed
+            )
+            # bisect_right then wrap-to-0 at the end of the ring == mod.
+            return np.searchsorted(
+                self._tokens, hashes, side="right"
+            ) % len(self._tokens)
+        return np.fromiter(  # exotic keys: the ring's scalar walk
+            (self.ring.position_for(key) for key in keys),
+            dtype=np.int64,
+            count=len(keys),
+        )
+
+    def successors(self, mask: Tuple[bool, ...]) -> np.ndarray:
+        """Per ring position, the first ``min(replication, alive)``
+        distinct owners clockwise that ``mask`` marks live (memoized)."""
+        table = self._successors.get(mask)
+        if table is None:
+            if all(mask):
+                rows = self.ring.successor_table(self.replication)
+            else:
+                rows = self.ring.live_successor_table(self.replication, mask)
+            table = np.asarray(rows, dtype=np.int32)
+            remember_column(self._successors, mask, table)
+        return table
+
+    def gather(
+        self,
+        positions: np.ndarray,
+        turns: Optional[np.ndarray],
+        mask: Tuple[bool, ...],
+    ) -> np.ndarray:
+        """Shard per request: replica ``turns[i]`` (mod the replica
+        count) of the set at ``positions[i]``; ``turns`` may be ``None``
+        when ``replication == 1``."""
+        table = self.successors(mask)
+        width = table.shape[1]
+        if turns is None or width == 1:
+            return table[:, 0][positions]
+        return table[positions, turns % width]
+
+    def trace_rows(
+        self, trace: "CompiledTrace"
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(positions, turns)`` per request of ``trace``; the turn is
+        the key's occurrence index over the whole trace."""
+        key_ids = np.asarray(trace.key_ids, dtype=np.int64)
+        positions = self.positions(trace.key_table)[key_ids]
+        turns = occurrence_index(key_ids) if self.replication > 1 else None
+        return positions, turns
+
+    def _remember_positions(
+        self, keys: Sequence[object], positions: Sequence[int]
+    ) -> None:
+        memo = self._position_memo
+        if len(memo) + len(keys) > POSITION_MEMO_CAP:
+            memo.clear()
+        memo.update(islice(zip(keys, positions), POSITION_MEMO_CAP))
+
+    def route_batch(
+        self, keys: Sequence[object], mask: Tuple[bool, ...]
+    ) -> np.ndarray:
+        """Shard per request of a live batch, advancing ``spread``.
+
+        Keys routed before reuse their memoized positions; the rest are
+        hashed in one pass. A request's turn is its key's counter plus
+        its occurrence index within the batch.
+        """
+        unique_ids: Dict[object, int] = {}
+        key_ids = np.empty(len(keys), dtype=np.int64)
+        for i, key in enumerate(keys):
+            key_id = unique_ids.get(key)
+            if key_id is None:
+                key_id = unique_ids[key] = len(unique_ids)
+            key_ids[i] = key_id
+        unique_keys = list(unique_ids)
+        memo = self._position_memo
+        unique_positions = np.fromiter(
+            (memo.get(key, -1) for key in unique_keys),
+            dtype=np.int64,
+            count=len(unique_keys),
+        )
+        missing = np.flatnonzero(unique_positions < 0)
+        if len(missing):
+            missing_keys = [unique_keys[key_id] for key_id in missing.tolist()]
+            found = self.positions(missing_keys)
+            unique_positions[missing] = found
+            self._remember_positions(missing_keys, found.tolist())
+        positions = unique_positions[key_ids]
+        if self.replication == 1:
+            return self.gather(positions, None, mask)
+        spread = self.spread
+        base = np.fromiter(
+            (spread.get(key, 0) for key in unique_keys),
+            dtype=np.int64,
+            count=len(unique_keys),
+        )
+        turns = occurrence_index(key_ids) + base[key_ids]
+        counts = base + np.bincount(key_ids, minlength=len(unique_keys))
+        spread.update(zip(unique_keys, counts.tolist()))
+        return self.gather(positions, turns, mask)
+
+    def route(self, key: object, mask: Tuple[bool, ...]) -> int:
+        """:meth:`route_batch` for one request, without the arrays."""
+        position = self._position_memo.get(key)
+        if position is None:
+            position = self.ring.position_for(key)
+            self._remember_positions((key,), (position,))
+        replicas = self.successors(mask)[position]
+        if self.replication == 1:
+            return int(replicas[0])
+        turn = self.spread.get(key, 0)
+        self.spread[key] = turn + 1
+        return int(replicas[turn % len(replicas)])
+
+
+class TraceColumns:
+    """One compiled trace's full-length shard column per live mask.
+
+    The all-live column *is* the routing plan's own ``shard_ids`` array
+    (the worker pool recognizes it by identity); any other mask costs
+    one :meth:`Router.gather` over the trace's positions and turns,
+    computed on first need. Memoized through :func:`remember_column`.
     """
 
     def __init__(
-        self,
-        trace: "CompiledTrace",
-        ring: "HashRing",
-        replication: int,
-        base_plan: Optional[RoutingPlan] = None,
+        self, router: Router, trace: "CompiledTrace", plan: RoutingPlan
     ) -> None:
-        self.ring = ring
-        self.replication = effective_replication(replication, ring.shards)
+        self._router = router
         self._trace = trace
-        self._positions: Optional[np.ndarray] = None
-        self._turns: Optional[np.ndarray] = None
-        self._key_ids: Optional[np.ndarray] = None
-        self._columns: Dict[Tuple[bool, ...], np.ndarray] = {}
-        if base_plan is not None and len(base_plan) == len(trace):
-            # The all-live column is the cached RoutingPlan; reuse it so
-            # no-fault windows pay nothing the plain replay would not.
-            self._columns[(True,) * ring.shards] = base_plan.shard_ids
+        self._rows: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
+        self._columns = {router.all_live: plan.shard_ids}
 
-    def _ensure_tables(self) -> None:
-        if self._positions is not None:
-            return
-        trace = self._trace
-        self._positions = ring_positions(trace, self.ring)
-        self._key_ids = np.asarray(trace.key_ids, dtype=np.int64)
-        self._turns = occurrence_index(self._key_ids)
-
-    def shard_ids(self, live: Sequence[bool]) -> np.ndarray:
-        """The full-trace shard column under ``live`` (memoized)."""
-        mask = tuple(bool(flag) for flag in live)
-        if len(mask) != self.ring.shards:
-            raise ConfigurationError(
-                f"live mask covers {len(mask)} shard(s); ring has "
-                f"{self.ring.shards}"
-            )
+    def shard_ids(self, mask: Tuple[bool, ...]) -> np.ndarray:
         column = self._columns.get(mask)
-        if column is not None:
-            return column
-        self._ensure_tables()
-        alive = sum(mask)
-        effective = min(self.replication, alive)
-        table = np.asarray(
-            self.ring.live_successor_table(effective, mask), dtype=np.int32
-        )
-        if effective == 1:
-            column = table[:, 0][self._positions][self._key_ids]
-        else:
-            column = table[
-                self._positions[self._key_ids],
-                self._turns % np.int64(effective),
-            ]
-        column = np.ascontiguousarray(column, dtype=np.int32)
-        remember_column(self._columns, mask, column)
+        if column is None:
+            if self._rows is None:
+                self._rows = self._router.trace_rows(self._trace)
+            column = self._router.gather(*self._rows, mask)
+            remember_column(self._columns, mask, column)
         return column
+
+
+def build_routing_plan(
+    trace: "CompiledTrace", ring: "HashRing", replication: int = 1
+) -> RoutingPlan:
+    """Route every request of a compiled trace through ``ring`` at once.
+
+    Bit-identical to routing the trace through
+    :meth:`~repro.cluster.hashring.HashRing.shard_for` /
+    ``shards_for`` with lazy per-key round-robin counters starting at 0
+    (what one ``Cluster.replay_compiled`` call does): the replica turn is
+    the key's occurrence index in this trace.
+    """
+    if replication < 1:
+        raise ConfigurationError(
+            f"replication must be >= 1, got {replication}"
+        )
+    router = Router(ring, replication)
+    positions, turns = router.trace_rows(trace)
+    return RoutingPlan(
+        ring.shards,
+        ring.seed,
+        ring.virtual_nodes,
+        router.replication,
+        router.gather(positions, turns, router.all_live),
+    )
 
 
 def plan_cache_key(

@@ -339,11 +339,15 @@ class CliffhangerEngine(Engine):
         total_capacity = sum(
             queue.capacity_bytes for queue in self.queues.values()
         )
+        evicted = 0
         if excess > 0 and total_capacity > 0:
             scale = max(0.0, 1.0 - excess / total_capacity)
             for queue in self.queues.values():
+                # set_capacity reports nothing: count the items it drops.
+                before = queue.physical_items()
                 queue.set_capacity(queue.capacity_bytes * scale)
-        return 0
+                evicted += before - queue.physical_items()
+        return evicted
 
     def grow_budget(self, delta_bytes: float) -> None:
         super().grow_budget(delta_bytes)

@@ -132,42 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_cluster(args):
-    from repro.sim import Scenario, load_workload
-    from repro.sim.runner import build_cluster
-
-    scenario = Scenario(
-        workload=args.workload,
-        scheme=args.scheme,
-        scale=args.scale,
-        seed=args.seed,
-        cluster={
-            "shards": args.shards,
-            "replication": args.replication,
-        },
-        rebalance=(
-            {"epoch_requests": args.rebalance_epoch, "policy": "load"}
-            if args.rebalance_epoch
-            else None
-        ),
-    )
-    trace = load_workload(
-        scenario.workload, scale=scenario.scale, seed=scenario.seed
-    )
-    cluster = build_cluster(scenario, trace)
-    if scenario.rebalance is not None:
-        from repro.cluster import RebalanceConfig, Rebalancer
-
-        cluster.attach_rebalancer(
-            Rebalancer(
-                cluster,
-                RebalanceConfig.from_dict(scenario.rebalance),
-                seed=scenario.seed,
-            )
-        )
-    return cluster, trace
-
-
 def _parse_events(args) -> List[dict]:
     events = []
     for kind, specs in (("crash", args.crash), ("restart", args.restart)):
@@ -190,24 +154,45 @@ def _parse_events(args) -> List[dict]:
     return events
 
 
-def _attach_faults(args, cluster) -> None:
-    events = _parse_events(args)
-    if not events:
-        return
-    from repro.cluster import FaultInjector, FaultSchedule
+def _prepare_cluster(args):
+    """The flags as a :class:`~repro.sim.Scenario`, wired by the same
+    :func:`~repro.sim.runner.prepare_cluster` a scenario run uses:
+    ``(cluster, compiled)`` with the rebalancer and the fault injector
+    already attached."""
+    from repro.sim import Scenario, load_workload
+    from repro.sim.runner import prepare_cluster
 
-    schedule = FaultSchedule.from_dict(
-        {"events": events, "policy": args.fault_policy}
+    events = _parse_events(args)
+    scenario = Scenario(
+        workload=args.workload,
+        scheme=args.scheme,
+        scale=args.scale,
+        seed=args.seed,
+        cluster={
+            "shards": args.shards,
+            "replication": args.replication,
+        },
+        rebalance=(
+            {"epoch_requests": args.rebalance_epoch, "policy": "load"}
+            if args.rebalance_epoch
+            else None
+        ),
+        faults=(
+            {"events": events, "policy": args.fault_policy}
+            if events
+            else None
+        ),
     )
-    schedule.validate_for(args.shards)
-    cluster.attach_faults(FaultInjector(cluster, schedule))
+    trace = load_workload(
+        scenario.workload, scale=scenario.scale, seed=scenario.seed
+    )
+    return prepare_cluster(scenario, trace)
 
 
 def _run_measurement(args) -> int:
     from repro.serve.harness import ServeConfig, run_serve
 
-    cluster, trace = _build_cluster(args)
-    _attach_faults(args, cluster)
+    cluster, compiled = _prepare_cluster(args)
     retry = None
     if args.retry_attempts > 1 or args.hedge_after > 0:
         retry = {
@@ -228,7 +213,7 @@ def _run_measurement(args) -> int:
         max_inflight=args.max_inflight,
         retry=retry,
     )
-    report = run_serve(cluster, trace.compiled, config, seed=args.seed)
+    report = run_serve(cluster, compiled, config, seed=args.seed)
     payload = report.to_dict()
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -258,7 +243,7 @@ def _run_listener(args) -> int:
         raise ConfigurationError(
             f"--listen wants a numeric port, got {port_text!r}"
         )
-    cluster, _ = _build_cluster(args)
+    cluster, _ = _prepare_cluster(args)
 
     async def serve_forever() -> None:
         server = CacheServerProcess(

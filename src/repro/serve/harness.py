@@ -10,10 +10,11 @@ what :func:`repro.cluster.cluster.render_cluster_report` renders as the
 
 Chaos serving: when the cluster arrives with a
 :class:`~repro.cluster.faults.FaultInjector` attached, the harness arms
-it on the **virtual-time axis** -- barrier offsets are counts of
-requests processed through :meth:`~repro.cluster.Cluster.process_batch`,
-not wall-clock seconds -- so a fixed seed and schedule reproduce the
-identical fault timeline regardless of event-loop interleaving. The
+it (``begin``/``finish``, like an offline replay does) for the scheduled
+request count. Offsets count requests processed through
+:meth:`~repro.cluster.Cluster.process_batch`, not wall-clock seconds, so
+a fixed seed and schedule reproduce the identical fault timeline
+regardless of event-loop interleaving. The
 report then grows a ``faults`` section: the injector's per-crash
 recovery metrics plus a scheduled-index latency timeline (the
 p99-during-outage view).
@@ -224,7 +225,7 @@ def run_serve(
     keeps all state the run produced (counters, rebalance epochs, fault
     records), so callers report on it afterwards exactly like an
     offline replay. A fault injector already attached to the cluster is
-    armed on the virtual-time axis for the scheduled request count.
+    armed for the scheduled request count.
     """
     return asyncio.run(_run_serve(cluster, compiled, config, seed))
 
@@ -256,11 +257,7 @@ async def _run_serve(
         ),
     )
     if injector is not None:
-        rebalancer = cluster.rebalancer
-        epoch = (
-            rebalancer.config.epoch_requests if rebalancer is not None else 0
-        )
-        injector.begin_serving(scheduled, epoch)
+        injector.begin(scheduled)
     tcp_clients = []
     try:
         if config.transport == "tcp":
@@ -281,7 +278,7 @@ async def _run_serve(
             await client.close()
         await server.close()
         if injector is not None:
-            injector.finish_serving(cluster.object_requests)
+            injector.finish(cluster.object_requests)
     faults_payload = None
     if injector is not None:
         faults_payload = injector.to_dict()

@@ -232,11 +232,7 @@ def replay_on_cluster(
 
     cluster, compiled = prepare_cluster(scenario, trace)
     started = time.perf_counter()
-    plan = None
-    if cluster.shards > 1 or cluster.rebalancer is not None:
-        plan = get_routing_plan(
-            compiled, cluster.ring, cluster.replication
-        )
+    plan = get_routing_plan(compiled, cluster.ring, cluster.replication)
     stats = cluster.replay_compiled(compiled, plan=plan)
     elapsed = time.perf_counter() - started
     return cluster, stats, elapsed

@@ -6,7 +6,25 @@ live object API (:meth:`Cluster.process_batch`)."""
 from __future__ import annotations
 
 from repro.cache.stats import OUTCOME_DEAD, AccessOutcome
-from repro.cluster.rebalance import epoch_windows
+
+
+def naive_windows(total, epoch, injector):
+    """``(start, stop)`` windows between every offset a hook may be due
+    at: the rebalance epochs, plus -- with a fault injector -- its
+    sampling grid, its event offsets and ``total``. Computed here from
+    the definitions (call after ``injector.begin``, which fixes the
+    sampling stride), so the oracle does not depend on how production
+    lays its barriers out."""
+    stops = {total}
+    if epoch:
+        stops.update(range(epoch, total + 1, epoch))
+    if injector is not None:
+        stops.update(range(injector.sample_step, total, injector.sample_step))
+        stops.update(
+            event.at for event in injector.schedule.events if 0 < event.at < total
+        )
+    stops = sorted(stop for stop in stops if stop > 0)
+    return list(zip([0] + stops[:-1], stops))
 
 
 def replay_reference(cluster, trace):
@@ -20,10 +38,9 @@ def replay_reference(cluster, trace):
     its round-robin turn (a global per-key occurrence count that never
     resets), and is recorded on its shard's registry as it happens.
 
-    With a fault injector attached the windows are the injector's merged
-    barriers; with only a rebalancer they are its epochs; with neither
-    the whole trace is one window. After each window the hooks run in
-    the barrier order -- sample, rebalance epoch, fault events. Under
+    The windows are :func:`naive_windows`. After each window the hooks
+    run in the barrier order -- sample, rebalance epoch, fault events.
+    Under
     ``failover`` routing follows the live successors; under
     ``miss-through`` it stays the all-live walk and a request landing on
     a dead shard is recorded as ``OUTCOME_DEAD`` without reaching an
@@ -32,10 +49,8 @@ def replay_reference(cluster, trace):
     injector, rebalancer = cluster.fault_injector, cluster.rebalancer
     epoch = rebalancer.config.epoch_requests if rebalancer is not None else 0
     if injector is not None:
-        injector.begin(len(trace), epoch)
-        windows = injector.windows()
-    else:
-        windows = epoch_windows(len(trace), epoch)
+        injector.begin(len(trace))
+    windows = naive_windows(len(trace), epoch, injector)
     failover = injector is not None and injector.policy == "failover"
     ring, replication = cluster.ring, cluster.replication
     replicas_of_key = {}
@@ -78,6 +93,8 @@ def replay_reference(cluster, trace):
             rebalancer.on_epoch()
         if injector is not None:
             injector.apply_events(stop)
+    if injector is not None:
+        injector.finish(len(trace))
     return cluster.aggregate_stats()
 
 
@@ -86,14 +103,16 @@ def process_reference(cluster, request):
 
     The walk :meth:`repro.cluster.Cluster.process_batch` must equal
     request for request. It shares only the ring, the engines, the
-    replica round-robin counters (``_spread``) and the barrier hook
-    (``_after_object_requests``) with that path: the ring is walked per
-    request -- live successors under ``failover``, the all-live walk
-    otherwise -- with no memoized positions or successor columns, and
-    the outcome is recorded as an object on the shard's registry. A
-    request landing on a dead shard (``miss-through``) is recorded as a
-    tagged dead miss without reaching an engine. Returns the
-    :class:`~repro.cache.stats.AccessOutcome`.
+    replica round-robin counters (``router.spread``) and the request
+    clock with that path: the ring is walked per request -- live
+    successors under ``failover``, the all-live walk otherwise -- with
+    no memoized positions or successor columns, and the outcome is
+    recorded as an object on the shard's registry. A request landing on
+    a dead shard (``miss-through``) is recorded as a tagged dead miss
+    without reaching an engine. After every request the clock ticks and
+    a rebalance epoch fires if it is due (armed fault barriers on the
+    live path are pinned by ``test_barrier.py``'s cross-driver property
+    instead). Returns the :class:`~repro.cache.stats.AccessOutcome`.
     """
     injector = cluster.fault_injector
     if injector is not None and injector.policy == "failover":
@@ -105,8 +124,9 @@ def process_reference(cluster, request):
     if cluster.replication == 1:
         shard = replicas[0]
     else:
-        turn = cluster._spread.get(request.key, 0)
-        cluster._spread[request.key] = turn + 1
+        spread = cluster.router.spread
+        turn = spread.get(request.key, 0)
+        spread[request.key] = turn + 1
         shard = replicas[turn % len(replicas)]
     server = cluster.servers[shard]
     if injector is not None and not injector.live[shard]:
@@ -116,5 +136,10 @@ def process_reference(cluster, request):
         server.stats.record(outcome)
     else:
         outcome = server.process(request)
-    cluster._after_object_requests(1)
+    cluster.object_requests += 1
+    rebalancer = cluster.rebalancer
+    if rebalancer is not None:
+        epoch = rebalancer.config.epoch_requests
+        if epoch and cluster.object_requests % epoch == 0:
+            rebalancer.on_epoch()
     return outcome

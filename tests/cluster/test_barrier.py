@@ -1,12 +1,13 @@
-"""One barrier protocol, three callers.
+"""One clock, one window driver, three callers.
 
 The offline replay, the worker pool and the live batch path
-(:meth:`Cluster.process_batch`) all hand control to the same
-``Cluster._barrier`` -- sample, rebalance epoch, fault events -- so a
-seed and a schedule fix *where* every hook fires no matter which of them
-is driving. A Hypothesis property pins that down, and a long schedule
-checks that the per-live-mask routing memos the drivers feed stay
-bounded without changing a single counter.
+(:meth:`Cluster.process_batch`) all run ``Cluster._drive`` and hand
+control to the same ``Cluster._barrier`` -- sample, rebalance epoch,
+fault events -- so a seed and a schedule fix *where* every hook fires
+no matter which of them is driving. A Hypothesis property pins that
+down, a long schedule checks that the router's per-live-mask memos stay
+bounded without changing a single counter, and a disarm test checks
+that a finished replay's barriers do not leak into later live batches.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.routing import LiveRouter
+from repro.cluster.routing import TraceColumns
 from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.sim import Scenario, load_workload
 from repro.sim.runner import prepare_cluster
@@ -68,10 +69,9 @@ def serve_in_batches(cluster, compiled, sizes):
     """Feed ``compiled`` through ``process_batch`` in batches of the
     given sizes (cycled), with the injector armed like the live server
     arms it."""
-    injector, rebalancer = cluster.fault_injector, cluster.rebalancer
-    epoch = rebalancer.config.epoch_requests if rebalancer is not None else 0
+    injector = cluster.fault_injector
     if injector is not None:
-        injector.begin_serving(len(compiled), epoch)
+        injector.begin(len(compiled))
     apps = [compiled.app_table[app_id] for app_id in compiled.app_ids]
     # key_sizes=0 and value = item - overhead reproduce item_bytes exactly.
     values = np.asarray(compiled.item_bytes) - ITEM_OVERHEAD_BYTES
@@ -87,7 +87,7 @@ def serve_in_batches(cluster, compiled, sizes):
         )
         start, turn = stop, turn + 1
     if injector is not None:
-        injector.finish_serving(cluster.object_requests)
+        injector.finish(cluster.object_requests)
 
 
 def prepared(scenario):
@@ -145,23 +145,55 @@ def test_live_mask_memos_stay_bounded_on_a_long_schedule(monkeypatch):
     reference = run_reference(scenario)
     expected = [counters_snapshot(s.stats) for s in reference.cluster.servers]
 
-    routers = []
+    traces = []
 
-    class SpyRouter(LiveRouter):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            routers.append(self)
+    class SpyColumns(TraceColumns):
+        def __init__(self, *args):
+            super().__init__(*args)
+            traces.append(self)
 
-    monkeypatch.setattr("repro.cluster.cluster.LiveRouter", SpyRouter)
+    monkeypatch.setattr("repro.cluster.cluster.TraceColumns", SpyColumns)
     offline, compiled = prepare_cluster(scenario, WORKLOAD)
     offline.replay_compiled(compiled)
-    (router,) = routers
-    assert len(router._columns) <= 2
-    assert (True,) * 4 in router._columns
+    (columns,) = traces
+    assert len(columns._columns) <= 2
+    assert (True,) * 4 in columns._columns  # the plan's own column
+    assert len(offline.router._successors) <= 2
     assert [counters_snapshot(s.stats) for s in offline.servers] == expected
 
     live, _ = prepare_cluster(scenario, WORKLOAD)
     serve_in_batches(live, compiled, [64])
-    assert len(live._successor_columns) <= 2
-    assert (True,) * 4 in live._successor_columns
+    assert len(live.router._successors) <= 2
+    assert (True,) * 4 in live.router._successors
     assert [counters_snapshot(s.stats) for s in live.servers] == expected
+
+
+def test_finished_replay_leaves_no_barriers_for_live_batches():
+    # Disarm hygiene: after an offline faulted replay the injector's
+    # offsets are gone, so a later batch on the same cluster (its clock
+    # starts at 0 and would cross every one of them) runs as one window
+    # and adds no sample to the finished replay's timeline.
+    events = [
+        {"kind": "crash", "shard": 1, "at": 100},
+        {"kind": "restart", "shard": 1, "at": 300},
+    ]
+    scenario = BASE.replace(
+        faults={"events": events, "policy": "failover", "sample_requests": 50}
+    )
+    cluster, compiled = prepare_cluster(scenario, WORKLOAD)
+    cluster.replay_compiled(compiled)
+    injector = cluster.fault_injector
+    assert injector.next_barrier(0) is None
+    samples = len(injector.timeline.to_dict()["times"])
+    log = spy_on_barriers(cluster)
+    windows = []
+    route_batch = cluster.router.route_batch
+    cluster.router.route_batch = lambda keys, mask: (
+        windows.append(len(keys)) or route_batch(keys, mask)
+    )
+    cluster.process_batch(
+        compiled.keys[:400], "get", 100, compiled.app_table[0], key_sizes=0
+    )
+    assert windows == [400]
+    assert log == []
+    assert len(injector.timeline.to_dict()["times"]) == samples

@@ -106,8 +106,8 @@ def per_shard_snapshot(cluster):
 
 def assert_twin_state(oracle, batch):
     assert per_shard_snapshot(batch) == per_shard_snapshot(oracle)
-    assert batch._spread == oracle._spread
-    assert batch._object_requests == oracle._object_requests
+    assert batch.router.spread == oracle.router.spread
+    assert batch.object_requests == oracle.object_requests
 
 
 REQUEST_SPECS = st.lists(
@@ -315,8 +315,9 @@ class TestRouteMemoization:
         cluster = build(shards=4, apps=("a",))
         cluster.route("x")  # memoized by the scalar path
         cluster.process_batch(["x", "y", "z"], "get", 100, "a")
-        assert set(cluster._key_positions) == {"x", "y", "z"}
-        assert cluster._key_positions["y"] == cluster.ring.position_for("y")
+        memo = cluster.router._position_memo
+        assert set(memo) == {"x", "y", "z"}
+        assert memo["y"] == cluster.ring.position_for("y")
 
     def test_failover_columns_memoized_per_live_set(self):
         schedule = FaultSchedule.from_dict(
@@ -333,7 +334,37 @@ class TestRouteMemoization:
             key, 1, cluster.fault_injector.live
         )[0]
         # Both live sets keep their columns; recovery reuses the first.
-        assert len(cluster._successor_columns) == 2
+        assert len(cluster.router._successors) == 2
         cluster.fault_injector.live[healthy] = True
         assert cluster.route(key) == healthy
-        assert len(cluster._successor_columns) == 2
+        assert len(cluster.router._successors) == 2
+
+    def test_position_memo_is_capped_without_changing_routes(
+        self, monkeypatch
+    ):
+        """A unique-key stream must not grow the key -> position memo
+        forever; it is a pure cache, so clearing it changes nothing."""
+        from repro.cluster import routing
+
+        cap = 64
+        keys = [f"u{i:05d}" for i in range(10 * cap)]
+        # A hot key straddles every clear: its replica turns must carry.
+        stream = [key for unique in keys for key in (unique, "hot")]
+
+        def run():
+            cluster = build(shards=4, replication=2, apps=("a",))
+            shards = []
+            for low in range(0, len(stream), 48):
+                chunk = stream[low : low + 48]
+                cluster.process_batch(chunk, "set", 100, "a")
+                shards.extend(cluster.route(key) for key in chunk[:3])
+            return cluster, shards
+
+        uncapped, expected = run()
+        assert len(uncapped.router._position_memo) == len(keys) + 1
+        monkeypatch.setattr(routing, "POSITION_MEMO_CAP", cap)
+        capped, shards = run()
+        assert len(capped.router._position_memo) <= cap
+        assert shards == expected
+        assert per_shard_snapshot(capped) == per_shard_snapshot(uncapped)
+        assert capped.router.spread == uncapped.router.spread

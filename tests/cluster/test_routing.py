@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.cache.engines import FirstComeFirstServeEngine
 from repro.cache.slabs import SlabGeometry
@@ -32,6 +32,8 @@ from repro.cluster import (
 )
 from repro.cluster.hashring import HashRing
 from repro.cluster.routing import (
+    Router,
+    TraceColumns,
     effective_replication,
     hash_keys_u64,
     occurrence_index,
@@ -120,6 +122,70 @@ def test_plan_matches_lazy_routing(shards, replication, seed, vnodes):
     assert plan.shard_ids.tolist() == expected
     assert plan.shards == shards
     assert plan.replication == effective
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key_indices=st.lists(
+        st.integers(min_value=0, max_value=30), min_size=1, max_size=120
+    ),
+    exotic=st.booleans(),
+    shards=st.integers(min_value=1, max_value=5),
+    replication=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32),
+    down=st.sets(st.integers(min_value=0, max_value=4)),
+    batch=st.integers(min_value=1, max_value=40),
+)
+def test_every_route_agrees_with_the_ring_walk(
+    key_indices, exotic, shards, replication, seed, down, batch
+):
+    """The plan, the failover column, the live batch route and the
+    scalar route are four callers of one router: each must equal the
+    per-request ring walk (``shards_for_live``) with lazy per-key turn
+    counters, under any live mask, clamped replication and non-``str``
+    keys (the scalar-hash fallback)."""
+    mask = tuple(shard not in down for shard in range(shards))
+    assume(any(mask))
+    if exotic:
+        keys = [i if i % 2 else ("pair", i) for i in key_indices]
+    else:
+        keys = [f"k{i:02d}" for i in key_indices]
+    ring = HashRing(shards, seed=seed, virtual_nodes=4)
+
+    def walk(live):
+        turns = {}
+        routed = []
+        for key in keys:
+            replicas = ring.shards_for_live(key, replication, live)
+            turn = turns.get(key, 0)
+            turns[key] = turn + 1
+            routed.append(replicas[turn % len(replicas)])
+        return routed
+
+    all_live = (True,) * shards
+    trace = CompiledTrace.compile(
+        [
+            Request(
+                time=float(i), app="a", key=key, op="get", value_size=10,
+                key_size=8,  # non-str keys have no len() to default to
+            )
+            for i, key in enumerate(keys)
+        ],
+        GEO,
+    )
+    plan = build_routing_plan(trace, ring, replication)
+    assert plan.shard_ids.tolist() == walk(all_live)
+    columns = TraceColumns(Router(ring, replication), trace, plan)
+    assert columns.shard_ids(all_live) is plan.shard_ids
+    assert columns.shard_ids(mask).tolist() == walk(mask)
+    batched = Router(ring, replication)
+    routed = []
+    for low in range(0, len(keys), batch):
+        routed.extend(batched.route_batch(keys[low : low + batch], mask))
+    assert routed == walk(mask)
+    scalar = Router(ring, replication)
+    assert [scalar.route(key, mask) for key in keys] == walk(mask)
+    assert scalar.spread == batched.spread
 
 
 def test_successor_table_matches_shards_for():

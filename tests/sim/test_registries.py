@@ -18,18 +18,52 @@ from repro.sim import (
 )
 
 
+BUILTIN_SCHEMES = (
+    "default",
+    "planned",
+    "lsm",
+    "hill",
+    "cliff-only",
+    "hill-only",
+    "cliffhanger",
+)
+
+
 def test_builtin_schemes_registered():
     # Subset, not equality: other tests may register extra schemes and
     # the global registry forbids re-registration, so leaks are sticky.
-    assert {
-        "default",
-        "planned",
-        "lsm",
-        "hill",
-        "cliff-only",
-        "hill-only",
-        "cliffhanger",
-    } <= set(list_schemes())
+    assert set(BUILTIN_SCHEMES) <= set(list_schemes())
+
+
+def shrink_evictions(scheme):
+    """Fill a 2 MB engine with 600 B items and take 1.5 MB away:
+    ``(evictions shrink_budget reported, items that actually went)``."""
+    from repro.cache.stats import OP_CODES
+    from repro.sim.defaults import GEOMETRY
+
+    slab_class = GEOMETRY.class_for_size(600)
+    chunk = GEOMETRY.chunk_size(slab_class)
+    engine = make_engine(scheme, "a", 2e6, plan={slab_class: 2e6})
+    for i in range(6000):
+        engine.process_fast(f"k{i}", OP_CODES["set"], slab_class, chunk, 600)
+    item_bytes = 600 if scheme == "lsm" else chunk  # the log packs items
+    held = engine.used_bytes() / item_bytes
+    evicted = engine.shrink_budget(1.5e6)
+    assert engine.used_bytes() <= engine.budget_bytes
+    return evicted, held - engine.used_bytes() / item_bytes
+
+
+@pytest.mark.parametrize("scheme", BUILTIN_SCHEMES)
+def test_shrink_budget_reports_what_it_evicted(scheme):
+    # The rebalancer's rebalance_evictions and the injector's
+    # fault_evictions are sums of this return value.
+    evicted, dropped = shrink_evictions(scheme)
+    assert evicted > 0
+    assert evicted == dropped
+
+
+def test_shrink_budget_counts_agree_across_shadow_schemes():
+    assert shrink_evictions("cliffhanger") == shrink_evictions("hill")
 
 
 def test_builtin_workloads_registered():
