@@ -14,7 +14,7 @@ paper's Figure 3 shape), pins a queue *inside* the cliff, and compares:
 
 from repro.allocation.talus import plan_talus_partition
 from repro.cache.policies import make_policy
-from repro.core.cliff_scaling import CliffConfig, CliffhangerQueue
+from repro.core.cliff_scaling import ACCESS_HIT, CliffConfig, CliffhangerQueue
 from repro.profiling.hrc import HitRateCurve
 from repro.profiling.stack_distance import StackDistanceProfiler
 from repro.workloads.generators import ReuseDistanceStream
@@ -67,7 +67,7 @@ def main() -> None:
     queue = CliffhangerQueue("demo", operating_point * CHUNK, config)
     cliffhanger_hits = 0
     for key in keys:
-        if queue.access(key).hit:
+        if queue.access(key) == ACCESS_HIT:
             cliffhanger_hits += 1
         else:
             queue.insert(key)

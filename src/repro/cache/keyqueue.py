@@ -87,16 +87,6 @@ class KeyQueue:
         self._entries.move_to_end(key, last=False)
         self._used += weight
 
-    def push_back(self, key: object, weight: float) -> None:
-        """Insert (or move) ``key`` at the LRU end (used by cascades)."""
-        if weight < 0:
-            raise CacheError(f"negative weight {weight} for key {key!r}")
-        if key in self._entries:
-            self._used -= self._entries[key]
-        self._entries[key] = weight
-        self._entries.move_to_end(key, last=True)
-        self._used += weight
-
     def remove(self, key: object) -> float:
         """Remove ``key`` and return its weight. KeyError if absent."""
         weight = self._entries.pop(key)
@@ -147,7 +137,7 @@ class QueueChain:
     anywhere in the chain the key is promoted to the front of segment 0;
     overflow then cascades: the LRU entry of segment *i* is pushed onto the
     front of segment *i+1*, and entries overflowing the final segment are
-    dropped (returned to the caller).
+    dropped.
 
     Typical Cliffhanger layout for one slab-class queue::
 
@@ -198,25 +188,6 @@ class QueueChain:
         """Index of the segment holding ``key``, or None."""
         return self._locator.get(key)
 
-    def is_physical(self, key: object) -> bool:
-        """True iff the key currently resides in a physical segment."""
-        idx = self._locator.get(key)
-        return idx is not None and idx < self.physical_segments
-
-    @property
-    def physical_used(self) -> float:
-        return sum(
-            segment.used
-            for segment in self.segments[: self.physical_segments]
-        )
-
-    @property
-    def physical_capacity(self) -> float:
-        return sum(
-            segment.capacity
-            for segment in self.segments[: self.physical_segments]
-        )
-
     def physical_len(self) -> int:
         return sum(
             len(segment)
@@ -227,6 +198,16 @@ class QueueChain:
     # Mutation
     # ------------------------------------------------------------------
 
+    def touch(self, key: object) -> Optional[int]:
+        """Index of the segment holding ``key``, or None. A key found in
+        segment 0 also moves to its MRU position -- all a promotion from
+        there amounts to, since no segment's usage changes. Deeper finds
+        stay put for the caller to :meth:`access` or :meth:`remove`."""
+        idx = self._locator.get(key)
+        if idx == 0:
+            self.segments[0]._entries.move_to_end(key, last=False)
+        return idx
+
     def access(self, key: object) -> Optional[int]:
         """Touch ``key``: return the segment index it was found in (then
         promote it to the front of segment 0), or None on a complete miss.
@@ -234,18 +215,18 @@ class QueueChain:
         The returned index is the *pre-promotion* location, which is what
         the shadow-queue algorithms condition on.
         """
-        idx = self._locator.get(key)
-        if idx is None:
-            return None
-        weight = self.segments[idx].remove(key)
-        self.segments[0].push_front(key, weight)
-        self._locator[key] = 0
-        self._cascade()
+        idx = self.touch(key)
+        if idx:
+            weight = self.segments[idx].remove(key)
+            self.segments[0].push_front(key, weight)
+            self._locator[key] = 0
+            self._cascade()
         return idx
 
-    def insert(self, key: object, weight: float) -> List[Tuple[object, float]]:
-        """Insert a new key at the front; return entries dropped off the
-        chain's tail. Re-inserting an existing key refreshes its weight."""
+    def insert(self, key: object, weight: float) -> int:
+        """Insert a new key at the front; return how many entries that
+        pushed out of physical memory. Re-inserting an existing key
+        refreshes its weight."""
         old_idx = self._locator.get(key)
         if old_idx is not None:
             self.segments[old_idx].remove(key)
@@ -261,25 +242,40 @@ class QueueChain:
         self.segments[idx].remove(key)
         return True
 
-    def resize_segment(
-        self, index: int, capacity: float
-    ) -> List[Tuple[object, float]]:
-        """Resize one segment and cascade; return dropped entries."""
+    def resize_segment(self, index: int, capacity: float) -> int:
+        """Resize one segment and cascade; return how many entries that
+        pushed out of physical memory."""
         self.segments[index].resize(capacity)
         return self._cascade()
 
-    def _cascade(self) -> List[Tuple[object, float]]:
-        dropped: List[Tuple[object, float]] = []
-        last = len(self.segments) - 1
-        for idx, segment in enumerate(self.segments):
-            for key, weight in segment.overflow():
-                if idx == last:
-                    del self._locator[key]
-                    dropped.append((key, weight))
+    def _cascade(self) -> int:
+        """Move each over-full segment's LRU entries onto the front of
+        the next (off the chain after the last). Entries only move down,
+        so the number leaving the last physical segment -- the return
+        value -- is exactly the drop in :meth:`physical_len`."""
+        crossed = 0
+        segments = self.segments
+        last = len(segments) - 1
+        locator = self._locator
+        for idx, segment in enumerate(segments):
+            if segment._used <= segment._capacity:
+                continue
+            entries = segment._entries
+            held = len(entries)
+            below = segments[idx + 1] if idx < last else None
+            while entries and segment._used > segment._capacity:
+                key, weight = entries.popitem()
+                segment._used -= weight
+                if below is None:
+                    del locator[key]
                 else:
-                    self.segments[idx + 1].push_front(key, weight)
-                    self._locator[key] = idx + 1
-        return dropped
+                    below._entries[key] = weight
+                    below._entries.move_to_end(key, last=False)
+                    below._used += weight
+                    locator[key] = idx + 1
+            if idx == self.physical_segments - 1:
+                crossed = held - len(entries)
+        return crossed
 
     def check_invariants(self) -> None:
         """Raise :class:`CacheError` if internal bookkeeping diverged.

@@ -36,7 +36,7 @@ repartitioning is applied lazily on the next miss to avoid thrashing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.allocation.talus import compute_ratio
 from repro.common.constants import (
@@ -55,8 +55,13 @@ SEG_TAIL = 1
 SEG_CLIFF = 2
 SEG_HILL = 3
 
-LEFT = "L"
-RIGHT = "R"
+#: :meth:`CliffhangerQueue.access` results. Only ``ACCESS_HIT`` was served
+#: from physical memory (main or tail probe); the finds are misses whose key
+#: sat in the hill shadow (Algorithm 1's event) or the cliff shadow.
+ACCESS_MISS = 0
+ACCESS_HIT = 1
+ACCESS_HILL_FIND = 2
+ACCESS_CLIFF_FIND = 3
 
 
 @dataclass(frozen=True)
@@ -110,15 +115,6 @@ class CliffConfig:
         return float(self.probe_items * self.chunk_size)
 
 
-class QueueAccess(NamedTuple):
-    """Result of :meth:`CliffhangerQueue.access`."""
-
-    hit: bool  # served from physical memory (main or tail probe)
-    hill_hit: bool  # landed in the hill-climbing shadow (Algorithm 1 event)
-    segment: Optional[int]  # SEG_* index where the key was found, or None
-    side: Optional[str]  # LEFT/RIGHT partition where the key was found
-
-
 class _Partition:
     """One physical partition with its probe and shadow segments."""
 
@@ -145,13 +141,14 @@ class _Partition:
     def physical_capacity(self) -> float:
         return self.main.capacity + self.tail.capacity
 
-    def set_physical(self, physical_bytes: float) -> None:
+    def set_physical(self, physical_bytes: float) -> int:
         """Resize the physical region, keeping the tail probe at its
         configured width (shrinking it only when the whole partition is
-        smaller than one probe)."""
+        smaller than one probe). Returns how many items that evicts."""
         tail_cap = min(self.config.probe_bytes, physical_bytes)
-        self.chain.resize_segment(SEG_TAIL, tail_cap)
-        self.chain.resize_segment(SEG_MAIN, physical_bytes - tail_cap)
+        evicted = self.chain.resize_segment(SEG_TAIL, tail_cap)
+        main_cap = physical_bytes - tail_cap
+        return evicted + self.chain.resize_segment(SEG_MAIN, main_cap)
 
     def set_hill(self, hill_bytes: float) -> None:
         self.chain.resize_segment(SEG_HILL, hill_bytes)
@@ -190,7 +187,8 @@ class CliffhangerQueue:
         self._pending_resize = False
         # Lazy splitting: the queue runs unpartitioned until the right
         # pointer has escaped far enough to evidence a cliff (see
-        # _pointer_event); it merges back with hysteresis.
+        # _pointer_event); it merges back with hysteresis. Only ever
+        # True while cliff_active, so the request path tests it alone.
         self._split = False
         self._stale_misses = 0
         # Split self-evaluation state (see CliffConfig.split_eval_requests).
@@ -219,10 +217,10 @@ class CliffhangerQueue:
 
     @property
     def used_bytes(self) -> float:
-        return self.left.chain.physical_used + self.right.chain.physical_used
-
-    def physical_items(self) -> int:
-        return self.left.chain.physical_len() + self.right.chain.physical_len()
+        left, right = self.left, self.right
+        return (left.main.used + left.tail.used) + (
+            right.main.used + right.tail.used
+        )
 
     @property
     def cliff_active(self) -> bool:
@@ -251,77 +249,70 @@ class CliffhangerQueue:
     # Request path
     # ------------------------------------------------------------------
 
-    def _route(self, key: object) -> str:
+    def access(self, key: object) -> int:
+        """GET path; returns an ``ACCESS_*`` code. Hits promote (migrating
+        to the routed partition when the ratio re-routed the key since it
+        was stored); shadow finds remove the key and report, leaving
+        insertion to the caller."""
+        self._requests_seen += 1
         # Unsplit regimes (below the size gate, or no cliff evidence yet)
         # keep everything in the right partition: splitting a queue that
         # does not need it costs accuracy to hash-thinning noise, which
         # is why the paper only runs cliff scaling on large queues
         # (section 5.1). See _pointer_event for the split trigger.
-        if not (self.cliff_active and self._split):
-            return RIGHT
-        return (
-            LEFT
-            if unit_interval_hash(key, self.config.salt) < self.ratio
-            else RIGHT
-        )
-
-    def _partition(self, side: str) -> _Partition:
-        return self.left if side == LEFT else self.right
-
-    def access(self, key: object) -> QueueAccess:
-        """GET path. Hits promote (migrating to the routed partition when
-        the ratio re-routed the key since it was stored); shadow finds
-        remove the key and report, leaving insertion to the caller."""
-        self._requests_seen += 1
-        routed = self._route(key)
-        routed_partition = self._partition(routed)
-        side: Optional[str] = routed
-        segment = routed_partition.chain.segment_of(key)
+        routed, other = self.right, self.left
+        if (
+            self._split
+            and unit_interval_hash(key, self.config.salt) < self.ratio
+        ):
+            routed, other = other, routed
+        segment = routed.chain.touch(key)
+        if segment == SEG_MAIN:
+            # Already promoted: every item weighs one chunk and capacities
+            # only move inside _apply_partition_targets, which cascades,
+            # so there is nothing to push down.
+            self._observe_hit(True)
+            return ACCESS_HIT
+        holder = routed
         if segment is None:
-            other = LEFT if routed == RIGHT else RIGHT
-            segment = self._partition(other).chain.segment_of(key)
-            side = other if segment is not None else None
-        if segment is None:
-            self._observe_hit(False)
-            return QueueAccess(False, False, None, None)
-        if segment in (SEG_MAIN, SEG_TAIL):
+            holder = other
+            segment = other.chain.segment_of(key)
+            if segment is None:
+                self._observe_hit(False)
+                return ACCESS_MISS
+        holder.chain.remove(key)
+        if segment <= SEG_TAIL:
             # Physical hit: promote to the MRU position of the partition
             # the key *now* routes to.
-            self._partition(side).chain.remove(key)
-            routed_partition.chain.insert(key, self.config.chunk_size)
+            routed.chain.insert(key, self.config.chunk_size)
             if segment == SEG_TAIL:
-                self._pointer_event(side, SEG_TAIL)
+                self._pointer_event(holder, SEG_TAIL)
             self._observe_hit(True)
-            return QueueAccess(True, False, segment, side)
-        # Shadow find: drop the key; the caller re-inserts (cache fill).
-        self._partition(side).chain.remove(key)
+            return ACCESS_HIT
+        # Shadow find: the key is gone; the caller re-inserts (cache fill).
         if segment == SEG_CLIFF:
-            self._pointer_event(side, SEG_CLIFF)
+            self._pointer_event(holder, SEG_CLIFF)
         self._observe_hit(False)
-        return QueueAccess(False, segment == SEG_HILL, segment, side)
+        return ACCESS_HILL_FIND if segment == SEG_HILL else ACCESS_CLIFF_FIND
 
     def insert(self, key: object) -> int:
         """SET / fill-on-miss path. Applies any pending repartition first
-        (section 5.1: resize only on a miss). Returns physical evictions.
+        (section 5.1: resize only on a miss). Returns physical evictions:
+        with the repartition applied both chains sit within capacity, so
+        the routed chain's cascade is the only thing that can push an
+        entry out of physical memory.
         """
         self._decay_pointers()
         if self._pending_resize:
             self._apply_partition_targets()
-        routed = self._partition(self._route(key))
-        other = self.right if routed is self.left else self.left
-        already_physical = routed.chain.is_physical(
-            key
-        ) or other.chain.is_physical(key)
-        before = (
-            self.left.chain.physical_len() + self.right.chain.physical_len()
-        )
+        routed, other = self.right, self.left  # routed as in access()
+        if (
+            self._split
+            and unit_interval_hash(key, self.config.salt) < self.ratio
+        ):
+            routed, other = other, routed
         other.chain.remove(key)
-        routed.chain.insert(key, self.config.chunk_size)
-        after = (
-            self.left.chain.physical_len() + self.right.chain.physical_len()
-        )
-        added = 0 if already_physical else 1
-        return max(0, before + added - after)
+        return routed.chain.insert(key, self.config.chunk_size)
 
     def remove(self, key: object) -> bool:
         removed = self.left.chain.remove(key)
@@ -331,12 +322,12 @@ class CliffhangerQueue:
     # Algorithm 2: pointer updates
     # ------------------------------------------------------------------
 
-    def _pointer_event(self, side: str, segment: int) -> None:
+    def _pointer_event(self, partition: _Partition, segment: int) -> None:
         if not self.cliff_active:
             return
         credit = self.config.credit_bytes
         size = self._size
-        if side == RIGHT:
+        if partition is self.right:
             if segment == SEG_CLIFF:
                 # Hit right of the right pointer: the cliff continues.
                 # Clamped: a pointer more than 4x the queue away cannot
@@ -513,10 +504,11 @@ class CliffhangerQueue:
         scale = self._size / total
         return (left_raw * scale, right_raw * scale)
 
-    def _apply_partition_targets(self) -> None:
+    def _apply_partition_targets(self) -> int:
+        """Resize both partitions to their targets; returns evictions."""
         left_target, right_target = self._partition_targets()
-        self.left.set_physical(left_target)
-        self.right.set_physical(right_target)
+        evicted = self.left.set_physical(left_target)
+        evicted += self.right.set_physical(right_target)
         hill = self.config.hill_shadow_bytes
         if self._size > 0:
             self.left.set_hill(hill * left_target / self._size)
@@ -526,16 +518,18 @@ class CliffhangerQueue:
             self.right.set_hill(hill / 2.0)
         self._pending_resize = False
         self.repartitions += 1
+        return evicted
 
     # ------------------------------------------------------------------
     # Hill-climbing integration
     # ------------------------------------------------------------------
 
-    def set_capacity(self, capacity_bytes: float) -> None:
+    def set_capacity(self, capacity_bytes: float) -> int:
         """Resize the whole logical queue (Algorithm 1 moves memory here).
 
         Pointers are clamped to keep ``left <= size <= right`` and the
         partitions are resized immediately so byte accounting stays exact.
+        Returns the items evicted from physical memory.
         """
         if capacity_bytes < 0:
             raise ConfigurationError("capacity must be >= 0")
@@ -549,4 +543,4 @@ class CliffhangerQueue:
             self.right_pointer = max(self.right_pointer, self._size)
             self._update_split_state()
         self.ratio = self._effective_ratio()
-        self._apply_partition_targets()
+        return self._apply_partition_targets()

@@ -29,7 +29,7 @@ naturally (the standard trace-replay simplification).
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.common.constants import (
     DEFAULT_CREDIT_BYTES,
@@ -47,7 +47,12 @@ from repro.cache.stats import (
     OUTCOME_HIT,
     OUTCOME_SHADOW_HIT,
 )
-from repro.core.cliff_scaling import CliffConfig, CliffhangerQueue
+from repro.core.cliff_scaling import (
+    ACCESS_HILL_FIND,
+    ACCESS_HIT,
+    CliffConfig,
+    CliffhangerQueue,
+)
 from repro.core.hill_climbing import HillClimber
 from repro.core.managed import ShadowedQueue
 
@@ -123,8 +128,8 @@ class HillClimbEngine(Engine):
         """
         growth = 2 * chunk
         if (
-            queue.used_bytes + growth > queue.capacity_bytes
-            and self._free_pool >= growth
+            self._free_pool >= growth
+            and queue.used_bytes + growth > queue.capacity_bytes
         ):
             queue.set_capacity(queue.capacity_bytes + growth)
             self._free_pool -= growth
@@ -211,8 +216,8 @@ class CliffhangerEngine(Engine):
         min_bytes: float = MIN_QUEUE_BYTES,
         seed: int = 0,
         resize_on_miss: bool = True,
-        probe_items: int = None,
-        min_cliff_items: int = None,
+        probe_items: Optional[int] = None,
+        min_cliff_items: Optional[int] = None,
         fill_on_miss: bool = True,
     ) -> None:
         super().__init__(app, budget_bytes, geometry, fill_on_miss)
@@ -280,36 +285,41 @@ class CliffhangerEngine(Engine):
         # The queue is split into two partitions, so capacity must grow in
         # two-chunk steps: a single spare chunk split across two halves
         # cannot hold any item.
+        # The pool test comes first: once start-up growth has spent it,
+        # a fill never has to add up the queue's segments.
         growth = 2 * chunk
         if (
-            queue.used_bytes + growth > queue.capacity_bytes
-            and self._free_pool >= growth
+            self._free_pool >= growth
+            and queue.used_bytes + growth > queue.capacity_bytes
         ):
             queue.set_capacity(queue.capacity_bytes + growth)
             self._free_pool -= growth
-        self.ops.shadow_lookups += 1  # store clears shadow entries
+        ops = self.ops
+        ops.shadow_lookups += 1  # store clears shadow entries
         evicted = queue.insert(key)
-        self.ops.inserts += 1
-        self.ops.evictions += evicted
-        self.ops.shadow_inserts += evicted
+        ops.inserts += 1
+        ops.evictions += evicted
+        ops.shadow_inserts += evicted
         return evicted
 
     def process_fast(
         self, key: object, op: int, class_index: int, chunk: int,
         item_bytes: int,
     ) -> int:
-        queue = self._queue(class_index)
-        self.ops.routes += 1  # left/right partition routing
+        queue = self.queues.get(class_index) or self._queue(class_index)
+        # microbench swaps in a fresh OpCounter mid-run: read it per call.
+        ops = self.ops
+        ops.routes += 1  # left/right partition routing
         class_code = (class_index + 1) << CLASS_SHIFT
         if op == OP_GET:
-            self.ops.hash_lookups += 1
+            ops.hash_lookups += 1
             result = queue.access(key)
-            if result.hit:
-                self.ops.promotes += 1
+            if result == ACCESS_HIT:
+                ops.promotes += 1
                 return class_code | OUTCOME_HIT
-            self.ops.shadow_lookups += 1
+            ops.shadow_lookups += 1
             code = class_code
-            if result.hill_hit:
+            if result == ACCESS_HILL_FIND:
                 code |= OUTCOME_SHADOW_HIT
                 if self.enable_hill_climbing:
                     self.climber.on_shadow_hit(class_index)
@@ -320,7 +330,7 @@ class CliffhangerEngine(Engine):
             evicted = self._fill(queue, key, chunk)
             return (evicted << EVICTED_SHIFT) | class_code
         # DELETE path.
-        self.ops.hash_lookups += 1
+        ops.hash_lookups += 1
         present = queue.remove(key)
         return class_code | OUTCOME_HIT if present else class_code
 
@@ -343,10 +353,7 @@ class CliffhangerEngine(Engine):
         if excess > 0 and total_capacity > 0:
             scale = max(0.0, 1.0 - excess / total_capacity)
             for queue in self.queues.values():
-                # set_capacity reports nothing: count the items it drops.
-                before = queue.physical_items()
-                queue.set_capacity(queue.capacity_bytes * scale)
-                evicted += before - queue.physical_items()
+                evicted += queue.set_capacity(queue.capacity_bytes * scale)
         return evicted
 
     def grow_budget(self, delta_bytes: float) -> None:

@@ -87,11 +87,10 @@ class TestQueueChain:
 
     def test_drop_off_the_end(self):
         chain = self.make_chain((1, 1, 1))
-        dropped = []
         for key in "abcd":
-            dropped += chain.insert(key, 1)
-        assert [k for k, _ in dropped] == ["a"]
+            chain.insert(key, 1)
         assert "a" not in chain
+        assert len(chain) == 3
 
     def test_access_promotes_from_deep_segment(self):
         chain = self.make_chain((2, 2, 2))
@@ -117,17 +116,18 @@ class TestQueueChain:
         for key in "abcd":
             chain.insert(key, 1)
         assert chain.physical_len() == 2
-        assert chain.physical_used == 2
-        assert chain.is_physical(chain.segments[0].peek_back()[0])
 
     def test_resize_segment_cascades(self):
         chain = self.make_chain((3, 1, 0))
         for key in "abc":
             chain.insert(key, 1)
-        dropped = chain.resize_segment(0, 1)
-        # b and c... LRU of seg0 demoted; seg1 holds 1; seg2 cap 0 drops.
+        crossed = chain.resize_segment(0, 1)
+        # a and b, the LRU of seg0, are demoted; seg1 holds b; seg2
+        # (capacity 0) drops a.
+        assert crossed == 2
         assert chain.segments[0].used == 1
-        assert len(dropped) == 1
+        assert chain.segment_of("b") == 1
+        assert "a" not in chain
 
     def test_duplicate_segment_names_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -192,3 +192,47 @@ class TestQueueChain:
             elif chain.access(key) is None:
                 chain.insert(key, 1)
         chain.check_invariants()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("insert"), st.integers(0, 25), st.integers(1, 3)
+                ),
+                st.tuples(st.just("access"), st.integers(0, 25), st.just(0)),
+                st.tuples(
+                    st.just("resize"), st.integers(0, 3), st.integers(0, 8)
+                ),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+        st.integers(0, 4),
+    )
+    def test_cascade_reports_what_left_physical_memory(
+        self, ops, physical_segments
+    ):
+        """Property: the count ``insert`` / ``resize_segment`` return is
+        the drop in ``physical_len()`` (less the key inserted, when it
+        was not physical already) -- whatever the weights, wherever the
+        physical boundary sits."""
+        chain = QueueChain(
+            [KeyQueue(c, name=f"s{i}") for i, c in enumerate((4, 2, 3, 5))],
+            physical_segments=physical_segments,
+        )
+        for op, first, second in ops:
+            before = chain.physical_len()
+            if op == "insert":
+                key = f"k{first}"
+                segment = chain.segment_of(key)
+                physical = segment is not None and segment < physical_segments
+                added = 0 if physical or not physical_segments else 1
+                crossed = chain.insert(key, second)
+                assert crossed == before + added - chain.physical_len()
+            elif op == "resize":
+                crossed = chain.resize_segment(first, second)
+                assert crossed == before - chain.physical_len()
+            else:
+                chain.access(f"k{first}")
+            chain.check_invariants()

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.policies import make_policy
-from repro.core.cliff_scaling import CliffConfig, CliffhangerQueue
+from repro.core.cliff_scaling import (
+    ACCESS_HILL_FIND,
+    ACCESS_HIT,
+    ACCESS_MISS,
+    CliffConfig,
+    CliffhangerQueue,
+)
 from repro.workloads.generators import ReuseDistanceStream
 from repro.workloads.sizes import FixedSize
 
@@ -28,7 +34,7 @@ def config(**overrides):
 def replay(queue, keys):
     hits = 0
     for key in keys:
-        if queue.access(key).hit:
+        if queue.access(key) == ACCESS_HIT:
             hits += 1
         else:
             queue.insert(key)
@@ -62,16 +68,16 @@ def zipf_keys_local(rng, num_keys, count, alpha=1.0):
 class TestBasics:
     def test_miss_then_hit(self):
         queue = CliffhangerQueue("q", 50 * CHUNK, config())
-        assert queue.access("a").hit is False
+        assert queue.access("a") == ACCESS_MISS
         queue.insert("a")
-        assert queue.access("a").hit is True
+        assert queue.access("a") == ACCESS_HIT
 
     def test_capacity_accounting(self):
         queue = CliffhangerQueue("q", 10 * CHUNK, config())
         for i in range(30):
             queue.insert(f"k{i}")
         assert queue.used_bytes <= queue.capacity_bytes + 1e-9
-        assert queue.physical_items() <= 10
+        assert len(queue.right.main) + len(queue.right.tail) == 10
 
     def test_gated_small_queue_is_unsplit(self):
         queue = CliffhangerQueue(
@@ -93,7 +99,7 @@ class TestBasics:
         queue = CliffhangerQueue("q", 50 * CHUNK, config())
         queue.insert("a")
         assert queue.remove("a") is True
-        assert queue.access("a").hit is False
+        assert queue.access("a") == ACCESS_MISS
 
 
 class TestEquivalenceWithLRU:
@@ -185,10 +191,9 @@ class TestHillClimbIntegration:
         for i in range(30):
             queue.insert(f"k{i}")
         # Keys evicted long ago sit in the hill shadow (deeper than the
-        # tail and cliff probes): a find there is a miss + hill_hit.
-        result = queue.access("k2")
-        assert result.hit is False
-        assert result.hill_hit is True
+        # tail and cliff probes): a find there is a miss that reports
+        # the hill shadow.
+        assert queue.access("k2") == ACCESS_HILL_FIND
 
 
 @settings(max_examples=10, deadline=None)
@@ -200,7 +205,7 @@ def test_budget_invariant_under_random_traffic(seed):
     queue = CliffhangerQueue("q", 60 * CHUNK, config())
     for step in range(800):
         key = f"k{rng.randrange(120)}"
-        if not queue.access(key).hit:
+        if queue.access(key) != ACCESS_HIT:
             queue.insert(key)
         if step % 100 == 7:
             queue.set_capacity(rng.choice([40, 60, 90]) * CHUNK)

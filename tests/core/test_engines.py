@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.slabs import SlabGeometry
+from repro.cache.stats import OpCounter
 from repro.core.engine import CliffhangerEngine, HillClimbEngine
 from repro.workloads.trace import Request
 
@@ -63,6 +64,24 @@ class TestCommonEngineBehaviour:
         assert engine.ops.hash_lookups == 2
         assert engine.ops.inserts >= 1
         assert engine.ops.promotes >= 1
+
+    def test_swapped_op_counter_keeps_counting(self, engine_cls):
+        """``perfmodel.microbench`` replaces ``engine.ops`` after its
+        warm-up: the engine must count into whatever is there now."""
+        engine = engine_cls("a", 4 * 256, GEO)
+        for i in range(8):
+            engine.process(get(f"k{i}"))
+        warm_up = engine.ops
+        seen = warm_up.total()
+        engine.ops = OpCounter()
+        for i in range(8):
+            engine.process(get(f"k{i}"))  # cache of 4: all misses + fills
+        engine.process(get("k7"))
+        assert warm_up.total() == seen
+        assert engine.ops.hash_lookups == 9
+        assert engine.ops.inserts == 8
+        assert engine.ops.evictions == 8
+        assert engine.ops.promotes == 1
 
 
 class TestHillClimbingAcrossClasses:
