@@ -42,6 +42,7 @@ from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_CODES, HitMissCounter, StatsRegistry
 from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import CacheError, ConfigurationError
+from repro.common.spec import Spec, spec_field
 from repro.cluster.hashring import HashRing
 from repro.cluster.routing import (
     Router,
@@ -90,7 +91,7 @@ def scale_engine_budgets(engines, target: float) -> int:
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(Spec):
     """The serializable shape of a scenario's ``cluster`` block.
 
     ``replication`` is clamped to the shard count at construction, so a
@@ -108,80 +109,18 @@ class ClusterConfig:
     wall-clock.
     """
 
-    shards: int = 1
+    BLOCK = "cluster"
+
+    shards: int = spec_field(1, ge=1)
     hash_seed: int = 0
-    replication: int = 1
-    virtual_nodes: int = 64
-    parallel_workers: int = 0
+    replication: int = spec_field(1, ge=1)
+    virtual_nodes: int = spec_field(64, ge=1)
+    parallel_workers: int = spec_field(0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"cluster needs at least one shard, got {self.shards}"
-            )
-        if self.replication < 1:
-            raise ConfigurationError(
-                f"replication must be >= 1, got {self.replication}"
-            )
-        if self.virtual_nodes < 1:
-            raise ConfigurationError(
-                f"virtual_nodes must be >= 1, got {self.virtual_nodes}"
-            )
-        if not isinstance(self.parallel_workers, int) or isinstance(
-            self.parallel_workers, bool
-        ):
-            raise ConfigurationError(
-                f"parallel_workers must be an integer, got "
-                f"{self.parallel_workers!r}"
-            )
-        if self.parallel_workers < 0:
-            raise ConfigurationError(
-                f"parallel_workers must be >= 0, got "
-                f"{self.parallel_workers}"
-            )
+        super().__post_init__()
         if self.replication > self.shards:
             object.__setattr__(self, "replication", self.shards)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "shards": self.shards,
-            "hash_seed": self.hash_seed,
-            "replication": self.replication,
-            "virtual_nodes": self.virtual_nodes,
-            "parallel_workers": self.parallel_workers,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Dict[str, Any]]) -> "ClusterConfig":
-        if payload is None:
-            return cls()
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"cluster block must be an object, got "
-                f"{type(payload).__name__}"
-            )
-        known = {
-            "shards",
-            "hash_seed",
-            "replication",
-            "virtual_nodes",
-            "parallel_workers",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown cluster fields: {', '.join(sorted(unknown))}"
-            )
-        try:
-            return cls(
-                shards=int(payload.get("shards", 1)),
-                hash_seed=int(payload.get("hash_seed", 0)),
-                replication=int(payload.get("replication", 1)),
-                virtual_nodes=int(payload.get("virtual_nodes", 64)),
-                parallel_workers=int(payload.get("parallel_workers", 0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad cluster block: {exc}") from None
 
 
 @dataclass

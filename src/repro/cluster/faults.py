@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cache.stats import TimelineRecorder
 from repro.common.errors import ConfigurationError
+from repro.common.spec import Spec, spec_field
 
 #: Event kinds a :class:`FaultSchedule` accepts.
 FAULT_KINDS = ("crash", "restart")
@@ -58,62 +59,20 @@ AUTO_SAMPLE_WINDOWS = 128
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Spec):
     """One scheduled action: ``crash`` or ``restart`` ``shard`` just
     *after* request ``at`` has been replayed (offset 0 = before the
     first request; offsets at or past the trace end never fire)."""
 
-    kind: str
-    shard: int
-    at: int
+    BLOCK = "fault event"
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault event kind {self.kind!r}; known: "
-                f"{', '.join(FAULT_KINDS)}"
-            )
-        if self.shard < 0:
-            raise ConfigurationError(
-                f"fault event shard must be >= 0, got {self.shard}"
-            )
-        if self.at < 0:
-            raise ConfigurationError(
-                f"fault event offset must be >= 0, got {self.at}"
-            )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "shard": self.shard, "at": self.at}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FaultEvent":
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"fault event must be an object, got "
-                f"{type(payload).__name__}"
-            )
-        unknown = set(payload) - {"kind", "shard", "at"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault event fields: {', '.join(sorted(unknown))}"
-            )
-        for field_name in ("kind", "shard", "at"):
-            if field_name not in payload:
-                raise ConfigurationError(
-                    f"fault event missing field {field_name!r}"
-                )
-        try:
-            return cls(
-                kind=str(payload["kind"]),
-                shard=int(payload["shard"]),
-                at=int(payload["at"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad fault event: {exc}") from None
+    kind: str = spec_field(choices=FAULT_KINDS)
+    shard: int = spec_field(ge=0)
+    at: int = spec_field(ge=0)
 
 
 @dataclass(frozen=True)
-class FaultSchedule:
+class FaultSchedule(Spec):
     """The serializable shape of a scenario's ``faults`` block.
 
     Fields:
@@ -128,23 +87,16 @@ class FaultSchedule:
             this ε of the pre-fault window's.
     """
 
-    events: Tuple[FaultEvent, ...] = ()
-    policy: str = "failover"
-    sample_requests: int = 0
-    recovery_epsilon: float = DEFAULT_RECOVERY_EPSILON
+    BLOCK = "faults"
+
+    events: Tuple[FaultEvent, ...] = spec_field((), items=FaultEvent)
+    policy: str = spec_field("failover", choices=FAULT_POLICIES)
+    sample_requests: int = spec_field(0, ge=0)
+    recovery_epsilon: float = spec_field(DEFAULT_RECOVERY_EPSILON, ge=0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-        if self.policy not in FAULT_POLICIES:
-            raise ConfigurationError(
-                f"unknown fault policy {self.policy!r}; known: "
-                f"{', '.join(FAULT_POLICIES)}"
-            )
-        if self.sample_requests < 0:
-            raise ConfigurationError(
-                f"sample_requests must be >= 0, got {self.sample_requests}"
-            )
-        if not 0.0 <= self.recovery_epsilon < 1.0:
+        super().__post_init__()
+        if self.recovery_epsilon >= 1.0:
             raise ConfigurationError(
                 f"recovery_epsilon must be in [0, 1), got "
                 f"{self.recovery_epsilon}"
@@ -205,51 +157,6 @@ class FaultSchedule:
         for event in self.events:
             grouped.setdefault(event.at, []).append(event)
         return grouped
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events": [event.to_dict() for event in self.events],
-            "policy": self.policy,
-            "sample_requests": self.sample_requests,
-            "recovery_epsilon": self.recovery_epsilon,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Dict[str, Any]]) -> "FaultSchedule":
-        if payload is None:
-            return cls()
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"faults block must be an object, got "
-                f"{type(payload).__name__}"
-            )
-        known = {"events", "policy", "sample_requests", "recovery_epsilon"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown faults fields: {', '.join(sorted(unknown))}"
-            )
-        events = payload.get("events", [])
-        if not isinstance(events, (list, tuple)):
-            raise ConfigurationError(
-                f"faults events must be a list, got "
-                f"{type(events).__name__}"
-            )
-        try:
-            return cls(
-                events=tuple(
-                    FaultEvent.from_dict(event) for event in events
-                ),
-                policy=str(payload.get("policy", "failover")),
-                sample_requests=int(payload.get("sample_requests", 0)),
-                recovery_epsilon=float(
-                    payload.get(
-                        "recovery_epsilon", DEFAULT_RECOVERY_EPSILON
-                    )
-                ),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad faults block: {exc}") from None
 
 
 class FaultInjector:

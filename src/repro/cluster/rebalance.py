@@ -48,6 +48,7 @@ from repro.common.constants import (
     DEFAULT_REBALANCE_CREDIT_BYTES,
 )
 from repro.common.errors import ConfigurationError
+from repro.common.spec import Spec, spec_field
 from repro.core.hill_climbing import HillClimber
 
 #: Signal policies :class:`RebalanceConfig` accepts.
@@ -55,7 +56,7 @@ POLICIES = ("shadow", "load")
 
 
 @dataclass(frozen=True)
-class RebalanceConfig:
+class RebalanceConfig(Spec):
     """The serializable shape of a scenario's ``rebalance`` block.
 
     ``epoch_requests == 0`` disables rebalancing entirely -- the replay
@@ -63,79 +64,24 @@ class RebalanceConfig:
     this down).
     """
 
-    epoch_requests: int = DEFAULT_EPOCH_REQUESTS
-    credit_bytes: float = DEFAULT_REBALANCE_CREDIT_BYTES
-    min_shard_fraction: float = DEFAULT_MIN_SHARD_FRACTION
-    policy: str = "shadow"
+    BLOCK = "rebalance"
+
+    epoch_requests: int = spec_field(DEFAULT_EPOCH_REQUESTS, ge=0)
+    credit_bytes: float = spec_field(DEFAULT_REBALANCE_CREDIT_BYTES, gt=0)
+    min_shard_fraction: float = spec_field(DEFAULT_MIN_SHARD_FRACTION, ge=0)
+    policy: str = spec_field("shadow", choices=POLICIES)
 
     def __post_init__(self) -> None:
-        if self.epoch_requests < 0:
-            raise ConfigurationError(
-                f"epoch_requests must be >= 0, got {self.epoch_requests}"
-            )
-        if self.credit_bytes <= 0:
-            raise ConfigurationError(
-                f"credit_bytes must be positive, got {self.credit_bytes}"
-            )
-        if not 0.0 <= self.min_shard_fraction < 1.0:
+        super().__post_init__()
+        if self.min_shard_fraction >= 1.0:
             raise ConfigurationError(
                 f"min_shard_fraction must be in [0, 1), got "
                 f"{self.min_shard_fraction}"
-            )
-        if self.policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown rebalance policy {self.policy!r}; known: "
-                f"{', '.join(POLICIES)}"
             )
 
     @property
     def enabled(self) -> bool:
         return self.epoch_requests > 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "epoch_requests": self.epoch_requests,
-            "credit_bytes": self.credit_bytes,
-            "min_shard_fraction": self.min_shard_fraction,
-            "policy": self.policy,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Dict[str, Any]]) -> "RebalanceConfig":
-        if payload is None:
-            return cls()
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"rebalance block must be an object, got "
-                f"{type(payload).__name__}"
-            )
-        known = {
-            "epoch_requests", "credit_bytes", "min_shard_fraction", "policy",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown rebalance fields: {', '.join(sorted(unknown))}"
-            )
-        try:
-            return cls(
-                epoch_requests=int(
-                    payload.get("epoch_requests", DEFAULT_EPOCH_REQUESTS)
-                ),
-                credit_bytes=float(
-                    payload.get(
-                        "credit_bytes", DEFAULT_REBALANCE_CREDIT_BYTES
-                    )
-                ),
-                min_shard_fraction=float(
-                    payload.get(
-                        "min_shard_fraction", DEFAULT_MIN_SHARD_FRACTION
-                    )
-                ),
-                policy=str(payload.get("policy", "shadow")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad rebalance block: {exc}") from None
 
 
 class Rebalancer:

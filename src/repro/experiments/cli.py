@@ -23,6 +23,7 @@ as JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -31,124 +32,25 @@ from typing import List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.registry import REGISTRY, get_runner, list_experiments
-from repro.sim import (
-    Scenario,
-    list_schemes,
-    list_workloads,
-    run_scenario,
-    run_sweep,
-)
-
-
-#: One-line notes rendered by ``--list``. The ``registry-doc-sync``
-#: lint rule cross-checks these tables against the @register_scheme /
-#: @register_workload decorators: every registered name must be
-#: documented here, and no note may outlive its registration.
-SCHEME_NOTES = {
-    "default": "slab FCFS (memcached-style first-come first-serve)",
-    "planned": "static per-class plan (Dynacache solver output)",
-    "lsm": "single global LRU over one log (no slab classes)",
-    "hill": "shadow-queue hill climbing across slab classes",
-    "cliff-only": "Talus-style cliff scaling, no hill climbing",
-    "hill-only": "Cliffhanger's climber without cliff scaling",
-    "cliffhanger": "full Cliffhanger: cliff scaling + hill climbing",
-}
-
-WORKLOAD_NOTES = {
-    "memcachier": "the paper's 20-app Memcachier-derived trace mix",
-    "zipf": "stationary per-app Zipf streams (alpha, working set)",
-    "facebook": "Facebook-style key/value size and popularity model",
-    "zipf-phases": "Zipf tenants whose alpha/working set shift in phases",
-    "flash-crowd": "Zipf tenants plus a time-windowed hot-key overlay",
-}
+from repro.sim import SCHEMES, WORKLOADS, Scenario, run_scenario, run_sweep
 
 
 def _print_listing() -> None:
+    """Everything here is read off the registries and the spec classes'
+    field declarations; nothing is typed a second time."""
     print("experiments:")
     for experiment_id in list_experiments():
         print(f"  {experiment_id}")
-    print("schemes:")
-    for scheme in list_schemes():
-        note = SCHEME_NOTES.get(scheme)
-        print(f"  {scheme}" + (f": {note}" if note else ""))
-    print("workloads:")
-    for workload in list_workloads():
-        note = WORKLOAD_NOTES.get(workload)
-        print(f"  {workload}" + (f": {note}" if note else ""))
+    for heading, registry in (("schemes", SCHEMES), ("workloads", WORKLOADS)):
+        print(f"{heading}:")
+        for name in registry.names():
+            print(f"  {name}: {registry.note(name)}")
     print("scenario blocks:")
-    print(
-        "  cluster: shards, hash_seed, replication, virtual_nodes, "
-        "parallel_workers"
-    )
-    print(
-        "    (parallel_workers: >= 2 fans per-shard replay loops across "
-        "worker processes"
-    )
-    print(
-        "     over shared-memory columns, bit-identical to in-process; "
-        "0 = in-process, default)"
-    )
-    print(
-        "  rebalance: epoch_requests, credit_bytes, min_shard_fraction, "
-        "policy (shadow|load)"
-    )
-    print(
-        "  faults: events [{kind (crash|restart), shard, at}, ...], "
-        "policy (failover|miss-through),"
-    )
-    print(
-        "    sample_requests (0 = auto), recovery_epsilon; deterministic "
-        "crash/restart schedule"
-    )
-    print(
-        "    over the cluster's shards -- failover reroutes keys to live "
-        "ring successors,"
-    )
-    print(
-        "    miss-through counts dead-shard requests as misses; requires "
-        "a cluster block"
-    )
-    print(
-        "  serve: rate, duration_s, arrivals (poisson|fixed), "
-        "backpressure (queue|shed),"
-    )
-    print(
-        "    connections, queue_depth, max_batch, transport (memory|tcp), "
-        "queue_deadline_s"
-    )
-    print(
-        "    (shed queued commands older than this; 0 = never), "
-        "max_inflight (per-connection"
-    )
-    print(
-        "    cap; 0 = unlimited), retry {max_attempts, base_backoff_s, "
-        "max_backoff_s, jitter,"
-    )
-    print(
-        "    deadline_s, budget, hedge_after_s}; requires a cluster "
-        "block. Serves the trace"
-    )
-    print(
-        "    live through the asyncio memcached-style server (open-loop "
-        "load, latency"
-    )
-    print(
-        "    percentiles, shed counts); 'queue' blocks readers when the "
-        "request queue fills,"
-    )
-    print(
-        "    'shed' answers SERVER_ERROR busy. Combined with a faults "
-        "block the events fire"
-    )
-    print(
-        "    live on the request-count axis and the serve report grows "
-        "recovery metrics plus"
-    )
-    print(
-        "    a p99-during-outage latency timeline. Standalone entry "
-        "point: python -m repro.serve"
-    )
-    print("    (repro-serve)")
+    fields = dataclasses.fields(Scenario)
+    print("  scenario: " + ", ".join(field.name for field in fields))
+    for field in fields:
+        if "block" in field.metadata:
+            print(f"  {field.name}: {field.metadata['block'].describe()}")
 
 
 def _load_spec(target: str) -> dict:

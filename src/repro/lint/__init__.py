@@ -13,9 +13,6 @@ that fail fast at review time instead:
   ``deprecated-event-loop`` -- asyncio hygiene for :mod:`repro.serve`;
 * ``packed-bit-overlap`` -- the outcome-code bit layout in
   :mod:`repro.cache.stats` stays overlap-free and singly defined;
-* ``registry-doc-sync`` / ``scenario-schema-sync`` -- registered
-  scheme/workload names stay documented, serializable dataclasses keep
-  fields, ``to_dict`` and ``from_dict`` aligned;
 * ``no-assert-in-src`` / ``unused-import`` -- library hygiene.
 
 Run ``python -m repro.lint`` (or ``repro-lint``) from the repo root;

@@ -6,8 +6,7 @@ library source vs. test code), and dispatches two kinds of rules:
 
 * **file rules** see one :class:`FileContext` at a time;
 * **project rules** see the whole :class:`Project` (cross-file
-  invariants such as the packed outcome-bit layout or registry/doc
-  sync).
+  invariants such as the packed outcome-bit layout).
 
 Findings can be silenced per line with ``# repro-lint: ignore[rule]``
 (comma-separate several rule names) or per file with a standalone

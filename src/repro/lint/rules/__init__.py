@@ -20,10 +20,6 @@ from repro.lint.rules.asyncio_rules import (
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.hygiene import NoAssertInSrcRule, UnusedImportRule
 from repro.lint.rules.packed_bits import PackedBitOverlapRule
-from repro.lint.rules.schema_sync import (
-    RegistryDocSyncRule,
-    ScenarioSchemaSyncRule,
-)
 
 #: Engine-level pseudo-rule: stale ``# repro-lint: ignore[...]`` comments.
 UNUSED_SUPPRESSION = "unused-suppression"
@@ -41,8 +37,6 @@ def all_rules() -> List[Rule]:
         UnawaitedCoroutineRule(),
         DeprecatedEventLoopRule(),
         PackedBitOverlapRule(),
-        RegistryDocSyncRule(),
-        ScenarioSchemaSyncRule(),
         NoAssertInSrcRule(),
         UnusedImportRule(),
     ]

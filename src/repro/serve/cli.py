@@ -24,7 +24,11 @@ import signal
 import sys
 from typing import List, Optional
 
+from repro.cluster import ClusterConfig, FaultSchedule
 from repro.common.errors import ConfigurationError
+from repro.common.spec import choices_of
+from repro.serve.harness import ServeConfig, run_serve
+from repro.serve.loadgen import RetryPolicy
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,12 +36,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-serve",
         description="Serve a simulated cache cluster over the wire.",
     )
+
+    def spec_flag(flag: str, block, field: str, **kwargs) -> None:
+        """A flag whose type, default and choices are those the spec
+        block declares for ``field``."""
+        default = getattr(block, field)
+        parser.add_argument(
+            flag,
+            type=type(default),
+            default=default,
+            choices=choices_of(block, field) or None,
+            **kwargs,
+        )
+
     parser.add_argument("--workload", default="zipf")
     parser.add_argument("--scheme", default="default")
     parser.add_argument("--scale", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--replication", type=int, default=1)
+    spec_flag("--replication", ClusterConfig, "replication")
     parser.add_argument(
         "--rebalance-epoch",
         type=int,
@@ -45,55 +62,49 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="attach a load-policy rebalancer every N requests (0 = off)",
     )
-    parser.add_argument("--rate", type=float, default=2_000.0)
-    parser.add_argument("--duration", type=float, default=1.0)
-    parser.add_argument(
-        "--arrivals", choices=("poisson", "fixed"), default="poisson"
-    )
-    parser.add_argument(
-        "--backpressure", choices=("queue", "shed"), default="queue"
-    )
-    parser.add_argument("--connections", type=int, default=4)
-    parser.add_argument("--queue-depth", type=int, default=1024)
-    parser.add_argument("--max-batch", type=int, default=256)
-    parser.add_argument(
-        "--transport", choices=("memory", "tcp"), default="memory"
-    )
-    parser.add_argument(
+    spec_flag("--rate", ServeConfig, "rate")
+    spec_flag("--duration", ServeConfig, "duration_s")
+    spec_flag("--arrivals", ServeConfig, "arrivals")
+    spec_flag("--backpressure", ServeConfig, "backpressure")
+    spec_flag("--connections", ServeConfig, "connections")
+    spec_flag("--queue-depth", ServeConfig, "queue_depth")
+    spec_flag("--max-batch", ServeConfig, "max_batch")
+    spec_flag("--transport", ServeConfig, "transport")
+    spec_flag(
         "--retry-attempts",
-        type=int,
-        default=1,
+        RetryPolicy,
+        "max_attempts",
         metavar="N",
         help="client attempts per request (1 = fire once, no retries)",
     )
-    parser.add_argument(
+    spec_flag(
         "--retry-deadline",
-        type=float,
-        default=0.0,
+        RetryPolicy,
+        "deadline_s",
         metavar="S",
         help="give up retrying S seconds after the scheduled arrival "
         "(0 = no deadline)",
     )
-    parser.add_argument(
+    spec_flag(
         "--hedge-after",
-        type=float,
-        default=0.0,
+        RetryPolicy,
+        "hedge_after_s",
         metavar="S",
         help="hedge GETs onto a second connection after S seconds "
         "(0 = off)",
     )
-    parser.add_argument(
+    spec_flag(
         "--queue-deadline",
-        type=float,
-        default=0.0,
+        ServeConfig,
+        "queue_deadline_s",
         metavar="S",
         help="server sheds queued commands older than S seconds "
         "(0 = never)",
     )
-    parser.add_argument(
+    spec_flag(
         "--max-inflight",
-        type=int,
-        default=0,
+        ServeConfig,
+        "max_inflight",
         metavar="N",
         help="per-connection in-flight cap; excess answered BUSY "
         "(0 = unlimited)",
@@ -113,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="restart SHARD cold after OFFSET served requests "
         "(repeatable)",
     )
-    parser.add_argument(
+    spec_flag(
         "--fault-policy",
-        choices=("failover", "miss-through"),
-        default="failover",
+        FaultSchedule,
+        "policy",
         help="routing for dead shards' keys",
     )
     parser.add_argument(
@@ -190,8 +201,6 @@ def _prepare_cluster(args):
 
 
 def _run_measurement(args) -> int:
-    from repro.serve.harness import ServeConfig, run_serve
-
     cluster, compiled = _prepare_cluster(args)
     retry = None
     if args.retry_attempts > 1 or args.hedge_after > 0:

@@ -26,7 +26,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.spec import Spec, spec_field
 from repro.serve.loadgen import (
     ARRIVAL_MODES,
     DEFAULT_TIMELINE_WINDOWS,
@@ -52,74 +52,27 @@ MAX_PREPARED_COMMANDS = 20_000
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(Spec):
     """The serializable shape of a scenario's ``serve`` block."""
 
-    rate: float = 2_000.0
-    duration_s: float = 1.0
-    arrivals: str = "poisson"
-    backpressure: str = "queue"
-    connections: int = 4
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
-    max_batch: int = DEFAULT_MAX_BATCH
-    transport: str = "memory"
+    BLOCK = "serve"
+
+    rate: float = spec_field(2_000.0, gt=0)
+    duration_s: float = spec_field(1.0, gt=0)
+    arrivals: str = spec_field("poisson", choices=ARRIVAL_MODES)
+    backpressure: str = spec_field("queue", choices=BACKPRESSURE_POLICIES)
+    connections: int = spec_field(4, ge=1)
+    queue_depth: int = spec_field(DEFAULT_QUEUE_DEPTH, ge=1)
+    max_batch: int = spec_field(DEFAULT_MAX_BATCH, ge=1)
+    transport: str = spec_field("memory", choices=TRANSPORTS)
     #: Server-side graceful degradation: drained commands older than
     #: this are answered ``BUSY`` unexecuted (0 = never expire).
-    queue_deadline_s: float = 0.0
+    queue_deadline_s: float = spec_field(0.0, ge=0)
     #: Per-connection in-flight cap (0 = unlimited).
-    max_inflight: int = 0
-    #: Client retry/backoff block (:class:`RetryPolicy` shape); ``None``
-    #: means fire-once clients, exactly the pre-retry behavior.
-    retry: Optional[Dict[str, Any]] = None
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ConfigurationError(f"rate must be > 0, got {self.rate}")
-        if self.duration_s <= 0:
-            raise ConfigurationError(
-                f"duration_s must be > 0, got {self.duration_s}"
-            )
-        if self.arrivals not in ARRIVAL_MODES:
-            raise ConfigurationError(
-                f"arrivals must be one of {ARRIVAL_MODES}, "
-                f"got {self.arrivals!r}"
-            )
-        if self.backpressure not in BACKPRESSURE_POLICIES:
-            raise ConfigurationError(
-                f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
-                f"got {self.backpressure!r}"
-            )
-        if self.connections < 1:
-            raise ConfigurationError(
-                f"connections must be >= 1, got {self.connections}"
-            )
-        if self.queue_depth < 1:
-            raise ConfigurationError(
-                f"queue_depth must be >= 1, got {self.queue_depth}"
-            )
-        if self.max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
-        if self.queue_deadline_s < 0:
-            raise ConfigurationError(
-                f"queue_deadline_s must be >= 0, got {self.queue_deadline_s}"
-            )
-        if self.max_inflight < 0:
-            raise ConfigurationError(
-                f"max_inflight must be >= 0, got {self.max_inflight}"
-            )
-        if self.retry is not None:
-            # Validate and normalize (defaults filled in) so round-trips
-            # and sweep axes over ``serve.retry.*`` are canonical.
-            object.__setattr__(
-                self, "retry", RetryPolicy.from_dict(self.retry).to_dict()
-            )
+    max_inflight: int = spec_field(0, ge=0)
+    #: Client retry/backoff block, normalized through
+    #: :class:`RetryPolicy`; ``None`` means fire-once clients.
+    retry: Optional[Dict[str, Any]] = spec_field(None, block=RetryPolicy)
 
     def retry_policy(self) -> Optional[RetryPolicy]:
         """The parsed retry block, or ``None`` for fire-once clients."""
@@ -127,41 +80,6 @@ class ServeConfig:
             return None
         policy = RetryPolicy.from_dict(self.retry)
         return policy if policy.enabled else None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rate": self.rate,
-            "duration_s": self.duration_s,
-            "arrivals": self.arrivals,
-            "backpressure": self.backpressure,
-            "connections": self.connections,
-            "queue_depth": self.queue_depth,
-            "max_batch": self.max_batch,
-            "transport": self.transport,
-            "queue_deadline_s": self.queue_deadline_s,
-            "max_inflight": self.max_inflight,
-            "retry": dict(self.retry) if self.retry is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Dict[str, Any]]) -> "ServeConfig":
-        if payload is None:
-            return cls()
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"serve block must be a mapping, got {type(payload).__name__}"
-            )
-        known = {
-            "rate", "duration_s", "arrivals", "backpressure",
-            "connections", "queue_depth", "max_batch", "transport",
-            "queue_deadline_s", "max_inflight", "retry",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown serve fields: {', '.join(sorted(unknown))}"
-            )
-        return cls(**payload)
 
 
 @dataclass

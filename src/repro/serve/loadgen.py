@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.spec import Spec, spec_field
 from repro.serve.histogram import LatencyHistogram
 from repro.serve.protocol import (
     BUSY,
@@ -88,7 +89,7 @@ def commands_from_trace(trace, limit: int) -> List[Tuple[bytes, str]]:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Spec):
     """The serializable shape of a serve block's ``retry`` section.
 
     Fields:
@@ -110,44 +111,26 @@ class RetryPolicy:
             take the first usable answer (0 = no hedging).
     """
 
-    max_attempts: int = 1
-    base_backoff_s: float = 0.002
+    BLOCK = "retry"
+
+    max_attempts: int = spec_field(1, ge=1)
+    base_backoff_s: float = spec_field(0.002, ge=0)
     max_backoff_s: float = 0.050
-    jitter: float = 0.5
-    deadline_s: float = 0.0
-    budget: float = 0.2
-    hedge_after_s: float = 0.0
+    jitter: float = spec_field(0.5, ge=0)
+    deadline_s: float = spec_field(0.0, ge=0)
+    budget: float = spec_field(0.2, ge=0)
+    hedge_after_s: float = spec_field(0.0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"retry max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_backoff_s < 0:
-            raise ConfigurationError(
-                f"retry base_backoff_s must be >= 0, got "
-                f"{self.base_backoff_s}"
-            )
+        super().__post_init__()
         if self.max_backoff_s < self.base_backoff_s:
             raise ConfigurationError(
                 f"retry max_backoff_s must be >= base_backoff_s, got "
                 f"{self.max_backoff_s} < {self.base_backoff_s}"
             )
-        if not 0.0 <= self.jitter <= 1.0:
+        if self.jitter > 1.0:
             raise ConfigurationError(
                 f"retry jitter must be in [0, 1], got {self.jitter}"
-            )
-        if self.deadline_s < 0:
-            raise ConfigurationError(
-                f"retry deadline_s must be >= 0, got {self.deadline_s}"
-            )
-        if self.budget < 0:
-            raise ConfigurationError(
-                f"retry budget must be >= 0, got {self.budget}"
-            )
-        if self.hedge_after_s < 0:
-            raise ConfigurationError(
-                f"retry hedge_after_s must be >= 0, got {self.hedge_after_s}"
             )
 
     @property
@@ -167,40 +150,6 @@ class RetryPolicy:
         if self.jitter <= 0 or step <= 0:
             return step
         return step * (1.0 - self.jitter * rng.random())
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_backoff_s": self.base_backoff_s,
-            "max_backoff_s": self.max_backoff_s,
-            "jitter": self.jitter,
-            "deadline_s": self.deadline_s,
-            "budget": self.budget,
-            "hedge_after_s": self.hedge_after_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Dict[str, Any]]) -> "RetryPolicy":
-        if payload is None:
-            return cls()
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"retry block must be a mapping, got "
-                f"{type(payload).__name__}"
-            )
-        known = {
-            "max_attempts", "base_backoff_s", "max_backoff_s", "jitter",
-            "deadline_s", "budget", "hedge_after_s",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown retry fields: {', '.join(sorted(unknown))}"
-            )
-        try:
-            return cls(**{key: payload[key] for key in payload})
-        except TypeError as exc:
-            raise ConfigurationError(f"bad retry block: {exc}") from None
 
 
 @dataclass

@@ -8,6 +8,11 @@ Commands (a subset of the memcached text protocol, CRLF-terminated)::
     stats
     quit
 
+There are no TTLs: ``<exptime>`` must be ``0``. A ``set`` with any other
+value has its data block consumed and is answered ``CLIENT_ERROR expiry
+is not supported`` (nothing under ``noreply``) instead of being stored
+forever.
+
 Responses follow memcached: ``VALUE <key> <flags> <bytes>`` + data +
 ``END`` for gets, ``STORED`` / ``DELETED`` / ``NOT_FOUND``,
 ``STAT <name> <value>`` + ``END`` for stats, and the three error
@@ -131,6 +136,9 @@ class ProtocolParser:
         #: A ``set`` header waiting for its data block.
         self._pending: Optional[Command] = None
         self._pending_size = 0
+        #: Answer for a ``set`` refused at its header, sent once its data
+        #: block has been consumed so the pipeline stays framed.
+        self._pending_refusal: Optional[bytes] = None
 
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)
@@ -202,7 +210,7 @@ class ProtocolParser:
             return ProtocolEvent(response=client_error("bad key"))
         try:
             flags_value = int(flags)
-            int(exptime)  # accepted, ignored (no TTLs yet)
+            expires = int(exptime)
             size = int(nbytes)
         except ValueError:
             return ProtocolEvent(
@@ -216,6 +224,12 @@ class ProtocolParser:
             op="set", keys=[key], flags=flags_value, noreply=noreply
         )
         self._pending_size = size
+        if expires != 0:
+            # No TTLs: storing the item forever would silently break the
+            # sender's contract, so refuse it (silently under noreply).
+            self._pending_refusal = (
+                b"" if noreply else client_error("expiry is not supported")
+            )
         return self.next_event()
 
     def _read_data_block(self) -> Optional[ProtocolEvent]:
@@ -224,6 +238,7 @@ class ProtocolParser:
             return None
         command = self._pending
         self._pending = None
+        refusal, self._pending_refusal = self._pending_refusal, None
         data = bytes(self._buffer[: self._pending_size])
         trailer = bytes(self._buffer[self._pending_size : needed])
         del self._buffer[:needed]
@@ -233,6 +248,8 @@ class ProtocolParser:
             if index >= 0:
                 del self._buffer[: index + 1]
             return ProtocolEvent(response=client_error("bad data chunk"))
+        if refusal is not None:
+            return ProtocolEvent(response=refusal)
         command.data = data
         return ProtocolEvent(command=command)
 

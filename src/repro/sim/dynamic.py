@@ -17,44 +17,28 @@ load imbalance that consistent hashing cannot smooth away:
   ``crowd_keys``, ``crowd_fraction``, ``crowd_start``,
   ``crowd_duration``, ``crowd_alpha``.
 
-Both go through :data:`~repro.workloads.compiled.GLOBAL_TRACE_CACHE`
-with parameter-digest keys, like the static workloads.
+Both are :class:`~repro.sim.workloads.TenantWorkload` instances, so
+they validate parameters and key the trace cache exactly like the static
+tenant workloads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.common.errors import ConfigurationError
-from repro.sim.registries import register_workload
 from repro.sim.workloads import (
-    SyntheticTrace,
-    _normalize_apps,
-    _params_tag,
-    _zipf_reservation,
+    ZIPF_APP_DEFAULTS,
+    TenantWorkload,
+    zipf_reservation,
+    zipf_stream,
 )
-from repro.workloads.compiled import GLOBAL_TRACE_CACHE
 from repro.workloads.generators import (
     FlashCrowdStream,
     PhasedZipfStream,
-    RequestStream,
     ZipfPhase,
-    ZipfStream,
 )
 from repro.workloads.sizes import FixedSize
-from repro.workloads.trace import merge_by_time
-
-from repro.sim.defaults import GEOMETRY
-
-_PHASED_APP_DEFAULTS = {
-    "num_keys": 40_000,
-    "alpha": 1.0,
-    "value_size": 256,
-    "set_fraction": 0.0,
-    "requests_per_app": 150_000,
-    "budget_fraction": 0.25,
-    "phases": None,
-}
 
 _PHASE_KEYS = {"at", "alpha", "keys", "offset"}
 
@@ -121,162 +105,65 @@ def _resolve_phases(
     ]
 
 
-@register_workload("zipf-phases")
-def _load_zipf_phases(
-    scale: float, seed: int, apps=None, **defaults
-) -> SyntheticTrace:
-    """N tenants with phase-shifting Zipf popularity (see module docs)."""
-    unknown = set(defaults) - set(_PHASED_APP_DEFAULTS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown zipf-phases workload params: "
-            f"{', '.join(sorted(unknown))}"
-        )
-    app_map = _normalize_apps(apps, "phased", default_count=2)
-    streams: List[RequestStream] = []
-    reservations: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for position, (name, overrides) in enumerate(app_map.items()):
-        unknown = set(overrides) - set(_PHASED_APP_DEFAULTS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown zipf-phases app params for {name!r}: "
-                f"{', '.join(sorted(unknown))}"
-            )
-        params = dict(_PHASED_APP_DEFAULTS)
-        params.update(defaults)
-        params.update(overrides)
-        phases = _resolve_phases(
-            params["phases"], scale, params["alpha"], params["num_keys"]
-        )
-        requests = max(500, int(params["requests_per_app"] * scale))
-        streams.append(
-            PhasedZipfStream(
-                app=name,
-                phases=phases,
-                size_model=FixedSize(params["value_size"]),
-                set_fraction=params["set_fraction"],
-                seed=seed + position * 1000,
-            )
-        )
-        # Reserve against the largest phase universe so later phases are
-        # not implicitly starved.
-        reservations[name] = _zipf_reservation(
-            max(phase.num_keys for phase in phases),
-            params["value_size"],
-            params["budget_fraction"],
-        )
-        counts[name] = requests
-    key = (
-        f"zipfphases-scale{scale!r}-seed{seed}-"
-        f"{_params_tag({'apps': app_map, 'defaults': defaults})}"
+def _phased_tenant(name, params, scale, seed):
+    phases = _resolve_phases(
+        params["phases"], scale, params["alpha"], params["num_keys"]
     )
-    compiled = GLOBAL_TRACE_CACHE.get_or_compile(
-        key,
-        lambda: merge_by_time(
-            [
-                stream.generate(counts[stream.app], 3600.0)
-                for stream in streams
-            ]
-        ),
-        GEOMETRY,
-    )
-    return SyntheticTrace(
-        scale=scale,
+    stream = PhasedZipfStream(
+        app=name,
+        phases=phases,
+        size_model=FixedSize(params["value_size"]),
+        set_fraction=params["set_fraction"],
         seed=seed,
-        reservations=reservations,
-        requests_per_app=counts,
-        compiled=compiled,
+    )
+    # Reserve against the largest phase universe so later phases are
+    # not implicitly starved.
+    return stream, zipf_reservation(
+        max(phase.num_keys for phase in phases),
+        params["value_size"],
+        params["budget_fraction"],
     )
 
 
-_FLASH_APP_DEFAULTS = {
-    "num_keys": 40_000,
-    "alpha": 1.0,
-    "value_size": 256,
-    "set_fraction": 0.0,
-    "requests_per_app": 150_000,
-    "budget_fraction": 0.25,
-    "crowd_keys": 8,
-    "crowd_fraction": 0.8,
-    "crowd_start": 0.4,
-    "crowd_duration": 0.2,
-    "crowd_alpha": 1.2,
-}
+TenantWorkload(
+    "zipf-phases",
+    _phased_tenant,
+    {**ZIPF_APP_DEFAULTS, "phases": None},
+    app_prefix="phased",
+    default_count=2,
+).register("Zipf tenants whose alpha/working set shift in phases")
 
 
-@register_workload("flash-crowd")
-def _load_flash_crowd(
-    scale: float, seed: int, apps=None, **defaults
-) -> SyntheticTrace:
-    """Zipf tenants with a time-local flash crowd (see module docs)."""
-    unknown = set(defaults) - set(_FLASH_APP_DEFAULTS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown flash-crowd workload params: "
-            f"{', '.join(sorted(unknown))}"
-        )
-    app_map = _normalize_apps(apps, "flash", default_count=1)
-    streams: List[RequestStream] = []
-    reservations: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for position, (name, overrides) in enumerate(app_map.items()):
-        unknown = set(overrides) - set(_FLASH_APP_DEFAULTS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown flash-crowd app params for {name!r}: "
-                f"{', '.join(sorted(unknown))}"
-            )
-        params = dict(_FLASH_APP_DEFAULTS)
-        params.update(defaults)
-        params.update(overrides)
-        num_keys = max(50, int(params["num_keys"] * scale))
-        requests = max(500, int(params["requests_per_app"] * scale))
-        app_seed = seed + position * 1000
-        size_model = FixedSize(params["value_size"])
-        base = ZipfStream(
-            app=name,
-            num_keys=num_keys,
-            alpha=params["alpha"],
-            size_model=size_model,
-            set_fraction=params["set_fraction"],
-            seed=app_seed,
-        )
-        streams.append(
-            FlashCrowdStream(
-                app=name,
-                base=base,
-                size_model=size_model,
-                crowd_keys=int(params["crowd_keys"]),
-                crowd_fraction=float(params["crowd_fraction"]),
-                crowd_start=float(params["crowd_start"]),
-                crowd_duration=float(params["crowd_duration"]),
-                crowd_alpha=float(params["crowd_alpha"]),
-                seed=app_seed + 17,
-            )
-        )
-        reservations[name] = _zipf_reservation(
-            num_keys, params["value_size"], params["budget_fraction"]
-        )
-        counts[name] = requests
-    key = (
-        f"flashcrowd-scale{scale!r}-seed{seed}-"
-        f"{_params_tag({'apps': app_map, 'defaults': defaults})}"
+def _flash_tenant(name, params, scale, seed):
+    num_keys = max(50, int(params["num_keys"] * scale))
+    base = zipf_stream(name, params, num_keys, seed)
+    stream = FlashCrowdStream(
+        app=name,
+        base=base,
+        size_model=base.size_model,
+        crowd_keys=int(params["crowd_keys"]),
+        crowd_fraction=float(params["crowd_fraction"]),
+        crowd_start=float(params["crowd_start"]),
+        crowd_duration=float(params["crowd_duration"]),
+        crowd_alpha=float(params["crowd_alpha"]),
+        seed=seed + 17,
     )
-    compiled = GLOBAL_TRACE_CACHE.get_or_compile(
-        key,
-        lambda: merge_by_time(
-            [
-                stream.generate(counts[stream.app], 3600.0)
-                for stream in streams
-            ]
-        ),
-        GEOMETRY,
+    return stream, zipf_reservation(
+        num_keys, params["value_size"], params["budget_fraction"]
     )
-    return SyntheticTrace(
-        scale=scale,
-        seed=seed,
-        reservations=reservations,
-        requests_per_app=counts,
-        compiled=compiled,
-    )
+
+
+TenantWorkload(
+    "flash-crowd",
+    _flash_tenant,
+    {
+        **ZIPF_APP_DEFAULTS,
+        "crowd_keys": 8,
+        "crowd_fraction": 0.8,
+        "crowd_start": 0.4,
+        "crowd_duration": 0.2,
+        "crowd_alpha": 1.2,
+    },
+    app_prefix="flash",
+    default_count=1,
+).register("Zipf tenants plus a time-windowed hot-key overlay")

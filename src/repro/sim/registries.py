@@ -6,7 +6,7 @@ axes pluggable::
 
     from repro.sim import register_scheme
 
-    @register_scheme("my-scheme")
+    @register_scheme("my-scheme", "one line for --list")
     def build(app, budget_bytes, *, geometry, scale, seed, policy, plan,
               **overrides):
         return MyEngine(app, budget_bytes, geometry)
@@ -33,18 +33,25 @@ Builder = TypeVar("Builder", bound=Callable)
 
 
 class Registry:
-    """A name -> factory mapping with decorator registration."""
+    """A name -> factory mapping with decorator registration.
+
+    Every entry carries the one-line note ``--list`` prints, given where
+    the entry is registered so the two cannot drift apart.
+    """
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._entries: Dict[str, Callable] = {}
+        self._notes: Dict[str, str] = {}
 
-    def register(self, name: str) -> Callable[[Builder], Builder]:
-        """Decorator: ``@registry.register("name")``."""
-        if not name or not isinstance(name, str):
-            raise ConfigurationError(
-                f"{self.kind} name must be a non-empty string, got {name!r}"
-            )
+    def register(self, name: str, note: str) -> Callable[[Builder], Builder]:
+        """Decorator: ``@registry.register("name", "what it is")``."""
+        for label, text in (("name", name), ("note", note)):
+            if not text or not isinstance(text, str):
+                raise ConfigurationError(
+                    f"{self.kind} {label} must be a non-empty string, "
+                    f"got {text!r}"
+                )
 
         def _register(builder: Builder) -> Builder:
             if name in self._entries:
@@ -52,6 +59,7 @@ class Registry:
                     f"{self.kind} {name!r} is already registered"
                 )
             self._entries[name] = builder
+            self._notes[name] = note
             return builder
 
         return _register
@@ -67,6 +75,11 @@ class Registry:
 
     def names(self) -> List[str]:
         return sorted(self._entries)
+
+    def note(self, name: str) -> str:
+        """The registered one-line description of ``name``."""
+        self.get(name)
+        return self._notes[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries

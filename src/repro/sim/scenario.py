@@ -18,7 +18,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
+from repro.cluster import ClusterConfig, FaultSchedule, RebalanceConfig
 from repro.common.errors import ConfigurationError
+from repro.common.spec import Spec, spec_field
+from repro.serve.harness import ServeConfig
 from repro.sim.defaults import FULL_SCALE
 
 #: ``Scenario.plans`` sentinel: compute per-app Dynacache solver plans.
@@ -34,7 +37,7 @@ def miss_reduction(base_hit_rate: float, new_hit_rate: float) -> float:
 
 
 @dataclass
-class Scenario:
+class Scenario(Spec):
     """One simulation, described as data.
 
     Fields:
@@ -58,119 +61,80 @@ class Scenario:
             builder (e.g. ``{"apps": [19]}`` for memcachier).
         engine_overrides: Extra keyword arguments for the scheme builder
             (e.g. ``{"credit_bytes": 4096.0}``).
-        cluster: Optional multi-server block
-            (``{"shards": N, "hash_seed": S, "replication": R,
-            "virtual_nodes": V, "parallel_workers": W}``); when
-            present the replay routes keys across N shard servers by
-            consistent hashing (see :mod:`repro.cluster`). Budgets are
-            split evenly per shard. ``parallel_workers`` (default ``0``
-            = in-process) fans the per-shard replay runs out across W
-            worker processes over shared-memory trace columns --
-            bit-identical to the in-process replay, worth wall-clock
-            only on multi-core machines (see
-            :mod:`repro.cluster.parallel`).
-        rebalance: Optional online-rebalancing block
-            (``{"epoch_requests": N, "credit_bytes": B,
-            "min_shard_fraction": F, "policy": "shadow"|"load"}``);
-            requires a ``cluster`` block. Every N requests the replay
-            moves budget credits toward the neediest shard (see
-            :mod:`repro.cluster.rebalance`). ``epoch_requests: 0``
-            disables it: the replay stays bit-identical to the static
-            split.
-        faults: Optional fault-injection block
-            (``{"events": [{"kind": "crash"|"restart", "shard": S,
-            "at": OFFSET}, ...], "policy": "failover"|"miss-through",
-            "sample_requests": N, "recovery_epsilon": E}``); requires a
-            ``cluster`` block. Crashes mask the shard out of routing
-            (``failover``) or swallow its requests as tagged misses
-            (``miss-through``); restarts rebuild it cold. See
-            :mod:`repro.cluster.faults`. An empty ``events`` list leaves
-            the replay bit-identical to the fault-free paths.
-        serve: Optional live-serving block (``{"rate": R,
-            "duration_s": D, "arrivals": "poisson"|"fixed",
-            "backpressure": "queue"|"shed", "connections": C,
-            "queue_depth": Q, "max_batch": B,
-            "transport": "memory"|"tcp", "queue_deadline_s": T,
-            "max_inflight": I, "retry": {...}}``); requires a
-            ``cluster`` block. Instead of replaying the trace offline,
-            the scenario stands up the asyncio memcached-style server
-            (see :mod:`repro.serve`; each queue drain of up to
-            ``max_batch`` commands executes as one
-            :meth:`~repro.cluster.Cluster.process_batch` call, through
-            the same kernel as an offline replay) and drives it
-            open-loop at ``rate`` req/s for ``duration_s`` seconds; the
-            result's cluster report grows a ``serve`` section with
-            latency percentiles, shed counts and the queue-depth
-            timeline (decimated on long runs). A
-            ``retry`` sub-block gives the load generator's clients a
-            :class:`~repro.serve.RetryPolicy` (attempts, capped
-            exponential backoff, per-request deadline, retry budget,
-            hedged reads). Combined with a ``faults`` block the fault
-            events fire live, on the same virtual-time request-count
-            axis as offline replays (``at`` offsets count requests
-            served, not seconds), and the serve section grows a
-            ``faults`` view: recovery metrics plus the
-            p99-during-outage latency timeline.
+        cluster: Optional multi-server block: route keys across shard
+            servers by consistent hashing
+            (:class:`~repro.cluster.ClusterConfig`).
+        rebalance: Optional online-rebalancing block: move budget
+            credits between shards every epoch
+            (:class:`~repro.cluster.RebalanceConfig`).
+        faults: Optional fault-injection block: crash and restart
+            shards at request offsets
+            (:class:`~repro.cluster.FaultSchedule`).
+        serve: Optional live-serving block: serve the trace through
+            the asyncio memcached-style server under open-loop load
+            instead of replaying it offline
+            (:class:`~repro.serve.ServeConfig`).
         name: Optional label (sweeps generate one per grid point).
+
+    The four blocks are held as plain dicts, normalized through their
+    config class at construction (defaults filled in), so round-trips
+    and sweep labels are canonical; ``rebalance``, ``faults`` and
+    ``serve`` require ``cluster``. ``python -m repro.experiments
+    --list`` prints every block's fields.
     """
+
+    BLOCK = "scenario"
 
     scheme: str = "default"
     workload: str = "memcachier"
     policy: str = "lru"
-    scale: float = FULL_SCALE
+    scale: float = spec_field(FULL_SCALE, gt=0)
     seed: int = 0
     apps: Optional[List[str]] = None
     budgets: Optional[Dict[str, float]] = None
     plans: Union[None, str, Dict[str, Dict[int, float]]] = None
     workload_params: Dict[str, Any] = field(default_factory=dict)
     engine_overrides: Dict[str, Any] = field(default_factory=dict)
-    cluster: Optional[Dict[str, Any]] = None
-    rebalance: Optional[Dict[str, Any]] = None
-    faults: Optional[Dict[str, Any]] = None
-    serve: Optional[Dict[str, Any]] = None
+    cluster: Optional[Dict[str, Any]] = spec_field(None, block=ClusterConfig)
+    rebalance: Optional[Dict[str, Any]] = spec_field(
+        None, block=RebalanceConfig
+    )
+    faults: Optional[Dict[str, Any]] = spec_field(None, block=FaultSchedule)
+    serve: Optional[Dict[str, Any]] = spec_field(None, block=ServeConfig)
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scheme, str) or not self.scheme:
-            raise ConfigurationError(f"scheme must be a name, got {self.scheme!r}")
-        if not isinstance(self.workload, str) or not self.workload:
-            raise ConfigurationError(
-                f"workload must be a name, got {self.workload!r}"
-            )
-        if self.scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {self.scale}")
+        super().__post_init__()
         if isinstance(self.plans, str) and self.plans != SOLVER_PLANS:
             raise ConfigurationError(
                 f"plans must be a dict, None or {SOLVER_PLANS!r}, "
                 f"got {self.plans!r}"
             )
-        if self.apps is not None:
-            self.apps = [str(app) for app in self.apps]
-        if self.cluster is not None:
-            # Validate and normalize (defaults filled in) so round-trips
-            # and sweep labels are canonical.
-            from repro.cluster import ClusterConfig
-
-            self.cluster = ClusterConfig.from_dict(self.cluster).to_dict()
-        if self.rebalance is not None:
-            if self.cluster is None:
+        try:
+            if self.apps is not None:
+                self.apps = [str(app) for app in self.apps]
+            if self.budgets is not None:
+                self.budgets = {
+                    str(app): float(b) for app, b in self.budgets.items()
+                }
+            if isinstance(self.plans, dict):
+                # JSON turns integer slab-class keys into strings.
+                self.plans = {
+                    app: {int(c): float(b) for c, b in plan.items()}
+                    for app, plan in self.plans.items()
+                }
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigurationError(f"bad scenario spec: {exc}") from None
+        for block, why in (
+            ("rebalance", "online rebalancing moves budget between shards"),
+            ("faults", "fault injection crashes and restarts shards"),
+            ("serve", "the live server fronts a shard cluster"),
+        ):
+            if getattr(self, block) is not None and self.cluster is None:
                 raise ConfigurationError(
-                    "rebalance needs a cluster block: online rebalancing "
-                    "moves budget between shards"
+                    f"a {block} block needs a cluster block: {why}"
                 )
-            from repro.cluster import RebalanceConfig
-
-            self.rebalance = RebalanceConfig.from_dict(
-                self.rebalance
-            ).to_dict()
         if self.faults is not None:
-            if self.cluster is None:
-                raise ConfigurationError(
-                    "faults need a cluster block: fault injection "
-                    "crashes and restarts shards"
-                )
-            from repro.cluster import FaultSchedule
-
             schedule = FaultSchedule.from_dict(self.faults)
             schedule.validate_for(self.cluster["shards"])
             if schedule.enabled and self.cluster["shards"] < 2:
@@ -178,88 +142,6 @@ class Scenario:
                     "fault injection needs at least two shards: crashing "
                     "the only shard would leave no live shard"
                 )
-            self.faults = schedule.to_dict()
-        if self.serve is not None:
-            if self.cluster is None:
-                raise ConfigurationError(
-                    "serve needs a cluster block: the live server fronts "
-                    "a shard cluster"
-                )
-            from repro.serve import ServeConfig
-
-            self.serve = ServeConfig.from_dict(self.serve).to_dict()
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict; ``from_dict`` round-trips it."""
-        return {
-            "scheme": self.scheme,
-            "workload": self.workload,
-            "policy": self.policy,
-            "scale": self.scale,
-            "seed": self.seed,
-            "apps": list(self.apps) if self.apps is not None else None,
-            "budgets": dict(self.budgets) if self.budgets is not None else None,
-            "plans": (
-                {
-                    app: {str(c): b for c, b in plan.items()}
-                    for app, plan in self.plans.items()
-                }
-                if isinstance(self.plans, dict)
-                else self.plans
-            ),
-            "workload_params": dict(self.workload_params),
-            "engine_overrides": dict(self.engine_overrides),
-            "cluster": dict(self.cluster) if self.cluster is not None else None,
-            "rebalance": (
-                dict(self.rebalance) if self.rebalance is not None else None
-            ),
-            "faults": (
-                dict(self.faults) if self.faults is not None else None
-            ),
-            "serve": (
-                dict(self.serve) if self.serve is not None else None
-            ),
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Scenario":
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"scenario spec must be an object, got {type(payload).__name__}"
-            )
-        known = {
-            "scheme", "workload", "policy", "scale", "seed", "apps",
-            "budgets", "plans", "workload_params", "engine_overrides",
-            "cluster", "rebalance", "faults", "serve", "name",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario fields: {', '.join(sorted(unknown))}"
-            )
-        kwargs = dict(payload)
-        try:
-            plans = kwargs.get("plans")
-            if isinstance(plans, dict):
-                # JSON turns integer slab-class keys into strings; coerce
-                # back.
-                kwargs["plans"] = {
-                    app: {int(c): float(b) for c, b in plan.items()}
-                    for app, plan in plans.items()
-                }
-            budgets = kwargs.get("budgets")
-            if isinstance(budgets, dict):
-                kwargs["budgets"] = {
-                    str(app): float(b) for app, b in budgets.items()
-                }
-            return cls(**kwargs)
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigurationError(f"bad scenario spec: {exc}") from None
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)

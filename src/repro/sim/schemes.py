@@ -51,7 +51,9 @@ def scaled_cliff_kwargs(scale: float) -> Dict[str, int]:
     }
 
 
-@register_scheme("default")
+@register_scheme(
+    "default", "slab FCFS (memcached-style first-come first-serve)"
+)
 def _build_default(
     app: str,
     budget_bytes: float,
@@ -63,7 +65,7 @@ def _build_default(
     return FirstComeFirstServeEngine(app, budget_bytes, geometry, policy=policy)
 
 
-@register_scheme("planned")
+@register_scheme("planned", "static per-class plan (Dynacache solver output)")
 def _build_planned(
     app: str,
     budget_bytes: float,
@@ -78,7 +80,7 @@ def _build_planned(
     return PlannedEngine(app, budget_bytes, geometry, plan, policy=policy)
 
 
-@register_scheme("lsm")
+@register_scheme("lsm", "single global LRU over one log (no slab classes)")
 def _build_lsm(
     app: str,
     budget_bytes: float,
@@ -90,7 +92,7 @@ def _build_lsm(
     return GlobalLRUEngine(app, budget_bytes, geometry, policy=policy)
 
 
-@register_scheme("hill")
+@register_scheme("hill", "shadow-queue hill climbing across slab classes")
 def _build_hill(
     app: str,
     budget_bytes: float,
@@ -140,7 +142,7 @@ def _build_cliffhanger_variant(
     )
 
 
-@register_scheme("cliff-only")
+@register_scheme("cliff-only", "Talus-style cliff scaling, no hill climbing")
 def _build_cliff_only(
     app: str,
     budget_bytes: float,
@@ -158,7 +160,7 @@ def _build_cliff_only(
     )
 
 
-@register_scheme("hill-only")
+@register_scheme("hill-only", "Cliffhanger's climber without cliff scaling")
 def _build_hill_only(
     app: str,
     budget_bytes: float,
@@ -176,7 +178,9 @@ def _build_hill_only(
     )
 
 
-@register_scheme("cliffhanger")
+@register_scheme(
+    "cliffhanger", "full Cliffhanger: cliff scaling + hill climbing"
+)
 def _build_cliffhanger(
     app: str,
     budget_bytes: float,

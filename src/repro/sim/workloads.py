@@ -4,7 +4,7 @@ A workload builder takes ``(scale, seed, **params)`` and returns a
 *loaded trace*: an object with ``app_names``, ``reservations``,
 ``requests_per_app``, ``scale``, ``seed`` and a cached ``compiled``
 :class:`~repro.workloads.compiled.CompiledTrace` that the replay fast
-path consumes. Three workloads ship out of the box:
+path consumes. Three workloads are registered here:
 
 * ``memcachier`` -- the paper's synthetic 20-application trace
   (``params``: ``apps`` (1-based spec indices), ``total_requests``);
@@ -16,7 +16,13 @@ path consumes. Three workloads ship out of the box:
   ``alpha``, ``get_fraction``, ``unique_keys``, ``requests_per_app``,
   ``budget_bytes``).
 
-All three go through :data:`~repro.workloads.compiled.GLOBAL_TRACE_CACHE`
+``zipf`` and ``facebook`` -- and the two time-dynamic workloads in
+:mod:`repro.sim.dynamic` -- are N independent tenants merged by time,
+loaded by the one :class:`TenantWorkload`; each contributes only its
+per-app defaults table and the function that builds one tenant's
+stream and reservation.
+
+Everything goes through :data:`~repro.workloads.compiled.GLOBAL_TRACE_CACHE`
 so repeated scenario runs -- and sweep worker processes sharing the
 on-disk store -- never regenerate identical traces.
 """
@@ -26,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import ConfigurationError
@@ -152,7 +158,9 @@ def _params_tag(params: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-@register_workload("memcachier")
+@register_workload(
+    "memcachier", "the paper's 20-app Memcachier-derived trace mix"
+)
 def _load_memcachier(
     scale: float,
     seed: int,
@@ -173,17 +181,15 @@ def _load_memcachier(
 
 
 # ---------------------------------------------------------------------------
-# zipf
+# Tenant workloads: N independent per-app streams, merged by time
 # ---------------------------------------------------------------------------
 
-_ZIPF_APP_DEFAULTS = {
-    "num_keys": 40_000,
-    "alpha": 1.0,
-    "value_size": 256,
-    "set_fraction": 0.0,
-    "requests_per_app": 150_000,
-    "budget_fraction": 0.25,
-}
+#: ``(name, params, scale, seed) -> (stream, reservation_bytes)`` for one
+#: tenant; ``params`` is the workload's defaults table overlaid with the
+#: spec-wide and then the per-app overrides.
+TenantBuilder = Callable[
+    [str, Dict[str, Any], float, int], Tuple[RequestStream, float]
+]
 
 
 def _normalize_apps(
@@ -208,159 +214,161 @@ def _normalize_apps(
     )
 
 
-def _zipf_reservation(num_keys: int, value_size: int, fraction: float) -> float:
+@dataclass(frozen=True)
+class TenantWorkload:
+    """A workload of N independent per-app streams merged by time -- the
+    one loader behind ``zipf``, ``facebook``, ``zipf-phases`` and
+    ``flash-crowd``.
+
+    The fields are everything that differs between them: the per-app
+    defaults table, the :data:`TenantBuilder`, how unnamed apps are
+    named and how many there are by default. Parameter validation,
+    per-app seeds (``seed + 1000 * position``), request counts, the
+    trace-cache key and the merge are written here once. Per-app
+    parameters are overridable for every app (the spec-wide
+    ``defaults`` keywords) or per app (an ``apps`` name -> overrides
+    mapping); ``scale`` multiplies key universes and request counts
+    together.
+    """
+
+    name: str
+    build_tenant: TenantBuilder
+    app_defaults: Dict[str, Any]
+    app_prefix: str
+    default_count: int
+
+    def register(self, note: str) -> None:
+        """Put this workload on :data:`WORKLOADS` under its name."""
+        register_workload(self.name, note)(self)
+
+    def _check(self, params: Dict[str, Any], what: str) -> None:
+        unknown = set(params) - set(self.app_defaults)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {self.name} {what}: {', '.join(sorted(unknown))}"
+            )
+
+    def __call__(
+        self, scale: float, seed: int, apps=None, **defaults
+    ) -> SyntheticTrace:
+        self._check(defaults, "workload params")
+        app_map = _normalize_apps(apps, self.app_prefix, self.default_count)
+        streams: List[RequestStream] = []
+        reservations: Dict[str, float] = {}
+        counts: Dict[str, int] = {}
+        for position, (name, overrides) in enumerate(app_map.items()):
+            self._check(overrides, f"app params for {name!r}")
+            params = {**self.app_defaults, **defaults, **overrides}
+            stream, reservations[name] = self.build_tenant(
+                name, params, scale, seed + position * 1000
+            )
+            streams.append(stream)
+            counts[name] = max(500, int(params["requests_per_app"] * scale))
+        key = (
+            f"{self.name.replace('-', '')}-scale{scale!r}-seed{seed}-"
+            f"{_params_tag({'apps': app_map, 'defaults': defaults})}"
+        )
+        compiled = GLOBAL_TRACE_CACHE.get_or_compile(
+            key,
+            lambda: merge_by_time(
+                [
+                    stream.generate(counts[stream.app], 3600.0)
+                    for stream in streams
+                ]
+            ),
+            GEOMETRY,
+        )
+        return SyntheticTrace(
+            scale=scale,
+            seed=seed,
+            reservations=reservations,
+            requests_per_app=counts,
+            compiled=compiled,
+        )
+
+
+# ---------------------------------------------------------------------------
+# zipf
+# ---------------------------------------------------------------------------
+
+ZIPF_APP_DEFAULTS = {
+    "num_keys": 40_000,
+    "alpha": 1.0,
+    "value_size": 256,
+    "set_fraction": 0.0,
+    "requests_per_app": 150_000,
+    "budget_fraction": 0.25,
+}
+
+
+def zipf_reservation(num_keys: int, value_size: int, fraction: float) -> float:
     """Bytes covering ``fraction`` of the key universe at chunk granularity."""
     item_bytes = value_size + 14 + ITEM_OVERHEAD_BYTES  # ~14-byte keys
     chunk = GEOMETRY.chunk_size(GEOMETRY.class_for_size(item_bytes))
     return max(64 * 1024, chunk * num_keys * fraction)
 
 
-@register_workload("zipf")
-def _load_zipf(scale: float, seed: int, apps=None, **defaults) -> SyntheticTrace:
-    """N independent Zipf tenants with fixed-size values.
-
-    Per-app parameters (overridable globally via ``defaults`` or per app
-    via an ``apps`` mapping): ``num_keys``, ``alpha``, ``value_size``,
-    ``set_fraction``, ``requests_per_app``, ``budget_fraction``.
-    ``scale`` multiplies key universes and request counts together.
-    """
-    unknown = set(defaults) - set(_ZIPF_APP_DEFAULTS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown zipf workload params: {', '.join(sorted(unknown))}"
-        )
-    app_map = _normalize_apps(apps, "zipf", default_count=2)
-    streams: List[RequestStream] = []
-    reservations: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for position, (name, overrides) in enumerate(app_map.items()):
-        unknown = set(overrides) - set(_ZIPF_APP_DEFAULTS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown zipf app params for {name!r}: "
-                f"{', '.join(sorted(unknown))}"
-            )
-        params = dict(_ZIPF_APP_DEFAULTS)
-        params.update(defaults)
-        params.update(overrides)
-        num_keys = max(50, int(params["num_keys"] * scale))
-        requests = max(500, int(params["requests_per_app"] * scale))
-        streams.append(
-            ZipfStream(
-                app=name,
-                num_keys=num_keys,
-                alpha=params["alpha"],
-                size_model=FixedSize(params["value_size"]),
-                set_fraction=params["set_fraction"],
-                seed=seed + position * 1000,
-            )
-        )
-        reservations[name] = _zipf_reservation(
-            num_keys, params["value_size"], params["budget_fraction"]
-        )
-        counts[name] = requests
-    key = f"zipf-scale{scale!r}-seed{seed}-{_params_tag({'apps': app_map, 'defaults': defaults})}"
-    compiled = GLOBAL_TRACE_CACHE.get_or_compile(
-        key,
-        lambda: merge_by_time(
-            [
-                stream.generate(counts[stream.app], 3600.0)
-                for stream in streams
-            ]
-        ),
-        GEOMETRY,
-    )
-    return SyntheticTrace(
-        scale=scale,
+def zipf_stream(
+    name: str, params: Dict[str, Any], num_keys: int, seed: int
+) -> ZipfStream:
+    """A stationary fixed-value-size Zipf tenant from its param table."""
+    return ZipfStream(
+        app=name,
+        num_keys=num_keys,
+        alpha=params["alpha"],
+        size_model=FixedSize(params["value_size"]),
+        set_fraction=params["set_fraction"],
         seed=seed,
-        reservations=reservations,
-        requests_per_app=counts,
-        compiled=compiled,
     )
+
+
+def _zipf_tenant(name, params, scale, seed):
+    num_keys = max(50, int(params["num_keys"] * scale))
+    return zipf_stream(name, params, num_keys, seed), zipf_reservation(
+        num_keys, params["value_size"], params["budget_fraction"]
+    )
+
+
+TenantWorkload(
+    "zipf", _zipf_tenant, ZIPF_APP_DEFAULTS, app_prefix="zipf", default_count=2
+).register("stationary per-app Zipf streams (alpha, working set)")
 
 
 # ---------------------------------------------------------------------------
 # facebook
 # ---------------------------------------------------------------------------
 
-_FACEBOOK_APP_DEFAULTS = {
-    "num_keys": 200_000,
-    "alpha": 0.95,
-    "get_fraction": FACEBOOK_GET_FRACTION,
-    "unique_keys": False,
-    "requests_per_app": 200_000,
-    "budget_bytes": 32 << 20,
-}
 
-
-@register_workload("facebook")
-def _load_facebook(scale: float, seed: int, apps=None, **defaults) -> SyntheticTrace:
-    """Facebook ETC pools (or the all-miss unique-key worst case).
-
-    Per-app parameters: ``num_keys``, ``alpha``, ``get_fraction``,
-    ``unique_keys`` (switches to the section-5.6 worst-case stream),
-    ``requests_per_app``, ``budget_bytes``. ``scale`` multiplies key
-    universes, request counts and budgets together.
-    """
-    unknown = set(defaults) - set(_FACEBOOK_APP_DEFAULTS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown facebook workload params: {', '.join(sorted(unknown))}"
+def _facebook_tenant(name, params, scale, seed):
+    """An ETC pool, or with ``unique_keys`` the section-5.6 all-miss
+    worst case; ``scale`` multiplies the budget as well."""
+    stream: RequestStream
+    if params["unique_keys"]:
+        stream = UniqueKeyStream(
+            app=name, get_fraction=params["get_fraction"], seed=seed
         )
-    app_map = _normalize_apps(apps, "etc", default_count=1)
-    streams: List[RequestStream] = []
-    reservations: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for position, (name, overrides) in enumerate(app_map.items()):
-        unknown = set(overrides) - set(_FACEBOOK_APP_DEFAULTS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown facebook app params for {name!r}: "
-                f"{', '.join(sorted(unknown))}"
-            )
-        params = dict(_FACEBOOK_APP_DEFAULTS)
-        params.update(defaults)
-        params.update(overrides)
-        requests = max(500, int(params["requests_per_app"] * scale))
-        app_seed = seed + position * 1000
-        if params["unique_keys"]:
-            streams.append(
-                UniqueKeyStream(
-                    app=name,
-                    get_fraction=params["get_fraction"],
-                    seed=app_seed,
-                )
-            )
-        else:
-            streams.append(
-                FacebookETCStream(
-                    app=name,
-                    num_keys=max(100, int(params["num_keys"] * scale)),
-                    alpha=params["alpha"],
-                    get_fraction=params["get_fraction"],
-                    seed=app_seed,
-                )
-            )
-        reservations[name] = max(64 * 1024, params["budget_bytes"] * scale)
-        counts[name] = requests
-    key = (
-        f"facebook-scale{scale!r}-seed{seed}-"
-        f"{_params_tag({'apps': app_map, 'defaults': defaults})}"
-    )
-    compiled = GLOBAL_TRACE_CACHE.get_or_compile(
-        key,
-        lambda: merge_by_time(
-            [
-                stream.generate(counts[stream.app], 3600.0)
-                for stream in streams
-            ]
-        ),
-        GEOMETRY,
-    )
-    return SyntheticTrace(
-        scale=scale,
-        seed=seed,
-        reservations=reservations,
-        requests_per_app=counts,
-        compiled=compiled,
-    )
+    else:
+        stream = FacebookETCStream(
+            app=name,
+            num_keys=max(100, int(params["num_keys"] * scale)),
+            alpha=params["alpha"],
+            get_fraction=params["get_fraction"],
+            seed=seed,
+        )
+    return stream, max(64 * 1024, params["budget_bytes"] * scale)
+
+
+TenantWorkload(
+    "facebook",
+    _facebook_tenant,
+    {
+        "num_keys": 200_000,
+        "alpha": 0.95,
+        "get_fraction": FACEBOOK_GET_FRACTION,
+        "unique_keys": False,
+        "requests_per_app": 200_000,
+        "budget_bytes": 32 << 20,
+    },
+    app_prefix="etc",
+    default_count=1,
+).register("Facebook-style key/value size and popularity model")

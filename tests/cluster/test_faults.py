@@ -96,7 +96,7 @@ def test_empty_schedule_is_disabled():
     [
         (dict(kind="explode", shard=0, at=1), "explode"),
         (dict(kind="crash", shard=-1, at=1), "shard"),
-        (dict(kind="crash", shard=0, at=-5), "offset"),
+        (dict(kind="crash", shard=0, at=-5), r"fault event\.at"),
         (dict(kind="crash", shard=0), "missing"),
         (dict(kind="crash", shard=0, at=1, when=2), "unknown"),
     ],

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
 
 from repro.experiments.cli import main
 
@@ -63,6 +64,34 @@ def test_list_enumerates_experiments_schemes_and_workloads(capsys):
     assert "faults:" in out
     assert "policy (failover|miss-through)" in out
     assert "recovery_epsilon" in out
+
+
+def test_list_is_generated_from_the_declarations(capsys):
+    """Every field of every spec block, every ``choices`` value and
+    every registered scheme/workload with its note -- read off the
+    declarations, so the listing cannot drift from them."""
+    import dataclasses
+
+    from repro.cluster import (
+        ClusterConfig, FaultEvent, FaultSchedule, RebalanceConfig,
+    )
+    from repro.common.spec import choices_of
+    from repro.serve import RetryPolicy, ServeConfig
+    from repro.sim import SCHEMES, WORKLOADS, Scenario
+
+    assert main(["--list"]) == 0
+    out = capsys.readouterr().out
+    for cls in (
+        Scenario, ClusterConfig, RebalanceConfig, FaultSchedule, FaultEvent,
+        ServeConfig, RetryPolicy,
+    ):
+        for field in dataclasses.fields(cls):
+            assert field.name in out, (cls.__name__, field.name)
+            for choice in choices_of(cls, field.name):
+                assert choice in out, (cls.__name__, field.name, choice)
+    for registry in (SCHEMES, WORKLOADS):
+        for name in registry.names():
+            assert f"  {name}: {registry.note(name)}\n" in out
 
 
 def test_list_subcommand_matches_flag(capsys):
@@ -156,6 +185,27 @@ def test_unknown_scenario_field_exits_2(capsys):
     spec["rebalancing"] = {"epoch_requests": 5}  # typo'd field
     assert main(["run", json.dumps(spec)]) == 2
     assert "rebalancing" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "block, names",
+    [
+        ({"serve": {"rate": "fast"}}, "serve.rate"),
+        ({"serve": {"rate": True}}, "serve.rate"),
+        ({"serve": {"connections": [4]}}, "serve.connections"),
+        ({"serve": {"retry": {"max_attempts": "many"}}}, "retry.max_attempts"),
+        ({"cluster": {"shards": "two"}}, "cluster.shards"),
+        ({"rebalance": {"credit_bytes": "lots"}}, "rebalance.credit_bytes"),
+        ({"faults": {"sample_requests": 1.5}}, "faults.sample_requests"),
+        ({"seed": "zero"}, "scenario.seed"),
+    ],
+)
+def test_bad_scalar_in_any_block_exits_2_naming_the_field(
+    capsys, block, names
+):
+    spec = {**TINY_SCENARIO, "cluster": {"shards": 2}, **block}
+    assert main(["run", json.dumps(spec)]) == 2
+    assert names in one_error_line(capsys)
 
 
 def test_retired_partitioned_replay_knob_exits_2(capsys):

@@ -17,8 +17,6 @@ REQUIRED_RULES = (
     "unawaited-coroutine",
     "deprecated-event-loop",
     "packed-bit-overlap",
-    "registry-doc-sync",
-    "scenario-schema-sync",
     "no-assert-in-src",
     "unused-import",
 )
@@ -108,7 +106,7 @@ def test_json_format_is_parseable(capsys):
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["files_checked"] >= 8
+    assert payload["files_checked"] >= 5
     rules = {finding["rule"] for finding in payload["findings"]}
     assert "determinism" in rules
     assert all(

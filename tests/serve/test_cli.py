@@ -32,6 +32,46 @@ def one_error_line(capsys) -> str:
     return err
 
 
+def test_flag_defaults_and_choices_come_from_the_spec_fields():
+    """The CLI re-types no default: every flag that maps onto a spec
+    field parses to that field's declared default, and offers exactly
+    its declared choices."""
+    from repro.cluster import ClusterConfig, FaultSchedule
+    from repro.common.spec import choices_of
+    from repro.serve import RetryPolicy, ServeConfig
+    from repro.serve.cli import build_parser
+
+    mapped = {
+        "replication": (ClusterConfig, "replication"),
+        "rate": (ServeConfig, "rate"),
+        "duration": (ServeConfig, "duration_s"),
+        "arrivals": (ServeConfig, "arrivals"),
+        "backpressure": (ServeConfig, "backpressure"),
+        "connections": (ServeConfig, "connections"),
+        "queue_depth": (ServeConfig, "queue_depth"),
+        "max_batch": (ServeConfig, "max_batch"),
+        "transport": (ServeConfig, "transport"),
+        "queue_deadline": (ServeConfig, "queue_deadline_s"),
+        "max_inflight": (ServeConfig, "max_inflight"),
+        "retry_attempts": (RetryPolicy, "max_attempts"),
+        "retry_deadline": (RetryPolicy, "deadline_s"),
+        "hedge_after": (RetryPolicy, "hedge_after_s"),
+        "fault_policy": (FaultSchedule, "policy"),
+    }
+    parser = build_parser()
+    args = parser.parse_args([])
+    actions = {action.dest: action for action in parser._actions}
+    for dest, (block, field) in mapped.items():
+        default = getattr(block(), field)
+        assert getattr(args, dest) == default, dest
+        assert type(getattr(args, dest)) is type(default), dest
+        assert tuple(actions[dest].choices or ()) == choices_of(block, field)
+    # The values this repo has always shipped.
+    assert (args.rate, args.duration, args.connections) == (2000.0, 1.0, 4)
+    assert (args.queue_depth, args.max_batch) == (1024, 256)
+    assert (args.retry_attempts, args.fault_policy) == (1, "failover")
+
+
 class TestMeasurementMode:
     def test_plain_measurement_runs(self, capsys):
         assert main(FAST) == 0

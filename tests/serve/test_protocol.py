@@ -142,6 +142,46 @@ class TestMalformed:
         assert events[0].response == client_error("bad data chunk")
         assert events[1].command.keys == ["ok"]
 
+    @pytest.mark.parametrize("exptime", [b"60", b"-1", b"1700000000"])
+    def test_nonzero_exptime_refused_and_pipeline_stays_framed(self, exptime):
+        """No TTLs: the item is refused, not stored forever; its data
+        block -- which looks like a command -- is consumed, so the
+        pipelined ``get`` behind it still parses."""
+        events = parse_all(
+            b"set k 0 " + exptime + b" 8\r\nget evil\r\nget after\r\n"
+        )
+        assert [event.response for event in events] == [
+            client_error("expiry is not supported"),
+            None,
+        ]
+        assert events[1].command.keys == ["after"]
+
+    def test_nonzero_exptime_noreply_is_refused_silently(self):
+        events = parse_all(b"set k 0 60 2 noreply\r\nhi\r\nget after\r\n")
+        assert events[0].command is None
+        assert events[0].response == b""
+        assert events[1].command.keys == ["after"]
+
+    @pytest.mark.parametrize("cut", range(1, 22))
+    def test_refused_set_parses_identically_at_any_split(self, cut):
+        data = b"set k 0 5 3\r\nabc\r\nget z\r\n"
+        parser = ProtocolParser()
+        parser.feed(data[:cut])
+        events = drain(parser)
+        parser.feed(data[cut:])
+        events += drain(parser)
+        assert [event.response for event in events] == [
+            client_error("expiry is not supported"),
+            None,
+        ]
+
+    def test_refusal_does_not_leak_into_the_next_set(self):
+        events = parse_all(
+            b"set k 0 9 2\r\nhiXX\r\nset k 0 0 2\r\nok\r\n"
+        )
+        assert events[0].response == client_error("bad data chunk")
+        assert events[1].command.data == b"ok"
+
     def test_overlong_line_dropped_then_recovers(self):
         parser = ProtocolParser()
         parser.feed(b"g" * (MAX_LINE_BYTES + 10))

@@ -329,6 +329,13 @@ class TestMemoryTransport:
                 b"set q 0 0 1 noreply\r\nZ\r\nget q\r\n"
             )
             assert out == b"VALUE q 0 1\r\nZ\r\nEND\r\n"
+            # A TTL is refused on the wire and nothing is stored; the
+            # noreply variant is refused without a response.
+            out = await client.request(
+                b"set t 0 60 1\r\nT\r\nset u 0 60 1 noreply\r\nU\r\n"
+                b"get t u\r\n"
+            )
+            assert out == b"CLIENT_ERROR expiry is not supported\r\nEND\r\n"
             await server.close()
 
         asyncio.run(scenario())

@@ -99,13 +99,13 @@ def test_run_scenario_surfaces_unknown_names():
 def test_duplicate_registration_rejected():
     registry = Registry("thing")
 
-    @registry.register("x")
+    @registry.register("x", "the first x")
     def build_x():
         return 1
 
     with pytest.raises(ConfigurationError, match="already registered"):
 
-        @registry.register("x")
+        @registry.register("x", "another x")
         def build_x_again():
             return 2
 
@@ -115,9 +115,29 @@ def test_duplicate_registration_rejected():
 def test_bad_registration_name_rejected():
     registry = Registry("thing")
     with pytest.raises(ConfigurationError):
-        registry.register("")
+        registry.register("", "a note")
     with pytest.raises(ConfigurationError):
-        registry.register(None)
+        registry.register(None, "a note")
+
+
+@pytest.mark.parametrize("registry", [SCHEMES, WORKLOADS, Registry("thing")])
+def test_registration_without_a_note_rejected(registry):
+    """The note is what ``--list`` prints; an entry cannot ship without
+    one (this replaces the retired ``registry-doc-sync`` lint rule)."""
+    with pytest.raises(TypeError):
+        registry.register("noteless")
+    for note in ("", None):
+        with pytest.raises(ConfigurationError, match="note"):
+            registry.register("noteless", note)
+    assert "noteless" not in registry
+
+
+def test_every_builtin_entry_has_a_note():
+    for registry in (SCHEMES, WORKLOADS):
+        for name in registry.names():
+            assert registry.note(name).strip()
+    with pytest.raises(ConfigurationError, match="unknown scheme"):
+        SCHEMES.note("nope")
 
 
 def test_registered_scheme_usable_from_scenario():
@@ -125,7 +145,7 @@ def test_registered_scheme_usable_from_scenario():
     name = "test-only-half-budget"
     if name not in SCHEMES:
 
-        @SCHEMES.register(name)
+        @SCHEMES.register(name, "FCFS on half the budget (test only)")
         def _build(app, budget_bytes, *, geometry, policy="lru", **_context):
             return FirstComeFirstServeEngine(
                 app, budget_bytes / 2, geometry, policy=policy

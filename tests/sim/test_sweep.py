@@ -60,6 +60,23 @@ def test_dotted_axes_reach_nested_fields():
         assert scenario.workload_params["requests_per_app"] == 6_000
 
 
+def test_deep_dotted_axis_leaves_the_base_untouched():
+    """``to_dict`` copies nested blocks, so an axis two levels down
+    (``serve.retry.*``) cannot write through into the base scenario."""
+    sweep = Sweep(
+        base=Scenario(
+            workload="zipf",
+            cluster={"shards": 2},
+            serve={"retry": {"max_attempts": 2}},
+        ),
+        axes={"serve.retry.max_attempts": [5, 7]},
+    )
+    grid = sweep.scenarios()
+    assert [s.serve["retry"]["max_attempts"] for s in grid] == [5, 7]
+    assert [s.label() for s in grid] == ["max_attempts=5", "max_attempts=7"]
+    assert sweep.base.serve["retry"]["max_attempts"] == 2
+
+
 def test_bad_axes_rejected():
     with pytest.raises(ConfigurationError, match="list of values"):
         Sweep(base=Scenario(), axes={"scheme": "default"})
