@@ -4,14 +4,17 @@ Cliffhanger "runs on each memory cache server and does not require any
 coordination between different servers" (paper section 4.3), so between
 two barriers a replay is nothing more than independent runs: one per
 (shard, app) pair, each touching one engine and one stats slice.
-:func:`replay_runs` is the only place that fact is written down. A
-single server (:meth:`repro.cache.server.CacheServer.replay_compiled`,
-the one-shard case), the cluster's window driver (``Cluster._drive``,
-behind both the offline :meth:`repro.cluster.Cluster.replay_compiled`
-and the live :meth:`repro.cluster.Cluster.process_batch`) and the
-parallel workers (:mod:`repro.cluster.parallel`) all call it; they
-differ only in which columns they pass and where the returned tallies go
-(:func:`flush_runs` in-process, a pipe from a worker).
+:func:`replay_runs` is the only place that fact is written down, and the
+only compiled-trace loop in ``src/`` that walks requests into
+:meth:`Engine.process_fast` (:meth:`CacheServer.replay` is the object
+API, one :class:`Request` at a time). A single server
+(:meth:`repro.cache.server.CacheServer.replay_compiled`, the one-shard
+case), the cluster's window driver (``Cluster._drive``, behind both the
+offline :meth:`repro.cluster.Cluster.replay_compiled` and the live
+:meth:`repro.cluster.Cluster.process_batch`) and the parallel workers
+(:mod:`repro.cluster.parallel`) all call it; they differ only in which
+columns they pass and where the returned tallies go (:func:`flush_runs`
+in-process, a pipe from a worker).
 """
 
 from __future__ import annotations

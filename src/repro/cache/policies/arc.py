@@ -153,8 +153,7 @@ class ARCPolicy(EvictionPolicy):
                 return True
         for ghost in (self._b1, self._b2):
             if key in ghost:
-                ghost.remove(key)
-                return True
+                ghost.remove(key)  # forgotten, but it was not resident
         return False
 
     def resize(self, capacity: float) -> Evicted:

@@ -98,10 +98,12 @@ class TwoQPolicy(EvictionPolicy):
         return self._reclaim()
 
     def remove(self, key: object) -> bool:
-        for queue in (self._a1in, self._am, self._a1out):
+        for queue in (self._a1in, self._am):
             if key in queue:
                 queue.remove(key)
                 return True
+        if key in self._a1out:
+            self._a1out.remove(key)  # forgotten, but it was not resident
         return False
 
     def resize(self, capacity: float) -> Evicted:

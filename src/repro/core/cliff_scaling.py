@@ -295,12 +295,13 @@ class CliffhangerQueue:
         self._observe_hit(False)
         return ACCESS_HILL_FIND if segment == SEG_HILL else ACCESS_CLIFF_FIND
 
-    def insert(self, key: object) -> int:
+    def insert(self, key: object, weight: Optional[float] = None) -> int:
         """SET / fill-on-miss path. Applies any pending repartition first
         (section 5.1: resize only on a miss). Returns physical evictions:
         with the repartition applied both chains sit within capacity, so
         the routed chain's cascade is the only thing that can push an
-        entry out of physical memory.
+        entry out of physical memory. ``weight`` is the queue protocol's
+        (:mod:`repro.core.managed`); every item here weighs one chunk.
         """
         self._decay_pointers()
         if self._pending_resize:
@@ -315,8 +316,15 @@ class CliffhangerQueue:
         return routed.chain.insert(key, self.config.chunk_size)
 
     def remove(self, key: object) -> bool:
-        removed = self.left.chain.remove(key)
-        return self.right.chain.remove(key) or removed
+        """DELETE path: purge ``key`` from every segment; True only when
+        it was in physical memory (main or tail probe)."""
+        resident = False
+        for chain in (self.left.chain, self.right.chain):
+            segment = chain.segment_of(key)
+            if segment is not None:
+                chain.remove(key)
+                resident = resident or segment <= SEG_TAIL
+        return resident
 
     # ------------------------------------------------------------------
     # Algorithm 2: pointer updates

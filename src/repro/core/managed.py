@@ -10,15 +10,30 @@ Shadow capacity is measured in the bytes the shadowed items *represent*
 ("shadow queues that represent 1 MB of requests", section 5.7); the actual
 memory overhead is only the keys, which :meth:`ShadowedQueue.overhead_bytes`
 accounts for separately.
+
+The queue protocol. :class:`ShadowedQueue` and the partitioned
+:class:`~repro.core.cliff_scaling.CliffhangerQueue` are the two per-class
+queues :class:`~repro.core.engine.ClimbingEngine` can run, and it drives
+both through the same six names:
+
+* ``access(key)`` -- GET; returns an ``ACCESS_*`` int. Only
+  ``ACCESS_HIT`` was served from physical memory; ``ACCESS_HILL_FIND``
+  is Algorithm 1's shadow hit. A find forgets the key: the caller fills.
+* ``insert(key, weight)`` -- SET / fill; returns how many entries that
+  pushed out of physical memory (into the shadow).
+* ``set_capacity(capacity_bytes)`` -- resize the physical region; returns
+  how many entries that pushed out of physical memory.
+* ``remove(key)`` -- DELETE; purges the key everywhere and returns
+  whether it was in physical memory. A shadow never claims residency.
+* ``capacity_bytes`` / ``used_bytes`` -- physical bytes reserved / held.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 from repro.common.constants import AVG_KEY_BYTES, HILL_CLIMB_SHADOW_BYTES
 from repro.cache.keyqueue import KeyQueue
-from repro.cache.policies.base import EvictionPolicy
+from repro.cache.policies.base import Evicted, EvictionPolicy
+from repro.core.cliff_scaling import ACCESS_HILL_FIND, ACCESS_HIT, ACCESS_MISS
 
 
 class ShadowedQueue:
@@ -29,11 +44,6 @@ class ShadowedQueue:
     schemes") because the shadow only consumes the policy's eviction
     stream.
     """
-
-    #: access() results.
-    HIT = "hit"
-    SHADOW_HIT = "shadow"
-    MISS = None
 
     def __init__(
         self,
@@ -67,54 +77,51 @@ class ShadowedQueue:
 
     # ------------------------------------------------------------------
 
-    def access(self, key: object) -> Optional[str]:
-        """GET path: ``HIT`` (physical), ``SHADOW_HIT`` or ``MISS``.
+    def access(self, key: object) -> int:
+        """GET path: ``ACCESS_HIT`` (physical), ``ACCESS_HILL_FIND``
+        (shadow hit) or ``ACCESS_MISS``.
 
         A shadow hit removes the key from the shadow (the caller fills the
         item back into the physical queue, as a real cache-fill would).
         """
         if self.policy.access(key):
-            return self.HIT
+            return ACCESS_HIT
         if key in self.shadow:
             self.shadow.remove(key)
             self.shadow_hits += 1
-            return self.SHADOW_HIT
-        return self.MISS
+            return ACCESS_HILL_FIND
+        return ACCESS_MISS
 
-    def insert(self, key: object, weight: float) -> List[Tuple[object, float]]:
-        """Store an item; physical evictions flow into the shadow.
+    def insert(self, key: object, weight: float) -> int:
+        """Store an item; physical evictions flow into the shadow (and
+        whatever that pushes off the shadow's tail is fully forgotten).
 
-        Returns the keys dropped off the *end of the shadow* (fully
-        forgotten), which is what a byte-accounting caller needs.
+        Returns the number of items evicted from physical memory.
         """
         if key in self.shadow:
             # The key is being refreshed while remembered only by the
             # shadow; it must not appear in both structures.
             self.shadow.remove(key)
-        for victim, victim_weight in self.policy.insert(key, weight):
-            self.shadow.push_front(victim, victim_weight)
-        return list(self.shadow.overflow())
+        return self._to_shadow(self.policy.insert(key, weight))
 
     def remove(self, key: object) -> bool:
-        removed = self.policy.remove(key)
+        """DELETE path: True only when the key was physically resident;
+        a shadow-only key is purged but reported absent."""
         if key in self.shadow:
             self.shadow.remove(key)
-            removed = True
-        return removed
+        return self.policy.remove(key)
 
     def set_capacity(self, capacity_bytes: float) -> int:
         """Resize the physical queue; shrink evictions enter the shadow.
 
         Returns the number of items evicted from physical memory.
         """
-        evicted = self.policy.resize(capacity_bytes)
+        return self._to_shadow(self.policy.resize(capacity_bytes))
+
+    def _to_shadow(self, evicted: Evicted) -> int:
+        """Push physical evictions onto the shadow; returns their count."""
         for victim, victim_weight in evicted:
             self.shadow.push_front(victim, victim_weight)
         for _ in self.shadow.overflow():
             pass
         return len(evicted)
-
-    def set_shadow_capacity(self, shadow_bytes: float) -> None:
-        self.shadow.resize(shadow_bytes)
-        for _ in self.shadow.overflow():
-            pass

@@ -36,8 +36,12 @@ DEFAULT_EXCLUDES: Tuple[str, ...] = (
 )
 
 #: Packages whose replay results must be bit-identical across runs at a
-#: fixed seed; the determinism rule only applies inside these.
-REPLAY_PACKAGES: Tuple[str, ...] = ("cache", "cluster", "workloads", "sim")
+#: fixed seed; the determinism rule only applies inside these. ``core``
+#: holds the Cliffhanger engines and the climber's RNG; ``allocation``
+#: and ``profiling`` feed the solver plans the tables replay.
+REPLAY_PACKAGES: Tuple[str, ...] = (
+    "cache", "cluster", "workloads", "sim", "core", "allocation", "profiling",
+)
 
 _INLINE_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Za-z0-9_,\s-]+)\]")
 _FILE_RE = re.compile(r"^\s*#\s*repro-lint:\s*file-ignore\[([A-Za-z0-9_,\s-]+)\]\s*$")

@@ -5,9 +5,10 @@ whole parity discipline (worktree table diffs, Hypothesis oracles)
 depends on it. Wall-clock reads, the process-global ``random`` module,
 OS entropy and unordered ``set`` iteration all smuggle run-to-run
 variation into tables, so they are banned statically inside the replay
-packages (``cache/``, ``cluster/``, ``workloads/``, ``sim/``). RNGs
-there must be constructed from an explicit seed
-(``random.Random(seed)``, ``numpy.random.default_rng(seed)``).
+packages (``cache/``, ``cluster/``, ``workloads/``, ``sim/``, ``core/``,
+``allocation/``, ``profiling/``). RNGs there must be constructed from an
+explicit seed (``random.Random(seed)``,
+``numpy.random.default_rng(seed)``).
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ _NUMPY_SEEDED = {"default_rng", "Generator", "SeedSequence", "PCG64"}
 class DeterminismRule(Rule):
     name = "determinism"
     summary = (
-        "replay-path modules (cache/, cluster/, workloads/, sim/) must "
-        "not read wall clock or OS entropy, use the process-global "
-        "random module, construct unseeded RNGs, or iterate unordered "
-        "sets"
+        "replay-path modules (cache/, cluster/, workloads/, sim/, core/, "
+        "allocation/, profiling/) must not read wall clock or OS "
+        "entropy, use the process-global random module, construct "
+        "unseeded RNGs, or iterate unordered sets"
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.cache.engines import Engine, FirstComeFirstServeEngine
+from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import OP_GET, OpCounter
+from repro.cache.stats import OpCounter, StatsRegistry
 from repro.core.engine import CliffhangerEngine, HillClimbEngine
 from repro.perfmodel.costmodel import CostModel, overhead_percent
 from repro.workloads.compiled import GLOBAL_TRACE_CACHE, CompiledTrace
@@ -56,36 +57,25 @@ def _replay(
 ) -> MicroBenchResult:
     """Warm up (uncounted), then replay counting ops and wall time.
 
-    Runs the allocation-free fast path so measured wall times reflect
-    engine work, not ``Request``/``AccessOutcome`` churn.
+    Both passes run through the replay kernel (a one-app
+    :class:`CacheServer`), so measured wall times reflect engine work,
+    not ``Request``/``AccessOutcome`` churn.
     """
-    warm = trace.slice(0, warmup)
+    server = CacheServer(trace.geometry)
+    server.add_app(engine)
+    server.replay_compiled(trace.slice(0, warmup))
+    # Discard the warm-up's operation counts and outcomes.
+    engine.ops = OpCounter()
+    server.stats = StatsRegistry()
     measured = trace.slice(warmup)
-    process = engine.process_fast
-    for args in zip(
-        warm.keys, warm.op_codes, warm.slab_classes,
-        warm.chunk_bytes, warm.item_bytes,
-    ):
-        process(*args)
-    engine.ops = OpCounter()  # discard warmup operation counts
-    gets = sets = hits = 0
     started = time.perf_counter()
-    for key, op, class_index, chunk, item_bytes in zip(
-        measured.keys, measured.op_codes, measured.slab_classes,
-        measured.chunk_bytes, measured.item_bytes,
-    ):
-        code = process(key, op, class_index, chunk, item_bytes)
-        if op == OP_GET:
-            gets += 1
-            hits += code & 1
-        else:
-            sets += 1
+    total = server.replay_compiled(measured).total
     wall = time.perf_counter() - started
     return MicroBenchResult(
         engine_name=type(engine).__name__,
-        gets=gets,
-        sets=sets,
-        hits=hits,
+        gets=total.gets,
+        sets=total.sets,
+        hits=total.get_hits,
         ops=engine.ops,
         wall_seconds=wall,
     )

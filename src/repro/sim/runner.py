@@ -10,17 +10,16 @@ allocation-free fast path.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.server import CacheServer, Observer
 from repro.cache.stats import StatsRegistry
 from repro.common.errors import ConfigurationError
 from repro.sim.defaults import GEOMETRY
 from repro.sim.planning import solver_plan_for_app
-from repro.sim.registries import SCHEMES
 from repro.sim.scenario import SOLVER_PLANS, Scenario, ScenarioResult
+from repro.sim.schemes import make_engine
 from repro.sim.workloads import load_workload
-from repro.workloads.trace import Request
 
 
 def _resolve_budget(scenario: Scenario, trace, app: str) -> float:
@@ -61,6 +60,20 @@ def _chosen_apps(scenario: Scenario, trace) -> List[str]:
     return list(scenario.apps)
 
 
+def _compiled_for(scenario: Scenario, trace):
+    """The workload's compiled trace, narrowed to the replayed apps."""
+    chosen = _chosen_apps(scenario, trace)
+    compiled = getattr(trace, "compiled", None)
+    if compiled is None:
+        raise ConfigurationError(
+            f"workload {scenario.workload!r} has no compiled trace; "
+            "scenarios replay compiled traces only"
+        )
+    if set(chosen) != set(trace.app_names):
+        compiled = compiled.select_apps(chosen)
+    return compiled
+
+
 def build_server(
     scenario: Scenario,
     trace,
@@ -70,14 +83,13 @@ def build_server(
     chosen = _chosen_apps(scenario, trace)
     if plans is None:
         plans = _resolve_plans(scenario, trace, chosen)
-    builder = SCHEMES.get(scenario.scheme)
     server = CacheServer(GEOMETRY)
     for app in chosen:
         server.add_app(
-            builder(
+            make_engine(
+                scenario.scheme,
                 app,
                 _resolve_budget(scenario, trace, app),
-                geometry=GEOMETRY,
                 scale=trace.scale,
                 seed=scenario.seed,
                 policy=scenario.policy,
@@ -96,7 +108,7 @@ class ScenarioEngineFactory:
     a parallel replay ships them to worker processes -- under the
     ``spawn`` start method that means pickling, which a local closure
     cannot do. The scheme travels as its registry name and is resolved
-    back through :data:`SCHEMES` at call time.
+    back through :func:`~repro.sim.schemes.make_engine` at call time.
     """
 
     def __init__(
@@ -125,10 +137,10 @@ class ScenarioEngineFactory:
             if self.plan is not None
             else None
         )
-        return SCHEMES.get(self.scheme)(
+        return make_engine(
+            self.scheme,
             self.app,
             share,
-            geometry=GEOMETRY,
             scale=self.scale,
             seed=self.seed + shard,
             policy=self.policy,
@@ -189,7 +201,7 @@ def prepare_cluster(scenario: Scenario, trace):
         Rebalancer,
     )
 
-    chosen = _chosen_apps(scenario, trace)
+    compiled = _compiled_for(scenario, trace)
     cluster = build_cluster(scenario, trace)
     if scenario.rebalance is not None:
         rebalance = RebalanceConfig.from_dict(scenario.rebalance)
@@ -201,14 +213,6 @@ def prepare_cluster(scenario: Scenario, trace):
         schedule = FaultSchedule.from_dict(scenario.faults)
         if schedule.enabled:
             cluster.attach_faults(FaultInjector(cluster, schedule))
-    compiled = getattr(trace, "compiled", None)
-    if compiled is None:
-        raise ConfigurationError(
-            f"workload {scenario.workload!r} has no compiled trace; "
-            "cluster scenarios need one"
-        )
-    if set(chosen) != set(trace.app_names):
-        compiled = compiled.select_apps(chosen)
     return cluster, compiled
 
 
@@ -272,30 +276,17 @@ def replay_on_trace(
 ) -> Tuple[CacheServer, StatsRegistry, float]:
     """Replay an already-loaded trace under ``scenario``'s scheme.
 
-    Returns ``(server, stats, elapsed_seconds)``. Compiled traces take
-    the allocation-free fast path; plain request iterables (or attached
-    observers) fall back to the object path with identical results.
+    Returns ``(server, stats, elapsed_seconds)``. The compiled trace
+    takes the allocation-free fast path; an attached observer makes
+    :meth:`CacheServer.replay_compiled` fall back to the object path
+    with identical results.
     """
-    chosen = _chosen_apps(scenario, trace)
+    compiled = _compiled_for(scenario, trace)
     server = build_server(scenario, trace)
     if observer is not None:
         server.add_observer(observer)
-    compiled = getattr(trace, "compiled", None)
     started = time.perf_counter()
-    if compiled is not None:
-        if set(chosen) != set(trace.app_names):
-            compiled = compiled.select_apps(chosen)
-        server.replay_compiled(compiled)
-    else:
-        if set(chosen) == set(trace.app_names):
-            stream: Iterable[Request] = trace.requests()
-        else:
-            from repro.workloads.trace import merge_by_time
-
-            stream = merge_by_time(
-                [trace.app_requests(app) for app in chosen]
-            )
-        server.replay(stream)
+    server.replay_compiled(compiled)
     elapsed = time.perf_counter() - started
     return server, server.stats, elapsed
 

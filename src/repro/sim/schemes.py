@@ -116,85 +116,53 @@ def _build_hill(
     )
 
 
-def _build_cliffhanger_variant(
-    app: str,
-    budget_bytes: float,
-    geometry: SlabGeometry,
-    scale: float,
-    seed: int,
-    policy: str,
-    overrides: dict,
-    scheme: str,
-    **variant,
-) -> Engine:
-    if policy != "lru":
-        # Cliff scaling assumes LRU rank semantics; silently ignoring a
-        # requested policy would make policy sweeps lie.
-        raise ConfigurationError(
-            f"scheme {scheme!r} supports only the 'lru' policy, got "
-            f"{policy!r}; use scheme 'hill' to combine hill climbing "
-            f"with other eviction policies"
+#: The combined engine's three schemes: name -> (``--list`` note, the
+#: engine flags that differ from the full system).
+_CLIFFHANGER_VARIANTS = {
+    "cliff-only": (
+        "Talus-style cliff scaling, no hill climbing",
+        {"enable_hill_climbing": False},
+    ),
+    "hill-only": (
+        "Cliffhanger's climber without cliff scaling",
+        {"enable_cliff_scaling": False},
+    ),
+    "cliffhanger": ("full Cliffhanger: cliff scaling + hill climbing", {}),
+}
+
+
+def _build_cliffhanger_variant(scheme: str, variant: Dict[str, bool]):
+    def build(
+        app: str,
+        budget_bytes: float,
+        *,
+        geometry: SlabGeometry,
+        scale: float = 1.0,
+        seed: int = 0,
+        policy: str = "lru",
+        plan: Optional[Dict[int, float]] = None,
+        **overrides,
+    ) -> Engine:
+        if policy != "lru":
+            # Cliff scaling assumes LRU rank semantics; silently ignoring
+            # a requested policy would make policy sweeps lie.
+            raise ConfigurationError(
+                f"scheme {scheme!r} supports only the 'lru' policy, got "
+                f"{policy!r}; use scheme 'hill' to combine hill climbing "
+                f"with other eviction policies"
+            )
+        kwargs = dict(scaled_cliff_kwargs(scale))
+        kwargs.update(overrides)
+        return CliffhangerEngine(
+            app, budget_bytes, geometry, seed=seed, **variant, **kwargs
         )
-    kwargs = dict(scaled_cliff_kwargs(scale))
-    kwargs.update(overrides)
-    return CliffhangerEngine(
-        app, budget_bytes, geometry, seed=seed, **variant, **kwargs
-    )
+
+    return build
 
 
-@register_scheme("cliff-only", "Talus-style cliff scaling, no hill climbing")
-def _build_cliff_only(
-    app: str,
-    budget_bytes: float,
-    *,
-    geometry: SlabGeometry,
-    scale: float = 1.0,
-    seed: int = 0,
-    policy: str = "lru",
-    plan: Optional[Dict[int, float]] = None,
-    **overrides,
-) -> Engine:
-    return _build_cliffhanger_variant(
-        app, budget_bytes, geometry, scale, seed, policy, overrides,
-        scheme="cliff-only", enable_hill_climbing=False,
-    )
-
-
-@register_scheme("hill-only", "Cliffhanger's climber without cliff scaling")
-def _build_hill_only(
-    app: str,
-    budget_bytes: float,
-    *,
-    geometry: SlabGeometry,
-    scale: float = 1.0,
-    seed: int = 0,
-    policy: str = "lru",
-    plan: Optional[Dict[int, float]] = None,
-    **overrides,
-) -> Engine:
-    return _build_cliffhanger_variant(
-        app, budget_bytes, geometry, scale, seed, policy, overrides,
-        scheme="hill-only", enable_cliff_scaling=False,
-    )
-
-
-@register_scheme(
-    "cliffhanger", "full Cliffhanger: cliff scaling + hill climbing"
-)
-def _build_cliffhanger(
-    app: str,
-    budget_bytes: float,
-    *,
-    geometry: SlabGeometry,
-    scale: float = 1.0,
-    seed: int = 0,
-    policy: str = "lru",
-    plan: Optional[Dict[int, float]] = None,
-    **overrides,
-) -> Engine:
-    return _build_cliffhanger_variant(
-        app, budget_bytes, geometry, scale, seed, policy, overrides,
-        scheme="cliffhanger",
+for _scheme, (_note, _variant) in _CLIFFHANGER_VARIANTS.items():
+    register_scheme(_scheme, _note)(
+        _build_cliffhanger_variant(_scheme, _variant)
     )
 
 

@@ -68,6 +68,17 @@ class TestGenericPolicyContract:
         assert policy.remove("a") is False
         assert policy.used == 0
 
+    def test_remove_of_an_evicted_key_reports_absent(self, kind):
+        """Ghost lists (ARC's B1/B2, 2Q's A1out) remember keys, not
+        values: removing one forgets it without claiming residency."""
+        policy = make_policy(kind, 4)
+        for i in range(12):
+            policy.insert(f"k{i}", 1)
+        for i in range(12):
+            resident = f"k{i}" in policy
+            assert policy.remove(f"k{i}") is resident, i
+        assert len(policy) == 0 and policy.used == 0
+
     def test_resize_shrinks_and_evicts(self, kind):
         policy = make_policy(kind, 100)
         evicted_total = 0

@@ -3,8 +3,20 @@
 import pytest
 
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import OpCounter
-from repro.core.engine import CliffhangerEngine, HillClimbEngine
+from repro.cache.stats import (
+    OP_DELETE,
+    OP_GET,
+    OP_SET,
+    OUTCOME_HIT,
+    OUTCOME_SHADOW_HIT,
+    OpCounter,
+)
+from repro.core.engine import (
+    CliffhangerEngine,
+    ClimbingEngine,
+    HillClimbEngine,
+)
+from repro.sim import make_engine
 from repro.workloads.trace import Request
 
 GEO = SlabGeometry.default()
@@ -82,6 +94,46 @@ class TestCommonEngineBehaviour:
         assert engine.ops.inserts == 8
         assert engine.ops.evictions == 8
         assert engine.ops.promotes == 1
+
+
+    def test_only_the_queue_factory_differs(self, engine_cls):
+        """The request path, the start-up pool and the budget hooks are
+        written once, on the shared skeleton."""
+        own = {
+            name
+            for name, value in vars(engine_cls).items()
+            if callable(value)
+        }
+        assert own - {"shadow_overhead_bytes"} == {"__init__", "_make_queue"}
+        assert engine_cls.process_fast is ClimbingEngine.process_fast
+
+    def test_routes_are_charged_per_scheme(self, engine_cls):
+        """Hill climbing has no partitions to route between; the combined
+        engine routes once per request, whatever the op."""
+        engine = engine_cls("a", 1 << 20, GEO)
+        for op in (OP_SET, OP_GET, OP_GET, OP_DELETE):
+            engine.process_fast("k", op, 2, GEO.chunk_size(2), 120)
+        expected = 4 if engine_cls is CliffhangerEngine else 0
+        assert engine.ops.routes == expected
+
+
+@pytest.mark.parametrize(
+    "scheme", ["hill", "hill-only", "cliff-only", "cliffhanger", "default"]
+)
+def test_delete_of_a_shadow_only_key_is_a_miss(scheme):
+    """A shadow queue remembers keys, not values: DELETE of a key that
+    only a shadow still holds must answer like stock FCFS (the
+    ``default`` control) -- not found -- while still forgetting it."""
+    chunk = GEO.chunk_size(2)
+    engine = make_engine(scheme, "a", 8 * chunk)
+    for i in range(40):
+        engine.process_fast(f"k{i}", OP_SET, 2, chunk, 120)
+    # k39 is resident, k20 was evicted (into a shadow segment, if any).
+    assert engine.process_fast("k39", OP_DELETE, 2, chunk, 120) & OUTCOME_HIT
+    assert not engine.process_fast("k20", OP_DELETE, 2, chunk, 120) & OUTCOME_HIT
+    # The shadow entry is gone too: the next GET is a plain miss.
+    code = engine.process_fast("k20", OP_GET, 2, chunk, 120)
+    assert not code & (OUTCOME_HIT | OUTCOME_SHADOW_HIT)
 
 
 class TestHillClimbingAcrossClasses:

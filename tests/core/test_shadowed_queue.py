@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.policies import make_policy
+from repro.core.cliff_scaling import ACCESS_HILL_FIND, ACCESS_HIT, ACCESS_MISS
 from repro.core.managed import ShadowedQueue
 
 
@@ -20,17 +21,17 @@ class TestShadowedQueue:
         queue.insert("a", 1)
         queue.insert("b", 1)
         queue.insert("c", 1)  # evicts a into the shadow
-        assert queue.access("c") == ShadowedQueue.HIT
-        assert queue.access("a") == ShadowedQueue.SHADOW_HIT
-        assert queue.access("zz") is ShadowedQueue.MISS
+        assert queue.access("c") == ACCESS_HIT
+        assert queue.access("a") == ACCESS_HILL_FIND
+        assert queue.access("zz") == ACCESS_MISS
 
     def test_shadow_hit_removes_from_shadow(self):
         queue = make(capacity=1, shadow=10)
         queue.insert("a", 1)
         queue.insert("b", 1)
-        assert queue.access("a") == ShadowedQueue.SHADOW_HIT
+        assert queue.access("a") == ACCESS_HILL_FIND
         # Second probe without a refill is a full miss.
-        assert queue.access("a") is ShadowedQueue.MISS
+        assert queue.access("a") == ACCESS_MISS
 
     def test_shadow_counts_hits(self):
         queue = make(capacity=1, shadow=10)
@@ -54,7 +55,7 @@ class TestShadowedQueue:
         assert evicted == 2
         assert queue.used_bytes <= 2
         # The evicted keys are shadow-visible.
-        assert queue.access("a") == ShadowedQueue.SHADOW_HIT
+        assert queue.access("a") == ACCESS_HILL_FIND
 
     def test_overhead_accounts_keys_only(self):
         queue = make(capacity=1, shadow=100)
@@ -69,14 +70,15 @@ class TestShadowedQueue:
         queue.insert("c", 1)  # a -> shadow
         queue.insert("a", 1)  # refill
         assert "a" not in queue.shadow
-        assert queue.access("a") == ShadowedQueue.HIT
+        assert queue.access("a") == ACCESS_HIT
 
     def test_remove_clears_everywhere(self):
         queue = make(capacity=1, shadow=10)
         queue.insert("a", 1)
         queue.insert("b", 1)  # a in shadow
-        assert queue.remove("a") is True
-        assert queue.access("a") is ShadowedQueue.MISS
+        assert queue.remove("a") is False  # a shadow never claims residency
+        assert "a" not in queue.shadow
+        assert queue.access("a") == ACCESS_MISS
 
     @pytest.mark.parametrize("policy", ["lru", "lfu", "arc", "facebook"])
     def test_any_policy_supported(self, policy):
@@ -84,4 +86,4 @@ class TestShadowedQueue:
         for key in "abcde":
             queue.insert(key, 1)
         results = {queue.access(key) for key in "abcde"}
-        assert ShadowedQueue.HIT in results
+        assert ACCESS_HIT in results

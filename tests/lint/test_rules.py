@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import collect_files, rules_by_name, run_rules
+from repro.lint.engine import REPLAY_PACKAGES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -51,9 +52,12 @@ def test_clean_tree_has_no_findings():
 
 
 def test_determinism_fires_on_every_hazard():
-    findings = findings_for("firing", "determinism")
     path = "src/repro/cache/nondeterministic.py"
-    assert all(finding.path == path for finding in findings)
+    findings = [
+        finding
+        for finding in findings_for("firing", "determinism")
+        if finding.path == path
+    ]
     messages = "\n".join(finding.message for finding in findings)
     assert "time.time" in messages
     assert "datetime.datetime.now" in messages
@@ -68,8 +72,24 @@ def test_determinism_fires_on_every_hazard():
     assert len(findings) == 10
 
 
+def test_determinism_covers_the_cliffhanger_core():
+    """``core/`` holds the engines and the climber's RNG: it is replay
+    path too (as are ``allocation/`` and ``profiling/``)."""
+    findings = [
+        finding
+        for finding in findings_for("firing", "determinism")
+        if finding.path == "src/repro/core/unseeded_climber.py"
+    ]
+    messages = "\n".join(finding.message for finding in findings)
+    assert "random.Random() without an explicit seed" in messages
+    assert "time.time" in messages
+    assert "random.choice" in messages
+    assert len(findings) == 3
+    assert set(REPLAY_PACKAGES) >= {"core", "allocation", "profiling"}
+
+
 def test_determinism_ignores_non_replay_modules(tmp_path):
-    # The same hazards outside cache/cluster/workloads/sim are allowed:
+    # The same hazards outside the replay packages are allowed:
     # perfmodel and serve legitimately read wall clocks.
     source = FIXTURES / "firing/src/repro/cache/nondeterministic.py"
     target = tmp_path / "src/repro/perfmodel/clock.py"

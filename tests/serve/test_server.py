@@ -28,6 +28,7 @@ from repro.serve.server import (
     TCPClient,
 )
 from repro.serve.service import CacheService
+from repro.sim import make_engine
 
 GEO = SlabGeometry.default()
 
@@ -336,6 +337,32 @@ class TestMemoryTransport:
                 b"get t u\r\n"
             )
             assert out == b"CLIENT_ERROR expiry is not supported\r\nEND\r\n"
+            await server.close()
+
+        asyncio.run(scenario())
+
+    def test_delete_of_a_shadow_only_key_answers_not_found(self):
+        """A key the Cliffhanger engine remembers only in a shadow
+        segment is gone as far as a client can tell: ``delete`` must say
+        NOT_FOUND (as under ``default``), not DELETED."""
+        async def scenario():
+            cluster = Cluster(ClusterConfig(shards=1), GEO)
+            cluster.add_app(
+                "serve",
+                8 * GEO.chunk_size(2),
+                lambda shard, share: make_engine("cliffhanger", "serve", share),
+            )
+            server = CacheServerProcess(CacheService(cluster))
+            await server.start()
+            client = MemoryClient(server)
+            for i in range(40):
+                stored = await client.request(
+                    b"set k%d 0 0 100\r\n%s\r\n" % (i, b"x" * 100)
+                )
+                assert stored == b"STORED\r\n"
+            assert await client.request(b"delete k39\r\n") == b"DELETED\r\n"
+            assert await client.request(b"delete k20\r\n") == b"NOT_FOUND\r\n"
+            assert await client.request(b"get k20\r\n") == b"END\r\n"
             await server.close()
 
         asyncio.run(scenario())
