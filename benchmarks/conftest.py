@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import BENCH_SCALE, ExperimentResult
+from repro.experiments.common import ExperimentResult
+from repro.sim import BENCH_SCALE
 from repro.experiments.registry import get_runner
 
 

@@ -52,8 +52,7 @@ from repro.cluster import (
     Rebalancer,
     build_routing_plan,
 )
-from repro.experiments.common import GEOMETRY, make_engine
-from repro.sim import load_workload
+from repro.sim import GEOMETRY, load_workload, make_engine
 from tests.cluster.helpers import counters_snapshot
 from tests.cluster.reference import replay_reference
 

@@ -24,13 +24,8 @@ from pathlib import Path
 import pytest
 
 from repro.cache.server import CacheServer
-from repro.experiments.common import (
-    BENCH_SCALE,
-    GEOMETRY,
-    load_trace,
-    make_engine,
-)
 from repro.experiments.registry import get_runner
+from repro.sim import BENCH_SCALE, GEOMETRY, load_workload, make_engine
 
 ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_replay.json"
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
@@ -65,7 +60,7 @@ def _calibration_ops_per_sec(iterations: int = 200_000) -> float:
 
 @pytest.fixture(scope="module")
 def bench_trace():
-    return load_trace(scale=BENCH_SCALE, seed=0)
+    return load_workload("memcachier", scale=BENCH_SCALE, seed=0)
 
 
 @pytest.mark.parametrize("scheme", ENGINE_SCHEMES)

@@ -24,7 +24,6 @@ the paper's evaluation.
 """
 
 from repro.cache.engines import FirstComeFirstServeEngine, PlannedEngine
-from repro.cache.item import CacheItem
 from repro.cache.log_structured import GlobalLRUEngine
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
@@ -41,7 +40,6 @@ from repro.workloads.trace import Request
 __version__ = "1.0.0"
 
 __all__ = [
-    "CacheItem",
     "CacheServer",
     "SlabGeometry",
     "FirstComeFirstServeEngine",

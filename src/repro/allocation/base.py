@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.common.errors import AllocationError
 from repro.profiling.hrc import HitRateCurve
@@ -58,7 +58,22 @@ class AllocationPlan:
 
 
 class Allocator(abc.ABC):
-    """Base class for curve-driven allocators."""
+    """Base class for curve-driven allocators.
+
+    Args:
+        granularity: Allocation step size, in the curves' size unit.
+        minimum: Floor given to every queue before the ascent starts.
+    """
+
+    def __init__(self, granularity: float, minimum: float = 0.0) -> None:
+        if granularity <= 0:
+            raise AllocationError(
+                f"granularity must be positive, got {granularity}"
+            )
+        if minimum < 0:
+            raise AllocationError(f"minimum must be >= 0, got {minimum}")
+        self.granularity = granularity
+        self.minimum = minimum
 
     @abc.abstractmethod
     def allocate(
@@ -97,6 +112,42 @@ class Allocator(abc.ABC):
                 f"negative frequencies for {sorted(negative, key=str)}"
             )
 
+    def _start(
+        self,
+        curves: Mapping[QueueId, HitRateCurve],
+        frequencies: Mapping[QueueId, float],
+        total: float,
+        weights: Optional[Mapping[QueueId, float]],
+    ) -> Tuple[
+        List[QueueId], Dict[QueueId, float], float, Callable[[QueueId], float]
+    ]:
+        """Validate the inputs and give every queue its floor.
+
+        Returns ``(queue_ids, allocations, remaining, weight_of)``: the
+        floor-filled allocation, the budget left for the ascent and the
+        ``w_i`` lookup.
+        """
+        self._validate(curves, frequencies, total)
+        queue_ids = list(curves)
+        if self.minimum * len(queue_ids) > total:
+            raise AllocationError(
+                f"minimum {self.minimum} x {len(queue_ids)} queues exceeds "
+                f"budget {total}"
+            )
+        allocations: Dict[QueueId, float] = {
+            queue_id: self.minimum for queue_id in queue_ids
+        }
+        remaining = total - self.minimum * len(queue_ids)
+        return queue_ids, allocations, remaining, self._weight_of(weights)
+
+    @staticmethod
+    def _weight_of(
+        weights: Optional[Mapping[QueueId, float]],
+    ) -> Callable[[QueueId], float]:
+        if weights:
+            return lambda q: weights.get(q, 1.0)
+        return lambda q: 1.0
+
     @staticmethod
     def _finish_plan(
         allocations: Dict[QueueId, float],
@@ -108,9 +159,7 @@ class Allocator(abc.ABC):
             queue_id: curves[queue_id].hit_rate(size)
             for queue_id, size in allocations.items()
         }
-        weight_of = (lambda q: weights.get(q, 1.0)) if weights else (
-            lambda q: 1.0
-        )
+        weight_of = Allocator._weight_of(weights)
         numerator = sum(
             weight_of(q) * frequencies[q] * rates[q] for q in allocations
         )

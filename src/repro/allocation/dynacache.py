@@ -20,10 +20,9 @@ Both paper-documented failure modes are preserved by construction:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.allocation.base import AllocationPlan, Allocator, QueueId
-from repro.common.errors import AllocationError
 from repro.profiling.hrc import HitRateCurve
 
 
@@ -40,16 +39,6 @@ class DynacacheSolver(Allocator):
             class 0 under the plan).
     """
 
-    def __init__(self, granularity: float, minimum: float = 0.0) -> None:
-        if granularity <= 0:
-            raise AllocationError(
-                f"granularity must be positive, got {granularity}"
-            )
-        if minimum < 0:
-            raise AllocationError(f"minimum must be >= 0, got {minimum}")
-        self.granularity = granularity
-        self.minimum = minimum
-
     def allocate(
         self,
         curves: Mapping[QueueId, HitRateCurve],
@@ -57,19 +46,8 @@ class DynacacheSolver(Allocator):
         total: float,
         weights: Optional[Mapping[QueueId, float]] = None,
     ) -> AllocationPlan:
-        self._validate(curves, frequencies, total)
-        queue_ids = list(curves)
-        if self.minimum * len(queue_ids) > total:
-            raise AllocationError(
-                f"minimum {self.minimum} x {len(queue_ids)} queues exceeds "
-                f"budget {total}"
-            )
-        allocations: Dict[QueueId, float] = {
-            queue_id: self.minimum for queue_id in queue_ids
-        }
-        remaining = total - self.minimum * len(queue_ids)
-        weight_of = (lambda q: weights.get(q, 1.0)) if weights else (
-            lambda q: 1.0
+        queue_ids, allocations, remaining, weight_of = self._start(
+            curves, frequencies, total, weights
         )
         step = self.granularity
 

@@ -10,25 +10,14 @@ making it the natural oracle-style comparator for cliff scaling.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.allocation.base import AllocationPlan, Allocator, QueueId
-from repro.common.errors import AllocationError
 from repro.profiling.hrc import HitRateCurve
 
 
 class LookAheadAllocator(Allocator):
     """Chunked LookAhead over full hit-rate curves."""
-
-    def __init__(self, granularity: float, minimum: float = 0.0) -> None:
-        if granularity <= 0:
-            raise AllocationError(
-                f"granularity must be positive, got {granularity}"
-            )
-        if minimum < 0:
-            raise AllocationError(f"minimum must be >= 0, got {minimum}")
-        self.granularity = granularity
-        self.minimum = minimum
 
     def _best_stride(
         self,
@@ -60,19 +49,8 @@ class LookAheadAllocator(Allocator):
         total: float,
         weights: Optional[Mapping[QueueId, float]] = None,
     ) -> AllocationPlan:
-        self._validate(curves, frequencies, total)
-        queue_ids = list(curves)
-        if self.minimum * len(queue_ids) > total:
-            raise AllocationError(
-                f"minimum {self.minimum} x {len(queue_ids)} queues exceeds "
-                f"budget {total}"
-            )
-        allocations: Dict[QueueId, float] = {
-            queue_id: self.minimum for queue_id in queue_ids
-        }
-        remaining = total - self.minimum * len(queue_ids)
-        weight_of = (lambda q: weights.get(q, 1.0)) if weights else (
-            lambda q: 1.0
+        queue_ids, allocations, remaining, weight_of = self._start(
+            curves, frequencies, total, weights
         )
         while remaining >= self.granularity:
             best: Tuple[float, float, Optional[QueueId]] = (0.0, 0.0, None)

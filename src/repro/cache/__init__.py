@@ -2,11 +2,11 @@
 
 This package implements the systems the paper's algorithms run on top of:
 
-* :mod:`repro.cache.item` -- the cache item model (key, sizes, overhead).
 * :mod:`repro.cache.keyqueue` -- weighted ordered key queues and chained
   queues (physical queue + probe + shadow extensions), the single data
   structure from which eviction queues and shadow queues are built.
-* :mod:`repro.cache.slabs` -- slab-class geometry (Memcached's size ladder).
+* :mod:`repro.cache.slabs` -- slab-class geometry (Memcached's size ladder)
+  and the one request -> ``(slab_class, chunk, item_bytes)`` rule.
 * :mod:`repro.cache.policies` -- eviction policies (LRU, LFU, ARC,
   Facebook mid-insertion, LRU-K, 2Q, SLRU).
 * :mod:`repro.cache.engines` -- memory-management engines: the default
@@ -19,13 +19,11 @@ This package implements the systems the paper's algorithms run on top of:
 * :mod:`repro.cache.stats` -- hit/miss accounting and time series.
 """
 
-from repro.cache.item import CacheItem
 from repro.cache.keyqueue import KeyQueue, QueueChain
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import AccessOutcome, HitMissCounter, TimelineRecorder
 
 __all__ = [
-    "CacheItem",
     "KeyQueue",
     "QueueChain",
     "SlabGeometry",

@@ -73,13 +73,10 @@ class Engine(abc.ABC):
 
     def process(self, request: Request) -> AccessOutcome:
         """Apply one request and report its outcome (object API)."""
-        class_index, chunk = self._chunk_and_class(request)
         code = self.process_fast(
             request.key,
             OP_CODES[request.op],
-            class_index,
-            chunk,
-            request.key_size + request.value_size,
+            *self.geometry.row(request.key_size, request.value_size),
         )
         return AccessOutcome(
             hit=bool(code & OUTCOME_HIT),
@@ -98,9 +95,10 @@ class Engine(abc.ABC):
         """Apply one pre-classified request; return a packed outcome code.
 
         ``op`` is an integer op code (:data:`repro.cache.stats.OP_GET`
-        etc.), ``class_index``/``chunk`` the precomputed slab class and
-        chunk size, ``item_bytes`` the key+value byte size (used by
-        engines without chunk rounding). The return value packs hit /
+        etc.); ``class_index``, ``chunk`` and ``item_bytes`` are the row
+        :meth:`repro.cache.slabs.SlabGeometry.row` / ``rows`` computes
+        (``item_bytes`` is key + value, header excluded; only engines
+        without chunk rounding read it). The return value packs hit /
         shadow-hit flags, the slab class charged for statistics and the
         eviction count (see :func:`repro.cache.stats.pack_outcome`).
         """
@@ -134,20 +132,6 @@ class Engine(abc.ABC):
         """Subclasses shrink internal queues until within budget; returns
         evicted item count. Default: nothing to do."""
         return 0
-
-    # ------------------------------------------------------------------
-
-    def _chunk_and_class(self, request: Request) -> Tuple[int, int]:
-        """Map a request to (slab class, chunk size)."""
-        from repro.cache.item import CacheItem
-
-        item = CacheItem(
-            key=request.key,
-            value_size=request.value_size,
-            key_size=request.key_size,
-        )
-        class_index = self.geometry.class_for_size(item.total_size)
-        return class_index, self.geometry.chunk_size(class_index)
 
 
 class SlabEngineBase(Engine):

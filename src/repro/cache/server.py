@@ -111,16 +111,16 @@ class CacheServer:
         (:func:`repro.cache.kernel.replay_runs`): one run per app, each
         looping :meth:`Engine.process_fast` over integer columns and
         tallying packed outcome codes that are flushed to the registry
-        once. Per-request observers need
-        :class:`Request`/:class:`AccessOutcome` objects, so their
-        presence falls back to the object path (same results).
+        once. No :class:`Request`/:class:`AccessOutcome` objects exist
+        on this path, so a server with observers attached is refused.
         """
         app_column = np.asarray(trace.app_ids, dtype=np.int64)
-        # Before the observer fallback: the object path would silently
-        # re-classify a trace compiled for a different slab ladder.
         self.check_replayable(trace, app_column)
         if self._observers:
-            return self.replay(trace.iter_requests())
+            raise ConfigurationError(
+                "replay_compiled never calls observers; use "
+                "replay(trace.iter_requests()) on a server that has them"
+            )
         servers = (self,)
         runs = replay_runs(
             servers,

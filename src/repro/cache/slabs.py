@@ -5,6 +5,12 @@ class stores items whose total size falls into a fixed range and allocates
 fixed-size chunks (paper section 2: "< 128B, 128-256B, etc."). The
 reproduction models each slab class as an eviction queue whose capacity is
 measured in bytes and whose items each weigh exactly one chunk.
+
+:class:`SlabGeometry` also owns the one rule that turns a request's sizes
+into the ``(slab_class, chunk, item_bytes)`` row
+:meth:`repro.cache.engines.Engine.process_fast` takes; every door into
+the engines (trace compile, live batches, the object API, the wire
+service) classifies through it.
 """
 
 from __future__ import annotations
@@ -13,7 +19,10 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+import numpy as np
+
 from repro.common.constants import (
+    ITEM_OVERHEAD_BYTES,
     MAX_CHUNK_BYTES,
     MIN_CHUNK_BYTES,
     NUM_SLAB_CLASSES,
@@ -29,6 +38,16 @@ class SlabGeometry:
     size is >= ``s`` and it occupies the whole chunk (internal
     fragmentation is real memory, and the simulator charges for it just
     like Memcached does).
+
+    **The request -> row rule.** An item's total size is ``key_size +
+    value_size + ITEM_OVERHEAD_BYTES`` (Memcached's item header rides in
+    the chunk); its ``slab_class`` is ``bisect_left(chunk_sizes, total)``,
+    its ``chunk`` is ``chunk_sizes[slab_class]`` and its ``item_bytes`` --
+    what an engine without chunk rounding charges -- is ``key_size +
+    value_size``, header excluded. :meth:`row` is the scalar form,
+    :meth:`rows` the vectorised one; both raise :class:`CacheError` for
+    an item past the largest chunk. :meth:`class_for_size` is the
+    primitive they are tested against.
     """
 
     chunk_sizes: Tuple[int, ...]
@@ -125,6 +144,35 @@ class SlabGeometry:
                 f"{self.chunk_sizes[-1]}B"
             )
         return idx
+
+    def row(self, key_size: int, value_size: int) -> Tuple[int, int, int]:
+        """``(slab_class, chunk, item_bytes)`` of one item (the rule in
+        the class docstring, scalar form)."""
+        item_bytes = key_size + value_size
+        class_index = self.class_for_size(item_bytes + ITEM_OVERHEAD_BYTES)
+        return class_index, self.chunk_sizes[class_index], item_bytes
+
+    def rows(
+        self, key_sizes: np.ndarray, value_sizes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`row` over two integer columns at once: the
+        ``(slab_classes, chunk_bytes, item_bytes)`` columns."""
+        item_bytes = key_sizes + value_sizes
+        totals = item_bytes + ITEM_OVERHEAD_BYTES
+        if totals.size:
+            smallest, largest = int(totals.min()), int(totals.max())
+            if smallest <= 0:
+                raise CacheError(
+                    f"item size must be positive, got {smallest}"
+                )
+            if largest > self.chunk_sizes[-1]:
+                raise CacheError(
+                    f"item of {largest}B exceeds largest chunk "
+                    f"{self.chunk_sizes[-1]}B"
+                )
+        ladder = np.asarray(self.chunk_sizes, dtype=np.int64)
+        classes = np.searchsorted(ladder, totals, side="left")
+        return classes, ladder[classes], item_bytes
 
     def class_ranges(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(class_index, min_size, max_size)`` for documentation

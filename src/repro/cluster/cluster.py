@@ -40,8 +40,7 @@ from repro.cache.kernel import ReplayColumns, flush_runs, replay_runs
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_CODES, HitMissCounter, StatsRegistry
-from repro.common.constants import ITEM_OVERHEAD_BYTES
-from repro.common.errors import CacheError, ConfigurationError
+from repro.common.errors import ConfigurationError
 from repro.common.spec import Spec, spec_field
 from repro.cluster.hashring import HashRing
 from repro.cluster.routing import (
@@ -573,7 +572,10 @@ class Cluster:
         ``ops`` entries are ``"get"``/``"set"``/``"delete"`` or their
         integer codes; ``ops``, ``value_sizes``, ``apps`` and
         ``key_sizes`` may each be a scalar broadcast across the batch.
-        ``key_sizes`` defaults to each key's string length.
+        ``key_sizes`` defaults to each key's string length. The sizes
+        become ``process_fast`` rows through
+        :meth:`~repro.cache.slabs.SlabGeometry.rows`, exactly as a
+        compiled trace's do (``item_bytes`` is key + value).
         """
         count = len(keys)
         op_column = self._batch_ops(ops, count)
@@ -664,9 +666,12 @@ class Cluster:
         key_sizes: Union[None, int, Sequence[int]],
         count: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized slab classification, mirroring
-        :meth:`~repro.cache.slabs.SlabGeometry.class_for_size`'s
-        ``bisect_left`` (and its :class:`CacheError` contract) exactly."""
+        """The batch's ``(slab_classes, chunk_bytes, item_bytes)``
+        columns. Checks the caller's size columns (broadcast, length,
+        no negative value size); the classification itself is
+        :meth:`~repro.cache.slabs.SlabGeometry.rows`, the rule
+        :class:`~repro.workloads.compiled.CompiledTrace` columns come
+        from, so live and offline rows are equal by construction."""
         value_column = np.asarray(value_sizes, dtype=np.int64)
         if value_column.ndim == 0:
             value_column = np.full(count, int(value_column), dtype=np.int64)
@@ -690,16 +695,7 @@ class Cluster:
                     f"process_batch got {count} key(s) but "
                     f"{len(key_column)} key size(s)"
                 )
-        item_column = key_column + value_column + ITEM_OVERHEAD_BYTES
-        ladder = np.asarray(self.geometry.chunk_sizes, dtype=np.int64)
-        class_column = np.searchsorted(ladder, item_column, side="left")
-        oversized = class_column >= len(ladder)
-        if np.any(oversized):
-            worst = int(item_column[oversized].max())
-            raise CacheError(
-                f"item of {worst}B exceeds largest chunk {int(ladder[-1])}B"
-            )
-        return class_column, ladder[class_column], item_column
+        return self.geometry.rows(key_column, value_column)
 
     def replay_compiled(
         self, trace, plan: Optional[RoutingPlan] = None

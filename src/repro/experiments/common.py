@@ -1,12 +1,9 @@
-"""Shared experiment harness.
+"""Shared experiment bookkeeping.
 
-Since the Scenario API redesign this module is a thin layer over
-:mod:`repro.sim`: the engine factory, trace loading, profiling and the
-replay helper all dispatch through the scheme/workload registries, and
-``replay_apps`` is a compatibility wrapper around
-:func:`repro.sim.replay_on_trace`. What remains here is the experiment
-bookkeeping itself: :class:`ExperimentResult` rendering/serialization and
-miss-reduction arithmetic.
+:class:`ExperimentResult` rendering/serialization, plus the
+``miss_reduction`` arithmetic and ``FULL_SCALE`` default of
+:mod:`repro.sim` for the runners that import them from here. Engines,
+traces, profiling and replay all live in :mod:`repro.sim`.
 """
 
 from __future__ import annotations
@@ -14,58 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
-from repro.cache.server import CacheServer
-from repro.cache.stats import StatsRegistry
-from repro.sim import (
-    BENCH_SCALE,
-    FULL_SCALE,
-    GEOMETRY,
-    CachedTrace,
-    Scenario,
-    classify,
-    load_workload,
-    make_engine,
-    miss_reduction,
-    profile_app_classes,
-    replay_on_trace,
-    scaled_cliff_kwargs,
-    solver_plan_for_app,
-)
+from repro.sim import FULL_SCALE, miss_reduction
 
-__all__ = [
-    "BENCH_SCALE",
-    "CachedTrace",
-    "ExperimentResult",
-    "FULL_SCALE",
-    "GEOMETRY",
-    "classify",
-    "hit_rates_by_app",
-    "load_trace",
-    "make_engine",
-    "miss_reduction",
-    "profile_app_classes",
-    "replay_apps",
-    "scaled_cliff_kwargs",
-    "solver_plan_for_app",
-]
-
-
-def load_trace(
-    scale: float = FULL_SCALE,
-    seed: int = 0,
-    apps: Optional[List[int]] = None,
-    total_requests: Optional[int] = None,
-) -> CachedTrace:
-    """Build (or fetch from cache) a compiled synthetic Memcachier trace."""
-    return load_workload(
-        "memcachier",
-        scale=scale,
-        seed=seed,
-        apps=apps,
-        total_requests=total_requests,
-    )
+__all__ = ["ExperimentResult", "FULL_SCALE", "miss_reduction"]
 
 
 @dataclass
@@ -132,44 +82,3 @@ def _format_cell(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)
-
-
-# ---------------------------------------------------------------------------
-# Replay helpers
-# ---------------------------------------------------------------------------
-
-
-def replay_apps(
-    trace,
-    scheme: str,
-    apps: Optional[Sequence[str]] = None,
-    plans: Optional[Dict[str, Dict[int, float]]] = None,
-    budgets: Optional[Dict[str, float]] = None,
-    policy: str = "lru",
-    seed: int = 0,
-    observer=None,
-    **engine_overrides,
-) -> Tuple[CacheServer, StatsRegistry]:
-    """Replay an already-loaded trace with one engine scheme per app.
-
-    Each application runs under its own engine with its own reservation
-    (the Memcachier model). ``plans`` supplies per-app solver plans for
-    the ``planned`` scheme; ``budgets`` overrides reservations and may
-    be partial -- unlisted apps fall back to ``trace.reservations``.
-    """
-    scenario = Scenario(
-        scheme=scheme,
-        policy=policy,
-        scale=trace.scale,
-        seed=seed,
-        apps=list(apps) if apps is not None else None,
-        budgets=dict(budgets) if budgets is not None else None,
-        plans=plans,
-        engine_overrides=engine_overrides,
-    )
-    server, stats, _elapsed = replay_on_trace(scenario, trace, observer=observer)
-    return server, stats
-
-
-def hit_rates_by_app(stats: StatsRegistry, apps: Sequence[str]) -> Dict[str, float]:
-    return {app: stats.app_hit_rate(app) for app in apps}

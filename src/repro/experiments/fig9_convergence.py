@@ -14,9 +14,9 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.table4_combined import pinned_plan
 from repro.sim import (
     FULL_SCALE,
+    GEOMETRY,
     Scenario,
     build_server,
-    classify,
     load_workload,
 )
 
@@ -43,7 +43,9 @@ def run(scale: float = FULL_SCALE, seed: int = 0) -> ExperimentResult:
     window = {"hits": 0, "gets": 0}
 
     def observer(request, outcome):
-        if request.op != "get" or classify(request) != SLAB_CLASS:
+        if request.op != "get":
+            return
+        if GEOMETRY.row(request.key_size, request.value_size)[0] != SLAB_CLASS:
             return
         window["gets"] += 1
         window["hits"] += 1 if outcome.hit else 0

@@ -11,9 +11,10 @@ donates memory to the starved application 2, whose hit rate jumps
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.allocation.dynacache import DynacacheSolver
+from repro.cache.stats import OP_GET
 from repro.experiments.common import ExperimentResult
 from repro.profiling.hrc import HitRateCurve
 from repro.profiling.stack_distance import StackDistanceProfiler
@@ -22,25 +23,29 @@ from repro.sim import FULL_SCALE, Scenario, load_workload, run_scenario
 APPS = (1, 2, 3, 4, 5)
 
 
-def _app_byte_curves(trace) -> Dict[str, HitRateCurve]:
-    """Byte-weighted stack-distance curve per application."""
+def _app_byte_curves(
+    trace,
+) -> Tuple[Dict[str, HitRateCurve], Dict[str, int]]:
+    """Byte-weighted stack-distance curve and GET count per application."""
     curves = {}
+    frequencies = {}
     for app in trace.app_names:
+        compiled = trace.compiled_for(app)
         profiler = StackDistanceProfiler()
         gets = 0
-        for request in trace.app_requests(app):
-            if request.op != "get":
+        for key, op, item_bytes in zip(
+            compiled.keys, compiled.op_codes, compiled.item_bytes
+        ):
+            if op != OP_GET:
                 continue
             gets += 1
-            profiler.record(
-                request.key,
-                weight=float(request.key_size + request.value_size),
-            )
+            profiler.record(key, weight=float(item_bytes))
+        frequencies[app] = gets
         if gets >= 2:
             curves[app] = HitRateCurve.from_stack_distances(
                 profiler.distances, unit="bytes"
             )
-    return curves
+    return curves, frequencies
 
 
 def run(scale: float = FULL_SCALE, seed: int = 0) -> ExperimentResult:
@@ -58,13 +63,7 @@ def run(scale: float = FULL_SCALE, seed: int = 0) -> ExperimentResult:
         scheme="default",
     )
     original = run_scenario(base)
-    curves = _app_byte_curves(trace)
-    frequencies = {
-        app: sum(
-            1 for r in trace.app_requests(app) if r.op == "get"
-        )
-        for app in names
-    }
+    curves, frequencies = _app_byte_curves(trace)
     solver = DynacacheSolver(granularity=max(4096.0, total_memory / 512))
     plan = solver.allocate(curves, frequencies, total_memory)
     new_budgets = {

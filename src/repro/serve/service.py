@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.stats import OP_CODES, OUTCOME_HIT
-from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import CacheError, ConfigurationError
 from repro.serve.protocol import (
     DELETED,
@@ -123,12 +122,13 @@ class CacheService:
         # row for the same key must be sized as if they had already run,
         # or where a wake cuts the stream would show in the counters.
         resized: Dict[str, int] = {}
-        largest_chunk = self.cluster.geometry.chunk_sizes[-1]
+        row = self.cluster.geometry.row
         for index, command in enumerate(commands):
             if command.op == "set":
                 key = command.keys[0]
-                total = len(key) + len(command.data) + ITEM_OVERHEAD_BYTES
-                if total > largest_chunk:
+                try:
+                    row(len(key), len(command.data))
+                except CacheError:
                     preset[index] = server_error("object too large for cache")
                     continue
                 keys.append(key)

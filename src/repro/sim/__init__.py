@@ -39,12 +39,8 @@ from repro.sim.registries import (
 )
 from repro.sim.scenario import Scenario, ScenarioResult, miss_reduction
 from repro.sim.schemes import make_engine, scaled_cliff_kwargs
-from repro.sim.planning import (
-    classify,
-    profile_app_classes,
-    solver_plan_for_app,
-)
-from repro.sim.workloads import CachedTrace, SyntheticTrace, load_workload
+from repro.sim.planning import profile_app_classes, solver_plan_for_app
+from repro.sim.workloads import SyntheticTrace, load_workload
 from repro.sim import dynamic as _dynamic  # registers the dynamic workloads
 from repro.sim.runner import (
     build_cluster,
@@ -62,7 +58,6 @@ __all__ = [
     "Registry",
     "SCHEMES",
     "WORKLOADS",
-    "CachedTrace",
     "Scenario",
     "ScenarioResult",
     "Sweep",
@@ -70,7 +65,6 @@ __all__ = [
     "SyntheticTrace",
     "build_cluster",
     "build_server",
-    "classify",
     "list_schemes",
     "list_workloads",
     "load_workload",

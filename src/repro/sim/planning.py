@@ -9,11 +9,10 @@ figure/table runners that inspect curves directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.allocation.dynacache import DynacacheSolver
 from repro.allocation.lookahead import LookAheadAllocator
-from repro.cache.item import CacheItem
 from repro.cache.stats import OP_GET
 from repro.common.errors import ConfigurationError
 from repro.profiling.hrc import HitRateCurve
@@ -21,30 +20,18 @@ from repro.profiling.mimir import MimirProfiler
 from repro.profiling.stack_distance import StackDistanceProfiler
 from repro.sim.defaults import GEOMETRY
 from repro.workloads.compiled import CompiledTrace
-from repro.workloads.trace import Request
-
-
-def classify(request: Request) -> int:
-    """Slab class of one request (shared with the engines)."""
-    item = CacheItem(
-        key=request.key,
-        value_size=request.value_size,
-        key_size=request.key_size,
-    )
-    return GEOMETRY.class_for_size(item.total_size)
 
 
 def profile_app_classes(
-    requests: Union[Iterable[Request], CompiledTrace],
+    trace: CompiledTrace,
     estimator: str = "exact",
 ) -> Tuple[Dict[int, HitRateCurve], Dict[int, int]]:
-    """Per-slab-class hit-rate curves (size axis: items) and GET counts.
+    """Per-slab-class hit-rate curves (size axis: items) and GET counts
+    of a compiled trace.
 
-    ``requests`` may be a plain request iterable or a
-    :class:`CompiledTrace` (whose precomputed slab classes skip the
-    per-request :func:`classify` allocation). ``estimator``: ``exact``
-    uses Mattson stack distances; ``mimir`` the bucket estimator Dynacache
-    really used (coarser, reproducing its estimation error).
+    ``estimator``: ``exact`` uses Mattson stack distances; ``mimir`` the
+    bucket estimator Dynacache really used (coarser, reproducing its
+    estimation error).
     """
     if estimator == "exact":
         make = StackDistanceProfiler
@@ -54,28 +41,16 @@ def profile_app_classes(
         raise ConfigurationError(f"unknown estimator {estimator!r}")
     profilers: Dict[int, object] = {}
     frequencies: Dict[int, int] = {}
-    if isinstance(requests, CompiledTrace):
-        trace = requests
-        for key, op, class_index in zip(
-            trace.keys, trace.op_codes, trace.slab_classes
-        ):
-            if op != OP_GET:
-                continue
-            profiler = profilers.get(class_index)
-            if profiler is None:
-                profiler = profilers.setdefault(class_index, make())
-            profiler.record(key)
-            frequencies[class_index] = frequencies.get(class_index, 0) + 1
-    else:
-        for request in requests:
-            if request.op != "get":
-                continue
-            class_index = classify(request)
-            profiler = profilers.get(class_index)
-            if profiler is None:
-                profiler = profilers.setdefault(class_index, make())
-            profiler.record(request.key)
-            frequencies[class_index] = frequencies.get(class_index, 0) + 1
+    for key, op, class_index in zip(
+        trace.keys, trace.op_codes, trace.slab_classes
+    ):
+        if op != OP_GET:
+            continue
+        profiler = profilers.get(class_index)
+        if profiler is None:
+            profiler = profilers.setdefault(class_index, make())
+        profiler.record(key)
+        frequencies[class_index] = frequencies.get(class_index, 0) + 1
     curves = {
         class_index: HitRateCurve.from_stack_distances(profiler.distances)
         for class_index, profiler in profilers.items()
@@ -93,16 +68,12 @@ def solver_plan_for_app(
 ) -> Dict[int, float]:
     """Run the Dynacache solver on one app's week of requests.
 
+    ``trace`` is a loaded workload (:func:`repro.sim.load_workload`).
     Returns a byte plan per slab class, summing to ``budget`` (the app's
     reservation when not given).
     """
-    compiled_for = getattr(trace, "compiled_for", None)
-    if compiled_for is not None:
-        app_stream: Union[Iterable[Request], CompiledTrace] = compiled_for(app)
-    else:
-        app_stream = trace.app_requests(app)
     curves_items, freqs = profile_app_classes(
-        app_stream, estimator=estimator
+        trace.compiled_for(app), estimator=estimator
     )
     if not curves_items:
         return {}

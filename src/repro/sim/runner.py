@@ -1,10 +1,9 @@
 """Executing scenarios: the :func:`run_scenario` facade.
 
-The replay core shared by the legacy ``replay_apps`` helper, the
-experiment runners and the sweep executor. One code path builds the
-server (scheme registry + per-app budgets with reservation fallback),
-resolves solver plans, and replays the compiled trace through the
-allocation-free fast path.
+The replay core shared by the experiment runners and the sweep
+executor. One code path builds the server (scheme registry + per-app
+budgets with reservation fallback), resolves solver plans, and replays
+the compiled trace through the allocation-free fast path.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.server import CacheServer, Observer
+from repro.cache.server import CacheServer
 from repro.cache.stats import StatsRegistry
 from repro.common.errors import ConfigurationError
 from repro.sim.defaults import GEOMETRY
@@ -222,9 +221,7 @@ def replay_on_cluster(
     """Replay an already-loaded trace across the scenario's cluster
     (built by :func:`prepare_cluster`).
 
-    Returns ``(cluster, aggregated_stats, elapsed_seconds)``. Cluster
-    replays always take the compiled fast path; per-request observers
-    are a single-server feature.
+    Returns ``(cluster, aggregated_stats, elapsed_seconds)``.
 
     Replays fetch their
     :class:`~repro.cluster.routing.RoutingPlan` through the global
@@ -270,21 +267,14 @@ def serve_on_cluster(
 
 
 def replay_on_trace(
-    scenario: Scenario,
-    trace,
-    observer: Optional[Observer] = None,
+    scenario: Scenario, trace
 ) -> Tuple[CacheServer, StatsRegistry, float]:
     """Replay an already-loaded trace under ``scenario``'s scheme.
 
-    Returns ``(server, stats, elapsed_seconds)``. The compiled trace
-    takes the allocation-free fast path; an attached observer makes
-    :meth:`CacheServer.replay_compiled` fall back to the object path
-    with identical results.
+    Returns ``(server, stats, elapsed_seconds)``.
     """
     compiled = _compiled_for(scenario, trace)
     server = build_server(scenario, trace)
-    if observer is not None:
-        server.add_observer(observer)
     started = time.perf_counter()
     server.replay_compiled(compiled)
     elapsed = time.perf_counter() - started
@@ -295,7 +285,6 @@ def run_scenario(
     scenario: Scenario,
     *,
     baseline: Optional[ScenarioResult] = None,
-    observer: Optional[Observer] = None,
     keep_server: bool = False,
 ) -> ScenarioResult:
     """Load the workload, replay it, and report per-app results.
@@ -304,9 +293,6 @@ def run_scenario(
         scenario: The declarative spec to execute.
         baseline: Optional previous result; when given, the returned
             result's ``miss_reductions`` compares against it per app.
-        observer: Optional per-request observer (timelines, profilers);
-            forces the object replay path, same outcomes. Rejected for
-            cluster scenarios (compiled fast path only).
         keep_server: Attach the live ``server``/``cluster`` and
             ``stats`` to the result for callers that need engine
             internals.
@@ -331,11 +317,6 @@ def run_scenario(
     cluster = None
     serve_payload = None
     if scenario.cluster is not None:
-        if observer is not None:
-            raise ConfigurationError(
-                "per-request observers are not supported for cluster "
-                "scenarios; drop the 'cluster' block or the observer"
-            )
         if scenario.serve is not None:
             cluster, stats, elapsed, serve_payload = serve_on_cluster(
                 scenario, trace
@@ -344,9 +325,7 @@ def run_scenario(
             cluster, stats, elapsed = replay_on_cluster(scenario, trace)
         server = None
     else:
-        server, stats, elapsed = replay_on_trace(
-            scenario, trace, observer=observer
-        )
+        server, stats, elapsed = replay_on_trace(scenario, trace)
     apps = (
         list(scenario.apps) if scenario.apps is not None else list(trace.app_names)
     )

@@ -1,10 +1,10 @@
 """Workload loaders, registered on :data:`repro.sim.WORKLOADS`.
 
-A workload builder takes ``(scale, seed, **params)`` and returns a
-*loaded trace*: an object with ``app_names``, ``reservations``,
-``requests_per_app``, ``scale``, ``seed`` and a cached ``compiled``
-:class:`~repro.workloads.compiled.CompiledTrace` that the replay fast
-path consumes. Three workloads are registered here:
+A workload builder takes ``(scale, seed, **params)`` and returns the one
+loaded-trace type, :class:`SyntheticTrace`: ``app_names``,
+``reservations``, ``requests_per_app``, ``scale``, ``seed`` and a cached
+``compiled`` :class:`~repro.workloads.compiled.CompiledTrace` that the
+replay fast path consumes. Three workloads are registered here:
 
 * ``memcachier`` -- the paper's synthetic 20-application trace
   (``params``: ``apps`` (1-based spec indices), ``total_requests``);
@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import ConfigurationError
 from repro.sim.defaults import FULL_SCALE, GEOMETRY
 from repro.sim.registries import WORKLOADS, register_workload
@@ -45,76 +44,24 @@ from repro.workloads.facebook import (
     UniqueKeyStream,
 )
 from repro.workloads.generators import RequestStream, ZipfStream
-from repro.workloads.memcachier import (
-    MemcachierTrace,
-    build_memcachier_trace,
-)
+from repro.workloads.memcachier import AppSpec, build_memcachier_trace
 from repro.workloads.sizes import FixedSize
 from repro.workloads.trace import merge_by_time
 
 
 @dataclass
-class CachedTrace:
-    """A :class:`MemcachierTrace`-compatible facade over a compiled trace.
-
-    Metadata (reservations, request counts, specs) comes from the cheap
-    analytic build; the request stream itself is a cached
-    :class:`CompiledTrace`, so repeated experiment runs -- and the ~17
-    runners sharing a scale/seed -- never regenerate it.
-    """
-
-    meta: MemcachierTrace
-    compiled: CompiledTrace
-
-    @property
-    def scale(self) -> float:
-        return self.meta.scale
-
-    @property
-    def seed(self) -> int:
-        return self.meta.seed
-
-    @property
-    def total_requests(self) -> int:
-        return self.meta.total_requests
-
-    @property
-    def reservations(self) -> Dict[str, float]:
-        return self.meta.reservations
-
-    @property
-    def requests_per_app(self) -> Dict[str, int]:
-        return self.meta.requests_per_app
-
-    @property
-    def specs(self):
-        return self.meta.specs
-
-    @property
-    def app_names(self) -> List[str]:
-        return self.meta.app_names
-
-    def requests(self):
-        return self.compiled.iter_requests()
-
-    def app_requests(self, app: str):
-        return self.compiled_for(app).iter_requests()
-
-    def compiled_for(self, app: str) -> CompiledTrace:
-        """One app's compiled sub-trace (stable-merge filtering keeps the
-        per-app order identical to regenerating the app's stream)."""
-        return self.compiled.for_app(app)
-
-
-@dataclass
 class SyntheticTrace:
-    """A loaded non-Memcachier workload: streams merged and compiled."""
+    """A loaded workload: per-app metadata from the cheap analytic build
+    plus the merged request stream as a cached :class:`CompiledTrace`,
+    so repeated runs sharing a scale/seed never regenerate it."""
 
     scale: float
     seed: int
     reservations: Dict[str, float]
     requests_per_app: Dict[str, int]
     compiled: CompiledTrace
+    #: ``memcachier`` only: each app's :class:`AppSpec` (``has_cliff`` ...).
+    specs: Dict[str, AppSpec] = field(default_factory=dict)
 
     @property
     def app_names(self) -> List[str]:
@@ -131,6 +78,8 @@ class SyntheticTrace:
         return self.compiled_for(app).iter_requests()
 
     def compiled_for(self, app: str) -> CompiledTrace:
+        """One app's compiled sub-trace (stable-merge filtering keeps the
+        per-app order identical to regenerating the app's stream)."""
         return self.compiled.for_app(app)
 
 
@@ -166,7 +115,7 @@ def _load_memcachier(
     seed: int,
     apps: Optional[List[int]] = None,
     total_requests: Optional[int] = None,
-) -> CachedTrace:
+) -> SyntheticTrace:
     """The paper's synthetic 20-application Memcachier-like trace."""
     meta = build_memcachier_trace(
         scale=scale, seed=seed, apps=apps, total_requests=total_requests
@@ -177,7 +126,14 @@ def _load_memcachier(
         f"-total{total_requests if total_requests is not None else 'auto'}"
     )
     compiled = GLOBAL_TRACE_CACHE.get_or_compile(key, meta.requests, GEOMETRY)
-    return CachedTrace(meta, compiled)
+    return SyntheticTrace(
+        scale=scale,
+        seed=seed,
+        reservations=meta.reservations,
+        requests_per_app=meta.requests_per_app,
+        compiled=compiled,
+        specs=meta.specs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +259,7 @@ ZIPF_APP_DEFAULTS = {
 
 def zipf_reservation(num_keys: int, value_size: int, fraction: float) -> float:
     """Bytes covering ``fraction`` of the key universe at chunk granularity."""
-    item_bytes = value_size + 14 + ITEM_OVERHEAD_BYTES  # ~14-byte keys
-    chunk = GEOMETRY.chunk_size(GEOMETRY.class_for_size(item_bytes))
+    _, chunk, _ = GEOMETRY.row(14, value_size)  # ~14-byte keys
     return max(64 * 1024, chunk * num_keys * fraction)
 
 

@@ -2,17 +2,17 @@
 
 Replaying a trace of :class:`~repro.workloads.trace.Request` objects pays
 Python's worst per-request taxes: a frozen-dataclass construction with
-``__post_init__`` validation, a ``CacheItem`` allocation to classify the
-item, and (for generated traces) the whole generator pipeline re-run on
-every experiment. A :class:`CompiledTrace` pays all of those costs exactly
-once, at *compile* time:
+``__post_init__`` validation, a slab classification, and (for generated
+traces) the whole generator pipeline re-run on every experiment. A
+:class:`CompiledTrace` pays all of those costs exactly once, at
+*compile* time:
 
 * keys and app names are interned (every request holds a reference to a
   shared string, plus an integer id for serialization);
 * ops become integer codes (:data:`repro.cache.stats.OP_GET` etc.);
 * the slab class, chunk size and item byte size of every request are
-  precomputed from the :class:`~repro.cache.slabs.SlabGeometry`, so the
-  replay loop never builds a ``CacheItem``;
+  precomputed in one :meth:`~repro.cache.slabs.SlabGeometry.rows` call,
+  so the replay loop never classifies;
 * validation (unknown op, negative size, oversized item) is hoisted out of
   the replay loop entirely -- a compiled trace is valid by construction.
 
@@ -37,10 +37,7 @@ import numpy as np
 
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_CODES, OP_NAMES
-from repro.common.constants import (
-    DEFAULT_PLAN_CACHE_ENTRIES,
-    ITEM_OVERHEAD_BYTES,
-)
+from repro.common.constants import DEFAULT_PLAN_CACHE_ENTRIES
 from repro.common.errors import TraceFormatError
 from repro.workloads.trace import Request
 
@@ -108,7 +105,6 @@ class CompiledTrace:
         op_codes: List[int],
         value_sizes: List[int],
         key_sizes: List[int],
-        slab_classes: List[int],
     ) -> None:
         self.geometry = geometry
         self.times = times
@@ -119,14 +115,18 @@ class CompiledTrace:
         self.op_codes = op_codes
         self.value_sizes = value_sizes
         self.key_sizes = key_sizes
-        self.slab_classes = slab_classes
         # Derived hot columns.
         self.keys = [key_table[i] for i in key_ids]
+        classes, _, items = geometry.rows(
+            np.asarray(key_sizes, dtype=np.int64),
+            np.asarray(value_sizes, dtype=np.int64),
+        )
+        self.slab_classes = classes.tolist()
+        self.item_bytes = items.tolist()
+        # Looked up, not ``.tolist()``-ed: every request then shares the
+        # ladder's own int objects instead of allocating one per row.
         chunk_of = geometry.chunk_sizes
-        self.chunk_bytes = [chunk_of[c] for c in slab_classes]
-        self.item_bytes = [
-            key_sizes[i] + value_sizes[i] for i in range(len(key_ids))
-        ]
+        self.chunk_bytes = [chunk_of[c] for c in self.slab_classes]
         self._routing_digest: Optional[str] = None
         self._replay_columns = None
 
@@ -152,8 +152,6 @@ class CompiledTrace:
         op_codes: List[int] = []
         value_sizes: List[int] = []
         key_sizes: List[int] = []
-        slab_classes: List[int] = []
-        class_for_size = geometry.class_for_size
         for request in requests:
             op = OP_CODES.get(request.op)
             if op is None:
@@ -180,9 +178,6 @@ class CompiledTrace:
             op_codes.append(op)
             value_sizes.append(request.value_size)
             key_sizes.append(key_size)
-            slab_classes.append(
-                class_for_size(key_size + request.value_size + ITEM_OVERHEAD_BYTES)
-            )
         return cls(
             geometry,
             times,
@@ -193,7 +188,6 @@ class CompiledTrace:
             op_codes,
             value_sizes,
             key_sizes,
-            slab_classes,
         )
 
     # ------------------------------------------------------------------
@@ -353,7 +347,6 @@ class CompiledTrace:
             "op_codes": np.array(self.op_codes, dtype=np.int8),
             "value_sizes": np.array(self.value_sizes, dtype=np.int64),
             "key_sizes": np.array(self.key_sizes, dtype=np.int64),
-            "slab_classes": np.array(self.slab_classes, dtype=np.int16),
         }
         return save_npz_atomic(path, payload)
 
@@ -377,7 +370,6 @@ class CompiledTrace:
                 data["op_codes"].tolist(),
                 data["value_sizes"].tolist(),
                 data["key_sizes"].tolist(),
-                data["slab_classes"].tolist(),
             )
 
 

@@ -307,7 +307,7 @@ class TestCacheServer:
         assert 0 < server.memory_in_use() <= server.memory_reserved()
 
     def test_geometry_mismatch_raises_even_with_observers(self):
-        """Regression: the observer fallback returned before the
+        """Regression: the observer branch once returned before the
         slab-geometry check, silently accepting a trace compiled for a
         different ladder whenever observers were attached."""
         from repro.workloads.compiled import CompiledTrace
@@ -320,7 +320,10 @@ class TestCacheServer:
         with pytest.raises(ConfigurationError, match="slab geometry"):
             server.replay_compiled(compiled)
 
-    def test_matching_geometry_with_observers_falls_back(self):
+    def test_replay_compiled_refuses_observers_before_any_engine(self):
+        """The compiled path builds no Request/AccessOutcome objects, so
+        an attached observer is an error naming the object-API replay --
+        raised before the first request reaches an engine."""
         from repro.workloads.compiled import CompiledTrace
 
         compiled = CompiledTrace.compile([get("k"), get("k")], GEO)
@@ -328,7 +331,12 @@ class TestCacheServer:
         server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))
         seen = []
         server.add_observer(lambda req, out: seen.append(out.hit))
-        server.replay_compiled(compiled)
+        with pytest.raises(ConfigurationError, match=r"replay\(trace.iter_"):
+            server.replay_compiled(compiled)
+        assert seen == []
+        assert server.stats.total.gets == 0
+        assert server.memory_in_use() == 0
+        server.replay(compiled.iter_requests())
         assert seen == [False, True]
 
     @pytest.mark.parametrize("observed", [False, True])

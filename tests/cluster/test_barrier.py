@@ -12,11 +12,9 @@ that a finished replay's barriers do not leak into later live batches.
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.routing import TraceColumns
-from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.sim import Scenario, load_workload
 from repro.sim.runner import prepare_cluster
 from tests.cluster.helpers import counters_snapshot, run_reference, schedules
@@ -73,17 +71,15 @@ def serve_in_batches(cluster, compiled, sizes):
     if injector is not None:
         injector.begin(len(compiled))
     apps = [compiled.app_table[app_id] for app_id in compiled.app_ids]
-    # key_sizes=0 and value = item - overhead reproduce item_bytes exactly.
-    values = np.asarray(compiled.item_bytes) - ITEM_OVERHEAD_BYTES
     start = turn = 0
     while start < len(compiled):
         stop = min(len(compiled), start + sizes[turn % len(sizes)])
         cluster.process_batch(
             compiled.keys[start:stop],
             compiled.op_codes[start:stop],
-            values[start:stop],
+            compiled.value_sizes[start:stop],
             apps[start:stop],
-            key_sizes=0,
+            key_sizes=compiled.key_sizes[start:stop],
         )
         start, turn = stop, turn + 1
     if injector is not None:

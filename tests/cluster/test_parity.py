@@ -139,13 +139,6 @@ def test_sweep_axis_over_shard_counts():
     assert [r.cluster_report["shards"] for r in outcome] == [1, 2]
 
 
-def test_observer_rejected_for_cluster_scenarios():
-    from repro.common.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError, match="observer"):
-        run_scenario(DYNAMIC, observer=lambda request, outcome: None)
-
-
 # ---------------------------------------------------------------------------
 # Rebalance parity: without an *enabled* rebalance block, the cluster
 # replay must stay on the static-split path, bit for bit.

@@ -13,10 +13,13 @@ rebalance epochs landing mid-batch.
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.engines import FirstComeFirstServeEngine
+from repro.cache.log_structured import GlobalLRUEngine
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import pack_outcome
 from repro.cluster import (
@@ -28,22 +31,34 @@ from repro.cluster import (
     Rebalancer,
 )
 from repro.common.errors import CacheError, ConfigurationError
+from repro.sim import list_schemes
+from repro.sim.runner import ScenarioEngineFactory
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.trace import Request
 from tests.cluster.reference import process_reference
 
 GEO = SlabGeometry.default()
 
+#: Engines the batch-vs-oracle property runs over: one that charges
+#: chunks (reads ``chunk``) and one that charges ``item_bytes``.
+ENGINES = (FirstComeFirstServeEngine, GlobalLRUEngine)
 
-def fcfs_factory(app):
-    return lambda shard, share: FirstComeFirstServeEngine(app, share, GEO)
 
-
-def build(shards=4, replication=1, budget=1 << 18, apps=("a", "b"), **kwargs):
+def build(
+    shards=4,
+    replication=1,
+    budget=1 << 18,
+    apps=("a", "b"),
+    engine=FirstComeFirstServeEngine,
+    **kwargs,
+):
     cluster = Cluster(
         ClusterConfig(shards=shards, replication=replication, **kwargs), GEO
     )
     for app in apps:
-        cluster.add_app(app, budget, fcfs_factory(app))
+        cluster.add_app(
+            app, budget, lambda shard, share, app=app: engine(app, share, GEO)
+        )
     return cluster
 
 
@@ -128,13 +143,29 @@ class TestBatchParity:
         spec=REQUEST_SPECS,
         shards=st.integers(min_value=1, max_value=4),
         replication=st.integers(min_value=1, max_value=3),
+        engine=st.sampled_from(ENGINES),
+    )
+    @example(
+        # Two 4 + 4060 B items fill an 8 KiB log exactly when charged
+        # key + value; charged 48 B more each, the second evicts the
+        # first and the GET misses.
+        spec=[(0, "set", 4060, 0), (1, "set", 4060, 0), (0, "get", 4060, 0)],
+        shards=1,
+        replication=1,
+        engine=GlobalLRUEngine,
     )
     def test_bit_identical_to_per_request_oracle(
-        self, spec, shards, replication
+        self, spec, shards, replication, engine
     ):
         requests = make_requests(spec)
-        oracle = build(shards=shards, replication=replication)
-        batch = build(shards=shards, replication=replication)
+        # Small enough that a short stream evicts: an engine that
+        # charges bytes then tells a mis-sized row from a right one.
+        shape = dict(
+            shards=shards, replication=replication, engine=engine,
+            budget=1 << 13,
+        )
+        oracle = build(**shape)
+        batch = build(**shape)
         assert run_batch(batch, requests) == run_oracle(oracle, requests)
         assert_twin_state(oracle, batch)
 
@@ -230,6 +261,80 @@ class TestBatchParity:
         batch = build(shards=4, replication=2, apps=apps)
         assert run_batch(batch, requests) == run_oracle(oracle, requests)
         assert_twin_state(oracle, batch)
+
+
+def mixed_stream(count=6_000, seed=7):
+    """Seeded GET/SET/DELETE traffic of two tenants over 300 shared keys
+    whose sizes move between five values, so items cross slab classes."""
+    rng = random.Random(seed)
+    return [
+        Request(
+            time=float(i),
+            app=rng.choice(("a", "b")),
+            key=f"k{rng.randrange(300):03d}",
+            op=rng.choices(("get", "set", "delete"), (75, 20, 5))[0],
+            value_size=rng.choice((50, 100, 200, 400, 900)),
+        )
+        for i in range(count)
+    ]
+
+
+def scheme_cluster(scheme, shards, budget=96 << 10):
+    """Every tenant under ``scheme``, built by the scenario layer's own
+    engine factory (``planned`` splits the budget over the stream's four
+    slab classes)."""
+    cluster = Cluster(ClusterConfig(shards=shards), GEO)
+    plan = {class_index: budget / 4 for class_index in (1, 2, 3, 4)}
+    for app in ("a", "b"):
+        cluster.add_app(
+            app,
+            budget,
+            ScenarioEngineFactory(
+                scheme, app, 0.02, 0, "lru", plan, shards, {}
+            ),
+        )
+    return cluster
+
+
+class TestOfflineLiveParity:
+    """One stream, three doors -- ``replay_compiled`` (offline),
+    ``process_batch`` in uneven cuts (live) and the object API -- must
+    leave every shard with the same counters whatever the engine reads
+    off the row (``chunk`` or ``item_bytes``)."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("scheme", list_schemes())
+    def test_every_scheme_scores_the_same_through_every_door(
+        self, scheme, shards
+    ):
+        requests = mixed_stream()
+        offline = scheme_cluster(scheme, shards)
+        offline.replay_compiled(CompiledTrace.compile(requests, GEO))
+        live = scheme_cluster(scheme, shards)
+        live_codes, start, width = [], 0, 1
+        while start < len(requests):
+            live_codes += run_batch(live, requests[start : start + width])
+            start, width = start + width, width * 3 % 500 + 1
+        objects = scheme_cluster(scheme, shards)
+        assert live_codes == run_oracle(objects, requests)
+        expected = per_shard_snapshot(offline)
+        assert any(c[4] for shard in expected for c in shard.values())
+        assert per_shard_snapshot(live) == expected
+        assert per_shard_snapshot(objects) == expected
+
+    def test_compile_and_live_batches_build_the_same_rows(self):
+        requests = mixed_stream(count=500)
+        compiled = CompiledTrace.compile(requests, GEO)
+        keys = [r.key for r in requests]
+        values = [r.value_size for r in requests]
+        for key_sizes in (None, [r.key_size for r in requests]):
+            classes, chunks, items = build()._batch_classes(
+                keys, values, key_sizes, len(keys)
+            )
+            assert classes.tolist() == compiled.slab_classes
+            assert chunks.tolist() == compiled.chunk_bytes
+            assert items.tolist() == compiled.item_bytes
+        assert len(set(compiled.slab_classes)) > 2
 
 
 class TestBatchInterface:

@@ -10,8 +10,13 @@ from __future__ import annotations
 
 from repro.cache.server import CacheServer
 from repro.experiments import fig6_cliffhanger, table4_combined
-from repro.experiments.common import load_trace, make_engine, miss_reduction
-from repro.sim import GEOMETRY, solver_plan_for_app
+from repro.sim import (
+    GEOMETRY,
+    load_workload,
+    make_engine,
+    miss_reduction,
+    solver_plan_for_app,
+)
 
 SCALE_FIG6 = 0.012
 SCALE_TAB4 = 0.03
@@ -19,7 +24,7 @@ SEED = 0
 
 
 def _legacy_replay(trace, scheme, plans=None, budgets=None, seed=0):
-    """What replay_apps did before the Scenario API existed."""
+    """What the runners did before the Scenario API existed."""
     server = CacheServer(GEOMETRY)
     for app in trace.app_names:
         budget = budgets[app] if budgets else trace.reservations[app]
@@ -39,7 +44,7 @@ def _legacy_replay(trace, scheme, plans=None, budgets=None, seed=0):
 
 def test_fig6_rows_bit_identical_to_legacy_path():
     apps = [3, 9, 19]
-    trace = load_trace(scale=SCALE_FIG6, seed=SEED, apps=apps)
+    trace = load_workload("memcachier", scale=SCALE_FIG6, seed=SEED, apps=apps)
     names = trace.app_names
 
     default_stats = _legacy_replay(trace, "default")
@@ -67,7 +72,7 @@ def test_fig6_rows_bit_identical_to_legacy_path():
 
 
 def test_tab4_rows_bit_identical_to_legacy_path():
-    trace = load_trace(scale=SCALE_TAB4, seed=SEED, apps=[19])
+    trace = load_workload("memcachier", scale=SCALE_TAB4, seed=SEED, apps=[19])
     app = "app19"
     plan = table4_combined.pinned_plan(trace, app)
     total_budget = sum(plan.values())

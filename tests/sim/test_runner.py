@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.experiments.common import load_trace, replay_apps
-from repro.sim import Scenario, load_workload, run_scenario
+from repro.sim import Scenario, load_workload, replay_on_trace, run_scenario
 
 TINY = 0.012
 
@@ -46,10 +45,14 @@ def test_partial_budgets_fall_back_to_reservations():
 
 
 def test_replay_apps_partial_budgets_fall_back():
-    """The legacy helper gets the same fallback (it used to KeyError)."""
-    trace = load_trace(scale=TINY, seed=0, apps=[3, 19])
-    server, stats = replay_apps(
-        trace, "default", budgets={"app19": 256 * 1024.0}
+    """Replaying an already-loaded trace (``replay_on_trace``, which the
+    retired ``replay_apps`` helper wrapped) gets the same fallback."""
+    trace = load_workload("memcachier", scale=TINY, seed=0, apps=[3, 19])
+    server, stats, _elapsed = replay_on_trace(
+        Scenario(
+            scheme="default", scale=TINY, budgets={"app19": 256 * 1024.0}
+        ),
+        trace,
     )
     assert server.engines["app19"].budget_bytes == 256 * 1024.0
     assert server.engines["app03"].budget_bytes == pytest.approx(
@@ -59,7 +62,7 @@ def test_replay_apps_partial_budgets_fall_back():
 
 
 def test_apps_subset_replays_only_those_apps():
-    trace = load_trace(scale=TINY, seed=0, apps=[3, 19])
+    trace = load_workload("memcachier", scale=TINY, seed=0, apps=[3, 19])
     result = run_scenario(
         Scenario(
             workload="memcachier",
@@ -77,7 +80,7 @@ def test_apps_subset_replays_only_those_apps():
 def test_solver_plans_sentinel_matches_explicit_plans():
     from repro.sim import solver_plan_for_app
 
-    trace = load_trace(scale=TINY, seed=0, apps=[4])
+    trace = load_workload("memcachier", scale=TINY, seed=0, apps=[4])
     explicit = {
         app: solver_plan_for_app(trace, app) for app in trace.app_names
     }

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
+from repro.cache.slabs import SlabGeometry
 from repro.common.errors import ConfigurationError
-from repro.experiments.common import classify
 from repro.workloads.memcachier import (
     APP_SPECS,
     build_memcachier_trace,
@@ -16,14 +16,10 @@ from repro.workloads.memcachier import (
 
 class TestHelpers:
     def test_value_size_lands_in_class(self):
-        from repro.cache.item import CacheItem
-        from repro.cache.slabs import SlabGeometry
-
         geometry = SlabGeometry.default()
         for class_index in range(1, 12):
             value = value_size_for_class(class_index)
-            item = CacheItem(key="app00:z:12345", value_size=value)
-            assert geometry.class_for_size(item.total_size) == class_index
+            assert geometry.row(len("app00:z:12345"), value)[0] == class_index
 
     def test_zipf_cache_monotone_in_target(self):
         small = zipf_cache_for_hit_rate(10000, 1.0, 0.5)
@@ -82,8 +78,9 @@ class TestBuild:
         """Apps with documented multi-class structure really produce
         requests in several slab classes."""
         trace = build_memcachier_trace(scale=0.02, apps=[6])
+        geometry = SlabGeometry.default()
         classes = {
-            classify(r)
+            geometry.row(r.key_size, r.value_size)[0]
             for r in itertools.islice(trace.app_requests("app06"), 4000)
         }
         assert len(classes) >= 3
@@ -98,3 +95,41 @@ class TestBuild:
             assert (
                 trace.requests_per_app[spec.name] >= spec.min_requests
             )
+
+
+class TestLoaded:
+    def test_load_workload_returns_the_one_loaded_trace_type(self):
+        """``load_workload("memcachier", ...)`` hands back the
+        ``SyntheticTrace`` every workload returns, carrying what the
+        retired ``CachedTrace`` facade exposed (values recorded from it
+        at scale 0.012, seed 0)."""
+        import hashlib
+
+        import numpy as np
+
+        from repro.sim import SyntheticTrace, load_workload
+        from tests.sim.test_workload_pins import column_hash
+
+        trace = load_workload("memcachier", scale=0.012, apps=[3, 19])
+        assert type(trace) is SyntheticTrace
+        assert (trace.scale, trace.seed) == (0.012, 0)
+        assert trace.app_names == ["app03", "app19"]
+        assert trace.reservations == {
+            "app03": 3532799.9999999995,
+            "app19": 660864.0,
+        }
+        assert trace.requests_per_app == {"app03": 17142, "app19": 20000}
+        assert trace.total_requests == 37142
+        assert {
+            app: (spec.index, spec.has_cliff)
+            for app, spec in trace.specs.items()
+        } == {"app03": (3, False), "app19": (19, True)}
+        compiled = trace.compiled
+        assert len(compiled) == 37142
+        assert compiled.routing_digest() == "1f11b5e6ba8976e540f2fd2e7843161d"
+        assert column_hash(compiled) == "c3bb6b3e4fc8614350d6bbdc29898ec6"
+        derived = hashlib.sha256()
+        for column in (compiled.chunk_bytes, compiled.item_bytes):
+            derived.update(np.asarray(column, dtype=np.int64).tobytes())
+        assert derived.hexdigest()[:32] == "ba66f15a3e4b49bdd544a36cbe319a24"
+        assert len(trace.compiled_for("app19")) == 20000
