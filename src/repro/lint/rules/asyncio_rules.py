@@ -1,10 +1,11 @@
 """Asyncio-hygiene rules for the serving layer.
 
 ``repro.serve`` runs a single event loop per server process: one
-blocking call inside a coroutine stalls every connection behind it, and
-a coroutine called without ``await`` silently does nothing -- both are
-invisible to the replay parity tests because they only distort latency
-or drop work under live load.
+blocking call inside a coroutine -- or inside a callback of the
+``asyncio.Protocol`` every connection is -- stalls every connection
+behind it, and a coroutine called without ``await`` silently does
+nothing; both are invisible to the replay parity tests because they
+only distort latency or drop work under live load.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ _BLOCKING_CALLS = {
 
 #: Prefixes of libraries that are synchronous through and through.
 _BLOCKING_PREFIXES = ("requests.", "urllib.request.")
+
+#: Base classes whose plain methods the event loop calls directly.
+_PROTOCOL_BASES = ("asyncio.Protocol", "asyncio.BufferedProtocol")
+
 
 def _async_function_bodies(
     tree: ast.AST,
@@ -64,44 +69,80 @@ def _walk_coroutine(body: List[ast.stmt]) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _protocol_method_bodies(
+    ctx: FileContext,
+) -> Iterator[Tuple[ast.FunctionDef, List[ast.stmt]]]:
+    """Yield the plain methods of ``serve/`` classes that derive from an
+    asyncio protocol base (import aliases resolved).
+
+    The loop calls them synchronously -- ``data_received``,
+    ``connection_made`` / ``connection_lost``, ``pause_writing`` /
+    ``resume_writing``, and whatever those reach through
+    ``loop.call_soon`` -- so they are event-loop context as much as any
+    ``async def``, and since the connection path became a protocol they
+    are where every byte is handled.
+    """
+    if not (ctx.repro_module or "").startswith("serve."):
+        return
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any(
+            ctx.resolve_call_path(base) in _PROTOCOL_BASES
+            for base in node.bases
+        ):
+            continue
+        for statement in node.body:
+            if isinstance(statement, ast.FunctionDef):
+                yield statement, statement.body
+
+
 class AsyncBlockingCallRule(Rule):
     name = "async-blocking-call"
     summary = (
         "no blocking calls (time.sleep, sync sockets/subprocess, bare "
-        "open) inside async def: one stalled coroutine stalls the whole "
-        "event loop"
+        "open) inside async def or, under serve/, inside a method of an "
+        "asyncio.Protocol subclass: one stalled callback stalls the "
+        "whole event loop"
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        for _func, body in _async_function_bodies(ctx.tree):
+        contexts = [
+            ("async def", body)
+            for _func, body in _async_function_bodies(ctx.tree)
+        ] + [
+            (f"asyncio.Protocol method {func.name!r}", body)
+            for func, body in _protocol_method_bodies(ctx)
+        ]
+        for where, body in contexts:
             for node in _walk_coroutine(body):
                 if not isinstance(node, ast.Call):
                     continue
-                message = self._blocking_message(ctx, node)
+                message = self._blocking_message(ctx, node, where)
                 if message is not None:
                     yield Finding(
                         ctx.display_path, node.lineno, self.name, message
                     )
 
     def _blocking_message(
-        self, ctx: FileContext, node: ast.Call
+        self, ctx: FileContext, node: ast.Call, where: str
     ) -> Optional[str]:
         path = ctx.resolve_call_path(node.func)
         if path is None:
             return None
         hint = _BLOCKING_CALLS.get(path)
         if hint is not None:
-            return f"blocking call {path} inside async def; {hint}"
+            return f"blocking call {path} inside {where}; {hint}"
         for prefix in _BLOCKING_PREFIXES:
             if path.startswith(prefix):
                 return (
-                    f"blocking call {path} inside async def; run it in an "
+                    f"blocking call {path} inside {where}; run it in an "
                     "executor"
                 )
         if path == "open":
             return (
-                "blocking file open() inside async def; read it before "
-                "entering the coroutine or use an executor"
+                f"blocking file open() inside {where}; read it before "
+                "entering the event loop or use an executor"
             )
         return None
 

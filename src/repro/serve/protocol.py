@@ -28,7 +28,6 @@ the exact same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 #: Memcached's key limit: at most 250 bytes, no whitespace or control
@@ -87,7 +86,6 @@ def encode_command(command: "Command") -> bytes:
     raise ValueError(f"cannot encode op {command.op!r}")
 
 
-@dataclass
 class Command:
     """One parsed request.
 
@@ -96,14 +94,41 @@ class Command:
     the set payload.
     """
 
-    op: str
-    keys: List[str] = field(default_factory=list)
-    flags: int = 0
-    data: bytes = b""
-    noreply: bool = False
+    # A plain slotted class: the parser builds one per command, and a
+    # dataclass with a ``default_factory`` costs three times as much.
+    __slots__ = ("op", "keys", "flags", "data", "noreply")
+    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
+
+    def __init__(
+        self,
+        op: str,
+        keys: Optional[List[str]] = None,
+        flags: int = 0,
+        data: bytes = b"",
+        noreply: bool = False,
+    ) -> None:
+        self.op = op
+        self.keys: List[str] = [] if keys is None else keys
+        self.flags = flags
+        self.data = data
+        self.noreply = noreply
+
+    def _fields(self) -> Tuple[object, ...]:
+        return (self.op, self.keys, self.flags, self.data, self.noreply)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        return (
+            f"Command(op={self.op!r}, keys={self.keys!r}, "
+            f"flags={self.flags!r}, data={self.data!r}, "
+            f"noreply={self.noreply!r})"
+        )
 
 
-@dataclass
 class ProtocolEvent:
     """What :meth:`ProtocolParser.next_event` hands the server.
 
@@ -112,14 +137,41 @@ class ProtocolEvent:
     parser already resynchronized; keep reading).
     """
 
-    command: Optional[Command] = None
-    response: Optional[bytes] = None
+    __slots__ = ("command", "response")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        command: Optional[Command] = None,
+        response: Optional[bytes] = None,
+    ) -> None:
+        self.command = command
+        self.response = response
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.command, self.response) == (
+            other.command,  # type: ignore[attr-defined]
+            other.response,  # type: ignore[attr-defined]
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ProtocolEvent(command={self.command!r}, "
+            f"response={self.response!r})"
+        )
 
 
 def _valid_key(key: str) -> bool:
-    if not key or len(key) > MAX_KEY_BYTES:
-        return False
-    return all(33 <= ord(ch) <= 126 for ch in key)
+    """Every character in 33..126 (printable ASCII, no space), 1-250 of
+    them -- stated with C-level predicates, not a loop per character."""
+    return (
+        0 < len(key) <= MAX_KEY_BYTES
+        and key.isascii()
+        and key.isprintable()
+        and " " not in key
+    )
 
 
 class ProtocolParser:
@@ -139,6 +191,9 @@ class ProtocolParser:
         #: Answer for a ``set`` refused at its header, sent once its data
         #: block has been consumed so the pipeline stays framed.
         self._pending_refusal: Optional[bytes] = None
+        #: After a bad data trailer: drop input through the next
+        #: newline, whenever it arrives.
+        self._resyncing = False
 
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)
@@ -146,6 +201,13 @@ class ProtocolParser:
     def next_event(self) -> Optional[ProtocolEvent]:
         if self._pending is not None:
             return self._read_data_block()
+        if self._resyncing:
+            index = self._buffer.find(b"\n")
+            if index < 0:
+                self._buffer.clear()  # still inside the line to drop
+                return None
+            del self._buffer[: index + 1]
+            self._resyncing = False
         line = self._read_line()
         if line is None:
             return None
@@ -243,10 +305,9 @@ class ProtocolParser:
         trailer = bytes(self._buffer[self._pending_size : needed])
         del self._buffer[:needed]
         if trailer != CRLF:
-            # Resynchronize at the next line.
-            index = self._buffer.find(b"\n")
-            if index >= 0:
-                del self._buffer[: index + 1]
+            # Resynchronize at the next line -- wherever the reads cut
+            # the stream, so the skip outlives this call.
+            self._resyncing = True
             return ProtocolEvent(response=client_error("bad data chunk"))
         if refusal is not None:
             return ProtocolEvent(response=refusal)

@@ -108,12 +108,50 @@ def test_determinism_ignores_non_replay_modules(tmp_path):
 
 
 def test_async_blocking_call_fires():
-    findings = findings_for("firing", "async-blocking-call")
+    findings = [
+        finding
+        for finding in findings_for("firing", "async-blocking-call")
+        if finding.path == "src/repro/serve/blocking.py"
+    ]
     messages = sorted(finding.message for finding in findings)
     assert len(findings) == 3
     assert any("time.sleep" in message for message in messages)
     assert any("socket.create_connection" in message for message in messages)
     assert any("open()" in message for message in messages)
+
+
+def test_async_blocking_call_follows_protocol_callbacks():
+    """Under ``serve/`` the plain methods of an ``asyncio.Protocol`` /
+    ``BufferedProtocol`` subclass (however the base was imported) are
+    event-loop context too; other classes' methods are not."""
+    findings = [
+        finding
+        for finding in findings_for("firing", "async-blocking-call")
+        if finding.path == "src/repro/serve/blocking_protocol.py"
+    ]
+    assert sorted(
+        (finding.line, finding.message.split(";")[0]) for finding in findings
+    ) == [
+        (11, "blocking call time.sleep inside asyncio.Protocol method "
+             "'data_received'"),
+        (15, "blocking file open() inside asyncio.Protocol method '_note'"),
+        (21, "blocking call subprocess.run inside asyncio.Protocol method "
+             "'connection_lost'"),
+    ]
+
+
+def test_protocol_callbacks_only_count_under_serve(tmp_path):
+    source = FIXTURES / "firing/src/repro/serve/blocking_protocol.py"
+    target = tmp_path / "src/repro/perfmodel/blocking_protocol.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(source.read_text())
+    files = collect_files([tmp_path / "src"], tmp_path, excludes=())
+    report = run_rules(
+        files,
+        [rules_by_name()["async-blocking-call"]],
+        audit_suppressions=False,
+    )
+    assert report.findings == []
 
 
 def test_unawaited_coroutine_fires_for_self_and_module_calls():

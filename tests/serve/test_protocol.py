@@ -289,3 +289,132 @@ class TestEncoders:
     def test_encode_unknown_op_raises(self):
         with pytest.raises(ValueError):
             encode_command(Command(op="flush"))
+
+
+class TestParsedObjects:
+    """``Command`` and ``ProtocolEvent`` are plain slotted classes (the
+    parser builds one of each per command); they still construct,
+    compare and print like the dataclasses they replaced."""
+
+    def test_keyword_and_positional_construction_and_defaults(self):
+        from repro.serve.protocol import ProtocolEvent
+
+        bare = Command(op="get")
+        assert (bare.op, bare.keys, bare.flags, bare.data, bare.noreply) == (
+            "get", [], 0, b"", False
+        )
+        assert Command(op="get").keys is not bare.keys  # a fresh list each
+        full = Command("set", ["k"], 5, b"v", True)
+        assert full == Command(
+            op="set", keys=["k"], flags=5, data=b"v", noreply=True
+        )
+        event = ProtocolEvent(command=full)
+        assert event.command is full and event.response is None
+        assert ProtocolEvent(response=ERROR).command is None
+        assert ProtocolEvent() == ProtocolEvent(None, None)
+
+    def test_equality_is_by_value_and_by_class(self):
+        from repro.serve.protocol import ProtocolEvent
+
+        assert Command(op="get", keys=["a"]) == Command(op="get", keys=["a"])
+        assert Command(op="get", keys=["a"]) != Command(op="get", keys=["b"])
+        assert Command(op="get", keys=["a"]) != Command(op="gets", keys=["a"])
+        assert Command(op="set", keys=["a"]) != Command(
+            op="set", keys=["a"], noreply=True
+        )
+        assert Command(op="get") != ("get", [], 0, b"", False)
+        assert ProtocolEvent(command=Command(op="quit")) == ProtocolEvent(
+            command=Command(op="quit")
+        )
+        assert ProtocolEvent(response=ERROR) != ProtocolEvent(response=END)
+        assert ProtocolEvent(response=ERROR) != Command(op="get")
+        with pytest.raises(TypeError):
+            hash(Command(op="get"))  # mutable: unhashable, as before
+        with pytest.raises(TypeError):
+            hash(ProtocolEvent())
+
+    def test_repr_matches_the_dataclass_shape(self):
+        from repro.serve.protocol import ProtocolEvent
+
+        command = Command(op="set", keys=["k"], flags=3, data=b"v")
+        assert repr(command) == (
+            "Command(op='set', keys=['k'], flags=3, data=b'v', noreply=False)"
+        )
+        assert repr(ProtocolEvent(response=ERROR)) == (
+            "ProtocolEvent(command=None, response=b'ERROR\\r\\n')"
+        )
+        assert repr(ProtocolEvent(command=command)) == (
+            f"ProtocolEvent(command={command!r}, response=None)"
+        )
+
+    def test_no_attributes_beyond_the_fields(self):
+        with pytest.raises(AttributeError):
+            Command(op="get").ttl = 3
+
+
+class TestValidKey:
+    def test_agrees_with_33_to_126_for_every_code_point(self):
+        """Alone and embedded, every code point below U+3000: valid iff
+        it is in 33..126 (printable ASCII, no space, no DEL)."""
+        from repro.serve.protocol import _valid_key
+
+        for point in range(0x3000):
+            expected = 33 <= point <= 126
+            char = chr(point)
+            assert _valid_key(char) is expected, point
+            assert _valid_key("a" + char + "b") is expected, point
+
+    def test_length_limits(self):
+        from repro.serve.protocol import _valid_key
+
+        assert not _valid_key("")
+        assert _valid_key("k" * MAX_KEY_BYTES)
+        assert not _valid_key("k" * (MAX_KEY_BYTES + 1))
+
+
+class TestResynchronizationIsCutInvariant:
+    """Regression: after a bad data trailer the parser dropped input
+    "through the next newline" only if that newline was already
+    buffered; with the read cut just before it, the rest of the garbage
+    line was parsed as a command of its own."""
+
+    STREAM = b"set k 0 0 2\r\nxyz garbage\r\nget ok\r\n"
+
+    def expected(self):
+        return [
+            ("response", client_error("bad data chunk")),
+            ("get", ["ok"]),
+        ]
+
+    @staticmethod
+    def shapes(events):
+        return [
+            ("response", e.response) if e.command is None
+            else (e.command.op, e.command.keys)
+            for e in events
+        ]
+
+    @pytest.mark.parametrize("cut", range(1, len(STREAM)))
+    def test_any_split_point(self, cut):
+        parser = ProtocolParser()
+        parser.feed(self.STREAM[:cut])
+        events = drain(parser)
+        parser.feed(self.STREAM[cut:])
+        events += drain(parser)
+        assert self.shapes(events) == self.expected()
+
+    def test_byte_at_a_time_and_an_endless_garbage_line_stays_bounded(self):
+        parser = ProtocolParser()
+        events = []
+        for index in range(len(self.STREAM)):
+            parser.feed(self.STREAM[index : index + 1])
+            events += drain(parser)
+        assert self.shapes(events) == self.expected()
+        parser.feed(b"set k 0 0 1\r\nxyz")
+        assert self.shapes(drain(parser)) == [self.expected()[0]]
+        for _ in range(64):
+            parser.feed(b"z" * 65536)
+            assert drain(parser) == []
+        assert len(parser._buffer) == 0  # skipped, not stored
+        parser.feed(b"\r\nget ok\r\n")
+        assert self.shapes(drain(parser)) == [self.expected()[1]]

@@ -9,17 +9,24 @@ correctly-ordered responses.
 
 Every test runs its own event loop via ``asyncio.run`` -- no plugin
 dependencies, and no wall-clock assertions that could flake in CI.
+
+The one seam the overload tests use is public: until
+:meth:`CacheServerProcess.start` a server parses and queues what its
+connections send but executes nothing, so a test can fill the queue,
+look at the counters, and only then let the drain run.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
+import socket
 
 import pytest
 
 from repro.cache.slabs import SlabGeometry
 from repro.cluster import Cluster, ClusterConfig
-from repro.serve.protocol import BUSY, Command
+from repro.serve.protocol import BUSY, END
 from repro.serve.server import (
     MAX_QUEUE_DEPTH_SAMPLES,
     CacheServerProcess,
@@ -225,24 +232,24 @@ class TestLoopbackTCP:
 class TestOverload:
     def test_shed_answers_busy_when_queue_full(self):
         async def scenario():
-            # No worker started: the queue cannot drain, so the bound
-            # is hit deterministically.
+            # Not started: the queue cannot drain, so the bound is hit
+            # deterministically.
             server = make_server(backpressure="shed", queue_depth=2)
-            futures = [
-                await server.submit(Command(op="get", keys=[f"k{i}"]))
-                for i in range(5)
-            ]
-            busy = [f for f in futures if f.done() and f.result() == BUSY]
-            assert len(busy) == 3
+            client = MemoryClient(server)
+            pipeline = asyncio.ensure_future(
+                client.request(b"".join(b"get k%d\r\n" % i for i in range(5)))
+            )
+            await asyncio.sleep(0)
+            assert not pipeline.done()  # two commands hold their slots
+            assert server.metrics.requests == 5
             assert server.metrics.shed == 3
-            # Draining frees the slots: queued requests complete, and
-            # new submissions are accepted again.
+            # Draining frees the slots: queued requests complete, the
+            # shed ones were answered BUSY in their pipeline position,
+            # and new commands are accepted again.
             await server.start()
-            done = await asyncio.gather(*futures)
-            assert sum(1 for r in done if r == BUSY) == 3
-            assert sum(1 for r in done if r.endswith(b"END\r\n")) == 2
-            retry = await server.submit(Command(op="get", keys=["again"]))
-            assert (await retry).endswith(b"END\r\n")
+            assert await pipeline == END * 2 + BUSY * 3
+            retry = await client.request(b"get again\r\n")
+            assert retry.endswith(b"END\r\n")
             assert server.metrics.shed == 3
             await server.close()
 
@@ -251,17 +258,22 @@ class TestOverload:
     def test_queue_policy_blocks_instead_of_shedding(self):
         async def scenario():
             server = make_server(backpressure="queue", queue_depth=1)
-            first = await server.submit(Command(op="get", keys=["a"]))
+            first = asyncio.ensure_future(
+                MemoryClient(server).request(b"get a\r\n")
+            )
             blocked = asyncio.ensure_future(
-                server.submit(Command(op="get", keys=["b"]))
+                MemoryClient(server).request(b"get b\r\nget c\r\n")
             )
             await asyncio.sleep(0)
-            assert not blocked.done()  # waiting for a slot, not shed
+            # Held until there is a slot: not shed, not queued.
+            assert not first.done() and not blocked.done()
+            assert server.metrics.requests == 3
             await server.start()
-            second = await blocked
-            results = await asyncio.gather(first, second)
-            assert all(r.endswith(b"END\r\n") for r in results)
+            results = await asyncio.gather(first, blocked)
+            assert results == [END, END * 2]
+            assert server.metrics.requests == 3
             assert server.metrics.shed == 0
+            assert server.metrics.queue_depth_high_water == 1
             await server.close()
 
         asyncio.run(scenario())
@@ -278,16 +290,20 @@ class TestOverload:
             writer.write(payload)
             await writer.drain()
             writer.transport.abort()
-            # The already-queued commands still drain through the
-            # worker; afterwards every slot is free again.
-            await server._queue.join()
-            assert server._queue.qsize() == 0
-            # And the server still serves new connections, full-depth.
+            # The already-queued commands still drain (the queue is
+            # FIFO: this STORED comes after them) ...
             reader2, writer2 = await raw_client(host, port)
             stored = await send_and_read(
                 writer2, reader2, b"set ok 0 0 2\r\nok\r\n", b"\r\n"
             )
             assert stored == b"STORED\r\n"
+            # ... and afterwards every slot is free again: a pipeline as
+            # deep as the queue is admitted whole, nothing shed.
+            writer2.write(b"get ok\r\n" * 64)
+            await writer2.drain()
+            full = b"VALUE ok 0 2\r\nok\r\nEND\r\n" * 64
+            assert await reader2.readexactly(len(full)) == full
+            assert server.metrics.shed == 0
             writer2.close()
             await server.close()
 
@@ -302,9 +318,62 @@ class TestOverload:
 
             server.service.execute = explode
             await server.start()
-            future = await server.submit(Command(op="get", keys=["k"]))
-            assert (await future) == b"SERVER_ERROR internal error\r\n"
+            client = MemoryClient(server)
+            assert await client.request(b"get k\r\nget j\r\n") == (
+                b"SERVER_ERROR internal error\r\n" * 2
+            )
             await server.close()
+
+        asyncio.run(scenario())
+
+
+    def test_a_client_that_never_reads_cannot_grow_the_server(self):
+        """Regression: the reader kept submitting while the writer sat
+        in ``drain()``, so one connection that sent 40 000 GETs of an
+        8 kB value and never called ``recv`` had all of them executed
+        and ~300 MB of replies parked in the server. Now its own
+        connection stops reading once its transport is over the
+        high-water mark: the count of commands the server took plateaus
+        far below what the client wants to send, the client's send
+        blocks, and everyone else is still served."""
+
+        async def scenario():
+            server = make_server()
+            host, port = await server.start_tcp()
+            loop = asyncio.get_running_loop()
+            sock = socket.socket()
+            sock.setblocking(False)
+            await loop.sock_connect(sock, (host, port))
+            key = b"zipf01:" + b"k" * 200
+            await loop.sock_sendall(
+                sock, b"set %s 0 0 8000\r\n%s\r\n" % (key, b"v" * 8000)
+            )
+            wanted = 40_000
+            sender = asyncio.ensure_future(
+                loop.sock_sendall(sock, b"get %s\r\n" % key * wanted)
+            )
+            taken = -1
+            for _ in range(200):  # until the count stands still
+                await asyncio.sleep(0.05)
+                if sender.done() or server.metrics.requests == taken:
+                    break
+                taken = server.metrics.requests
+            blocked = not sender.done()
+            taken = server.metrics.requests
+            executed = server.service.cluster.aggregate_stats().total.gets
+            # A well-behaved neighbour is served as if nothing happened.
+            reader, writer = await raw_client(host, port)
+            stored = await send_and_read(
+                writer, reader, b"set ok 0 0 2\r\nok\r\n", b"\r\n"
+            )
+            writer.close()
+            sender.cancel()
+            sock.close()
+            await server.close()
+            assert stored == b"STORED\r\n"
+            assert blocked  # backpressure reached the sender
+            assert 0 < taken < wanted // 5
+            assert executed < wanted // 5
 
         asyncio.run(scenario())
 
@@ -457,27 +526,21 @@ class TestClientHardening:
 
     def test_request_timeout_raises_connection_error(self):
         async def scenario():
-            # Listener only, no worker: commands queue but nothing ever
-            # answers, so the response deadline must trip.
-            server = make_server()
-            server._worker = asyncio.get_running_loop().create_task(
-                asyncio.sleep(3600)
-            )
-            host, port = await server.start_tcp()
+            # A listener that reads and never answers: the response
+            # deadline must trip.
+            async def silent(reader, writer):
+                await reader.read()
+                writer.close()
+
+            listener = await asyncio.start_server(silent, "127.0.0.1", 0)
+            host, port = listener.sockets[0].getsockname()[:2]
             client = TCPClient(request_timeout=0.05)
             await client.connect(host, port)
             with pytest.raises(ConnectionError, match="no response"):
                 await client.request(b"get k\r\n", "get")
             await client.close()
-            # Unstick the queued job so teardown's write loop can exit.
-            while True:
-                try:
-                    job = server._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                job.future.set_result(BUSY)
-                server._queue.task_done()
-            await server.close()
+            listener.close()
+            await listener.wait_closed()
 
         asyncio.run(scenario())
 
@@ -506,6 +569,50 @@ class TestGracefulShutdown:
 
         asyncio.run(scenario())
 
+    def test_shutdown_answers_a_pipeline_deeper_than_the_queue(self):
+        """200 commands in flight against a 64-command queue: what the
+        connection holds for want of room is answered too, then EOF."""
+
+        async def scenario():
+            server = make_server(queue_depth=64)
+            host, port = await server.start_tcp()
+            reader, writer = await raw_client(host, port)
+            writer.write(b"set k 0 0 1\r\nK\r\n" + b"get k\r\n" * 199)
+            await writer.drain()
+            everything = asyncio.ensure_future(reader.read())
+            while server.metrics.requests < 200:  # let it all arrive
+                await asyncio.sleep(0.01)
+            await server.shutdown()
+            data = await everything
+            assert data == (
+                b"STORED\r\n" + b"VALUE k 0 1\r\nK\r\nEND\r\n" * 199
+            )
+            writer.close()
+
+        asyncio.run(scenario())
+
+    def test_close_with_a_live_connection_logs_nothing(self, caplog):
+        """Regression: ``close()`` cancelled the per-connection task and
+        asyncio logged ``Exception in callback ... CancelledError`` with
+        a traceback. There is no task any more -- and nothing to log."""
+
+        async def scenario():
+            server = make_server()
+            host, port = await server.start_tcp()
+            reader, writer = await raw_client(host, port)
+            value = await send_and_read(writer, reader, b"get k\r\n", b"END\r\n")
+            assert value == b"END\r\n"
+            await server.close()
+            assert await reader.read() == b""  # the server closed it
+            writer.close()
+            await asyncio.sleep(0.01)
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            asyncio.run(scenario())
+        noise = [r for r in caplog.records if r.name == "asyncio"
+                 and r.levelno >= logging.WARNING]
+        assert noise == []
+
     def test_shutdown_stops_accepting_new_connections(self):
         async def scenario():
             server = make_server()
@@ -529,22 +636,21 @@ class TestGracefulShutdown:
 class TestGracefulDegradation:
     def test_queue_deadline_sheds_expired_commands(self):
         async def scenario():
-            # No worker yet: jobs age in the queue, then a worker with a
-            # tiny deadline sheds them all as BUSY.
+            # Not started yet: the commands age in the queue, then the
+            # drain with a tiny deadline sheds them all as BUSY.
             server = make_server(queue_deadline_s=0.01)
-            futures = [
-                await server.submit(Command(op="get", keys=[f"k{i}"]))
-                for i in range(4)
-            ]
+            client = MemoryClient(server)
+            aged = asyncio.ensure_future(
+                client.request(b"".join(b"get k%d\r\n" % i for i in range(4)))
+            )
             await asyncio.sleep(0.05)
             await server.start()
-            responses = await asyncio.gather(*futures)
-            assert all(r == BUSY for r in responses)
+            assert await aged == BUSY * 4
             assert server.metrics.shed_expired == 4
             assert server.metrics.shed == 4
             # Fresh commands execute normally.
-            fresh = await server.submit(Command(op="get", keys=["new"]))
-            assert (await fresh).endswith(b"END\r\n")
+            fresh = await client.request(b"get new\r\n")
+            assert fresh.endswith(b"END\r\n")
             assert server.metrics.shed_expired == 4
             await server.close()
 
@@ -553,29 +659,27 @@ class TestGracefulDegradation:
     def test_max_inflight_caps_per_connection(self):
         async def scenario():
             server = make_server(max_inflight=2)
-            owner = object()
-            futures = [
-                await server.submit(
-                    Command(op="get", keys=[f"k{i}"]), owner=owner
-                )
-                for i in range(5)
-            ]
-            busy = [f for f in futures if f.done() and f.result() == BUSY]
-            assert len(busy) == 3
+            client = MemoryClient(server)
+            capped = asyncio.ensure_future(
+                client.request(b"".join(b"get k%d\r\n" % i for i in range(5)))
+            )
+            await asyncio.sleep(0)
             assert server.metrics.shed_inflight == 3
+            assert server.metrics.shed == 3
             # Another connection has its own budget.
-            other = await server.submit(
-                Command(op="get", keys=["other"]), owner=object()
+            other = asyncio.ensure_future(
+                MemoryClient(server).request(b"get other\r\n")
             )
+            await asyncio.sleep(0)
             assert not other.done()
+            assert server.metrics.shed_inflight == 3
             await server.start()
-            await asyncio.gather(*futures, other)
-            # Completion released the slots: the same owner can submit
-            # again.
-            retry = await server.submit(
-                Command(op="get", keys=["again"]), owner=owner
-            )
-            assert (await retry).endswith(b"END\r\n")
+            assert await capped == END * 2 + BUSY * 3
+            assert await other == END
+            # Completion released the slots: the same connection can
+            # send again.
+            retry = await client.request(b"get again\r\n")
+            assert retry.endswith(b"END\r\n")
             await server.close()
 
         asyncio.run(scenario())
@@ -586,10 +690,13 @@ class TestStatsWire:
         async def scenario():
             server = make_server(backpressure="shed", queue_depth=1)
             # Shed a couple of requests first so the counters are warm
-            # (no worker yet: the second and third submissions shed).
-            for i in range(3):
-                await server.submit(Command(op="get", keys=[f"k{i}"]))
+            # (not started yet: the second and third commands shed).
+            warm = asyncio.ensure_future(
+                MemoryClient(server).request(b"get k0\r\nget k1\r\nget k2\r\n")
+            )
+            await asyncio.sleep(0)
             host, port = await server.start_tcp()
+            assert await warm == END + BUSY * 2
             reader, writer = await raw_client(host, port)
             try:
                 data = await send_and_read(
