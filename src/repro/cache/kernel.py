@@ -13,8 +13,9 @@ case), the cluster's window driver (``Cluster._drive``, behind both the
 offline :meth:`repro.cluster.Cluster.replay_compiled` and the live
 :meth:`repro.cluster.Cluster.process_batch`) and the parallel workers
 (:mod:`repro.cluster.parallel`) all call it; they differ only in which
-columns they pass and where the returned tallies go (:func:`flush_runs`
-in-process, a pipe from a worker).
+columns they pass (a worker's came with its start-up arguments) and
+where the returned tallies go (:func:`flush_runs` in-process, a pipe
+from a worker).
 """
 
 from __future__ import annotations

@@ -99,8 +99,8 @@ class ClusterConfig(Spec):
     replication stay valid at small shard counts).
 
     ``parallel_workers`` (default ``0``) fans the replay's per-shard
-    runs out across that many worker processes over shared-memory trace
-    columns (see :mod:`repro.cluster.parallel`). ``0`` and ``1`` replay
+    runs out across that many worker processes, each started with the
+    trace's columns (see :mod:`repro.cluster.parallel`). ``0`` and ``1`` replay
     in-process; values above the shard count clamp to it, and a
     one-shard cluster always replays in-process. The two executors run
     the same kernel and are bit-identical -- the property tests pin

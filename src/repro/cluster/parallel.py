@@ -8,10 +8,10 @@ the :class:`WorkerPool` here, whose workers run the *same* kernel restricted
 to the shards they own. Shards are independent between barriers (paper
 section 4.3), so the fan-out changes nothing but wall-clock:
 
-* The trace's replay columns and the routing plan's ``shard_ids`` go
-  into one :class:`~repro.workloads.compiled.SharedTraceColumns`
-  segment; workers map the numeric columns zero-copy and rebuild only
-  the interned key strings (once, from the shared utf-8 blob).
+* The trace's replay columns, its ``app_ids`` column and the routing
+  plan's ``shard_ids`` travel in each worker's start-up arguments:
+  inherited under ``fork``, pickled once under ``spawn`` (the engine
+  factories already travel this way).
 * Each worker owns a contiguous block of shards and builds those
   shards' engines cold through the cluster's registered factories.
 * :meth:`WorkerPool.replay_window` is the synchronization point: it
@@ -29,9 +29,8 @@ floors, and reports see the right budgets -- ``grow_budget`` and
 the queues hold items or not) and forwards the command to the owning
 worker, whose engines hold the actual items and report the real
 eviction counts. A routing column other than the plan's (``failover``
-with a shard down) reaches workers through the segment's
-parent-writable scratch column, written strictly before the window that
-uses it.
+with a shard down) reaches workers as the window's own slice of it,
+inside the window message.
 """
 
 
@@ -49,7 +48,8 @@ from repro.cluster.cluster import Cluster, scale_engine_budgets
 from repro.cluster.routing import RoutingPlan
 from repro.common.errors import ConfigurationError
 from repro.common.mp import get_mp_context
-from repro.workloads.compiled import SharedTraceColumns
+
+_DIED = "parallel replay worker {} died without replying"
 
 
 def partition_shards(shards: int, workers: int) -> List[List[int]]:
@@ -94,43 +94,49 @@ def build_shard_servers(
     return servers
 
 
-def _worker_main(conn, payload: Dict[str, Any]) -> None:
-    """Worker process entry: attach columns, build owned shards, serve
-    commands until ``finish``. Any exception is shipped back as an
-    ``("error", traceback)`` reply instead of dying silently."""
-    columns = SharedTraceColumns.attach(payload["meta"])
+def _worker_main(conn, parent_ends, payload: Dict[str, Any]) -> None:
+    """Worker process entry: build owned shards, serve commands until
+    ``finish``. Any exception is shipped back as an ``("error",
+    traceback)`` reply instead of dying silently.
+
+    ``parent_ends`` are the parent's pipe ends this process came to
+    hold a copy of by being created (``fork`` inherits every open one);
+    they are closed first, so that the parent closing *its* copy reads
+    as EOF here -- a parent that went away ends the worker quietly.
+    """
+    for end in parent_ends:
+        end.close()
     try:
-        geometry = SlabGeometry(tuple(payload["chunk_sizes"]))
         apps = payload["apps"]
-        servers = build_shard_servers(geometry, payload["owned"], apps)
+        servers = build_shard_servers(
+            payload["geometry"], payload["owned"], apps
+        )
         factories = {app: factory for app, _, factory in apps}
-        app_table = payload["app_table"]
         owned = np.zeros(payload["total_shards"], dtype=bool)
         owned[payload["owned"]] = True
-        replay_columns = (
-            columns.keys(),
-            columns.op_codes,
-            columns.slab_classes,
-            columns.chunk_bytes,
-            columns.item_bytes,
-        )
+        plan_column = payload["shard_ids"]
+        rerouted_column = None
         while True:
-            message = conn.recv()
+            try:
+                message = conn.recv()
+            except EOFError:
+                return
             command = message[0]
             try:
                 if command == "window":
-                    _, start, stop, use_scratch, dead = message
-                    shard_column = (
-                        columns.scratch_shard_ids
-                        if use_scratch
-                        else columns.shard_ids
-                    )
+                    _, start, stop, rerouted, dead = message
+                    shard_column = plan_column
+                    if rerouted is not None:
+                        if rerouted_column is None:
+                            rerouted_column = plan_column.copy()
+                        rerouted_column[start:stop] = rerouted
+                        shard_column = rerouted_column
                     runs = replay_runs(
                         servers,
-                        app_table,
-                        replay_columns,
+                        payload["app_table"],
+                        payload["replay_columns"],
                         shard_column,
-                        columns.app_ids,
+                        payload["app_ids"],
                         start,
                         stop,
                         dead=dead,
@@ -139,14 +145,8 @@ def _worker_main(conn, payload: Dict[str, Any]) -> None:
                     conn.send(("ok", runs))
                 elif command == "scale":
                     _, shard, target = message
-                    conn.send(
-                        (
-                            "ok",
-                            scale_engine_budgets(
-                                servers[shard].engines.values(), target
-                            ),
-                        )
-                    )
+                    engines = servers[shard].engines.values()
+                    conn.send(("ok", scale_engine_budgets(engines, target)))
                 elif command == "restart":
                     _, shard, budgets = message
                     server = servers[shard]
@@ -155,31 +155,23 @@ def _worker_main(conn, payload: Dict[str, Any]) -> None:
                             server.replace_app(factories[app](shard, budget))
                     conn.send(("ok", None))
                 else:  # "finish"
-                    conn.send(
-                        (
-                            "ok",
-                            {
-                                shard: server.memory_in_use()
-                                for shard, server in servers.items()
-                            },
-                        )
-                    )
+                    used = {
+                        shard: server.memory_in_use()
+                        for shard, server in servers.items()
+                    }
+                    conn.send(("ok", used))
                     return
             except Exception:
                 conn.send(("error", traceback.format_exc()))
                 return
     finally:
-        columns.close()
         conn.close()
 
 
 class WorkerPool:
-    """The parent's handle on one parallel replay's worker processes.
-
-    Owns the shared-memory segment (created here, unlinked in
-    :meth:`shutdown` -- workers only ever attach), one duplex pipe per
-    worker, and the shard -> worker ownership map that
-    :meth:`scale_shard` / :meth:`restart_shard` route commands with.
+    """The parent's handle on one parallel replay's worker processes:
+    one duplex pipe per worker and the shard -> worker ownership map
+    that :meth:`scale_shard` / :meth:`restart_shard` route commands with.
     """
 
     def __init__(
@@ -193,9 +185,7 @@ class WorkerPool:
         context = get_mp_context(start_method)
         self.cluster = cluster
         self.app_table = list(trace.app_table)
-        self.columns = SharedTraceColumns.export(trace, plan.shard_ids)
         self._plan_column = plan.shard_ids
-        self._scratch_source: Optional[np.ndarray] = None
         blocks = partition_shards(
             cluster.shards, cluster.config.parallel_workers
         )
@@ -203,31 +193,35 @@ class WorkerPool:
         for worker, owned in enumerate(blocks):
             for shard in owned:
                 self.owner[shard] = worker
-        apps = [
-            (app, cluster.app_shares[app], cluster.engine_factories[app])
-            for app in cluster.engine_factories
-        ]
+        shared = {
+            "replay_columns": trace.replay_columns(),
+            "app_ids": np.asarray(trace.app_ids, dtype=np.int32),
+            "shard_ids": plan.shard_ids,
+            "geometry": cluster.geometry,
+            "apps": [
+                (app, cluster.app_shares[app], cluster.engine_factories[app])
+                for app in cluster.engine_factories
+            ],
+            "app_table": self.app_table,
+            "total_shards": cluster.shards,
+        }
         self.connections = []
         self.processes = []
         try:
             for owned in blocks:
                 parent_end, child_end = context.Pipe()
-                payload = {
-                    "meta": self.columns.meta,
-                    "chunk_sizes": cluster.geometry.chunk_sizes,
-                    "owned": owned,
-                    "apps": apps,
-                    "app_table": self.app_table,
-                    "total_shards": cluster.shards,
-                }
+                self.connections.append(parent_end)
                 process = context.Process(
                     target=_worker_main,
-                    args=(child_end, payload),
+                    args=(
+                        child_end,
+                        list(self.connections),
+                        dict(shared, owned=owned),
+                    ),
                     daemon=True,
                 )
                 process.start()
                 child_end.close()
-                self.connections.append(parent_end)
                 self.processes.append(process)
         except BaseException:
             self.shutdown()
@@ -235,13 +229,17 @@ class WorkerPool:
 
     # -- command plumbing ----------------------------------------------
 
+    def _send(self, worker: int, message) -> None:
+        try:
+            self.connections[worker].send(message)
+        except OSError:
+            raise RuntimeError(_DIED.format(worker)) from None
+
     def _receive(self, worker: int):
         try:
             status, value = self.connections[worker].recv()
-        except (EOFError, ConnectionResetError):
-            raise RuntimeError(
-                f"parallel replay worker {worker} died without replying"
-            ) from None
+        except (EOFError, OSError):
+            raise RuntimeError(_DIED.format(worker)) from None
         if status != "ok":
             raise RuntimeError(
                 f"parallel replay worker {worker} failed:\n{value}"
@@ -249,8 +247,16 @@ class WorkerPool:
         return value
 
     def _call(self, worker: int, message):
-        self.connections[worker].send(message)
+        self._send(worker, message)
         return self._receive(worker)
+
+    def _broadcast(self, message) -> List[Any]:
+        """Send to every worker first (they overlap), then collect the
+        replies in worker order (the merged result is deterministic)."""
+        workers = range(len(self.connections))
+        for worker in workers:
+            self._send(worker, message)
+        return [self._receive(worker) for worker in workers]
 
     # -- replay protocol -----------------------------------------------
 
@@ -265,23 +271,18 @@ class WorkerPool:
         tallies into the parent's registries; returns only when the
         whole window is done and accounted.
 
-        A ``shard_column`` other than the plan's is published through
-        the scratch column before the window command is broadcast, so
-        every worker observes the full column before touching it. The
-        last published column is remembered (by identity -- the router
-        hands back the same array while the live set holds), so a run of
-        windows under one live set copies once.
+        Workers hold the plan's column already; any other
+        ``shard_column`` (the router hands back the plan's own array
+        while every shard is live) travels as this window's slice of it.
         """
-        use_scratch = shard_column is not self._plan_column
-        if use_scratch and shard_column is not self._scratch_source:
-            self.columns.scratch_shard_ids[:] = shard_column
-            self._scratch_source = shard_column
-        message = ("window", start, stop, use_scratch, tuple(dead))
-        for connection in self.connections:
-            connection.send(message)
+        rerouted = None
+        if shard_column is not self._plan_column:
+            rerouted = shard_column[start:stop]
         runs: List[Run] = []
-        for worker in range(len(self.connections)):
-            runs.extend(self._receive(worker))
+        for worker_runs in self._broadcast(
+            ("window", start, stop, rerouted, tuple(dead))
+        ):
+            runs.extend(worker_runs)
         flush_runs(self.cluster.servers, self.app_table, runs)
 
     def scale_shard(self, shard: int, target: float) -> int:
@@ -295,27 +296,25 @@ class WorkerPool:
 
     def finish(self) -> Dict[int, float]:
         """Collect per-shard used-bytes and let the workers exit."""
-        for connection in self.connections:
-            connection.send(("finish",))
         memory: Dict[int, float] = {}
-        for worker in range(len(self.connections)):
-            memory.update(self._receive(worker))
+        for worker_memory in self._broadcast(("finish",)):
+            memory.update(worker_memory)
         return memory
 
     def shutdown(self) -> None:
-        """Tear everything down; safe to call twice and mid-error."""
+        """Tear everything down; safe to call twice and mid-error. A
+        live worker reads its closed pipe as EOF and returns; one caught
+        inside a long window is terminated, not waited for."""
         for connection in self.connections:
             try:
                 connection.close()
             except OSError:
                 pass
         for process in self.processes:
-            process.join(timeout=30)
+            process.join(timeout=5)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5)
-        self.columns.close()
-        self.columns.unlink()
 
 
 def _require_fresh(cluster: Cluster) -> None:

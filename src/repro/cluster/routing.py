@@ -404,8 +404,9 @@ class TraceColumns:
     """One compiled trace's full-length shard column per live mask.
 
     The all-live column *is* the routing plan's own ``shard_ids`` array
-    (the worker pool recognizes it by identity); any other mask costs
-    one :meth:`Router.gather` over the trace's positions and turns,
+    (the same object: the worker pool's workers already hold it, and
+    are sent windows of any other column); any other mask costs one
+    :meth:`Router.gather` over the trace's positions and turns,
     computed on first need. Memoized through :func:`remember_column`.
     """
 

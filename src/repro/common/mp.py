@@ -8,8 +8,8 @@ worker behavior silently differs between Linux (fork) and macOS/Windows
 single place that policy lives.
 
 The default is ``fork`` where the platform offers it: workers inherit
-compiled traces, shared-memory handles, and the warmed trace cache for
-free, and process startup is milliseconds instead of a fresh interpreter
+compiled traces, their own start-up arguments, and the warmed trace
+cache for free, and process startup is milliseconds instead of a fresh interpreter
 plus numpy import per worker. ``spawn`` is always available as an
 explicit override -- the parity tests exercise it so nothing quietly
 becomes fork-only.

@@ -24,29 +24,21 @@ demand is exactly what a frozen split cannot do.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, FULL_SCALE
-from repro.sim import Scenario, load_workload, miss_reduction, run_scenario
-
-#: Flash-crowd tenants (mirrors the cluster_rebalance experiment).
-WORKLOAD_PARAMS = {
-    "apps": 2,
-    "num_keys": 20_000,
-    "requests_per_app": 80_000,
-    "crowd_fraction": 0.7,
-}
-
-#: Few virtual nodes: the uneven ring gives the crash a clear hot target.
-VIRTUAL_NODES = 4
+from repro.experiments.common import (
+    FULL_SCALE,
+    VIRTUAL_NODES,
+    ExperimentResult,
+    flash_crowd_base,
+    flash_crowd_trace,
+    rebalance_block,
+)
+from repro.sim import miss_reduction, run_scenario
 
 #: Crash/restart as fractions of the trace. The flash crowd burns over
 #: [0.4, 0.6) of the stream, so both events land mid-crowd: the shard
 #: dies while hot and comes back cold with the crowd still running.
 CRASH_FRACTION = 0.45
 RESTART_FRACTION = 0.55
-
-#: Rebalance cadence and credit sizing (as in cluster_rebalance).
-TARGET_EPOCHS = 32
-CREDIT_FRACTION = 0.05
 
 
 def run(
@@ -55,20 +47,10 @@ def run(
     shards: int = 4,
     scheme: str = "hill",
 ) -> ExperimentResult:
-    trace = load_workload(
-        "flash-crowd", scale=scale, seed=seed, **WORKLOAD_PARAMS
-    )
+    trace = flash_crowd_trace(scale, seed)
     total_requests = sum(trace.requests_per_app.values())
     even_share = sum(trace.reservations.values()) / shards
-    epoch_requests = max(50, total_requests // TARGET_EPOCHS)
-    base = Scenario(
-        scheme=scheme,
-        workload="flash-crowd",
-        scale=scale,
-        seed=seed,
-        workload_params=dict(WORKLOAD_PARAMS),
-        cluster={"shards": int(shards), "virtual_nodes": VIRTUAL_NODES},
-    )
+    base = flash_crowd_base(scale, seed, shards, scheme)
     result = ExperimentResult(
         experiment_id="cluster_faults",
         title="Shard crash and recovery: static split vs. rebalancing",
@@ -109,11 +91,7 @@ def run(
         ],
         "policy": "failover",
     }
-    rebalance = {
-        "epoch_requests": int(epoch_requests),
-        "credit_bytes": float(CREDIT_FRACTION * even_share),
-        "policy": "shadow",
-    }
+    rebalance = rebalance_block(total_requests, even_share, "shadow")
     for name, extra in (
         ("static", {"faults": faults}),
         ("rebalance", {"faults": faults, "rebalance": rebalance}),

@@ -20,28 +20,15 @@ see.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, FULL_SCALE
-from repro.sim import Scenario, load_workload, miss_reduction, run_scenario
-
-#: Flash-crowd tenants (mirrors the cluster_scaling experiment's pair).
-WORKLOAD_PARAMS = {
-    "apps": 2,
-    "num_keys": 20_000,
-    "requests_per_app": 80_000,
-    "crowd_fraction": 0.7,
-}
-
-#: Few virtual nodes on purpose: the ring then splits the keyspace
-#: unevenly, which is exactly the imbalance a static budget split cannot
-#: correct and the rebalancer can.
-VIRTUAL_NODES = 4
-
-#: Credit per epoch as a fraction of the even per-shard split.
-CREDIT_FRACTION = 0.05
-
-#: Epochs per replay (epoch_requests is derived from the trace length so
-#: the decision cadence survives trace scaling).
-TARGET_EPOCHS = 32
+from repro.experiments.common import (
+    FULL_SCALE,
+    VIRTUAL_NODES,
+    ExperimentResult,
+    flash_crowd_base,
+    flash_crowd_trace,
+    rebalance_block,
+)
+from repro.sim import miss_reduction, run_scenario
 
 
 def run(
@@ -50,21 +37,10 @@ def run(
     shards: int = 4,
     scheme: str = "hill",
 ) -> ExperimentResult:
-    trace = load_workload(
-        "flash-crowd", scale=scale, seed=seed, **WORKLOAD_PARAMS
-    )
+    trace = flash_crowd_trace(scale, seed)
     total_requests = sum(trace.requests_per_app.values())
     even_share = sum(trace.reservations.values()) / shards
-    epoch_requests = max(50, total_requests // TARGET_EPOCHS)
-    credit_bytes = CREDIT_FRACTION * even_share
-    base = Scenario(
-        scheme=scheme,
-        workload="flash-crowd",
-        scale=scale,
-        seed=seed,
-        workload_params=dict(WORKLOAD_PARAMS),
-        cluster={"shards": int(shards), "virtual_nodes": VIRTUAL_NODES},
-    )
+    base = flash_crowd_base(scale, seed, shards, scheme)
     result = ExperimentResult(
         experiment_id="cluster_rebalance",
         title="Online cross-shard rebalancing under a flash crowd",
@@ -95,20 +71,13 @@ def run(
         ]
     )
     for policy in ("shadow", "load"):
-        outcome = run_scenario(
-            base.replace(
-                rebalance={
-                    "epoch_requests": int(epoch_requests),
-                    "credit_bytes": float(credit_bytes),
-                    "policy": policy,
-                }
-            )
-        )
+        block = rebalance_block(total_requests, even_share, policy)
+        outcome = run_scenario(base.replace(rebalance=block))
         rebalance = outcome.cluster_report["rebalance"]
         result.rows.append(
             [
                 policy,
-                int(epoch_requests),
+                block["epoch_requests"],
                 outcome.overall_hit_rate,
                 miss_reduction(
                     static.overall_hit_rate, outcome.overall_hit_rate

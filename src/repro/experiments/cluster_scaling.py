@@ -14,7 +14,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.common import ExperimentResult, FULL_SCALE
+from repro.experiments.common import (
+    FLASH_CROWD_PARAMS,
+    FULL_SCALE,
+    ExperimentResult,
+)
 from repro.sim import Scenario, run_scenario
 
 #: (workload name, workload params) pairs replayed per shard count.
@@ -31,15 +35,7 @@ WORKLOADS = (
             ],
         },
     ),
-    (
-        "flash-crowd",
-        {
-            "apps": 2,
-            "num_keys": 20_000,
-            "requests_per_app": 80_000,
-            "crowd_fraction": 0.7,
-        },
-    ),
+    ("flash-crowd", FLASH_CROWD_PARAMS),
 )
 
 

@@ -26,28 +26,20 @@ experiment shows, now measured through the live data plane.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, FULL_SCALE
-from repro.sim import Scenario, load_workload, run_scenario
-
-#: Flash-crowd tenants (mirrors the cluster_rebalance experiment).
-WORKLOAD_PARAMS = {
-    "apps": 2,
-    "num_keys": 20_000,
-    "requests_per_app": 80_000,
-    "crowd_fraction": 0.7,
-}
-
-#: Few virtual nodes on purpose: the uneven keyspace split is what the
-#: rebalancer can fix and the static split cannot.
-VIRTUAL_NODES = 4
+from repro.experiments.common import (
+    FULL_SCALE,
+    VIRTUAL_NODES,
+    ExperimentResult,
+    flash_crowd_base,
+    flash_crowd_trace,
+    probe_capacity,
+    rebalance_block,
+)
+from repro.sim import run_scenario
 
 #: Offered rate as a fraction of the calibrated capacity; the last
 #: point is deliberately past saturation.
 RATE_FRACTIONS = (0.25, 0.5, 1.0, 2.0)
-
-#: Rebalance cadence/credit (as in cluster_rebalance).
-TARGET_EPOCHS = 32
-CREDIT_FRACTION = 0.05
 
 
 def run(
@@ -56,32 +48,11 @@ def run(
     shards: int = 4,
     scheme: str = "hill",
 ) -> ExperimentResult:
-    trace = load_workload(
-        "flash-crowd", scale=scale, seed=seed, **WORKLOAD_PARAMS
-    )
+    trace = flash_crowd_trace(scale, seed)
     even_share = sum(trace.reservations.values()) / shards
     duration_s = max(0.3, min(1.5, 10.0 * scale))
-    base = Scenario(
-        scheme=scheme,
-        workload="flash-crowd",
-        scale=scale,
-        seed=seed,
-        workload_params=dict(WORKLOAD_PARAMS),
-        cluster={"shards": int(shards), "virtual_nodes": VIRTUAL_NODES},
-    )
-    # Calibrate: overdrive the server briefly; the completion rate of a
-    # far-past-saturation run is the harness's sustainable rate on this
-    # machine (queue backpressure, so every probe request completes).
-    probe = run_scenario(
-        base.replace(
-            serve={
-                "rate": 100_000.0,
-                "duration_s": min(0.25, duration_s),
-                "arrivals": "fixed",
-            }
-        )
-    )
-    capacity = max(500.0, probe.cluster_report["serve"]["achieved_rate"])
+    base = flash_crowd_base(scale, seed, shards, scheme)
+    capacity, _ = probe_capacity(base, duration_s)
 
     result = ExperimentResult(
         experiment_id="cluster_serve",
@@ -104,7 +75,6 @@ def run(
     for fraction in RATE_FRACTIONS:
         rate = max(200.0, fraction * capacity)
         requests = max(1, round(rate * duration_s))
-        epoch_requests = max(50, requests // TARGET_EPOCHS)
         for mode in ("static", "rebalance"):
             scenario = base.replace(
                 serve={
@@ -114,11 +84,7 @@ def run(
                     "backpressure": "queue",
                 },
                 rebalance=(
-                    {
-                        "epoch_requests": int(epoch_requests),
-                        "credit_bytes": float(CREDIT_FRACTION * even_share),
-                        "policy": "load",
-                    }
+                    rebalance_block(requests, even_share, "load")
                     if mode == "rebalance"
                     else None
                 ),

@@ -25,18 +25,14 @@ latency-timeline window's p99 recovers from the worst (outage) window.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, FULL_SCALE
-from repro.sim import Scenario, load_workload, run_scenario
-
-WORKLOAD_PARAMS = {
-    "apps": 2,
-    "num_keys": 20_000,
-    "requests_per_app": 80_000,
-    "crowd_fraction": 0.7,
-}
-
-#: Few virtual nodes: an uneven ring makes "busiest shard" meaningful.
-VIRTUAL_NODES = 4
+from repro.experiments.common import (
+    FULL_SCALE,
+    VIRTUAL_NODES,
+    ExperimentResult,
+    flash_crowd_base,
+    probe_capacity,
+)
+from repro.sim import run_scenario
 
 #: Offered rate over calibrated capacity. Just under the harness's
 #: sustainable rate: the *crash* is what tips the run into overload
@@ -71,26 +67,9 @@ def run(
     shards: int = 4,
     scheme: str = "hill",
 ) -> ExperimentResult:
-    load_workload("flash-crowd", scale=scale, seed=seed, **WORKLOAD_PARAMS)
     duration_s = max(0.3, min(1.5, 10.0 * scale))
-    base = Scenario(
-        scheme=scheme,
-        workload="flash-crowd",
-        scale=scale,
-        seed=seed,
-        workload_params=dict(WORKLOAD_PARAMS),
-        cluster={"shards": int(shards), "virtual_nodes": VIRTUAL_NODES},
-    )
-    probe = run_scenario(
-        base.replace(
-            serve={
-                "rate": 100_000.0,
-                "duration_s": min(0.25, duration_s),
-                "arrivals": "fixed",
-            }
-        )
-    )
-    capacity = max(500.0, probe.cluster_report["serve"]["achieved_rate"])
+    base = flash_crowd_base(scale, seed, shards, scheme)
+    capacity, probe = probe_capacity(base, duration_s)
     rate = max(400.0, OVERLOAD_FRACTION * capacity)
     total = max(1, round(rate * duration_s))
     loads = probe.cluster_report["shard_loads"]

@@ -43,6 +43,7 @@ from repro.serve.protocol import (
     Command,
     encode_command,
 )
+from repro.serve.service import synthesize_value
 
 ARRIVAL_MODES = ("poisson", "fixed")
 
@@ -52,14 +53,6 @@ _ERROR_PREFIXES = (b"ERROR", b"CLIENT_ERROR", b"SERVER_ERROR")
 #: p99-during-outage view); each window covers ``issued / windows``
 #: scheduled arrivals.
 DEFAULT_TIMELINE_WINDOWS = 16
-
-
-def _payload(key: str, size: int) -> bytes:
-    """Deterministic value bytes for a synthesized SET."""
-    if size <= 0:
-        return b""
-    pattern = (key.encode("utf-8", "replace") or b"x") + b"."
-    return (pattern * (size // len(pattern) + 1))[:size]
 
 
 def commands_from_trace(trace, limit: int) -> List[Tuple[bytes, str]]:
@@ -76,7 +69,9 @@ def commands_from_trace(trace, limit: int) -> List[Tuple[bytes, str]]:
         if request.op == "set":
             size = min(int(request.value_size), MAX_VALUE_BYTES)
             command = Command(
-                op="set", keys=[request.key], data=_payload(request.key, size)
+                op="set",
+                keys=[request.key],
+                data=synthesize_value(request.key, size),
             )
         elif request.op == "delete":
             command = Command(op="delete", keys=[request.key])

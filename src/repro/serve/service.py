@@ -38,9 +38,10 @@ from repro.serve.protocol import (
 DEFAULT_VALUE_SIZE = 100
 
 
-def _synthesize(key: str, size: int) -> bytes:
-    """A deterministic payload for engine-resident keys with no stored
-    bytes (filled on a GET miss): the key repeated to ``size``."""
+def synthesize_value(key: str, size: int) -> bytes:
+    """Deterministic value bytes, the key repeated to ``size``: what an
+    engine-resident key with no stored bytes (filled on a GET miss)
+    serves, and what the load generator's SETs carry."""
     if size <= 0:
         return b""
     pattern = (key.encode("utf-8", "replace") or b"x") + b"."
@@ -210,7 +211,7 @@ class CacheService:
                         key, (0, None, self.default_value_size)
                     )
                     if payload is None:
-                        payload = _synthesize(key, size)
+                        payload = synthesize_value(key, size)
                     out += encode_value(key, flags, payload)
             elif command.op == "delete":
                 self._values.pop(key, None)

@@ -374,205 +374,6 @@ class CompiledTrace:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory replay columns (zero-copy hand-off to replay workers)
-# ---------------------------------------------------------------------------
-
-#: Every numeric column one shared segment carries, in layout order.
-#: ``scratch_shard_ids`` is a parent-writable routing column the fault
-#: replay re-points workers at when the live set changes; the others are
-#: immutable for the segment's lifetime.
-_SHARED_FIELDS = (
-    ("op_codes", np.int8),
-    ("slab_classes", np.int16),
-    ("chunk_bytes", np.int64),
-    ("item_bytes", np.int64),
-    ("app_ids", np.int32),
-    ("key_ids", np.int64),
-    ("shard_ids", np.int32),
-    ("scratch_shard_ids", np.int32),
-    ("key_lengths", np.int64),
-    ("key_blob", np.uint8),
-)
-
-def _column_attr(name: str) -> str:
-    """Attribute name for a shared field (key blob/lengths are private)."""
-    return "_" + name if name in ("key_lengths", "key_blob") else name
-
-
-#: Monotonic per-process counter for segment names. Names must be unique
-#: per live segment but need no entropy (uuid/urandom are banned on the
-#: replay path for determinism): pid + counter cannot collide with other
-#: live segments from this or any concurrent process.
-_SEGMENT_COUNTER = 0
-
-
-def _next_segment_name() -> str:
-    global _SEGMENT_COUNTER
-    _SEGMENT_COUNTER += 1
-    return f"repro-cols-{os.getpid()}-{_SEGMENT_COUNTER}"
-
-
-class SharedTraceColumns:
-    """One shared-memory segment holding a trace's replay columns.
-
-    The parallel cluster replay ships each worker the *name* of this
-    segment instead of pickling the trace: workers map the numeric
-    columns zero-copy (``op_codes``, ``slab_classes``, ``chunk_bytes``,
-    ``item_bytes``, ``app_ids``, the plan's ``shard_ids``) and rebuild
-    only the interned key strings once, from a utf-8 blob + length
-    column, because Python string objects cannot live in shared memory.
-
-    ``scratch_shard_ids`` is the one mutable region: the fault-aware
-    replay writes a new routing column there at a barrier (before
-    releasing the next window, so workers never race the write) when a
-    crash or restart changes where keys land.
-
-    Lifecycle: the creating process calls :meth:`export` and eventually
-    :meth:`unlink`; workers call :meth:`attach` with the picklable
-    :attr:`meta` dict and :meth:`close` when done. Only the creator
-    unlinks -- the segment disappears from ``/dev/shm`` once unlinked
-    and closed everywhere.
-    """
-
-    def __init__(self, shm, meta, owner):
-        self._shm = shm
-        self.meta = meta
-        self.owner = owner
-        self.length = meta["length"]
-        views = {}
-        for name, offset, dtype_name, count in meta["fields"]:
-            views[name] = np.ndarray(
-                (count,),
-                dtype=np.dtype(dtype_name),
-                buffer=shm.buf,
-                offset=offset,
-            )
-        self.op_codes = views["op_codes"]
-        self.slab_classes = views["slab_classes"]
-        self.chunk_bytes = views["chunk_bytes"]
-        self.item_bytes = views["item_bytes"]
-        self.app_ids = views["app_ids"]
-        self.key_ids = views["key_ids"]
-        self.shard_ids = views["shard_ids"]
-        self.scratch_shard_ids = views["scratch_shard_ids"]
-        self._key_lengths = views["key_lengths"]
-        self._key_blob = views["key_blob"]
-        self._keys = None
-
-    @classmethod
-    def export(cls, trace: CompiledTrace, shard_ids) -> "SharedTraceColumns":
-        """Create a segment from ``trace`` plus the plan's shard column."""
-        from multiprocessing import shared_memory
-
-        _, op_codes, slab_classes, chunk_bytes, item_bytes = (
-            trace.replay_columns()
-        )
-        encoded = [key.encode("utf-8") for key in trace.key_table]
-        blob = b"".join(encoded)
-        arrays = {
-            "op_codes": op_codes,
-            "slab_classes": slab_classes,
-            "chunk_bytes": chunk_bytes,
-            "item_bytes": item_bytes,
-            "app_ids": np.asarray(trace.app_ids, dtype=np.int32),
-            "key_ids": np.asarray(trace.key_ids, dtype=np.int64),
-            "shard_ids": np.ascontiguousarray(shard_ids, dtype=np.int32),
-            "scratch_shard_ids": np.ascontiguousarray(
-                shard_ids, dtype=np.int32
-            ),
-            "key_lengths": np.fromiter(
-                (len(piece) for piece in encoded),
-                dtype=np.int64,
-                count=len(encoded),
-            ),
-            "key_blob": np.frombuffer(blob, dtype=np.uint8),
-        }
-        if len(arrays["shard_ids"]) != len(trace):
-            raise TraceFormatError(
-                f"shard column covers {len(arrays['shard_ids'])} "
-                f"request(s); trace has {len(trace)}"
-            )
-        fields = []
-        offset = 0
-        for name, dtype in _SHARED_FIELDS:
-            dtype = np.dtype(dtype)
-            offset = -(-offset // 8) * 8  # 8-byte align every column
-            fields.append((name, offset, dtype.name, len(arrays[name])))
-            offset += len(arrays[name]) * dtype.itemsize
-        total = max(offset, 1)
-        while True:
-            try:
-                shm = shared_memory.SharedMemory(
-                    name=_next_segment_name(), create=True, size=total
-                )
-                break
-            except FileExistsError:
-                continue  # stale name from a recycled pid: try the next
-        meta = {
-            "name": shm.name,
-            "length": len(trace),
-            "fields": fields,
-        }
-        columns = cls(shm, meta, owner=True)
-        for name, _ in _SHARED_FIELDS:
-            getattr(columns, _column_attr(name))[:] = arrays[name]
-        return columns
-
-    @classmethod
-    def attach(cls, meta) -> "SharedTraceColumns":
-        """Map an existing segment from its picklable ``meta`` dict."""
-        from multiprocessing import shared_memory
-
-        return cls(
-            shared_memory.SharedMemory(name=meta["name"]), meta, owner=False
-        )
-
-    def keys(self) -> np.ndarray:
-        """The per-request key object column, rebuilt once per process.
-
-        Decodes the interned key table from the shared blob, then
-        gathers per-request references -- the only non-zero-copy column,
-        and the reason attach cost is O(unique keys), not O(requests).
-        """
-        if self._keys is None:
-            lengths = self._key_lengths
-            blob = self._key_blob.tobytes()
-            table = []
-            cursor = 0
-            for size in lengths.tolist():
-                table.append(blob[cursor : cursor + size].decode("utf-8"))
-                cursor += size
-            table_column = np.empty(len(table), dtype=object)
-            table_column[:] = table
-            self._keys = table_column[self.key_ids]
-        return self._keys
-
-    def close(self) -> None:
-        """Drop this mapping (both sides call this; owner also unlinks).
-
-        All numpy views are released first; if the caller still holds a
-        live slice of one, the munmap is deferred to process exit rather
-        than raising -- workers exit right after closing anyway.
-        """
-        for name, _ in _SHARED_FIELDS:
-            setattr(self, _column_attr(name), None)
-        self._keys = None
-        try:
-            self._shm.close()
-        except BufferError:
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment name (creator only); idempotent."""
-        if not self.owner:
-            return
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
-
-
-# ---------------------------------------------------------------------------
 # Trace cache (in-process LRU + on-disk .npz store)
 # ---------------------------------------------------------------------------
 
@@ -614,7 +415,7 @@ class TraceCache:
         self._memory: "OrderedDict[str, CompiledTrace]" = OrderedDict()
         self._plan_memory: "OrderedDict[str, object]" = OrderedDict()
 
-    def _path_for(self, key: str, suffix: str = "npz") -> Optional[Path]:
+    def _path_for(self, key: str, suffix: str) -> Optional[Path]:
         if self.directory is None:
             return None
         safe = "".join(
@@ -641,27 +442,14 @@ class TraceCache:
             str(c) for c in (geometry or SlabGeometry.default()).chunk_sizes
         )
         key = f"{key}-geo{zlib.crc32(geometry_tag.encode('ascii')):08x}"
-        cached = self._memory.get(key)
-        if cached is not None:
-            self._memory.move_to_end(key)
-            return cached
-        path = self._path_for(key)
-        if path is not None and path.exists():
-            try:
-                compiled = CompiledTrace.load(path)
-            except Exception:
-                compiled = None  # corrupt/stale: fall through to recompile
-            if compiled is not None:
-                self._remember(key, compiled)
-                return compiled
-        compiled = CompiledTrace.compile(factory(), geometry)
-        if path is not None:
-            try:
-                compiled.save(path)
-            except OSError:
-                pass  # read-only cache dir: stay in-memory only
-        self._remember(key, compiled)
-        return compiled
+        return self._get_or_build(
+            key,
+            self._memory,
+            self.memory_entries,
+            "npz",
+            CompiledTrace.load,
+            lambda: CompiledTrace.compile(factory(), geometry),
+        )
 
     def get_or_build_plan(self, key: str, factory):
         """Return the :class:`~repro.cluster.routing.RoutingPlan` cached
@@ -673,46 +461,59 @@ class TraceCache:
         """
         from repro.cluster.routing import RoutingPlan
 
-        cached = self._plan_memory.get(key)
-        if cached is not None:
-            self._plan_memory.move_to_end(key)
-            return cached
-        path = self._path_for(key, suffix="plan.npz")
-        if path is not None and path.exists():
-            try:
-                plan = RoutingPlan.load(path)
-            except Exception:
-                plan = None  # corrupt/stale: fall through to rebuild
-            if plan is not None:
-                self._remember_plan(key, plan)
-                return plan
-        plan = factory()
-        self.store_plan(key, plan)
-        return plan
+        return self._get_or_build(
+            key,
+            self._plan_memory,
+            self.plan_entries,
+            "plan.npz",
+            RoutingPlan.load,
+            factory,
+        )
 
     def store_plan(self, key: str, plan) -> None:
         """Put ``plan`` in both cache levels under ``key``, overwriting
         whatever is there (also the self-heal path for stale or corrupt
         disk entries detected by the caller)."""
-        path = self._path_for(key, suffix="plan.npz")
+        self._store(
+            key, plan, self._plan_memory, self.plan_entries, "plan.npz"
+        )
+
+    def _get_or_build(self, key, memory, bound, suffix, load, build):
+        """The walk traces and plans share: the memory LRU, then the
+        file (one that fails to load is rebuilt over), then ``build``,
+        whose result goes to both levels."""
+        cached = memory.get(key)
+        if cached is not None:
+            memory.move_to_end(key)
+            return cached
+        path = self._path_for(key, suffix)
+        if path is not None and path.exists():
+            try:
+                value = load(path)
+            except Exception:
+                pass  # corrupt/stale: fall through to rebuild
+            else:
+                self._remember(key, value, memory, bound)
+                return value
+        value = build()
+        self._store(key, value, memory, bound, suffix)
+        return value
+
+    def _store(self, key, value, memory, bound, suffix) -> None:
+        path = self._path_for(key, suffix)
         if path is not None:
             try:
-                plan.save(path)
+                value.save(path)
             except OSError:
                 pass  # read-only cache dir: stay in-memory only
-        self._remember_plan(key, plan)
+        self._remember(key, value, memory, bound)
 
-    def _remember(self, key: str, compiled: CompiledTrace) -> None:
-        self._memory[key] = compiled
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-
-    def _remember_plan(self, key: str, plan) -> None:
-        self._plan_memory[key] = plan
-        self._plan_memory.move_to_end(key)
-        while len(self._plan_memory) > self.plan_entries:
-            self._plan_memory.popitem(last=False)
+    @staticmethod
+    def _remember(key, value, memory, bound) -> None:
+        memory[key] = value
+        memory.move_to_end(key)
+        while len(memory) > bound:
+            memory.popitem(last=False)
 
     def clear_memory(self) -> None:
         self._memory.clear()

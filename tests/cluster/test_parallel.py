@@ -11,15 +11,22 @@ policies), faulted + rebalanced, fork and spawn start methods, and
 Hypothesis-driven random fault schedules.
 
 Alongside parity: the knob's validation surface, the fresh-cluster
-guard, sweep reachability, worker-failure propagation, shared-memory
-hygiene (no ``/dev/shm`` leaks), and in-process unit coverage of the
-replay kernel the workers run (owned-shard filter, dead-shard tallies).
+guard, sweep reachability, worker-failure propagation (a reply, a death,
+a prompt teardown), the hand-off itself (start-up arguments that pickle,
+no shared-memory segment, nothing left in ``/dev/shm``), and in-process
+unit coverage of the replay kernel the workers run (owned-shard filter,
+dead-shard tallies).
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import multiprocessing.shared_memory
 import os
+import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +78,17 @@ FAULTS = {
         {"kind": "crash", "shard": 1, "at": 2_000},
         {"kind": "restart", "shard": 1, "at": 9_000},
         {"kind": "crash", "shard": 3, "at": 11_000},
+    ],
+}
+
+#: The same shape inside the 1600-request trace, so that every event fires
+#: (``FAULTS`` above is armed past the trace's end: its scenarios run as
+#: fault-free ones).
+LIVE_FAULTS = {
+    "events": [
+        {"kind": "crash", "shard": 1, "at": 200},
+        {"kind": "restart", "shard": 1, "at": 900},
+        {"kind": "crash", "shard": 3, "at": 1_100},
     ],
 }
 
@@ -209,6 +227,34 @@ def test_spawn_pool_tallies_identical_to_in_process_kernel():
     assert shm_entries() == []
 
 
+def test_spawn_failover_restart_identical_to_serial(monkeypatch):
+    # Under ``spawn`` nothing is inherited: the columns arrive pickled,
+    # and with ``failover`` every window between a crash and its restart
+    # carries its rerouted slice through the pipe.
+    monkeypatch.setattr("repro.common.mp.DEFAULT_START_METHOD", "spawn")
+    serial, parallel = assert_parity(
+        BASE.replace(faults=dict(LIVE_FAULTS, policy="failover"))
+    )
+    assert (
+        parallel.cluster_report["faults"]
+        == serial.cluster_report["faults"]
+    )
+    assert len(serial.cluster_report["faults"]["crashes"]) == 2
+
+
+def test_parallel_replay_creates_no_shared_memory(monkeypatch):
+    # Not merely "leaves none behind": none is ever asked for, in the
+    # parent or (forked after the patch) in a worker, rerouted windows
+    # included.
+    def refuse(*args, **kwargs):
+        raise AssertionError("parallel replay created a shm segment")
+
+    monkeypatch.setattr(
+        multiprocessing.shared_memory, "SharedMemory", refuse
+    )
+    assert_parity(BASE.replace(faults=dict(LIVE_FAULTS, policy="failover")))
+
+
 @settings(max_examples=5, deadline=None)
 @given(
     workers=st.integers(min_value=2, max_value=5),
@@ -326,6 +372,96 @@ def test_worker_failure_propagates_and_cleans_up():
     finally:
         pool.shutdown()
     assert shm_entries() == []
+
+
+def pool_with_dead_worker():
+    """A 2-worker pool one window into a replay whose worker 0 was just
+    SIGKILLed, plus the plan to send it more windows of."""
+    cluster, compiled = make_direct_cluster(workers=2)
+    plan = build_routing_plan(compiled, cluster.ring, cluster.replication)
+    pool = WorkerPool(cluster, compiled, plan)
+    try:
+        pool.replay_window(0, 1_000, plan.shard_ids)
+        os.kill(pool.processes[0].pid, signal.SIGKILL)
+        pool.processes[0].join(timeout=5)
+    except BaseException:
+        pool.shutdown()
+        raise
+    return pool, plan
+
+
+def test_dead_worker_surfaces_as_one_line_error():
+    pool, plan = pool_with_dead_worker()
+    try:
+        with pytest.raises(RuntimeError, match="worker 0 died"):
+            pool.replay_window(1_000, 2_000, plan.shard_ids)
+    finally:
+        pool.shutdown()
+
+
+def test_shutdown_with_a_dead_worker_is_prompt_and_complete():
+    # The survivor must read the parent's close as EOF -- it does only
+    # if no process still holds a copy of the parent's end of its pipe
+    # -- and leave without a traceback.
+    pool, _ = pool_with_dead_worker()
+    started = time.monotonic()
+    pool.shutdown()
+    assert time.monotonic() - started < 5
+    assert not any(process.is_alive() for process in pool.processes)
+    assert pool.processes[1].exitcode == 0
+
+
+class RecordingContext:
+    """A start-method context whose processes never start: keeps what
+    ``WorkerPool`` hands ``Process`` so a test can look at it."""
+
+    Pipe = staticmethod(multiprocessing.Pipe)
+
+    def __init__(self):
+        self.args = []
+
+    def Process(self, target, args, daemon):
+        self.args.append(args)
+        return self
+
+    def start(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+    def is_alive(self):
+        return False
+
+
+def test_worker_start_up_arguments_pickle_and_round_trip(monkeypatch):
+    context = RecordingContext()
+    monkeypatch.setattr(
+        "repro.cluster.parallel.get_mp_context", lambda method: context
+    )
+    cluster, compiled = make_direct_cluster(workers=2)
+    plan = build_routing_plan(compiled, cluster.ring, cluster.replication)
+    WorkerPool(cluster, compiled, plan).shutdown()
+    assert len(context.args) == 2
+    # Each worker is told every parent end open when it is created,
+    # its own included: the ones ``fork`` makes it inherit.
+    assert [len(parent_ends) for _, parent_ends, _ in context.args] == [1, 2]
+    for _, _, payload in context.args:
+        copy = pickle.loads(pickle.dumps(payload))
+        for ours, theirs in zip(
+            copy["replay_columns"], compiled.replay_columns()
+        ):
+            assert ours.dtype == theirs.dtype
+            assert ours.tolist() == theirs.tolist()
+        assert copy["app_ids"].tolist() == compiled.app_ids
+        assert np.array_equal(copy["shard_ids"], plan.shard_ids)
+        assert copy["shard_ids"].dtype == plan.shard_ids.dtype
+        assert copy["app_table"] == compiled.app_table
+        assert copy["geometry"] == cluster.geometry
+        for app, share, factory in copy["apps"]:
+            engine = factory(payload["owned"][0], share)
+            assert (engine.app, engine.budget_bytes) == (app, share)
+    assert [p["owned"] for _, _, p in context.args] == [[0, 1], [2, 3]]
 
 
 # ---------------------------------------------------------------------------
