@@ -46,7 +46,9 @@ if TYPE_CHECKING:  # circular at runtime: server.py replays through us
 #: One run's outcome tally: ``(shard, app_id, {(code << 2) | op: count})``.
 Run = Tuple[int, int, Dict[int, int]]
 #: ``(keys, op_codes, slab_classes, chunk_bytes, item_bytes)`` -- keys as
-#: an object array, the rest integer arrays, one row per request.
+#: an object array, the rest integer arrays, one row per request: a
+#: compiled trace's own columns (``CompiledTrace.replay_columns``) or a
+#: live batch's.
 ReplayColumns = Tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
 ]

@@ -85,13 +85,13 @@ class CacheServer:
             process(request)
         return self.stats
 
-    def check_replayable(self, trace, app_column: np.ndarray) -> None:
+    def check_replayable(self, trace) -> None:
         """Raise unless the compiled ``trace`` can replay here.
 
         It must have been compiled for this server's slab ladder, and
-        every app with a request in it (``app_column`` is its app-id
-        column) must be registered. Checked before the first request, so
-        a bad trace never leaves engines and stats half-mutated.
+        every app with a request in it must be registered. Checked
+        before the first request, so a bad trace never leaves engines
+        and stats half-mutated.
         """
         if trace.geometry.chunk_sizes != self.geometry.chunk_sizes:
             raise ConfigurationError(
@@ -99,7 +99,7 @@ class CacheServer:
                 f"({trace.geometry.chunk_sizes} vs "
                 f"{self.geometry.chunk_sizes}); recompile it"
             )
-        for app_id in np.unique(app_column):
+        for app_id in np.unique(trace.app_ids):
             name = trace.app_table[app_id]
             if name not in self.engines:
                 raise ConfigurationError(f"request for unknown app {name!r}")
@@ -114,8 +114,7 @@ class CacheServer:
         once. No :class:`Request`/:class:`AccessOutcome` objects exist
         on this path, so a server with observers attached is refused.
         """
-        app_column = np.asarray(trace.app_ids, dtype=np.int64)
-        self.check_replayable(trace, app_column)
+        self.check_replayable(trace)
         if self._observers:
             raise ConfigurationError(
                 "replay_compiled never calls observers; use "
@@ -127,7 +126,7 @@ class CacheServer:
             trace.app_table,
             trace.replay_columns(),
             np.zeros(len(trace), dtype=np.int64),
-            app_column,
+            trace.app_ids,
             0,
             len(trace),
         )

@@ -724,9 +724,8 @@ class Cluster:
         (``tests/cluster/reference.py`` is that loop).
         """
         injector = self.fault_injector
-        app_column = np.asarray(trace.app_ids, dtype=np.int64)
         # Every shard has the same ladder and tenants as shard 0.
-        self.servers[0].check_replayable(trace, app_column)
+        self.servers[0].check_replayable(trace)
         plan = self._resolve_plan(trace, plan)
         routes = TraceColumns(self.router, trace, plan)
         pool = None
@@ -746,7 +745,7 @@ class Cluster:
                 len(trace),
                 trace.app_table,
                 trace.replay_columns(),
-                app_column,
+                trace.app_ids,
                 lambda start, stop, mask: routes.shard_ids(mask),
             )
             if pool is not None:

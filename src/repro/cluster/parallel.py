@@ -9,9 +9,10 @@ to the shards they own. Shards are independent between barriers (paper
 section 4.3), so the fan-out changes nothing but wall-clock:
 
 * The trace's replay columns, its ``app_ids`` column and the routing
-  plan's ``shard_ids`` travel in each worker's start-up arguments:
-  inherited under ``fork``, pickled once under ``spawn`` (the engine
-  factories already travel this way).
+  plan's ``shard_ids`` -- the arrays the trace and the plan hold, not
+  copies -- travel in each worker's start-up arguments: inherited under
+  ``fork``, pickled once under ``spawn`` (the engine factories already
+  travel this way).
 * Each worker owns a contiguous block of shards and builds those
   shards' engines cold through the cluster's registered factories.
 * :meth:`WorkerPool.replay_window` is the synchronization point: it
@@ -195,7 +196,7 @@ class WorkerPool:
                 self.owner[shard] = worker
         shared = {
             "replay_columns": trace.replay_columns(),
-            "app_ids": np.asarray(trace.app_ids, dtype=np.int32),
+            "app_ids": trace.app_ids,
             "shard_ids": plan.shard_ids,
             "geometry": cluster.geometry,
             "apps": [

@@ -330,7 +330,7 @@ class Router:
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """``(positions, turns)`` per request of ``trace``; the turn is
         the key's occurrence index over the whole trace."""
-        key_ids = np.asarray(trace.key_ids, dtype=np.int64)
+        key_ids = trace.key_ids
         positions = self.positions(trace.key_table)[key_ids]
         turns = occurrence_index(key_ids) if self.replication > 1 else None
         return positions, turns

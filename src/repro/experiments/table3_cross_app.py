@@ -34,7 +34,9 @@ def _app_byte_curves(
         profiler = StackDistanceProfiler()
         gets = 0
         for key, op, item_bytes in zip(
-            compiled.keys, compiled.op_codes, compiled.item_bytes
+            compiled.keys.tolist(),
+            compiled.op_codes.tolist(),
+            compiled.item_bytes.tolist(),
         ):
             if op != OP_GET:
                 continue

@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.cache.stats import OP_NAMES, OP_SET
 from repro.common.errors import ConfigurationError
 from repro.common.spec import Spec, spec_field
 from repro.serve.histogram import LatencyHistogram
@@ -56,27 +57,23 @@ DEFAULT_TIMELINE_WINDOWS = 16
 
 
 def commands_from_trace(trace, limit: int) -> List[Tuple[bytes, str]]:
-    """The first ``limit`` trace requests as ``(wire_bytes, op)`` pairs.
+    """The first ``limit`` requests of a compiled ``trace`` as
+    ``(wire_bytes, op)`` pairs.
 
     The generator cycles through these, so a short trace still feeds a
     long run. Values are synthesized to each request's size (clamped to
     the wire's 1 MB cap).
     """
     work: List[Tuple[bytes, str]] = []
-    for request in trace.iter_requests():
-        if len(work) >= limit:
-            break
-        if request.op == "set":
-            size = min(int(request.value_size), MAX_VALUE_BYTES)
-            command = Command(
-                op="set",
-                keys=[request.key],
-                data=synthesize_value(request.key, size),
-            )
-        elif request.op == "delete":
-            command = Command(op="delete", keys=[request.key])
-        else:
-            command = Command(op="get", keys=[request.key])
+    for key, op_code, value_size in zip(
+        trace.keys[:limit].tolist(),
+        trace.op_codes[:limit].tolist(),
+        trace.value_sizes[:limit].tolist(),
+    ):
+        data = b""
+        if op_code == OP_SET:
+            data = synthesize_value(key, min(value_size, MAX_VALUE_BYTES))
+        command = Command(op=OP_NAMES[op_code], keys=[key], data=data)
         work.append((encode_command(command), command.op))
     if not work:
         raise ConfigurationError("trace produced no requests to serve")

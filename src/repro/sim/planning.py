@@ -42,7 +42,9 @@ def profile_app_classes(
     profilers: Dict[int, object] = {}
     frequencies: Dict[int, int] = {}
     for key, op, class_index in zip(
-        trace.keys, trace.op_codes, trace.slab_classes
+        trace.keys.tolist(),
+        trace.op_codes.tolist(),
+        trace.slab_classes.tolist(),
     ):
         if op != OP_GET:
             continue

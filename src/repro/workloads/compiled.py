@@ -16,11 +16,15 @@ traces) the whole generator pipeline re-run on every experiment. A
 * validation (unknown op, negative size, oversized item) is hoisted out of
   the replay loop entirely -- a compiled trace is valid by construction.
 
-The resulting arrays feed :meth:`repro.cache.server.CacheServer.
-replay_compiled` and the profiler fast paths. :class:`TraceCache` stores
-compiled traces on disk (``.npz``) and in process memory so the ~17
-experiment runners stop regenerating identical Memcachier/Zipf traces from
-scratch.
+The result is one table of typed NumPy columns, a row per request
+(:data:`COLUMN_DTYPES`; an ``.npz`` holds :data:`STORED_COLUMNS`, the
+rest are rebuilt from them). The replay kernel
+(:func:`repro.cache.kernel.replay_runs`), routing and the worker pool
+read the columns as they are; sub-traces index them (a ``slice`` is a
+view, nothing is copied); the few Python loops left over a column take
+``.tolist()`` once at the top. :class:`TraceCache` stores compiled
+traces on disk (``.npz``) and in process memory so the ~17 experiment
+runners stop regenerating identical Memcachier/Zipf traces from scratch.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ import tempfile
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
+from repro.cache.kernel import ReplayColumns
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_CODES, OP_NAMES
 from repro.common.constants import DEFAULT_PLAN_CACHE_ENTRIES
@@ -43,6 +48,25 @@ from repro.workloads.trace import Request
 
 #: Bump when the on-disk layout changes; stale files are recompiled.
 _DISK_FORMAT_VERSION = 1
+
+#: Every per-request column and its dtype, in memory and (for the ones
+#: stored) in the ``.npz``.
+COLUMN_DTYPES: Dict[str, type] = {
+    "times": np.float64,
+    "app_ids": np.int32,
+    "key_ids": np.int64,
+    "op_codes": np.int8,
+    "value_sizes": np.int64,
+    "key_sizes": np.int64,
+    "keys": object,
+    "slab_classes": np.int16,
+    "chunk_bytes": np.int64,
+    "item_bytes": np.int64,
+}
+#: The columns an ``.npz`` stores; the other four are rebuilt from them
+#: on compile and load (every row's key string and its
+#: :meth:`~repro.cache.slabs.SlabGeometry.rows`).
+STORED_COLUMNS = tuple(COLUMN_DTYPES)[:6]
 
 
 def save_npz_atomic(path: Union[str, Path], payload: Dict[str, np.ndarray]) -> Path:
@@ -70,69 +94,63 @@ def save_npz_atomic(path: Union[str, Path], payload: Dict[str, np.ndarray]) -> P
 class CompiledTrace:
     """A validated, struct-of-arrays representation of one trace.
 
-    All per-request columns are plain Python lists (fastest to index from
-    the interpreter loop); ``keys`` holds interned string references so the
+    Every per-request column (:data:`COLUMN_DTYPES`) is a NumPy array of
+    its declared dtype, read-only because sub-traces share memory with
+    their parent. ``keys`` is an object array gathered from
+    ``key_table``, so ``keys[i] is key_table[key_ids[i]]`` and the
     replay path passes the exact same key objects the uncompiled replay
-    would, byte for byte.
+    would, byte for byte. ``app_table`` / ``key_table`` are lists of
+    ``str``, shared (never copied) between a trace and its sub-traces.
     """
 
     __slots__ = (
         "geometry",
-        "times",
-        "app_ids",
         "app_table",
-        "key_ids",
         "key_table",
-        "keys",
-        "op_codes",
-        "value_sizes",
-        "key_sizes",
-        "slab_classes",
-        "chunk_bytes",
-        "item_bytes",
+        *COLUMN_DTYPES,
         "_routing_digest",
-        "_replay_columns",
     )
 
     def __init__(
         self,
         geometry: SlabGeometry,
-        times: List[float],
-        app_ids: List[int],
         app_table: List[str],
-        key_ids: List[int],
         key_table: List[str],
-        op_codes: List[int],
-        value_sizes: List[int],
-        key_sizes: List[int],
+        columns: Mapping[str, np.ndarray],
     ) -> None:
+        """``columns`` has every :data:`COLUMN_DTYPES` name (see
+        :meth:`from_stored`)."""
         self.geometry = geometry
-        self.times = times
-        self.app_ids = app_ids
         self.app_table = app_table
-        self.key_ids = key_ids
         self.key_table = key_table
-        self.op_codes = op_codes
-        self.value_sizes = value_sizes
-        self.key_sizes = key_sizes
-        # Derived hot columns.
-        self.keys = [key_table[i] for i in key_ids]
-        classes, _, items = geometry.rows(
-            np.asarray(key_sizes, dtype=np.int64),
-            np.asarray(value_sizes, dtype=np.int64),
-        )
-        self.slab_classes = classes.tolist()
-        self.item_bytes = items.tolist()
-        # Looked up, not ``.tolist()``-ed: every request then shares the
-        # ladder's own int objects instead of allocating one per row.
-        chunk_of = geometry.chunk_sizes
-        self.chunk_bytes = [chunk_of[c] for c in self.slab_classes]
+        for name, dtype in COLUMN_DTYPES.items():
+            column = columns[name].astype(dtype, copy=False)
+            column.setflags(write=False)
+            setattr(self, name, column)
         self._routing_digest: Optional[str] = None
-        self._replay_columns = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+
+    @classmethod
+    def from_stored(
+        cls,
+        geometry: SlabGeometry,
+        app_table: List[str],
+        key_table: List[str],
+        **stored: object,
+    ) -> "CompiledTrace":
+        """Build from the :data:`STORED_COLUMNS` (lists or arrays),
+        deriving the rest."""
+        columns = {
+            name: np.asarray(stored[name], dtype=COLUMN_DTYPES[name])
+            for name in STORED_COLUMNS
+        }
+        classes, chunks, items = geometry.rows(columns["key_sizes"], columns["value_sizes"])
+        keys = np.array(key_table, dtype=object)[columns["key_ids"]]
+        columns.update(keys=keys, slab_classes=classes, chunk_bytes=chunks, item_bytes=items)
+        return cls(geometry, app_table, key_table, columns)
 
     @classmethod
     def compile(
@@ -178,16 +196,16 @@ class CompiledTrace:
             op_codes.append(op)
             value_sizes.append(request.value_size)
             key_sizes.append(key_size)
-        return cls(
+        return cls.from_stored(
             geometry,
-            times,
-            app_ids,
             app_table,
-            key_ids,
             key_table,
-            op_codes,
-            value_sizes,
-            key_sizes,
+            times=times,
+            app_ids=app_ids,
+            key_ids=key_ids,
+            op_codes=op_codes,
+            value_sizes=value_sizes,
+            key_sizes=key_sizes,
         )
 
     # ------------------------------------------------------------------
@@ -201,25 +219,10 @@ class CompiledTrace:
     def app_names(self) -> List[str]:
         return list(self.app_table)
 
-    def replay_columns(self):
-        """Numpy mirrors of the five replay-hot columns, built lazily.
-
-        ``(keys, op_codes, slab_classes, chunk_bytes, item_bytes)`` --
-        keys as an object array (holding the same interned string
-        references), the rest as integer arrays. The partitioned cluster
-        replay gathers per-(shard, app) runs out of these with C-speed
-        fancy indexing instead of Python-level list comprehensions;
-        built once per trace instance and reused by every replay.
-        """
-        if self._replay_columns is None:
-            self._replay_columns = (
-                np.asarray(self.keys, dtype=object),
-                np.asarray(self.op_codes, dtype=np.int8),
-                np.asarray(self.slab_classes, dtype=np.int16),
-                np.asarray(self.chunk_bytes, dtype=np.int64),
-                np.asarray(self.item_bytes, dtype=np.int64),
-            )
-        return self._replay_columns
+    def replay_columns(self) -> ReplayColumns:
+        """The five columns :func:`repro.cache.kernel.replay_runs` reads:
+        ``(keys, op_codes, slab_classes, chunk_bytes, item_bytes)``."""
+        return self.keys, self.op_codes, self.slab_classes, self.chunk_bytes, self.item_bytes
 
     def routing_digest(self) -> str:
         """128-bit digest of the routed key sequence.
@@ -246,23 +249,28 @@ class CompiledTrace:
                 ).tobytes()
             )
             digest.update(b"".join(encoded))
-            digest.update(
-                np.asarray(self.key_ids, dtype=np.int64).tobytes()
-            )
+            digest.update(self.key_ids.tobytes())
             self._routing_digest = digest.hexdigest()[:32]
         return self._routing_digest
 
     def iter_requests(self) -> Iterator[Request]:
-        """Re-expand into :class:`Request` objects (compat adapter)."""
-        op_names = OP_NAMES
-        for i in range(len(self.key_ids)):
+        """Re-expand into :class:`Request` objects (compat adapter),
+        their fields plain ``float`` / ``int`` / ``str``."""
+        for time, app_id, key, op, value_size, key_size in zip(
+            self.times.tolist(),
+            self.app_ids.tolist(),
+            self.keys.tolist(),
+            self.op_codes.tolist(),
+            self.value_sizes.tolist(),
+            self.key_sizes.tolist(),
+        ):
             yield Request(
-                time=self.times[i],
-                app=self.app_table[self.app_ids[i]],
-                key=self.keys[i],
-                op=op_names[self.op_codes[i]],
-                value_size=self.value_sizes[i],
-                key_size=self.key_sizes[i],
+                time=time,
+                app=self.app_table[app_id],
+                key=key,
+                op=OP_NAMES[op],
+                value_size=value_size,
+                key_size=key_size,
             )
 
     def select_apps(self, apps: Iterable[str]) -> "CompiledTrace":
@@ -273,62 +281,40 @@ class CompiledTrace:
         chosen apps' streams.
         """
         wanted = set(apps)
-        chosen = {
-            app_id
-            for app_id, name in enumerate(self.app_table)
-            if name in wanted
-        }
-        indices = [
-            i for i, app_id in enumerate(self.app_ids) if app_id in chosen
-        ]
-        return self._subset(indices)
+        chosen = [i for i, name in enumerate(self.app_table) if name in wanted]
+        return self._subset(np.isin(self.app_ids, chosen))
 
     def for_app(self, app: str) -> "CompiledTrace":
         return self.select_apps([app])
 
     def slice(self, start: int, stop: Optional[int] = None) -> "CompiledTrace":
-        """Contiguous sub-trace (e.g. warmup/measure splits)."""
+        """Contiguous sub-trace (e.g. warmup/measure splits): views of
+        this trace's columns, no copy."""
         n = len(self)
         stop = n if stop is None else min(stop, n)
-        return self._subset(range(min(start, stop), stop))
+        return self._subset(slice(min(start, stop), stop))
 
     def with_op(self, op: str) -> "CompiledTrace":
         """Copy with every request's op replaced (micro-benchmark splits).
 
         Slab classes are size-derived, so they are unaffected.
         """
-        code = OP_CODES[op]
-        clone = self._subset(range(len(self)))
-        clone.op_codes = [code] * len(self)
+        clone = self._subset(slice(None))
+        clone.op_codes = np.full(
+            len(self), OP_CODES[op], dtype=COLUMN_DTYPES["op_codes"]
+        )
         return clone
 
-    def _subset(self, indices) -> "CompiledTrace":
-        """Sub-trace at ``indices`` (ascending), bypassing ``__init__``.
-
-        The derived hot columns (``keys``, ``chunk_bytes``,
-        ``item_bytes``) are picked directly instead of being recomputed,
-        and the app/key tables are *shared* with the parent (they are
-        treated as immutable everywhere), keeping ``select_apps`` /
-        ``slice`` subsetting cheap.
-        """
-        pick = indices
-        clone = CompiledTrace.__new__(CompiledTrace)
-        clone.geometry = self.geometry
-        clone.times = [self.times[i] for i in pick]
-        clone.app_ids = [self.app_ids[i] for i in pick]
-        clone.app_table = self.app_table
-        clone.key_ids = [self.key_ids[i] for i in pick]
-        clone.key_table = self.key_table
-        clone.op_codes = [self.op_codes[i] for i in pick]
-        clone.value_sizes = [self.value_sizes[i] for i in pick]
-        clone.key_sizes = [self.key_sizes[i] for i in pick]
-        clone.slab_classes = [self.slab_classes[i] for i in pick]
-        clone.keys = [self.keys[i] for i in pick]
-        clone.chunk_bytes = [self.chunk_bytes[i] for i in pick]
-        clone.item_bytes = [self.item_bytes[i] for i in pick]
-        clone._routing_digest = None
-        clone._replay_columns = None
-        return clone
+    def _subset(self, rows: Union[slice, np.ndarray]) -> "CompiledTrace":
+        """Sub-trace at ``rows``: a boolean mask (copies) or a ``slice``
+        (views). Every column is indexed, the derived ones included, so
+        nothing is recomputed; the tables are the parent's."""
+        return CompiledTrace(
+            self.geometry,
+            self.app_table,
+            self.key_table,
+            {name: getattr(self, name)[rows] for name in COLUMN_DTYPES},
+        )
 
     # ------------------------------------------------------------------
     # Disk format
@@ -339,19 +325,19 @@ class CompiledTrace:
         payload = {
             "version": np.array([_DISK_FORMAT_VERSION]),
             "chunk_sizes": np.array(self.geometry.chunk_sizes, dtype=np.int64),
-            "times": np.array(self.times, dtype=np.float64),
-            "app_ids": np.array(self.app_ids, dtype=np.int32),
             "app_table": np.array(self.app_table, dtype=np.str_),
-            "key_ids": np.array(self.key_ids, dtype=np.int64),
             "key_table": np.array(self.key_table, dtype=np.str_),
-            "op_codes": np.array(self.op_codes, dtype=np.int8),
-            "value_sizes": np.array(self.value_sizes, dtype=np.int64),
-            "key_sizes": np.array(self.key_sizes, dtype=np.int64),
         }
+        for name in STORED_COLUMNS:
+            payload[name] = getattr(self, name)
         return save_npz_atomic(path, payload)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CompiledTrace":
+        """Read a :meth:`save` file without trusting it: columns of
+        unequal length or an id outside its table raise
+        :class:`TraceFormatError` here, not an ``IndexError`` (or, for a
+        negative id, the wrong key) in the middle of a replay."""
         with np.load(path, allow_pickle=False) as data:
             if int(data["version"][0]) != _DISK_FORMAT_VERSION:
                 raise TraceFormatError(
@@ -360,17 +346,23 @@ class CompiledTrace:
             geometry = SlabGeometry(
                 tuple(int(c) for c in data["chunk_sizes"])
             )
-            return cls(
-                geometry,
-                data["times"].tolist(),
-                data["app_ids"].tolist(),
-                data["app_table"].tolist(),
-                data["key_ids"].tolist(),
-                data["key_table"].tolist(),
-                data["op_codes"].tolist(),
-                data["value_sizes"].tolist(),
-                data["key_sizes"].tolist(),
-            )
+            app_table = data["app_table"].tolist()
+            key_table = data["key_table"].tolist()
+            stored = {name: data[name] for name in STORED_COLUMNS}
+        rows = stored["key_ids"].size
+        if any(column.shape != (rows,) for column in stored.values()):
+            raise TraceFormatError(f"{path}: columns differ in length")
+        for name, bound in (
+            ("app_ids", len(app_table)),
+            ("key_ids", len(key_table)),
+            ("op_codes", len(OP_NAMES)),
+        ):
+            column = stored[name]
+            if rows and not (0 <= column.min() and column.max() < bound):
+                raise TraceFormatError(
+                    f"{path}: {name} outside [0, {bound})"
+                )
+        return cls.from_stored(geometry, app_table, key_table, **stored)
 
 
 # ---------------------------------------------------------------------------

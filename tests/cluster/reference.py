@@ -56,13 +56,19 @@ def replay_reference(cluster, trace):
     replicas_of_key = {}
     routed_live = None
     turn_of_key = [0] * len(trace.key_table)
+    # Plain Python rows: this walk indexes one request at a time.
+    keys, key_ids = trace.keys.tolist(), trace.key_ids.tolist()
+    apps = [trace.app_table[app_id] for app_id in trace.app_ids.tolist()]
+    ops = trace.op_codes.tolist()
+    classes = trace.slab_classes.tolist()
+    chunks, items = trace.chunk_bytes.tolist(), trace.item_bytes.tolist()
     for start, stop in windows:
         live = list(cluster.live_mask())
         if failover and live != routed_live:
             replicas_of_key.clear()
             routed_live = live
         for i in range(start, stop):
-            key, key_id = trace.keys[i], trace.key_ids[i]
+            key, key_id = keys[i], key_ids[i]
             choices = replicas_of_key.get(key_id)
             if choices is None:
                 choices = replicas_of_key[key_id] = (
@@ -74,15 +80,11 @@ def replay_reference(cluster, trace):
             turn_of_key[key_id] += 1
             server = cluster.servers[shard]
             # Restarts swap in fresh engines: look the engine up each time.
-            engine = server.engines[trace.app_table[trace.app_ids[i]]]
-            op = trace.op_codes[i]
+            engine = server.engines[apps[i]]
+            op = ops[i]
             if live[shard]:
                 code = engine.process_fast(
-                    key,
-                    op,
-                    trace.slab_classes[i],
-                    trace.chunk_bytes[i],
-                    trace.item_bytes[i],
+                    key, op, classes[i], chunks[i], items[i]
                 )
             else:
                 code = OUTCOME_DEAD

@@ -73,18 +73,8 @@ TOTAL = sum(
 
 REBALANCE = {"epoch_requests": 400, "policy": "shadow"}
 
+#: Offsets inside the 1600-request trace, so that every event fires.
 FAULTS = {
-    "events": [
-        {"kind": "crash", "shard": 1, "at": 2_000},
-        {"kind": "restart", "shard": 1, "at": 9_000},
-        {"kind": "crash", "shard": 3, "at": 11_000},
-    ],
-}
-
-#: The same shape inside the 1600-request trace, so that every event fires
-#: (``FAULTS`` above is armed past the trace's end: its scenarios run as
-#: fault-free ones).
-LIVE_FAULTS = {
     "events": [
         {"kind": "crash", "shard": 1, "at": 200},
         {"kind": "restart", "shard": 1, "at": 900},
@@ -130,6 +120,14 @@ def assert_parity(scenario, workers=2):
     return serial, parallel
 
 
+def assert_faults_fired(result, policy):
+    """Both ``FAULTS`` crashes happened, and cost requests only where
+    the policy lets a dead shard answer."""
+    faults = result.cluster_report["faults"]
+    assert len(faults["crashes"]) == 2
+    assert (faults["dead_requests"] > 0) == (policy == "miss-through")
+
+
 # ---------------------------------------------------------------------------
 # Parity: every replay mode, whole serialized results
 # ---------------------------------------------------------------------------
@@ -159,17 +157,19 @@ def test_faulted_parallel_identical_to_serial(policy):
         parallel.cluster_report["faults"]
         == serial.cluster_report["faults"]
     )
+    assert_faults_fired(serial, policy)
 
 
 @pytest.mark.parametrize("policy", ["failover", "miss-through"])
 def test_faulted_rebalanced_parallel_identical_to_serial(policy):
-    assert_parity(
+    serial, _ = assert_parity(
         BASE.replace(
             faults=dict(FAULTS, policy=policy),
             rebalance=dict(REBALANCE),
         ),
         workers=3,
     )
+    assert_faults_fired(serial, policy)
 
 
 def test_offset_zero_crash_reaches_the_workers():
@@ -233,7 +233,7 @@ def test_spawn_failover_restart_identical_to_serial(monkeypatch):
     # carries its rerouted slice through the pipe.
     monkeypatch.setattr("repro.common.mp.DEFAULT_START_METHOD", "spawn")
     serial, parallel = assert_parity(
-        BASE.replace(faults=dict(LIVE_FAULTS, policy="failover"))
+        BASE.replace(faults=dict(FAULTS, policy="failover"))
     )
     assert (
         parallel.cluster_report["faults"]
@@ -252,7 +252,7 @@ def test_parallel_replay_creates_no_shared_memory(monkeypatch):
     monkeypatch.setattr(
         multiprocessing.shared_memory, "SharedMemory", refuse
     )
-    assert_parity(BASE.replace(faults=dict(LIVE_FAULTS, policy="failover")))
+    assert_parity(BASE.replace(faults=dict(FAULTS, policy="failover")))
 
 
 @settings(max_examples=5, deadline=None)
@@ -453,7 +453,8 @@ def test_worker_start_up_arguments_pickle_and_round_trip(monkeypatch):
         ):
             assert ours.dtype == theirs.dtype
             assert ours.tolist() == theirs.tolist()
-        assert copy["app_ids"].tolist() == compiled.app_ids
+        assert copy["app_ids"].dtype == compiled.app_ids.dtype
+        assert copy["app_ids"].tolist() == compiled.app_ids.tolist()
         assert np.array_equal(copy["shard_ids"], plan.shard_ids)
         assert copy["shard_ids"].dtype == plan.shard_ids.dtype
         assert copy["app_table"] == compiled.app_table
@@ -493,7 +494,7 @@ def kernel_runs(servers, compiled, plan, stop=None, **kwargs):
         compiled.app_table,
         compiled.replay_columns(),
         plan.shard_ids,
-        np.asarray(compiled.app_ids, dtype=np.int64),
+        compiled.app_ids,
         0,
         len(compiled) if stop is None else stop,
         **kwargs,

@@ -331,10 +331,10 @@ class TestOfflineLiveParity:
             classes, chunks, items = build()._batch_classes(
                 keys, values, key_sizes, len(keys)
             )
-            assert classes.tolist() == compiled.slab_classes
-            assert chunks.tolist() == compiled.chunk_bytes
-            assert items.tolist() == compiled.item_bytes
-        assert len(set(compiled.slab_classes)) > 2
+            assert classes.tolist() == compiled.slab_classes.tolist()
+            assert chunks.tolist() == compiled.chunk_bytes.tolist()
+            assert items.tolist() == compiled.item_bytes.tolist()
+        assert len(set(compiled.slab_classes.tolist())) > 2
 
 
 class TestBatchInterface:

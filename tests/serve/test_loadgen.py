@@ -12,7 +12,14 @@ from repro.serve.loadgen import (
     LoadResult,
     commands_from_trace,
 )
-from repro.serve.protocol import BUSY, ProtocolParser
+from repro.serve.protocol import (
+    BUSY,
+    MAX_VALUE_BYTES,
+    Command,
+    ProtocolParser,
+    encode_command,
+)
+from repro.serve.service import synthesize_value
 
 
 class StubClient:
@@ -168,9 +175,49 @@ class TestTraceCompilation:
         assert first == second
 
     def test_empty_trace_rejected(self):
-        class Empty:
-            def iter_requests(self):
-                return iter(())
-
         with pytest.raises(ConfigurationError):
-            commands_from_trace(Empty(), limit=10)
+            commands_from_trace(self.make_trace().slice(0, 0), limit=10)
+
+    @pytest.mark.parametrize("limit", [1, 37, 800, 5_000])
+    def test_equals_walking_the_requests(self, limit):
+        # A mixed-op, mixed-size trace, one value past the wire's cap.
+        from repro.cache.slabs import SlabGeometry
+        from repro.workloads.compiled import CompiledTrace
+        from repro.workloads.trace import OPS, Request
+
+        geometry = SlabGeometry((128, 4096, 4 << 20))
+        sizes = [10, 3_000, MAX_VALUE_BYTES + 5]
+        compiled = CompiledTrace.compile(
+            [
+                Request(time=float(i), app="a", key=f"a:k{i % 50}",
+                        op=OPS[i % 3], value_size=sizes[(i // 3) % 3])
+                for i in range(60)
+            ]
+            + list(self.make_trace().iter_requests()),
+            geometry,
+        )
+        work = commands_from_trace(compiled, limit)
+        assert work == walk_requests(compiled, limit)
+        assert len(work) == min(limit, len(compiled))
+
+
+def walk_requests(trace, limit):
+    """``commands_from_trace`` as it was first written: a ``Request``
+    per row, dispatched on its op name."""
+    work = []
+    for request in trace.iter_requests():
+        if len(work) >= limit:
+            break
+        if request.op == "set":
+            size = min(int(request.value_size), MAX_VALUE_BYTES)
+            command = Command(
+                op="set",
+                keys=[request.key],
+                data=synthesize_value(request.key, size),
+            )
+        elif request.op == "delete":
+            command = Command(op="delete", keys=[request.key])
+        else:
+            command = Command(op="get", keys=[request.key])
+        work.append((encode_command(command), command.op))
+    return work
