@@ -4,7 +4,8 @@ Applications 3-5 under: plain LRU (original), Facebook's mid-insertion
 scheme, ARC, Cliffhanger on LRU, and hill climbing on the Facebook
 policy ("Cliffhanger + Facebook" -- cliff scaling assumes LRU rank
 semantics, so the combination uses the hill-climbing half, which is the
-part that composes with arbitrary eviction policies; see DESIGN.md).
+part that composes with arbitrary eviction policies; see README,
+"Substitutions", item 2).
 
 Paper shape: Facebook > LRU >= ARC (ARC shows no improvement on these
 traces), and Cliffhanger beats both plain schemes.

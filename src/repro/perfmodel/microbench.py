@@ -87,7 +87,7 @@ def _compiled_stream(
     """Compile (and cache) a micro-benchmark stream."""
     return GLOBAL_TRACE_CACHE.get_or_compile(
         cache_key,
-        lambda: stream.generate(num_requests, 100.0),
+        lambda: [stream.columns(num_requests, 100.0)],
         geometry,
     )
 

@@ -20,6 +20,7 @@ lost.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
 from repro.common.errors import ConfigurationError
@@ -86,7 +87,7 @@ class MimirProfiler:
             estimate: Optional[float] = None
         else:
             index = self._bucket_index(round_id)
-            newer = sum(len(self._buckets[j]) for j in range(index))
+            newer = sum(map(len, islice(self._buckets, index)))
             estimate = newer + len(self._buckets[index]) / 2.0
             self._buckets[index].discard(key)
         self._buckets[0].add(key)

@@ -46,7 +46,6 @@ from repro.workloads.facebook import (
 from repro.workloads.generators import RequestStream, ZipfStream
 from repro.workloads.memcachier import AppSpec, build_memcachier_trace
 from repro.workloads.sizes import FixedSize
-from repro.workloads.trace import merge_by_time
 
 
 @dataclass
@@ -125,7 +124,7 @@ def _load_memcachier(
         f"memcachier-scale{scale!r}-seed{seed}-apps{app_part}"
         f"-total{total_requests if total_requests is not None else 'auto'}"
     )
-    compiled = GLOBAL_TRACE_CACHE.get_or_compile(key, meta.requests, GEOMETRY)
+    compiled = GLOBAL_TRACE_CACHE.get_or_compile(key, meta.columns, GEOMETRY)
     return SyntheticTrace(
         scale=scale,
         seed=seed,
@@ -226,12 +225,7 @@ class TenantWorkload:
         )
         compiled = GLOBAL_TRACE_CACHE.get_or_compile(
             key,
-            lambda: merge_by_time(
-                [
-                    stream.generate(counts[stream.app], 3600.0)
-                    for stream in streams
-                ]
-            ),
+            lambda: (stream.columns(counts[stream.app], 3600.0) for stream in streams),
             GEOMETRY,
         )
         return SyntheticTrace(

@@ -2,10 +2,11 @@
 
 Replaying a trace of :class:`~repro.workloads.trace.Request` objects pays
 Python's worst per-request taxes: a frozen-dataclass construction with
-``__post_init__`` validation, a slab classification, and (for generated
-traces) the whole generator pipeline re-run on every experiment. A
-:class:`CompiledTrace` pays all of those costs exactly once, at
-*compile* time:
+``__post_init__`` validation and a slab classification per request. A
+:class:`CompiledTrace` pays those costs once, when
+:meth:`CompiledTrace.compile` builds it -- from any request iterable,
+or, for the generated workloads, from each application's
+:class:`Columns` (no request objects at all):
 
 * keys and app names are interned (every request holds a reference to a
   shared string, plus an integer id for serialization);
@@ -30,12 +31,15 @@ runners stop regenerating identical Memcachier/Zipf traces from scratch.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import tempfile
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -67,6 +71,39 @@ COLUMN_DTYPES: Dict[str, type] = {
 #: on compile and load (every row's key string and its
 #: :meth:`~repro.cache.slabs.SlabGeometry.rows`).
 STORED_COLUMNS = tuple(COLUMN_DTYPES)[:6]
+
+
+class Columns(NamedTuple):
+    """One application's time-ordered requests, as a generator builds
+    them: row ``i`` of ``times`` and of the four columns after
+    ``key_table`` is its ``i``-th request.
+
+    ``key_ids`` index the stream's own ``key_table``, which may hold
+    entries no row uses and one string twice (a mixture concatenates its
+    components' tables); :meth:`CompiledTrace.compile` interns by string.
+    """
+
+    app: str
+    times: np.ndarray
+    key_table: List[str]
+    key_ids: np.ndarray
+    op_codes: np.ndarray
+    value_sizes: np.ndarray
+    key_sizes: np.ndarray
+
+
+def _intern(table: List[str], ids: np.ndarray) -> Tuple[List[str], np.ndarray]:
+    """The strings of ``table`` that ``ids`` use, once each in order of
+    first use, and ``ids`` renumbered into them."""
+    index: Dict[str, int] = {}
+    canonical = [index.setdefault(name, len(index)) for name in table]
+    ids = np.array(canonical, dtype=np.int64)[ids]
+    used, first = np.unique(ids, return_index=True)
+    used = used[np.argsort(first)]
+    renumber = np.empty(len(index), np.int64)
+    renumber[used] = np.arange(used.size)
+    names = list(index)
+    return [names[i] for i in used.tolist()], renumber[ids]
 
 
 def save_npz_atomic(path: Union[str, Path], payload: Dict[str, np.ndarray]) -> Path:
@@ -155,11 +192,22 @@ class CompiledTrace:
     @classmethod
     def compile(
         cls,
-        requests: Iterable[Request],
+        source: Iterable[Union[Request, Columns]],
         geometry: Optional[SlabGeometry] = None,
     ) -> "CompiledTrace":
-        """Compile any request iterable, validating each record once."""
+        """Compile requests (any iterable, each record validated once),
+        or each application's :class:`Columns`, merged by time.
+
+        Every trace the program builds is built here, generated or not,
+        so timing this one call times every build (the performance
+        ledger's ``workloads.generate`` / ``.compile`` spans do).
+        """
         geometry = geometry or SlabGeometry.default()
+        rows = iter(source)
+        first = next(rows, None)
+        if isinstance(first, Columns):
+            return cls._merge([first, *rows], geometry)
+        requests = itertools.chain(() if first is None else (first,), rows)
         times: List[float] = []
         app_ids: List[int] = []
         app_index: Dict[str, int] = {}
@@ -206,6 +254,32 @@ class CompiledTrace:
             op_codes=op_codes,
             value_sizes=value_sizes,
             key_sizes=key_sizes,
+        )
+
+    @classmethod
+    def _merge(cls, parts: List[Columns], geometry: SlabGeometry) -> "CompiledTrace":
+        """``parts`` as one trace: rows ordered by ``(time, app)``, ties
+        in ``parts`` order (what a ``heapq.merge`` of the streams on that
+        key gives), keys and apps interned in order of first appearance
+        (as the request path interns them)."""
+        names = sorted({part.app for part in parts})
+        rank = np.array([names.index(part.app) for part in parts], dtype=np.int64)
+        part_of_row = np.repeat(np.arange(len(parts)), [len(part.times) for part in parts])
+        times = np.concatenate([part.times for part in parts])
+        order = np.lexsort((rank[part_of_row], times))
+        starts = np.cumsum([0] + [len(part.key_table) for part in parts[:-1]])
+        key_ids = np.concatenate([part.key_ids + start for part, start in zip(parts, starts)])
+        key_table, key_ids = _intern(
+            [key for part in parts for key in part.key_table], key_ids[order]
+        )
+        app_table, app_ids = _intern([part.app for part in parts], part_of_row[order])
+        stored = {
+            name: np.concatenate([getattr(part, name) for part in parts])[order]
+            for name in ("op_codes", "value_sizes", "key_sizes")
+        }
+        return cls.from_stored(
+            geometry, app_table, key_table, times=times[order], app_ids=app_ids,
+            key_ids=key_ids, **stored,
         )
 
     # ------------------------------------------------------------------
@@ -418,10 +492,11 @@ class TraceCache:
     def get_or_compile(
         self,
         key: str,
-        factory: Callable[[], Iterable[Request]],
+        factory: Callable[[], Iterable[Union[Request, Columns]]],
         geometry: Optional[SlabGeometry] = None,
     ) -> CompiledTrace:
-        """Return the compiled trace for ``key``, compiling on first use.
+        """Return the compiled trace for ``key``, compiling
+        ``factory()`` on first use.
 
         ``key`` must encode every parameter the factory depends on
         (scale, seed, app subset, ...); the geometry is appended here so

@@ -16,15 +16,15 @@ for it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
+from repro.cache.stats import OP_GET, OP_SET
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import stable_hash_u64
-from repro.workloads.generators import RequestStream, _timestamps
+from repro.workloads.compiled import Columns
+from repro.workloads.generators import RequestStream, _keyed, _timestamps
 from repro.workloads.sizes import GeneralizedParetoSize, SizeModel
-from repro.workloads.trace import Request
 from repro.workloads.zipf import ZipfSampler
 
 #: The production GET fraction the paper quotes (Table 7, first row).
@@ -53,24 +53,14 @@ class FacebookETCStream(RequestStream):
             )
         self._sizes: SizeModel = GeneralizedParetoSize()
 
-    def generate(
-        self, num_requests: int, duration: float, start_time: float = 0.0
-    ) -> Iterator[Request]:
+    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
         rng = np.random.default_rng(self.seed)
         sampler = ZipfSampler(self.num_keys, self.alpha, rng=rng)
         ranks = sampler.sample(num_requests)
         is_get = rng.random(num_requests) < self.get_fraction
         times = _timestamps(num_requests, duration, start_time)
-        for i in range(num_requests):
-            key = f"{self.app}:fb:{ranks[i]}"
-            yield Request(
-                time=float(times[i]),
-                app=self.app,
-                key=key,
-                op="get" if is_get[i] else "set",
-                value_size=self._sizes.size_of(key),
-                key_size=_etc_key_size(key),
-            )
+        ops = np.where(is_get, OP_GET, OP_SET)
+        return _keyed(self, ranks, times, ops, "fb", self._sizes.size_of, _etc_key_size)
 
 
 @dataclass
@@ -92,19 +82,12 @@ class UniqueKeyStream(RequestStream):
             )
         self._sizes: SizeModel = GeneralizedParetoSize()
 
-    def generate(
-        self, num_requests: int, duration: float, start_time: float = 0.0
-    ) -> Iterator[Request]:
+    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
         rng = np.random.default_rng(self.seed)
         is_get = rng.random(num_requests) < self.get_fraction
         times = _timestamps(num_requests, duration, start_time)
-        for i in range(num_requests):
-            key = f"{self.app}:u:{self.seed}:{i}"
-            yield Request(
-                time=float(times[i]),
-                app=self.app,
-                key=key,
-                op="get" if is_get[i] else "set",
-                value_size=self._sizes.size_of(key),
-                key_size=_etc_key_size(key),
-            )
+        ops = np.where(is_get, OP_GET, OP_SET)
+        return _keyed(
+            self, np.arange(num_requests), times, ops, f"u:{self.seed}",
+            self._sizes.size_of, _etc_key_size,
+        )

@@ -1,8 +1,12 @@
 """Composable request-stream generators.
 
-Each generator produces a time-ordered iterator of
-:class:`~repro.workloads.trace.Request` for one application. The two
-primitives matter to the paper in different ways:
+Each generator builds one application's time-ordered requests as
+:class:`~repro.workloads.compiled.Columns` in one vectorised pass,
+making each distinct key's string and sizes once;
+:meth:`~repro.workloads.compiled.CompiledTrace.compile` merges per-app
+columns by time, and :meth:`RequestStream.generate` hands the rows out
+as :class:`~repro.workloads.trace.Request` objects. The two primitives
+matter to the paper in different ways:
 
 * :class:`ZipfStream` -- skewed reuse: concave hit-rate curves, the
   regime where plain hill climbing is provably near-optimal (section 4.1).
@@ -21,12 +25,15 @@ otherwise concave curve, and how the phase changes of sections 5.3-5.4
 from __future__ import annotations
 
 import abc
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cache.stats import OP_GET, OP_NAMES, OP_SET
 from repro.common.errors import ConfigurationError
+from repro.workloads.compiled import COLUMN_DTYPES, Columns
 from repro.workloads.sizes import SizeModel
 from repro.workloads.trace import Request
 from repro.workloads.zipf import ZipfSampler
@@ -35,12 +42,21 @@ from repro.workloads.zipf import ZipfSampler
 class RequestStream(abc.ABC):
     """A finite, time-ordered request stream for one application."""
 
+    app: str
+
     @abc.abstractmethod
+    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
+        """The ``num_requests`` requests spread over ``duration`` seconds
+        starting at ``start_time``."""
+
     def generate(
         self, num_requests: int, duration: float, start_time: float = 0.0
     ) -> Iterator[Request]:
-        """Yield ``num_requests`` requests spread over ``duration``
-        seconds starting at ``start_time``."""
+        """The rows of :meth:`columns` as :class:`Request` objects."""
+        own = self.columns(num_requests, duration, start_time)
+        rows = (own.times, own.key_ids, own.op_codes, own.value_sizes, own.key_sizes)
+        for time, key_id, op, value_size, key_size in zip(*(c.tolist() for c in rows)):
+            yield Request(time, own.app, own.key_table[key_id], OP_NAMES[op], value_size, key_size)
 
 
 def _timestamps(
@@ -52,6 +68,41 @@ def _timestamps(
         raise ConfigurationError("duration must be positive")
     step = duration / max(1, num_requests)
     return start_time + step * np.arange(num_requests)
+
+
+def _keyed(
+    stream, ids: np.ndarray, times: np.ndarray, op_codes: np.ndarray,
+    namespace: Optional[str] = None, value_size: Optional[Callable[[str], int]] = None,
+    key_size: Callable[[str], int] = len,
+) -> Columns:
+    """``stream``'s rows keyed ``f"{app}:{namespace}:{ids[i]}"`` (by
+    default its own namespace and size model), making each distinct
+    key's string and sizes once."""
+    prefix = f"{stream.app}:{stream.namespace if namespace is None else namespace}:"
+    distinct, key_ids = np.unique(ids, return_inverse=True)
+    table = [f"{prefix}{i}" for i in distinct.tolist()]
+    values = map(value_size or stream.size_model.size_of, table)
+    return Columns(
+        stream.app, times, table, key_ids, op_codes.astype(np.int8),
+        np.fromiter(values, np.int64, len(table))[key_ids],
+        np.fromiter(map(key_size, table), np.int64, len(table))[key_ids],
+    )
+
+
+def _assemble(
+    app: str, times: np.ndarray,
+    pieces: Sequence[Tuple[np.ndarray, Columns, Union[slice, np.ndarray]]],
+) -> Columns:
+    """Columns whose rows ``out`` are ``part``'s rows ``taken`` for each
+    ``(out, part, taken)`` piece, over the parts' concatenated tables."""
+    table: List[str] = []
+    out = {name: np.empty(len(times), COLUMN_DTYPES[name]) for name in Columns._fields[3:]}
+    for rows, part, taken in pieces:
+        for name, column in out.items():
+            column[rows] = getattr(part, name)[taken]
+        out["key_ids"][rows] += len(table)
+        table += part.key_table
+    return Columns(app, times, table, **out)
 
 
 @dataclass
@@ -73,23 +124,13 @@ class ZipfStream(RequestStream):
                 f"set_fraction must be in [0, 1]: {self.set_fraction}"
             )
 
-    def generate(
-        self, num_requests: int, duration: float, start_time: float = 0.0
-    ) -> Iterator[Request]:
+    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
         rng = np.random.default_rng(self.seed)
         sampler = ZipfSampler(self.num_keys, self.alpha, rng=rng)
         ranks = sampler.sample(num_requests)
         is_set = rng.random(num_requests) < self.set_fraction
         times = _timestamps(num_requests, duration, start_time)
-        for i in range(num_requests):
-            key = f"{self.app}:{self.namespace}:{ranks[i]}"
-            yield Request(
-                time=float(times[i]),
-                app=self.app,
-                key=key,
-                op="set" if is_set[i] else "get",
-                value_size=self.size_model.size_of(key),
-            )
+        return _keyed(self, ranks, times, np.where(is_set, OP_SET, OP_GET))
 
 
 @dataclass(frozen=True)
@@ -161,34 +202,22 @@ class PhasedZipfStream(RequestStream):
                 f"set_fraction must be in [0, 1]: {self.set_fraction}"
             )
 
-    def generate(
-        self, num_requests: int, duration: float, start_time: float = 0.0
-    ) -> Iterator[Request]:
+    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
         rng = np.random.default_rng(self.seed)
         times = _timestamps(num_requests, duration, start_time)
         bounds = [
             min(num_requests, int(round(phase.start_fraction * num_requests)))
             for phase in self.phases
         ] + [num_requests]
-        ranks = np.zeros(num_requests, dtype=np.int64)
-        offsets = np.zeros(num_requests, dtype=np.int64)
+        ids = np.zeros(num_requests, dtype=np.int64)
         for index, phase in enumerate(self.phases):
             lo, hi = bounds[index], bounds[index + 1]
             if hi <= lo:
                 continue
             sampler = ZipfSampler(phase.num_keys, phase.alpha, rng=rng)
-            ranks[lo:hi] = sampler.sample(hi - lo)
-            offsets[lo:hi] = phase.key_offset
+            ids[lo:hi] = sampler.sample(hi - lo) + phase.key_offset
         is_set = rng.random(num_requests) < self.set_fraction
-        for i in range(num_requests):
-            key = f"{self.app}:{self.namespace}:{offsets[i] + ranks[i]}"
-            yield Request(
-                time=float(times[i]),
-                app=self.app,
-                key=key,
-                op="set" if is_set[i] else "get",
-                value_size=self.size_model.size_of(key),
-            )
+        return _keyed(self, ids, times, np.where(is_set, OP_SET, OP_GET))
 
 
 @dataclass
@@ -216,6 +245,8 @@ class FlashCrowdStream(RequestStream):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.base.app != self.app:
+            raise ConfigurationError(f"base stream is {self.base.app!r}'s, not {self.app!r}'s")
         if self.crowd_keys < 1:
             raise ConfigurationError(
                 f"crowd_keys must be >= 1, got {self.crowd_keys}"
@@ -238,36 +269,19 @@ class FlashCrowdStream(RequestStream):
                 f"[0, 1]"
             )
 
-    def generate(
-        self, num_requests: int, duration: float, start_time: float = 0.0
-    ) -> Iterator[Request]:
+    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
         rng = np.random.default_rng(self.seed)
         coins = rng.random(num_requests)
         sampler = ZipfSampler(self.crowd_keys, self.crowd_alpha, rng=rng)
         crowd_ranks = sampler.sample(num_requests)
         times = _timestamps(num_requests, duration, start_time)
-        window_lo = self.crowd_start
-        window_hi = self.crowd_start + self.crowd_duration
-        base_iter = iter(
-            self.base.generate(num_requests, duration, start_time)
-        )
-        for i in range(num_requests):
-            request = next(base_iter)
-            fraction = i / max(1, num_requests - 1)
-            if (
-                window_lo <= fraction < window_hi
-                and coins[i] < self.crowd_fraction
-            ):
-                key = f"{self.app}:{self.namespace}:{crowd_ranks[i]}"
-                yield Request(
-                    time=float(times[i]),
-                    app=self.app,
-                    key=key,
-                    op=request.op,
-                    value_size=self.size_model.size_of(key),
-                )
-            else:
-                yield request
+        base = self.base.columns(num_requests, duration, start_time)
+        fraction = np.arange(num_requests) / max(1, num_requests - 1)
+        lo, hi = self.crowd_start, self.crowd_start + self.crowd_duration
+        in_crowd = (lo <= fraction) & (fraction < hi) & (coins < self.crowd_fraction)
+        rows, kept = np.flatnonzero(in_crowd), np.flatnonzero(~in_crowd)
+        crowd = _keyed(self, crowd_ranks[rows], times[rows], base.op_codes[rows])
+        return _assemble(self.app, times, [(kept, base, kept), (rows, crowd, slice(None))])
 
 
 @dataclass
@@ -286,21 +300,14 @@ class ScanStream(RequestStream):
     start_offset: int = 0
     seed: int = 0  # unused; kept for interface uniformity
 
-    def generate(
-        self, num_requests: int, duration: float, start_time: float = 0.0
-    ) -> Iterator[Request]:
+    def __post_init__(self) -> None:
+        if self.num_keys < 1:
+            raise ConfigurationError(f"num_keys must be >= 1, got {self.num_keys}")
+
+    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
         times = _timestamps(num_requests, duration, start_time)
-        position = self.start_offset % max(1, self.num_keys)
-        for i in range(num_requests):
-            key = f"{self.app}:{self.namespace}:{position}"
-            position = (position + 1) % self.num_keys
-            yield Request(
-                time=float(times[i]),
-                app=self.app,
-                key=key,
-                op="get",
-                value_size=self.size_model.size_of(key),
-            )
+        positions = (self.start_offset + np.arange(num_requests)) % self.num_keys
+        return _keyed(self, positions, times, np.full(num_requests, OP_GET))
 
 
 @dataclass
@@ -338,51 +345,34 @@ class ReuseDistanceStream(RequestStream):
         if self.refs_per_key < 1:
             raise ConfigurationError("refs_per_key must be >= 1")
 
-    def generate(
-        self, num_requests: int, duration: float, start_time: float = 0.0
-    ) -> Iterator[Request]:
-        from collections import deque
-
+    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
         rng = np.random.default_rng(self.seed)
         times = _timestamps(num_requests, duration, start_time)
-        # step -> list of (key_index, remaining_refs, interval); entries
-        # falling due move to `ready`, which is drained one per request
-        # (multiple keys due the same step queue up briefly -- the jitter
-        # this adds to reuse distances is << sigma).
-        due: dict = {}
+        # The k-th new key's interval is the k-th normal draw, truncated
+        # toward zero, at least 2: what one draw per new key would give.
+        normals = rng.normal(self.mean_items, self.sigma_items, num_requests)
+        intervals = np.maximum(2, normals.astype(np.int64)).tolist()
+        # step -> [(key_index, remaining_refs, interval)]; entries falling
+        # due queue in `ready`, drained one per request (jitter << sigma).
+        due: Dict[int, list] = {}
         ready: deque = deque()
+        indices: List[int] = []
         head = 0
-
-        def schedule(step: int, entry) -> None:
-            bucket = due.get(step)
-            if bucket is None:
-                due[step] = [entry]
-            else:
-                bucket.append(entry)
-
         for i in range(num_requests):
             bucket = due.pop(i, None)
             if bucket:
                 ready.extend(bucket)
             if ready:
                 index, remaining, interval = ready.popleft()
-                if remaining > 1:
-                    schedule(i + interval, (index, remaining - 1, interval))
+                remaining -= 1
             else:
-                index = head
+                index, interval, remaining = head, intervals[head], self.refs_per_key
                 head += 1
-                interval = max(
-                    2, int(rng.normal(self.mean_items, self.sigma_items))
-                )
-                schedule(i + interval, (index, self.refs_per_key, interval))
-            key = f"{self.app}:{self.namespace}:{index}"
-            yield Request(
-                time=float(times[i]),
-                app=self.app,
-                key=key,
-                op="get",
-                value_size=self.size_model.size_of(key),
-            )
+            indices.append(index)
+            if remaining:
+                due.setdefault(i + interval, []).append((index, remaining, interval))
+        ids = np.array(indices, dtype=np.int64)
+        return _keyed(self, ids, times, np.full(num_requests, OP_GET))
 
 
 @dataclass(frozen=True)
@@ -412,6 +402,10 @@ class Component:
     weight: float
     phases: Tuple[Phase, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.weight < 0:
+            raise ConfigurationError(f"weight must be >= 0, got {self.weight}")
+
     def weight_at(self, trace_fraction: float) -> float:
         for phase in self.phases:
             if phase.start_fraction <= trace_fraction < phase.end_fraction:
@@ -423,54 +417,46 @@ class Component:
 class MixtureStream(RequestStream):
     """Interleaves component streams with (time-varying) weights.
 
-    Component sub-streams are pre-generated densely and consumed on
-    demand, so a component that only bursts briefly still walks its own
-    key sequence coherently (a scan stays sequential).
+    Each component's stream is generated densely and consumed in order,
+    so a component that only bursts briefly still walks its own key
+    sequence coherently (a scan stays sequential).
     """
 
     app: str
     components: List[Component] = field(default_factory=list)
     seed: int = 0
 
-    def generate(
-        self, num_requests: int, duration: float, start_time: float = 0.0
-    ) -> Iterator[Request]:
+    def __post_init__(self) -> None:
+        apps = {component.stream.app for component in self.components} - {self.app}
+        if apps:
+            raise ConfigurationError(f"components of {sorted(apps)}, not {self.app!r}")
+
+    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
         if not self.components:
             raise ConfigurationError("mixture has no components")
         rng = np.random.default_rng(self.seed)
-        iterators = [
-            iter(
-                component.stream.generate(
-                    num_requests, duration, start_time
-                )
-            )
-            for component in self.components
-        ]
         times = _timestamps(num_requests, duration, start_time)
         uniforms = rng.random(num_requests)
-        for i in range(num_requests):
-            fraction = i / max(1, num_requests - 1)
-            weights = np.array(
-                [c.weight_at(fraction) for c in self.components]
-            )
+        # Row i sits at trace fraction i / max(1, n - 1); weights change
+        # only where a fraction reaches a phase bound, so each segment
+        # between two such rows draws with one cumulative table.
+        phases = [phase for component in self.components for phase in component.phases]
+        bounds = [p.start_fraction for p in phases] + [p.end_fraction for p in phases]
+        scale = max(1, num_requests - 1)
+        edges = np.searchsorted(np.arange(num_requests) / scale, bounds).tolist()
+        edges = sorted(set(edges) | {0, num_requests})
+        chosen = np.empty(num_requests, dtype=np.int64)
+        for lo, hi in zip(edges, edges[1:]):
+            weights = np.array([c.weight_at(lo / scale) for c in self.components])
             total = weights.sum()
             if total <= 0:
                 weights = np.ones(len(self.components))
                 total = float(len(self.components))
-            chosen = int(np.searchsorted(
-                np.cumsum(weights / total), uniforms[i], side="left"
-            ))
-            chosen = min(chosen, len(iterators) - 1)
-            try:
-                request = next(iterators[chosen])
-            except StopIteration:  # pragma: no cover - dense pre-generation
-                continue
-            # Re-stamp with the mixture's own clock so output is ordered.
-            yield Request(
-                time=float(times[i]),
-                app=request.app,
-                key=request.key,
-                op=request.op,
-                value_size=request.value_size,
-                key_size=request.key_size,
-            )
+            picks = np.searchsorted(np.cumsum(weights / total), uniforms[lo:hi], side="left")
+            chosen[lo:hi] = np.minimum(picks, len(self.components) - 1)
+        pieces = []
+        for index, component in enumerate(self.components):
+            rows = np.flatnonzero(chosen == index)
+            part = component.stream.columns(num_requests, duration, start_time)
+            pieces.append((rows, part, slice(rows.size)))
+        return _assemble(self.app, times, pieces)

@@ -2,7 +2,7 @@
 
 The paper's evaluation replays a proprietary week-long trace of the top 20
 applications of Memcachier. This module synthesizes a stand-in with the
-same *structure* (DESIGN.md, substitution 1):
+same *structure* (README, "Substitutions", item 1):
 
 * per-application memory reservations and request shares;
 * per-application slab-class footprints (size mixes) chosen to reproduce
@@ -35,6 +35,7 @@ import numpy as np
 from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import ConfigurationError
 from repro.cache.slabs import SlabGeometry
+from repro.workloads.compiled import Columns
 from repro.workloads.generators import (
     Component,
     MixtureStream,
@@ -44,7 +45,6 @@ from repro.workloads.generators import (
     ZipfStream,
 )
 from repro.workloads.sizes import FixedSize
-from repro.workloads.trace import Request, merge_by_time
 
 #: Simulated trace duration: one week, like the paper's trace.
 WEEK_SECONDS = 7 * 24 * 3600.0
@@ -536,7 +536,7 @@ APP_SPECS: List[AppSpec] = [
 
 @dataclass
 class MemcachierTrace:
-    """A built trace: lazily-merged requests plus per-app metadata."""
+    """A built trace: per-app metadata plus the streams it compiles from."""
 
     scale: float
     seed: int
@@ -546,21 +546,14 @@ class MemcachierTrace:
     specs: Dict[str, AppSpec]
     _streams: Dict[str, RequestStream]
 
-    def requests(self) -> Iterator[Request]:
-        """Yield the merged, time-ordered trace (regenerable)."""
-        per_app = [
-            self._streams[spec.name].generate(
+    def columns(self) -> Iterator[Columns]:
+        """Generate every app's stream, one at a time (regenerable);
+        :meth:`~repro.workloads.compiled.CompiledTrace.compile` merges
+        them by time."""
+        for spec in self.specs.values():
+            yield self._streams[spec.name].columns(
                 self.requests_per_app[spec.name], WEEK_SECONDS
             )
-            for spec in self.specs.values()
-        ]
-        return merge_by_time(per_app)
-
-    def app_requests(self, app: str) -> Iterator[Request]:
-        """Yield one application's stream only."""
-        return self._streams[app].generate(
-            self.requests_per_app[app], WEEK_SECONDS
-        )
 
     @property
     def app_names(self) -> List[str]:

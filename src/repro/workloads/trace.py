@@ -1,13 +1,13 @@
-"""The request record and trace merging.
+"""The request record of the object API.
 
-A trace is any iterable of :class:`Request` objects ordered by time.
+A trace is any iterable of :class:`Request` objects ordered by time;
+generated traces are built as columns instead
+(:mod:`repro.workloads.generators`).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import TraceFormatError
 
@@ -47,15 +47,3 @@ class Request:
             )
         if self.key_size < 0:
             object.__setattr__(self, "key_size", len(self.key))
-
-
-def merge_by_time(streams: Sequence[Iterable[Request]]) -> Iterator[Request]:
-    """Merge independently-ordered per-app streams into one global trace.
-
-    Each input stream must be internally time-ordered; the output is the
-    time-ordered interleaving (stable across runs given identical inputs).
-    """
-    return heapq.merge(
-        *streams, key=lambda request: (request.time, request.app)
-    )
-

@@ -1,11 +1,53 @@
 """Tests for the Mimir bucket estimator."""
 
+from collections import deque
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.profiling.mimir import MimirProfiler
 from repro.profiling.stack_distance import StackDistanceProfiler
+from repro.workloads.zipf import ZipfSampler
+
+
+class ReferenceMimir:
+    """The estimator with its prefix sum written out in Python: every
+    access re-sums the newer buckets' ``len`` one index at a time."""
+
+    def __init__(self, num_buckets=100, min_rotation=8, max_tracked=None):
+        self.num_buckets = num_buckets
+        self.min_rotation = min_rotation
+        self.max_tracked = max_tracked
+        self._buckets = deque([set()])
+        self._round_of = {}
+        self._head_round = 0
+
+    def record(self, key):
+        round_id = self._round_of.get(key)
+        if round_id is None:
+            estimate = None
+        else:
+            index = min(self._head_round - round_id, len(self._buckets) - 1)
+            newer = sum(len(self._buckets[j]) for j in range(index))
+            estimate = newer + len(self._buckets[index]) / 2.0
+            self._buckets[index].discard(key)
+        self._buckets[0].add(key)
+        self._round_of[key] = self._head_round
+        target = max(self.min_rotation, len(self._round_of) // self.num_buckets)
+        if len(self._buckets[0]) >= target:
+            self._buckets.appendleft(set())
+            self._head_round += 1
+            if len(self._buckets) > self.num_buckets:
+                oldest = self._buckets.pop()
+                self._buckets[-1] |= oldest
+        while self.max_tracked is not None and len(self._round_of) > self.max_tracked:
+            for bucket in reversed(self._buckets):
+                if bucket:
+                    key = next(iter(bucket))
+                    bucket.discard(key)
+                    del self._round_of[key]
+                    break
+        return estimate
 
 
 class TestMimirBasics:
@@ -64,3 +106,13 @@ class TestMimirAccuracy:
         distinct_coarse = len({d for d in coarse if d is not None})
         distinct_fine = len({d for d in fine if d is not None})
         assert distinct_fine >= distinct_coarse
+
+
+@pytest.mark.parametrize("max_tracked", [None, 3000])
+def test_prefix_sum_matches_resumming_the_buckets(max_tracked):
+    """On a 50k-request Zipf stream, with and without trimming, every
+    estimate is bit-identical to re-summing the buckets one by one."""
+    keys = ZipfSampler(20_000, 0.9, seed=1).sample(50_000).tolist()
+    profiler = MimirProfiler(max_tracked=max_tracked)
+    reference = ReferenceMimir(max_tracked=max_tracked)
+    assert profiler.record_all(keys) == [reference.record(key) for key in keys]

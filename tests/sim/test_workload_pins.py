@@ -7,7 +7,10 @@ trace-cache keys and generated traces must not move when that loader is
 refactored -- a changed key silently cold-starts every warm cache, a
 changed stream silently changes every table. The values below were
 recorded at seed 0 from the four hand-written loaders the shared one
-replaced.
+replaced. ``memcachier`` is pinned the same way at the experiments'
+smallest scale (0.012) and the ledger's ``replay_paper`` scale (0.03),
+with values recorded from the request-at-a-time generators the columnar
+ones replaced.
 """
 
 from __future__ import annotations
@@ -117,6 +120,21 @@ RECORDED = {
     ),
 }
 
+#: scale -> ``load_workload("memcachier", scale=scale, seed=0)``'s
+#: (requests, routing digest, column hash).
+MEMCACHIER = {
+    0.012: (
+        94650,
+        "81c15120c5a3596bc2faaee3efa96a2b",
+        "d20a4cef94115293910353f0b198c899",
+    ),
+    0.03: (
+        112985,
+        "0d908a68fcc4f8d7dff768353524a53a",
+        "4de917424a212a128c330a3b02d72b43",
+    ),
+}
+
 
 def column_hash(compiled) -> str:
     """Everything a replay reads besides the routed keys: ops, sizes,
@@ -167,3 +185,10 @@ def test_every_tenant_workload_is_pinned_both_ways():
         (workload, case) for workload in PARAMS for case in (0, 1)
     )
 
+
+@pytest.mark.parametrize("scale", sorted(MEMCACHIER))
+def test_memcachier_trace_is_pinned(scale):
+    compiled = load_workload("memcachier", scale=scale, seed=0).compiled
+    assert (
+        len(compiled), compiled.routing_digest(), column_hash(compiled)
+    ) == MEMCACHIER[scale]

@@ -1,11 +1,10 @@
 """Tests for the synthetic Memcachier trace."""
 
-import itertools
-
 import pytest
 
 from repro.cache.slabs import SlabGeometry
 from repro.common.errors import ConfigurationError
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.memcachier import (
     APP_SPECS,
     build_memcachier_trace,
@@ -56,33 +55,30 @@ class TestBuild:
 
     def test_requests_are_time_ordered_and_complete(self):
         trace = build_memcachier_trace(scale=0.01, apps=[3, 4, 5])
-        requests = list(trace.requests())
+        requests = list(CompiledTrace.compile(trace.columns()).iter_requests())
         assert len(requests) == trace.total_requests
         times = [r.time for r in requests]
         assert times == sorted(times)
 
     def test_regenerable(self):
         trace = build_memcachier_trace(scale=0.01, apps=[3])
-        first = [r.key for r in itertools.islice(trace.requests(), 200)]
-        second = [r.key for r in itertools.islice(trace.requests(), 200)]
+        first = CompiledTrace.compile(trace.columns()).keys[:200].tolist()
+        second = CompiledTrace.compile(trace.columns()).keys[:200].tolist()
         assert first == second
 
     def test_deterministic_across_builds(self):
         a = build_memcachier_trace(scale=0.01, apps=[4], seed=5)
         b = build_memcachier_trace(scale=0.01, apps=[4], seed=5)
-        keys_a = [r.key for r in itertools.islice(a.requests(), 300)]
-        keys_b = [r.key for r in itertools.islice(b.requests(), 300)]
+        keys_a = CompiledTrace.compile(a.columns()).keys[:300].tolist()
+        keys_b = CompiledTrace.compile(b.columns()).keys[:300].tolist()
         assert keys_a == keys_b
 
     def test_app_structure_matches_design(self):
         """Apps with documented multi-class structure really produce
         requests in several slab classes."""
         trace = build_memcachier_trace(scale=0.02, apps=[6])
-        geometry = SlabGeometry.default()
-        classes = {
-            geometry.row(r.key_size, r.value_size)[0]
-            for r in itertools.islice(trace.app_requests("app06"), 4000)
-        }
+        compiled = CompiledTrace.compile(trace.columns(), SlabGeometry.default())
+        classes = set(compiled.slab_classes[:4000].tolist())
         assert len(classes) >= 3
 
     def test_reservations_positive(self):

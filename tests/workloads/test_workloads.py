@@ -5,9 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.cache.slabs import SlabGeometry
+from repro.cache.stats import OP_CODES
 from repro.common.errors import ConfigurationError, TraceFormatError
 from repro.profiling.hrc import HitRateCurve
 from repro.profiling.stack_distance import StackDistanceProfiler
+from repro.sim import load_workload
+from repro.workloads.compiled import Columns, CompiledTrace
 from repro.workloads.facebook import (
     FACEBOOK_GET_FRACTION,
     FacebookETCStream,
@@ -28,8 +32,9 @@ from repro.workloads.sizes import (
     MixtureSize,
     UniformSize,
 )
-from repro.workloads.trace import Request, merge_by_time
+from repro.workloads.trace import Request
 from repro.workloads.zipf import ZipfSampler
+from tests.workloads.reference_streams import merge_by_time
 
 
 class TestZipfSampler:
@@ -185,7 +190,41 @@ class TestTraceIO:
             Request(0.0, "a", "k", "frobnicate", 10)
 
     def test_merge_by_time(self):
-        a = [Request(t, "a", f"a{t}", "get", 1) for t in (0.0, 2.0, 4.0)]
-        b = [Request(t, "b", f"b{t}", "get", 1) for t in (1.0, 3.0)]
-        merged = list(merge_by_time([a, b]))
-        assert [r.time for r in merged] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        """Rows order by ``(time, app)``, ties in stream order: the
+        heapq merge of the same requests."""
+
+        def stream(app, times):
+            return [Request(t, app, f"{app}{t}", "get", 1) for t in times]
+
+        def columns(requests):
+            return Columns(
+                requests[0].app,
+                np.array([r.time for r in requests]),
+                [r.key for r in requests],
+                np.arange(len(requests)),
+                np.array([OP_CODES[r.op] for r in requests], dtype=np.int8),
+                np.array([r.value_size for r in requests]),
+                np.array([r.key_size for r in requests]),
+            )
+
+        streams = [
+            stream("b", (0.0, 1.0, 2.0, 3.0)),
+            stream("a", (0.0, 2.0, 4.0)),
+            stream("a", (2.0,)),
+        ]
+        geometry = SlabGeometry.default()
+        merged = CompiledTrace.compile([columns(s) for s in streams], geometry)
+        expected = CompiledTrace.compile(merge_by_time(streams), geometry)
+        assert list(merged.iter_requests()) == list(expected.iter_requests())
+        assert merged.key_table == expected.key_table
+        assert [(r.time, r.app) for r in merged.iter_requests()] == [
+            (0.0, "a"), (0.0, "b"), (1.0, "b"), (2.0, "a"), (2.0, "a"),
+            (2.0, "b"), (3.0, "b"), (4.0, "a"),
+        ]
+
+    def test_a_workload_without_apps_is_an_empty_trace(self):
+        """No streams merge into an empty trace, as the heapq merge of
+        none did."""
+        trace = load_workload("zipf", scale=0.05, seed=0, apps=[])
+        assert len(trace.compiled) == 0
+        assert trace.compiled.app_table == trace.compiled.key_table == []
