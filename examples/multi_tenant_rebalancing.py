@@ -9,7 +9,7 @@ of the paper's Table 3 optimization.
 
 The workload and the server both come from the Scenario API: the ``zipf``
 workload declares the three tenants, ``build_server`` instantiates their
-engines, and the climber attaches on top.
+engines, and the climber replays the compiled trace through the server.
 
     python examples/multi_tenant_rebalancing.py
 """
@@ -52,13 +52,13 @@ def main() -> None:
     server = build_server(SCENARIO, trace)
     climber = CrossAppHillClimber(
         server, credit_bytes=8192, shadow_bytes=1 * MB, seed=3
-    ).attach()
+    )
 
     print(f"{'app':<10} {'before MB':>10}")
     for app, budget in RESERVATIONS.items():
         print(f"{app:<10} {budget / MB:>10.2f}")
 
-    stats = server.replay(trace.requests())
+    stats = climber.replay_compiled(trace.compiled)
 
     print(f"\n{'app':<10} {'after MB':>10} {'hit rate':>10}")
     for app, budget in climber.budgets().items():

@@ -12,12 +12,17 @@ Quickstart::
     from repro import (
         CacheServer, CliffhangerEngine, SlabGeometry, Request
     )
+    from repro.workloads.compiled import CompiledTrace
 
     geometry = SlabGeometry.default()
     server = CacheServer(geometry)
     server.add_app(CliffhangerEngine("app", 64 << 20, geometry))
-    server.process(Request(0.0, "app", "user:42", "get", value_size=512))
-    print(server.stats.total.hit_rate())
+    requests = [
+        Request(float(t), "app", "user:42", "get", value_size=512)
+        for t in range(2)
+    ]
+    server.replay_compiled(CompiledTrace.compile(requests, geometry))
+    print(server.stats.total.hit_rate())  # 0.5: a miss, then a hit
 
 See README.md for the architecture overview and ``repro.experiments`` for
 the paper's evaluation.

@@ -4,18 +4,23 @@ Cliffhanger "runs on each memory cache server and does not require any
 coordination between different servers" (paper section 4.3), so between
 two barriers a replay is nothing more than independent runs: one per
 (shard, app) pair, each touching one engine and one stats slice.
-:func:`replay_runs` is the only place that fact is written down, and the
-only compiled-trace loop in ``src/`` that walks requests into
-:meth:`Engine.process_fast` (:meth:`CacheServer.replay` is the object
-API, one :class:`Request` at a time). A single server
-(:meth:`repro.cache.server.CacheServer.replay_compiled`, the one-shard
-case), the cluster's window driver (``Cluster._drive``, behind both the
-offline :meth:`repro.cluster.Cluster.replay_compiled` and the live
-:meth:`repro.cluster.Cluster.process_batch`) and the parallel workers
-(:mod:`repro.cluster.parallel`) all call it; they differ only in which
-columns they pass (a worker's came with its start-up arguments) and
-where the returned tallies go (:func:`flush_runs` in-process, a pipe
+:func:`replay_runs` is the only place that fact is written down. A single
+server (:meth:`repro.cache.server.CacheServer.replay_compiled`, the
+one-shard case), the cluster's window driver (``Cluster._drive``, behind
+both the offline :meth:`repro.cluster.Cluster.replay_compiled` and the
+live :meth:`repro.cluster.Cluster.process_batch`) and the parallel
+workers (:mod:`repro.cluster.parallel`) all call it; they differ only in
+which columns they pass (a worker's came with its start-up arguments)
+and where the returned tallies go (:func:`flush_runs` in-process, a pipe
 from a worker).
+
+It is the only compiled-trace loop in ``src/`` that walks requests into
+:meth:`Engine.process_fast` but one:
+:meth:`repro.core.crossapp.CrossAppHillClimber.replay_compiled` walks
+its trace one request at a time, because there a shadow hit moves memory
+between apps before the next request, so no two apps' runs are
+independent. (Moving that climber onto window barriers would let it use
+this kernel too.)
 """
 
 from __future__ import annotations

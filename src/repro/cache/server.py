@@ -2,15 +2,20 @@
 
 A :class:`CacheServer` hosts one engine per application (Memcachier model:
 "each application reserves a certain amount of memory in advance", paper
-section 3) and replays traces through them, aggregating statistics. The
-server itself is deliberately thin -- all policy lives in the engines --
-mirroring how Cliffhanger "runs on each memory cache server and does not
-require any coordination between different servers" (section 4.3).
+section 3) and replays compiled traces through them, aggregating
+statistics. The server itself is deliberately thin -- all policy lives in
+the engines -- mirroring how Cliffhanger "runs on each memory cache
+server and does not require any coordination between different servers"
+(section 4.3). Its one request path is :meth:`CacheServer.replay_compiled`
+(the replay kernel); a caller that must act between requests replays
+sub-traces window by window, and
+:meth:`repro.core.crossapp.CrossAppHillClimber.replay_compiled` walks
+one request at a time.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -18,11 +23,7 @@ from repro.common.errors import ConfigurationError
 from repro.cache.engines import Engine
 from repro.cache.kernel import flush_runs, replay_runs
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import AccessOutcome, OpCounter, StatsRegistry
-from repro.workloads.trace import Request
-
-#: Observer invoked after every request: (request, outcome) -> None.
-Observer = Callable[[Request, AccessOutcome], None]
+from repro.cache.stats import OpCounter, StatsRegistry
 
 
 class CacheServer:
@@ -32,7 +33,6 @@ class CacheServer:
         self.geometry = geometry or SlabGeometry.default()
         self.engines: Dict[str, Engine] = {}
         self.stats = StatsRegistry()
-        self._observers: list[Observer] = []
 
     # ------------------------------------------------------------------
 
@@ -58,32 +58,7 @@ class CacheServer:
         self.engines[engine.app] = engine
         return old
 
-    def add_observer(self, observer: Observer) -> None:
-        """Attach a per-request observer (timelines, profilers, ...)."""
-        self._observers.append(observer)
-
     # ------------------------------------------------------------------
-
-    def process(self, request: Request) -> AccessOutcome:
-        """Route one request to its tenant's engine and record stats."""
-        try:
-            engine = self.engines[request.app]
-        except KeyError:
-            raise ConfigurationError(
-                f"request for unknown app {request.app!r}"
-            ) from None
-        outcome = engine.process(request)
-        self.stats.record(outcome)
-        for observer in self._observers:
-            observer(request, outcome)
-        return outcome
-
-    def replay(self, trace: Iterable[Request]) -> StatsRegistry:
-        """Process an entire trace; returns the stats registry."""
-        process = self.process
-        for request in trace:
-            process(request)
-        return self.stats
 
     def check_replayable(self, trace) -> None:
         """Raise unless the compiled ``trace`` can replay here.
@@ -112,14 +87,9 @@ class CacheServer:
         looping :meth:`Engine.process_fast` over integer columns and
         tallying packed outcome codes that are flushed to the registry
         once. No :class:`Request`/:class:`AccessOutcome` objects exist
-        on this path, so a server with observers attached is refused.
+        on this path.
         """
         self.check_replayable(trace)
-        if self._observers:
-            raise ConfigurationError(
-                "replay_compiled never calls observers; use "
-                "replay(trace.iter_requests()) on a server that has them"
-            )
         servers = (self,)
         runs = replay_runs(
             servers,

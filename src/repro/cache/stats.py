@@ -1,13 +1,13 @@
 """Hit/miss accounting and time-series recording.
 
-The *fast* replay path reports each request's outcome as a packed integer
-code (see :func:`pack_outcome`) so the hot loop never allocates;
-:class:`AccessOutcome` remains as the object API for observers, tests and
-one-off calls. Experiment harnesses aggregate outcomes in
-:class:`HitMissCounter` objects keyed by (application, slab class).
+Every request path reports each request's outcome as a packed integer
+code (see :func:`pack_outcome`) so the hot loop never allocates, and
+:class:`StatsRegistry` records codes only (:meth:`StatsRegistry.record_code`
+/ ``record_code_bulk``) into :class:`HitMissCounter` objects keyed by
+(application, slab class). :class:`AccessOutcome` is what the one-off
+:meth:`repro.cache.engines.Engine.process` returns; nothing records it.
 :class:`TimelineRecorder` samples arbitrary scalar series over (simulated)
-time -- it produces Figure 8 (memory per slab over time) and Figure 9 (hit
-rate over time).
+time -- the cluster rebalancer's and fault injector's timelines.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class AccessOutcome:
         op: The operation that produced this outcome ("get" or "set").
         evicted: Number of items evicted from physical memory as a direct
             consequence of this request.
-        dead: True when the request was addressed to a crashed shard and
-            never reached an engine (cluster fault injection under the
-            ``miss-through`` policy); GETs still count as misses.
     """
 
     hit: bool
@@ -91,7 +88,6 @@ class AccessOutcome:
     slab_class: Optional[int] = None
     shadow_hit: bool = False
     evicted: int = 0
-    dead: bool = False
 
 
 class HitMissCounter:
@@ -113,22 +109,6 @@ class HitMissCounter:
         self.shadow_hits = 0
         self.evictions = 0
         self.dead_requests = 0
-
-    # ------------------------------------------------------------------
-
-    def record(self, outcome: AccessOutcome) -> None:
-        if outcome.op == "get":
-            if outcome.hit:
-                self.get_hits += 1
-            else:
-                self.get_misses += 1
-        elif outcome.op == "set":
-            self.sets += 1
-        if outcome.shadow_hit:
-            self.shadow_hits += 1
-        if outcome.dead:
-            self.dead_requests += 1
-        self.evictions += outcome.evicted
 
     def merge(self, other: "HitMissCounter") -> None:
         self.get_hits += other.get_hits
@@ -172,18 +152,6 @@ class StatsRegistry:
         self._triples: Dict[
             Tuple[str, Optional[int]], Tuple[HitMissCounter, ...]
         ] = {}
-
-    def record(self, outcome: AccessOutcome) -> None:
-        self.total.record(outcome)
-        app_counter = self.by_app.get(outcome.app)
-        if app_counter is None:
-            app_counter = self.by_app.setdefault(outcome.app, HitMissCounter())
-        app_counter.record(outcome)
-        key = (outcome.app, outcome.slab_class)
-        class_counter = self.by_app_class.get(key)
-        if class_counter is None:
-            class_counter = self.by_app_class.setdefault(key, HitMissCounter())
-        class_counter.record(outcome)
 
     def record_code(self, app: str, op: int, code: int) -> None:
         """Record one packed outcome code for ``app``."""

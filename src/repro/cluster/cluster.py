@@ -567,7 +567,6 @@ class Cluster:
         -- down to per-shard per-(app, class) counters, replica
         round-robin state, and rebalance epochs and fault barriers
         landing mid-batch; the property tests pin the parity down.
-        Per-request observers never fire.
 
         ``ops`` entries are ``"get"``/``"set"``/``"delete"`` or their
         integer codes; ``ops``, ``value_sizes``, ``apps`` and

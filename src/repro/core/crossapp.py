@@ -13,6 +13,11 @@ application's engine may split its memory across many slab queues; the
 question "would this app have hit with a little more total memory?" is a
 question about the app's *global* LRU behaviour, which the monitor chain
 answers directly.
+
+:meth:`CrossAppHillClimber.replay_compiled` walks a compiled trace one
+request at a time: a shadow hit moves memory between apps before the
+next request is served, so the trace cannot be cut into the independent
+per-app runs of :func:`repro.cache.kernel.replay_runs`.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from repro.common.constants import (
 )
 from repro.cache.keyqueue import KeyQueue, QueueChain
 from repro.cache.server import CacheServer
-from repro.cache.stats import AccessOutcome
+from repro.cache.stats import OP_GET, OUTCOME_HIT, StatsRegistry
 from repro.core.hill_climbing import HillClimber
-from repro.workloads.trace import Request
 
 
 class _AppMonitor:
@@ -40,12 +44,11 @@ class _AppMonitor:
         self.shadow = KeyQueue(shadow_bytes, name=f"{name}/sim-shadow")
         self.chain = QueueChain([self.main, self.shadow], physical_segments=1)
 
-    def observe(self, request: Request) -> bool:
+    def access(self, key: str, item_bytes: int) -> bool:
         """Feed one request; True iff it landed in the shadow region."""
-        weight = float(request.key_size + request.value_size)
-        segment = self.chain.access(request.key)
+        segment = self.chain.access(key)
         if segment is None:
-            self.chain.insert(request.key, weight)
+            self.chain.insert(key, float(item_bytes))
             return False
         return segment == 1
 
@@ -56,8 +59,8 @@ class _AppMonitor:
 class CrossAppHillClimber:
     """Algorithm 1 over the applications of one :class:`CacheServer`.
 
-    Attach with :meth:`attach`; afterwards every request the server
-    processes also feeds the per-app monitors, and app reservations drift
+    Replay a trace with :meth:`replay_compiled`: every request also
+    feeds its app's monitor, and app reservations drift
     toward the configuration that equalizes the apps' byte-gradient of
     hit rate -- the cross-application variant of Eq. 1 that Table 3
     solves statically.
@@ -100,23 +103,48 @@ class CrossAppHillClimber:
             engine.shrink_budget(-delta)
         self.monitors[app].resize(budget)
 
-    def observe(self, request: Request, outcome: AccessOutcome) -> None:
-        """Server observer hook: feed the monitor; climb on shadow hits.
+    def replay_compiled(self, trace) -> StatsRegistry:
+        """Replay a :class:`~repro.workloads.compiled.CompiledTrace`
+        through the server, climbing as it goes; returns its stats.
 
-        Only GETs that *missed physically* can be shadow hits -- a request
-        the app served from real memory is no evidence it needs more.
+        Each request is served by its app's engine and recorded, then
+        fed to the app's monitor weighted by its ``item_bytes`` (key +
+        value). Only GETs that *missed physically* and landed in the
+        monitor's shadow climb -- a request the app served from real
+        memory is no evidence it needs more. Apps registered after the
+        climber was built are served but not monitored.
         """
-        monitor = self.monitors.get(request.app)
-        if monitor is None:
-            return
-        landed_in_shadow = monitor.observe(request)
-        if landed_in_shadow and request.op == "get" and not outcome.hit:
-            self.climber.on_shadow_hit(request.app)
-
-    def attach(self) -> "CrossAppHillClimber":
-        """Register as a server observer; returns self for chaining."""
-        self.server.add_observer(self.observe)
-        return self
+        server = self.server
+        server.check_replayable(trace)
+        record = server.stats.record_code
+        on_shadow_hit = self.climber.on_shadow_hit
+        apps = trace.app_table
+        engines = [server.engines.get(app) for app in apps]
+        monitors = [self.monitors.get(app) for app in apps]
+        keys, op_codes, slab_classes, chunk_bytes, item_bytes = (
+            trace.replay_columns()
+        )
+        for app_id, key, op, class_index, chunk, nbytes in zip(
+            trace.app_ids.tolist(),
+            keys.tolist(),
+            op_codes.tolist(),
+            slab_classes.tolist(),
+            chunk_bytes.tolist(),
+            item_bytes.tolist(),
+        ):
+            code = engines[app_id].process_fast(
+                key, op, class_index, chunk, nbytes
+            )
+            record(apps[app_id], op, code)
+            monitor = monitors[app_id]
+            if (
+                monitor is not None
+                and monitor.access(key, nbytes)
+                and op == OP_GET
+                and not code & OUTCOME_HIT
+            ):
+                on_shadow_hit(apps[app_id])
+        return server.stats
 
     def budgets(self) -> Dict[str, float]:
         return {

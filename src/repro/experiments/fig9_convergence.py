@@ -10,15 +10,12 @@ larger fraction of the compressed week).
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.cache.stats import HitMissCounter
 from repro.experiments.common import ExperimentResult
 from repro.experiments.table4_combined import pinned_plan
-from repro.sim import (
-    FULL_SCALE,
-    GEOMETRY,
-    Scenario,
-    build_server,
-    load_workload,
-)
+from repro.sim import FULL_SCALE, Scenario, build_server, load_workload
 
 APP = "app19"
 SLAB_CLASS = 2
@@ -39,31 +36,31 @@ def run(scale: float = FULL_SCALE, seed: int = 0) -> ExperimentResult:
     )
     server = build_server(scenario, trace)
 
-    samples = []  # (window_end, hits, gets)
-    window = {"hits": 0, "gets": 0}
-
-    def observer(request, outcome):
-        if request.op != "get":
-            return
-        if GEOMETRY.row(request.key_size, request.value_size)[0] != SLAB_CLASS:
-            return
-        window["gets"] += 1
-        window["hits"] += 1 if outcome.hit else 0
-
-    server.add_observer(observer)
-    requests = list(trace.app_requests(APP))
-    if not requests:
+    compiled = trace.compiled_for(APP)
+    if not len(compiled):
         raise RuntimeError("empty trace")
-    span = requests[-1].time - requests[0].time
-    width = span / WINDOWS
-    boundary = requests[0].time + width
-    for request in requests:
-        while request.time >= boundary:
-            samples.append((boundary, window["hits"], window["gets"]))
-            window["hits"] = window["gets"] = 0
-            boundary += width
-        server.process(request)
-    samples.append((boundary, window["hits"], window["gets"]))
+    times = compiled.times
+    width = (float(times[-1]) - float(times[0])) / WINDOWS
+    boundary = float(times[0]) + width
+    samples = []  # (window_end, hits, gets)
+    hits = gets = 0  # class-2 GET totals before the window
+    start = 0
+    while True:
+        # The window: every request before the first one at or after
+        # ``boundary``. The engine charges a request its own row's class,
+        # so the class counter's delta is the window's class-2 GETs.
+        stop = int(np.searchsorted(times, boundary))
+        server.replay_compiled(compiled.slice(start, stop))
+        counter = server.stats.by_app_class.get(
+            (APP, SLAB_CLASS), HitMissCounter()
+        )
+        samples.append(
+            (boundary, counter.get_hits - hits, counter.gets - gets)
+        )
+        hits, gets = counter.get_hits, counter.gets
+        if stop == len(compiled):
+            break
+        start, boundary = stop, boundary + width
 
     result = ExperimentResult(
         experiment_id="fig9",

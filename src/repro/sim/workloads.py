@@ -70,12 +70,6 @@ class SyntheticTrace:
     def total_requests(self) -> int:
         return sum(self.requests_per_app.values())
 
-    def requests(self):
-        return self.compiled.iter_requests()
-
-    def app_requests(self, app: str):
-        return self.compiled_for(app).iter_requests()
-
     def compiled_for(self, app: str) -> CompiledTrace:
         """One app's compiled sub-trace (stable-merge filtering keeps the
         per-app order identical to regenerating the app's stream)."""

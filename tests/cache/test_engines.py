@@ -7,6 +7,7 @@ from repro.cache.log_structured import GlobalLRUEngine
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
 from repro.common.errors import ConfigurationError
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.trace import Request
 
 GEO = SlabGeometry.default()
@@ -272,14 +273,22 @@ class TestGlobalLRUEngine:
         assert survivors == 0
 
 
+def compiled(*requests, geometry=GEO):
+    return CompiledTrace.compile(requests, geometry)
+
+
 class TestCacheServer:
     def test_routes_by_app(self):
         server = CacheServer(GEO)
         server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))
         server.add_app(FirstComeFirstServeEngine("b", 1 << 20, GEO))
-        server.process(get("k", app="a"))
-        assert server.process(get("k", app="a")).hit is True
-        assert server.process(get("k", app="b")).hit is False
+        server.replay_compiled(
+            compiled(get("k", app="a"), get("k", app="a"), get("k", app="b"))
+        )
+        assert server.stats.by_app["a"].get_hits == 1
+        assert server.stats.by_app["a"].get_misses == 1
+        assert server.stats.by_app["b"].get_hits == 0
+        assert server.stats.by_app["b"].get_misses == 1
 
     def test_duplicate_app_rejected(self):
         server = CacheServer(GEO)
@@ -289,73 +298,32 @@ class TestCacheServer:
 
     def test_unknown_app_rejected(self):
         server = CacheServer(GEO)
-        with pytest.raises(ConfigurationError):
-            server.process(get("k", app="ghost"))
-
-    def test_observer_sees_every_request(self):
-        server = CacheServer(GEO)
-        server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))
-        seen = []
-        server.add_observer(lambda req, out: seen.append((req.key, out.hit)))
-        server.replay([get("x"), get("x")])
-        assert seen == [("x", False), ("x", True)]
+        with pytest.raises(ConfigurationError, match="unknown app 'ghost'"):
+            server.check_replayable(compiled(get("k", app="ghost")))
 
     def test_memory_accounting(self):
         server = CacheServer(GEO)
         server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))
-        server.process(get("k"))
+        server.replay_compiled(compiled(get("k")))
         assert 0 < server.memory_in_use() <= server.memory_reserved()
 
-    def test_geometry_mismatch_raises_even_with_observers(self):
-        """Regression: the observer branch once returned before the
-        slab-geometry check, silently accepting a trace compiled for a
-        different ladder whenever observers were attached."""
-        from repro.workloads.compiled import CompiledTrace
-
-        other_geo = SlabGeometry((64, 4096))
-        compiled = CompiledTrace.compile([get("k")], other_geo)
+    def test_geometry_mismatch_raises_before_replaying(self):
+        """A trace compiled for a different slab ladder is refused."""
         server = CacheServer(GEO)
         server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))
-        server.add_observer(lambda req, out: None)
+        trace = compiled(get("k"), geometry=SlabGeometry((64, 4096)))
         with pytest.raises(ConfigurationError, match="slab geometry"):
-            server.replay_compiled(compiled)
-
-    def test_replay_compiled_refuses_observers_before_any_engine(self):
-        """The compiled path builds no Request/AccessOutcome objects, so
-        an attached observer is an error naming the object-API replay --
-        raised before the first request reaches an engine."""
-        from repro.workloads.compiled import CompiledTrace
-
-        compiled = CompiledTrace.compile([get("k"), get("k")], GEO)
-        server = CacheServer(GEO)
-        server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))
-        seen = []
-        server.add_observer(lambda req, out: seen.append(out.hit))
-        with pytest.raises(ConfigurationError, match=r"replay\(trace.iter_"):
-            server.replay_compiled(compiled)
-        assert seen == []
+            server.replay_compiled(trace)
         assert server.stats.total.gets == 0
-        assert server.memory_in_use() == 0
-        server.replay(compiled.iter_requests())
-        assert seen == [False, True]
 
-    @pytest.mark.parametrize("observed", [False, True])
-    def test_unknown_app_in_compiled_trace_raises_before_replaying(
-        self, observed
-    ):
+    def test_unknown_app_in_compiled_trace_raises_before_replaying(self):
         """Regression: a trace naming an unregistered app used to replay
         its prefix and only then raise, leaving engines and stats
         half-mutated. The check now runs before the first request."""
-        from repro.workloads.compiled import CompiledTrace
-
-        compiled = CompiledTrace.compile(
-            [get("k1"), put("k2"), get("k3", app="ghost"), get("k4")], GEO
-        )
+        trace = compiled(get("k1"), put("k2"), get("k3", app="ghost"), get("k4"))
         server = CacheServer(GEO)
         server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))
-        if observed:
-            server.add_observer(lambda req, out: None)
         with pytest.raises(ConfigurationError, match="unknown app 'ghost'"):
-            server.replay_compiled(compiled)
+            server.replay_compiled(trace)
         assert server.stats.total.gets + server.stats.total.sets == 0
         assert server.memory_in_use() == 0

@@ -8,7 +8,6 @@ from repro.cache.stats import (
     OP_DELETE,
     OP_GET,
     OP_SET,
-    AccessOutcome,
     HitMissCounter,
     OpCounter,
     StatsRegistry,
@@ -16,26 +15,26 @@ from repro.cache.stats import (
     pack_outcome,
 )
 
+HIT = pack_outcome(True, 0)
+MISS = pack_outcome(False, 0)
 
-def outcome(hit, app="a", op="get", slab=0, shadow=False, evicted=0):
-    return AccessOutcome(
-        hit=hit, app=app, op=op, slab_class=slab,
-        shadow_hit=shadow, evicted=evicted,
-    )
+
+def counter_after(*records):
+    """The registry total after recording ``(op, code)`` pairs."""
+    registry = StatsRegistry()
+    for op, code in records:
+        registry.record_code("a", op, code)
+    return registry.total
 
 
 class TestHitMissCounter:
     def test_hit_rate(self):
-        counter = HitMissCounter()
-        counter.record(outcome(True))
-        counter.record(outcome(False))
-        counter.record(outcome(False))
+        counter = counter_after((OP_GET, HIT), (OP_GET, MISS), (OP_GET, MISS))
         assert counter.hit_rate() == pytest.approx(1 / 3)
         assert counter.misses == 2
 
     def test_sets_do_not_affect_hit_rate(self):
-        counter = HitMissCounter()
-        counter.record(outcome(False, op="set"))
+        counter = counter_after((OP_SET, MISS))
         assert counter.hit_rate() == 0.0
         assert counter.sets == 1
         assert counter.gets == 0
@@ -44,9 +43,8 @@ class TestHitMissCounter:
         assert HitMissCounter().hit_rate() == 0.0
 
     def test_merge(self):
-        a, b = HitMissCounter(), HitMissCounter()
-        a.record(outcome(True))
-        b.record(outcome(False, evicted=2))
+        a = counter_after((OP_GET, HIT))
+        b = counter_after((OP_GET, pack_outcome(False, 0, evicted=2)))
         a.merge(b)
         assert a.gets == 2
         assert a.evictions == 2
@@ -55,9 +53,9 @@ class TestHitMissCounter:
 class TestStatsRegistry:
     def test_per_app_and_per_class(self):
         registry = StatsRegistry()
-        registry.record(outcome(True, app="x", slab=1))
-        registry.record(outcome(False, app="x", slab=2))
-        registry.record(outcome(True, app="y", slab=1))
+        registry.record_code("x", OP_GET, pack_outcome(True, 1))
+        registry.record_code("x", OP_GET, pack_outcome(False, 2))
+        registry.record_code("y", OP_GET, pack_outcome(True, 1))
         assert registry.app_hit_rate("x") == pytest.approx(0.5)
         assert registry.app_hit_rate("y") == pytest.approx(1.0)
         assert registry.app_hit_rate("missing") == 0.0

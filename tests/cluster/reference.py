@@ -1,11 +1,13 @@
 """The naive references the cluster parity suites compare against: one
 per entry point -- :func:`replay_reference` for the offline replay
 (:meth:`Cluster.replay_compiled`), :func:`process_reference` for the
-live object API (:meth:`Cluster.process_batch`)."""
+live batches (:meth:`Cluster.process_batch`). Both serve a request with
+``engine.process_fast`` and record its packed code with
+``stats.record_code``."""
 
 from __future__ import annotations
 
-from repro.cache.stats import OUTCOME_DEAD, AccessOutcome
+from repro.cache.stats import OP_CODES, OUTCOME_DEAD
 
 
 def naive_windows(total, epoch, injector):
@@ -108,13 +110,14 @@ def process_reference(cluster, request):
     replica round-robin counters (``router.spread``) and the request
     clock with that path: the ring is walked per request -- live
     successors under ``failover``, the all-live walk otherwise -- with
-    no memoized positions or successor columns, and the outcome is
-    recorded as an object on the shard's registry. A request landing on
-    a dead shard (``miss-through``) is recorded as a tagged dead miss
+    no memoized positions or successor columns; the request's row comes
+    from :meth:`~repro.cache.slabs.SlabGeometry.row` and its packed code
+    is recorded on the shard's registry as it happens. A request landing
+    on a dead shard (``miss-through``) is recorded as ``OUTCOME_DEAD``
     without reaching an engine. After every request the clock ticks and
     a rebalance epoch fires if it is due (armed fault barriers on the
     live path are pinned by ``test_barrier.py``'s cross-driver property
-    instead). Returns the :class:`~repro.cache.stats.AccessOutcome`.
+    instead). Returns the packed outcome code.
     """
     injector = cluster.fault_injector
     if injector is not None and injector.policy == "failover":
@@ -131,17 +134,21 @@ def process_reference(cluster, request):
         spread[request.key] = turn + 1
         shard = replicas[turn % len(replicas)]
     server = cluster.servers[shard]
+    op = OP_CODES[request.op]
     if injector is not None and not injector.live[shard]:
-        outcome = AccessOutcome(
-            hit=False, app=request.app, op=request.op, dead=True
-        )
-        server.stats.record(outcome)
+        code = OUTCOME_DEAD
     else:
-        outcome = server.process(request)
+        engine = server.engines[request.app]
+        code = engine.process_fast(
+            request.key,
+            op,
+            *engine.geometry.row(request.key_size, request.value_size),
+        )
+    server.stats.record_code(request.app, op, code)
     cluster.object_requests += 1
     rebalancer = cluster.rebalancer
     if rebalancer is not None:
         epoch = rebalancer.config.epoch_requests
         if epoch and cluster.object_requests % epoch == 0:
             rebalancer.on_epoch()
-    return outcome
+    return code

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.cache.engines import FirstComeFirstServeEngine
 from repro.cache.log_structured import GlobalLRUEngine
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import pack_outcome
 from repro.cluster import (
     Cluster,
     ClusterConfig,
@@ -77,19 +76,7 @@ def make_requests(spec):
 
 
 def run_oracle(cluster, requests):
-    codes = []
-    for request in requests:
-        outcome = process_reference(cluster, request)
-        codes.append(
-            pack_outcome(
-                hit=outcome.hit,
-                slab_class=outcome.slab_class,
-                shadow_hit=outcome.shadow_hit,
-                evicted=outcome.evicted,
-                dead=outcome.dead,
-            )
-        )
-    return codes
+    return [process_reference(cluster, request) for request in requests]
 
 
 def run_batch(cluster, requests):
@@ -219,8 +206,8 @@ class TestBatchParity:
     ):
         """A shard dies partway through the stream: ``failover`` reroutes
         around it, ``miss-through`` records tagged dead misses. The
-        object API sees liveness flips between calls, so the batch path
-        splits at the flip point like a server would."""
+        per-request oracle sees liveness flips between calls, so the
+        batch path splits at the flip point like a server would."""
         requests = make_requests(spec)
         flip_at = min(flip_at, len(requests))
         schedule = FaultSchedule.from_dict({"policy": policy, "events": []})
@@ -298,7 +285,8 @@ def scheme_cluster(scheme, shards, budget=96 << 10):
 
 class TestOfflineLiveParity:
     """One stream, three doors -- ``replay_compiled`` (offline),
-    ``process_batch`` in uneven cuts (live) and the object API -- must
+    ``process_batch`` in uneven cuts (live) and the per-request oracle
+    (each request's row from ``SlabGeometry.row`` on its own) -- must
     leave every shard with the same counters whatever the engine reads
     off the row (``chunk`` or ``item_bytes``)."""
 
@@ -315,12 +303,12 @@ class TestOfflineLiveParity:
         while start < len(requests):
             live_codes += run_batch(live, requests[start : start + width])
             start, width = start + width, width * 3 % 500 + 1
-        objects = scheme_cluster(scheme, shards)
-        assert live_codes == run_oracle(objects, requests)
+        oracle = scheme_cluster(scheme, shards)
+        assert live_codes == run_oracle(oracle, requests)
         expected = per_shard_snapshot(offline)
         assert any(c[4] for shard in expected for c in shard.values())
         assert per_shard_snapshot(live) == expected
-        assert per_shard_snapshot(objects) == expected
+        assert per_shard_snapshot(oracle) == expected
 
     def test_compile_and_live_batches_build_the_same_rows(self):
         requests = mixed_stream(count=500)

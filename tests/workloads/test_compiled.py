@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.server import CacheServer
 from repro.cache.log_structured import GlobalLRUEngine
 from repro.cache.slabs import SlabGeometry
+from repro.cache.stats import OP_CODES
 from repro.common.errors import TraceFormatError
 from repro.core.engine import CliffhangerEngine
 from repro.experiments.table3_cross_app import _app_byte_curves
@@ -114,6 +115,19 @@ def test_compile_roundtrip_preserves_requests(requests):
     assert list(compiled.iter_requests()) == requests
 
 
+def _replay_one_at_a_time(server, requests):
+    """The oracle: each request classified on its own and recorded as it
+    is served."""
+    for request in requests:
+        op = OP_CODES[request.op]
+        code = server.engines[request.app].process_fast(
+            request.key,
+            op,
+            *GEOMETRY.row(request.key_size, request.value_size),
+        )
+        server.stats.record_code(request.app, op, code)
+
+
 @settings(max_examples=25, deadline=None)
 @given(traces())
 @pytest.mark.parametrize("engine_kind", sorted(ENGINE_FACTORIES))
@@ -122,31 +136,12 @@ def test_compiled_replay_equals_object_replay(engine_kind, requests):
     compiled = CompiledTrace.compile(requests, GEOMETRY)
 
     object_server = _server_for(requests, make)
-    object_server.replay(iter(requests))
+    _replay_one_at_a_time(object_server, requests)
 
     fast_server = _server_for(requests, make)
     fast_server.replay_compiled(compiled)
 
     assert _registry_state(fast_server.stats) == _registry_state(
-        object_server.stats
-    )
-
-
-@settings(max_examples=25, deadline=None)
-@given(traces())
-@pytest.mark.parametrize("engine_kind", sorted(ENGINE_FACTORIES))
-def test_reexpanded_replay_equals_object_replay(engine_kind, requests):
-    """compile -> iter_requests -> replay matches replaying the original."""
-    make = ENGINE_FACTORIES[engine_kind]
-    compiled = CompiledTrace.compile(requests, GEOMETRY)
-
-    object_server = _server_for(requests, make)
-    object_server.replay(iter(requests))
-
-    expanded_server = _server_for(requests, make)
-    expanded_server.replay(compiled.iter_requests())
-
-    assert _registry_state(expanded_server.stats) == _registry_state(
         object_server.stats
     )
 
