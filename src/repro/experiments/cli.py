@@ -191,11 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", type=Path, default=None, help="directory for JSON results"
     )
     sweep_parser.set_defaults(handler=_cmd_sweep)
-
-    list_parser = sub.add_parser(
-        "list", help="enumerate experiments, schemes and workloads"
-    )
-    list_parser.set_defaults(handler=None)
     return parser
 
 
@@ -203,12 +198,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Back-compat: `python -m repro.experiments fig6 --scale 0.1` is
     # sugar for `run fig6 --scale 0.1`.
-    if argv and argv[0] not in ("run", "sweep", "list", "--list", "-h", "--help"):
+    if argv and argv[0] not in ("run", "sweep", "--list", "-h", "--help"):
         argv = ["run"] + argv
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.list_entries or args.command == "list":
+        if args.list_entries:
             _print_listing()
             return 0
         if args.command is None:

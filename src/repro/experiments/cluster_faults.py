@@ -24,6 +24,8 @@ demand is exactly what a frozen split cannot do.
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 from repro.experiments.common import (
     FULL_SCALE,
     VIRTUAL_NODES,
@@ -32,13 +34,38 @@ from repro.experiments.common import (
     flash_crowd_trace,
     rebalance_block,
 )
-from repro.sim import miss_reduction, run_scenario
+from repro.sim import ScenarioResult, miss_reduction, run_scenario
 
 #: Crash/restart as fractions of the trace. The flash crowd burns over
 #: [0.4, 0.6) of the stream, so both events land mid-crowd: the shard
 #: dies while hot and comes back cold with the crowd still running.
 CRASH_FRACTION = 0.45
 RESTART_FRACTION = 0.55
+
+
+def hot_shard_faults(
+    healthy: ScenarioResult, total_requests: int
+) -> Dict[str, Any]:
+    """The ``faults`` block that crashes the busiest shard of the
+    ``healthy`` run mid-crowd and restarts it cold: the deterministic
+    worst case the ring's uneven split hands us."""
+    loads = healthy.cluster_report["shard_loads"]
+    hot_shard = int(max(loads, key=lambda load: load["requests"])["shard"])
+    return {
+        "events": [
+            {
+                "kind": "crash",
+                "shard": hot_shard,
+                "at": int(total_requests * CRASH_FRACTION),
+            },
+            {
+                "kind": "restart",
+                "shard": hot_shard,
+                "at": int(total_requests * RESTART_FRACTION),
+            },
+        ],
+        "policy": "failover",
+    }
 
 
 def run(
@@ -72,25 +99,8 @@ def run(
     result.rows.append(
         ["healthy", healthy.overall_hit_rate, 0.0, 0, 0, 0.0, 0]
     )
-    # Crash the busiest shard: the deterministic worst case the ring's
-    # uneven split hands us.
-    loads = healthy.cluster_report["shard_loads"]
-    hot_shard = max(loads, key=lambda load: load["requests"])["shard"]
-    faults = {
-        "events": [
-            {
-                "kind": "crash",
-                "shard": int(hot_shard),
-                "at": int(total_requests * CRASH_FRACTION),
-            },
-            {
-                "kind": "restart",
-                "shard": int(hot_shard),
-                "at": int(total_requests * RESTART_FRACTION),
-            },
-        ],
-        "policy": "failover",
-    }
+    faults = hot_shard_faults(healthy, total_requests)
+    hot_shard = faults["events"][0]["shard"]
     rebalance = rebalance_block(total_requests, even_share, "shadow")
     for name, extra in (
         ("static", {"faults": faults}),

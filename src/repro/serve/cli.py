@@ -1,15 +1,12 @@
-"""``repro-serve``: the live-serving entry point.
+"""``repro-serve``: serve a simulated cache cluster over loopback TCP.
 
-Two modes::
+Serve until interrupted (talk to it with nc/telnet:
+get/set/delete/stats/quit)::
 
-    # Measure: spin up the in-process server, drive it open-loop,
-    # print the serve report (and the cluster hit rates it produced):
-    python -m repro.serve --workload zipf --shards 4 --rate 5000 \
-        --duration 1.0 --transport memory
-
-    # Listen: serve a cluster over loopback TCP until interrupted
-    # (talk to it with nc/telnet: get/set/delete/stats/quit):
     python -m repro.serve --listen 127.0.0.1:11311 --shards 4
+
+Measured runs -- open-loop load, faults, retries -- are scenarios:
+``python -m repro.experiments run '{..., "serve": {...}}'``.
 
 Configuration mistakes exit with status 2 and a one-line message,
 matching ``python -m repro.experiments``.
@@ -19,22 +16,20 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import signal
 import sys
 from typing import List, Optional
 
-from repro.cluster import ClusterConfig, FaultSchedule
+from repro.cluster import ClusterConfig
 from repro.common.errors import ConfigurationError
 from repro.common.spec import choices_of
-from repro.serve.harness import ServeConfig, run_serve
-from repro.serve.loadgen import RetryPolicy
+from repro.serve.harness import ServeConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Serve a simulated cache cluster over the wire.",
+        description="Serve a simulated cache cluster over loopback TCP.",
     )
 
     def spec_flag(flag: str, block, field: str, **kwargs) -> None:
@@ -49,6 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
             **kwargs,
         )
 
+    parser.add_argument(
+        "--listen",
+        metavar="HOST:PORT",
+        required=True,
+        help="address to serve on (port 0 picks a free port)",
+    )
     parser.add_argument("--workload", default="zipf")
     parser.add_argument("--scheme", default="default")
     parser.add_argument("--scale", type=float, default=0.05)
@@ -62,37 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="attach a load-policy rebalancer every N requests (0 = off)",
     )
-    spec_flag("--rate", ServeConfig, "rate")
-    spec_flag("--duration", ServeConfig, "duration_s")
-    spec_flag("--arrivals", ServeConfig, "arrivals")
     spec_flag("--backpressure", ServeConfig, "backpressure")
-    spec_flag("--connections", ServeConfig, "connections")
     spec_flag("--queue-depth", ServeConfig, "queue_depth")
     spec_flag("--max-batch", ServeConfig, "max_batch")
-    spec_flag("--transport", ServeConfig, "transport")
-    spec_flag(
-        "--retry-attempts",
-        RetryPolicy,
-        "max_attempts",
-        metavar="N",
-        help="client attempts per request (1 = fire once, no retries)",
-    )
-    spec_flag(
-        "--retry-deadline",
-        RetryPolicy,
-        "deadline_s",
-        metavar="S",
-        help="give up retrying S seconds after the scheduled arrival "
-        "(0 = no deadline)",
-    )
-    spec_flag(
-        "--hedge-after",
-        RetryPolicy,
-        "hedge_after_s",
-        metavar="S",
-        help="hedge GETs onto a second connection after S seconds "
-        "(0 = off)",
-    )
     spec_flag(
         "--queue-deadline",
         ServeConfig,
@@ -109,71 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection in-flight cap; excess answered BUSY "
         "(0 = unlimited)",
     )
-    parser.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="SHARD@OFFSET",
-        help="crash SHARD after OFFSET served requests (repeatable)",
-    )
-    parser.add_argument(
-        "--restart",
-        action="append",
-        default=[],
-        metavar="SHARD@OFFSET",
-        help="restart SHARD cold after OFFSET served requests "
-        "(repeatable)",
-    )
-    spec_flag(
-        "--fault-policy",
-        FaultSchedule,
-        "policy",
-        help="routing for dead shards' keys",
-    )
-    parser.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        default=None,
-        help="serve loopback TCP forever instead of running a "
-        "measurement (port 0 picks a free port)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
     return parser
-
-
-def _parse_events(args) -> List[dict]:
-    events = []
-    for kind, specs in (("crash", args.crash), ("restart", args.restart)):
-        for spec in specs:
-            shard_text, sep, offset_text = spec.partition("@")
-            try:
-                if not sep:
-                    raise ValueError(spec)
-                events.append(
-                    {
-                        "kind": kind,
-                        "shard": int(shard_text),
-                        "at": int(offset_text),
-                    }
-                )
-            except ValueError:
-                raise ConfigurationError(
-                    f"--{kind} wants SHARD@OFFSET, got {spec!r}"
-                ) from None
-    return events
 
 
 def _prepare_cluster(args):
     """The flags as a :class:`~repro.sim.Scenario`, wired by the same
-    :func:`~repro.sim.runner.prepare_cluster` a scenario run uses:
-    ``(cluster, compiled)`` with the rebalancer and the fault injector
-    already attached."""
+    :func:`~repro.sim.runner.prepare_cluster` a scenario run uses, with
+    the rebalancer already attached."""
     from repro.sim import Scenario, load_workload
     from repro.sim.runner import prepare_cluster
 
-    events = _parse_events(args)
     scenario = Scenario(
         workload=args.workload,
         scheme=args.scheme,
@@ -188,53 +106,12 @@ def _prepare_cluster(args):
             if args.rebalance_epoch
             else None
         ),
-        faults=(
-            {"events": events, "policy": args.fault_policy}
-            if events
-            else None
-        ),
     )
     trace = load_workload(
         scenario.workload, scale=scenario.scale, seed=scenario.seed
     )
-    return prepare_cluster(scenario, trace)
-
-
-def _run_measurement(args) -> int:
-    cluster, compiled = _prepare_cluster(args)
-    retry = None
-    if args.retry_attempts > 1 or args.hedge_after > 0:
-        retry = {
-            "max_attempts": max(1, args.retry_attempts),
-            "deadline_s": args.retry_deadline,
-            "hedge_after_s": args.hedge_after,
-        }
-    config = ServeConfig(
-        rate=args.rate,
-        duration_s=args.duration,
-        arrivals=args.arrivals,
-        backpressure=args.backpressure,
-        connections=args.connections,
-        queue_depth=args.queue_depth,
-        max_batch=args.max_batch,
-        transport=args.transport,
-        queue_deadline_s=args.queue_deadline,
-        max_inflight=args.max_inflight,
-        retry=retry,
-    )
-    report = run_serve(cluster, compiled, config, seed=args.seed)
-    payload = report.to_dict()
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    from repro.cluster.cluster import render_cluster_report
-
-    cluster_payload = cluster.report().to_dict()
-    cluster_payload["serve"] = payload
-    print(f"served {args.workload} on {args.shards} shard(s):")
-    for line in render_cluster_report(cluster_payload):
-        print(line)
-    return 0
+    cluster, _ = prepare_cluster(scenario, trace)
+    return cluster
 
 
 def _run_listener(args) -> int:
@@ -252,7 +129,7 @@ def _run_listener(args) -> int:
         raise ConfigurationError(
             f"--listen wants a numeric port, got {port_text!r}"
         )
-    cluster, _ = _prepare_cluster(args)
+    cluster = _prepare_cluster(args)
 
     async def serve_forever() -> None:
         server = CacheServerProcess(
@@ -292,12 +169,9 @@ def _run_listener(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.listen is not None:
-            return _run_listener(args)
-        return _run_measurement(args)
+        return _run_listener(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -94,9 +94,11 @@ def test_list_is_generated_from_the_declarations(capsys):
             assert f"  {name}: {registry.note(name)}\n" in out
 
 
-def test_list_subcommand_matches_flag(capsys):
-    assert main(["list"]) == 0
-    assert "experiments:" in capsys.readouterr().out
+def test_list_is_only_a_flag(capsys):
+    """``--list`` is the one spelling: a bare ``list`` is read as a
+    ``run`` target and refused like any unknown experiment id."""
+    assert main(["list"]) == 2
+    assert "'list' is not a known experiment id" in one_error_line(capsys)
 
 
 def test_run_inline_scenario_spec(capsys):

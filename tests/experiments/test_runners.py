@@ -309,6 +309,26 @@ class TestQualitativeClaims:
         assert rows["rebalance"][6] > 0  # transfers actually happened
         assert rows["rebalance"][1] >= rows["static"][1]
 
+    def test_cluster_faults_failover_beats_miss_through(self):
+        """On ``cluster_faults``' own crash schedule, rerouting the dead
+        shard's keys keeps more hits than answering them as misses."""
+        from repro.experiments.cluster_faults import hot_shard_faults
+        from repro.experiments.common import (
+            flash_crowd_base,
+            flash_crowd_trace,
+        )
+        from repro.sim import run_scenario
+
+        total = sum(flash_crowd_trace(TINY, 0).requests_per_app.values())
+        base = flash_crowd_base(TINY, 0, 4, "hill")
+        faults = hot_shard_faults(run_scenario(base), total)
+        failover = run_scenario(base.replace(faults=faults))
+        miss_through = run_scenario(
+            base.replace(faults=dict(faults, policy="miss-through"))
+        )
+        assert miss_through.cluster_report["faults"]["dead_requests"] > 0
+        assert failover.overall_hit_rate > miss_through.overall_hit_rate
+
     def test_fig6_cliffhanger_not_worse_on_average(self):
         result = get_runner("fig6")(scale=0.02, seed=0)
         default_mean = sum(r[2] for r in result.rows) / len(result.rows)

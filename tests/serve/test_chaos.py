@@ -211,6 +211,49 @@ class TestScenarioChaosServing:
             "failover", "miss-through", "failover", "miss-through",
         ]
 
+    def test_failover_with_retry_beats_miss_through(self):
+        """Served live through a mid-run crash, rerouting plus client
+        retries keeps more hits than answering the dead shard's keys as
+        misses. Hit rates count cluster requests, not wall-clock, so
+        the comparison is as stable as the fault timeline."""
+        base = Scenario(
+            workload="zipf",
+            workload_params={
+                "apps": 2, "num_keys": 2_000, "requests_per_app": 20_000,
+            },
+            scale=0.05,
+            seed=0,
+            cluster={"shards": 4},
+        )
+        serve = {"rate": 3_000.0, "duration_s": 0.4, "backpressure": "queue"}
+        events = [
+            {"kind": "crash", "shard": 1, "at": 480},
+            {"kind": "restart", "shard": 1, "at": 840},
+        ]
+        miss_through = run_scenario(
+            base.replace(
+                serve=serve,
+                faults={"events": events, "policy": "miss-through"},
+            )
+        )
+        chaos = run_scenario(
+            base.replace(
+                serve=dict(
+                    serve,
+                    retry={
+                        "max_attempts": 3,
+                        "base_backoff_s": 0.001,
+                        "max_backoff_s": 0.010,
+                        "budget": 0.5,
+                    },
+                ),
+                faults={"events": events, "policy": "failover"},
+            )
+        )
+        dead = miss_through.cluster_report["serve"]["faults"]
+        assert dead["dead_requests"] > 0
+        assert chaos.overall_hit_rate > miss_through.overall_hit_rate
+
     def test_rendered_report_shows_outage_timeline(self):
         from repro.cluster.cluster import render_cluster_report
 

@@ -1,6 +1,6 @@
-"""The ``repro-serve`` CLI: measurement flags, chaos knobs, shutdown.
+"""The ``repro-serve`` CLI: the listener's flags, their effect, shutdown.
 
-The graceful-shutdown test runs the real listener in a subprocess and
+The subprocess tests run the real listener. The graceful-shutdown one
 SIGINTs it mid-pipeline: every queued response must arrive before the
 socket closes and the process must exit 0 -- the drain contract, not a
 timing assertion.
@@ -8,7 +8,6 @@ timing assertion.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -18,48 +17,46 @@ import time
 
 import pytest
 
-from repro.serve.cli import main
+from repro.serve.cli import build_parser, main
 
-FAST = [
-    "--scale", "0.01", "--rate", "2000", "--duration", "0.05",
-    "--arrivals", "fixed",
+LISTEN = ["--listen", "127.0.0.1:0"]
+
+#: The flags of the retired measurement mode, each with a sample value.
+#: Measured runs are scenarios with a ``serve`` block now.
+REMOVED_FLAGS = [
+    ["--rate", "5000"],
+    ["--duration", "1.0"],
+    ["--arrivals", "fixed"],
+    ["--connections", "2"],
+    ["--transport", "tcp"],
+    ["--retry-attempts", "3"],
+    ["--retry-deadline", "0.5"],
+    ["--hedge-after", "0.01"],
+    ["--json"],
+    ["--crash", "1@10"],
+    ["--restart", "1@50"],
+    ["--fault-policy", "miss-through"],
 ]
-
-
-def one_error_line(capsys) -> str:
-    err = capsys.readouterr().err.strip()
-    assert err.count("\n") == 0, f"expected one line, got: {err!r}"
-    return err
 
 
 def test_flag_defaults_and_choices_come_from_the_spec_fields():
     """The CLI re-types no default: every flag that maps onto a spec
     field parses to that field's declared default, and offers exactly
     its declared choices."""
-    from repro.cluster import ClusterConfig, FaultSchedule
+    from repro.cluster import ClusterConfig
     from repro.common.spec import choices_of
-    from repro.serve import RetryPolicy, ServeConfig
-    from repro.serve.cli import build_parser
+    from repro.serve import ServeConfig
 
     mapped = {
         "replication": (ClusterConfig, "replication"),
-        "rate": (ServeConfig, "rate"),
-        "duration": (ServeConfig, "duration_s"),
-        "arrivals": (ServeConfig, "arrivals"),
         "backpressure": (ServeConfig, "backpressure"),
-        "connections": (ServeConfig, "connections"),
         "queue_depth": (ServeConfig, "queue_depth"),
         "max_batch": (ServeConfig, "max_batch"),
-        "transport": (ServeConfig, "transport"),
         "queue_deadline": (ServeConfig, "queue_deadline_s"),
         "max_inflight": (ServeConfig, "max_inflight"),
-        "retry_attempts": (RetryPolicy, "max_attempts"),
-        "retry_deadline": (RetryPolicy, "deadline_s"),
-        "hedge_after": (RetryPolicy, "hedge_after_s"),
-        "fault_policy": (FaultSchedule, "policy"),
     }
     parser = build_parser()
-    args = parser.parse_args([])
+    args = parser.parse_args(LISTEN)
     actions = {action.dest: action for action in parser._actions}
     for dest, (block, field) in mapped.items():
         default = getattr(block(), field)
@@ -67,53 +64,41 @@ def test_flag_defaults_and_choices_come_from_the_spec_fields():
         assert type(getattr(args, dest)) is type(default), dest
         assert tuple(actions[dest].choices or ()) == choices_of(block, field)
     # The values this repo has always shipped.
-    assert (args.rate, args.duration, args.connections) == (2000.0, 1.0, 4)
     assert (args.queue_depth, args.max_batch) == (1024, 256)
-    assert (args.retry_attempts, args.fault_policy) == (1, "failover")
 
 
-class TestMeasurementMode:
-    def test_plain_measurement_runs(self, capsys):
-        assert main(FAST) == 0
-        out = capsys.readouterr().out
-        assert "serve (" in out
+def test_only_listener_flags():
+    flags = {
+        flag
+        for action in build_parser()._actions
+        for flag in action.option_strings
+    }
+    assert flags == {
+        "-h", "--help", "--listen", "--workload", "--scheme", "--scale",
+        "--seed", "--shards", "--replication", "--rebalance-epoch",
+        "--backpressure", "--queue-depth", "--max-batch",
+        "--queue-deadline", "--max-inflight",
+    }
 
-    def test_chaos_flags_fire_live_faults(self, capsys):
-        assert (
-            main(
-                FAST
-                + [
-                    "--crash", "1@30",
-                    "--restart", "1@60",
-                    "--retry-attempts", "3",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["faults"]["crashes"][0]["crash_at"] == 30
-        assert payload["retry"]["max_attempts"] == 3
-        assert payload["faults"]["latency_timeline"]
 
-    def test_degradation_flags_pass_through(self, capsys):
-        assert (
-            main(FAST + ["--queue-deadline", "0.5", "--max-inflight", "8"])
-            == 0
-        )
+class TestListenerArguments:
+    def test_listen_is_required(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main([])
+        assert usage.value.code == 2
+        assert "--listen" in capsys.readouterr().err
 
-    def test_malformed_crash_spec_exits_2(self, capsys):
-        assert main(FAST + ["--crash", "one@ten"]) == 2
-        assert "SHARD@OFFSET" in one_error_line(capsys)
-        assert main(FAST + ["--crash", "3"]) == 2
-
-    def test_crash_bad_shard_exits_2(self, capsys):
-        assert main(FAST + ["--shards", "2", "--crash", "7@10"]) == 2
-        assert "shard" in one_error_line(capsys)
+    @pytest.mark.parametrize(
+        "flag", REMOVED_FLAGS, ids=[flag[0] for flag in REMOVED_FLAGS]
+    )
+    def test_measurement_flags_exit_2(self, flag):
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(LISTEN + flag)
+        assert usage.value.code == 2
 
     def test_removed_per_request_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as usage:
-            main(FAST + ["--per-request"])
+            main(LISTEN + ["--per-request"])
         assert usage.value.code == 2
         assert "--per-request" in capsys.readouterr().err
 
@@ -122,26 +107,57 @@ class TestMeasurementMode:
         assert main(["--listen", "127.0.0.1:notaport"]) == 2
 
 
-class TestListenerGracefulShutdown:
-    def test_sigint_drains_pipeline_before_exit(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.join(os.getcwd(), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.serve",
-                "--listen", "127.0.0.1:0",
-                "--scale", "0.01",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
+def start_listener(*flags):
+    """A ``python -m repro.serve --listen`` subprocess on a free port:
+    ``(process, port)`` once its banner is out."""
+    env = dict(os.environ)
+    src = os.path.join(os.getcwd(), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", *LISTEN, "--scale", "0.01"]
+        + list(flags),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    banner = proc.stdout.readline()
+    if "serving on" not in banner:
+        proc.kill()
+        _, err = proc.communicate()
+        pytest.fail(f"no banner: {banner!r} {err!r}")
+    return proc, int(banner.split()[2].rsplit(":", 1)[1])
+
+
+def stop(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.communicate()
+
+
+class TestListenerFlags:
+    def test_max_inflight_answers_busy_beyond_the_cap(self):
+        proc, port = start_listener("--max-inflight", "1")
         try:
-            banner = proc.stdout.readline()
-            assert "serving on" in banner
-            port = int(banner.split()[2].rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), 10) as sock:
+                sock.settimeout(10)
+                sock.sendall(b"get a\r\nget b\r\n")
+                expected = b"END\r\nSERVER_ERROR busy\r\n"
+                data = b""
+                while len(data) < len(expected):
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    data += chunk
+            assert data == expected
+        finally:
+            stop(proc)
+
+
+class TestListenerGracefulShutdown:
+    def test_sigint_drains_pipeline_before_exit(self):
+        proc, port = start_listener()
+        try:
             with socket.create_connection(("127.0.0.1", port), 10) as sock:
                 sock.sendall(
                     b"set a 0 0 1\r\nA\r\n" b"get a\r\n" b"get missing\r\n"
@@ -164,6 +180,4 @@ class TestListenerGracefulShutdown:
             assert proc.returncode == 0, err
             assert "stopped (drained)" in out
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
+            stop(proc)
