@@ -16,12 +16,12 @@ This package implements the systems the paper's algorithms run on top of:
   ``Engine.process_fast``: per-(shard, app) runs with tallied outcomes.
 * :mod:`repro.cache.server` -- the multi-tenant cache server tying it all
   together.
-* :mod:`repro.cache.stats` -- hit/miss accounting and time series.
+* :mod:`repro.cache.stats` -- hit/miss accounting.
 """
 
 from repro.cache.keyqueue import KeyQueue, QueueChain
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import AccessOutcome, HitMissCounter, TimelineRecorder
+from repro.cache.stats import AccessOutcome, HitMissCounter
 
 __all__ = [
     "KeyQueue",
@@ -29,5 +29,4 @@ __all__ = [
     "SlabGeometry",
     "AccessOutcome",
     "HitMissCounter",
-    "TimelineRecorder",
 ]

@@ -1,4 +1,4 @@
-"""Hit/miss accounting and time-series recording.
+"""Hit/miss accounting.
 
 Every request path reports each request's outcome as a packed integer
 code (see :func:`pack_outcome`) so the hot loop never allocates, and
@@ -6,14 +6,12 @@ code (see :func:`pack_outcome`) so the hot loop never allocates, and
 / ``record_code_bulk``) into :class:`HitMissCounter` objects keyed by
 (application, slab class). :class:`AccessOutcome` is what the one-off
 :meth:`repro.cache.engines.Engine.process` returns; nothing records it.
-:class:`TimelineRecorder` samples arbitrary scalar series over (simulated)
-time -- the cluster rebalancer's and fault injector's timelines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Integer op and outcome codes (the allocation-free replay protocol)
@@ -258,61 +256,3 @@ class OpCounter:
             + self.routes
         )
 
-
-@dataclass
-class TimelineRecorder:
-    """Samples named scalar series at a fixed (simulated-time) interval.
-
-    ``interval`` is in the same unit as request timestamps (seconds in the
-    synthetic traces). Calling :meth:`maybe_sample` on every request is
-    cheap: it only materializes a sample when the interval has elapsed.
-    """
-
-    interval: float
-    times: List[float] = field(default_factory=list)
-    series: Dict[str, List[float]] = field(default_factory=dict)
-    _next_sample: Optional[float] = None
-
-    def maybe_sample(self, now: float, values: Dict[str, float]) -> bool:
-        """Record ``values`` if ``now`` crossed the next sampling point.
-
-        Returns True when a sample was taken. Series seen for the first
-        time are back-filled with zeros to stay aligned with ``times``.
-        """
-        if self._next_sample is None:
-            self._next_sample = now
-        if now < self._next_sample:
-            return False
-        self.times.append(now)
-        for name in self.series:
-            if name not in values:
-                self.series[name].append(
-                    self.series[name][-1] if self.series[name] else 0.0
-                )
-        for name, value in values.items():
-            column = self.series.setdefault(
-                name, [0.0] * (len(self.times) - 1)
-            )
-            column.append(float(value))
-        while self._next_sample <= now:
-            self._next_sample += self.interval
-        return True
-
-    def as_rows(self) -> List[Tuple[float, Dict[str, float]]]:
-        """Return ``(time, {series: value})`` rows for rendering."""
-        rows = []
-        for i, t in enumerate(self.times):
-            rows.append(
-                (t, {name: column[i] for name, column in self.series.items()})
-            )
-        return rows
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe payload (what reports embed and results serialize)."""
-        return {
-            "interval": self.interval,
-            "times": list(self.times),
-            "series": {
-                name: list(column) for name, column in self.series.items()
-            },
-        }

@@ -53,6 +53,10 @@ from repro.cluster.routing import (
 #: Engine factory for one tenant: ``(shard_index, budget_share) -> Engine``.
 EngineFactory = Callable[[int, float], Engine]
 
+#: A shard is *hot* when its request count exceeds this many times the
+#: per-shard mean.
+HOT_FACTOR = 1.5
+
 
 def scale_engine_budgets(engines, target: float) -> int:
     """Proportionally scale a shard's engine budgets to sum to ``target``.
@@ -205,8 +209,7 @@ def render_cluster_report(payload: Dict[str, Any]) -> List[str]:
     serve = payload.get("serve")
     if serve is not None:
         lines.append(
-            f"  serve ({serve['arrivals']} arrivals, backpressure "
-            f"{serve['backpressure']}, {serve['connections']} conn): "
+            f"  serve ({serve['arrivals']} arrivals): "
             f"offered {serve['offered_rate']:,.0f} req/s, achieved "
             f"{serve['achieved_rate']:,.0f} req/s, shed {serve['shed']:,} "
             f"of {serve['requests']:,}"
@@ -223,16 +226,8 @@ def render_cluster_report(payload: Dict[str, Any]) -> List[str]:
                 f"    queue depth: mean "
                 f"{sum(depths) / len(depths):.1f}, max {max(depths)}"
             )
-        retries = serve.get("retries", 0)
-        hedges = serve.get("hedges", 0)
-        timeouts = serve.get("timeouts", 0)
-        shed_expired = serve.get("shed_expired", 0)
-        if retries or hedges or timeouts or shed_expired:
-            lines.append(
-                f"    retries {retries:,}, hedges {hedges:,}, "
-                f"timeouts {timeouts:,}, expired-in-queue "
-                f"{shed_expired:,}"
-            )
+        if serve["retries"]:
+            lines.append(f"    retries {serve['retries']:,}")
         serve_faults = serve.get("faults")
         if serve_faults is not None:
             timeline = serve_faults.get("latency_timeline", [])
@@ -254,7 +249,7 @@ class ClusterReport:
 
     ``imbalance`` is the max/mean per-shard request ratio (1.0 is a
     perfectly balanced cluster); ``hot_shards`` lists shards whose load
-    exceeds ``hot_factor`` times the mean.
+    exceeds :data:`HOT_FACTOR` times the mean.
     """
 
     shards: int
@@ -796,11 +791,7 @@ class Cluster:
                 ).merge(counter)
         return merged
 
-    def report(
-        self,
-        hot_factor: float = 1.5,
-        stats: Optional[StatsRegistry] = None,
-    ) -> ClusterReport:
+    def report(self, stats: Optional[StatsRegistry] = None) -> ClusterReport:
         """Aggregate hit rates plus per-shard load and balance metrics.
 
         ``stats`` lets callers that already hold the merged registry
@@ -808,10 +799,6 @@ class Cluster:
         :meth:`aggregate_stats` pass over every shard's per-(app, class)
         counters; omitted, the report merges fresh.
         """
-        if hot_factor <= 0:
-            raise ConfigurationError(
-                f"hot_factor must be positive, got {hot_factor}"
-            )
         merged = stats if stats is not None else self.aggregate_stats()
         loads = []
         for shard, server in enumerate(self.servers):
@@ -831,7 +818,7 @@ class Cluster:
         hot_shards = [
             load.shard
             for load in loads
-            if mean > 0 and load.requests > hot_factor * mean
+            if mean > 0 and load.requests > HOT_FACTOR * mean
         ]
         return ClusterReport(
             shards=len(self.servers),

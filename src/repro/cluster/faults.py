@@ -33,8 +33,8 @@ The :class:`FaultInjector` executes a schedule against one
 restarted shards cold through the cluster's stored engine factories,
 moves budgets out of and back into the dead shard under the rebalancer's
 conservation/floor invariants, and samples a rolling hit-rate timeline
-(:class:`~repro.cache.stats.TimelineRecorder`) from which per-crash
-downtime, attributable miss cost, and time-to-recover are derived.
+from which per-crash downtime, attributable miss cost, and
+time-to-recover are derived.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cache.stats import TimelineRecorder
 from repro.common.errors import ConfigurationError
 from repro.common.spec import Spec, spec_field
 
@@ -190,8 +189,15 @@ class FaultInjector:
         self.live: List[bool] = [True] * cluster.shards
         self.fault_evictions = 0
         self.records: List[Dict[str, Any]] = []
-        self.timeline = TimelineRecorder(interval=1.0)
         self.sample_step = max(1, schedule.sample_requests)
+        #: The hit-rate timeline: sampled offsets, and the window hit
+        #: rate and live shard count at each.
+        self.times: List[float] = []
+        self.series: Dict[str, List[float]] = {
+            "hit_rate": [], "live_shards": []
+        }
+        #: The first offset at or past which a barrier samples again.
+        self._next_sample = 0.0
         self._events_at = schedule.events_by_offset()
         self._down: Dict[int, Dict[str, Any]] = {}
         self._saved_budgets: Dict[int, Dict[str, float]] = {}
@@ -227,7 +233,8 @@ class FaultInjector:
         self.sample_step = self.schedule.sample_requests or max(
             1, total // AUTO_SAMPLE_WINDOWS
         )
-        self.timeline = TimelineRecorder(interval=float(self.sample_step))
+        self.times = []
+        self.series = {"hit_rate": [], "live_shards": []}
         barriers = set()
         if total > 0:
             barriers.add(total)
@@ -279,10 +286,7 @@ class FaultInjector:
         if window_gets > 0:
             self._window_rate = window_hits / window_gets
         rate = self._window_rate
-        self.timeline.maybe_sample(
-            float(offset),
-            {"hit_rate": rate, "live_shards": float(sum(self.live))},
-        )
+        self._sample(offset, rate)
         if window_gets <= 0:
             return
         epsilon = self.schedule.recovery_epsilon
@@ -301,6 +305,24 @@ class FaultInjector:
             record["miss_cost"] += (
                 max(0.0, record["pre_fault_hit_rate"] - rate) * window_gets
             )
+
+    def _sample(self, offset: int, rate: float) -> None:
+        """Append a timeline sample at ``offset`` if it is due.
+
+        Samples fall on a ``sample_step`` grid anchored at the run's
+        first barrier. A barrier off that grid (an event offset, a
+        rebalance epoch) samples only once it has reached the next grid
+        point, which then moves past it.
+        """
+        if not self.times:
+            self._next_sample = float(offset)
+        elif offset < self._next_sample:
+            return
+        while self._next_sample <= offset:
+            self._next_sample += self.sample_step
+        self.times.append(float(offset))
+        self.series["hit_rate"].append(float(rate))
+        self.series["live_shards"].append(float(sum(self.live)))
 
     def apply_events(self, offset: int) -> None:
         """Fire the schedule's events pinned to ``offset`` (barriers run
@@ -449,5 +471,11 @@ class FaultInjector:
                 for server in self.cluster.servers
             ),
             "crashes": crashes,
-            "timeline": self.timeline.to_dict(),
+            "timeline": {
+                "interval": float(self.sample_step),
+                "times": list(self.times),
+                "series": {
+                    name: list(column) for name, column in self.series.items()
+                },
+            },
         }

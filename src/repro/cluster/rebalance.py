@@ -25,9 +25,9 @@ Growing or shrinking a shard re-divides its server's reservation across
 that shard's per-app engines proportionally, through the same
 ``grow_budget``/``shrink_budget`` hooks
 :class:`~repro.core.crossapp.CrossAppHillClimber` uses within one server.
-Every epoch's resulting allocation is sampled into a
-:class:`~repro.cache.stats.TimelineRecorder`, which is what the cluster
-report exposes as the rebalance timeline.
+Every epoch's resulting allocation is appended to the rebalancer's
+``times`` / ``series`` columns, which the cluster report exposes as the
+rebalance timeline.
 
 The rebalancer keeps no clock: the cluster's window driver stops at
 every multiple of ``epoch_requests`` on its own (trace position offline,
@@ -41,7 +41,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.cache.stats import TimelineRecorder
 from repro.common.constants import (
     DEFAULT_EPOCH_REQUESTS,
     DEFAULT_MIN_SHARD_FRACTION,
@@ -126,7 +125,12 @@ class Rebalancer:
         self.epochs = 0
         self.evictions = 0
         self._last_signal = self._signals()
-        self.timeline = TimelineRecorder(interval=1.0)
+        #: The allocation timeline: epoch numbers, and each shard's
+        #: budget after that epoch.
+        self.times: List[float] = []
+        self.series: Dict[str, List[float]] = {
+            f"shard{shard}": [] for shard in range(cluster.shards)
+        }
         self._sample()  # epoch 0: the starting (static) allocation
 
     # ------------------------------------------------------------------
@@ -200,13 +204,9 @@ class Rebalancer:
         return victim
 
     def _sample(self) -> None:
-        self.timeline.maybe_sample(
-            float(self.epochs),
-            {
-                f"shard{shard}": self.shard_budget(shard)
-                for shard in range(self.cluster.shards)
-            },
-        )
+        self.times.append(float(self.epochs))
+        for shard, column in enumerate(self.series.values()):
+            column.append(float(self.shard_budget(shard)))
 
     # ------------------------------------------------------------------
 
@@ -223,6 +223,12 @@ class Rebalancer:
             transfers=self.transfers,
             rebalance_evictions=self.evictions,
             shard_budgets=self.budgets(),
-            timeline=self.timeline.to_dict(),
+            timeline={
+                "interval": 1.0,
+                "times": list(self.times),
+                "series": {
+                    name: list(column) for name, column in self.series.items()
+                },
+            },
         )
         return payload

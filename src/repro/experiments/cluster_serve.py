@@ -8,8 +8,9 @@ under overload lands in the percentiles instead of being absorbed by a
 slowing client.
 
 The run first calibrates the harness's sustainable completion rate with
-an overdriven shed-mode probe, then sweeps offered rates as fractions
-of that capacity (below, at, and past saturation) in two modes:
+an overdriven probe (queue backpressure, so every probe request
+completes), then sweeps offered rates as fractions of that capacity
+(below, at, and past saturation) in two modes:
 
 * ``static``    -- the frozen even per-shard budget split;
 * ``rebalance`` -- epoch-driven budget stealing toward the busiest
@@ -81,7 +82,6 @@ def run(
                     "rate": rate,
                     "duration_s": duration_s,
                     "arrivals": "poisson",
-                    "backpressure": "queue",
                 },
                 rebalance=(
                     rebalance_block(requests, even_share, "load")

@@ -15,7 +15,7 @@ heavily loaded run (restart at 62.5%) in three modes:
   as tagged misses;
 * ``failover+retry`` -- dead shard's keys re-routed to ring successors,
   clients retry BUSY responses with capped exponential backoff under a
-  per-request deadline.
+  retry budget.
 
 Expected: ``failover+retry`` ends the run with a hit rate above
 ``miss-through`` (successors absorb and re-warm the dead shard's
@@ -82,7 +82,6 @@ def run(
         "rate": rate,
         "duration_s": duration_s,
         "arrivals": "poisson",
-        "backpressure": "queue",
     }
     modes = (
         ("none", None, None),

@@ -20,7 +20,7 @@ from repro.serve.loadgen import (
     commands_from_trace,
 )
 from repro.serve.protocol import Command, ProtocolParser
-from repro.serve.server import CacheServerProcess, MemoryClient, TCPClient
+from repro.serve.server import CacheServerProcess, MemoryClient
 from repro.serve.service import CacheService
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "RetryPolicy",
     "ServeConfig",
     "ServeReport",
-    "TCPClient",
     "commands_from_trace",
     "run_serve",
 ]

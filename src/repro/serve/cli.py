@@ -22,8 +22,11 @@ from typing import List, Optional
 
 from repro.cluster import ClusterConfig
 from repro.common.errors import ConfigurationError
-from repro.common.spec import choices_of
-from repro.serve.harness import ServeConfig
+from repro.serve.server import (
+    BACKPRESSURE_POLICIES,
+    DEFAULT_MAX_BATCH,
+    DEFAULT_QUEUE_DEPTH,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,19 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-serve",
         description="Serve a simulated cache cluster over loopback TCP.",
     )
-
-    def spec_flag(flag: str, block, field: str, **kwargs) -> None:
-        """A flag whose type, default and choices are those the spec
-        block declares for ``field``."""
-        default = getattr(block, field)
-        parser.add_argument(
-            flag,
-            type=type(default),
-            default=default,
-            choices=choices_of(block, field) or None,
-            **kwargs,
-        )
-
     parser.add_argument(
         "--listen",
         metavar="HOST:PORT",
@@ -55,7 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shards", type=int, default=4)
-    spec_flag("--replication", ClusterConfig, "replication")
+    parser.add_argument(
+        "--replication", type=int, default=ClusterConfig.replication
+    )
     parser.add_argument(
         "--rebalance-epoch",
         type=int,
@@ -63,21 +55,26 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="attach a load-policy rebalancer every N requests (0 = off)",
     )
-    spec_flag("--backpressure", ServeConfig, "backpressure")
-    spec_flag("--queue-depth", ServeConfig, "queue_depth")
-    spec_flag("--max-batch", ServeConfig, "max_batch")
-    spec_flag(
+    # The server's own defaults (CacheServerProcess's signature).
+    parser.add_argument(
+        "--backpressure",
+        default=BACKPRESSURE_POLICIES[0],
+        choices=BACKPRESSURE_POLICIES,
+    )
+    parser.add_argument("--queue-depth", type=int, default=DEFAULT_QUEUE_DEPTH)
+    parser.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH)
+    parser.add_argument(
         "--queue-deadline",
-        ServeConfig,
-        "queue_deadline_s",
+        type=float,
+        default=0.0,
         metavar="S",
         help="server sheds queued commands older than S seconds "
         "(0 = never)",
     )
-    spec_flag(
+    parser.add_argument(
         "--max-inflight",
-        ServeConfig,
-        "max_inflight",
+        type=int,
+        default=0,
         metavar="N",
         help="per-connection in-flight cap; excess answered BUSY "
         "(0 = unlimited)",

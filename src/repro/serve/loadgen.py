@@ -16,10 +16,9 @@ rounded, deterministic per config, so runs at the same seed replay the
 same schedule.
 
 :class:`RetryPolicy` is the client-side fault-tolerance block: capped
-exponential backoff with deterministic seeded jitter, a per-request
-deadline measured from the scheduled arrival, a retry *budget* (retries
-may never exceed ``budget`` x issued requests -- the standard defense
-against retry storms amplifying an outage), and optional hedged reads.
+exponential backoff with deterministic seeded jitter and a retry
+*budget* (retries may never exceed ``budget`` x issued requests -- the
+standard defense against retry storms amplifying an outage).
 Retries are only attempted when the failed attempt provably did not
 execute (``SERVER_ERROR busy``, a connection error on a GET): a
 ``noreply`` SET gets no response, fails nothing, and is therefore never
@@ -55,6 +54,10 @@ _ERROR_PREFIXES = (b"ERROR", b"CLIENT_ERROR", b"SERVER_ERROR")
 #: scheduled arrivals.
 DEFAULT_TIMELINE_WINDOWS = 16
 
+#: Fraction of each retry backoff randomized away (0 = exact exponential
+#: steps, 1 = anywhere in ``(0, backoff]``).
+BACKOFF_JITTER = 0.5
+
 
 def commands_from_trace(trace, limit: int) -> List[Tuple[bytes, str]]:
     """The first ``limit`` requests of a compiled ``trace`` as
@@ -87,20 +90,13 @@ class RetryPolicy(Spec):
     Fields:
         max_attempts: Total tries per request (1 = never retry).
         base_backoff_s: First retry's backoff; attempt ``k`` waits
-            ``min(max_backoff_s, base * 2^(k-1))``, jittered.
+            ``min(max_backoff_s, base * 2^(k-1))``, less up to
+            :data:`BACKOFF_JITTER` of it at random. The jitter RNG is
+            seeded per request index, so a fixed seed reproduces the
+            exact retry timing.
         max_backoff_s: Backoff cap.
-        jitter: Fraction of each backoff randomized away (0 = exact
-            exponential steps, 1 = anywhere in ``(0, backoff]``). The
-            jitter RNG is seeded per request index, so a fixed seed
-            reproduces the exact retry timing.
-        deadline_s: Per-request deadline measured from the scheduled
-            arrival; an attempt is never started past it (0 = none).
-            Requests that exhaust it count as ``timeouts``.
         budget: Retry budget: total retries across the run may not
             exceed ``budget x issued`` (prevents retry storms).
-        hedge_after_s: For GETs, issue a duplicate read on another
-            connection if no response arrived within this delay and
-            take the first usable answer (0 = no hedging).
     """
 
     BLOCK = "retry"
@@ -108,10 +104,7 @@ class RetryPolicy(Spec):
     max_attempts: int = spec_field(1, ge=1)
     base_backoff_s: float = spec_field(0.002, ge=0)
     max_backoff_s: float = 0.050
-    jitter: float = spec_field(0.5, ge=0)
-    deadline_s: float = spec_field(0.0, ge=0)
     budget: float = spec_field(0.2, ge=0)
-    hedge_after_s: float = spec_field(0.0, ge=0)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -120,28 +113,15 @@ class RetryPolicy(Spec):
                 f"retry max_backoff_s must be >= base_backoff_s, got "
                 f"{self.max_backoff_s} < {self.base_backoff_s}"
             )
-        if self.jitter > 1.0:
-            raise ConfigurationError(
-                f"retry jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the policy changes anything over fire-once clients."""
-        return (
-            self.max_attempts > 1
-            or self.deadline_s > 0
-            or self.hedge_after_s > 0
-        )
 
     def backoff_s(self, attempt: int, rng: random.Random) -> float:
         """Backoff before retry ``attempt`` (the first retry is 1)."""
         step = min(
             self.max_backoff_s, self.base_backoff_s * (2 ** (attempt - 1))
         )
-        if self.jitter <= 0 or step <= 0:
+        if step <= 0:
             return step
-        return step * (1.0 - self.jitter * rng.random())
+        return step * (1.0 - BACKOFF_JITTER * rng.random())
 
 
 @dataclass
@@ -155,7 +135,6 @@ class LoadWindow:
     completed: int = 0
     shed: int = 0
     errors: int = 0
-    timeouts: int = 0
     histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -166,7 +145,6 @@ class LoadWindow:
             "completed": self.completed,
             "shed": self.shed,
             "errors": self.errors,
-            "timeouts": self.timeouts,
             "p50_ms": summary["p50"],
             "p99_ms": summary["p99"],
         }
@@ -183,13 +161,8 @@ class LoadResult:
     completed: int = 0
     shed: int = 0
     errors: int = 0
-    #: Requests whose retry deadline expired before any attempt
-    #: succeeded (only with a ``deadline_s`` retry policy).
-    timeouts: int = 0
     #: Extra attempts beyond each request's first.
     retries: int = 0
-    #: Duplicate hedged reads issued.
-    hedges: int = 0
     elapsed_s: float = 0.0
     histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
     #: Scheduled-index latency windows (empty when the run is too small
@@ -201,13 +174,6 @@ class LoadResult:
         if self.elapsed_s <= 0:
             return 0.0
         return self.completed / self.elapsed_s
-
-
-def _swallow(task: "asyncio.Task") -> None:
-    """Done callback for abandoned hedge losers: retrieve the result or
-    exception so nothing warns at loop shutdown."""
-    if not task.cancelled():
-        task.exception()
 
 
 class LoadGenerator:
@@ -306,10 +272,7 @@ class LoadGenerator:
             result.issued += 1
             tasks.append(
                 asyncio.create_task(
-                    self._issue(
-                        clients, client, data, op, index, target, result,
-                        window,
-                    )
+                    self._issue(client, data, op, index, target, result, window)
                 )
             )
         if tasks:
@@ -320,7 +283,7 @@ class LoadGenerator:
     # -- one scheduled request, with retries ---------------------------
 
     async def _issue(
-        self, clients, client, data, op, index, target, result, window
+        self, client, data, op, index, target, result, window
     ) -> None:
         loop = asyncio.get_running_loop()
         policy = self.retry
@@ -330,15 +293,8 @@ class LoadGenerator:
         while True:
             attempt += 1
             try:
-                response = await self._attempt(
-                    clients, client, data, op, index, result
-                )
-            except (
-                asyncio.TimeoutError,
-                ConnectionResetError,
-                BrokenPipeError,
-                OSError,
-            ):
+                response = await client.request(data)
+            except OSError:  # ConnectionError included
                 response = None
             if response is not None and self._usable(response):
                 latency = loop.time() - target
@@ -350,18 +306,9 @@ class LoadGenerator:
                 return
             if not self._may_retry(policy, op, attempt, response, result):
                 break
-            backoff = 0.0
-            if policy.max_attempts > 1:
-                if rng is None:
-                    rng = random.Random((self.seed << 20) ^ index)
-                backoff = policy.backoff_s(attempt, rng)
-            if policy.deadline_s > 0:
-                remaining = (target + policy.deadline_s) - loop.time()
-                if remaining <= backoff:
-                    result.timeouts += 1
-                    if window is not None:
-                        window.timeouts += 1
-                    return
+            if rng is None:
+                rng = random.Random((self.seed << 20) ^ index)
+            backoff = policy.backoff_s(attempt, rng)
             result.retries += 1
             if backoff > 0:
                 await asyncio.sleep(backoff)
@@ -400,53 +347,3 @@ class LoadGenerator:
         elif response != BUSY:
             return False  # CLIENT_ERROR/ERROR: retrying cannot help
         return result.retries < policy.budget * max(1, result.issued)
-
-    async def _attempt(
-        self, clients, client, data, op, index, result
-    ) -> bytes:
-        policy = self.retry
-        if (
-            policy is None
-            or policy.hedge_after_s <= 0
-            or op != "get"
-            or len(clients) < 2
-        ):
-            return await client.request(data, op)
-        primary = asyncio.ensure_future(client.request(data, op))
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(primary), policy.hedge_after_s
-            )
-        except asyncio.TimeoutError:
-            pass  # primary still in flight: hedge it
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # primary failed fast: the hedge is the fallback
-        result.hedges += 1
-        backup = clients[(index + 1) % len(clients)]
-        hedge = asyncio.ensure_future(backup.request(data, op))
-        return await self._first_usable(primary, hedge)
-
-    async def _first_usable(self, primary, hedge) -> bytes:
-        """The first usable response of the two racing reads; the loser
-        is abandoned (its future still resolves -- nothing leaks)."""
-        pending = {primary, hedge}
-        fallback: Optional[bytes] = None
-        failure: Optional[BaseException] = None
-        while pending:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                exc = task.exception()
-                if exc is not None:
-                    failure = exc
-                    continue
-                response = task.result()
-                if self._usable(response):
-                    for loser in pending:
-                        loser.add_done_callback(_swallow)
-                    return response
-                fallback = response
-        if fallback is not None or failure is None:
-            return fallback if fallback is not None else BUSY
-        raise failure

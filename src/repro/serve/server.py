@@ -58,7 +58,8 @@ BACKPRESSURE_POLICIES = ("queue", "shed")
 
 
 class ServerMetrics:
-    """Counters the harness reports: shed, totals, queue-depth samples."""
+    """Server counters: totals and sheds (the ``stats`` command reports
+    them) and the queue-depth samples (the harness reports those)."""
 
     __slots__ = (
         "requests", "shed", "shed_expired", "shed_inflight", "batches",
@@ -400,8 +401,9 @@ class MemoryClient(asyncio.Transport):
     """A socketless connection: wire bytes in, wire bytes out.
 
     The transport of the exact same :class:`Connection` -- parser, jobs,
-    queue, drain, flush -- a TCP client gets; only the socket is skipped,
-    so harness runs are deterministic, fast and protocol-faithful."""
+    queue, drain, flush -- a socket peer gets; only the socket is
+    skipped, so harness runs are deterministic, fast and
+    protocol-faithful."""
 
     def __init__(self, server: CacheServerProcess) -> None:
         super().__init__()
@@ -411,12 +413,11 @@ class MemoryClient(asyncio.Transport):
         self._connection = Connection(server)
         self._connection.connection_made(self)
 
-    async def request(self, data: bytes, op: str = "") -> bytes:
+    async def request(self, data: bytes) -> bytes:
         """Send one or more pipelined commands; await all responses.
 
         Calls may overlap: each awaits the replies of the jobs its own
-        bytes became (one future per call, not per command). ``op`` is
-        for parity with :class:`TCPClient`. Raises
+        bytes became (one future per call, not per command). Raises
         :class:`ConnectionError` once ``quit`` or the server closed it."""
         if self._closing:
             raise ConnectionError("connection closed")
@@ -449,162 +450,3 @@ class MemoryClient(asyncio.Transport):
                 waiter.set_exception(ConnectionError("connection closed"))
         self._owed.clear()
 
-
-class TCPClient:
-    """A pipelining loopback client with in-order response framing.
-
-    Requests write immediately; a reader task frames responses off the
-    stream in FIFO order and resolves each request's future, so many
-    requests can be in flight on one connection (open-loop load needs
-    that).
-
-    Hardened against a dying server: :meth:`connect` bounds the
-    connection attempt with ``connect_timeout``, a nonzero
-    ``request_timeout`` bounds each response wait, and once the stream
-    drops every pending and future :meth:`request` raises a clean
-    :class:`ConnectionError` instead of hanging on a response that will
-    never arrive.
-    """
-
-    def __init__(
-        self,
-        connect_timeout: float = 5.0,
-        request_timeout: float = 0.0,
-    ) -> None:
-        if connect_timeout <= 0:
-            raise ConfigurationError("connect_timeout must be > 0")
-        if request_timeout < 0:
-            raise ConfigurationError("request_timeout must be >= 0")
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._pending: "asyncio.Queue[Tuple[str, asyncio.Future[bytes]]]" = (
-            asyncio.Queue()
-        )
-        self._reader_task: Optional[asyncio.Task] = None
-        self._dead = False
-
-    async def connect(self, host: str, port: int) -> None:
-        try:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), self.connect_timeout
-            )
-        except asyncio.TimeoutError:
-            raise ConnectionError(
-                f"connect to {host}:{port} timed out after "
-                f"{self.connect_timeout}s"
-            ) from None
-        self._dead = False
-        self._reader_task = asyncio.create_task(self._read_loop())
-
-    async def close(self) -> None:
-        self._dead = True
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-
-    async def request(self, data: bytes, op: str = "get") -> bytes:
-        """Send pre-encoded command bytes; await its framed response.
-
-        ``op`` tells the framer what shape to read (``get``/``stats``
-        end at ``END``; everything else is one line). One command per
-        call; pipelining comes from overlapping calls. Raises
-        :class:`ConnectionError` when the connection is gone (the
-        server died mid-pipeline) or the response misses a nonzero
-        ``request_timeout``.
-        """
-        if self._writer is None:
-            raise RuntimeError("request() before connect()")
-        if self._dead or self._writer.is_closing():
-            raise ConnectionError("connection lost")
-        future: "asyncio.Future[bytes]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        # No await between the liveness check and the enqueue (put on an
-        # unbounded queue never suspends): the reader's fail-everything
-        # sweep cannot miss this future.
-        self._pending.put_nowait((op, future))
-        try:
-            self._writer.write(data)
-            await self._writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            self._dead = True
-            if not future.done():
-                future.set_exception(
-                    ConnectionError(f"send failed: {exc or 'closed'}")
-                )
-        if self.request_timeout > 0:
-            try:
-                return await asyncio.wait_for(future, self.request_timeout)
-            except asyncio.TimeoutError:
-                self._dead = True
-                raise ConnectionError(
-                    f"no response within {self.request_timeout}s"
-                ) from None
-        return await future
-
-    async def _read_loop(self) -> None:
-        if self._reader is None:
-            raise RuntimeError("_read_loop() before connect()")
-        future: Optional["asyncio.Future[bytes]"] = None
-        try:
-            while True:
-                op, future = await self._pending.get()
-                response = await self._read_response(op)
-                if not future.done():
-                    future.set_result(response)
-                future = None
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-            OSError,
-        ):
-            # Connection gone: flag the client dead *first* (request()
-            # checks before enqueueing), then fail every waiter --
-            # including the request whose response was mid-frame, which
-            # is already popped off the pending queue -- so in-flight
-            # requests unblock with a clean error.
-            self._dead = True
-            while True:
-                if future is not None and not future.done():
-                    future.set_exception(
-                        ConnectionError("server closed the connection")
-                    )
-                try:
-                    _, future = self._pending.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-
-    async def _read_response(self, op: str) -> bytes:
-        if self._reader is None:
-            raise RuntimeError("_read_response() before connect()")
-        out = bytearray()
-        multi = op in ("get", "gets", "stats")
-        while True:
-            line = await self._reader.readuntil(b"\n")
-            out += line
-            stripped = line.rstrip(b"\r\n")
-            if stripped.startswith(b"VALUE "):
-                # VALUE <key> <flags> <bytes>: the data block may
-                # contain anything, including "END"; read it by size.
-                size = int(stripped.split()[3])
-                out += await self._reader.readexactly(size + 2)
-                continue
-            if multi:
-                if stripped == b"END" or stripped.startswith(
-                    (b"ERROR", b"CLIENT_ERROR", b"SERVER_ERROR")
-                ):
-                    return bytes(out)
-                continue  # STAT lines keep coming
-            return bytes(out)

@@ -1,4 +1,4 @@
-"""Tests for counters, registries and timelines."""
+"""Tests for counters and registries."""
 
 import itertools
 
@@ -11,7 +11,6 @@ from repro.cache.stats import (
     HitMissCounter,
     OpCounter,
     StatsRegistry,
-    TimelineRecorder,
     pack_outcome,
 )
 
@@ -118,27 +117,3 @@ class TestOpCounter:
         ops.merge(other)
         assert ops.total() == 7
 
-
-class TestTimelineRecorder:
-    def test_samples_at_interval(self):
-        recorder = TimelineRecorder(interval=10.0)
-        assert recorder.maybe_sample(0.0, {"x": 1.0}) is True
-        assert recorder.maybe_sample(5.0, {"x": 2.0}) is False
-        assert recorder.maybe_sample(10.0, {"x": 3.0}) is True
-        rows = recorder.as_rows()
-        assert len(rows) == 2
-        assert rows[1][1]["x"] == 3.0
-
-    def test_new_series_backfilled(self):
-        recorder = TimelineRecorder(interval=1.0)
-        recorder.maybe_sample(0.0, {"a": 1.0})
-        recorder.maybe_sample(1.0, {"a": 2.0, "b": 9.0})
-        rows = recorder.as_rows()
-        assert rows[0][1]["b"] == 0.0
-        assert rows[1][1]["b"] == 9.0
-
-    def test_missing_series_carries_forward(self):
-        recorder = TimelineRecorder(interval=1.0)
-        recorder.maybe_sample(0.0, {"a": 5.0})
-        recorder.maybe_sample(1.0, {})
-        assert recorder.as_rows()[1][1]["a"] == 5.0

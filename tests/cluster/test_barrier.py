@@ -180,7 +180,7 @@ def test_finished_replay_leaves_no_barriers_for_live_batches():
     cluster.replay_compiled(compiled)
     injector = cluster.fault_injector
     assert injector.next_barrier(0) is None
-    samples = len(injector.timeline.to_dict()["times"])
+    samples = len(injector.times)
     log = spy_on_barriers(cluster)
     windows = []
     route_batch = cluster.router.route_batch
@@ -192,4 +192,4 @@ def test_finished_replay_leaves_no_barriers_for_live_batches():
     )
     assert windows == [400]
     assert log == []
-    assert len(injector.timeline.to_dict()["times"]) == samples
+    assert len(injector.times) == samples

@@ -21,6 +21,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -329,6 +330,45 @@ def test_fixed_seed_reproduces_identical_fault_timeline():
     second = run_scenario(scenario)
     assert first.cluster_report["faults"] == second.cluster_report["faults"]
     assert first.hit_rates == second.hit_rates
+
+
+#: Both timelines of a run whose crash (50) and restart (730) sit off
+#: the 100-request sampling grid, with rebalance epochs (every 170) off
+#: it too: ``(sampled times, sha256 of the timeline's sorted-key JSON)``.
+#: The grid is anchored at the first barrier (50), so a barrier samples
+#: only once it reaches the next grid point: 100, 200, 340, 700, 730,
+#: ... are skipped.
+TIMELINE_PINS = {
+    "faults": (
+        [50, 170, 300, 400, 500, 600, 680, 800, 850, 1000, 1100, 1190,
+         1300, 1360, 1500, 1600],
+        "94a4bddc1a2eb52f975b92195450c75e2d509f5520fb396c857dd7b568e19728",
+    ),
+    "rebalance": (
+        list(range(10)),
+        "46009fd1949f791707e75d1af10d01e98dbb33bcd0129841d6272c4a7dcb04c7",
+    ),
+}
+
+
+def test_timeline_payloads_are_pinned():
+    report = run_scenario(
+        BASE.replace(
+            faults={
+                "events": [
+                    {"kind": "crash", "shard": 1, "at": 50},
+                    {"kind": "restart", "shard": 1, "at": 730},
+                ],
+                "sample_requests": 100,
+            },
+            rebalance={"epoch_requests": 170, "policy": "shadow"},
+        )
+    ).cluster_report
+    for section, (times, digest) in TIMELINE_PINS.items():
+        timeline = report[section]["timeline"]
+        assert timeline["times"] == times, section
+        text = json.dumps(timeline, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, section
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ FIELD_COUNTS = {
     RebalanceConfig: 4,
     FaultEvent: 3,
     FaultSchedule: 4,
-    ServeConfig: 11,
-    RetryPolicy: 7,
+    ServeConfig: 4,
+    RetryPolicy: 4,
     Scenario: 15,
 }
 
@@ -79,10 +79,7 @@ retry_policies = st.builds(
     max_attempts=st.integers(min_value=1, max_value=8),
     base_backoff_s=st.floats(min_value=0.0, max_value=0.01),
     max_backoff_s=st.floats(min_value=0.01, max_value=1.0),
-    jitter=st.floats(min_value=0.0, max_value=1.0),
-    deadline_s=fractions,
     budget=fractions,
-    hedge_after_s=fractions,
 )
 fault_schedules = st.builds(
     FaultSchedule,
@@ -96,13 +93,6 @@ serve_configs = st.builds(
     rate=positive,
     duration_s=positive,
     arrivals=st.sampled_from(choices_of(ServeConfig, "arrivals")),
-    backpressure=st.sampled_from(choices_of(ServeConfig, "backpressure")),
-    connections=st.integers(min_value=1, max_value=64),
-    queue_depth=st.integers(min_value=1, max_value=4096),
-    max_batch=st.integers(min_value=1, max_value=1024),
-    transport=st.sampled_from(choices_of(ServeConfig, "transport")),
-    queue_deadline_s=fractions,
-    max_inflight=counts,
     retry=st.one_of(st.none(), retry_policies.map(RetryPolicy.to_dict)),
 )
 cluster_configs = st.builds(
@@ -215,9 +205,12 @@ def test_required_fields_are_reported_by_name():
     [
         (lambda: ServeConfig.from_dict({"rate": "fast"}), "serve.rate"),
         (lambda: ServeConfig.from_dict({"rate": True}), "serve.rate"),
-        (lambda: ServeConfig(connections=[4]), "serve.connections"),
-        (lambda: ServeConfig(connections=2.5), "serve.connections"),
-        (lambda: ServeConfig(retry={"jitter": "lots"}), "retry.jitter"),
+        (lambda: ServeConfig(duration_s=[4]), "serve.duration_s"),
+        (lambda: ServeConfig(arrivals=["fixed"]), "serve.arrivals"),
+        (
+            lambda: ServeConfig(retry={"base_backoff_s": "lots"}),
+            "retry.base_backoff_s",
+        ),
         (lambda: RetryPolicy(max_attempts="many"), "retry.max_attempts"),
         (lambda: RetryPolicy.from_dict({"budget": None}), "retry.budget"),
         (lambda: ClusterConfig(shards=True), "cluster.shards"),
@@ -241,8 +234,10 @@ def test_bad_scalars_name_their_field(build, names):
 
 def test_json_scalars_coerce_the_same_way_in_every_block():
     assert ClusterConfig.from_dict({"shards": "4"}).shards == 4
-    serve = Scenario(cluster={"shards": 2}, serve={"connections": "4"}).serve
-    assert serve["connections"] == 4
+    serve = Scenario(
+        cluster={"shards": 2}, serve={"retry": {"max_attempts": "4"}}
+    ).serve
+    assert serve["retry"]["max_attempts"] == 4
     assert ServeConfig(rate=4000).to_dict()["rate"] == 4000.0
     assert isinstance(ServeConfig(rate=4000).rate, float)
     assert RetryPolicy.from_dict({"max_attempts": 3.0}).max_attempts == 3

@@ -194,7 +194,7 @@ def test_unknown_scenario_field_exits_2(capsys):
     [
         ({"serve": {"rate": "fast"}}, "serve.rate"),
         ({"serve": {"rate": True}}, "serve.rate"),
-        ({"serve": {"connections": [4]}}, "serve.connections"),
+        ({"serve": {"duration_s": [4]}}, "serve.duration_s"),
         ({"serve": {"retry": {"max_attempts": "many"}}}, "retry.max_attempts"),
         ({"cluster": {"shards": "two"}}, "cluster.shards"),
         ({"rebalance": {"credit_bytes": "lots"}}, "rebalance.credit_bytes"),
@@ -305,7 +305,7 @@ CHAOS_SCENARIO = {
         "rate": 4000.0,
         "duration_s": 0.05,
         "arrivals": "fixed",
-        "retry": {"max_attempts": 2, "deadline_s": 0.1},
+        "retry": {"max_attempts": 2},
     },
 }
 
@@ -349,6 +349,29 @@ def test_serve_bad_degradation_fields_exit_2(capsys):
     spec["serve"] = dict(CHAOS_SCENARIO["serve"], max_inflight=-2)
     assert main(["run", json.dumps(spec)]) == 2
     assert "max_inflight" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "serve, message",
+    [
+        ({"transport": "tcp"}, "unknown serve fields: transport"),
+        ({"queue_deadline_s": 0.2}, "unknown serve fields: queue_deadline_s"),
+        (
+            {"retry": {"max_attempts": 2, "hedge_after_s": 0.005}},
+            "unknown retry fields: hedge_after_s",
+        ),
+        (
+            {"retry": {"max_attempts": 2, "deadline_s": 0.1}},
+            "unknown retry fields: deadline_s",
+        ),
+    ],
+    ids=["transport", "queue_deadline_s", "hedge_after_s", "deadline_s"],
+)
+def test_retired_serve_fields_exit_2(capsys, serve, message):
+    spec = dict(CHAOS_SCENARIO)
+    spec["serve"] = dict(spec["serve"], **serve)
+    assert main(["run", json.dumps(spec)]) == 2
+    assert one_error_line(capsys) == f"error: {message}"
 
 
 def test_serve_removed_per_request_knob_exits_2(capsys):

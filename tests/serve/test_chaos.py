@@ -44,9 +44,7 @@ def attach(cluster, events=FAULT_EVENTS, policy="failover"):
 
 
 def serve_config(**overrides):
-    fields = dict(
-        rate=8000.0, duration_s=0.05, arrivals="fixed", connections=2
-    )
+    fields = dict(rate=8000.0, duration_s=0.05, arrivals="fixed")
     fields.update(overrides)
     return ServeConfig(**fields)
 
@@ -76,9 +74,9 @@ class TestFaultsThroughServing:
         timeline = faults["latency_timeline"]
         assert timeline, "serve+faults must produce latency windows"
         for window in timeline:
-            assert set(window) >= {
+            assert set(window) == {
                 "start", "stop", "completed", "shed", "errors",
-                "timeouts", "p50_ms", "p99_ms",
+                "p50_ms", "p99_ms",
             }
         # Windows tile the scheduled index space exactly.
         assert timeline[0]["start"] == 0
@@ -158,12 +156,7 @@ class TestScenarioChaosServing:
             scale=1.0,
             seed=0,
             cluster={"shards": 4},
-            serve={
-                "rate": 8000.0,
-                "duration_s": 0.05,
-                "arrivals": "fixed",
-                "connections": 2,
-            },
+            serve={"rate": 8000.0, "duration_s": 0.05, "arrivals": "fixed"},
             faults={"events": [dict(e) for e in FAULT_EVENTS]},
         )
         fields.update(overrides)
@@ -183,9 +176,7 @@ class TestScenarioChaosServing:
             serve={
                 "rate": 8000.0,
                 "duration_s": 0.05,
-                "retry": {"max_attempts": 3, "deadline_s": 0.1},
-                "queue_deadline_s": 0.2,
-                "max_inflight": 64,
+                "retry": {"max_attempts": 3, "base_backoff_s": 0.001},
             }
         )
         clone = Scenario.from_json(scenario.to_json())
@@ -225,7 +216,7 @@ class TestScenarioChaosServing:
             seed=0,
             cluster={"shards": 4},
         )
-        serve = {"rate": 3_000.0, "duration_s": 0.4, "backpressure": "queue"}
+        serve = {"rate": 3_000.0, "duration_s": 0.4}
         events = [
             {"kind": "crash", "shard": 1, "at": 480},
             {"kind": "restart", "shard": 1, "at": 840},

@@ -40,29 +40,31 @@ REMOVED_FLAGS = [
 
 
 def test_flag_defaults_and_choices_come_from_the_spec_fields():
-    """The CLI re-types no default: every flag that maps onto a spec
-    field parses to that field's declared default, and offers exactly
-    its declared choices."""
-    from repro.cluster import ClusterConfig
-    from repro.common.spec import choices_of
-    from repro.serve import ServeConfig
+    """The CLI re-types no default: ``--replication`` parses to the
+    cluster spec field's default, and each server-policy flag to the
+    default of the :class:`CacheServerProcess` parameter it sets, with
+    the server's backpressure policies as its only choices."""
+    import inspect
 
-    mapped = {
-        "replication": (ClusterConfig, "replication"),
-        "backpressure": (ServeConfig, "backpressure"),
-        "queue_depth": (ServeConfig, "queue_depth"),
-        "max_batch": (ServeConfig, "max_batch"),
-        "queue_deadline": (ServeConfig, "queue_deadline_s"),
-        "max_inflight": (ServeConfig, "max_inflight"),
-    }
+    from repro.cluster import ClusterConfig
+    from repro.serve.server import BACKPRESSURE_POLICIES, CacheServerProcess
+
     parser = build_parser()
     args = parser.parse_args(LISTEN)
     actions = {action.dest: action for action in parser._actions}
-    for dest, (block, field) in mapped.items():
-        default = getattr(block(), field)
+    assert args.replication == ClusterConfig().replication
+    server = inspect.signature(CacheServerProcess).parameters
+    for dest, parameter in {
+        "backpressure": "backpressure",
+        "queue_depth": "queue_depth",
+        "max_batch": "max_batch",
+        "queue_deadline": "queue_deadline_s",
+        "max_inflight": "max_inflight",
+    }.items():
+        default = server[parameter].default
         assert getattr(args, dest) == default, dest
         assert type(getattr(args, dest)) is type(default), dest
-        assert tuple(actions[dest].choices or ()) == choices_of(block, field)
+    assert tuple(actions["backpressure"].choices) == BACKPRESSURE_POLICIES
     # The values this repo has always shipped.
     assert (args.queue_depth, args.max_batch) == (1024, 256)
 

@@ -2,9 +2,8 @@
 
 These are the integration seams: the ``serve`` block round-trips
 through :class:`ServeConfig`, ``run_serve`` drives a real cluster
-end-to-end over the in-memory transport and loopback TCP, and
-``run_scenario`` swaps the offline replay for live serving when the
-block is present. All asserts are shape/accounting only -- no latency
+end-to-end over the in-memory transport, and ``run_scenario`` swaps the
+offline replay for live serving when the block is present. All asserts are shape/accounting only -- no latency
 thresholds, so tier-1 stays immune to scheduler jitter.
 """
 
@@ -12,8 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+import dataclasses
+
 from repro.common.errors import ConfigurationError
 from repro.serve.harness import ServeConfig, ServeReport, run_serve
+from repro.serve.loadgen import RetryPolicy
 from repro.sim.runner import run_scenario
 from repro.sim.scenario import Scenario
 
@@ -23,8 +25,6 @@ SERVE_BLOCK = {
     "rate": 4000.0,
     "duration_s": 0.05,
     "arrivals": "fixed",
-    "backpressure": "queue",
-    "connections": 2,
 }
 
 
@@ -47,6 +47,18 @@ class TestServeConfig:
         assert ServeConfig.from_dict(config.to_dict()) == config
         assert ServeConfig.from_dict(None) == config
 
+    def test_exact_field_sets(self):
+        """The block holds what scenarios drive; server overload knobs
+        belong to the ``repro-serve`` listener."""
+
+        def names(cls):
+            return tuple(field.name for field in dataclasses.fields(cls))
+
+        assert names(ServeConfig) == ("rate", "duration_s", "arrivals", "retry")
+        assert names(RetryPolicy) == (
+            "max_attempts", "base_backoff_s", "max_backoff_s", "budget",
+        )
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown serve"):
             ServeConfig.from_dict({"rate": 100.0, "ratee": 1})
@@ -66,16 +78,17 @@ class TestServeConfig:
             ({"rate": 0}, "rate"),
             ({"duration_s": -1.0}, "duration_s"),
             ({"arrivals": "uniform"}, "arrivals"),
-            ({"backpressure": "drop"}, "backpressure"),
-            ({"connections": 0}, "connections"),
-            ({"queue_depth": 0}, "queue_depth"),
-            ({"max_batch": 0}, "max_batch"),
-            ({"transport": "udp"}, "transport"),
+            # Retired fields are refused by name, whatever the value.
+            ({"backpressure": "queue"}, "backpressure"),
+            ({"connections": 4}, "connections"),
+            ({"queue_depth": 1024}, "queue_depth"),
+            ({"max_batch": 256}, "max_batch"),
+            ({"transport": "memory"}, "transport"),
         ],
     )
     def test_each_field_validated(self, fields, match):
         with pytest.raises(ConfigurationError, match=match):
-            ServeConfig(**fields)
+            ServeConfig.from_dict(fields)
 
 
 class TestRunServe:
@@ -90,9 +103,7 @@ class TestRunServe:
 
     def test_memory_transport_end_to_end(self):
         cluster, compiled = self.make_cluster_and_trace()
-        config = ServeConfig(
-            rate=4000.0, duration_s=0.05, arrivals="fixed", connections=2
-        )
+        config = ServeConfig(rate=4000.0, duration_s=0.05, arrivals="fixed")
         report = run_serve(cluster, compiled, config, seed=0)
         assert isinstance(report, ServeReport)
         result = report.result
@@ -106,18 +117,12 @@ class TestRunServe:
         stats = cluster.aggregate_stats()
         assert stats.total.gets + stats.total.sets > 0
 
-    def test_tcp_transport_overdriven_in_queue_mode_loses_nothing(self):
-        """Offered far above capacity over loopback TCP: queue mode
-        slows the clients down instead of failing or dropping requests."""
+    def test_overdriven_in_queue_mode_loses_nothing(self):
+        """Offered far above capacity: the server's default queue
+        backpressure holds the excess instead of failing or dropping
+        requests."""
         cluster, compiled = self.make_cluster_and_trace()
-        config = ServeConfig(
-            rate=60_000.0,
-            duration_s=0.02,
-            arrivals="fixed",
-            backpressure="queue",
-            connections=4,
-            transport="tcp",
-        )
+        config = ServeConfig(rate=60_000.0, duration_s=0.02, arrivals="fixed")
         result = run_serve(cluster, compiled, config, seed=0).result
         assert result.issued == 1200
         assert result.errors == 0
@@ -128,10 +133,13 @@ class TestRunServe:
         cluster, compiled = self.make_cluster_and_trace()
         config = ServeConfig(rate=2000.0, duration_s=0.05, arrivals="fixed")
         payload = run_serve(cluster, compiled, config, seed=0).to_dict()
+        assert set(payload) == {
+            "arrivals", "offered_rate", "achieved_rate", "duration_s",
+            "elapsed_s", "requests", "completed", "shed", "errors",
+            "retries", "retry", "latency_ms", "queue_depth", "faults",
+        }
         assert payload["requests"] == 100
         assert payload["arrivals"] == "fixed"
-        assert payload["backpressure"] == "queue"
-        assert payload["transport"] == "memory"
         assert payload["offered_rate"] == 2000.0
         assert payload["achieved_rate"] > 0
         assert set(payload["latency_ms"]) == {
@@ -163,9 +171,10 @@ class TestScenarioValidation:
 
     def test_serve_block_normalized_with_defaults(self):
         scenario = make_scenario(serve={"rate": 123.0})
-        assert scenario.serve["rate"] == 123.0
-        assert scenario.serve["backpressure"] == "queue"
-        assert scenario.serve["transport"] == "memory"
+        assert scenario.serve == {
+            "rate": 123.0, "duration_s": 1.0, "arrivals": "poisson",
+            "retry": None,
+        }
 
     def test_bad_serve_field_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="arrivals"):

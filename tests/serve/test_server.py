@@ -32,7 +32,6 @@ from repro.serve.server import (
     CacheServerProcess,
     MemoryClient,
     ServerMetrics,
-    TCPClient,
 )
 from repro.serve.service import CacheService
 from repro.sim import make_engine
@@ -207,23 +206,21 @@ class TestLoopbackTCP:
         async def scenario():
             server = make_server()
             host, port = await server.start_tcp()
-            client = TCPClient()
-            await client.connect(host, port)
+            reader, writer = await raw_client(host, port)
             try:
-                stored = await client.request(
-                    b"set k 0 0 2\r\nhi\r\n", "set"
+                stored = await send_and_read(
+                    writer, reader, b"set k 0 0 2\r\nhi\r\n", b"\r\n"
                 )
                 assert stored == b"STORED\r\n"
-                # Overlapped (pipelined) requests resolve in order.
-                first, second = await asyncio.gather(
-                    client.request(b"get k\r\n", "get"),
-                    client.request(b"stats\r\n", "stats"),
-                )
+                # Pipelined multi-line replies come back in order.
+                writer.write(b"get k\r\nstats\r\n")
+                await writer.drain()
+                first = await reader.readuntil(b"END\r\n")
+                second = await reader.readuntil(b"END\r\n")
                 assert first == b"VALUE k 0 2\r\nhi\r\nEND\r\n"
                 assert second.startswith(b"STAT ")
-                assert second.endswith(b"END\r\n")
             finally:
-                await client.close()
+                writer.close()
                 await server.close()
 
         asyncio.run(scenario())
@@ -474,73 +471,33 @@ class TestConfigValidation:
             make_server(queue_deadline_s=-0.1)
         with pytest.raises(ConfigurationError, match="max_inflight"):
             make_server(max_inflight=-1)
-        with pytest.raises(ConfigurationError, match="connect_timeout"):
-            TCPClient(connect_timeout=0)
-        with pytest.raises(ConfigurationError, match="request_timeout"):
-            TCPClient(request_timeout=-1.0)
 
 
 class TestClientHardening:
     def test_server_death_mid_pipeline_raises_connection_error(self):
-        """Kill the server between pipelined requests: in-flight
-        requests fail with ConnectionError (not a hang), and so does
-        every later request on the dead client."""
+        """Close the server with a pipeline in flight: the client reads
+        the replies the server got to and then the end of the stream --
+        never a hang -- and a reconnect is refused."""
 
         async def scenario():
             server = make_server()
             host, port = await server.start_tcp()
-            client = TCPClient()
-            await client.connect(host, port)
-            assert await client.request(
-                b"set k 0 0 2\r\nhi\r\n", "set"
-            ) == b"STORED\r\n"
-            # Pipeline two requests, then yank the server before the
-            # responses can be written.
-            first = asyncio.ensure_future(client.request(b"get k\r\n", "get"))
-            second = asyncio.ensure_future(
-                client.request(b"get k\r\n", "get")
+            reader, writer = await raw_client(host, port)
+            stored = await send_and_read(
+                writer, reader, b"set k 0 0 2\r\nhi\r\n", b"\r\n"
             )
-            await asyncio.sleep(0)
+            assert stored == b"STORED\r\n"
+            writer.write(b"get k\r\nget k\r\n")
+            await writer.drain()
             await server.close()
+            try:
+                rest = await asyncio.wait_for(reader.read(), 5)
+            except ConnectionResetError:
+                rest = b""  # closed with the pipeline still unread
+            assert rest in (b"", b"VALUE k 0 2\r\nhi\r\nEND\r\n" * 2)
+            writer.close()
             with pytest.raises(ConnectionError):
-                await first
-            with pytest.raises(ConnectionError):
-                await second
-            with pytest.raises(ConnectionError):
-                await client.request(b"get k\r\n", "get")
-            await client.close()
-
-        asyncio.run(scenario())
-
-    def test_connect_timeout_raises_connection_error(self, monkeypatch):
-        async def hang_forever(host, port):
-            await asyncio.sleep(3600)
-
-        async def scenario():
-            monkeypatch.setattr(asyncio, "open_connection", hang_forever)
-            client = TCPClient(connect_timeout=0.05)
-            with pytest.raises(ConnectionError, match="timed out"):
-                await client.connect("127.0.0.1", 1)
-
-        asyncio.run(scenario())
-
-    def test_request_timeout_raises_connection_error(self):
-        async def scenario():
-            # A listener that reads and never answers: the response
-            # deadline must trip.
-            async def silent(reader, writer):
-                await reader.read()
-                writer.close()
-
-            listener = await asyncio.start_server(silent, "127.0.0.1", 0)
-            host, port = listener.sockets[0].getsockname()[:2]
-            client = TCPClient(request_timeout=0.05)
-            await client.connect(host, port)
-            with pytest.raises(ConnectionError, match="no response"):
-                await client.request(b"get k\r\n", "get")
-            await client.close()
-            listener.close()
-            await listener.wait_closed()
+                await raw_client(host, port)
 
         asyncio.run(scenario())
 
@@ -724,11 +681,11 @@ class TestStatsWire:
         async def scenario():
             server = make_server()
             host, port = await server.start_tcp()
-            client = TCPClient()
-            await client.connect(host, port)
+            reader, writer = await raw_client(host, port)
             try:
-                raw = await client.request(b"stats\r\n", "stats")
-                assert raw.endswith(b"END\r\n")
+                raw = await send_and_read(
+                    writer, reader, b"stats\r\n", b"END\r\n"
+                )
                 lines = raw.decode().splitlines()
                 keys = [
                     line.split()[1]
@@ -739,7 +696,7 @@ class TestStatsWire:
                 assert "queue_depth_high_water" in keys
                 assert "cmd_get" in keys
             finally:
-                await client.close()
+                writer.close()
                 await server.close()
 
         asyncio.run(scenario())
