@@ -6,21 +6,23 @@ two barriers a replay is nothing more than independent runs: one per
 (shard, app) pair, each touching one engine and one stats slice.
 :func:`replay_runs` is the only place that fact is written down. A single
 server (:meth:`repro.cache.server.CacheServer.replay_compiled`, the
-one-shard case), the cluster's window driver (``Cluster._drive``, behind
-both the offline :meth:`repro.cluster.Cluster.replay_compiled` and the
-live :meth:`repro.cluster.Cluster.process_batch`) and the parallel
-workers (:mod:`repro.cluster.parallel`) all call it; they differ only in
-which columns they pass (a worker's came with its start-up arguments)
-and where the returned tallies go (:func:`flush_runs` in-process, a pipe
+one-shard case), the offline cluster replay
+(:meth:`repro.cluster.Cluster.replay_compiled`, through the cluster's
+window driver ``Cluster._drive``) and the parallel workers
+(:mod:`repro.cluster.parallel`) all call it; they differ only in which
+columns they pass (a worker's came with its start-up arguments) and
+where the returned tallies go (:func:`flush_runs` in-process, a pipe
 from a worker).
 
-It is the only compiled-trace loop in ``src/`` that walks requests into
-:meth:`Engine.process_fast` but one:
-:meth:`repro.core.crossapp.CrossAppHillClimber.replay_compiled` walks
-its trace one request at a time, because there a shadow hit moves memory
-between apps before the next request, so no two apps' runs are
-independent. (Moving that climber onto window barriers would let it use
-this kernel too.)
+Two walks serve requests one at a time instead. The live
+:meth:`repro.cluster.Cluster.process_batch` serves a server's drain, a
+few to a few hundred rows, where the sort and gathers below cost more
+than they save; it tallies in the same driver windows and flushes
+through :func:`flush_runs` in this module's run order.
+:meth:`repro.core.crossapp.CrossAppHillClimber.replay_compiled` moves
+memory between apps on a shadow hit, before the next request, so no two
+apps' runs are independent. (Moving that climber onto window barriers
+would let it use this kernel too.)
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ if TYPE_CHECKING:  # circular at runtime: server.py replays through us
 Run = Tuple[int, int, Dict[int, int]]
 #: ``(keys, op_codes, slab_classes, chunk_bytes, item_bytes)`` -- keys as
 #: an object array, the rest integer arrays, one row per request: a
-#: compiled trace's own columns (``CompiledTrace.replay_columns``) or a
-#: live batch's.
+#: compiled trace's own columns (``CompiledTrace.replay_columns``).
 ReplayColumns = Tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
 ]
@@ -69,7 +70,6 @@ def replay_runs(
     stop: int,
     dead: Collection[int] = (),
     owned: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
 ) -> List[Run]:
     """Replay requests ``[start, stop)`` and return one tally per run.
 
@@ -122,8 +122,6 @@ def replay_runs(
             ops, op_counts = np.unique(op_codes[picks], return_counts=True)
             for op, count in zip(ops.tolist(), op_counts.tolist()):
                 counts[(OUTCOME_DEAD << 2) | op] = count
-            if out is not None:
-                out[picks] = OUTCOME_DEAD
             runs.append((shard, app_id, counts))
             continue
         process = servers[shard].engines[app_table[app_id]].process_fast
@@ -134,26 +132,12 @@ def replay_runs(
             chunk_bytes[picks].tolist(),
             item_bytes[picks].tolist(),
         )
-        if out is None:
-            for key, op, class_index, chunk, nbytes in requests:
-                packed = (
-                    process(key, op, class_index, chunk, nbytes) << 2
-                ) | op
-                try:
-                    counts[packed] += 1
-                except KeyError:
-                    counts[packed] = 1
-        else:
-            codes: List[int] = []
-            for key, op, class_index, chunk, nbytes in requests:
-                code = process(key, op, class_index, chunk, nbytes)
-                codes.append(code)
-                packed = (code << 2) | op
-                try:
-                    counts[packed] += 1
-                except KeyError:
-                    counts[packed] = 1
-            out[picks] = codes
+        for key, op, class_index, chunk, nbytes in requests:
+            packed = (process(key, op, class_index, chunk, nbytes) << 2) | op
+            try:
+                counts[packed] += 1
+            except KeyError:
+                counts[packed] = 1
         runs.append((shard, app_id, counts))
     return runs
 

@@ -16,8 +16,9 @@ clock (trace position offline, requests served live); one loop
 rebalance epochs, the armed fault injector's offsets -- for the offline
 replay, the worker pool and the live :meth:`Cluster.process_batch`
 alike; one :class:`Router` turns keys into shards for all of them.
-Inside a window each (shard, app) run goes through the cache layer's one
-replay kernel (:mod:`repro.cache.kernel`), as on a bare ``CacheServer``.
+Inside an offline window each (shard, app) run goes through the cache
+layer's one replay kernel (:mod:`repro.cache.kernel`), as on a bare
+``CacheServer``; a live batch walks its few rows one at a time.
 """
 
 from repro.cluster.cluster import (

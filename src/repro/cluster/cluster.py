@@ -12,11 +12,12 @@ request-execution path a single server already has
   the mask (:meth:`Cluster._route_mask`: failover vs. miss-through).
 * **one window driver on one clock** (:meth:`Cluster._drive`): find the
   next barrier after the clock -- the next rebalance-epoch multiple or
-  the armed fault injector's next offset -- route the window, execute
-  it (in-process kernel or worker pool), run :meth:`Cluster._barrier`.
-  The offline replay drives a whole trace from clock 0; the live batch
-  path drives one batch from the requests served so far. Same loop, so
-  a seed and a schedule fix where every hook fires whoever is driving.
+  the armed fault injector's next offset -- serve the window, run
+  :meth:`Cluster._barrier`. The offline replay drives a whole trace
+  from clock 0 through the kernel (in-process or on a worker pool); the
+  live batch path walks one batch, request by request, from the
+  requests served so far. Same loop, so a seed and a schedule fix where
+  every hook fires whoever is driving.
 
 A one-shard cluster is the N=1 case and replays bit-identically to a
 bare :class:`CacheServer`. Replication (R > 1) spreads each key's
@@ -31,15 +32,17 @@ the static path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union, cast,
+)
 
 import numpy as np
 
 from repro.cache.engines import Engine
-from repro.cache.kernel import ReplayColumns, flush_runs, replay_runs
+from repro.cache.kernel import flush_runs, replay_runs
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import OP_CODES, HitMissCounter, StatsRegistry
+from repro.cache.stats import OP_CODES, OUTCOME_DEAD, HitMissCounter, StatsRegistry
 from repro.common.errors import ConfigurationError
 from repro.common.spec import Spec, spec_field
 from repro.cluster.hashring import HashRing
@@ -301,6 +304,43 @@ class ClusterReport:
         return "\n".join(render_cluster_report(self.to_dict()))
 
 
+#: Every spelling of an op a live batch accepts: its name or its code.
+_OP_LOOKUP: Dict[object, int] = {**OP_CODES, **{c: c for c in OP_CODES.values()}}
+
+
+def _batch_column(values: Any, count: int, what: str) -> List[Any]:
+    """One per-request column of a live batch as a plain list: a NumPy
+    array converted once (the walk then never sees a NumPy scalar), a
+    scalar broadcast."""
+    if isinstance(values, (np.ndarray, np.generic)):
+        values = values.tolist()
+    if isinstance(values, (str, int, float)):
+        return [values] * count
+    if len(values) != count:
+        raise ConfigurationError(
+            f"process_batch got {count} key(s) but {len(values)} {what}(s)"
+        )
+    return list(values)
+
+
+def _batch_ops(ops: Any, count: int) -> List[int]:
+    column = _batch_column(ops, count, "op")
+    codes = [_OP_LOOKUP.get(op) for op in column]
+    if None in codes:
+        raise ConfigurationError(f"unknown op {column[codes.index(None)]!r}")
+    return cast(List[int], codes)
+
+
+def _batch_apps(apps: Any, count: int) -> Tuple[List[str], List[int]]:
+    """The batch's app names in first-seen order, and each row's index
+    into them."""
+    column = _batch_column(apps, count, "app")
+    ids: Dict[str, int] = {}
+    for app in column:
+        ids.setdefault(app, len(ids))
+    return list(ids), [ids[app] for app in column]
+
+
 class Cluster:
     """N shard servers, a hash ring, and aggregate reporting.
 
@@ -486,26 +526,24 @@ class Cluster:
         self,
         clock: int,
         count: int,
-        app_table: Sequence[str],
-        columns: ReplayColumns,
-        app_column: np.ndarray,
-        route_window: Callable[[int, int, Tuple[bool, ...]], np.ndarray],
-        out: Optional[np.ndarray] = None,
+        replay_window: Callable[
+            [int, int, Tuple[bool, ...], Collection[int]], None
+        ],
     ) -> None:
-        """The one window loop: run the ``count`` requests in
-        ``columns``, the first of them at clock ``clock``.
+        """The one window loop: run ``count`` requests, the first of
+        them at clock ``clock``.
 
         Each window runs up to the next barrier after the clock (the
         rebalancer's next epoch multiple or the armed injector's next
         offset, whichever is first) or to the last request.
-        ``route_window(start, stop, mask)`` returns a shard column whose
-        rows ``[start, stop)`` are routed under ``mask`` -- per window,
-        because the barrier before it may have flipped the live mask.
+        ``replay_window(start, stop, mask, dead)`` serves rows ``[start,
+        stop)`` routed under the live ``mask``, with the ``dead`` shards
+        (``miss-through``) tallied without an engine -- per window,
+        because the barrier before it may have flipped the live set.
         """
         injector = self.fault_injector
         rebalancer = self.rebalancer
         epoch = rebalancer.config.epoch_requests if rebalancer is not None else 0
-        pool = self._parallel
         limit = clock + count
         row = 0
         while clock < limit:
@@ -517,30 +555,15 @@ class Cluster:
                 s for s in (limit, fault_stop, epoch_stop) if s is not None
             )
             stop_row = row + stop - clock
-            shard_column = route_window(row, stop_row, self._route_mask())
             dead = injector.dead_shards() if injector is not None else ()
-            if pool is not None:
-                pool.replay_window(row, stop_row, shard_column, dead)
-            else:
-                runs = replay_runs(
-                    self.servers,
-                    app_table,
-                    columns,
-                    shard_column,
-                    app_column,
-                    row,
-                    stop_row,
-                    dead=dead,
-                    out=out,
-                )
-                flush_runs(self.servers, app_table, runs)
+            replay_window(row, stop_row, self._route_mask(), dead)
             clock, row = stop, stop_row
             if stop in (fault_stop, epoch_stop):
                 self._barrier(
                     stop, injector if fault_stop is not None else None
                 )
 
-    # -- plan-backed batch object API ----------------------------------
+    # -- the live batch entry point ------------------------------------
 
     def process_batch(
         self,
@@ -550,12 +573,18 @@ class Cluster:
         apps: Union[str, Sequence[str]],
         key_sizes: Union[None, int, Sequence[int]] = None,
     ) -> np.ndarray:
-        """Process many object-API requests in one vectorized pass.
+        """Serve a batch of object-API requests, one request at a time.
 
         The serving hot path: :meth:`_drive` from the live clock
-        (``object_requests``) over this batch, each window routed by
-        the router's ``route_batch``. Returns one packed outcome code
-        per request (:func:`repro.cache.stats.pack_outcome`), in order.
+        (``object_requests``) over this batch, each window a plain walk
+        -- :meth:`Router.route <repro.cluster.routing.Router.route>`,
+        then the engine's ``process_fast`` -- whose outcomes are tallied
+        per (shard, app) run and flushed at the window's end in the
+        order the replay kernel flushes them. A server's drain is a few
+        to a few hundred rows, where the kernel's sort and NumPy gathers
+        cost more than they save, so this path builds no columns.
+        Returns one packed outcome code per request
+        (:func:`repro.cache.stats.pack_outcome`), in order.
 
         Bit-identical to handling the requests one at a time
         (``tests/cluster/reference.py::process_reference`` is that walk)
@@ -565,131 +594,89 @@ class Cluster:
 
         ``ops`` entries are ``"get"``/``"set"``/``"delete"`` or their
         integer codes; ``ops``, ``value_sizes``, ``apps`` and
-        ``key_sizes`` may each be a scalar broadcast across the batch.
-        ``key_sizes`` defaults to each key's string length. The sizes
-        become ``process_fast`` rows through
-        :meth:`~repro.cache.slabs.SlabGeometry.rows`, exactly as a
-        compiled trace's do (``item_bytes`` is key + value).
+        ``key_sizes`` may each be a scalar broadcast across the batch,
+        and any of them a list or a NumPy array. ``key_sizes`` defaults
+        to each key's string length. Each request's sizes become its
+        ``process_fast`` row through
+        :meth:`~repro.cache.slabs.SlabGeometry.row`, the rule a compiled
+        trace's columns come from (``item_bytes`` is key + value). Every
+        row is checked before the first one is served, so a rejected
+        batch changes nothing.
         """
         count = len(keys)
-        op_column = self._batch_ops(ops, count)
-        app_names, app_column = self._batch_apps(apps, count)
+        keys = _batch_column(keys, count, "key")
+        op_column = _batch_ops(ops, count)
+        app_names, app_column = _batch_apps(apps, count)
         engines = self.servers[0].engines
         for name in app_names:
             if name not in engines:
                 raise ConfigurationError(f"request for unknown app {name!r}")
-        class_column, chunk_column, item_column = self._batch_classes(
-            keys, value_sizes, key_sizes, count
-        )
-        shard_column = np.empty(count, dtype=np.int32)
-        out = np.empty(count, dtype=np.int64)
-        columns = (
-            np.fromiter(keys, dtype=object, count=count),
-            op_column,
-            class_column,
-            chunk_column,
-            item_column,
-        )
+        rows = self._batch_rows(keys, value_sizes, key_sizes, count)
+        codes = [0] * count
+        num_apps = len(app_names)
+        servers = self.servers
+        route = self.router.route
 
-        def route_window(start, stop, mask):
-            # The router's per-key turn counters carry the round-robin
-            # sequence from one window (and one batch) to the next.
-            shard_column[start:stop] = self.router.route_batch(
-                keys[start:stop], mask
+        def replay_window(start, stop, mask, dead):
+            # Resolved per window: a restart at the barrier before it
+            # swaps in fresh engines. Dead shards get no handler.
+            handlers = [
+                None if shard in dead
+                else servers[shard].engines[name].process_fast
+                for shard in range(len(servers))
+                for name in app_names
+            ]
+            tallies: Dict[int, Dict[int, int]] = {}
+            for i in range(start, stop):
+                key = keys[i]
+                op = op_column[i]
+                run = route(key, mask) * num_apps + app_column[i]
+                process = handlers[run]
+                if process is None:
+                    code = OUTCOME_DEAD
+                else:
+                    code = process(key, op, *rows[i])
+                codes[i] = code
+                packed = (code << 2) | op
+                counts = tallies.get(run)
+                if counts is None:
+                    tallies[run] = {packed: 1}
+                else:
+                    counts[packed] = counts.get(packed, 0) + 1
+            flush_runs(
+                servers,
+                app_names,
+                [
+                    (*divmod(run, num_apps), tallies[run])
+                    for run in sorted(tallies)
+                ],
             )
-            return shard_column
 
-        self._drive(
-            self.object_requests,
-            count,
-            app_names,
-            columns,
-            app_column,
-            route_window,
-            out,
-        )
+        self._drive(self.object_requests, count, replay_window)
         self.object_requests += count
-        return out
+        return np.array(codes, dtype=np.int64)
 
-    def _batch_ops(
-        self, ops: Union[str, Sequence[object]], count: int
-    ) -> np.ndarray:
-        if isinstance(ops, (str, int)):
-            ops = [ops] * count
-        if len(ops) != count:
-            raise ConfigurationError(
-                f"process_batch got {count} key(s) but {len(ops)} op(s)"
-            )
-        column = np.empty(count, dtype=np.int64)
-        for i, op in enumerate(ops):
-            if isinstance(op, str):
-                code = OP_CODES.get(op)
-                if code is None:
-                    raise ConfigurationError(f"unknown op {op!r}")
-            else:
-                code = int(op)
-                if not 0 <= code < len(OP_CODES):
-                    raise ConfigurationError(f"unknown op code {op!r}")
-            column[i] = code
-        return column
-
-    def _batch_apps(
-        self, apps: Union[str, Sequence[str]], count: int
-    ) -> Tuple[List[str], np.ndarray]:
-        if isinstance(apps, str):
-            return [apps], np.zeros(count, dtype=np.int64)
-        if len(apps) != count:
-            raise ConfigurationError(
-                f"process_batch got {count} key(s) but {len(apps)} app(s)"
-            )
-        ids: Dict[str, int] = {}
-        names: List[str] = []
-        column = np.empty(count, dtype=np.int64)
-        for i, app in enumerate(apps):
-            app_id = ids.get(app)
-            if app_id is None:
-                app_id = ids[app] = len(names)
-                names.append(app)
-            column[i] = app_id
-        return names, column
-
-    def _batch_classes(
+    def _batch_rows(
         self,
-        keys: Sequence[object],
+        keys: List[object],
         value_sizes: Union[int, Sequence[int]],
         key_sizes: Union[None, int, Sequence[int]],
         count: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The batch's ``(slab_classes, chunk_bytes, item_bytes)``
-        columns. Checks the caller's size columns (broadcast, length,
-        no negative value size); the classification itself is
-        :meth:`~repro.cache.slabs.SlabGeometry.rows`, the rule
-        :class:`~repro.workloads.compiled.CompiledTrace` columns come
-        from, so live and offline rows are equal by construction."""
-        value_column = np.asarray(value_sizes, dtype=np.int64)
-        if value_column.ndim == 0:
-            value_column = np.full(count, int(value_column), dtype=np.int64)
-        elif len(value_column) != count:
-            raise ConfigurationError(
-                f"process_batch got {count} key(s) but "
-                f"{len(value_column)} value size(s)"
-            )
-        if np.any(value_column < 0):
-            raise ConfigurationError("value sizes must be >= 0")
+    ) -> List[Tuple[int, int, int]]:
+        """Each request's ``(slab_class, chunk, item_bytes)`` row. Checks
+        the caller's size columns (broadcast, length, no negative size);
+        the classification itself is
+        :meth:`~repro.cache.slabs.SlabGeometry.row`, which raises for an
+        item past the largest chunk."""
+        values = _batch_column(value_sizes, count, "value size")
         if key_sizes is None:
-            key_column = np.fromiter(
-                (len(str(key)) for key in keys), dtype=np.int64, count=count
-            )
+            sizes = [len(str(key)) for key in keys]
         else:
-            key_column = np.asarray(key_sizes, dtype=np.int64)
-            if key_column.ndim == 0:
-                key_column = np.full(count, int(key_column), dtype=np.int64)
-            elif len(key_column) != count:
-                raise ConfigurationError(
-                    f"process_batch got {count} key(s) but "
-                    f"{len(key_column)} key size(s)"
-                )
-        return self.geometry.rows(key_column, value_column)
+            sizes = _batch_column(key_sizes, count, "key size")
+        if count and (min(values) < 0 or min(sizes) < 0):
+            raise ConfigurationError("key and value sizes must be >= 0")
+        row = self.geometry.row
+        return [row(size, value) for size, value in zip(sizes, values)]
 
     def replay_compiled(
         self, trace, plan: Optional[RoutingPlan] = None
@@ -728,20 +715,33 @@ class Cluster:
 
             pool = self._parallel = WorkerPool(self, trace, plan)
             self._parallel_memory = None
+        app_table = trace.app_table
+        columns = trace.replay_columns()
+
+        def replay_window(start, stop, mask, dead):
+            shard_column = routes.shard_ids(mask)
+            if pool is not None:
+                pool.replay_window(start, stop, shard_column, dead)
+                return
+            runs = replay_runs(
+                self.servers,
+                app_table,
+                columns,
+                shard_column,
+                trace.app_ids,
+                start,
+                stop,
+                dead=dead,
+            )
+            flush_runs(self.servers, app_table, runs)
+
         try:
             # The pool is up before the injector begins: an offset-0
             # crash already moves budgets, and those moves must reach
             # the workers' engines too.
             if injector is not None:
                 injector.begin(len(trace))
-            self._drive(
-                0,
-                len(trace),
-                trace.app_table,
-                trace.replay_columns(),
-                trace.app_ids,
-                lambda start, stop, mask: routes.shard_ids(mask),
-            )
+            self._drive(0, len(trace), replay_window)
             if pool is not None:
                 self._parallel_memory = pool.finish()
         finally:

@@ -1,4 +1,4 @@
-"""The one router: key -> shard, in bulk, for every caller.
+"""The one router: key -> shard, for every caller.
 
 Shards are fully independent between barriers (paper section 4.3), so
 *where* a request goes is a pure function of its key, the ring, the live
@@ -19,13 +19,12 @@ Its callers differ only in where positions and turns come from:
 :func:`build_routing_plan` (a whole compiled trace, all shards live,
 cached through :func:`get_routing_plan` so sweeps re-route nothing),
 :class:`TraceColumns` (the same trace under another live mask --
-``failover`` with a shard down) and :meth:`Router.route_batch` (a live
-batch, from a per-key position memo and per-key turn counters).
+``failover`` with a shard down) and :meth:`Router.route` (one live
+request, from a per-key position memo and per-key turn counters).
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union, cast
 
@@ -264,8 +263,8 @@ class Router:
     """Key -> shard under a live mask and a replica turn (the module
     docstring lists the three steps and the callers).
 
-    The live paths (:meth:`route_batch`, :meth:`route`) keep two dicts:
-    a key -> position memo (a cache, capped at
+    The live path (:meth:`route`, one request at a time) keeps two
+    dicts: a key -> position memo (a cache, capped at
     :data:`POSITION_MEMO_CAP`) and ``spread``, each key's request count
     so far (round-robin *state*: turns never reset when the live set
     changes, like lazy counters over :meth:`HashRing.shards_for_live`).
@@ -335,69 +334,22 @@ class Router:
         turns = occurrence_index(key_ids) if self.replication > 1 else None
         return positions, turns
 
-    def _remember_positions(
-        self, keys: Sequence[object], positions: Sequence[int]
-    ) -> None:
-        memo = self._position_memo
-        if len(memo) + len(keys) > POSITION_MEMO_CAP:
-            memo.clear()
-        memo.update(islice(zip(keys, positions), POSITION_MEMO_CAP))
-
-    def route_batch(
-        self, keys: Sequence[object], mask: Tuple[bool, ...]
-    ) -> np.ndarray:
-        """Shard per request of a live batch, advancing ``spread``.
-
-        Keys routed before reuse their memoized positions; the rest are
-        hashed in one pass. A request's turn is its key's counter plus
-        its occurrence index within the batch.
-        """
-        unique_ids: Dict[object, int] = {}
-        key_ids = np.empty(len(keys), dtype=np.int64)
-        for i, key in enumerate(keys):
-            key_id = unique_ids.get(key)
-            if key_id is None:
-                key_id = unique_ids[key] = len(unique_ids)
-            key_ids[i] = key_id
-        unique_keys = list(unique_ids)
-        memo = self._position_memo
-        unique_positions = np.fromiter(
-            (memo.get(key, -1) for key in unique_keys),
-            dtype=np.int64,
-            count=len(unique_keys),
-        )
-        missing = np.flatnonzero(unique_positions < 0)
-        if len(missing):
-            missing_keys = [unique_keys[key_id] for key_id in missing.tolist()]
-            found = self.positions(missing_keys)
-            unique_positions[missing] = found
-            self._remember_positions(missing_keys, found.tolist())
-        positions = unique_positions[key_ids]
-        if self.replication == 1:
-            return self.gather(positions, None, mask)
-        spread = self.spread
-        base = np.fromiter(
-            (spread.get(key, 0) for key in unique_keys),
-            dtype=np.int64,
-            count=len(unique_keys),
-        )
-        turns = occurrence_index(key_ids) + base[key_ids]
-        counts = base + np.bincount(key_ids, minlength=len(unique_keys))
-        spread.update(zip(unique_keys, counts.tolist()))
-        return self.gather(positions, turns, mask)
-
     def route(self, key: object, mask: Tuple[bool, ...]) -> int:
-        """:meth:`route_batch` for one request, without the arrays."""
-        position = self._position_memo.get(key)
+        """Shard serving the next request for ``key`` under ``mask``,
+        advancing the key's replica turn in ``spread``."""
+        memo = self._position_memo
+        position = memo.get(key)
         if position is None:
             position = self.ring.position_for(key)
-            self._remember_positions((key,), (position,))
-        replicas = self.successors(mask)[position]
+            if len(memo) >= POSITION_MEMO_CAP:
+                memo.clear()
+            memo[key] = position
+        table = self.successors(mask)
         if self.replication == 1:
-            return int(replicas[0])
+            return table.item(position, 0)
         turn = self.spread.get(key, 0)
         self.spread[key] = turn + 1
-        return int(replicas[turn % len(replicas)])
+        return table.item(position, turn % table.shape[1])
 
 
 class TraceColumns:

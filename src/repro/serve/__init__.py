@@ -7,7 +7,7 @@ asyncio memcached-style server fronting a
 queue, shed-vs-queue backpressure) and an open-loop load generator that
 reports latency percentiles and achieved-vs-offered throughput. The
 server's hot path is :meth:`~repro.cluster.Cluster.process_batch` --
-every queue drain executes as one vectorized call.
+every queue drain executes as one call.
 """
 
 from repro.serve.harness import ServeConfig, ServeReport, run_serve

@@ -4,7 +4,8 @@ A :class:`CacheService` owns the translation between wire commands and
 the simulator's object API. :meth:`execute` is the only way in: every
 command of a drained queue batch -- across connections -- flattens into
 one :meth:`repro.cluster.Cluster.process_batch` call, so live serving
-rides the same vectorized routing and replay kernel as offline replay.
+rides the same router, engines and window driver as offline replay
+(the batch walks its rows; a trace goes through the replay kernel).
 Control commands answer after the batch's data-plane rows, so a
 ``stats`` mid-batch already counts the commands queued behind it.
 
@@ -170,7 +171,7 @@ class CacheService:
         keys, ops, sizes, apps, owners, preset = self._rows(commands)
         if keys:
             try:
-                codes = self.cluster.process_batch(keys, ops, sizes, apps)
+                codes = self.cluster.process_batch(keys, ops, sizes, apps).tolist()
             except (CacheError, ConfigurationError) as exc:
                 failure = server_error(str(exc))
                 return [
@@ -190,14 +191,14 @@ class CacheService:
         keys: List[str],
         ops: List[int],
         owners: List[int],
-        codes,
+        codes: List[int],
         preset: Dict[int, bytes],
     ) -> List[bytes]:
         responses: List[bytearray] = [bytearray() for _ in commands]
         for row, (key, code) in enumerate(zip(keys, codes)):
             command = commands[owners[row]]
             out = responses[owners[row]]
-            hit = bool(int(code) & OUTCOME_HIT)
+            hit = code & OUTCOME_HIT
             if command.op == "set":
                 self._values[key] = (
                     command.flags,

@@ -4,7 +4,11 @@ The offline replay, the worker pool and the live batch path
 (:meth:`Cluster.process_batch`) all run ``Cluster._drive`` and hand
 control to the same ``Cluster._barrier`` -- sample, rebalance epoch,
 fault events -- so a seed and a schedule fix *where* every hook fires
-no matter which of them is driving. A Hypothesis property pins that
+no matter which of them is driving. They differ only in the
+``replay_window`` callback ``_drive`` hands each window to: the replay
+kernel (in-process or on the worker pool) offline, a per-request walk
+for live batches. Live batches arrive as int8 ``op_codes`` slices and
+other NumPy columns of the compiled trace, as a caller may pass them. A Hypothesis property pins that
 down, a long schedule checks that the router's per-live-mask memos stay
 bounded without changing a single counter, and a disarm test checks
 that a finished replay's barriers do not leak into later live batches.
@@ -183,10 +187,16 @@ def test_finished_replay_leaves_no_barriers_for_live_batches():
     samples = len(injector.times)
     log = spy_on_barriers(cluster)
     windows = []
-    route_batch = cluster.router.route_batch
-    cluster.router.route_batch = lambda keys, mask: (
-        windows.append(len(keys)) or route_batch(keys, mask)
-    )
+    drive = cluster._drive
+
+    def spy_drive(clock, count, replay_window):
+        def counted(start, stop, mask, dead):
+            windows.append(stop - start)
+            replay_window(start, stop, mask, dead)
+
+        drive(clock, count, counted)
+
+    cluster._drive = spy_drive
     cluster.process_batch(
         compiled.keys[:400], "get", 100, compiled.app_table[0], key_sizes=0
     )

@@ -311,18 +311,93 @@ class TestOfflineLiveParity:
         assert per_shard_snapshot(oracle) == expected
 
     def test_compile_and_live_batches_build_the_same_rows(self):
+        """The ``(slab_class, chunk, item_bytes)`` rows the engines
+        receive through ``process_batch`` are the compiled columns."""
         requests = mixed_stream(count=500)
         compiled = CompiledTrace.compile(requests, GEO)
-        keys = [r.key for r in requests]
-        values = [r.value_size for r in requests]
-        for key_sizes in (None, [r.key_size for r in requests]):
-            classes, chunks, items = build()._batch_classes(
-                keys, values, key_sizes, len(keys)
+        expected = list(
+            zip(
+                compiled.slab_classes.tolist(),
+                compiled.chunk_bytes.tolist(),
+                compiled.item_bytes.tolist(),
             )
-            assert classes.tolist() == compiled.slab_classes.tolist()
-            assert chunks.tolist() == compiled.chunk_bytes.tolist()
-            assert items.tolist() == compiled.item_bytes.tolist()
+        )
+        for key_sizes in (None, [r.key_size for r in requests]):
+            cluster = build(shards=3)
+            seen = []
+            for server in cluster.servers:
+                for engine in server.engines.values():
+
+                    def spy(key, op, *row, process=engine.process_fast):
+                        seen.append(row)
+                        return process(key, op, *row)
+
+                    engine.process_fast = spy
+            cluster.process_batch(
+                [r.key for r in requests],
+                [r.op for r in requests],
+                [r.value_size for r in requests],
+                [r.app for r in requests],
+                key_sizes,
+            )
+            assert seen == expected
         assert len(set(compiled.slab_classes.tolist())) > 2
+
+
+def cluster_state(cluster):
+    """Everything a served request can change on ``cluster``."""
+    return (
+        cluster.memory_in_use(),
+        per_shard_snapshot(cluster),
+        [
+            {app: vars(engine.ops).copy() for app, engine in server.engines.items()}
+            for server in cluster.servers
+        ],
+        dict(cluster.router.spread),
+        dict(cluster.router._position_memo),
+        cluster.object_requests,
+    )
+
+
+class TestRejectedBatch:
+    """Every row is checked before the first is served: a batch whose
+    *last* row is bad is refused whole and leaves no trace -- no engine
+    touched, no counter, replica turn, memoized position or clock moved.
+    """
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            (dict(ops=["set", "get", "put"]), ConfigurationError, "unknown op"),
+            (dict(apps=["a", "b", "ghost"]), ConfigurationError, "unknown app"),
+            (dict(value_sizes=[100, 100, -1]), ConfigurationError, ">= 0"),
+            (
+                dict(value_sizes=[100, 100, (1 << 20) - 60], key_sizes=[3, 3, 60]),
+                CacheError,
+                "exceeds largest chunk",
+            ),
+        ],
+        ids=["unknown-op", "unknown-app", "negative-value", "oversized"],
+    )
+    def test_bad_last_row_changes_nothing(self, bad, error, match):
+        cluster = build(shards=3, replication=2)
+        warm = mixed_stream(count=300)
+        run_batch(cluster, warm)
+        before = cluster_state(cluster)
+        batch = dict(
+            keys=["k001", "fresh", "k002"],
+            ops=["set", "get", "get"],
+            value_sizes=[100, 100, 100],
+            apps=["a", "b", "a"],
+            key_sizes=None,
+        )
+        batch.update(bad)
+        with pytest.raises(error, match=match):
+            cluster.process_batch(**batch)
+        assert cluster_state(cluster) == before
+        # The same batch with its bad row fixed is served.
+        cluster.process_batch(["k001", "fresh"], ["set", "get"], 100, ["a", "b"])
+        assert cluster_state(cluster) != before
 
 
 class TestBatchInterface:

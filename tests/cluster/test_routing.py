@@ -134,13 +134,12 @@ def test_plan_matches_lazy_routing(shards, replication, seed, vnodes):
     replication=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**32),
     down=st.sets(st.integers(min_value=0, max_value=4)),
-    batch=st.integers(min_value=1, max_value=40),
 )
 def test_every_route_agrees_with_the_ring_walk(
-    key_indices, exotic, shards, replication, seed, down, batch
+    key_indices, exotic, shards, replication, seed, down
 ):
-    """The plan, the failover column, the live batch route and the
-    scalar route are four callers of one router: each must equal the
+    """The plan, the failover column and the live per-request route are
+    three callers of one router: each must equal the
     per-request ring walk (``shards_for_live``) with lazy per-key turn
     counters, under any live mask, clamped replication and non-``str``
     keys (the scalar-hash fallback)."""
@@ -178,14 +177,8 @@ def test_every_route_agrees_with_the_ring_walk(
     columns = TraceColumns(Router(ring, replication), trace, plan)
     assert columns.shard_ids(all_live) is plan.shard_ids
     assert columns.shard_ids(mask).tolist() == walk(mask)
-    batched = Router(ring, replication)
-    routed = []
-    for low in range(0, len(keys), batch):
-        routed.extend(batched.route_batch(keys[low : low + batch], mask))
-    assert routed == walk(mask)
     scalar = Router(ring, replication)
     assert [scalar.route(key, mask) for key in keys] == walk(mask)
-    assert scalar.spread == batched.spread
 
 
 def test_successor_table_matches_shards_for():
