@@ -21,12 +21,11 @@ This package implements the systems the paper's algorithms run on top of:
 
 from repro.cache.keyqueue import KeyQueue, QueueChain
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import AccessOutcome, HitMissCounter
+from repro.cache.stats import HitMissCounter
 
 __all__ = [
     "KeyQueue",
     "QueueChain",
     "SlabGeometry",
-    "AccessOutcome",
     "HitMissCounter",
 ]

@@ -27,16 +27,11 @@ from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import (
     CLASS_SHIFT,
     EVICTED_SHIFT,
-    OP_CODES,
     OP_GET,
     OP_SET,
     OUTCOME_HIT,
-    OUTCOME_SHADOW_HIT,
-    AccessOutcome,
     OpCounter,
-    unpack_slab_class,
 )
-from repro.workloads.trace import Request
 
 
 class Engine(abc.ABC):
@@ -44,9 +39,8 @@ class Engine(abc.ABC):
 
     Subclasses implement :meth:`process_fast` -- the allocation-free hot
     path taking pre-classified integer arguments and returning a packed
-    outcome code -- and expose per-class capacities for the timeline
-    experiments. :meth:`process` wraps the fast path in the
-    :class:`Request`/:class:`AccessOutcome` object API. Budgets are bytes.
+    outcome code, and every request path's one entry point -- and expose
+    per-class capacities for the timeline experiments. Budgets are bytes.
     """
 
     def __init__(
@@ -70,22 +64,6 @@ class Engine(abc.ABC):
         self.ops = OpCounter()
 
     # ------------------------------------------------------------------
-
-    def process(self, request: Request) -> AccessOutcome:
-        """Apply one request and report its outcome (object API)."""
-        code = self.process_fast(
-            request.key,
-            OP_CODES[request.op],
-            *self.geometry.row(request.key_size, request.value_size),
-        )
-        return AccessOutcome(
-            hit=bool(code & OUTCOME_HIT),
-            app=self.app,
-            op=request.op,
-            slab_class=unpack_slab_class(code),
-            shadow_hit=bool(code & OUTCOME_SHADOW_HIT),
-            evicted=code >> EVICTED_SHIFT,
-        )
 
     @abc.abstractmethod
     def process_fast(

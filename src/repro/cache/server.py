@@ -86,8 +86,7 @@ class CacheServer:
         (:func:`repro.cache.kernel.replay_runs`): one run per app, each
         looping :meth:`Engine.process_fast` over integer columns and
         tallying packed outcome codes that are flushed to the registry
-        once. No :class:`Request`/:class:`AccessOutcome` objects exist
-        on this path.
+        once. No :class:`Request` objects exist on this path.
         """
         self.check_replayable(trace)
         servers = (self,)

@@ -4,8 +4,8 @@ Every request path reports each request's outcome as a packed integer
 code (see :func:`pack_outcome`) so the hot loop never allocates, and
 :class:`StatsRegistry` records codes only (:meth:`StatsRegistry.record_code`
 / ``record_code_bulk``) into :class:`HitMissCounter` objects keyed by
-(application, slab class). :class:`AccessOutcome` is what the one-off
-:meth:`repro.cache.engines.Engine.process` returns; nothing records it.
+(application, slab class). A caller that wants one outcome reads the
+code's ``OUTCOME_*`` bits; there is no outcome object.
 """
 
 from __future__ import annotations
@@ -55,37 +55,6 @@ def pack_outcome(
     if dead:
         code |= OUTCOME_DEAD
     return code
-
-
-def unpack_slab_class(code: int) -> Optional[int]:
-    """Slab class encoded in ``code`` (None when absent)."""
-    packed = (code >> CLASS_SHIFT) & CLASS_MASK
-    return packed - 1 if packed else None
-
-
-@dataclass(frozen=True)
-class AccessOutcome:
-    """The result of processing one request.
-
-    Attributes:
-        hit: True if the request was served from physical cache memory.
-        shadow_hit: True if the request missed physically but its key was
-            found in a shadow extension (used by the allocators; always
-            False when shadow queues are disabled).
-        slab_class: Slab class the request mapped to (None for engines
-            without slab classes, e.g. the global-LRU mode).
-        app: Application identifier.
-        op: The operation that produced this outcome ("get" or "set").
-        evicted: Number of items evicted from physical memory as a direct
-            consequence of this request.
-    """
-
-    hit: bool
-    app: str
-    op: str
-    slab_class: Optional[int] = None
-    shadow_hit: bool = False
-    evicted: int = 0
 
 
 class HitMissCounter:

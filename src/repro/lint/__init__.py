@@ -1,47 +1,33 @@
-"""Static analysis for this repository's own invariants.
+"""Static analysis for the hazards this repository's tests cannot see.
 
-The replay discipline -- bit-identical tables at a fixed seed, an
-event loop that never blocks, one source of truth for the packed
-outcome-code layout -- is enforced at runtime by parity and property
-tests, but those only fire *after* a hazard has corrupted a replay.
-``repro.lint`` encodes the same invariants as named AST-level rules
-that fail fast at review time instead:
+Every table is replayed bit-identically at a fixed seed, and the live
+server runs one event loop. Most ways to break either show up in a
+test; ``repro.lint`` keeps the four that do not:
 
-* ``determinism`` -- no wall clock, OS entropy, process-global RNGs or
-  unordered set iteration in the replay packages;
-* ``async-blocking-call`` / ``unawaited-coroutine`` /
-  ``deprecated-event-loop`` -- asyncio hygiene for :mod:`repro.serve`;
-* ``packed-bit-overlap`` -- the outcome-code bit layout in
-  :mod:`repro.cache.stats` stays overlap-free and singly defined;
-* ``no-assert-in-src`` / ``unused-import`` -- library hygiene.
+* ``determinism`` -- no wall clock, OS entropy, process-global or
+  unseeded RNGs, or iteration over set displays in the replay packages;
+* ``async-blocking-call`` -- no blocking call on the event loop (an
+  ``async def``, or a method of an ``asyncio.Protocol`` under
+  :mod:`repro.serve`);
+* ``deprecated-event-loop`` -- no ``asyncio.get_event_loop()``;
+* ``no-assert-in-src`` -- no ``assert`` in library code.
 
-Run ``python -m repro.lint`` (or ``repro-lint``) from the repo root;
-``--list-rules`` documents every rule and the suppression syntax.
+Run ``python -m repro.lint`` from the repo root (default paths ``src
+tests benchmarks``). The packed outcome-bit layout is held by
+``tests/cache/test_stats.py``, unused imports by ruff (``F401``) and
+unawaited coroutines by pytest's ``filterwarnings`` in
+``pyproject.toml``.
 """
 
-from repro.lint.engine import (
-    FileContext,
-    Finding,
-    LintReport,
-    Project,
-    Rule,
-    collect_files,
-    run_rules,
-)
-from repro.lint.cli import main, run_lint
-from repro.lint.rules import all_rules, rule_summaries, rules_by_name
+from repro.lint.cli import main
+from repro.lint.engine import FileContext, Finding, collect_files
+from repro.lint.rules import RULES, run_rules
 
 __all__ = [
     "FileContext",
     "Finding",
-    "LintReport",
-    "Project",
-    "Rule",
-    "all_rules",
+    "RULES",
     "collect_files",
     "main",
-    "rule_summaries",
-    "rules_by_name",
-    "run_lint",
     "run_rules",
 ]

@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.lint`` / ``repro-lint``.
+"""Command-line front end: ``python -m repro.lint [PATH ...]``.
 
 Exit codes follow the experiments CLI convention: 0 clean, 1 findings,
 2 usage or configuration errors (one-line message on stderr).
@@ -7,192 +7,44 @@ Exit codes follow the experiments CLI convention: 0 clean, 1 findings,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.lint.engine import (
-    DEFAULT_EXCLUDES,
-    LintReport,
-    collect_files,
-    run_rules,
-)
-from repro.lint.rules import rule_summaries, rules_by_name
+from repro.lint.engine import collect_files
+from repro.lint.rules import RULES, run_rules
 
-#: What a bare invocation lints, relative to the repo root.
+#: What a bare invocation lints, relative to the working directory.
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
-
-
-def _repo_root(start: Path) -> Path:
-    """The nearest ancestor containing ``src/repro`` (or ``start``)."""
-    for candidate in (start, *start.parents):
-        if (candidate / "src" / "repro").is_dir():
-            return candidate
-    return start
-
-
-def _select_rules(
-    select: Optional[str], ignore: Optional[str]
-) -> List[str]:
-    registry = rules_by_name()
-    if select:
-        names = [name.strip() for name in select.split(",") if name.strip()]
-    else:
-        names = list(registry)
-    for name in names:
-        if name not in registry:
-            raise ConfigurationError(
-                f"unknown rule {name!r}; known: {', '.join(sorted(registry))}"
-            )
-    if ignore:
-        dropped = {
-            name.strip() for name in ignore.split(",") if name.strip()
-        }
-        for name in dropped:
-            if name not in registry:
-                raise ConfigurationError(
-                    f"unknown rule {name!r}; known: "
-                    f"{', '.join(sorted(registry))}"
-                )
-        names = [name for name in names if name not in dropped]
-    return names
-
-
-def run_lint(
-    paths: Sequence[str],
-    root: Optional[Path] = None,
-    select: Optional[str] = None,
-    ignore: Optional[str] = None,
-) -> LintReport:
-    """Library entry point: lint ``paths`` and return the report."""
-    anchor = root if root is not None else _repo_root(Path.cwd())
-    resolved = [
-        path if path.is_absolute() else anchor / path
-        for path in (Path(p) for p in paths)
-    ]
-    names = _select_rules(select, ignore)
-    registry = rules_by_name()
-    files = collect_files(resolved, anchor, DEFAULT_EXCLUDES)
-    return run_rules(
-        files,
-        [registry[name] for name in names],
-        audit_suppressions=select is None and ignore is None,
-    )
-
-
-def _print_rules() -> None:
-    print("rules:")
-    for name, summary in rule_summaries().items():
-        print(f"  {name}")
-        print(f"      {summary}")
-    print()
-    print("suppress one line:   # repro-lint: ignore[rule-a,rule-b]")
-    print("suppress one file:   # repro-lint: file-ignore[rule-a]")
-    print("stale suppressions are reported as unused-suppression findings")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-lint",
+        prog="python -m repro.lint",
         description=(
-            "Determinism, concurrency and schema static analysis for "
-            "this repository (AST-based; no third-party tools needed)."
+            "Static checks for the hazards no test of this repository "
+            f"catches: {', '.join(RULES)}."
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
+        default=list(DEFAULT_PATHS),
         help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)})",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help=(
-            "treat unused-suppression audit findings as fatal too "
-            "(CI mode); without it they are printed but do not fail "
-            "the run"
-        ),
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="describe every rule and the suppression syntax, then exit",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="RULES",
-        help="comma-separated rule names to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        metavar="RULES",
-        help="comma-separated rule names to skip",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="finding output format (default: text)",
-    )
-    parser.add_argument(
-        "--root",
-        metavar="DIR",
-        help="repository root (default: auto-detected from cwd)",
     )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        _print_rules()
-        return 0
+    args = build_parser().parse_args(argv)
     try:
-        root = Path(args.root).resolve() if args.root else None
-        report = run_lint(
-            args.paths or list(DEFAULT_PATHS),
-            root=root,
-            select=args.select,
-            ignore=args.ignore,
-        )
+        files = collect_files([Path(path) for path in args.paths])
     except ConfigurationError as exc:
-        print(f"repro-lint: {exc}", file=sys.stderr)
+        print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
-    fatal = [
-        finding
-        for finding in report.findings
-        if args.strict or finding.rule != "unused-suppression"
-    ]
-    if args.format == "json":
-        payload = {
-            "files_checked": report.files_checked,
-            "suppressed": report.suppressed,
-            "findings": [
-                {
-                    "path": finding.path,
-                    "line": finding.line,
-                    "rule": finding.rule,
-                    "message": finding.message,
-                }
-                for finding in report.findings
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for finding in report.findings:
-            print(finding.render())
-        suffix = (
-            f", {report.suppressed} suppressed" if report.suppressed else ""
-        )
-        print(
-            f"repro-lint: {len(report.findings)} finding(s) in "
-            f"{report.files_checked} file(s){suffix}"
-        )
-    return 1 if fatal else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())
+    findings = run_rules(files)
+    for finding in findings:
+        print(finding.render())
+    print(f"repro.lint: {len(findings)} finding(s) in {len(files)} file(s)")
+    return 1 if findings else 0

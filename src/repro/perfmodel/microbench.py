@@ -59,7 +59,7 @@ def _replay(
 
     Both passes run through the replay kernel (a one-app
     :class:`CacheServer`), so measured wall times reflect engine work,
-    not ``Request``/``AccessOutcome`` churn.
+    not per-request object churn.
     """
     server = CacheServer(trace.geometry)
     server.add_app(engine)

@@ -36,27 +36,19 @@ class MimirProfiler:
         num_buckets: Number of aging buckets ``B``.
         min_rotation: Newest-bucket population below which the window
             never rotates (avoids degenerate rotation on tiny streams).
-        max_tracked: Optional bound on tracked keys; the oldest bucket is
-            trimmed beyond it (keys forgotten this way look cold on their
-            next access, exactly like Mimir running inside a bounded
-            cache).
     """
 
     def __init__(
         self,
         num_buckets: int = DEFAULT_BUCKETS,
         min_rotation: int = 8,
-        max_tracked: Optional[int] = None,
     ) -> None:
         if num_buckets < 2:
             raise ConfigurationError(
                 f"need at least 2 buckets, got {num_buckets}"
             )
-        if max_tracked is not None and max_tracked < 1:
-            raise ConfigurationError("max_tracked must be positive")
         self.num_buckets = num_buckets
         self.min_rotation = min_rotation
-        self.max_tracked = max_tracked
         # buckets[0] is the newest. Each bucket is a set of keys.
         self._buckets: Deque[Set[object]] = deque([set()])
         # key -> round id; the newest bucket's round id is _head_round.
@@ -94,7 +86,6 @@ class MimirProfiler:
         self._round_of[key] = self._head_round
         self.distances.append(estimate)
         self._maybe_rotate()
-        self._maybe_trim()
         return estimate
 
     def record_all(self, keys: Iterable[object]) -> List[Optional[float]]:
@@ -113,16 +104,3 @@ class MimirProfiler:
             # map onto the last index via _bucket_index's clamp.
             oldest = self._buckets.pop()
             self._buckets[-1] |= oldest
-
-    def _maybe_trim(self) -> None:
-        if self.max_tracked is None:
-            return
-        while self.tracked > self.max_tracked:
-            for bucket in reversed(self._buckets):
-                if bucket:
-                    key = next(iter(bucket))
-                    bucket.discard(key)
-                    del self._round_of[key]
-                    break
-            else:  # pragma: no cover - cannot happen while tracked > 0
-                return

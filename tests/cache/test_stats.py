@@ -1,9 +1,12 @@
-"""Tests for counters and registries."""
+"""Tests for the packed outcome layout, counters and registries."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+from repro.cache import stats
 from repro.cache.stats import (
     OP_DELETE,
     OP_GET,
@@ -16,6 +19,36 @@ from repro.cache.stats import (
 
 HIT = pack_outcome(True, 0)
 MISS = pack_outcome(False, 0)
+
+LAYOUT_NAMES = ("CLASS_SHIFT", "CLASS_MASK", "EVICTED_SHIFT")
+
+
+def test_packed_layout_has_no_overlaps_and_one_definition():
+    """Every ``OUTCOME_*`` flag is one bit of its own, the slab-class
+    field overlaps no flag, the eviction count sits above both, and no
+    other module assigns a layout name."""
+    flags = [v for k, v in vars(stats).items() if k.startswith("OUTCOME_")]
+    class_field = stats.CLASS_MASK << stats.CLASS_SHIFT
+    assert all(flag > 0 and flag & (flag - 1) == 0 for flag in flags)
+    assert all(not a & b for a, b in itertools.combinations(flags, 2))
+    assert not class_field & sum(flags)
+    assert (class_field | sum(flags)) >> stats.EVICTED_SHIFT == 0
+    package = Path(stats.__file__).parents[1]
+    for path in package.rglob("*.py"):
+        if path == Path(stats.__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                name = getattr(target, "id", "")
+                assert not (
+                    name.startswith("OUTCOME_") or name in LAYOUT_NAMES
+                ), f"{path} assigns {name}"
 
 
 def counter_after(*records):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.cache.slabs import SlabGeometry
+from repro.cache.stats import OP_CODES
 
 
 @pytest.fixture
@@ -17,6 +18,17 @@ def geometry() -> SlabGeometry:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC11FF)
+
+
+def serve(engine, request) -> int:
+    """Apply one ``Request`` to ``engine`` through its only entry point:
+    ``SlabGeometry.row`` for the sizes, then ``process_fast``. Returns
+    the packed outcome code; read it with the ``OUTCOME_*`` bits."""
+    return engine.process_fast(
+        request.key,
+        OP_CODES[request.op],
+        *engine.geometry.row(request.key_size, request.value_size),
+    )
 
 
 def zipf_keys(rng: random.Random, num_keys: int, count: int, alpha: float = 1.0):

@@ -13,7 +13,7 @@ class Worker:
         time.sleep(0.1)
         connection = socket.create_connection(("localhost", 11211))
         config = open("settings.json")
-        self.flush()
+        await self.flush()
         connection.close()
         config.close()
 
@@ -26,4 +26,4 @@ async def main() -> None:
 
 
 def schedule() -> None:
-    main()
+    asyncio.run(main())

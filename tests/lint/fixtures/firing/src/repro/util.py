@@ -1,6 +1,6 @@
-"""Fixture: library hygiene violations (assert, unused import)."""
+"""Fixture: library hygiene violation: an assert that vanishes under
+python -O."""
 
-import json
 import math
 
 

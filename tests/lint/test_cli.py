@@ -1,127 +1,82 @@
-"""CLI behaviour: exit codes, rule listing, output formats."""
+"""CLI behaviour: positional paths only, exit codes 0 / 1 / 2."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+import pytest
+
 from repro.lint.cli import main
-from repro.lint.rules import rule_summaries
+from repro.lint.rules import RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: Rules ISSUE-level consumers rely on by name.
+#: The rules that guard what no test can (see ``repro.lint.rules``).
 REQUIRED_RULES = (
     "determinism",
     "async-blocking-call",
-    "unawaited-coroutine",
     "deprecated-event-loop",
-    "packed-bit-overlap",
     "no-assert-in-src",
-    "unused-import",
 )
 
 
-def run_cli(*argv):
-    return main(list(argv))
-
-
 def test_list_rules_names_every_rule(capsys):
-    assert run_cli("--list-rules") == 0
-    out = capsys.readouterr().out
+    """``--help`` is where the rules are listed."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
     for rule in REQUIRED_RULES:
         assert rule in out
-    assert "unused-suppression" in out
-    assert "file-ignore[" in out
 
 
 def test_rule_summaries_cover_required_rules():
-    summaries = rule_summaries()
-    for rule in REQUIRED_RULES:
-        assert rule in summaries
-        assert summaries[rule]
+    assert tuple(RULES) == REQUIRED_RULES
+    for rule in RULES.values():
+        assert rule.__doc__ and rule.__doc__.strip()
 
 
-def test_clean_tree_exits_zero(capsys):
-    code = run_cli("src", "--root", str(FIXTURES / "clean"))
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "0 finding(s)" in out
+def test_clean_tree_exits_zero(capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES / "clean")
+    assert main(["src"]) == 0
+    assert "0 finding(s)" in capsys.readouterr().out
 
 
-def test_firing_tree_exits_one_with_tagged_findings(capsys):
-    code = run_cli("src", "--root", str(FIXTURES / "firing"))
-    assert code == 1
+def test_firing_tree_exits_one_with_tagged_findings(capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES / "firing")
+    assert main(["src"]) == 1
     out = capsys.readouterr().out
     # file:line: [rule] message
-    assert "src/repro/cache/nondeterministic.py" in out
-    assert "[determinism]" in out
-    assert "[packed-bit-overlap]" in out
-    assert "[no-assert-in-src]" in out
-
-
-def test_select_narrows_to_one_rule(capsys):
-    code = run_cli(
-        "src",
-        "--root",
-        str(FIXTURES / "firing"),
-        "--select",
-        "no-assert-in-src",
-    )
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "[no-assert-in-src]" in out
-    assert "[determinism]" not in out
-
-
-def test_ignore_drops_rules(capsys):
-    code = run_cli(
-        "src",
-        "--root",
-        str(FIXTURES / "firing"),
-        "--ignore",
-        ",".join(REQUIRED_RULES[:-1]),
-    )
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "[determinism]" not in out
-    assert "[unused-import]" in out
-
-
-def test_unknown_rule_exits_two(capsys):
-    assert run_cli("src", "--select", "bogus-rule") == 2
-    err = capsys.readouterr().err
-    assert "unknown rule" in err
-    assert "bogus-rule" in err
+    assert "src/repro/cache/nondeterministic.py:12: [determinism]" in out
+    assert "src/repro/serve/blocking.py:13: [async-blocking-call]" in out
+    assert "src/repro/serve/blocking.py:22: [deprecated-event-loop]" in out
+    assert "src/repro/util.py:8: [no-assert-in-src]" in out
+    assert "21 finding(s) in 5 file(s)" in out
 
 
 def test_missing_path_exits_two(capsys):
-    assert run_cli("no/such/dir") == 2
-    assert "repro-lint:" in capsys.readouterr().err
+    assert main(["no/such/dir"]) == 2
+    err = capsys.readouterr().err
+    assert err == "repro.lint: no such file or directory: no/such/dir\n"
 
 
-def test_json_format_is_parseable(capsys):
-    code = run_cli(
-        "src", "--root", str(FIXTURES / "firing"), "--format", "json"
-    )
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["files_checked"] >= 5
-    rules = {finding["rule"] for finding in payload["findings"]}
-    assert "determinism" in rules
-    assert all(
-        {"path", "line", "rule", "message"} <= set(finding)
-        for finding in payload["findings"]
-    )
+def test_unparsable_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def broken(:\n")
+    assert main([str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro.lint: cannot parse ")
+    assert err.count("\n") == 1
 
 
-def test_strict_promotes_stale_suppressions(tmp_path, capsys):
-    module = tmp_path / "src" / "repro" / "util.py"
-    module.parent.mkdir(parents=True)
-    module.write_text(
-        "def f():\n"
-        "    return 1  # repro-lint: ignore[determinism]\n"
-    )
-    assert run_cli("src", "--root", str(tmp_path)) == 0
-    assert "[unused-suppression]" in capsys.readouterr().out
-    assert run_cli("src", "--root", str(tmp_path), "--strict") == 1
+@pytest.mark.parametrize(
+    "flag",
+    ["--strict", "--select=determinism", "--ignore=determinism",
+     "--format=json", "--list-rules", "--root=."],
+)
+def test_flags_exit_two(flag, capsys):
+    """Positional paths are the only input."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([flag])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

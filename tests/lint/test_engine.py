@@ -1,11 +1,13 @@
-"""Engine-level behaviour: suppressions, audits, file collection."""
+"""Engine-level behaviour: file collection, module domains, ordering."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.lint import collect_files, rules_by_name, run_rules
+from repro.lint import FileContext, collect_files, run_rules
 
 
 def write_module(root, relpath, source):
@@ -15,169 +17,72 @@ def write_module(root, relpath, source):
     return target
 
 
-def lint(root, source, *, relpath="src/repro/util.py", rules=None,
-         audit=True):
-    write_module(root, relpath, source)
-    files = collect_files([root / relpath.split("/")[0]], root, excludes=())
-    registry = rules_by_name()
-    selected = (
-        [registry[name] for name in rules]
-        if rules
-        else list(registry.values())
-    )
-    return run_rules(files, selected, audit_suppressions=audit)
-
-
-# ---------------------------------------------------------------------------
-# Inline suppression
-# ---------------------------------------------------------------------------
-
-
-def test_inline_ignore_silences_named_rule(tmp_path):
-    report = lint(
-        tmp_path,
-        "def f(x):\n"
-        "    assert x  # repro-lint: ignore[no-assert-in-src]\n",
-    )
-    assert report.findings == []
-    assert report.suppressed == 1
-
-
-def test_inline_ignore_is_rule_specific(tmp_path):
-    # Suppressing a different rule on the same line leaves the assert
-    # finding intact and reports the suppression as stale.
-    report = lint(
-        tmp_path,
-        "def f(x):\n"
-        "    assert x  # repro-lint: ignore[unused-import]\n",
-    )
-    rules = sorted(finding.rule for finding in report.findings)
-    assert rules == ["no-assert-in-src", "unused-suppression"]
-
-
-def test_inline_ignore_takes_several_rules(tmp_path):
-    report = lint(
-        tmp_path,
-        "import json  # repro-lint: ignore[unused-import, no-assert-in-src]\n"
-        "\n"
-        "def f(x):\n"
-        "    assert x  # repro-lint: ignore[no-assert-in-src]\n",
-    )
-    # json suppression works; the no-assert half of line 1 is stale.
-    rules = sorted(finding.rule for finding in report.findings)
-    assert rules == ["unused-suppression"]
-    assert report.suppressed == 2
-
-
-def test_suppression_syntax_in_docstring_is_not_a_suppression(tmp_path):
-    report = lint(
-        tmp_path,
-        '"""Docs: silence with # repro-lint: ignore[unused-import]."""\n'
-        "import json\n",
-    )
-    assert [finding.rule for finding in report.findings] == ["unused-import"]
-    assert report.suppressed == 0
-
-
-# ---------------------------------------------------------------------------
-# File-level suppression
-# ---------------------------------------------------------------------------
-
-
-def test_file_ignore_silences_whole_file(tmp_path):
-    report = lint(
-        tmp_path,
-        "# repro-lint: file-ignore[no-assert-in-src]\n"
-        "def f(x):\n"
-        "    assert x\n"
-        "def g(x):\n"
-        "    assert not x\n",
-    )
-    assert report.findings == []
-    assert report.suppressed == 2
-
-
-def test_stale_file_ignore_is_reported(tmp_path):
-    report = lint(
-        tmp_path,
-        "# repro-lint: file-ignore[determinism]\n"
-        "def f():\n"
-        "    return 1\n",
-    )
-    assert [finding.rule for finding in report.findings] == [
-        "unused-suppression"
-    ]
-    assert "determinism" in report.findings[0].message
-
-
-def test_unknown_rule_in_suppression_is_flagged(tmp_path):
-    report = lint(
-        tmp_path,
-        "def f():\n"
-        "    return 1  # repro-lint: ignore[no-such-rule]\n",
-    )
-    assert [finding.rule for finding in report.findings] == [
-        "unused-suppression"
-    ]
-    assert "no-such-rule" in report.findings[0].message
-
-
-def test_audit_disabled_when_rule_subset_selected(tmp_path):
-    # A stale suppression must not fire when only some rules run: the
-    # suppressed rule may simply not have been selected.
-    report = lint(
-        tmp_path,
-        "def f(x):\n"
-        "    assert x  # repro-lint: ignore[unused-import]\n",
-        rules=["no-assert-in-src"],
-        audit=False,
-    )
-    assert [finding.rule for finding in report.findings] == [
-        "no-assert-in-src"
-    ]
-
-
-# ---------------------------------------------------------------------------
-# File collection
-# ---------------------------------------------------------------------------
-
-
 def test_collect_files_missing_path_raises(tmp_path):
     with pytest.raises(ConfigurationError):
-        collect_files([tmp_path / "nope"], tmp_path, excludes=())
+        collect_files([tmp_path / "nope"])
 
 
 def test_collect_files_syntax_error_raises(tmp_path):
     write_module(tmp_path, "src/bad.py", "def broken(:\n")
     with pytest.raises(ConfigurationError) as excinfo:
-        collect_files([tmp_path / "src"], tmp_path, excludes=())
+        collect_files([tmp_path / "src"])
     assert "bad.py" in str(excinfo.value)
 
 
 def test_collect_files_honours_excludes(tmp_path):
+    """A directory walk skips the lint fixtures; naming a fixture
+    directory lints it."""
     write_module(tmp_path, "src/keep.py", "X = 1\n")
-    write_module(tmp_path, "src/fixtures/drop.py", "def broken(:\n")
-    files = collect_files(
-        [tmp_path / "src"], tmp_path, excludes=("src/fixtures",)
-    )
-    assert [ctx.display_path for ctx in files] == ["src/keep.py"]
+    fixtures = tmp_path / "tests" / "lint" / "fixtures"
+    write_module(fixtures, "drop.py", "def broken(:\n")
+    files = collect_files([tmp_path])
+    assert [ctx.display_path for ctx in files] == [
+        (tmp_path / "src" / "keep.py").as_posix()
+    ]
+    with pytest.raises(ConfigurationError, match="drop.py"):
+        collect_files([fixtures])
 
 
-def test_collect_files_accepts_single_file(tmp_path):
-    target = write_module(tmp_path, "src/solo.py", "X = 1\n")
-    files = collect_files([target], tmp_path, excludes=())
+def test_collect_files_accepts_single_file(tmp_path, monkeypatch):
+    """Files are named as the paths were given: relative stays relative."""
+    monkeypatch.chdir(tmp_path)
+    write_module(tmp_path, "src/solo.py", "X = 1\n")
+    files = collect_files([Path("src/solo.py")])
     assert [ctx.display_path for ctx in files] == ["src/solo.py"]
 
 
+@pytest.mark.parametrize(
+    "path, module",
+    [
+        ("src/repro/cache/stats.py", "cache.stats"),
+        ("/home/src/repro/tests/src/repro/serve/server.py", "serve.server"),
+        ("tests/cache/test_stats.py", None),
+        ("src/other/module.py", None),
+    ],
+)
+def test_repro_module_is_read_below_the_last_src_repro(path, module):
+    assert FileContext(path, "X = 1\n").repro_module == module
+
+
 def test_findings_are_sorted_and_deduplicated(tmp_path):
-    report = lint(
+    write_module(
         tmp_path,
-        "import json\n"
-        "import pickle\n"
+        "src/repro/util.py",
+        "import time\n"
         "\n"
         "def f(x):\n"
-        "    assert x\n",
+        "    assert x\n"
+        "    assert not x\n"
+        "\n"
+        "async def g():\n"
+        "    time.sleep(1)\n",
     )
-    rendered = [finding.render() for finding in report.findings]
+    findings = run_rules(collect_files([tmp_path / "src"]))
+    assert [(finding.line, finding.rule) for finding in findings] == [
+        (4, "no-assert-in-src"),
+        (5, "no-assert-in-src"),
+        (8, "async-blocking-call"),
+    ]
+    rendered = [finding.render() for finding in findings]
     assert rendered == sorted(rendered)
-    assert len(set(report.findings)) == len(report.findings)
+    assert len(set(findings)) == len(findings)

@@ -14,10 +14,9 @@ class ReferenceMimir:
     """The estimator with its prefix sum written out in Python: every
     access re-sums the newer buckets' ``len`` one index at a time."""
 
-    def __init__(self, num_buckets=100, min_rotation=8, max_tracked=None):
+    def __init__(self, num_buckets=100, min_rotation=8):
         self.num_buckets = num_buckets
         self.min_rotation = min_rotation
-        self.max_tracked = max_tracked
         self._buckets = deque([set()])
         self._round_of = {}
         self._head_round = 0
@@ -40,13 +39,6 @@ class ReferenceMimir:
             if len(self._buckets) > self.num_buckets:
                 oldest = self._buckets.pop()
                 self._buckets[-1] |= oldest
-        while self.max_tracked is not None and len(self._round_of) > self.max_tracked:
-            for bucket in reversed(self._buckets):
-                if bucket:
-                    key = next(iter(bucket))
-                    bucket.discard(key)
-                    del self._round_of[key]
-                    break
         return estimate
 
 
@@ -65,19 +57,6 @@ class TestMimirBasics:
     def test_needs_two_buckets(self):
         with pytest.raises(ConfigurationError):
             MimirProfiler(num_buckets=1)
-
-    def test_max_tracked_bound(self):
-        profiler = MimirProfiler(max_tracked=50)
-        for i in range(500):
-            profiler.record(f"k{i}")
-        assert profiler.tracked <= 50
-
-    def test_forgotten_key_looks_cold(self):
-        profiler = MimirProfiler(max_tracked=10)
-        profiler.record("victim")
-        for i in range(100):
-            profiler.record(f"filler{i}")
-        assert profiler.record("victim") is None
 
 
 class TestMimirAccuracy:
@@ -108,11 +87,10 @@ class TestMimirAccuracy:
         assert distinct_fine >= distinct_coarse
 
 
-@pytest.mark.parametrize("max_tracked", [None, 3000])
-def test_prefix_sum_matches_resumming_the_buckets(max_tracked):
-    """On a 50k-request Zipf stream, with and without trimming, every
-    estimate is bit-identical to re-summing the buckets one by one."""
+def test_prefix_sum_matches_resumming_the_buckets():
+    """On a 50k-request Zipf stream every estimate is bit-identical to
+    re-summing the buckets one by one."""
     keys = ZipfSampler(20_000, 0.9, seed=1).sample(50_000).tolist()
-    profiler = MimirProfiler(max_tracked=max_tracked)
-    reference = ReferenceMimir(max_tracked=max_tracked)
+    profiler = MimirProfiler()
+    reference = ReferenceMimir()
     assert profiler.record_all(keys) == [reference.record(key) for key in keys]
