@@ -23,19 +23,34 @@ MISS = pack_outcome(False, 0)
 LAYOUT_NAMES = ("CLASS_SHIFT", "CLASS_MASK", "EVICTED_SHIFT")
 
 
-def test_packed_layout_has_no_overlaps_and_one_definition():
-    """Every ``OUTCOME_*`` flag is one bit of its own, the slab-class
-    field overlaps no flag, the eviction count sits above both, and no
-    other module assigns a layout name."""
-    flags = [v for k, v in vars(stats).items() if k.startswith("OUTCOME_")]
-    class_field = stats.CLASS_MASK << stats.CLASS_SHIFT
-    assert all(flag > 0 and flag & (flag - 1) == 0 for flag in flags)
-    assert all(not a & b for a, b in itertools.combinations(flags, 2))
-    assert not class_field & sum(flags)
-    assert (class_field | sum(flags)) >> stats.EVICTED_SHIFT == 0
-    package = Path(stats.__file__).parents[1]
-    for path in package.rglob("*.py"):
-        if path == Path(stats.__file__):
+def layout_problems(namespace):
+    """What is wrong with the packed layout in ``namespace`` (a module's
+    ``vars``): a flag that is not one bit, two flags sharing bits, the
+    slab-class field on a flag, or the eviction count below either."""
+    flags = {k: v for k, v in namespace.items() if k.startswith("OUTCOME_")}
+    class_field = namespace["CLASS_MASK"] << namespace["CLASS_SHIFT"]
+    all_flags = 0
+    problems = []
+    for name, flag in flags.items():
+        all_flags |= flag
+        if flag <= 0 or flag & (flag - 1):
+            problems.append(f"{name} is not a single flag bit")
+        if class_field & flag:
+            problems.append(f"the class field overlaps {name}")
+    for (a, x), (b, y) in itertools.combinations(flags.items(), 2):
+        if x & y:
+            problems.append(f"{a} and {b} share bits")
+    if (class_field | all_flags) >> namespace["EVICTED_SHIFT"]:
+        problems.append("EVICTED_SHIFT is below the flags or class field")
+    return problems
+
+
+def layout_redefinitions(package, home):
+    """``(file name, layout name)`` for each assignment of a layout name
+    in a module under ``package`` other than ``home``."""
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == home:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Assign):
@@ -46,9 +61,18 @@ def test_packed_layout_has_no_overlaps_and_one_definition():
                 continue
             for target in targets:
                 name = getattr(target, "id", "")
-                assert not (
-                    name.startswith("OUTCOME_") or name in LAYOUT_NAMES
-                ), f"{path} assigns {name}"
+                if name.startswith("OUTCOME_") or name in LAYOUT_NAMES:
+                    found.append((path.name, name))
+    return found
+
+
+def test_packed_layout_has_no_overlaps_and_one_definition():
+    """Every ``OUTCOME_*`` flag is one bit of its own, the slab-class
+    field overlaps no flag, the eviction count sits above both, and no
+    other module assigns a layout name."""
+    assert layout_problems(vars(stats)) == []
+    home = Path(stats.__file__)
+    assert layout_redefinitions(home.parents[1], home) == []
 
 
 def counter_after(*records):

@@ -5,7 +5,9 @@ violates specific rules; the ``clean`` tree mirrors it with compliant
 code. Rules are asserted by (rule, path) pairs so the fixtures stay
 readable, plus targeted line checks where the anchor matters. A dropped
 ``await`` is not a lint rule: the pytest configuration turns it into a
-failing test, and one test here pins that.
+failing test, and one test here pins that. Nor is a packed-layout
+collision: a unit test over the real constants checks that, and two
+tests here pin that its checks still catch what the rule caught.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 from repro.lint import collect_files, run_rules
 from repro.lint.engine import REPLAY_PACKAGES
+from tests.cache.test_stats import layout_problems, layout_redefinitions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -191,6 +194,42 @@ def test_unawaited_coroutine_fires_for_self_and_module_calls(tmp_path):
 
     assert outcome().startswith("2 failed")
     assert outcome("-o", "filterwarnings=").startswith("2 passed")
+
+
+def test_packed_bit_overlap_catches_layout_collisions():
+    """The ``packed-bit-overlap`` rule is now a unit test over the real
+    constants (tests/cache/test_stats.py); its checks still catch each
+    collision the rule caught."""
+    assert layout_problems({
+        "OUTCOME_HIT": 1,
+        "OUTCOME_SHADOW_HIT": 3,  # not a single bit, and overlaps HIT
+        "OUTCOME_DEAD": 1 << 4,
+        "CLASS_SHIFT": 4,  # the class field lands on OUTCOME_DEAD
+        "CLASS_MASK": 0x7,
+        "EVICTED_SHIFT": 5,  # the eviction count overlaps the class field
+    }) == [
+        "OUTCOME_SHADOW_HIT is not a single flag bit",
+        "the class field overlaps OUTCOME_DEAD",
+        "OUTCOME_HIT and OUTCOME_SHADOW_HIT share bits",
+        "EVICTED_SHIFT is below the flags or class field",
+    ]
+
+
+def test_packed_bit_overlap_catches_redefinitions(tmp_path):
+    home = tmp_path / "cache" / "stats.py"
+    home.parent.mkdir()
+    home.write_text("OUTCOME_DEAD = 1 << 9\nEVICTED_SHIFT = 10\n")
+    (tmp_path / "redefined_bits.py").write_text(
+        "from repro.cache.stats import OUTCOME_DEAD\n\n"
+        "OUTCOME_LOCAL = 1 << 3\n"
+        "OUTCOME_DEAD = 1 << 6\n"
+        "EVICTED_SHIFT: int = 12\n"
+    )
+    assert layout_redefinitions(tmp_path, home) == [
+        ("redefined_bits.py", "OUTCOME_LOCAL"),
+        ("redefined_bits.py", "OUTCOME_DEAD"),
+        ("redefined_bits.py", "EVICTED_SHIFT"),
+    ]
 
 
 def test_deprecated_event_loop_fires(monkeypatch):
