@@ -4,8 +4,8 @@ A from-scratch Python implementation of Cliffhanger (Cidon, Eisenman,
 Alizadeh, Katti -- NSDI 2016) together with every substrate the paper
 depends on: a Memcached-style multi-tenant slab cache simulator, eviction
 policies, stack-distance profilers, hit-rate curves, the Dynacache solver,
-Talus and LookAhead baselines, synthetic Memcachier-like workloads and a
-benchmark harness regenerating the paper's tables and figures.
+Talus partitioning, synthetic Memcachier-like workloads and a benchmark
+harness regenerating the paper's tables and figures.
 
 Quickstart::
 
@@ -42,7 +42,7 @@ from repro.profiling.mimir import MimirProfiler
 from repro.profiling.stack_distance import StackDistanceProfiler
 from repro.workloads.trace import Request
 
-__version__ = "1.0.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "CacheServer",

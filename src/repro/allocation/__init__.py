@@ -1,35 +1,25 @@
 """Cache allocation algorithms that work from hit-rate curves.
 
-These are the paper's baselines and comparators:
+These are the paper's baselines:
 
-* :mod:`repro.allocation.base` -- the allocator interface and plan type.
-* :mod:`repro.allocation.dynacache` -- the Dynacache solver (Eq. 1):
-  greedy marginal-utility allocation that *assumes concave curves*, fed by
-  Mimir-estimated stack distances. Inherits both failure modes the paper
-  describes (cliff blindness and estimation error).
-* :mod:`repro.allocation.lookahead` -- UCP's LookAhead (Qureshi & Patt),
-  which scans past cliffs but requires the whole curve.
+* :mod:`repro.allocation.dynacache` -- the Dynacache solver (Eq. 1) and
+  its plan type: greedy marginal-utility allocation that *assumes
+  concave curves*, fed by Mimir-estimated stack distances. Inherits both
+  failure modes the paper describes (cliff blindness and estimation
+  error).
 * :mod:`repro.allocation.talus` -- Talus partition planning with oracle
   curve knowledge (the non-incremental ancestor of cliff scaling).
-* :mod:`repro.allocation.static` -- trivial uniform/proportional plans.
 
 Cliffhanger itself is *not* here: it never materializes hit-rate curves
 and lives in :mod:`repro.core`.
 """
 
-from repro.allocation.base import AllocationPlan, Allocator
-from repro.allocation.dynacache import DynacacheSolver
-from repro.allocation.lookahead import LookAheadAllocator
-from repro.allocation.static import proportional_plan, uniform_plan
+from repro.allocation.dynacache import AllocationPlan, DynacacheSolver
 from repro.allocation.talus import TalusPartition, plan_talus_partition
 
 __all__ = [
     "AllocationPlan",
-    "Allocator",
     "DynacacheSolver",
-    "LookAheadAllocator",
-    "proportional_plan",
-    "uniform_plan",
     "TalusPartition",
     "plan_talus_partition",
 ]

@@ -1,5 +1,15 @@
 """The Dynacache solver (paper section 2.1, Equation 1).
 
+The solver approximates the paper's Equation 1::
+
+    maximize   sum_i  w_i * f_i * h_i(m_i)
+    subject to sum_i  m_i <= M
+
+given per-queue hit-rate curves ``h_i`` and GET frequencies ``f_i``. The
+queues may be slab classes of one application or whole applications
+(section 3.3); the size unit just has to be consistent across curves,
+frequencies and the budget.
+
 Dynacache estimates stack distances with the Mimir bucket algorithm and
 solves Equation 1 *under the assumption that every hit-rate curve is
 concave*. For concave curves, greedy marginal-utility allocation is exactly
@@ -20,13 +30,50 @@ Both paper-documented failure modes are preserved by construction:
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, Mapping, Optional
 
-from repro.allocation.base import AllocationPlan, Allocator, QueueId
+from repro.common.errors import AllocationError
 from repro.profiling.hrc import HitRateCurve
 
+QueueId = Hashable
 
-class DynacacheSolver(Allocator):
+
+@dataclass
+class AllocationPlan:
+    """The solver's output.
+
+    Attributes:
+        allocations: Size (bytes or items) granted per queue.
+        expected_hit_rates: The hit rate each queue's curve predicts at
+            its granted size.
+        expected_overall_hit_rate: Frequency-weighted overall prediction.
+    """
+
+    allocations: Dict[QueueId, float]
+    expected_hit_rates: Dict[QueueId, float] = field(default_factory=dict)
+    expected_overall_hit_rate: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return sum(self.allocations.values())
+
+    def describe(self) -> str:
+        lines = ["queue        alloc       exp.hitrate"]
+        for queue_id in sorted(self.allocations, key=str):
+            rate = self.expected_hit_rates.get(queue_id, float("nan"))
+            lines.append(
+                f"{str(queue_id):<12} {self.allocations[queue_id]:>10.0f} "
+                f"{rate:>10.4f}"
+            )
+        lines.append(
+            f"overall expected hit rate: "
+            f"{self.expected_overall_hit_rate:.4f}"
+        )
+        return "\n".join(lines)
+
+
+class DynacacheSolver:
     """Greedy marginal-utility solver for concave hit-rate curves.
 
     Args:
@@ -39,6 +86,16 @@ class DynacacheSolver(Allocator):
             class 0 under the plan).
     """
 
+    def __init__(self, granularity: float, minimum: float = 0.0) -> None:
+        if granularity <= 0:
+            raise AllocationError(
+                f"granularity must be positive, got {granularity}"
+            )
+        if minimum < 0:
+            raise AllocationError(f"minimum must be >= 0, got {minimum}")
+        self.granularity = granularity
+        self.minimum = minimum
+
     def allocate(
         self,
         curves: Mapping[QueueId, HitRateCurve],
@@ -46,16 +103,43 @@ class DynacacheSolver(Allocator):
         total: float,
         weights: Optional[Mapping[QueueId, float]] = None,
     ) -> AllocationPlan:
-        queue_ids, allocations, remaining, weight_of = self._start(
-            curves, frequencies, total, weights
-        )
+        """Produce an allocation of ``total`` size units across queues.
+
+        ``frequencies`` are GET counts (the ``f_i`` of Eq. 1) and
+        ``weights`` the optional operator priorities ``w_i`` (default 1).
+        """
+        if not curves:
+            raise AllocationError("no queues to allocate to")
+        if total <= 0:
+            raise AllocationError(f"budget must be positive, got {total}")
+        missing = set(curves) - set(frequencies)
+        if missing:
+            raise AllocationError(
+                f"queues without frequencies: {sorted(missing, key=str)}"
+            )
+        negative = [q for q, f in frequencies.items() if f < 0]
+        if negative:
+            raise AllocationError(
+                f"negative frequencies for {sorted(negative, key=str)}"
+            )
+        queue_ids = list(curves)
+        if self.minimum * len(queue_ids) > total:
+            raise AllocationError(
+                f"minimum {self.minimum} x {len(queue_ids)} queues exceeds "
+                f"budget {total}"
+            )
+        allocations: Dict[QueueId, float] = {
+            queue_id: self.minimum for queue_id in queue_ids
+        }
+        remaining = total - self.minimum * len(queue_ids)
+        weight = weights or {}
         step = self.granularity
 
         def marginal(queue_id: QueueId) -> float:
             size = allocations[queue_id]
             curve = curves[queue_id]
             gain = curve.hit_rate(size + step) - curve.hit_rate(size)
-            return weight_of(queue_id) * frequencies[queue_id] * gain
+            return weight.get(queue_id, 1.0) * frequencies[queue_id] * gain
 
         # Greedy ascent: hand out one step at a time to the steepest
         # queue. A heap would be asymptotically nicer but marginals change
@@ -78,7 +162,7 @@ class DynacacheSolver(Allocator):
         # solver "falls off" cliffs it cannot see (section 3.5,
         # application 19). An even spread here would accidentally rescue
         # those queues.
-        if remaining > 0 and queue_ids:
+        if remaining > 0:
             granted = sum(allocations.values())
             if granted > 0:
                 for queue_id in queue_ids:
@@ -89,4 +173,19 @@ class DynacacheSolver(Allocator):
                 share = remaining / len(queue_ids)
                 for queue_id in queue_ids:
                     allocations[queue_id] += share
-        return self._finish_plan(allocations, curves, frequencies, weights)
+        rates = {
+            queue_id: curves[queue_id].hit_rate(size)
+            for queue_id, size in allocations.items()
+        }
+        numerator = sum(
+            weight.get(q, 1.0) * frequencies[q] * rates[q] for q in allocations
+        )
+        denominator = sum(
+            weight.get(q, 1.0) * frequencies[q] for q in allocations
+        )
+        overall = numerator / denominator if denominator else 0.0
+        return AllocationPlan(
+            allocations=allocations,
+            expected_hit_rates=rates,
+            expected_overall_hit_rate=overall,
+        )

@@ -7,8 +7,8 @@ This package implements the systems the paper's algorithms run on top of:
   structure from which eviction queues and shadow queues are built.
 * :mod:`repro.cache.slabs` -- slab-class geometry (Memcached's size ladder)
   and the one request -> ``(slab_class, chunk, item_bytes)`` rule.
-* :mod:`repro.cache.policies` -- eviction policies (LRU, LFU, ARC,
-  Facebook mid-insertion, LRU-K, 2Q, SLRU).
+* :mod:`repro.cache.policies` -- the eviction policies Table 5 runs
+  (LRU, Facebook mid-insertion, ARC).
 * :mod:`repro.cache.engines` -- memory-management engines: the default
   first-come-first-serve Memcached behaviour, statically planned
   allocations, and the log-structured (global LRU) mode.

@@ -8,8 +8,8 @@ baselines live here:
   classes grab memory greedily as requests arrive; once the reservation is
   full each class evicts from its own LRU queue (paper section 2).
 * :class:`PlannedEngine` -- a static per-class plan, used to apply the
-  Dynacache solver's allocation (paper section 2.1 / Figure 2) or any
-  other allocator's output.
+  Dynacache solver's allocation (paper section 2.1 / Figure 2) or a plan
+  given by hand.
 
 The Cliffhanger engines (hill climbing, cliff scaling, combined) extend
 the same interface from :mod:`repro.core.engine`; the log-structured

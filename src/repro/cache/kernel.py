@@ -90,8 +90,7 @@ def replay_runs(
     count as misses, SETs as sets -- which is order-free. ``owned`` is a
     per-shard boolean lookup restricting the window to a worker's
     shards; a stable sort of a subsequence keeps each run's request
-    order, so a worker's runs equal the serial loop's. ``out``, when
-    given, receives each request's packed outcome code at its position.
+    order, so a worker's runs equal the serial loop's.
     """
     window_shards = shard_column[start:stop]
     window_apps = app_column[start:stop]

@@ -101,13 +101,6 @@ class KeyQueue:
         self._used -= weight
         return key, weight
 
-    def peek_back(self) -> Tuple[object, float]:
-        """Return the LRU entry without removing it."""
-        if not self._entries:
-            raise CacheError(f"peek into empty queue {self.name!r}")
-        key = next(reversed(self._entries))
-        return key, self._entries[key]
-
     def resize(self, capacity: float) -> None:
         """Change capacity; overflow must be drained by the caller."""
         if capacity < 0:

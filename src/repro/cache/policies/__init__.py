@@ -1,18 +1,14 @@
 """Eviction policies.
 
 Cliffhanger "supports any eviction policy, including LRU, LFU or hybrid
-policies such as ARC" (paper section 1). This package provides the policies
-the paper discusses plus the classic variants from its related work:
+policies such as ARC" (paper section 1). This package provides the three
+eviction schemes the paper evaluates (section 5.5, Table 5):
 
 ================  ==========================================================
 ``lru``           Least-recently-used (Memcached's default; paper baseline).
-``lfu``           Least-frequently-used with O(1) frequency buckets.
-``slru``          Segmented LRU (probationary + protected segments).
 ``facebook``      Facebook's mid-insertion scheme (section 5.5): first hit
                   inserts mid-queue, second hit promotes to the top.
 ``arc``           Adaptive Replacement Cache (Megiddo & Modha, FAST'03).
-``lruk``          LRU-K (O'Neil et al., SIGMOD'93), K = 2 by default.
-``twoq``          2Q (Johnson & Shasha, VLDB'94).
 ================  ==========================================================
 
 All policies share the :class:`EvictionPolicy` interface: capacities and
@@ -25,23 +21,16 @@ from typing import Callable, Dict
 from repro.common.errors import ConfigurationError
 from repro.cache.policies.base import EvictionPolicy
 from repro.cache.policies.lru import LRUPolicy
-from repro.cache.policies.lfu import LFUPolicy
-from repro.cache.policies.slru import FacebookPolicy, SLRUPolicy
+from repro.cache.policies.facebook import FacebookPolicy
 from repro.cache.policies.arc import ARCPolicy
-from repro.cache.policies.lruk import LRUKPolicy
-from repro.cache.policies.twoq import TwoQPolicy
 
 PolicyFactory = Callable[[float, str], EvictionPolicy]
 
 #: Registry mapping policy names to factories ``(capacity, name) -> policy``.
 POLICIES: Dict[str, PolicyFactory] = {
     "lru": lambda capacity, name="": LRUPolicy(capacity, name=name),
-    "lfu": lambda capacity, name="": LFUPolicy(capacity, name=name),
-    "slru": lambda capacity, name="": SLRUPolicy(capacity, name=name),
     "facebook": lambda capacity, name="": FacebookPolicy(capacity, name=name),
     "arc": lambda capacity, name="": ARCPolicy(capacity, name=name),
-    "lruk": lambda capacity, name="": LRUKPolicy(capacity, name=name),
-    "twoq": lambda capacity, name="": TwoQPolicy(capacity, name=name),
 }
 
 
@@ -59,12 +48,8 @@ def make_policy(kind: str, capacity: float, name: str = "") -> EvictionPolicy:
 __all__ = [
     "EvictionPolicy",
     "LRUPolicy",
-    "LFUPolicy",
-    "SLRUPolicy",
     "FacebookPolicy",
     "ARCPolicy",
-    "LRUKPolicy",
-    "TwoQPolicy",
     "POLICIES",
     "PolicyFactory",
     "make_policy",

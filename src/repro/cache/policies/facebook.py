@@ -1,50 +1,41 @@
-"""Segmented LRU and Facebook's mid-insertion scheme.
+"""Facebook's mid-insertion scheme (paper section 5.5).
 
-SLRU keeps two LRU segments: *protected* (top of the logical queue) and
-*probationary* (bottom). New items enter the probationary segment; a hit
-promotes to the protected segment; protected overflow demotes back to the
-front of the probationary segment; probationary overflow is evicted.
+"The first time a request hits it is inserted at the middle of the
+queue. When it hits a second time, it is inserted to the top of the
+queue." The policy models that one queue as two LRU segments around its
+midpoint: *protected* (the top half) and *probationary* (everything
+below it). New items enter at the front of the probationary segment,
+i.e. at the middle of the queue; a hit promotes to the protected
+segment; protected overflow demotes back to the front of the
+probationary segment.
 
-The Facebook scheme the paper evaluates (section 5.5: "the first time a
-request hits it is inserted at the middle of the queue. When it hits a
-second time, it is inserted to the top of the queue") is exactly SLRU with
-a 50/50 split: inserting at the front of the bottom half *is* inserting at
-the middle of the queue.
+The probationary segment may use whatever the protected half leaves
+free, so an item is evicted only when the whole queue is over capacity:
+a queue that holds one item keeps it.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.common.errors import ConfigurationError
 from repro.cache.keyqueue import KeyQueue
 from repro.cache.policies.base import Evicted, EvictionPolicy
 
 
-class SLRUPolicy(EvictionPolicy):
-    """Segmented LRU with a configurable protected fraction."""
+class FacebookPolicy(EvictionPolicy):
+    """Mid-insertion LRU with the protected half on top.
 
-    kind = "slru"
+    Items that are never re-referenced only ever travel the bottom of the
+    queue before eviction, which protects the hot top half from
+    one-hit-wonder churn.
+    """
 
-    def __init__(
-        self,
-        capacity: float,
-        name: str = "",
-        protected_fraction: float = 0.5,
-    ) -> None:
+    kind = "facebook"
+
+    def __init__(self, capacity: float, name: str = "") -> None:
         super().__init__(capacity, name)
-        if not 0.0 <= protected_fraction < 1.0:
-            raise ConfigurationError(
-                f"protected_fraction must be in [0, 1), got "
-                f"{protected_fraction}"
-            )
-        self.protected_fraction = protected_fraction
-        self._protected = KeyQueue(
-            capacity * protected_fraction, name=f"{name}/protected"
-        )
-        self._probation = KeyQueue(
-            capacity * (1.0 - protected_fraction), name=f"{name}/probation"
-        )
+        self._protected = KeyQueue(capacity * 0.5, name=f"{name}/protected")
+        self._probation = KeyQueue(capacity, name=f"{name}/probation")
 
     # ------------------------------------------------------------------
 
@@ -69,10 +60,11 @@ class SLRUPolicy(EvictionPolicy):
     # ------------------------------------------------------------------
 
     def _cascade(self) -> Evicted:
-        """Demote protected overflow to probation, evict probation
-        overflow."""
+        """Demote protected overflow to probation, then evict whatever
+        leaves the whole queue over capacity."""
         for key, weight in self._protected.overflow():
             self._probation.push_front(key, weight)
+        self._probation.resize(self._capacity - self._protected.used)
         return list(self._probation.overflow())
 
     def access(self, key: object) -> bool:
@@ -83,8 +75,6 @@ class SLRUPolicy(EvictionPolicy):
         if key in self._probation:
             weight = self._probation.remove(key)
             self._protected.push_front(key, weight)
-            # Promotion may overflow protected; demotions cannot overflow
-            # probation beyond what eviction resolves.
             self._cascade()
             return True
         return False
@@ -111,21 +101,5 @@ class SLRUPolicy(EvictionPolicy):
 
     def resize(self, capacity: float) -> Evicted:
         self._set_capacity(capacity)
-        self._protected.resize(capacity * self.protected_fraction)
-        self._probation.resize(capacity * (1.0 - self.protected_fraction))
+        self._protected.resize(capacity * 0.5)
         return self._cascade()
-
-
-class FacebookPolicy(SLRUPolicy):
-    """Facebook's mid-insertion LRU (paper section 5.5).
-
-    First SET lands at the middle of the logical queue; the first
-    subsequent hit promotes to the top. Items that are never re-referenced
-    only ever travel the bottom half before eviction, which protects the
-    hot top half from one-hit-wonder churn.
-    """
-
-    kind = "facebook"
-
-    def __init__(self, capacity: float, name: str = "") -> None:
-        super().__init__(capacity, name=name, protected_fraction=0.5)

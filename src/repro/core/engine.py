@@ -129,9 +129,8 @@ class ClimbingEngine(Engine):
         """Insert an item, drawing start-up capacity from the free pool.
 
         Growth is two chunks at a time: a partitioned queue splits its
-        capacity in two and segmented policies (SLRU, Facebook, 2Q)
-        split theirs internally, so a single spare chunk may not fit one
-        item anywhere. The pool test comes first: once start-up growth
+        capacity in two, so a single spare chunk may not fit one item in
+        either half. The pool test comes first: once start-up growth
         has spent it, a fill never has to add up the queue's segments.
         """
         growth = 2 * chunk

@@ -91,9 +91,6 @@ class HillClimber:
             raise ConfigurationError(f"queue {queue_id!r} already registered")
         self._targets[queue_id] = _Target(get_capacity, set_capacity)
 
-    def unregister(self, queue_id: QueueId) -> None:
-        self._targets.pop(queue_id, None)
-
     @property
     def queue_ids(self) -> List[QueueId]:
         return list(self._targets)
@@ -110,7 +107,7 @@ class HillClimber:
         donate (all others at the floor, or the winner is alone).
 
         ``eligible`` optionally filters the donor pool without
-        unregistering anyone (the cluster fault layer excludes crashed
+        removing anyone (the cluster fault layer excludes crashed
         shards this way); an all-true predicate leaves the donor list --
         and therefore the RNG draw sequence -- unchanged.
         """

@@ -47,7 +47,14 @@ def _print_listing() -> None:
             print(f"  {name}: {registry.note(name)}")
     print("scenario blocks:")
     fields = dataclasses.fields(Scenario)
-    print("  scenario: " + ", ".join(field.name for field in fields))
+    names = [
+        field.name + (
+            f" ({'|'.join(field.metadata['choices'])})"
+            if "choices" in field.metadata else ""
+        )
+        for field in fields
+    ]
+    print("  scenario: " + ", ".join(names))
     for field in fields:
         if "block" in field.metadata:
             print(f"  {field.name}: {field.metadata['block'].describe()}")

@@ -24,7 +24,7 @@ from repro.experiments import (
     table2_lsm,
     table3_cross_app,
     table4_combined,
-    table5_lfu,
+    table5_eviction,
     table6_latency,
     table7_throughput,
 )
@@ -45,7 +45,7 @@ REGISTRY: Dict[str, Runner] = {
     "tab2": table2_lsm.run,
     "tab3": table3_cross_app.run,
     "tab4": table4_combined.run,
-    "tab5": table5_lfu.run,
+    "tab5": table5_eviction.run,
     "tab6": table6_latency.run,
     "tab7": table7_throughput.run,
     "sensitivity": sensitivity.run,

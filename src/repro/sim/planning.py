@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.allocation.dynacache import DynacacheSolver
-from repro.allocation.lookahead import LookAheadAllocator
 from repro.cache.stats import OP_GET
 from repro.common.errors import ConfigurationError
 from repro.profiling.hrc import HitRateCurve
@@ -65,7 +64,6 @@ def solver_plan_for_app(
     trace,
     app: str,
     estimator: str = "mimir",
-    allocator: str = "dynacache",
     budget: Optional[float] = None,
 ) -> Dict[int, float]:
     """Run the Dynacache solver on one app's week of requests.
@@ -92,11 +90,7 @@ def solver_plan_for_app(
     )
     granularity = min(granularity, budget / max(1, len(curves_bytes)))
     granularity = max(granularity, 64.0)
-    if allocator == "dynacache":
-        solver = DynacacheSolver(granularity=granularity)
-    elif allocator == "lookahead":
-        solver = LookAheadAllocator(granularity=granularity)
-    else:
-        raise ConfigurationError(f"unknown allocator {allocator!r}")
-    plan = solver.allocate(curves_bytes, freqs, budget)
+    plan = DynacacheSolver(granularity=granularity).allocate(
+        curves_bytes, freqs, budget
+    )
     return dict(plan.allocations)

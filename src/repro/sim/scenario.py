@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
+from repro.cache.policies import POLICIES
 from repro.cluster import ClusterConfig, FaultSchedule, RebalanceConfig
 from repro.common.errors import ConfigurationError
 from repro.common.spec import Spec, spec_field
@@ -87,7 +88,7 @@ class Scenario(Spec):
 
     scheme: str = "default"
     workload: str = "memcachier"
-    policy: str = "lru"
+    policy: str = spec_field("lru", choices=tuple(sorted(POLICIES)))
     scale: float = spec_field(FULL_SCALE, gt=0)
     seed: int = 0
     apps: Optional[List[str]] = None

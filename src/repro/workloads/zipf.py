@@ -55,9 +55,6 @@ class ZipfSampler:
         uniforms = self.rng.random(count)
         return np.searchsorted(self._cdf, uniforms, side="left")
 
-    def sample_one(self) -> int:
-        return int(self.sample(1)[0])
-
     def probability(self, rank: int) -> float:
         """P(rank); useful for analytic checks in tests."""
         if not 0 <= rank < self.num_keys:

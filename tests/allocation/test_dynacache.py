@@ -82,6 +82,13 @@ class TestConcaveOptimality:
         assert plan.allocations["shallow"] == pytest.approx(50, abs=5)
 
 
+    def test_expected_rate_reported(self):
+        curve = concave([(0, 0.0), (100, 0.8)])
+        plan = DynacacheSolver(10).allocate({"a": curve}, {"a": 10}, 100)
+        assert plan.expected_hit_rates["a"] == pytest.approx(0.8)
+        assert plan.expected_overall_hit_rate == pytest.approx(0.8)
+
+
 class TestCliffBlindness:
     def test_starves_a_cliff_queue(self):
         """A queue whose curve is flat before a cliff gets nothing while

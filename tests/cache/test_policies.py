@@ -7,11 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.policies import POLICIES, make_policy
 from repro.cache.policies.arc import ARCPolicy
-from repro.cache.policies.lfu import LFUPolicy
+from repro.cache.policies.facebook import FacebookPolicy
 from repro.cache.policies.lru import LRUPolicy
-from repro.cache.policies.lruk import LRUKPolicy
-from repro.cache.policies.slru import FacebookPolicy, SLRUPolicy
-from repro.cache.policies.twoq import TwoQPolicy
 
 ALL_KINDS = sorted(POLICIES)
 
@@ -69,7 +66,7 @@ class TestGenericPolicyContract:
         assert policy.used == 0
 
     def test_remove_of_an_evicted_key_reports_absent(self, kind):
-        """Ghost lists (ARC's B1/B2, 2Q's A1out) remember keys, not
+        """Ghost lists (ARC's B1/B2) remember keys, not
         values: removing one forgets it without claiming residency."""
         policy = make_policy(kind, 4)
         for i in range(12):
@@ -90,8 +87,6 @@ class TestGenericPolicyContract:
         assert evicted_total == 10 - len(policy)
 
     def test_reinsert_updates_weight(self, kind):
-        # Weights chosen to fit every policy's smallest internal
-        # segment (2Q's A1in is 25% of capacity).
         policy = make_policy(kind, 100)
         policy.insert("a", 10)
         policy.insert("a", 15)
@@ -109,40 +104,14 @@ class TestLRUSpecifics:
         assert evicted == [("b", 1)]
 
 
-class TestLFUSpecifics:
-    def test_evicts_least_frequent(self):
-        policy = LFUPolicy(3)
-        for key in "abc":
-            policy.insert(key, 1)
-        policy.access("a")
-        policy.access("a")
-        policy.access("b")
-        evicted = policy.insert("d", 1)
-        assert evicted == [("c", 1)]
-
-    def test_frequency_tracked(self):
-        policy = LFUPolicy(10)
-        policy.insert("a", 1)
-        policy.access("a")
-        policy.access("a")
-        assert policy.frequency_of("a") == 3
-
-    def test_ties_break_by_recency(self):
-        policy = LFUPolicy(2)
-        policy.insert("a", 1)
-        policy.insert("b", 1)
-        evicted = policy.insert("c", 1)  # all freq 1; a is oldest
-        assert evicted == [("a", 1)]
-
-
-class TestSLRUAndFacebook:
+class TestFacebookSpecifics:
     def test_insert_lands_in_probation(self):
-        policy = SLRUPolicy(10)
+        policy = FacebookPolicy(10)
         policy.insert("a", 1)
         assert not policy.in_protected("a")
 
     def test_hit_promotes_to_protected(self):
-        policy = SLRUPolicy(10)
+        policy = FacebookPolicy(10)
         policy.insert("a", 1)
         policy.access("a")
         assert policy.in_protected("a")
@@ -156,7 +125,29 @@ class TestSLRUAndFacebook:
         assert "hot" in policy  # scanned-in cold keys never displaced it
 
     def test_facebook_is_half_split(self):
-        assert FacebookPolicy(100).protected_fraction == 0.5
+        policy = FacebookPolicy(100)
+        for i in range(10):
+            policy.insert(f"k{i}", 10)
+        for i in range(10):
+            policy.access(f"k{i}")
+        protected = [key for key in policy.keys() if policy.in_protected(key)]
+        assert len(protected) == 5
+        assert len(policy) == 10
+
+    def test_one_chunk_queue_keeps_its_insert(self):
+        """A queue one item wide holds that item: probation may use
+        whatever the protected half leaves free."""
+        policy = make_policy("facebook", 0)
+        policy.resize(192)
+        assert policy.insert("a", 192) == []
+        assert "a" in policy
+        assert policy.access("a") is True
+
+    def test_evicts_only_when_the_whole_queue_is_full(self):
+        policy = FacebookPolicy(10)
+        for i in range(10):
+            assert policy.insert(f"k{i}", 1) == []
+        assert policy.insert("k10", 1) == [("k0", 1)]
 
 
 class TestARCSpecifics:
@@ -195,33 +186,6 @@ class TestARCSpecifics:
             return hits
         arc_hits = run(ARCPolicy(10))
         assert arc_hits > 0.8 * 60 * 8
-
-
-class TestLRUKSpecifics:
-    def test_k_must_be_positive(self):
-        with pytest.raises(Exception):
-            LRUKPolicy(10, k=0)
-
-    def test_singly_accessed_evicted_first(self):
-        policy = LRUKPolicy(3, k=2)
-        policy.insert("a", 1)
-        policy.access("a")  # a has 2 accesses -> finite K-distance
-        policy.insert("b", 1)
-        policy.insert("c", 1)
-        evicted = policy.insert("d", 1)  # b is oldest single-access
-        assert evicted[0][0] == "b"
-
-
-class TestTwoQSpecifics:
-    def test_reuse_after_fifo_eviction_promotes(self):
-        policy = TwoQPolicy(8, in_fraction=0.25, out_fraction=1.0)
-        policy.insert("a", 1)
-        for i in range(6):
-            policy.insert(f"f{i}", 1)
-        if "a" not in policy:
-            assert policy.ghost_contains("a")
-            policy.insert("a", 1)
-            assert "a" in policy
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

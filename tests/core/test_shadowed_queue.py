@@ -80,7 +80,7 @@ class TestShadowedQueue:
         assert "a" not in queue.shadow
         assert queue.access("a") == ACCESS_MISS
 
-    @pytest.mark.parametrize("policy", ["lru", "lfu", "arc", "facebook"])
+    @pytest.mark.parametrize("policy", ["lru", "arc", "facebook"])
     def test_any_policy_supported(self, policy):
         queue = make(capacity=3, shadow=10, policy=policy)
         for key in "abcde":

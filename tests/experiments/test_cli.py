@@ -61,6 +61,7 @@ def test_list_enumerates_experiments_schemes_and_workloads(capsys):
     assert "parallel_workers" in out
     assert "partitioned_replay" not in out
     assert "policy (shadow|load)" in out
+    assert "policy (arc|facebook|lru)" in out
     assert "faults:" in out
     assert "policy (failover|miss-through)" in out
     assert "recovery_epsilon" in out

@@ -185,9 +185,12 @@ def table4_combined_ablation(result):
 def table5_eviction_schemes(result):
     headers = result.headers
     lru = headers.index("lru")
+    facebook = headers.index("facebook")
     arc = headers.index("arc")
     cliffhanger = headers.index("cliffhanger+lru")
     for row in result.rows:
+        # Mid-insertion keeps one-hit wonders off the hot half.
+        assert row[facebook] >= row[lru]
         # ARC gives no improvement on these traces (paper section 5.5).
         assert row[arc] <= row[lru] + 0.03
         # Cliffhanger does not regress vs plain LRU.

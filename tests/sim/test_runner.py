@@ -126,7 +126,7 @@ def test_unknown_app_name_rejected_cleanly():
 
 
 def test_unknown_policy_rejected_cleanly():
-    with pytest.raises(ConfigurationError, match="unknown policy"):
+    with pytest.raises(ConfigurationError, match="scenario.policy"):
         run_scenario(zipf_scenario(policy="bogus"))
 
 

@@ -105,6 +105,12 @@ def test_bad_plans_string_rejected():
         Scenario(plans="sovler")
 
 
+def test_unknown_policy_rejected_at_construction():
+    with pytest.raises(ConfigurationError, match="scenario.policy"):
+        Scenario(policy="lfu")
+    assert Scenario(policy="facebook").policy == "facebook"
+
+
 def test_cluster_block_normalized_with_defaults():
     scenario = Scenario(cluster={"shards": 4})
     assert scenario.cluster == {
