@@ -2,9 +2,9 @@
 
 This package implements the systems the paper's algorithms run on top of:
 
-* :mod:`repro.cache.keyqueue` -- weighted ordered key queues and chained
-  queues (physical queue + probe + shadow extensions), the single data
-  structure from which eviction queues and shadow queues are built.
+* :mod:`repro.cache.keyqueue` -- the weighted ordered key queue from
+  which the eviction policies and the hill-climbing shadow queues are
+  built.
 * :mod:`repro.cache.slabs` -- slab-class geometry (Memcached's size ladder)
   and the one request -> ``(slab_class, chunk, item_bytes)`` rule.
 * :mod:`repro.cache.policies` -- the eviction policies Table 5 runs
@@ -19,13 +19,12 @@ This package implements the systems the paper's algorithms run on top of:
 * :mod:`repro.cache.stats` -- hit/miss accounting.
 """
 
-from repro.cache.keyqueue import KeyQueue, QueueChain
+from repro.cache.keyqueue import KeyQueue
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import HitMissCounter
 
 __all__ = [
     "KeyQueue",
-    "QueueChain",
     "SlabGeometry",
     "HitMissCounter",
 ]

@@ -20,8 +20,8 @@ exactly like the original single queue (section 4.2: "Two evenly split
 queues behave exactly the same as one longer queue"). Inside a convex
 region the balance flips and the pointers walk to the hull anchors.
 
-The physical layout mirrors the paper's implementation (section 5.1,
-Figure 5): per partition the chain is
+The layout follows the paper's implementation (section 5.1, Figure 5):
+each partition is one LRU order cut into four segments,
 
 ``[ main | tail probe (128 items) | cliff shadow (128 items) | hill shadow ]``
 
@@ -31,12 +31,21 @@ events, and the *hill shadow* feeds Algorithm 1. The 1 MB hill shadow is
 split across the two partitions in proportion to their sizes, and physical
 repartitioning is applied lazily on the next miss to avoid thrashing
 (section 5.1).
+
+Every item of a queue weighs one chunk, so a segment of ``capacity``
+bytes is full at :func:`chunk_limit` keys. A segment is an
+insertion-ordered key set, LRU first, and a cascade moves each over-full
+segment's LRU key to the MRU end of the next: one C-level pop and one
+append per key, where the paper's single list would move a boundary
+pointer (in Python, a walk). Keys only move down, so the count leaving
+the tail probe is what left physical memory.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.allocation.talus import compute_ratio
 from repro.common.constants import (
@@ -45,11 +54,10 @@ from repro.common.constants import (
     DEFAULT_CREDIT_BYTES,
     HILL_CLIMB_SHADOW_BYTES,
 )
-from repro.common.errors import ConfigurationError
+from repro.common.errors import CacheError, ConfigurationError
 from repro.common.hashing import unit_interval_hash
-from repro.cache.keyqueue import KeyQueue, QueueChain
 
-# Segment indices within a partition chain.
+# Segment indices within a partition.
 SEG_MAIN = 0
 SEG_TAIL = 1
 SEG_CLIFF = 2
@@ -115,43 +123,142 @@ class CliffConfig:
         return float(self.probe_items * self.chunk_size)
 
 
-class _Partition:
-    """One physical partition with its probe and shadow segments."""
+def chunk_limit(capacity: float, chunk: int) -> int:
+    """The most ``chunk``-byte items ``capacity`` bytes hold: the largest
+    ``n`` with ``n * chunk <= capacity``. Exact, where ``int(capacity /
+    chunk)`` is not: the float division can round up to the next
+    integer."""
+    return int(capacity) // chunk
 
-    def __init__(
-        self,
-        name: str,
-        config: CliffConfig,
-        physical_bytes: float,
-        hill_bytes: float,
-    ) -> None:
-        self.config = config
-        probe = config.probe_bytes
-        tail_cap = min(probe, physical_bytes)
-        self.main = KeyQueue(physical_bytes - tail_cap, name=f"{name}/main")
-        self.tail = KeyQueue(tail_cap, name=f"{name}/tail")
-        self.cliff_shadow = KeyQueue(probe, name=f"{name}/cliff")
-        self.hill_shadow = KeyQueue(hill_bytes, name=f"{name}/hill")
-        self.chain = QueueChain(
-            [self.main, self.tail, self.cliff_shadow, self.hill_shadow],
-            physical_segments=2,
-        )
+
+class _Partition:
+    """One physical partition: ``[ main | tail | cliff | hill ]`` as four
+    insertion-ordered key sets (LRU first, MRU last), each with a byte
+    capacity and the whole-chunk limit it implies."""
+
+    def __init__(self, config: CliffConfig) -> None:
+        self.chunk = config.chunk_size
+        self.probe_bytes = config.probe_bytes
+        self.main: "OrderedDict[object, None]" = OrderedDict()
+        self.tail: "OrderedDict[object, None]" = OrderedDict()
+        self.cliff: "OrderedDict[object, None]" = OrderedDict()
+        self.hill: "OrderedDict[object, None]" = OrderedDict()
+        self.sets = (self.main, self.tail, self.cliff, self.hill)
+        #: Byte capacities, in segment order.
+        self.capacity = [0.0, 0.0, self.probe_bytes, 0.0]
+        self.main_limit = self.tail_limit = self.hill_limit = 0
+        self.cliff_limit = chunk_limit(self.probe_bytes, self.chunk)
+
+    # ------------------------------------------------------------------
+    # Read surface
+    # ------------------------------------------------------------------
 
     @property
     def physical_capacity(self) -> float:
-        return self.main.capacity + self.tail.capacity
+        return self.capacity[SEG_MAIN] + self.capacity[SEG_TAIL]
+
+    def physical_len(self) -> int:
+        return len(self.main) + len(self.tail)
+
+    def segment_of(self, key: object) -> Optional[int]:
+        """Index of the segment holding ``key``, or None."""
+        for index, keys in enumerate(self.sets):
+            if key in keys:
+                return index
+        return None
+
+    def segments(self) -> List[Tuple[float, List[object]]]:
+        """``(capacity bytes, keys MRU first)`` per segment, main first."""
+        return [
+            (capacity, list(reversed(keys)))
+            for capacity, keys in zip(self.capacity, self.sets)
+        ]
+
+    def check_invariants(self) -> None:
+        """Raise :class:`CacheError` if a key sits in two segments or a
+        limit disagrees with its capacity or is exceeded."""
+        limits = (
+            self.main_limit, self.tail_limit, self.cliff_limit,
+            self.hill_limit,
+        )
+        seen: set = set()
+        for capacity, limit, keys in zip(self.capacity, limits, self.sets):
+            if limit != chunk_limit(capacity, self.chunk):
+                raise CacheError(f"limit {limit} for {capacity} bytes")
+            if len(keys) > limit:
+                raise CacheError(f"{len(keys)} keys over limit {limit}")
+            if not seen.isdisjoint(keys):
+                raise CacheError("a key sits in two segments")
+            seen.update(keys)
+
+    # ------------------------------------------------------------------
+    # Mutation
+    # ------------------------------------------------------------------
+
+    def discard(self, key: object) -> Optional[int]:
+        """Remove ``key``; the index of the segment it was in, or None."""
+        main, tail, cliff, hill = self.sets
+        if key in main:
+            del main[key]
+            return SEG_MAIN
+        if key in tail:
+            del tail[key]
+            return SEG_TAIL
+        if key in cliff:
+            del cliff[key]
+            return SEG_CLIFF
+        if key in hill:
+            del hill[key]
+            return SEG_HILL
+        return None
+
+    def push(self, key: object) -> int:
+        """Store ``key`` (held by no segment) at the MRU end of main;
+        return how many keys that pushed out of physical memory."""
+        self.main[key] = None
+        return self._cascade()
 
     def set_physical(self, physical_bytes: float) -> int:
         """Resize the physical region, keeping the tail probe at its
         configured width (shrinking it only when the whole partition is
         smaller than one probe). Returns how many items that evicts."""
-        tail_cap = min(self.config.probe_bytes, physical_bytes)
-        evicted = self.chain.resize_segment(SEG_TAIL, tail_cap)
-        main_cap = physical_bytes - tail_cap
-        return evicted + self.chain.resize_segment(SEG_MAIN, main_cap)
+        tail_bytes = min(self.probe_bytes, physical_bytes)
+        main_bytes = physical_bytes - tail_bytes
+        self.capacity[SEG_MAIN] = main_bytes
+        self.capacity[SEG_TAIL] = tail_bytes
+        self.main_limit = chunk_limit(main_bytes, self.chunk)
+        self.tail_limit = chunk_limit(tail_bytes, self.chunk)
+        return self._cascade()
 
     def set_hill(self, hill_bytes: float) -> None:
-        self.chain.resize_segment(SEG_HILL, hill_bytes)
+        """Resize the hill shadow; only it can be over its new limit."""
+        self.capacity[SEG_HILL] = hill_bytes
+        self.hill_limit = limit = chunk_limit(hill_bytes, self.chunk)
+        hill = self.hill
+        while len(hill) > limit:
+            hill.popitem(False)
+
+    def _cascade(self) -> int:
+        """Move each over-full segment's LRU keys to the MRU end of the
+        next (off the end after the hill shadow). Keys only move down, so
+        the number leaving the tail probe -- the return value -- is
+        exactly the drop in :meth:`physical_len`. (``popitem(False)``
+        pops the LRU end; positional, it is the cheaper call.)"""
+        main, tail, cliff, hill = self.sets
+        limit = self.main_limit
+        while len(main) > limit:
+            tail[main.popitem(False)[0]] = None
+        held = len(tail)
+        limit = self.tail_limit
+        while len(tail) > limit:
+            cliff[tail.popitem(False)[0]] = None
+        limit = self.cliff_limit
+        while len(cliff) > limit:
+            hill[cliff.popitem(False)[0]] = None
+        limit = self.hill_limit
+        while len(hill) > limit:
+            hill.popitem(False)
+        return held - len(tail)
 
 
 class CliffhangerQueue:
@@ -180,10 +287,8 @@ class CliffhangerQueue:
         self.left_pointer = self._size
         self.right_pointer = self._size
         self.ratio = 0.5
-        half = self._size / 2.0
-        hill_half = config.hill_shadow_bytes / 2.0
-        self.left = _Partition(f"{name}/L", config, half, hill_half)
-        self.right = _Partition(f"{name}/R", config, half, hill_half)
+        self.left = _Partition(config)
+        self.right = _Partition(config)
         self._pending_resize = False
         # Lazy splitting: the queue runs unpartitioned until the right
         # pointer has escaped far enough to evidence a cliff (see
@@ -217,10 +322,8 @@ class CliffhangerQueue:
 
     @property
     def used_bytes(self) -> float:
-        left, right = self.left, self.right
-        return (left.main.used + left.tail.used) + (
-            right.main.used + right.tail.used
-        )
+        held = self.left.physical_len() + self.right.physical_len()
+        return float(held * self.config.chunk_size)
 
     @property
     def cliff_active(self) -> bool:
@@ -238,11 +341,9 @@ class CliffhangerQueue:
 
     def overhead_items(self) -> int:
         """Keys held only in shadow segments (memory-overhead audit)."""
-        return (
-            len(self.left.cliff_shadow)
-            + len(self.left.hill_shadow)
-            + len(self.right.cliff_shadow)
-            + len(self.right.hill_shadow)
+        return sum(
+            len(partition.cliff) + len(partition.hill)
+            for partition in (self.left, self.right)
         )
 
     # ------------------------------------------------------------------
@@ -266,25 +367,25 @@ class CliffhangerQueue:
             and unit_interval_hash(key, self.config.salt) < self.ratio
         ):
             routed, other = other, routed
-        segment = routed.chain.touch(key)
-        if segment == SEG_MAIN:
-            # Already promoted: every item weighs one chunk and capacities
-            # only move inside _apply_partition_targets, which cascades,
-            # so there is nothing to push down.
+        main = routed.main
+        if key in main:
+            # Promoted in place: no segment's length changes, so there is
+            # nothing to push down.
+            main.move_to_end(key)
             self._observe_hit(True)
             return ACCESS_HIT
         holder = routed
+        segment = routed.discard(key)
         if segment is None:
             holder = other
-            segment = other.chain.segment_of(key)
+            segment = other.discard(key)
             if segment is None:
                 self._observe_hit(False)
                 return ACCESS_MISS
-        holder.chain.remove(key)
         if segment <= SEG_TAIL:
             # Physical hit: promote to the MRU position of the partition
             # the key *now* routes to.
-            routed.chain.insert(key, self.config.chunk_size)
+            routed.push(key)
             if segment == SEG_TAIL:
                 self._pointer_event(holder, SEG_TAIL)
             self._observe_hit(True)
@@ -298,10 +399,11 @@ class CliffhangerQueue:
     def insert(self, key: object, weight: Optional[float] = None) -> int:
         """SET / fill-on-miss path. Applies any pending repartition first
         (section 5.1: resize only on a miss). Returns physical evictions:
-        with the repartition applied both chains sit within capacity, so
-        the routed chain's cascade is the only thing that can push an
-        entry out of physical memory. ``weight`` is the queue protocol's
-        (:mod:`repro.core.managed`); every item here weighs one chunk.
+        with the repartition applied both partitions sit within their
+        limits, so the routed one's cascade is the only thing that can
+        push an entry out of physical memory. ``weight`` is the queue
+        protocol's (:mod:`repro.core.managed`); every item here weighs
+        one chunk.
         """
         self._decay_pointers()
         if self._pending_resize:
@@ -312,17 +414,17 @@ class CliffhangerQueue:
             and unit_interval_hash(key, self.config.salt) < self.ratio
         ):
             routed, other = other, routed
-        other.chain.remove(key)
-        return routed.chain.insert(key, self.config.chunk_size)
+        if routed.discard(key) is None:
+            other.discard(key)
+        return routed.push(key)
 
     def remove(self, key: object) -> bool:
         """DELETE path: purge ``key`` from every segment; True only when
         it was in physical memory (main or tail probe)."""
         resident = False
-        for chain in (self.left.chain, self.right.chain):
-            segment = chain.segment_of(key)
+        for partition in (self.left, self.right):
+            segment = partition.discard(key)
             if segment is not None:
-                chain.remove(key)
                 resident = resident or segment <= SEG_TAIL
         return resident
 

@@ -11,7 +11,8 @@ engines' ``grow_budget``/``shrink_budget`` hooks.
 The monitor is a simulation rather than an instrumented queue because an
 application's engine may split its memory across many slab queues; the
 question "would this app have hit with a little more total memory?" is a
-question about the app's *global* LRU behaviour, which the monitor chain
+question about the app's *global* LRU behaviour, which the monitor (a
+byte-weighted :class:`~repro.core.managed.ShadowedQueue` over LRU)
 answers directly.
 
 :meth:`CrossAppHillClimber.replay_compiled` walks a compiled trace one
@@ -30,30 +31,12 @@ from repro.common.constants import (
     HILL_CLIMB_SHADOW_BYTES,
     MIN_QUEUE_BYTES,
 )
-from repro.cache.keyqueue import KeyQueue, QueueChain
+from repro.cache.policies.lru import LRUPolicy
 from repro.cache.server import CacheServer
 from repro.cache.stats import OP_GET, OUTCOME_HIT, StatsRegistry
+from repro.core.cliff_scaling import ACCESS_HILL_FIND, ACCESS_HIT
 from repro.core.hill_climbing import HillClimber
-
-
-class _AppMonitor:
-    """Byte-weighted LRU model of one app: [reservation | shadow]."""
-
-    def __init__(self, name: str, budget: float, shadow_bytes: float) -> None:
-        self.main = KeyQueue(budget, name=f"{name}/sim")
-        self.shadow = KeyQueue(shadow_bytes, name=f"{name}/sim-shadow")
-        self.chain = QueueChain([self.main, self.shadow], physical_segments=1)
-
-    def access(self, key: str, item_bytes: int) -> bool:
-        """Feed one request; True iff it landed in the shadow region."""
-        segment = self.chain.access(key)
-        if segment is None:
-            self.chain.insert(key, float(item_bytes))
-            return False
-        return segment == 1
-
-    def resize(self, budget: float) -> None:
-        self.chain.resize_segment(0, budget)
+from repro.core.managed import ShadowedQueue
 
 
 class CrossAppHillClimber:
@@ -76,15 +59,17 @@ class CrossAppHillClimber:
     ) -> None:
         self.server = server
         self.shadow_bytes = shadow_bytes
-        self.monitors: Dict[str, _AppMonitor] = {}
+        self.monitors: Dict[str, ShadowedQueue] = {}
         self.climber = HillClimber(
             credit_bytes=credit_bytes,
             min_bytes=min_bytes,
             rng=random.Random(seed),
         )
         for app, engine in server.engines.items():
-            self.monitors[app] = _AppMonitor(
-                app, engine.budget_bytes, shadow_bytes
+            self.monitors[app] = ShadowedQueue(
+                LRUPolicy(engine.budget_bytes, name=f"{app}/sim"),
+                shadow_bytes,
+                name=f"{app}/sim",
             )
             self.climber.register(
                 app,
@@ -101,7 +86,7 @@ class CrossAppHillClimber:
             engine.grow_budget(delta)
         else:
             engine.shrink_budget(-delta)
-        self.monitors[app].resize(budget)
+        self.monitors[app].set_capacity(budget)
 
     def replay_compiled(self, trace) -> StatsRegistry:
         """Replay a :class:`~repro.workloads.compiled.CompiledTrace`
@@ -137,11 +122,13 @@ class CrossAppHillClimber:
             )
             record(apps[app_id], op, code)
             monitor = monitors[app_id]
-            if (
-                monitor is not None
-                and monitor.access(key, nbytes)
-                and op == OP_GET
-                and not code & OUTCOME_HIT
+            if monitor is None:
+                continue
+            found = monitor.access(key)
+            if found != ACCESS_HIT:
+                monitor.insert(key, nbytes)
+            if found == ACCESS_HILL_FIND and op == OP_GET and not (
+                code & OUTCOME_HIT
             ):
                 on_shadow_hit(apps[app_id])
         return server.stats

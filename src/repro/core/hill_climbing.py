@@ -13,7 +13,7 @@ and removing credit from a uniformly random other queue removes, in
 expectation, the *average* gradient. In equilibrium every queue's
 normalized gradient equals that average -- the Lagrangian optimality
 condition of Equation 1 (paper section 4.1). The integration test
-``tests/core/test_hill_climbing.py::test_equilibrium_equalizes_gradients``
+``tests/core/test_hill_climbing.py::TestEquilibrium::test_equalizes_weighted_gradients``
 verifies this on synthetic concave curves.
 
 The :class:`HillClimber` here is deliberately decoupled from any cache

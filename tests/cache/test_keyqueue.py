@@ -1,12 +1,14 @@
-"""Tests for KeyQueue and QueueChain, including the LRU-equivalence
+"""Tests for KeyQueue and for the oracle chain of
+``tests/core/reference.py`` built on it, including the LRU-equivalence
 property the whole shadow-queue design rests on."""
 
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.keyqueue import KeyQueue, QueueChain
+from repro.cache.keyqueue import KeyQueue
 from repro.common.errors import CacheError, ConfigurationError
+from tests.core.reference import QueueChain
 
 
 class TestKeyQueue:

@@ -1,17 +1,23 @@
 """Tests for the partitioned CliffhangerQueue (Algorithms 2 + 3)."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.cache.keyqueue import KeyQueue
 from repro.cache.policies import make_policy
 from repro.core.cliff_scaling import (
     ACCESS_HILL_FIND,
     ACCESS_HIT,
     ACCESS_MISS,
+    SEG_MAIN,
+    SEG_TAIL,
     CliffConfig,
     CliffhangerQueue,
+    _Partition,
+    chunk_limit,
 )
 from repro.workloads.generators import ReuseDistanceStream
 from repro.workloads.sizes import FixedSize
@@ -210,5 +216,151 @@ def test_budget_invariant_under_random_traffic(seed):
         if step % 100 == 7:
             queue.set_capacity(rng.choice([40, 60, 90]) * CHUNK)
         assert queue.used_bytes <= queue.capacity_bytes + 1e-6
-    queue.left.chain.check_invariants()
-    queue.right.chain.check_invariants()
+    queue.left.check_invariants()
+    queue.right.check_invariants()
+
+
+# A capacity just below ``K * BIG_CHUNK`` bytes whose float quotient by
+# the chunk rounds up to ``K`` itself.
+BIG_CHUNK = 1_513_181
+K = 175_042_368_964
+BELOW_K_CHUNKS = math.nextafter(float(K * BIG_CHUNK), 0)
+
+
+@st.composite
+def capacities(draw):
+    """``(chunk, capacity)``: fractional capacities up to 2**62 bytes, 0,
+    and the float right below a whole number of chunks."""
+    chunk = draw(st.integers(1, 2**21))
+    kind = draw(st.sampled_from(["fractional", "zero", "below"]))
+    if kind == "fractional":
+        capacity = draw(st.floats(0, 2.0**62))
+    elif kind == "zero":
+        capacity = 0.0
+    else:
+        whole = draw(st.integers(0, 2**62 // chunk))
+        capacity = math.nextafter(float(whole * chunk), 0)
+    return chunk, capacity
+
+
+@example((BIG_CHUNK, BELOW_K_CHUNKS))
+@example((64, 127.5))
+@settings(max_examples=300, deadline=None)
+@given(capacities())
+def test_chunk_limit_is_the_most_whole_chunks_that_fit(case):
+    """Property: ``n * chunk <= capacity < (n + 1) * chunk``, compared
+    exactly (Python compares ints and floats without rounding)."""
+    chunk, capacity = case
+    n = chunk_limit(capacity, chunk)
+    assert n * chunk <= capacity < (n + 1) * chunk
+
+
+def test_chunk_limit_where_float_division_rounds_up():
+    """The case ``int(capacity / chunk)`` gets wrong by one."""
+    assert BELOW_K_CHUNKS / BIG_CHUNK == K
+    assert chunk_limit(BELOW_K_CHUNKS, BIG_CHUNK) == K - 1
+
+
+def partition(main_items, probe_items, hill_items, spare=0.0):
+    """A ``_Partition`` with ``main_items + probe_items`` physical items (the
+    tail probe ``probe_items`` wide) and ``hill_items`` of hill shadow;
+    ``spare`` adds a fraction of a chunk to both byte capacities."""
+    part = _Partition(config(probe_items=probe_items))
+    part.set_physical((main_items + probe_items + spare) * CHUNK)
+    part.set_hill((hill_items + spare) * CHUNK)
+    return part
+
+
+def touch(part, key):
+    """A GET with promote-to-MRU on any find, as one LRU list would do:
+    the segment ``key`` was in (None on a miss)."""
+    segment = part.discard(key)
+    part.push(key)
+    return segment
+
+
+class TestPartition:
+    def test_partition_equals_single_lru(self, rng):
+        """The four segments, promoting every find to the front of main,
+        hit exactly like one LRU of the summed size, and the segment a
+        key is found in is its rank band in that LRU."""
+        part = partition(main_items=10, probe_items=5, hill_items=15)
+        single = KeyQueue(35 * CHUNK, name="single")
+        bands = [10, 15, 20, 35]  # main | tail | cliff | hill
+        for step in range(4000):
+            key = f"k{rng.randrange(60)}"
+            order = list(single.keys_mru_to_lru())
+            expected = None
+            if key in single:
+                rank = order.index(key)
+                expected = next(i for i, end in enumerate(bands) if rank < end)
+            assert touch(part, key) == expected, step
+            single.push_front(key, CHUNK)
+            for _ in single.overflow():
+                pass
+        part.check_invariants()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 25), st.booleans()),
+            min_size=1,
+            max_size=300,
+        ),
+        st.tuples(
+            st.integers(0, 8), st.integers(1, 8), st.integers(0, 8),
+            st.sampled_from([0.0, 0.25, 0.999]),
+        ),
+    )
+    def test_invariants_under_random_ops(self, ops, sizes):
+        """Property: any mix of finds and deletes leaves the partition
+        self-consistent, for any (fractional) segment sizes."""
+        part = partition(*sizes)
+        for key_id, is_remove in ops:
+            key = f"k{key_id}"
+            if is_remove:
+                part.discard(key)
+            else:
+                touch(part, key)
+            part.check_invariants()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("insert"), st.integers(0, 25)),
+                st.tuples(st.just("delete"), st.integers(0, 25)),
+                st.tuples(
+                    st.just("physical"),
+                    st.floats(0, 14, allow_nan=False),
+                ),
+                st.tuples(
+                    st.just("hill"), st.floats(0, 8, allow_nan=False)
+                ),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    def test_cascade_reports_what_left_physical_memory(self, ops):
+        """Property: the count ``push`` / ``set_physical`` return is the
+        drop in ``physical_len()`` (less the key pushed, when it was not
+        physical already)."""
+        part = partition(main_items=4, probe_items=2, hill_items=5)
+        for op, argument in ops:
+            before = part.physical_len()
+            if op == "insert":
+                key = f"k{argument}"
+                physical = part.discard(key) in (SEG_MAIN, SEG_TAIL)
+                crossed = part.push(key)
+                added = 0 if physical else 1
+                assert crossed == before + added - part.physical_len()
+            elif op == "physical":
+                crossed = part.set_physical(argument * CHUNK)
+                assert crossed == before - part.physical_len()
+            elif op == "hill":
+                part.set_hill(argument * CHUNK)
+                assert part.physical_len() == before
+            else:
+                part.discard(f"k{argument}")
+            part.check_invariants()

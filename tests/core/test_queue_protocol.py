@@ -50,14 +50,14 @@ def make_queue(kind: str):
 def physical_len(queue) -> int:
     if isinstance(queue, ShadowedQueue):
         return len(queue)
-    return queue.left.chain.physical_len() + queue.right.chain.physical_len()
+    return queue.left.physical_len() + queue.right.physical_len()
 
 
 def is_physical(queue, key) -> bool:
     if isinstance(queue, ShadowedQueue):
         return key in queue.policy
     return any(
-        (segment := partition.chain.segment_of(key)) is not None
+        (segment := partition.segment_of(key)) is not None
         and segment <= SEG_TAIL
         for partition in (queue.left, queue.right)
     )

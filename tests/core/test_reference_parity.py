@@ -10,7 +10,12 @@ partitions, and the split self-evaluation reverts it and backs off.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cliff_scaling import ACCESS_HIT, CliffConfig, CliffhangerQueue
+from repro.core.cliff_scaling import (
+    ACCESS_HIT,
+    SEG_HILL,
+    CliffConfig,
+    CliffhangerQueue,
+)
 from tests.core.reference import ReferenceQueue
 
 CHUNK = 64
@@ -40,13 +45,8 @@ def scalars(queue):
 
 
 def segments(queue):
-    return [
-        [
-            (segment.capacity, segment.used, list(segment.keys_mru_to_lru()))
-            for segment in partition.chain.segments
-        ]
-        for partition in (queue.left, queue.right)
-    ]
+    """``(capacity bytes, keys MRU first)`` per segment, per partition."""
+    return [partition.segments() for partition in (queue.left, queue.right)]
 
 
 class Pair:
@@ -65,18 +65,21 @@ class Pair:
         assert result == getattr(self.reference, method)(*args), (method, args)
         assert segments(self.queue) == segments(self.reference), (method, args)
         assert scalars(self.queue) == scalars(self.reference), (method, args)
-        self.queue.left.chain.check_invariants()
-        self.queue.right.chain.check_invariants()
+        for partition in (
+            self.queue.left, self.queue.right,
+            self.reference.left, self.reference.right,
+        ):
+            partition.check_invariants()
         return result
 
     def get(self, key: str) -> None:
         """GET with fill on miss, as the engine does it."""
-        in_left = key in self.queue.left.chain
+        in_left = self.queue.left.segment_of(key) is not None
         result = self.both("access", key)
         self.deferred += self.queue._pending_resize
         if result != ACCESS_HIT:
             self.both("insert", key)
-        elif in_left != (key in self.queue.left.chain):
+        elif in_left != (self.queue.left.segment_of(key) is not None):
             self.migrations += 1
 
     def scan(self, laps: int) -> None:
@@ -128,7 +131,28 @@ def test_scripted_revert_resplit_decay_and_gate():
     pair.both("set_capacity", 12 * CHUNK)
     assert not queue.cliff_active
     pair.scan(2)
-    assert len(queue.left.chain) == 0
+    assert not any(keys for _, keys in queue.left.segments())
+
+
+def test_one_repartition_shrinks_physical_while_raising_the_hill_share():
+    """A repartition caps the hill shadow *after* the physical cascade,
+    as the oracle's one-segment-at-a-time resizes do: keys the shrink
+    pushes past the old hill limit are dropped, even though the new,
+    larger limit would have room for them."""
+    pair = Pair()
+    pair.scan(1)
+    for index in range(4):
+        pair.get(f"k{index}")
+    queue = pair.queue
+    right = queue.right
+    assert queue._split and not queue._pending_resize
+    physical, hill = right.physical_capacity, right.capacity[SEG_HILL]
+    assert len(right.hill) == right.hill_limit  # the hill shadow is full
+    old_limit = right.hill_limit
+    pair.both("set_capacity", 20 * CHUNK)
+    assert right.physical_capacity < physical
+    assert right.capacity[SEG_HILL] > hill and right.hill_limit > old_limit
+    assert len(right.hill) == old_limit
 
 
 KEYS = st.integers(0, SCAN_KEYS + 11).map("k{}".format)

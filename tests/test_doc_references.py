@@ -1,0 +1,56 @@
+"""Every ``tests/<path>.py`` the sources, README or examples cite exists,
+and so does every ``::<name>`` after it (a class, function or assignment,
+``::Class::method`` looked up inside the class)."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = re.compile(r"tests/[\w/]+\.py((?:::\w+)*)")
+
+
+def cited():
+    """``(citing file, reference)`` for every reference in the tree."""
+    paths = [ROOT / "README.md", *sorted((ROOT / "src").rglob("*.py"))]
+    paths += sorted(p for p in (ROOT / "examples").rglob("*") if p.is_file())
+    for path in paths:
+        for match in REFERENCE.finditer(path.read_text()):
+            yield path.relative_to(ROOT), match
+
+
+def names(body):
+    """The names a module or class body defines."""
+    for node in body:
+        if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def resolves(reference) -> bool:
+    path = ROOT / reference.group(0).split("::")[0]
+    if not path.is_file():
+        return False
+    node = ast.parse(path.read_text())
+    for name in reference.group(1).split("::")[1:]:
+        node = dict(names(getattr(node, "body", []))).get(name)
+        if node is None:
+            return False
+    return True
+
+
+def test_every_cited_test_path_and_name_exists():
+    references = list(cited())
+    assert any("::" in match.group(0) for _, match in references)
+    broken = [
+        f"{path}: {match.group(0)}"
+        for path, match in references
+        if not resolves(match)
+    ]
+    assert broken == []
