@@ -19,10 +19,11 @@ global-LRU engine is in :mod:`repro.cache.log_structured`.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.cache.policies import EvictionPolicy, make_policy
+from repro.cache.policies.base import Evicted
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import (
     CLASS_SHIFT,
@@ -146,9 +147,7 @@ class SlabEngineBase(Engine):
             self.queues[class_index] = queue
         return queue
 
-    def _resize_queue(
-        self, queue: EvictionPolicy, capacity: float
-    ) -> List[Tuple[object, float]]:
+    def _resize_queue(self, queue: EvictionPolicy, capacity: float) -> Evicted:
         """Resize ``queue`` keeping the tracked capacity total in sync."""
         self._capacity_total += float(capacity) - queue.capacity
         return queue.resize(capacity)
@@ -161,7 +160,7 @@ class SlabEngineBase(Engine):
     def used_bytes(self) -> float:
         return sum(queue.used for queue in self.queues.values())
 
-    def _forget_evicted(self, evicted: List[Tuple[object, float]]) -> int:
+    def _forget_evicted(self, evicted: Evicted) -> int:
         for key, _ in evicted:
             self._class_of_key.pop(key, None)
         self.ops.evictions += len(evicted)
@@ -173,50 +172,38 @@ class SlabEngineBase(Engine):
         self, key: object, op: int, class_index: int, chunk: int,
         item_bytes: int,
     ) -> int:
+        # One class lookup per request; a resident key's queue exists.
         if op == OP_GET:
             self.ops.hash_lookups += 1
             resident_class = self._class_of_key.get(key)
-            if resident_class is not None and self._queue(
+            if resident_class is not None and self.queues[
                 resident_class
-            ).access(key):
+            ].access(key):
                 self.ops.promotes += 1
                 return ((resident_class + 1) << CLASS_SHIFT) | OUTCOME_HIT
-            evicted = (
-                self._store(key, class_index, chunk)
-                if self.fill_on_miss
-                else 0
-            )
-            return (evicted << EVICTED_SHIFT) | (
-                (class_index + 1) << CLASS_SHIFT
-            )
-        if op == OP_SET:
-            evicted = self._store(key, class_index, chunk)
-            return (evicted << EVICTED_SHIFT) | (
-                (class_index + 1) << CLASS_SHIFT
-            )
-        # DELETE path.
-        self.ops.hash_lookups += 1
-        resident_class = self._class_of_key.pop(key, None)
-        if resident_class is not None:
-            self._queue(resident_class).remove(key)
-        code = (class_index + 1) << CLASS_SHIFT
-        return code | OUTCOME_HIT if resident_class is not None else code
-
-    def _store(self, key: object, class_index: int, chunk: int) -> int:
-        """Insert the item, handling class migration. Returns evictions."""
-        old_class = self._class_of_key.get(key)
-        if old_class is not None and old_class != class_index:
-            self._queue(old_class).remove(key)
+            if not self.fill_on_miss:
+                return (class_index + 1) << CLASS_SHIFT
+        elif op == OP_SET:
+            resident_class = self._class_of_key.get(key)
+        else:  # DELETE
+            self.ops.hash_lookups += 1
+            resident_class = self._class_of_key.pop(key, None)
+            if resident_class is None:
+                return (class_index + 1) << CLASS_SHIFT
+            self.queues[resident_class].remove(key)
+            return ((class_index + 1) << CLASS_SHIFT) | OUTCOME_HIT
+        if resident_class is not None and resident_class != class_index:
+            self.queues[resident_class].remove(key)  # the item changed class
             del self._class_of_key[key]
         evicted = self._insert(key, class_index, chunk)
         if evicted is None:
             # The engine bypassed the store (no queue can ever hold this
             # item): the key is not resident and must not be recorded as
             # such, or later GETs/DELETEs would see a ghost entry.
-            return 0
+            return (class_index + 1) << CLASS_SHIFT
         self._class_of_key[key] = class_index
         self.ops.inserts += 1
-        return evicted
+        return (evicted << EVICTED_SHIFT) | ((class_index + 1) << CLASS_SHIFT)
 
     @abc.abstractmethod
     def _insert(self, key: object, class_index: int, chunk: int) -> Optional[int]:
@@ -239,11 +226,14 @@ class FirstComeFirstServeEngine(SlabEngineBase):
     """
 
     def _insert(self, key: object, class_index: int, chunk: int) -> Optional[int]:
-        queue = self._queue(class_index)
-        if queue.used + chunk > queue.capacity:
+        queue = self.queues.get(class_index)
+        if queue is None:
+            queue = self._queue(class_index)
+        capacity = queue.capacity
+        if queue.used + chunk > capacity:
             if self._capacity_total + chunk <= self.budget_bytes:
-                self._resize_queue(queue, queue.capacity + chunk)
-            elif queue.capacity < chunk:
+                self._resize_queue(queue, capacity + chunk)
+            elif capacity < chunk:
                 self._steal_chunk_for(class_index, chunk)
                 if queue.capacity < chunk:
                     # No donor owns a whole chunk of this size: the queue
@@ -252,7 +242,7 @@ class FirstComeFirstServeEngine(SlabEngineBase):
                     # entry the overflow drain would immediately evict.
                     return None
         evicted = queue.insert(key, chunk)
-        return self._forget_evicted(evicted)
+        return self._forget_evicted(evicted) if evicted else 0
 
     def _steal_chunk_for(self, class_index: int, chunk: int) -> None:
         donors = [
@@ -331,7 +321,7 @@ class PlannedEngine(SlabEngineBase):
         if queue.capacity < chunk:
             return None  # class starved by the plan: bypass the cache
         evicted = queue.insert(key, chunk)
-        return self._forget_evicted(evicted)
+        return self._forget_evicted(evicted) if evicted else 0
 
     def _enforce_budget(self) -> int:
         # Static plans shrink proportionally when the budget shrinks.

@@ -3,15 +3,12 @@
 :class:`KeyQueue` is an ordered set of keys with per-key weights and a
 capacity measured in weight units (bytes). MRU is at the *front*, LRU at
 the *back*. It stores keys only -- the simulator never materializes
-values -- so the same class implements both physical eviction queues
-(where the weight accounts for the full item: the LRU, Facebook and ARC
-policies) and shadow queues (where the weight still represents the item
-the key stands for, per the paper's "shadow queues that represent 1 MB of
-requests", section 5.7: :class:`repro.core.managed.ShadowedQueue`).
-
-The Cliffhanger queue does not use it: every item there weighs one chunk,
-so its partitions count keys against whole-chunk limits instead
-(:mod:`repro.core.cliff_scaling`).
+values. The ARC and Facebook policies build their segments from it, and
+:class:`repro.core.managed.ShadowedQueue` its shadow, whose weights still
+stand for the evicted items (the paper's "shadow queues that represent
+1 MB of requests", section 5.7). The LRU policy and the Cliffhanger queue
+keep leaner structures of their own (:mod:`repro.cache.policies.lru`,
+:mod:`repro.core.cliff_scaling`).
 """
 
 from __future__ import annotations
@@ -111,7 +108,3 @@ class KeyQueue:
         """
         while self._entries and self._used > self._capacity:
             yield self.pop_back()
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._used = 0.0

@@ -75,16 +75,11 @@ class GlobalLRUEngine(Engine):
             if self.queue.access(key):
                 self.ops.promotes += 1
                 return class_code | OUTCOME_HIT
-            evicted = len(self.queue.insert(key, item_bytes))
-            self.ops.inserts += 1
-            self.ops.evictions += evicted
-            return (evicted << EVICTED_SHIFT) | class_code
-        if op == OP_SET:
-            evicted = len(self.queue.insert(key, item_bytes))
-            self.ops.inserts += 1
-            self.ops.evictions += evicted
-            return (evicted << EVICTED_SHIFT) | class_code
-        # DELETE path.
-        self.ops.hash_lookups += 1
-        present = self.queue.remove(key)
-        return class_code | OUTCOME_HIT if present else class_code
+        elif op != OP_SET:  # DELETE
+            self.ops.hash_lookups += 1
+            present = self.queue.remove(key)
+            return class_code | OUTCOME_HIT if present else class_code
+        evicted = len(self.queue.insert(key, item_bytes))
+        self.ops.inserts += 1
+        self.ops.evictions += evicted
+        return (evicted << EVICTED_SHIFT) | class_code

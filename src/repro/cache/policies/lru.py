@@ -2,57 +2,77 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterator
 
-from repro.cache.keyqueue import KeyQueue
+from repro.common.errors import CacheError
 from repro.cache.policies.base import Evicted, EvictionPolicy
 
 
 class LRUPolicy(EvictionPolicy):
-    """Classic LRU over a single :class:`KeyQueue`.
+    """Classic LRU over one ordered dict of key -> weight, MRU first.
 
     Hits promote to the front; insertion is at the front; eviction is from
     the back. This is the policy the paper's analysis, hill climbing and
-    cliff scaling assume by default.
+    cliff scaling assume by default. ``used`` moves in
+    :class:`~repro.cache.keyqueue.KeyQueue`'s order (old weight out, new
+    weight in, each victim out) and a hit leaves it alone, so for the
+    engines' whole-byte weights it equals a queue's bit for bit.
     """
 
     kind = "lru"
 
     def __init__(self, capacity: float, name: str = "") -> None:
         super().__init__(capacity, name)
-        self._queue = KeyQueue(capacity, name=f"{name}/lru")
+        self._entries: "OrderedDict[object, float]" = OrderedDict()
+        self._used = 0.0
 
     @property
     def used(self) -> float:
-        return self._queue.used
+        return self._used
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self._entries)
 
     def __contains__(self, key: object) -> bool:
-        return key in self._queue
+        return key in self._entries
 
     def keys(self) -> Iterator[object]:
-        return self._queue.keys_mru_to_lru()
+        return iter(self._entries)
 
     def access(self, key: object) -> bool:
-        if key not in self._queue:
+        if key not in self._entries:
             return False
-        weight = self._queue.weight_of(key)
-        self._queue.push_front(key, weight)
+        self._entries.move_to_end(key, last=False)
         return True
 
     def insert(self, key: object, weight: float) -> Evicted:
-        self._queue.push_front(key, weight)
-        return list(self._queue.overflow())
+        if weight < 0:
+            raise CacheError(f"negative weight {weight} for key {key!r}")
+        entries = self._entries
+        if key in entries:
+            self._used -= entries[key]
+        entries[key] = weight
+        entries.move_to_end(key, last=False)
+        self._used += weight
+        evicted: Evicted = []
+        while entries and self._used > self._capacity:
+            victim = entries.popitem(last=True)
+            self._used -= victim[1]
+            evicted.append(victim)
+        return evicted
 
     def remove(self, key: object) -> bool:
-        if key not in self._queue:
+        if key not in self._entries:
             return False
-        self._queue.remove(key)
+        self._used -= self._entries.pop(key)
         return True
 
     def resize(self, capacity: float) -> Evicted:
         self._set_capacity(capacity)
-        self._queue.resize(capacity)
-        return list(self._queue.overflow())
+        evicted: Evicted = []
+        while self._entries and self._used > self._capacity:
+            victim = self._entries.popitem(last=True)
+            self._used -= victim[1]
+            evicted.append(victim)
+        return evicted
