@@ -126,7 +126,7 @@ class CrossAppHillClimber:
                 continue
             found = monitor.access(key)
             if found != ACCESS_HIT:
-                monitor.insert(key, nbytes)
+                monitor.fill(key, nbytes)
             if found == ACCESS_HILL_FIND and op == OP_GET and not (
                 code & OUTCOME_HIT
             ):

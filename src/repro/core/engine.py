@@ -15,8 +15,8 @@ HillClimber` wiring -- and the two engines are its two queue factories:
   hill shadows feed the climber while cliff scaling runs inside it. The
   two algorithms toggle independently for the Table 4 ablation.
 
-The skeleton knows its queues only through the six-name protocol both
-answer, spelled out in :mod:`repro.core.managed`.
+The skeleton knows its queues only through the seven-name protocol
+both answer, spelled out in :mod:`repro.core.managed`.
 
 The engines bootstrap like stock Memcached -- classes grab chunks from
 the free reservation on demand -- so the adaptive algorithms start from
@@ -125,8 +125,12 @@ class ClimbingEngine(Engine):
 
     # ------------------------------------------------------------------
 
-    def _fill(self, queue: ClimbingQueue, key: object, chunk: int) -> int:
-        """Insert an item, drawing start-up capacity from the free pool.
+    def _fill(
+        self, queue: ClimbingQueue, key: object, chunk: int, purge: bool
+    ) -> int:
+        """Store an item, drawing start-up capacity from the free pool: a
+        SET (``purge``) through ``insert``, a GET-miss fill through
+        ``fill``, whose ``access`` just left the key non-resident.
 
         Growth is two chunks at a time: a partitioned queue splits its
         capacity in two, so a single spare chunk may not fit one item in
@@ -144,7 +148,10 @@ class ClimbingEngine(Engine):
         # Storing must clear any shadow entry for the key (real
         # implementations look the key up in the shadow hash).
         ops.shadow_lookups += 1
-        evicted = queue.insert(key, chunk)
+        if purge:
+            evicted = queue.insert(key, chunk)
+        else:
+            evicted = queue.fill(key, chunk)
         ops.inserts += 1
         ops.evictions += evicted
         ops.shadow_inserts += evicted  # evictions land in the shadow
@@ -174,10 +181,10 @@ class ClimbingEngine(Engine):
                 if self.enable_hill_climbing:
                     self.climber.on_shadow_hit(class_index)
             if self.fill_on_miss:
-                code |= self._fill(queue, key, chunk) << EVICTED_SHIFT
+                code |= self._fill(queue, key, chunk, False) << EVICTED_SHIFT
             return code
         if op == OP_SET:
-            evicted = self._fill(queue, key, chunk)
+            evicted = self._fill(queue, key, chunk, True)
             return (evicted << EVICTED_SHIFT) | class_code
         # DELETE path: a key remembered only by a shadow is not a hit.
         ops.hash_lookups += 1

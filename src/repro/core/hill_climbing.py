@@ -34,9 +34,11 @@ from repro.common.errors import ConfigurationError
 
 QueueId = Hashable
 
-#: A resize target: read current capacity / apply a new capacity.
+#: A resize target: read current capacity / apply a new capacity. A
+#: queue's ``set_capacity`` returns its eviction count; the climber
+#: ignores whatever a setter returns.
 GetCapacity = Callable[[], float]
-SetCapacity = Callable[[float], None]
+SetCapacity = Callable[[float], object]
 
 
 class _Target:

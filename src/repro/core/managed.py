@@ -14,18 +14,27 @@ accounts for separately.
 The queue protocol. :class:`ShadowedQueue` and the partitioned
 :class:`~repro.core.cliff_scaling.CliffhangerQueue` are the two per-class
 queues :class:`~repro.core.engine.ClimbingEngine` can run, and it drives
-both through the same six names:
+both through the same seven names:
 
 * ``access(key)`` -- GET; returns an ``ACCESS_*`` int. Only
   ``ACCESS_HIT`` was served from physical memory; ``ACCESS_HILL_FIND``
   is Algorithm 1's shadow hit. A find forgets the key: the caller fills.
-* ``insert(key, weight)`` -- SET / fill; returns how many entries that
-  pushed out of physical memory (into the shadow).
+* ``fill(key, weight)`` -- GET-miss fill of a key the preceding
+  ``access`` left non-resident (nothing in between stores it: start-up
+  growth and credit transfers only resize), so the queue skips
+  searching for it; returns how many entries that pushed out of
+  physical memory (into the shadow).
+* ``insert(key, weight)`` -- SET: purge the key from every segment,
+  then store it as ``fill`` does; returns the same count.
 * ``set_capacity(capacity_bytes)`` -- resize the physical region; returns
   how many entries that pushed out of physical memory.
 * ``remove(key)`` -- DELETE; purges the key everywhere and returns
   whether it was in physical memory. A shadow never claims residency.
 * ``capacity_bytes`` / ``used_bytes`` -- physical bytes reserved / held.
+
+With ``fill`` the ``hill`` engine over LRU makes 4.84 Python calls per
+request on the slice ``tests/sim/test_call_budget.py`` gates (5.02 when
+every fill repeated the shadow test), and ``cliffhanger`` 3.0 (5.4).
 """
 
 from __future__ import annotations
@@ -102,6 +111,11 @@ class ShadowedQueue:
             # The key is being refreshed while remembered only by the
             # shadow; it must not appear in both structures.
             self.shadow.remove(key)
+        return self.fill(key, weight)
+
+    def fill(self, key: object, weight: float) -> int:
+        """:meth:`insert` after a non-hit :meth:`access`, which already
+        took any shadow entry for the key."""
         return self._to_shadow(self.policy.insert(key, weight))
 
     def remove(self, key: object) -> bool:

@@ -364,3 +364,33 @@ class TestPartition:
             else:
                 part.discard(f"k{argument}")
             part.check_invariants()
+
+    def test_resize_that_shrinks_no_limit_moves_nothing(self):
+        """A resize that leaves the main and tail limits where they are
+        (a fraction of a chunk either way), or only raises them, returns
+        0 and leaves every key where it was; the capacities move."""
+        part = partition(main_items=4, probe_items=2, hill_items=5)
+        for index in range(16):
+            part.push(f"k{index}")
+        keys = [keys for _, keys in part.segments()]
+        assert [len(segment) for segment in keys] == [4, 2, 2, 5]
+        for physical in (6.5, 6.999, 6.0, 9.0):
+            assert part.set_physical(physical * CHUNK) == 0
+            assert [keys for _, keys in part.segments()] == keys
+            assert part.physical_capacity == physical * CHUNK
+            part.check_invariants()
+
+    def test_resize_that_shrinks_only_the_tail_still_cascades(self):
+        """Below one probe width main stays empty and only the tail
+        limit changes: the tail's LRU key still moves down."""
+        part = partition(main_items=0, probe_items=4, hill_items=5)
+        for index in range(8):
+            part.push(f"k{index}")
+        assert part.main_limit == 0 and list(part.tail) == [
+            "k4", "k5", "k6", "k7",
+        ]
+        assert part.set_physical(3 * CHUNK) == 1
+        assert part.main_limit == 0
+        assert list(part.tail) == ["k5", "k6", "k7"]
+        assert next(reversed(part.cliff)) == "k4"
+        part.check_invariants()

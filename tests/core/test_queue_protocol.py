@@ -1,8 +1,8 @@
 """The queue protocol :class:`repro.core.engine.ClimbingEngine` relies on.
 
 :class:`ShadowedQueue` (over every eviction policy) and
-:class:`CliffhangerQueue` must answer ``access`` / ``insert`` /
-``set_capacity`` / ``remove`` the same way, because the engine's request
+:class:`CliffhangerQueue` must answer ``access`` / ``fill`` / ``insert``
+/ ``set_capacity`` / ``remove`` the same way, because the engine's request
 path is written once against those answers: eviction counts come straight
 from the return values, and only a *physical* hit or delete may set the
 hit bit.
@@ -63,12 +63,12 @@ def is_physical(queue, key) -> bool:
     )
 
 
-def checked_insert(queue, key, weight) -> int:
-    """``insert`` must report exactly what left physical memory: the
-    bracket the hill engine used to put around every fill."""
+def checked_insert(queue, key, weight, method="insert") -> int:
+    """``insert`` (or ``fill``) must report exactly what left physical
+    memory: the bracket the hill engine used to put around every fill."""
     before = physical_len(queue)
     added = 0 if is_physical(queue, key) else 1  # re-SETs add nothing
-    evicted = queue.insert(key, weight)
+    evicted = getattr(queue, method)(key, weight)
     assert evicted == before + added - physical_len(queue)
     return evicted
 
@@ -94,7 +94,7 @@ def test_both_queue_types_answer_the_protocol(kind, seed):
             if result != ACCESS_HIT:
                 finds += result != ACCESS_MISS
                 assert queue.access(key) == ACCESS_MISS
-                checked_insert(queue, key, CHUNK)
+                checked_insert(queue, key, CHUNK, "fill")
         elif roll < 0.8:
             checked_insert(queue, key, CHUNK)
         elif roll < 0.9:
