@@ -14,6 +14,15 @@ columns they pass (a worker's came with its start-up arguments) and
 where the returned tallies go (:func:`flush_runs` in-process, a pipe
 from a worker).
 
+The columns reach the loop in blocks: consecutive runs of a window are
+grouped into blocks of at most :data:`GATHER_ROWS` rows (a longer run is
+a block of its own), each block gathers its five columns once, and
+every run takes its rows from the block's one row iterator. A dynamic
+cluster's window holds hundreds of runs of a few rows each, so gathering
+per block instead of per run is what keeps its windows cheap, while the
+Python lists alive at any time stay bounded by ``max(GATHER_ROWS,
+longest run)`` rows.
+
 Two walks serve requests one at a time instead. The live
 :meth:`repro.cluster.Cluster.process_batch` serves a server's drain, a
 few to a few hundred rows, where the sort and gathers below cost more
@@ -27,6 +36,8 @@ would let it use this kernel too.)
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Collection,
@@ -49,6 +60,13 @@ if TYPE_CHECKING:  # circular at runtime: server.py replays through us
     #: Shard index -> server: a cluster's list, a worker's owned subset,
     #: or the 1-tuple of a server replaying on its own.
     Servers = Union[Sequence[CacheServer], Mapping[int, CacheServer]]
+
+#: Most rows one gather pulls into Python lists, unless a single run is
+#: longer (it is then gathered whole, as a block of its own). Small
+#: enough that a block's lists stay cache-resident while its runs read
+#: them; large enough that, on a trace of up to ~130k requests, the
+#: window between two of a fault timeline's 128 samples is one block.
+GATHER_ROWS = 1024
 
 #: One run's outcome tally: ``(shard, app_id, {(code << 2) | op: count})``.
 Run = Tuple[int, int, Dict[int, int]]
@@ -85,12 +103,17 @@ def replay_runs(
     adds, so flushing a tally later is bit-identical to recording each
     request as it happens. Runs come back in ascending composite order.
 
+    The gathers are per block of runs (see the module docstring); each
+    run draws exactly its own rows from its block's ``zip`` with
+    ``islice``.
+
     ``dead`` shards (the fault layer's ``miss-through`` policy) never
     reach an engine: their runs tally ``OUTCOME_DEAD`` per op -- GETs
-    count as misses, SETs as sets -- which is order-free. ``owned`` is a
-    per-shard boolean lookup restricting the window to a worker's
-    shards; a stable sort of a subsequence keeps each run's request
-    order, so a worker's runs equal the serial loop's.
+    count as misses, SETs as sets -- which is order-free; the tally is
+    keyed in ascending op order. ``owned`` is a per-shard boolean lookup
+    restricting the window to a worker's shards; a stable sort of a
+    subsequence keeps each run's request order, so a worker's runs equal
+    the serial loop's.
     """
     window_shards = shard_column[start:stop]
     window_apps = app_column[start:stop]
@@ -110,20 +133,20 @@ def replay_runs(
     if start:
         positions = positions + start
     run_bounds = np.flatnonzero(sorted_runs[1:] != sorted_runs[:-1]) + 1
-    run_starts = np.concatenate(([0], run_bounds))
-    run_stops = np.concatenate((run_bounds, [len(sorted_runs)]))
     keys, op_codes, slab_classes, chunk_bytes, item_bytes = columns
-    for run_start, run_stop in zip(run_starts, run_stops):
-        shard, app_id = divmod(int(sorted_runs[run_start]), num_apps)
-        picks = positions[run_start:run_stop]
-        counts: Dict[int, int] = {}
-        if shard in dead:
-            ops, op_counts = np.unique(op_codes[picks], return_counts=True)
-            for op, count in zip(ops.tolist(), op_counts.tolist()):
-                counts[(OUTCOME_DEAD << 2) | op] = count
-            runs.append((shard, app_id, counts))
-            continue
-        process = servers[shard].engines[app_table[app_id]].process_fast
+    run_ids = sorted_runs[np.concatenate(([0], run_bounds))].tolist()
+    run_stops = run_bounds.tolist()
+    run_stops.append(len(sorted_runs))
+    first = block_start = 0
+    while first < len(run_ids):
+        # The longest prefix of the remaining runs that fits in
+        # GATHER_ROWS rows, or the next run alone when it does not.
+        last = max(
+            bisect_right(run_stops, block_start + GATHER_ROWS, first),
+            first + 1,
+        )
+        block_stop = run_stops[last - 1]
+        picks = positions[block_start:block_stop]
         requests = zip(
             keys[picks].tolist(),
             op_codes[picks].tolist(),
@@ -131,13 +154,29 @@ def replay_runs(
             chunk_bytes[picks].tolist(),
             item_bytes[picks].tolist(),
         )
-        for key, op, class_index, chunk, nbytes in requests:
-            packed = (process(key, op, class_index, chunk, nbytes) << 2) | op
-            try:
-                counts[packed] += 1
-            except KeyError:
-                counts[packed] = 1
-        runs.append((shard, app_id, counts))
+        run_start = block_start
+        for run_id, run_stop in zip(run_ids[first:last], run_stops[first:last]):
+            shard, app_id = divmod(run_id, num_apps)
+            rows = islice(requests, run_stop - run_start)
+            run_start = run_stop
+            counts: Dict[int, int] = {}
+            if shard in dead:
+                ops: Dict[int, int] = {}
+                for _, op, _, _, _ in rows:
+                    ops[op] = ops.get(op, 0) + 1
+                for op in sorted(ops):
+                    counts[(OUTCOME_DEAD << 2) | op] = ops[op]
+            else:
+                process = servers[shard].engines[app_table[app_id]].process_fast
+                for key, op, class_index, chunk, nbytes in rows:
+                    packed = (process(key, op, class_index, chunk, nbytes) << 2) | op
+                    try:
+                        counts[packed] += 1
+                    except KeyError:
+                        counts[packed] = 1
+            runs.append((shard, app_id, counts))
+        first = last
+        block_start = block_stop
     return runs
 
 

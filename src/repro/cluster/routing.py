@@ -21,6 +21,13 @@ cached through :func:`get_routing_plan` so sweeps re-route nothing),
 :class:`TraceColumns` (the same trace under another live mask --
 ``failover`` with a shard down) and :meth:`Router.route` (one live
 request, from a per-key position memo and per-key turn counters).
+
+A :class:`RoutingPlan` keeps the positions and turns it was built from
+(int32, at most 8 bytes per request; a plan loaded from disk derives
+them on its first failover mask), so once the plan cache hands a
+trace's replays the same plan object, another live mask costs one
+:meth:`Router.gather` -- the key table is hashed once per plan, not
+once per replay.
 """
 
 from __future__ import annotations
@@ -44,6 +51,10 @@ PLAN_FORMAT_VERSION = 1
 #: (a miss costs one re-hash), dropped whole when full, so a server
 #: under a unique-key stream stays bounded while its engines evict.
 POSITION_MEMO_CAP = 1 << 20
+
+#: ``(positions, turns)`` per request: each key's ring position and its
+#: replica turn (``None`` at replication 1).
+Rows = Tuple[np.ndarray, Optional[np.ndarray]]
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -131,9 +142,19 @@ class RoutingPlan:
     in original trace order, which is what makes per-run replay
     bit-identical to the interleaved loop: shards share no state between
     rebalance barriers, and tenants on one shard share none either.
+
+    The plan also keeps its routing rows (:meth:`routing_rows`), which
+    are not part of the file: only ``shard_ids`` is saved.
     """
 
-    __slots__ = ("shards", "hash_seed", "virtual_nodes", "replication", "shard_ids")
+    __slots__ = (
+        "shards",
+        "hash_seed",
+        "virtual_nodes",
+        "replication",
+        "shard_ids",
+        "_rows",
+    )
 
     def __init__(
         self,
@@ -142,15 +163,25 @@ class RoutingPlan:
         virtual_nodes: int,
         replication: int,
         shard_ids: np.ndarray,
+        rows: Optional[Rows] = None,
     ) -> None:
         self.shards = int(shards)
         self.hash_seed = int(hash_seed)
         self.virtual_nodes = int(virtual_nodes)
         self.replication = int(replication)
         self.shard_ids = np.ascontiguousarray(shard_ids, dtype=np.int32)
+        self._rows = rows
 
     def __len__(self) -> int:
         return len(self.shard_ids)
+
+    def routing_rows(self, router: "Router", trace: "CompiledTrace") -> Rows:
+        """``(positions, turns)`` per request -- the rows ``shard_ids``
+        was gathered from -- derived through ``router`` on first need
+        (a plan loaded from disk has none) and kept."""
+        if self._rows is None:
+            self._rows = router.trace_rows(trace)
+        return self._rows
 
     def matches_ring(self, ring: "HashRing", replication: int) -> bool:
         """Whether this plan was built for ``ring`` at ``replication``.
@@ -324,14 +355,15 @@ class Router:
             return table[:, 0][positions]
         return table[positions, turns % width]
 
-    def trace_rows(
-        self, trace: "CompiledTrace"
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def trace_rows(self, trace: "CompiledTrace") -> Rows:
         """``(positions, turns)`` per request of ``trace``; the turn is
-        the key's occurrence index over the whole trace."""
+        the key's occurrence index over the whole trace. Both are int32
+        (ring positions and a trace's length fit), 8 bytes a request."""
         key_ids = trace.key_ids
-        positions = self.positions(trace.key_table)[key_ids]
-        turns = occurrence_index(key_ids) if self.replication > 1 else None
+        positions = self.positions(trace.key_table).astype(np.int32)[key_ids]
+        turns = None
+        if self.replication > 1:
+            turns = occurrence_index(key_ids).astype(np.int32)
         return positions, turns
 
     def route(self, key: object, mask: Tuple[bool, ...]) -> int:
@@ -358,8 +390,9 @@ class TraceColumns:
     The all-live column *is* the routing plan's own ``shard_ids`` array
     (the same object: the worker pool's workers already hold it, and
     are sent windows of any other column); any other mask costs one
-    :meth:`Router.gather` over the trace's positions and turns,
-    computed on first need. Memoized through :func:`remember_column`.
+    :meth:`Router.gather` over the plan's routing rows
+    (:meth:`RoutingPlan.routing_rows`). Memoized through
+    :func:`remember_column`.
     """
 
     def __init__(
@@ -367,15 +400,14 @@ class TraceColumns:
     ) -> None:
         self._router = router
         self._trace = trace
-        self._rows: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
+        self._plan = plan
         self._columns = {router.all_live: plan.shard_ids}
 
     def shard_ids(self, mask: Tuple[bool, ...]) -> np.ndarray:
         column = self._columns.get(mask)
         if column is None:
-            if self._rows is None:
-                self._rows = self._router.trace_rows(self._trace)
-            column = self._router.gather(*self._rows, mask)
+            rows = self._plan.routing_rows(self._router, self._trace)
+            column = self._router.gather(*rows, mask)
             remember_column(self._columns, mask, column)
         return column
 
@@ -396,13 +428,14 @@ def build_routing_plan(
             f"replication must be >= 1, got {replication}"
         )
     router = Router(ring, replication)
-    positions, turns = router.trace_rows(trace)
+    rows = router.trace_rows(trace)
     return RoutingPlan(
         ring.shards,
         ring.seed,
         ring.virtual_nodes,
         router.replication,
-        router.gather(positions, turns, router.all_live),
+        router.gather(*rows, router.all_live),
+        rows,
     )
 
 

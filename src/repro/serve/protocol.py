@@ -8,10 +8,12 @@ Commands (a subset of the memcached text protocol, CRLF-terminated)::
     stats
     quit
 
-There are no TTLs: ``<exptime>`` must be ``0``. A ``set`` with any other
-value has its data block consumed and is answered ``CLIENT_ERROR expiry
-is not supported`` (nothing under ``noreply``) instead of being stored
-forever.
+``<flags>`` is ASCII digits below 2**32, ``<exptime>`` and ``<bytes>``
+are ``-?[0-9]+``; any other spelling is ``CLIENT_ERROR bad command line
+format``, as in memcached. There are no TTLs: ``<exptime>`` must be
+``0``. A ``set`` with any other value has its data block consumed and
+is answered ``CLIENT_ERROR expiry is not supported`` (nothing under
+``noreply``) instead of being stored forever.
 
 Responses follow memcached: ``VALUE <key> <flags> <bytes>`` + data +
 ``END`` for gets, ``STORED`` / ``DELETED`` / ``NOT_FOUND``,
@@ -35,6 +37,8 @@ from typing import List, Optional, Tuple
 MAX_KEY_BYTES = 250
 #: Largest value accepted on the wire (memcached's classic 1 MB limit).
 MAX_VALUE_BYTES = 1 << 20
+#: Largest ``set`` flags value: memcached stores flags as 32 bits.
+MAX_FLAGS = (1 << 32) - 1
 #: Cap on one command line (a pipelined multi-get of ~250B keys).
 MAX_LINE_BYTES = 8192
 
@@ -174,6 +178,17 @@ def _valid_key(key: str) -> bool:
     )
 
 
+def _number(text: str, signed: bool = True) -> Optional[int]:
+    """``text`` as an integer when it is ASCII digits, after one leading
+    ``-`` if ``signed``; otherwise ``None``. ``int()`` alone would also
+    take ``+5``, ``1_0``, padding spaces and non-ASCII digits, which
+    memcached refuses."""
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    return None
+
+
 class ProtocolParser:
     """Incremental parser over a byte stream.
 
@@ -270,11 +285,15 @@ class ProtocolParser:
         _, key, flags, exptime, nbytes = parts
         if not _valid_key(key):
             return ProtocolEvent(response=client_error("bad key"))
-        try:
-            flags_value = int(flags)
-            expires = int(exptime)
-            size = int(nbytes)
-        except ValueError:
+        flags_value = _number(flags, signed=False)
+        expires = _number(exptime)
+        size = _number(nbytes)
+        if (
+            flags_value is None
+            or flags_value > MAX_FLAGS
+            or expires is None
+            or size is None
+        ):
             return ProtocolEvent(
                 response=client_error("bad command line format")
             )

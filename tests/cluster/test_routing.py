@@ -277,6 +277,84 @@ def test_get_routing_plan_uses_supplied_cache(tmp_path):
     ).shard_ids.tolist()
 
 
+# ---------------------------------------------------------------------------
+# Failover columns from the plan's kept routing rows
+# ---------------------------------------------------------------------------
+
+
+def one_down_masks(shards):
+    return [
+        tuple(shard != down for shard in range(shards))
+        for down in range(shards)
+    ]
+
+
+@pytest.mark.parametrize("replication", [1, 2, 3])
+def test_loaded_plan_gives_the_built_plans_failover_columns(
+    tmp_path, replication
+):
+    keys = [f"k{i % 37}" for i in range(300)]
+    trace = compile_trace([("a", key, "get", 64) for key in keys])
+    ring = HashRing(4, seed=3, virtual_nodes=8)
+    built = build_routing_plan(trace, ring, replication)
+    loaded = RoutingPlan.load(built.save(tmp_path / "plan.npz"))
+    router = Router(ring, replication)
+    fresh = TraceColumns(router, trace, built)
+    reloaded = TraceColumns(router, trace, loaded)
+    for mask in one_down_masks(ring.shards):
+        assert reloaded.shard_ids(mask).tolist() == (
+            fresh.shard_ids(mask).tolist()
+        )
+    for plan in (built, loaded):
+        rows = plan.routing_rows(router, trace)
+        kept = sum(column.nbytes for column in rows if column is not None)
+        assert kept <= 8 * len(plan)
+
+
+def test_failover_replays_hash_the_trace_once_per_plan(tmp_path, monkeypatch):
+    from repro.sim import Scenario, load_workload, replay_on_cluster
+
+    calls = []
+    trace_rows = Router.trace_rows
+
+    def counted(self, trace):
+        calls.append(len(trace))
+        return trace_rows(self, trace)
+
+    monkeypatch.setattr(Router, "trace_rows", counted)
+    params = {"apps": 2, "num_keys": 500, "requests_per_app": 4_000}
+    workload = load_workload("zipf", scale=0.1, seed=0, **params)
+    scenario = Scenario(
+        workload="zipf",
+        workload_params=params,
+        scale=0.1,
+        seed=0,
+        cluster={"shards": 4, "replication": 2},
+        faults={
+            "events": [
+                {"kind": "crash", "shard": 1, "at": 200},
+                {"kind": "restart", "shard": 1, "at": 500},
+            ],
+            "policy": "failover",
+        },
+    )
+    # A cold cache builds the plan (one hash, rows kept); a second cache
+    # over the same directory loads it and derives the rows on the
+    # first failover mask. Either way the second replay hashes nothing.
+    for _ in ("built", "loaded from disk"):
+        monkeypatch.setattr(
+            "repro.workloads.compiled.GLOBAL_TRACE_CACHE",
+            TraceCache(directory=tmp_path),
+        )
+        calls.clear()
+        reports = [
+            replay_on_cluster(scenario, workload)[0].report().to_dict()
+            for _ in range(2)
+        ]
+        assert calls == [len(workload.compiled)]
+        assert reports[0] == reports[1]
+
+
 def test_digest_covers_keys_not_budgets():
     base = [("a", f"k{i % 7}", "get", 100) for i in range(40)]
     trace = compile_trace(base)

@@ -10,6 +10,11 @@ The slice is fixed: memcachier apps 5 and 19 (scale 0.012, seed 0),
 warmed with the first ``WARMUP`` requests, then ``MEASURED`` rows
 counted. Print a scheme's table with ``PYTHONPATH=src python -m
 tests.perf_counts SCHEME [POLICY]``.
+
+:func:`count_gathers` counts the replay kernel's NumPy gathers instead:
+``ndarray.tolist`` calls per cluster window, on :data:`GATHER_SCENARIO`
+unless told otherwise. ``python -m tests.perf_counts --gathers`` prints
+them.
 """
 
 from __future__ import annotations
@@ -17,15 +22,36 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
-from typing import Dict
+from typing import Dict, List
 
 import repro
-from repro.sim import Scenario, build_server, load_workload
+from repro.cache import kernel
+from repro.sim import Scenario, build_server, load_workload, replay_on_cluster
+from repro.sim.scenario import SOLVER_PLANS
 
 WARMUP = 20_000
 MEASURED = 2_000
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+#: A small dynamic cluster: the two apps of the call-count slice on four
+#: shards, rebalance epochs, and a crash and a restart under
+#: ``failover`` -- every kind of barrier that cuts a replay into windows.
+GATHER_SCENARIO = Scenario(
+    workload="memcachier",
+    workload_params={"apps": [5, 19]},
+    scale=0.012,
+    seed=0,
+    cluster={"shards": 4, "replication": 2},
+    rebalance={"epoch_requests": 2_000, "policy": "load"},
+    faults={
+        "events": [
+            {"kind": "crash", "shard": 1, "at": 8_000},
+            {"kind": "restart", "shard": 1, "at": 14_000},
+        ],
+        "policy": "failover",
+    },
+)
 
 
 def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
@@ -37,6 +63,7 @@ def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
         workload_params={"apps": [5, 19]},
         scheme=scheme,
         policy=policy,
+        plans=SOLVER_PLANS if scheme == "planned" else None,
         scale=0.012,
         seed=0,
     )
@@ -73,6 +100,40 @@ def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
     }
 
 
+def count_gathers(scenario: Scenario = GATHER_SCENARIO) -> List[int]:
+    """``ndarray.tolist`` calls per window -- per call of
+    :func:`repro.cache.kernel.replay_runs` -- over one in-process
+    cluster replay of ``scenario``."""
+    trace = load_workload(
+        scenario.workload, scenario.scale, scenario.seed,
+        **scenario.workload_params,
+    )
+    kernel_code = kernel.replay_runs.__code__
+    windows: List[int] = []
+    depth = 0
+
+    def count(frame, event, arg):
+        nonlocal depth
+        if event == "call" and frame.f_code is kernel_code:
+            depth += 1
+            windows.append(0)
+        elif event == "return" and frame.f_code is kernel_code:
+            depth -= 1
+        elif (
+            event == "c_call"
+            and depth
+            and getattr(arg, "__qualname__", None) == "ndarray.tolist"
+        ):
+            windows[-1] += 1
+
+    sys.setprofile(count)
+    try:
+        replay_on_cluster(scenario, trace)
+    finally:
+        sys.setprofile(None)
+    return windows
+
+
 def per_request(calls: Dict[str, int]) -> float:
     """Total calls per measured request."""
     return sum(calls.values()) / MEASURED
@@ -87,4 +148,12 @@ def render(calls: Dict[str, int], n: int = 8) -> str:
 
 
 if __name__ == "__main__":
-    print(render(count_calls(*sys.argv[1:3]), n=20))
+    if sys.argv[1:] == ["--gathers"]:
+        gathers = count_gathers()
+        print(
+            f"{len(gathers)} windows, {sum(gathers)} tolist calls: "
+            f"max {max(gathers)}, mean {sum(gathers) / len(gathers):.2f} "
+            "per window"
+        )
+    else:
+        print(render(count_calls(*sys.argv[1:3]), n=20))

@@ -135,6 +135,33 @@ class TestMalformed:
         (event,) = parse_all(b"set k 0 0 -5\r\n")
         assert event.response == server_error("object too large for cache")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            b"0 0 1_0",  # int() reads 10
+            b"0 0 +5",
+            b"0 0 --5",
+            b"0 +0 2",
+            b"0 1_0 2",
+            b"0 - 2",
+            b"+5 0 2",
+            b"-7 0 2",
+            b"4294967296 0 2",  # 2**32: flags are 32 bits
+            b"1_0 0 2",
+        ],
+    )
+    def test_set_fields_must_be_decimal_integers(self, fields):
+        """Flags are ASCII digits below 2**32; exptime and bytes are
+        ``-?[0-9]+``. Anything else is refused before a data block is
+        awaited, as memcached refuses it."""
+        (event,) = parse_all(b"set k " + fields + b"\r\n")
+        assert event.response == client_error("bad command line format")
+
+    def test_largest_flags_value_is_accepted(self):
+        (event,) = parse_all(b"set k 4294967295 0 2\r\nhi\r\n")
+        assert event.command.flags == 4294967295
+        assert event.command.data == b"hi"
+
     def test_bad_data_trailer_resynchronizes(self):
         parser = ProtocolParser()
         parser.feed(b"set k 0 0 2\r\nhiXXtrailing\r\nget ok\r\n")

@@ -12,6 +12,8 @@ from repro.serve.protocol import (
     NOT_FOUND,
     STORED,
     Command,
+    ProtocolParser,
+    client_error,
 )
 from repro.serve.service import CacheService
 from tests.cluster.helpers import counters_snapshot
@@ -40,6 +42,22 @@ class TestWireSemantics:
         assert response == b"VALUE k 5 5\r\nhello\r\n" + END
         assert one(service, Command(op="delete", keys=["k"])) == DELETED
         assert one(service, Command(op="delete", keys=["k"])) == NOT_FOUND
+
+    def test_parsed_flags_echo_back_only_when_valid(self):
+        parser = ProtocolParser()
+        parser.feed(
+            b"set k -7 0 2\r\nset k 4294967295 0 2\r\nhi\r\nget k\r\n"
+        )
+        events = []
+        while (event := parser.next_event()) is not None:
+            events.append(event)
+        assert events[0].response == client_error("bad command line format")
+        service = make_service()
+        commands = [event.command for event in events[1:]]
+        assert service.execute(commands) == [
+            STORED,
+            b"VALUE k 4294967295 2\r\nhi\r\n" + END,
+        ]
 
     def test_get_miss_returns_bare_end(self):
         service = make_service()

@@ -5,44 +5,77 @@ function calls a request makes does not. :mod:`tests.perf_counts` warms
 each scheme up on memcachier apps 5 and 19 (scale 0.012, seed 0) and
 counts the calls under ``src/repro`` that the next rows make through
 each engine's ``process_fast``. The gate covers the stock engines
-(``default``, ``lsm``), the hill climber (``hill``) and the three
+(``default`` under each eviction policy, ``lsm``, ``planned`` on solver
+plans), the hill climber (``hill`` over LRU and Facebook) and the three
 Cliffhanger queue schemes.
 
 To re-record after a change that makes a path leaner, print each
-scheme's table (``python -m tests.perf_counts SCHEME``) and write the
-new totals into ``BUDGET``. The figures may only go down: a stock
-engine that needs more calls is a regression of the baseline every
-Cliffhanger overhead ratio divides by, and a Cliffhanger scheme that
-needs more is a regression of that ratio.
+scheme's table (``python -m tests.perf_counts SCHEME [POLICY]``) and
+write the new totals into ``BUDGET``. The figures may only go down: a
+stock engine that needs more calls is a regression of the baseline
+every Cliffhanger overhead ratio divides by, and a Cliffhanger scheme
+that needs more is a regression of that ratio.
+
+The replay kernel has a gate of its own: NumPy gathers per cluster
+window (``python -m tests.perf_counts --gathers``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tests.perf_counts import count_calls, per_request, render
+from tests.perf_counts import count_calls, count_gathers, per_request, render
 
-#: scheme -> recorded calls per request. The ``KeyQueue``-backed LRU
+#: (scheme, policy) -> recorded calls per request. The ``KeyQueue``-backed LRU
 #: and the slab path that looked a key's class up twice made 7.544 and
 #: 5.3525 (``default``, ``lsm``). A Cliffhanger GET that searched
 #: partitions with ``discard``, called ``_observe_hit`` and re-searched
 #: on its fill made 5.3825 (``cliffhanger``), 5.6165 (``cliff-only``)
 #: and 5.4105 (``hill-only``); ``hill`` made 5.017 while its fill
 #: repeated the shadow test its ``access`` had made.
+#: The ``KeyQueue``-backed policies are pinned where they stand, so
+#: that they cannot grow: ``default`` over Facebook and ARC, and ``hill``
+#: over Facebook.
 BUDGET = {
-    "default": 2.772,
-    "lsm": 2.1315,
-    "hill": 4.841,
-    "cliffhanger": 3.001,
-    "cliff-only": 3.0655,
-    "hill-only": 2.827,
+    ("default", "lru"): 2.772,
+    ("default", "facebook"): 10.932,
+    ("default", "arc"): 12.094,
+    ("lsm", "lru"): 2.1315,
+    ("planned", "lru"): 2.6255,
+    ("hill", "lru"): 4.841,
+    ("hill", "facebook"): 12.5655,
+    ("cliffhanger", "lru"): 3.001,
+    ("cliff-only", "lru"): 3.0655,
+    ("hill-only", "lru"): 2.827,
 }
 
 
-@pytest.mark.parametrize("scheme", sorted(BUDGET))
-def test_calls_per_request_within_budget(scheme):
-    calls = count_calls(scheme)
-    assert per_request(calls) <= BUDGET[scheme], (
-        f"{scheme} over its budget of {BUDGET[scheme]}; largest shares:\n"
-        + render(calls)
+def _row_id(row):
+    """The bare scheme name for LRU rows, ``scheme-policy`` otherwise."""
+    scheme, policy = row
+    return scheme if policy == "lru" else f"{scheme}-{policy}"
+
+
+@pytest.mark.parametrize("row", sorted(BUDGET), ids=_row_id)
+def test_calls_per_request_within_budget(row):
+    calls = count_calls(*row)
+    assert per_request(calls) <= BUDGET[row], (
+        f"{_row_id(row)} over its budget of {BUDGET[row]}; largest "
+        "shares:\n" + render(calls)
+    )
+
+
+#: Most ``ndarray.tolist`` calls one replay window may make: one block's
+#: five column gathers plus the window's run table, with room to spare.
+#: Gathering per run instead made five per run, 40 in this replay's
+#: busiest window.
+GATHERS_PER_WINDOW = 10
+
+
+def test_kernel_gathers_per_window_within_budget():
+    gathers = count_gathers()
+    assert len(gathers) > 100  # the epochs and fault samples cut it up
+    assert max(gathers) <= GATHERS_PER_WINDOW, (
+        f"busiest window made {max(gathers)} tolist calls; per window: "
+        f"{gathers}"
     )
