@@ -11,6 +11,10 @@ baselines live here:
   Dynacache solver's allocation (paper section 2.1 / Figure 2) or a plan
   given by hand.
 
+A GET hit is ``process_fast`` plus the policy's ``access``, a steady-state
+miss or SET ``process_fast`` plus its ``store``; the engine's own
+``_admit`` runs only at start-up, for a starved class or a planned one.
+
 The Cliffhanger engines (hill climbing, cliff scaling, combined) extend
 the same interface from :mod:`repro.core.engine`; the log-structured
 global-LRU engine is in :mod:`repro.cache.log_structured`.
@@ -19,7 +23,7 @@ global-LRU engine is in :mod:`repro.cache.log_structured`.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.errors import ConfigurationError
 from repro.cache.policies import EvictionPolicy, make_policy
@@ -117,6 +121,10 @@ class SlabEngineBase(Engine):
     """Shared plumbing for engines that keep one policy queue per slab
     class: lazily-created queues, key→class tracking (items can change
     class when re-SET with a different size), and GET/SET/DELETE routing.
+
+    A store records the key in ``_class_of_key``, then the policy's
+    ``store`` deletes each victim from it (the key too, if evicted at
+    once); :meth:`_admit` may grow, steal or bypass first.
     """
 
     def __init__(
@@ -139,12 +147,10 @@ class SlabEngineBase(Engine):
     # -- queue management ------------------------------------------------
 
     def _queue(self, class_index: int) -> EvictionPolicy:
-        queue = self.queues.get(class_index)
-        if queue is None:
-            queue = make_policy(
-                self.policy_kind, 0.0, name=f"{self.app}/slab{class_index}"
-            )
-            self.queues[class_index] = queue
+        """Create class ``class_index``'s queue, with no memory yet."""
+        queue = self.queues[class_index] = make_policy(
+            self.policy_kind, 0.0, name=f"{self.app}/slab{class_index}"
+        )
         return queue
 
     def _resize_queue(self, queue: EvictionPolicy, capacity: float) -> Evicted:
@@ -195,20 +201,24 @@ class SlabEngineBase(Engine):
         if resident_class is not None and resident_class != class_index:
             self.queues[resident_class].remove(key)  # the item changed class
             del self._class_of_key[key]
-        evicted = self._insert(key, class_index, chunk)
-        if evicted is None:
-            # The engine bypassed the store (no queue can ever hold this
-            # item): the key is not resident and must not be recorded as
-            # such, or later GETs/DELETEs would see a ghost entry.
-            return (class_index + 1) << CLASS_SHIFT
+        queue = self.queues.get(class_index)
+        if queue is None:
+            queue = self._queue(class_index)
+        if queue.capacity < chunk or self._capacity_total + chunk <= self.budget_bytes:
+            if not self._admit(queue, class_index, chunk):
+                return (class_index + 1) << CLASS_SHIFT  # not resident
+        # Recorded first: the store may evict the key it just stored.
         self._class_of_key[key] = class_index
+        evicted = queue.store(key, chunk, self._class_of_key)
         self.ops.inserts += 1
+        self.ops.evictions += evicted
         return (evicted << EVICTED_SHIFT) | ((class_index + 1) << CLASS_SHIFT)
 
     @abc.abstractmethod
-    def _insert(self, key: object, class_index: int, chunk: int) -> Optional[int]:
-        """Engine-specific insertion; returns the number of evictions, or
-        ``None`` when the store was bypassed (the item is *not* resident)."""
+    def _admit(self, queue: EvictionPolicy, class_index: int, chunk: int) -> bool:
+        """Make room for one ``chunk`` in ``queue`` while it owns less
+        than a chunk or the reservation has room; False bypasses the
+        store (the item is *not* resident)."""
 
 
 class FirstComeFirstServeEngine(SlabEngineBase):
@@ -225,38 +235,26 @@ class FirstComeFirstServeEngine(SlabEngineBase):
     not to whoever benefits.
     """
 
-    def _insert(self, key: object, class_index: int, chunk: int) -> Optional[int]:
-        queue = self.queues.get(class_index)
-        if queue is None:
-            queue = self._queue(class_index)
+    def _admit(self, queue: EvictionPolicy, class_index: int, chunk: int) -> bool:
         capacity = queue.capacity
         if queue.used + chunk > capacity:
             if self._capacity_total + chunk <= self.budget_bytes:
                 self._resize_queue(queue, capacity + chunk)
             elif capacity < chunk:
-                self._steal_chunk_for(class_index, chunk)
-                if queue.capacity < chunk:
-                    # No donor owns a whole chunk of this size: the queue
-                    # can never fit the item, so bypass the store (like a
-                    # starved PlannedEngine class) instead of inserting an
-                    # entry the overflow drain would immediately evict.
-                    return None
-        evicted = queue.insert(key, chunk)
-        return self._forget_evicted(evicted) if evicted else 0
-
-    def _steal_chunk_for(self, class_index: int, chunk: int) -> None:
-        donors = [
-            (queue.capacity, idx)
-            for idx, queue in self.queues.items()
-            if idx != class_index and queue.capacity >= chunk
-        ]
-        if not donors:
-            return
-        _, donor_idx = max(donors)
-        donor = self.queues[donor_idx]
-        self._forget_evicted(self._resize_queue(donor, donor.capacity - chunk))
-        grown = self.queues[class_index]
-        self._resize_queue(grown, grown.capacity + chunk)
+                # Steal a chunk from the largest class. If no class owns a
+                # whole chunk, this queue can never fit the item: bypass
+                # the store, like a starved PlannedEngine class.
+                donors = [
+                    (donor.capacity, idx)
+                    for idx, donor in self.queues.items()
+                    if idx != class_index and donor.capacity >= chunk
+                ]
+                if not donors:
+                    return False
+                donor = self.queues[max(donors)[1]]
+                self._forget_evicted(self._resize_queue(donor, donor.capacity - chunk))
+                self._resize_queue(queue, capacity + chunk)
+        return True
 
     def _enforce_budget(self) -> int:
         # Cold path (budget shrinks): re-sync the tracked total so float
@@ -316,12 +314,8 @@ class PlannedEngine(SlabEngineBase):
                 )
             self._resize_queue(self._queue(class_index), capacity)
 
-    def _insert(self, key: object, class_index: int, chunk: int) -> Optional[int]:
-        queue = self._queue(class_index)
-        if queue.capacity < chunk:
-            return None  # class starved by the plan: bypass the cache
-        evicted = queue.insert(key, chunk)
-        return self._forget_evicted(evicted) if evicted else 0
+    def _admit(self, queue: EvictionPolicy, class_index: int, chunk: int) -> bool:
+        return queue.capacity >= chunk  # a starved class bypasses the cache
 
     def _enforce_budget(self) -> int:
         # Static plans shrink proportionally when the budget shrinks.

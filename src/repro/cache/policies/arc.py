@@ -141,8 +141,8 @@ class ARCPolicy(EvictionPolicy):
         # equivalent for capacity purposes.
         while self.used > c and (len(self._t1) or len(self._t2)):
             self._replace(key_in_b2_path, evicted)
-        # The just-inserted key must stay resident; if _replace demoted it
-        # (single-item corner case where weight > capacity), accept that.
+        # _replace may demote the key just pushed (alone in T1 while T2
+        # fills the capacity); it is then among the victims returned.
         self._trim_ghosts()
         return evicted
 

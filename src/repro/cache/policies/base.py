@@ -2,15 +2,17 @@
 
 A policy manages the *physical* part of one queue: which keys are resident
 and which key to evict when space is needed. Weights and capacities are in
-bytes. Policies never interact with shadow queues directly; engines forward
-the eviction lists returned by :meth:`insert` and :meth:`resize` into
-whatever shadow structure they maintain.
+bytes; ``capacity`` is a plain attribute. Policies never interact with
+shadow queues directly; engines forward the eviction lists returned by
+:meth:`insert` and :meth:`resize` into whatever shadow structure they
+maintain. A slab engine keeps none: :meth:`store` deletes the victims
+from its key map and returns their count.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -27,16 +29,12 @@ class EvictionPolicy(abc.ABC):
             raise ConfigurationError(
                 f"policy capacity must be >= 0, got {capacity}"
             )
-        self._capacity = float(capacity)
+        self.capacity = float(capacity)
         self.name = name
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
 
     @property
     @abc.abstractmethod
@@ -73,6 +71,14 @@ class EvictionPolicy(abc.ABC):
         counts as a fresh insertion (the SET path), not as a hit.
         """
 
+    def store(self, key: object, weight: float, resident: Dict[object, int]) -> int:
+        """:meth:`insert`, then delete each victim (``key`` too, which the
+        caller records first) from ``resident``; returns their count."""
+        evicted = self.insert(key, weight)
+        for victim, _ in evicted:
+            del resident[victim]
+        return len(evicted)
+
     @abc.abstractmethod
     def remove(self, key: object) -> bool:
         """Delete ``key``; True if it was resident."""
@@ -90,7 +96,7 @@ class EvictionPolicy(abc.ABC):
             raise ConfigurationError(
                 f"policy capacity must be >= 0, got {capacity}"
             )
-        self._capacity = float(capacity)
+        self.capacity = float(capacity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -64,7 +64,7 @@ class FacebookPolicy(EvictionPolicy):
         leaves the whole queue over capacity."""
         for key, weight in self._protected.overflow():
             self._probation.push_front(key, weight)
-        self._probation.resize(self._capacity - self._protected.used)
+        self._probation.resize(self.capacity - self._protected.used)
         return list(self._probation.overflow())
 
     def access(self, key: object) -> bool:

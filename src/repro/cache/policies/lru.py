@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from typing import Dict, Iterator
 
 from repro.common.errors import CacheError
 from repro.cache.policies.base import Evicted, EvictionPolicy
@@ -56,11 +56,30 @@ class LRUPolicy(EvictionPolicy):
         entries.move_to_end(key, last=False)
         self._used += weight
         evicted: Evicted = []
-        while entries and self._used > self._capacity:
+        while entries and self._used > self.capacity:
             victim = entries.popitem(last=True)
             self._used -= victim[1]
             evicted.append(victim)
         return evicted
+
+    def store(self, key: object, weight: float, resident: Dict[object, int]) -> int:
+        if weight < 0:
+            raise CacheError(f"negative weight {weight} for key {key!r}")
+        entries = self._entries
+        used = self._used
+        if key in entries:
+            used -= entries[key]
+        entries[key] = weight
+        entries.move_to_end(key, last=False)
+        used += weight
+        victims = 0
+        while entries and used > self.capacity:
+            victim, victim_weight = entries.popitem(last=True)
+            used -= victim_weight
+            del resident[victim]
+            victims += 1
+        self._used = used
+        return victims
 
     def remove(self, key: object) -> bool:
         if key not in self._entries:
@@ -71,7 +90,7 @@ class LRUPolicy(EvictionPolicy):
     def resize(self, capacity: float) -> Evicted:
         self._set_capacity(capacity)
         evicted: Evicted = []
-        while self._entries and self._used > self._capacity:
+        while self._entries and self._used > self.capacity:
             victim = self._entries.popitem(last=True)
             self._used -= victim[1]
             evicted.append(victim)

@@ -46,7 +46,7 @@ its key once, with inline membership tests; a GET-miss
 resize cascades only when a limit is exceeded or shrank. On the slice
 ``tests/sim/test_call_budget.py`` gates, the ``cliffhanger`` engine
 makes 3.0 calls per request (5.4 before this layout was made lean),
-against 2.8 for the stock ``default`` engine.
+against 2.0 for the stock ``default`` engine.
 """
 
 from __future__ import annotations

@@ -241,6 +241,29 @@ class TestPlannedEngine:
         assert not code & OUTCOME_HIT
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FirstComeFirstServeEngine("a", 2 * 256, GEO, policy="arc"),
+        lambda: PlannedEngine("a", 2 * 256, GEO, {2: 2 * 256.0}, policy="arc"),
+    ],
+    ids=["fcfs", "planned"],
+)
+def test_key_the_policy_evicts_on_store_is_not_resident(make):
+    """Regression: ARC demotes after it pushes, so with k1 and k2 in T2 a
+    new k3 alone in T1 is the victim of its own store. The engine used to
+    record k3 anyway, and DELETE k3 reported a hit."""
+    engine = make()
+    for request in (put("k1"), get("k1"), put("k2"), get("k2")):
+        serve(engine, request)
+    code = serve(engine, put("k3"))
+    assert code >> EVICTED_SHIFT == 1
+    assert "k3" not in engine.queues[2]
+    assert "k3" not in engine._class_of_key
+    code = serve(engine, Request(0.0, "a", "k3", "delete", value_size=100))
+    assert not code & OUTCOME_HIT
+
+
 class TestGlobalLRUEngine:
     def test_no_chunk_rounding(self):
         engine = GlobalLRUEngine("a", 1000, GEO)

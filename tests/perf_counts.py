@@ -9,7 +9,10 @@ internals drop out, so the count does not move with their versions.
 The slice is fixed: memcachier apps 5 and 19 (scale 0.012, seed 0),
 warmed with the first ``WARMUP`` requests, then ``MEASURED`` rows
 counted. Print a scheme's table with ``PYTHONPATH=src python -m
-tests.perf_counts SCHEME [POLICY]``.
+tests.perf_counts SCHEME [POLICY]``. :data:`TABLES_PATH` holds the
+tables recorded with the call budgets; ``python -m tests.perf_counts
+--record`` re-counts every row it holds and rewrites it, and
+:func:`diff` names the functions a new count moved against it.
 
 :func:`count_gathers` counts the replay kernel's NumPy gathers instead:
 ``ndarray.tolist`` calls per cluster window, on :data:`GATHER_SCENARIO`
@@ -19,10 +22,11 @@ them.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import repro
 from repro.cache import kernel
@@ -33,6 +37,9 @@ WARMUP = 20_000
 MEASURED = 2_000
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+#: ``{"scheme/policy": {function: calls over the MEASURED rows}}``.
+TABLES_PATH = os.path.join(os.path.dirname(__file__), "sim", "call_tables.json")
 
 #: A small dynamic cluster: the two apps of the call-count slice on four
 #: shards, rebalance epochs, and a crash and a restart under
@@ -147,8 +154,44 @@ def render(calls: Dict[str, int], n: int = 8) -> str:
     return "\n".join(lines)
 
 
+def load_tables() -> Dict[Tuple[str, str], Dict[str, int]]:
+    """The recorded per-function tables, keyed ``(scheme, policy)``."""
+    with open(TABLES_PATH) as handle:
+        tables = json.load(handle)
+    return {tuple(row.split("/")): calls for row, calls in tables.items()}
+
+
+def record() -> None:
+    """Re-count every row of :data:`TABLES_PATH` and rewrite it."""
+    tables = {
+        f"{scheme}/{policy}": count_calls(scheme, policy)
+        for scheme, policy in load_tables()
+    }
+    with open(TABLES_PATH, "w") as handle:
+        json.dump(tables, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+def diff(calls: Dict[str, int], recorded: Dict[str, int]) -> str:
+    """Calls per request: both totals, then every function whose count
+    moved against ``recorded``, largest move first."""
+    moved = Counter(calls)
+    moved.subtract(recorded)
+    lines = [f"{per_request(recorded):8.4f} -> {per_request(calls):.4f}  total"]
+    for name, delta in sorted(moved.items(), key=lambda item: -abs(item[1])):
+        if delta:
+            lines.append(
+                f"{delta / MEASURED:+8.4f}  {name} "
+                f"({recorded.get(name, 0) / MEASURED:.4f} -> "
+                f"{calls.get(name, 0) / MEASURED:.4f})"
+            )
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--gathers"]:
+    if sys.argv[1:] == ["--record"]:
+        record()
+    elif sys.argv[1:] == ["--gathers"]:
         gathers = count_gathers()
         print(
             f"{len(gathers)} windows, {sum(gathers)} tolist calls: "
