@@ -2,13 +2,12 @@
 
 This package implements the systems the paper's algorithms run on top of:
 
-* :mod:`repro.cache.keyqueue` -- the weighted ordered key queue from
-  which the eviction policies and the hill-climbing shadow queues are
-  built.
 * :mod:`repro.cache.slabs` -- slab-class geometry (Memcached's size ladder)
   and the one request -> ``(slab_class, chunk, item_bytes)`` rule.
 * :mod:`repro.cache.policies` -- the eviction policies Table 5 runs
-  (LRU, Facebook mid-insertion, ARC).
+  (LRU, Facebook mid-insertion, ARC), each over ordered dicts of key ->
+  weight with a byte total beside each. The hill-climbing shadow queues
+  are LRU policies too (:mod:`repro.core.managed`).
 * :mod:`repro.cache.engines` -- memory-management engines: the default
   first-come-first-serve Memcached behaviour, statically planned
   allocations, and the log-structured (global LRU) mode.
@@ -19,12 +18,10 @@ This package implements the systems the paper's algorithms run on top of:
 * :mod:`repro.cache.stats` -- hit/miss accounting.
 """
 
-from repro.cache.keyqueue import KeyQueue
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import HitMissCounter
 
 __all__ = [
-    "KeyQueue",
     "SlabGeometry",
     "HitMissCounter",
 ]

@@ -17,23 +17,30 @@ units, which is the standard generalization used by weighted-ARC variants.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterator
 
-from repro.cache.keyqueue import KeyQueue
+from repro.common.errors import CacheError
 from repro.cache.policies.base import Evicted, EvictionPolicy
 
 
 class ARCPolicy(EvictionPolicy):
-    """Weighted ARC. Ghost lists store keys with the bytes they stood for."""
+    """Weighted ARC. Ghost lists store keys with the bytes they stood for.
+
+    Each list is an ordered dict of key -> weight, MRU first, with its
+    byte total beside it; the totals move as in
+    :class:`~repro.cache.policies.lru.LRUPolicy`.
+    """
 
     kind = "arc"
 
     def __init__(self, capacity: float, name: str = "") -> None:
         super().__init__(capacity, name)
-        self._t1 = KeyQueue(float("inf"), name=f"{name}/T1")
-        self._t2 = KeyQueue(float("inf"), name=f"{name}/T2")
-        self._b1 = KeyQueue(float("inf"), name=f"{name}/B1")
-        self._b2 = KeyQueue(float("inf"), name=f"{name}/B2")
+        self._t1: "OrderedDict[object, float]" = OrderedDict()
+        self._t2: "OrderedDict[object, float]" = OrderedDict()
+        self._b1: "OrderedDict[object, float]" = OrderedDict()
+        self._b2: "OrderedDict[object, float]" = OrderedDict()
+        self._t1_used = self._t2_used = self._b1_used = self._b2_used = 0.0
         self._p = 0.0  # target byte size of T1
 
     # ------------------------------------------------------------------
@@ -42,7 +49,7 @@ class ARCPolicy(EvictionPolicy):
 
     @property
     def used(self) -> float:
-        return self._t1.used + self._t2.used
+        return self._t1_used + self._t2_used
 
     @property
     def p(self) -> float:
@@ -56,8 +63,8 @@ class ARCPolicy(EvictionPolicy):
         return key in self._t1 or key in self._t2
 
     def keys(self) -> Iterator[object]:
-        yield from self._t1.keys_mru_to_lru()
-        yield from self._t2.keys_mru_to_lru()
+        yield from self._t1
+        yield from self._t2
 
     def ghost_contains(self, key: object) -> bool:
         return key in self._b1 or key in self._b2
@@ -66,101 +73,107 @@ class ARCPolicy(EvictionPolicy):
     # Core ARC machinery
     # ------------------------------------------------------------------
 
-    def _replace(self, key_in_b2: bool, evicted: Evicted) -> None:
-        """Demote one resident item into the matching ghost list."""
-        t1_used = self._t1.used
-        if len(self._t1) > 0 and (
-            t1_used > self._p or (key_in_b2 and t1_used >= self._p)
-        ):
-            victim, weight = self._t1.pop_back()
-            self._b1.push_front(victim, weight)
-            evicted.append((victim, weight))
-        elif len(self._t2) > 0:
-            victim, weight = self._t2.pop_back()
-            self._b2.push_front(victim, weight)
-            evicted.append((victim, weight))
-        elif len(self._t1) > 0:
-            victim, weight = self._t1.pop_back()
-            self._b1.push_front(victim, weight)
-            evicted.append((victim, weight))
-
-    def _trim_ghosts(self) -> None:
-        """Bound |L1| <= c and |L1|+|L2| <= 2c (in bytes)."""
+    def _evict(self) -> Evicted:
+        """Demote LRU residents into their ghost lists until T1 + T2 fit
+        the capacity, then bound |T1|+|B1| <= c and the four lists <= 2c
+        (in bytes)."""
         c = self.capacity
-        while len(self._b1) > 0 and self._t1.used + self._b1.used > c:
-            self._b1.pop_back()
-        total = (
-            self._t1.used + self._t2.used + self._b1.used + self._b2.used
-        )
-        while len(self._b2) > 0 and total > 2 * c:
-            _, w = self._b2.pop_back()
-            total -= w
+        t1, t2, b1, b2 = self._t1, self._t2, self._b1, self._b2
+        evicted: Evicted = []
+        while self._t1_used + self._t2_used > c and (t1 or t2):
+            if t1 and (self._t1_used > self._p or not t2):
+                victim, weight = t1.popitem()
+                self._t1_used -= weight
+                b1[victim] = weight
+                b1.move_to_end(victim, last=False)
+                self._b1_used += weight
+            else:
+                victim, weight = t2.popitem()
+                self._t2_used -= weight
+                b2[victim] = weight
+                b2.move_to_end(victim, last=False)
+                self._b2_used += weight
+            evicted.append((victim, weight))
+        while b1 and self._t1_used + self._b1_used > c:
+            self._b1_used -= b1.popitem()[1]
+        total = self._t1_used + self._t2_used + self._b1_used + self._b2_used
+        while b2 and total > 2 * c:
+            weight = b2.popitem()[1]
+            self._b2_used -= weight
+            total -= weight
+        return evicted
 
     # ------------------------------------------------------------------
     # EvictionPolicy interface
     # ------------------------------------------------------------------
 
     def access(self, key: object) -> bool:
+        t2 = self._t2
         if key in self._t1:
-            weight = self._t1.remove(key)
-            self._t2.push_front(key, weight)
+            weight = self._t1.pop(key)
+            self._t1_used -= weight
+            t2[key] = weight
+            t2.move_to_end(key, last=False)
+            self._t2_used += weight
             return True
-        if key in self._t2:
-            weight = self._t2.weight_of(key)
-            self._t2.push_front(key, weight)
+        if key in t2:
+            t2.move_to_end(key, last=False)
             return True
         return False
 
     def insert(self, key: object, weight: float) -> Evicted:
-        evicted: Evicted = []
+        if weight < 0:
+            raise CacheError(f"negative weight {weight} for key {key!r}")
         c = self.capacity
-        if key in self._t1 or key in self._t2:
+        t1, t2 = self._t1, self._t2
+        if key in t1:
             # Value refresh of a resident key: update weight in place.
-            if key in self._t1:
-                self._t1.push_front(key, weight)
-            else:
-                self._t2.push_front(key, weight)
+            self._t1_used -= t1[key]
+            t1[key] = weight
+            t1.move_to_end(key, last=False)
+            self._t1_used += weight
+            return self._evict()
+        if key in t2:
+            self._t2_used -= t2[key]  # refreshed in place, as in T1
         elif key in self._b1:
             # Ghost hit favoring recency: grow p.
-            b1, b2 = max(self._b1.used, 1.0), self._b2.used
+            b1, b2 = max(self._b1_used, 1.0), self._b2_used
             delta = weight * max(1.0, b2 / b1)
             self._p = min(c, self._p + delta)
-            self._b1.remove(key)
-            self._t2.push_front(key, weight)
+            self._b1_used -= self._b1.pop(key)
         elif key in self._b2:
             # Ghost hit favoring frequency: shrink p.
-            b1, b2 = self._b1.used, max(self._b2.used, 1.0)
+            b1, b2 = self._b1_used, max(self._b2_used, 1.0)
             delta = weight * max(1.0, b1 / b2)
             self._p = max(0.0, self._p - delta)
-            self._b2.remove(key)
-            self._t2.push_front(key, weight)
+            self._b2_used -= self._b2.pop(key)
         else:
-            self._t1.push_front(key, weight)
-        key_in_b2_path = False  # p-biased replace applies pre-insert in
-        # the textbook formulation; we demote after insertion, which is
-        # equivalent for capacity purposes.
-        while self.used > c and (len(self._t1) or len(self._t2)):
-            self._replace(key_in_b2_path, evicted)
-        # _replace may demote the key just pushed (alone in T1 while T2
-        # fills the capacity); it is then among the victims returned.
-        self._trim_ghosts()
-        return evicted
+            t1[key] = weight
+            t1.move_to_end(key, last=False)
+            self._t1_used += weight
+            # _evict may demote the key just pushed (alone in T1 while T2
+            # fills the capacity); it is then among the victims returned.
+            return self._evict()
+        t2[key] = weight
+        t2.move_to_end(key, last=False)
+        self._t2_used += weight
+        return self._evict()
 
     def remove(self, key: object) -> bool:
-        for queue in (self._t1, self._t2):
-            if key in queue:
-                queue.remove(key)
-                return True
-        for ghost in (self._b1, self._b2):
-            if key in ghost:
-                ghost.remove(key)  # forgotten, but it was not resident
+        if key in self._t1:
+            self._t1_used -= self._t1.pop(key)
+            return True
+        if key in self._t2:
+            self._t2_used -= self._t2.pop(key)
+            return True
+        # A ghost is forgotten, but it was not resident.
+        if key in self._b1:
+            self._b1_used -= self._b1.pop(key)
+        elif key in self._b2:
+            self._b2_used -= self._b2.pop(key)
         return False
 
     def resize(self, capacity: float) -> Evicted:
         self._set_capacity(capacity)
         self._p = min(self._p, capacity)
-        evicted: Evicted = []
-        while self.used > capacity and (len(self._t1) or len(self._t2)):
-            self._replace(False, evicted)
-        self._trim_ghosts()
-        return evicted
+        return self._evict()

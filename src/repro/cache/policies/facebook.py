@@ -16,9 +16,10 @@ a queue that holds one item keeps it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterator
 
-from repro.cache.keyqueue import KeyQueue
+from repro.common.errors import CacheError
 from repro.cache.policies.base import Evicted, EvictionPolicy
 
 
@@ -27,21 +28,24 @@ class FacebookPolicy(EvictionPolicy):
 
     Items that are never re-referenced only ever travel the bottom of the
     queue before eviction, which protects the hot top half from
-    one-hit-wonder churn.
+    one-hit-wonder churn. Each segment is an ordered dict of key ->
+    weight, MRU first, with its byte total beside it; the totals move as
+    in :class:`~repro.cache.policies.lru.LRUPolicy`.
     """
 
     kind = "facebook"
 
     def __init__(self, capacity: float, name: str = "") -> None:
         super().__init__(capacity, name)
-        self._protected = KeyQueue(capacity * 0.5, name=f"{name}/protected")
-        self._probation = KeyQueue(capacity, name=f"{name}/probation")
+        self._protected: "OrderedDict[object, float]" = OrderedDict()
+        self._probation: "OrderedDict[object, float]" = OrderedDict()
+        self._protected_used = self._probation_used = 0.0
 
     # ------------------------------------------------------------------
 
     @property
     def used(self) -> float:
-        return self._protected.used + self._probation.used
+        return self._protected_used + self._probation_used
 
     def __len__(self) -> int:
         return len(self._protected) + len(self._probation)
@@ -50,8 +54,8 @@ class FacebookPolicy(EvictionPolicy):
         return key in self._protected or key in self._probation
 
     def keys(self) -> Iterator[object]:
-        yield from self._protected.keys_mru_to_lru()
-        yield from self._probation.keys_mru_to_lru()
+        yield from self._protected
+        yield from self._probation
 
     def in_protected(self, key: object) -> bool:
         """True iff the key sits in the protected segment (for tests)."""
@@ -60,46 +64,68 @@ class FacebookPolicy(EvictionPolicy):
     # ------------------------------------------------------------------
 
     def _cascade(self) -> Evicted:
-        """Demote protected overflow to probation, then evict whatever
-        leaves the whole queue over capacity."""
-        for key, weight in self._protected.overflow():
-            self._probation.push_front(key, weight)
-        self._probation.resize(self.capacity - self._protected.used)
-        return list(self._probation.overflow())
+        """Demote protected overflow (past half the capacity) to the front
+        of probation, then evict whatever leaves the whole queue over
+        capacity."""
+        protected, probation = self._protected, self._probation
+        limit = self.capacity * 0.5
+        while protected and self._protected_used > limit:
+            key, weight = protected.popitem()
+            self._protected_used -= weight
+            probation[key] = weight
+            probation.move_to_end(key, last=False)
+            self._probation_used += weight
+        room = self.capacity - self._protected_used
+        evicted: Evicted = []
+        while probation and self._probation_used > room:
+            victim = probation.popitem()
+            self._probation_used -= victim[1]
+            evicted.append(victim)
+        return evicted
 
     def access(self, key: object) -> bool:
-        if key in self._protected:
-            weight = self._protected.weight_of(key)
-            self._protected.push_front(key, weight)
+        protected = self._protected
+        if key in protected:
+            protected.move_to_end(key, last=False)
             return True
         if key in self._probation:
-            weight = self._probation.remove(key)
-            self._protected.push_front(key, weight)
+            weight = self._probation.pop(key)
+            self._probation_used -= weight
+            protected[key] = weight
+            protected.move_to_end(key, last=False)
+            self._protected_used += weight
             self._cascade()
             return True
         return False
 
     def insert(self, key: object, weight: float) -> Evicted:
+        if weight < 0:
+            raise CacheError(f"negative weight {weight} for key {key!r}")
         # A re-SET of a resident key keeps its segment; treat it as a
         # fresh value in the same place with the new weight.
-        if key in self._protected:
-            self._protected.push_front(key, weight)
+        protected, probation = self._protected, self._probation
+        if key in protected:
+            self._protected_used -= protected[key]
+            protected[key] = weight
+            protected.move_to_end(key, last=False)
+            self._protected_used += weight
         else:
-            if key in self._probation:
-                self._probation.remove(key)
-            self._probation.push_front(key, weight)
+            if key in probation:
+                self._probation_used -= probation[key]
+            probation[key] = weight
+            probation.move_to_end(key, last=False)
+            self._probation_used += weight
         return self._cascade()
 
     def remove(self, key: object) -> bool:
         if key in self._protected:
-            self._protected.remove(key)
+            self._protected_used -= self._protected.pop(key)
             return True
         if key in self._probation:
-            self._probation.remove(key)
+            self._probation_used -= self._probation.pop(key)
             return True
         return False
 
     def resize(self, capacity: float) -> Evicted:
         self._set_capacity(capacity)
-        self._protected.resize(capacity * 0.5)
         return self._cascade()

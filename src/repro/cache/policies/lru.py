@@ -14,10 +14,12 @@ class LRUPolicy(EvictionPolicy):
 
     Hits promote to the front; insertion is at the front; eviction is from
     the back. This is the policy the paper's analysis, hill climbing and
-    cliff scaling assume by default. ``used`` moves in
-    :class:`~repro.cache.keyqueue.KeyQueue`'s order (old weight out, new
-    weight in, each victim out) and a hit leaves it alone, so for the
-    engines' whole-byte weights it equals a queue's bit for bit.
+    cliff scaling assume by default, and the key-only shadow queue of
+    :class:`~repro.core.managed.ShadowedQueue`. ``used`` moves in a fixed
+    order (old weight out, new weight in, each victim out) and a hit
+    leaves it alone, so for the engines' whole-byte weights it equals,
+    bit for bit, that of the queue-backed oracle in
+    ``tests/cache/reference_lru.py``.
     """
 
     kind = "lru"

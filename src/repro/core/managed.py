@@ -32,16 +32,18 @@ both through the same seven names:
   whether it was in physical memory. A shadow never claims residency.
 * ``capacity_bytes`` / ``used_bytes`` -- physical bytes reserved / held.
 
-With ``fill`` the ``hill`` engine over LRU makes 4.84 Python calls per
-request on the slice ``tests/sim/test_call_budget.py`` gates (5.02 when
-every fill repeated the shadow test), and ``cliffhanger`` 3.0 (5.4).
+The shadow is an :class:`~repro.cache.policies.lru.LRUPolicy` over the
+evicted keys, and what it evicts is forgotten. With ``fill`` the
+``hill`` engine over LRU makes 4.27 Python calls per request on the
+slice ``tests/sim/test_call_budget.py`` gates (5.02 when every fill
+repeated the shadow test), and ``cliffhanger`` 3.0 (5.4).
 """
 
 from __future__ import annotations
 
 from repro.common.constants import AVG_KEY_BYTES, HILL_CLIMB_SHADOW_BYTES
-from repro.cache.keyqueue import KeyQueue
 from repro.cache.policies.base import Evicted, EvictionPolicy
+from repro.cache.policies.lru import LRUPolicy
 from repro.core.cliff_scaling import ACCESS_HILL_FIND, ACCESS_HIT, ACCESS_MISS
 
 
@@ -62,7 +64,7 @@ class ShadowedQueue:
         avg_key_bytes: int = AVG_KEY_BYTES,
     ) -> None:
         self.policy = policy
-        self.shadow = KeyQueue(shadow_bytes, name=f"{name}/shadow")
+        self.shadow = LRUPolicy(shadow_bytes, name=f"{name}/shadow")
         self.name = name
         self.avg_key_bytes = avg_key_bytes
         self.shadow_hits = 0
@@ -95,8 +97,7 @@ class ShadowedQueue:
         """
         if self.policy.access(key):
             return ACCESS_HIT
-        if key in self.shadow:
-            self.shadow.remove(key)
+        if self.shadow.remove(key):
             self.shadow_hits += 1
             return ACCESS_HILL_FIND
         return ACCESS_MISS
@@ -107,10 +108,9 @@ class ShadowedQueue:
 
         Returns the number of items evicted from physical memory.
         """
-        if key in self.shadow:
-            # The key is being refreshed while remembered only by the
-            # shadow; it must not appear in both structures.
-            self.shadow.remove(key)
+        # A key refreshed while remembered only by the shadow must not
+        # appear in both structures.
+        self.shadow.remove(key)
         return self.fill(key, weight)
 
     def fill(self, key: object, weight: float) -> int:
@@ -121,8 +121,7 @@ class ShadowedQueue:
     def remove(self, key: object) -> bool:
         """DELETE path: True only when the key was physically resident;
         a shadow-only key is purged but reported absent."""
-        if key in self.shadow:
-            self.shadow.remove(key)
+        self.shadow.remove(key)
         return self.policy.remove(key)
 
     def set_capacity(self, capacity_bytes: float) -> int:
@@ -135,7 +134,5 @@ class ShadowedQueue:
     def _to_shadow(self, evicted: Evicted) -> int:
         """Push physical evictions onto the shadow; returns their count."""
         for victim, victim_weight in evicted:
-            self.shadow.push_front(victim, victim_weight)
-        for _ in self.shadow.overflow():
-            pass
+            self.shadow.insert(victim, victim_weight)
         return len(evicted)

@@ -38,7 +38,7 @@ import zlib
 from collections import OrderedDict
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union,
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union,
 )
 
 import numpy as np
@@ -326,26 +326,6 @@ class CompiledTrace:
             digest.update(self.key_ids.tobytes())
             self._routing_digest = digest.hexdigest()[:32]
         return self._routing_digest
-
-    def iter_requests(self) -> Iterator[Request]:
-        """Re-expand into :class:`Request` objects (compat adapter),
-        their fields plain ``float`` / ``int`` / ``str``."""
-        for time, app_id, key, op, value_size, key_size in zip(
-            self.times.tolist(),
-            self.app_ids.tolist(),
-            self.keys.tolist(),
-            self.op_codes.tolist(),
-            self.value_sizes.tolist(),
-            self.key_sizes.tolist(),
-        ):
-            yield Request(
-                time=time,
-                app=self.app_table[app_id],
-                key=key,
-                op=OP_NAMES[op],
-                value_size=value_size,
-                key_size=key_size,
-            )
 
     def select_apps(self, apps: Iterable[str]) -> "CompiledTrace":
         """Subtrace containing only ``apps``, in original order.

@@ -1,14 +1,13 @@
-"""Weighted ordered key queues.
+"""Weighted ordered key queues: the structure the oracles are built on.
 
 :class:`KeyQueue` is an ordered set of keys with per-key weights and a
 capacity measured in weight units (bytes). MRU is at the *front*, LRU at
 the *back*. It stores keys only -- the simulator never materializes
-values. The ARC and Facebook policies build their segments from it, and
-:class:`repro.core.managed.ShadowedQueue` its shadow, whose weights still
-stand for the evicted items (the paper's "shadow queues that represent
-1 MB of requests", section 5.7). The LRU policy and the Cliffhanger queue
-keep leaner structures of their own (:mod:`repro.cache.policies.lru`,
-:mod:`repro.core.cliff_scaling`).
+values. The eviction structures in ``src/`` once built their segments
+from it; each now keeps its own ordered dict and byte total, and the
+queue-backed forms they replaced are the oracles in
+``reference_lru.py``, ``reference_policies.py`` and
+``tests/core/reference.py``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The LRU policy over a :class:`~repro.cache.keyqueue.KeyQueue`.
+"""The LRU policy over a :class:`~tests.cache.keyqueue.KeyQueue`.
 
 :class:`repro.cache.policies.lru.LRUPolicy` keeps its own ordered dict
 so the stock engine's request path stays short; this is the queue-backed
@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.cache.keyqueue import KeyQueue
 from repro.cache.policies.base import Evicted, EvictionPolicy
+from tests.cache.keyqueue import KeyQueue
 
 
 class KeyQueueLRU(EvictionPolicy):

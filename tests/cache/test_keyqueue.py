@@ -6,7 +6,7 @@ property the whole shadow-queue design rests on."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.keyqueue import KeyQueue
+from tests.cache.keyqueue import KeyQueue
 from repro.common.errors import CacheError, ConfigurationError
 from tests.core.reference import QueueChain
 

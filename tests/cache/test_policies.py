@@ -9,6 +9,7 @@ from repro.cache.policies import POLICIES, make_policy
 from repro.cache.policies.arc import ARCPolicy
 from repro.cache.policies.facebook import FacebookPolicy
 from repro.cache.policies.lru import LRUPolicy
+from repro.common.errors import CacheError
 
 ALL_KINDS = sorted(POLICIES)
 
@@ -92,6 +93,37 @@ class TestGenericPolicyContract:
         policy.insert("a", 15)
         assert len(policy) == 1
         assert policy.used == 15
+
+    @pytest.mark.parametrize("method", ["insert", "store"])
+    def test_refused_insert_changes_nothing(self, kind, method):
+        """A negative weight raises before the policy moves: resident
+        keys in either Facebook segment, ARC's T1, T2 and ghost keys, and
+        absent keys alike."""
+        policy = make_policy(kind, 10)
+        policy.insert("a", 3)
+        policy.access("a")
+        for key in "bcd":
+            policy.insert(key, 3)  # ARC demotes b into B1
+        ghost = getattr(policy, "ghost_contains", lambda key: None)
+        protected = getattr(policy, "in_protected", lambda key: None)
+
+        def state():
+            return (
+                list(policy.keys()),
+                policy.used,
+                len(policy),
+                getattr(policy, "p", None),
+                [(ghost(key), protected(key)) for key in "abcde"],
+            )
+
+        before = state()
+        for key in "abcde":
+            resident = dict.fromkeys(policy.keys(), 0)
+            resident[key] = 0
+            args = (key, -1) if method == "insert" else (key, -1, resident)
+            with pytest.raises(CacheError):
+                getattr(policy, method)(*args)
+            assert state() == before, key
 
 
 class TestLRUSpecifics:

@@ -35,6 +35,7 @@ from repro.sim.runner import ScenarioEngineFactory
 from repro.workloads.compiled import CompiledTrace
 from repro.workloads.trace import Request
 from tests.cluster.reference import process_reference
+from tests.workloads.reference_streams import iter_requests
 
 GEO = SlabGeometry.default()
 
@@ -242,7 +243,7 @@ class TestBatchParity:
             num_keys=500,
             requests_per_app=2_000,
         ).compiled
-        requests = list(trace.iter_requests())[:3_000]
+        requests = list(iter_requests(trace))[:3_000]
         apps = tuple(trace.app_table)
         oracle = build(shards=4, replication=2, apps=apps)
         batch = build(shards=4, replication=2, apps=apps)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.cache.keyqueue import KeyQueue
+from tests.cache.keyqueue import KeyQueue
 from repro.common.errors import CacheError, ConfigurationError
 from repro.common.hashing import unit_interval_hash
 from repro.core.cliff_scaling import (

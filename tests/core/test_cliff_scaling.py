@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cache.keyqueue import KeyQueue
+from tests.cache.keyqueue import KeyQueue
 from repro.cache.policies import make_policy
 from repro.core.cliff_scaling import (
     ACCESS_HILL_FIND,

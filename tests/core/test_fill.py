@@ -49,7 +49,7 @@ def shadowed_state(queue):
     return (
         [(key, protected(key)) for key in policy.keys()],
         policy.used,
-        list(shadow.keys_mru_to_lru()),
+        list(shadow.keys()),
         shadow.used,
         queue.shadow_hits,
     )

@@ -1,10 +1,13 @@
 """Tests for ShadowedQueue: the physical-policy + key-only-shadow unit."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cache.policies import make_policy
+from repro.cache.policies import POLICIES, make_policy
 from repro.core.cliff_scaling import ACCESS_HILL_FIND, ACCESS_HIT, ACCESS_MISS
 from repro.core.managed import ShadowedQueue
+from tests.cache.reference_policies import KeyQueueShadowed
+from tests.cache.test_lru_oracle import CAPACITIES, KEYS, WEIGHTS
 
 
 def make(capacity=10, shadow=10, policy="lru"):
@@ -87,3 +90,46 @@ class TestShadowedQueue:
             queue.insert(key, 1)
         results = {queue.access(key) for key in "abcde"}
         assert ACCESS_HIT in results
+
+
+SHADOW_OPERATIONS = st.one_of(
+    st.tuples(st.just("get"), KEYS, st.sampled_from(WEIGHTS)),
+    st.tuples(st.just("insert"), KEYS, st.sampled_from(WEIGHTS)),
+    st.tuples(st.just("remove"), KEYS),
+    st.tuples(st.just("set_capacity"), st.sampled_from(CAPACITIES)),
+)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.sampled_from(CAPACITIES),
+    shadow_bytes=st.sampled_from(CAPACITIES),
+    operations=st.lists(SHADOW_OPERATIONS, max_size=80),
+)
+def test_shadow_matches_the_keyqueue_oracle(
+    policy, capacity, shadow_bytes, operations
+):
+    """The ``LRUPolicy`` shadow against the ``KeyQueue`` one it replaced,
+    which drained once per eviction batch: the same return values, the
+    same shadow keys in the same order and the exact float bytes after
+    every step. A GET that is not a hit fills, as the engine does."""
+    queue, oracle = (
+        cls(make_policy(policy, capacity), shadow_bytes=shadow_bytes)
+        for cls in (ShadowedQueue, KeyQueueShadowed)
+    )
+    for name, *args in operations:
+        if name == "get":
+            key, weight = args
+            got = queue.access(key)
+            assert got == oracle.access(key), (name, args)
+            if got != ACCESS_HIT:
+                assert queue.fill(key, weight) == oracle.fill(key, weight)
+        else:
+            got = getattr(queue, name)(*args)
+            assert got == getattr(oracle, name)(*args), (name, args)
+        assert list(queue.shadow.keys()) == list(oracle.shadow.keys_mru_to_lru())
+        assert queue.shadow.used.hex() == oracle.shadow.used.hex()
+        assert queue.shadow_hits == oracle.shadow_hits
+        assert list(queue.policy.keys()) == list(oracle.policy.keys())
+        assert queue.used_bytes.hex() == oracle.used_bytes.hex()

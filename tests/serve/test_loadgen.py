@@ -20,6 +20,7 @@ from repro.serve.protocol import (
     encode_command,
 )
 from repro.serve.service import synthesize_value
+from tests.workloads.reference_streams import iter_requests
 
 
 class StubClient:
@@ -193,7 +194,7 @@ class TestTraceCompilation:
                         op=OPS[i % 3], value_size=sizes[(i // 3) % 3])
                 for i in range(60)
             ]
-            + list(self.make_trace().iter_requests()),
+            + list(iter_requests(self.make_trace())),
             geometry,
         )
         work = commands_from_trace(compiled, limit)
@@ -205,7 +206,7 @@ def walk_requests(trace, limit):
     """``commands_from_trace`` as it was first written: a ``Request``
     per row, dispatched on its op name."""
     work = []
-    for request in trace.iter_requests():
+    for request in iter_requests(trace):
         if len(work) >= limit:
             break
         if request.op == "set":

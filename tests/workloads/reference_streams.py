@@ -6,7 +6,8 @@ module too: one frozen :class:`Request` per request, ``Phase`` weights
 re-evaluated per request, and a ``heapq`` merge keyed on ``(time,
 app)``. ``CompiledTrace.compile`` of the streams' ``columns`` must
 equal ``CompiledTrace.compile`` of what this module yields, column by
-column.
+column. :func:`iter_requests` goes the other way: it re-expands a
+compiled trace into requests, for the round-trip tests.
 """
 
 from __future__ import annotations
@@ -17,11 +18,34 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.cache.stats import OP_NAMES
 from repro.common.errors import ConfigurationError
 from repro.workloads import facebook, generators
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.facebook import _etc_key_size
 from repro.workloads.trace import Request
 from repro.workloads.zipf import ZipfSampler
+
+
+def iter_requests(trace: CompiledTrace) -> Iterator[Request]:
+    """Re-expand a compiled trace into :class:`Request` objects, their
+    fields plain ``float`` / ``int`` / ``str``."""
+    for time, app_id, key, op, value_size, key_size in zip(
+        trace.times.tolist(),
+        trace.app_ids.tolist(),
+        trace.keys.tolist(),
+        trace.op_codes.tolist(),
+        trace.value_sizes.tolist(),
+        trace.key_sizes.tolist(),
+    ):
+        yield Request(
+            time=time,
+            app=trace.app_table[app_id],
+            key=key,
+            op=OP_NAMES[op],
+            value_size=value_size,
+            key_size=key_size,
+        )
 
 
 def merge_by_time(streams: Sequence[Iterable[Request]]) -> Iterator[Request]:

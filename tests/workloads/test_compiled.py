@@ -26,6 +26,7 @@ from repro.workloads.compiled import (
     TraceCache,
 )
 from repro.workloads.trace import OPS, Request
+from tests.workloads.reference_streams import iter_requests
 
 GEOMETRY = SlabGeometry.default()
 
@@ -112,7 +113,7 @@ ENGINE_FACTORIES = {
 def test_compile_roundtrip_preserves_requests(requests):
     compiled = CompiledTrace.compile(requests, GEOMETRY)
     assert len(compiled) == len(requests)
-    assert list(compiled.iter_requests()) == requests
+    assert list(iter_requests(compiled)) == requests
 
 
 def _replay_one_at_a_time(server, requests):
@@ -153,7 +154,7 @@ def test_save_load_roundtrip(requests, tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "trace.npz"
     compiled.save(path)
     loaded = CompiledTrace.load(path)
-    assert list(loaded.iter_requests()) == requests
+    assert list(iter_requests(loaded)) == requests
     assert loaded.slab_classes.tolist() == compiled.slab_classes.tolist()
     assert loaded.chunk_bytes.tolist() == compiled.chunk_bytes.tolist()
     assert loaded.app_table == compiled.app_table
@@ -211,7 +212,7 @@ def test_subsets_equal_filtering_the_requests(requests, chosen, low, high, op):
     ]
     for sub, expected in cases:
         assert len(sub) == len(expected)
-        assert list(sub.iter_requests()) == expected
+        assert list(iter_requests(sub)) == expected
         assert sub.app_table is compiled.app_table
         assert sub.key_table is compiled.key_table
         for name, dtype in COLUMN_DTYPES.items():
@@ -219,7 +220,7 @@ def test_subsets_equal_filtering_the_requests(requests, chosen, low, high, op):
             assert column.dtype == dtype and column.shape == (len(sub),)
         _assert_keys_are_table_entries(sub)
     # The parent is untouched by its sub-traces (slices are views).
-    assert list(compiled.iter_requests()) == requests
+    assert list(iter_requests(compiled)) == requests
 
 
 @settings(max_examples=25, deadline=None)
@@ -230,7 +231,7 @@ def test_python_loops_hand_out_plain_scalars(requests):
     them is plain ``int`` / ``float`` / ``str``, so a report built from
     their dict keys and counts goes through ``json.dumps``."""
     compiled = CompiledTrace.compile(requests, GEOMETRY)
-    for request in compiled.iter_requests():
+    for request in iter_requests(compiled):
         assert _plain(request.time, float)
         assert _plain(request.app, str) and _plain(request.key, str)
         assert _plain(request.op, str)
@@ -297,7 +298,7 @@ def test_select_apps_matches_filtering():
     compiled = CompiledTrace.compile(requests, GEOMETRY)
     subset = compiled.select_apps(["app1"])
     expected = [r for r in requests if r.app == "app1"]
-    assert list(subset.iter_requests()) == expected
+    assert list(iter_requests(subset)) == expected
 
 
 def test_slice_and_with_op():
@@ -344,7 +345,7 @@ def test_trace_cache_memory_and_disk(tmp_path):
     other = TraceCache(directory=tmp_path)
     loaded = cache_hit = other.get_or_compile("t1", factory)
     assert len(calls) == 1
-    assert list(cache_hit.iter_requests()) == list(first.iter_requests())
+    assert list(iter_requests(cache_hit)) == list(iter_requests(first))
     assert loaded.keys.tolist() == first.keys.tolist()
 
     # Dropping the memory level falls back to the disk copy, not the factory.
@@ -395,7 +396,7 @@ CORRUPTIONS = {
 
 def test_load_accepts_what_save_wrote(tmp_path):
     path, requests = _saved(tmp_path)
-    assert list(CompiledTrace.load(path).iter_requests()) == requests
+    assert list(iter_requests(CompiledTrace.load(path))) == requests
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
@@ -427,5 +428,5 @@ def test_trace_cache_heals_inconsistent_file(tmp_path):
 
     rebuilt = TraceCache(directory=tmp_path).get_or_compile("t", factory)
     assert calls == [1]
-    assert list(rebuilt.iter_requests()) == requests
-    assert list(CompiledTrace.load(path).iter_requests()) == requests
+    assert list(iter_requests(rebuilt)) == requests
+    assert list(iter_requests(CompiledTrace.load(path))) == requests

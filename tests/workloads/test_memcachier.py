@@ -11,6 +11,7 @@ from repro.workloads.memcachier import (
     value_size_for_class,
     zipf_cache_for_hit_rate,
 )
+from tests.workloads.reference_streams import iter_requests
 
 
 class TestHelpers:
@@ -55,7 +56,7 @@ class TestBuild:
 
     def test_requests_are_time_ordered_and_complete(self):
         trace = build_memcachier_trace(scale=0.01, apps=[3, 4, 5])
-        requests = list(CompiledTrace.compile(trace.columns()).iter_requests())
+        requests = list(iter_requests(CompiledTrace.compile(trace.columns())))
         assert len(requests) == trace.total_requests
         times = [r.time for r in requests]
         assert times == sorted(times)

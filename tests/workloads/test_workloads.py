@@ -34,7 +34,7 @@ from repro.workloads.sizes import (
 )
 from repro.workloads.trace import Request
 from repro.workloads.zipf import ZipfSampler
-from tests.workloads.reference_streams import merge_by_time
+from tests.workloads.reference_streams import iter_requests, merge_by_time
 
 
 class TestZipfSampler:
@@ -215,9 +215,9 @@ class TestTraceIO:
         geometry = SlabGeometry.default()
         merged = CompiledTrace.compile([columns(s) for s in streams], geometry)
         expected = CompiledTrace.compile(merge_by_time(streams), geometry)
-        assert list(merged.iter_requests()) == list(expected.iter_requests())
+        assert list(iter_requests(merged)) == list(iter_requests(expected))
         assert merged.key_table == expected.key_table
-        assert [(r.time, r.app) for r in merged.iter_requests()] == [
+        assert [(r.time, r.app) for r in iter_requests(merged)] == [
             (0.0, "a"), (0.0, "b"), (1.0, "b"), (2.0, "a"), (2.0, "a"),
             (2.0, "b"), (3.0, "b"), (4.0, "a"),
         ]
