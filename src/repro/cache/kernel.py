@@ -14,6 +14,14 @@ columns they pass (a worker's came with its start-up arguments) and
 where the returned tallies go (:func:`flush_runs` in-process, a pipe
 from a worker).
 
+Only what changes state is a barrier: a rebalance epoch, a fault event,
+the run's end. A fault timeline's samples only read counters, so they
+cut no window: the caller passes their row offsets as ``cuts``, and the
+kernel returns, beside the run tallies, each cut's GET hits and GETs
+since the cut before it (:func:`cut_tallies`). The caller adds those to
+the totals at the window's start and has the counters as they stood at
+each sample, mid-window.
+
 The columns reach the loop in blocks: consecutive runs of a window are
 grouped into blocks of at most :data:`GATHER_ROWS` rows (a longer run is
 a block of its own), each block gathers its five columns once, and
@@ -37,6 +45,7 @@ would let it use this kernel too.)
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from itertools import islice
 from typing import (
     TYPE_CHECKING,
@@ -52,7 +61,7 @@ from typing import (
 
 import numpy as np
 
-from repro.cache.stats import OUTCOME_DEAD
+from repro.cache.stats import OP_GET, OUTCOME_DEAD, OUTCOME_HIT
 
 if TYPE_CHECKING:  # circular at runtime: server.py replays through us
     from repro.cache.server import CacheServer
@@ -64,12 +73,15 @@ if TYPE_CHECKING:  # circular at runtime: server.py replays through us
 #: Most rows one gather pulls into Python lists, unless a single run is
 #: longer (it is then gathered whole, as a block of its own). Small
 #: enough that a block's lists stay cache-resident while its runs read
-#: them; large enough that, on a trace of up to ~130k requests, the
-#: window between two of a fault timeline's 128 samples is one block.
+#: them, however long the window between two epochs or events; large
+#: enough that one block holds dozens of a dynamic cluster's short runs,
+#: so a window makes a handful of gathers, not five per run.
 GATHER_ROWS = 1024
 
 #: One run's outcome tally: ``(shard, app_id, {(code << 2) | op: count})``.
 Run = Tuple[int, int, Dict[int, int]]
+#: ``(GET hits, GETs)`` of the rows between two cuts of a window.
+CutTally = Tuple[int, int]
 #: ``(keys, op_codes, slab_classes, chunk_bytes, item_bytes)`` -- keys as
 #: an object array, the rest integer arrays, one row per request: a
 #: compiled trace's own columns (``CompiledTrace.replay_columns``).
@@ -88,8 +100,10 @@ def replay_runs(
     stop: int,
     dead: Collection[int] = (),
     owned: Optional[np.ndarray] = None,
-) -> List[Run]:
-    """Replay requests ``[start, stop)`` and return one tally per run.
+    cuts: Sequence[int] = (),
+) -> Tuple[List[Run], List[CutTally]]:
+    """Replay requests ``[start, stop)``: one tally per run, and one
+    :data:`CutTally` per cut.
 
     Within one window shards are independent servers and, on each shard,
     per-app engines and per-app stats share no state -- so the
@@ -98,10 +112,12 @@ def replay_runs(
     Each run then replays with everything hoisted out of the loop: the
     engine's bound ``process_fast``, flat column gathers (``tolist``
     hands the loop plain Python objects; keys stay the interned
-    strings), and a dict tally of identical packed ``(code << 2) | op``
-    outcomes instead of a per-request stats walk. Counters are integer
-    adds, so flushing a tally later is bit-identical to recording each
-    request as it happens. Runs come back in ascending composite order.
+    strings), one list comprehension of packed ``(code << 2) | op``
+    outcomes, and a ``Counter`` of them (tallied in C, keyed in
+    first-seen order) instead of a per-request stats walk. Counters are
+    integer adds, so flushing a tally later is bit-identical to
+    recording each request as it happens. Runs come back in ascending
+    composite order.
 
     The gathers are per block of runs (see the module docstring); each
     run draws exactly its own rows from its block's ``zip`` with
@@ -109,11 +125,18 @@ def replay_runs(
 
     ``dead`` shards (the fault layer's ``miss-through`` policy) never
     reach an engine: their runs tally ``OUTCOME_DEAD`` per op -- GETs
-    count as misses, SETs as sets -- which is order-free; the tally is
-    keyed in ascending op order. ``owned`` is a per-shard boolean lookup
+    count as misses, SETs as sets. ``owned`` is a per-shard boolean lookup
     restricting the window to a worker's shards; a stable sort of a
     subsequence keeps each run's request order, so a worker's runs equal
     the serial loop's.
+
+    ``cuts`` are ascending row offsets inside the window where a caller
+    wants to read counters without stopping the replay (a fault
+    timeline's samples). For each cut the second list holds the GET
+    hits and GETs of the window's rows from the previous cut (or
+    ``start``) up to it; a dead shard's GETs count as misses. Only a
+    window with cuts keeps its codes to lay them against the rows
+    (:func:`cut_tallies`); the second list is empty without cuts.
     """
     window_shards = shard_column[start:stop]
     window_apps = app_column[start:stop]
@@ -124,7 +147,7 @@ def replay_runs(
         window_apps = window_apps[members]
     runs: List[Run] = []
     if len(window_shards) == 0:
-        return runs
+        return runs, [(0, 0)] * len(cuts)
     num_apps = len(app_table)
     composite = window_shards.astype(np.int64) * num_apps + window_apps
     order = np.argsort(composite, kind="stable")
@@ -137,6 +160,7 @@ def replay_runs(
     run_ids = sorted_runs[np.concatenate(([0], run_bounds))].tolist()
     run_stops = run_bounds.tolist()
     run_stops.append(len(sorted_runs))
+    window_codes: List[int] = []
     first = block_start = 0
     while first < len(run_ids):
         # The longest prefix of the remaining runs that fits in
@@ -159,25 +183,48 @@ def replay_runs(
             shard, app_id = divmod(run_id, num_apps)
             rows = islice(requests, run_stop - run_start)
             run_start = run_stop
-            counts: Dict[int, int] = {}
-            if shard in dead:
-                ops: Dict[int, int] = {}
-                for _, op, _, _, _ in rows:
-                    ops[op] = ops.get(op, 0) + 1
-                for op in sorted(ops):
-                    counts[(OUTCOME_DEAD << 2) | op] = ops[op]
-            else:
-                process = servers[shard].engines[app_table[app_id]].process_fast
-                for key, op, class_index, chunk, nbytes in rows:
-                    packed = (process(key, op, class_index, chunk, nbytes) << 2) | op
-                    try:
-                        counts[packed] += 1
-                    except KeyError:
-                        counts[packed] = 1
-            runs.append((shard, app_id, counts))
+            process = (
+                _dead if shard in dead
+                else servers[shard].engines[app_table[app_id]].process_fast
+            )
+            codes = [
+                (process(key, op, class_index, chunk, nbytes) << 2) | op
+                for key, op, class_index, chunk, nbytes in rows
+            ]
+            runs.append((shard, app_id, Counter(codes)))
+            if cuts:
+                window_codes += codes
         first = last
         block_start = block_stop
-    return runs
+    if not cuts:
+        return runs, []
+    return runs, cut_tallies(np.array(window_codes), positions, cuts)
+
+
+def _dead(
+    key: object, op: int, class_index: int, chunk: int, nbytes: int
+) -> int:
+    """A dead shard's ``process_fast``: no engine, every request
+    ``OUTCOME_DEAD`` (GETs count as misses, SETs as sets)."""
+    return OUTCOME_DEAD
+
+
+def cut_tallies(
+    packed: np.ndarray, rows: np.ndarray, cuts: Sequence[int]
+) -> List[CutTally]:
+    """``(GET hits, GETs)`` of the rows before each cut and at or after
+    the one before it: ``packed[i]`` is row ``rows[i]``'s ``(code << 2)
+    | op``, in any row order."""
+    parts = np.searchsorted(cuts, rows, side="right")
+    gets = (packed & 3) == OP_GET
+    hits = gets & (packed & (OUTCOME_HIT << 2) != 0)
+    size = len(cuts) + 1
+    return list(
+        zip(
+            map(int, np.bincount(parts[hits], minlength=size)[:-1]),
+            map(int, np.bincount(parts[gets], minlength=size)[:-1]),
+        )
+    )
 
 
 def flush_runs(

@@ -90,7 +90,7 @@ class CacheServer:
         """
         self.check_replayable(trace)
         servers = (self,)
-        runs = replay_runs(
+        runs, _ = replay_runs(
             servers,
             trace.app_table,
             trace.replay_columns(),

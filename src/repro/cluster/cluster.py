@@ -12,8 +12,12 @@ request-execution path a single server already has
   the mask (:meth:`Cluster._route_mask`: failover vs. miss-through).
 * **one window driver on one clock** (:meth:`Cluster._drive`): find the
   next barrier after the clock -- the next rebalance-epoch multiple or
-  the armed fault injector's next offset -- serve the window, run
-  :meth:`Cluster._barrier`. The offline replay drives a whole trace
+  the armed fault injector's next event or end -- serve the window, run
+  :meth:`Cluster._barrier`. The fault timeline's samples are not
+  barriers: a sample offset inside the window is a *cut*, the window
+  comes back with the GET hits and GETs before each cut, and the cut
+  samples fire through :meth:`Cluster._barrier` with those totals before
+  the window's own barrier. The offline replay drives a whole trace
   from clock 0 through the kernel (in-process or on a worker pool); the
   live batch path walks one batch, request by request, from the
   requests served so far. Same loop, so a seed and a schedule fix where
@@ -39,7 +43,7 @@ from typing import (
 import numpy as np
 
 from repro.cache.engines import Engine
-from repro.cache.kernel import flush_runs, replay_runs
+from repro.cache.kernel import CutTally, cut_tallies, flush_runs, replay_runs
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_CODES, OUTCOME_DEAD, HitMissCounter, StatsRegistry
@@ -55,6 +59,12 @@ from repro.cluster.routing import (
 
 #: Engine factory for one tenant: ``(shard_index, budget_share) -> Engine``.
 EngineFactory = Callable[[int, float], Engine]
+#: ``(start, stop, mask, dead, cuts) -> one (GET hits, GETs) per cut``:
+#: how :meth:`Cluster._drive` has a window served (see there).
+ReplayWindow = Callable[
+    [int, int, Tuple[bool, ...], Collection[int], Sequence[int]],
+    List[CutTally],
+]
 
 #: A shard is *hot* when its request count exceeds this many times the
 #: per-shard mean.
@@ -501,7 +511,12 @@ class Cluster:
         """
         return self.router.route(key, self._route_mask())
 
-    def _barrier(self, offset: int, injector=None) -> None:
+    def _barrier(
+        self,
+        offset: int,
+        injector=None,
+        totals: Optional[Tuple[int, int]] = None,
+    ) -> None:
         """Run the hooks due once ``offset`` requests have been handled.
 
         The only place the barrier order is written: sample the fault
@@ -510,10 +525,13 @@ class Cluster:
         ``offset`` -- so an epoch sees the pre-event live set and a
         crash drains budgets the epoch just moved. ``injector`` is the
         fault injector while its schedule still has a barrier at or
-        after ``offset``, else ``None``.
+        after ``offset``, else ``None``. A sample inside a window passes
+        the cluster's ``(GET hits, GETs)`` at ``offset`` as ``totals``
+        (no epoch or event falls there); at a window's end the sample
+        reads the registries.
         """
         if injector is not None:
-            injector.on_barrier(offset)
+            injector.on_barrier(offset, totals)
         rebalancer = self.rebalancer
         if rebalancer is not None:
             epoch = rebalancer.config.epoch_requests
@@ -526,20 +544,24 @@ class Cluster:
         self,
         clock: int,
         count: int,
-        replay_window: Callable[
-            [int, int, Tuple[bool, ...], Collection[int]], None
-        ],
+        replay_window: ReplayWindow,
     ) -> None:
         """The one window loop: run ``count`` requests, the first of
         them at clock ``clock``.
 
         Each window runs up to the next barrier after the clock (the
         rebalancer's next epoch multiple or the armed injector's next
-        offset, whichever is first) or to the last request.
-        ``replay_window(start, stop, mask, dead)`` serves rows ``[start,
-        stop)`` routed under the live ``mask``, with the ``dead`` shards
-        (``miss-through``) tallied without an engine -- per window,
-        because the barrier before it may have flipped the live set.
+        event or end, whichever is first) or to the last request.
+        ``replay_window(start, stop, mask, dead, cuts)`` serves rows
+        ``[start, stop)`` routed under the live ``mask``, with the
+        ``dead`` shards (``miss-through``) tallied without an engine --
+        per window, because the barrier before it may have flipped the
+        live set -- and returns, for each of the ascending row offsets
+        ``cuts``, the ``(GET hits, GETs)`` of the rows from the cut
+        before it (or ``start``) up to it. The cuts are the injector's
+        sampling grid offsets inside the window; each fires
+        :meth:`_barrier` with the cluster's totals there, in offset
+        order, before the window's own barrier.
         """
         injector = self.fault_injector
         rebalancer = self.rebalancer
@@ -555,10 +577,31 @@ class Cluster:
                 s for s in (limit, fault_stop, epoch_stop) if s is not None
             )
             stop_row = row + stop - clock
-            dead = injector.dead_shards() if injector is not None else ()
-            replay_window(row, stop_row, self._route_mask(), dead)
+            barrier = stop in (fault_stop, epoch_stop)
+            dead: Collection[int] = ()
+            cuts: Sequence[int] = ()
+            if injector is not None:
+                dead = injector.dead_shards()
+                # A live batch that ends between barriers on a grid
+                # offset samples there, as a cut: no barrier will.
+                cuts = injector.samples_between(
+                    clock, stop if barrier else stop + 1
+                )
+            if cuts:
+                hits, gets = injector.totals()
+            tallies = replay_window(
+                row,
+                stop_row,
+                self._route_mask(),
+                dead,
+                [row + cut - clock for cut in cuts],
+            )
+            for cut, (cut_hits, cut_gets) in zip(cuts, tallies):
+                hits += cut_hits
+                gets += cut_gets
+                self._barrier(cut, injector, (hits, gets))
             clock, row = stop, stop_row
-            if stop in (fault_stop, epoch_stop):
+            if barrier:
                 self._barrier(
                     stop, injector if fault_stop is not None else None
                 )
@@ -617,7 +660,7 @@ class Cluster:
         servers = self.servers
         route = self.router.route
 
-        def replay_window(start, stop, mask, dead):
+        def replay_window(start, stop, mask, dead, cuts):
             # Resolved per window: a restart at the barrier before it
             # swaps in fresh engines. Dead shards get no handler.
             handlers = [
@@ -651,6 +694,10 @@ class Cluster:
                     for run in sorted(tallies)
                 ],
             )
+            if not cuts:
+                return []
+            outcomes = np.array(codes[start:stop]) << 2 | np.array(op_column[start:stop])
+            return cut_tallies(outcomes, np.arange(start, stop), cuts)
 
         self._drive(self.object_requests, count, replay_window)
         self.object_requests += count
@@ -718,12 +765,11 @@ class Cluster:
         app_table = trace.app_table
         columns = trace.replay_columns()
 
-        def replay_window(start, stop, mask, dead):
+        def replay_window(start, stop, mask, dead, cuts):
             shard_column = routes.shard_ids(mask)
             if pool is not None:
-                pool.replay_window(start, stop, shard_column, dead)
-                return
-            runs = replay_runs(
+                return pool.replay_window(start, stop, shard_column, dead, cuts)
+            runs, tallies = replay_runs(
                 self.servers,
                 app_table,
                 columns,
@@ -732,8 +778,10 @@ class Cluster:
                 start,
                 stop,
                 dead=dead,
+                cuts=cuts,
             )
             flush_runs(self.servers, app_table, runs)
+            return tallies
 
         try:
             # The pool is up before the injector begins: an offset-0

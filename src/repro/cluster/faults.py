@@ -14,9 +14,10 @@ offsets, plus the degradation policy and recovery-metric knobs. It
 round-trips through JSON (the scenario ``faults`` block) and is
 sweepable like every other block. Offsets count requests on the
 cluster's one clock (trace position offline, requests served live), and
-the one window driver stops at each of them, at the metric sampling grid
-and at the rebalancer's epochs whoever is driving -- offline replay,
-worker pool or live batches -- so a seed fixes the fault timeline.
+the one window driver stops at each of them and at the rebalancer's
+epochs whoever is driving -- offline replay, worker pool or live
+batches -- and samples the metric grid mid-window, from the counters as
+they stood at each grid offset, so a seed fixes the fault timeline.
 
 Two degradation policies model the two real memcache behaviors:
 
@@ -165,9 +166,14 @@ class FaultInjector:
     drives requests arms it with :meth:`begin` and disarms it with
     :meth:`finish` (an offline replay does both itself; the serve
     harness does it around a live run). While armed, the cluster's
-    window driver stops where :meth:`next_barrier` says and there calls
-    :meth:`on_barrier` (metric sampling), the rebalancer's epoch hook
-    and :meth:`apply_events` -- in that order.
+    window driver stops where :meth:`next_barrier` says -- an event
+    offset or the run's end, the only offsets where the injector
+    changes state -- and there calls :meth:`on_barrier` (metric
+    sampling), the rebalancer's epoch hook and :meth:`apply_events`, in
+    that order. A sampling grid offset cuts no window: the driver asks
+    :meth:`samples_between` for the grid offsets inside a window and
+    calls :meth:`on_barrier` at each with the GET hits and GETs the
+    cluster had served up to it, which the replay counted on the way.
 
     Determinism: the schedule is fixed data, the live mask changes only
     at scheduled offsets, restarted engines are rebuilt through the
@@ -202,9 +208,12 @@ class FaultInjector:
         self._down: Dict[int, Dict[str, Any]] = {}
         self._saved_budgets: Dict[int, Dict[str, float]] = {}
         self._total = 0
-        #: The injector's own barrier offsets, sorted: the sampling
-        #: grid, the event offsets and ``total``. Empty while disarmed.
-        self._offsets: List[int] = []
+        #: The injector's barrier offsets, sorted: the event offsets and
+        #: ``total``. Empty while disarmed.
+        self._barriers: List[int] = []
+        #: The sampling grid is every ``sample_step`` multiple below
+        #: this: ``total`` while armed, 0 while disarmed.
+        self._grid_end = 0
         self._sampled_at: Optional[int] = None
         self._last_hits = 0
         self._last_gets = 0
@@ -217,12 +226,13 @@ class FaultInjector:
     def begin(self, total: int) -> None:
         """Arm the schedule for a run of ``total`` requests.
 
-        Resets per-run state, lays out the barrier offsets and applies
-        offset-0 events (a crash at 0 precedes every request). ``total``
-        is ``len(trace)`` offline and the *scheduled* request count
-        (``rate x duration`` rounded) live, so both lay out the same
-        barriers; time is "requests processed", so a seed and a schedule
-        reproduce the fault timeline however an event loop interleaves.
+        Resets per-run state, lays out the barrier offsets and the
+        sampling grid and applies offset-0 events (a crash at 0 precedes
+        every request). ``total`` is ``len(trace)`` offline and the
+        *scheduled* request count (``rate x duration`` rounded) live, so
+        both lay out the same barriers and grid; time is "requests
+        processed", so a seed and a schedule reproduce the fault
+        timeline however an event loop interleaves.
         """
         self._total = total
         self.live = [True] * self.cluster.shards
@@ -238,30 +248,40 @@ class FaultInjector:
         barriers = set()
         if total > 0:
             barriers.add(total)
-            barriers.update(range(self.sample_step, total, self.sample_step))
             barriers.update(at for at in self._events_at if 0 < at < total)
-        self._offsets = sorted(barriers)
+        self._barriers = sorted(barriers)
+        self._grid_end = total
         self._sampled_at = None
-        self._last_hits, self._last_gets = self._cluster_totals()
+        self._last_hits, self._last_gets = self.totals()
         self._window_rate = 0.0
         self.apply_events(0)
 
     def next_barrier(self, clock: int) -> Optional[int]:
         """The injector's first barrier offset strictly after ``clock``;
         ``None`` once the schedule has run out (or while disarmed)."""
-        index = bisect_right(self._offsets, clock)
-        if index >= len(self._offsets):
+        index = bisect_right(self._barriers, clock)
+        if index >= len(self._barriers):
             return None
-        return self._offsets[index]
+        return self._barriers[index]
+
+    def samples_between(self, start: int, stop: int) -> range:
+        """The sampling grid's offsets strictly between ``start`` and
+        ``stop`` (none while disarmed). The grid is every
+        ``sample_step`` multiple in ``(0, total)``. A grid offset that
+        is also a barrier (an event, an epoch) is a window's edge, never
+        strictly inside one: that barrier samples it."""
+        step = self.sample_step
+        return range(start - start % step + step, min(stop, self._grid_end), step)
 
     def finish(self, processed: int) -> None:
         """Disarm at ``processed`` requests: sample the tail window if
         the run stopped between barriers (an under-driven live run never
         reaches ``total``), then drop the offsets so later requests are
         neither split nor sampled at them."""
-        if self._offsets and processed != self._sampled_at:
+        if self._barriers and processed != self._sampled_at:
             self.on_barrier(processed)
-        self._offsets = []
+        self._barriers = []
+        self._grid_end = 0
 
     def dead_shards(self) -> frozenset:
         """Currently-crashed shard indices (miss-through tagging)."""
@@ -269,17 +289,32 @@ class FaultInjector:
             shard for shard, flag in enumerate(self.live) if not flag
         )
 
-    def on_barrier(self, offset: int) -> None:
+    def totals(self) -> Tuple[int, int]:
+        """The cluster's GET hits and GETs, summed over the shard
+        registries."""
+        hits = gets = 0
+        for server in self.cluster.servers:
+            total = server.stats.total
+            hits += total.get_hits
+            gets += total.gets
+        return hits, gets
+
+    def on_barrier(
+        self, offset: int, totals: Optional[Tuple[int, int]] = None
+    ) -> None:
         """Sample the rolling hit rate and advance recovery accounting.
 
-        The window rate is Δhits/Δgets since the previous barrier; a
-        crash record accrues miss cost (``max(0, pre_rate - rate) ×
-        window_gets``) from its crash barrier until the first sampled
-        window at or after its restart whose rate is back within ε of
-        the pre-fault window's.
+        ``totals`` are the cluster's GET hits and GETs once ``offset``
+        requests have been handled; omitted, they are read from the
+        shard registries (:meth:`totals`), which is right wherever the
+        replay has stopped at ``offset``. The window rate is
+        Δhits/Δgets since the previous call; a crash record accrues miss
+        cost (``max(0, pre_rate - rate) × window_gets``) from its crash
+        barrier until the first sampled window at or after its restart
+        whose rate is back within ε of the pre-fault window's.
         """
         self._sampled_at = offset
-        hits, gets = self._cluster_totals()
+        hits, gets = totals if totals is not None else self.totals()
         window_hits = hits - self._last_hits
         window_gets = gets - self._last_gets
         self._last_hits, self._last_gets = hits, gets
@@ -339,14 +374,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Crash / restart mechanics
     # ------------------------------------------------------------------
-
-    def _cluster_totals(self) -> Tuple[int, int]:
-        hits = gets = 0
-        for server in self.cluster.servers:
-            total = server.stats.total
-            hits += total.get_hits
-            gets += total.gets
-        return hits, gets
 
     def _shard_budget(self, shard: int) -> float:
         return self.cluster.shard_budget(shard)

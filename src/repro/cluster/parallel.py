@@ -19,7 +19,9 @@ section 4.3), so the fan-out changes nothing but wall-clock:
   returns once every worker's run tallies for the window have been
   flushed into the parent's shard registries, so the driver's barrier
   (sample, rebalance epoch, fault events) reads exactly the state the
-  in-process executor would have left.
+  in-process executor would have left. A worker's GET hits and GETs
+  before each of the window's sample cuts come back with its runs, and
+  the parent sums them in worker order.
 
 The parent's engines never process a request: they are empty
 *bookkeeping mirrors*. Budget moves go through
@@ -42,7 +44,7 @@ from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.kernel import Run, flush_runs, replay_runs
+from repro.cache.kernel import CutTally, Run, flush_runs, replay_runs
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
 from repro.cluster.cluster import Cluster, scale_engine_budgets
@@ -125,14 +127,14 @@ def _worker_main(conn, parent_ends, payload: Dict[str, Any]) -> None:
             command = message[0]
             try:
                 if command == "window":
-                    _, start, stop, rerouted, dead = message
+                    _, start, stop, rerouted, dead, cuts = message
                     shard_column = plan_column
                     if rerouted is not None:
                         if rerouted_column is None:
                             rerouted_column = plan_column.copy()
                         rerouted_column[start:stop] = rerouted
                         shard_column = rerouted_column
-                    runs = replay_runs(
+                    replayed = replay_runs(
                         servers,
                         payload["app_table"],
                         payload["replay_columns"],
@@ -142,8 +144,9 @@ def _worker_main(conn, parent_ends, payload: Dict[str, Any]) -> None:
                         stop,
                         dead=dead,
                         owned=owned,
+                        cuts=cuts,
                     )
-                    conn.send(("ok", runs))
+                    conn.send(("ok", replayed))
                 elif command == "scale":
                     _, shard, target = message
                     engines = servers[shard].engines.values()
@@ -267,10 +270,13 @@ class WorkerPool:
         stop: int,
         shard_column: np.ndarray,
         dead: Collection[int] = (),
-    ) -> None:
+        cuts: Sequence[int] = (),
+    ) -> List[CutTally]:
         """Replay ``[start, stop)`` on every worker and flush the merged
         tallies into the parent's registries; returns only when the
-        whole window is done and accounted.
+        whole window is done and accounted, with each of the ``cuts``'
+        GET hits and GETs summed over the workers (see
+        :func:`~repro.cache.kernel.replay_runs`).
 
         Workers hold the plan's column already; any other
         ``shard_column`` (the router hands back the plan's own array
@@ -280,11 +286,19 @@ class WorkerPool:
         if shard_column is not self._plan_column:
             rerouted = shard_column[start:stop]
         runs: List[Run] = []
-        for worker_runs in self._broadcast(
-            ("window", start, stop, rerouted, tuple(dead))
+        tallies = [(0, 0)] * len(cuts)
+        for worker_runs, worker_tallies in self._broadcast(
+            ("window", start, stop, rerouted, tuple(dead), cuts)
         ):
             runs.extend(worker_runs)
+            tallies = [
+                (hits + more_hits, gets + more_gets)
+                for (hits, gets), (more_hits, more_gets) in zip(
+                    tallies, worker_tallies
+                )
+            ]
         flush_runs(self.cluster.servers, self.app_table, runs)
+        return tallies
 
     def scale_shard(self, shard: int, target: float) -> int:
         """Forward a budget resize to the owning worker; returns the

@@ -80,7 +80,7 @@ def replay(window, block_rows):
         for _ in range(window.shards)
     ]
     with patch.object(kernel, "GATHER_ROWS", block_rows):
-        runs = kernel.replay_runs(
+        runs, _ = kernel.replay_runs(
             servers, app_table, window.columns, window.shard_column,
             window.app_column, window.start, window.stop, dead=window.dead,
             owned=window.owned,

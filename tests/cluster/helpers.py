@@ -60,7 +60,9 @@ def run_reference(scenario):
 
 @st.composite
 def schedules(draw, total, shards=4):
-    """A valid crash(/restart) schedule over 1-2 distinct shards."""
+    """A valid crash(/restart) schedule over 1-2 distinct shards, sampled
+    every 1-400 requests: at the small strides most windows hold many
+    samples, and grid points land on epochs, events and batch ends."""
     pairs = draw(st.integers(min_value=1, max_value=2))
     targets = draw(
         st.lists(
@@ -91,4 +93,7 @@ def schedules(draw, total, shards=4):
         for i, shard in enumerate(targets)
     ]
     policy = draw(st.sampled_from(["failover", "miss-through"]))
-    return {"events": events, "policy": policy}
+    sample_requests = draw(st.integers(min_value=1, max_value=400))
+    return {
+        "events": events, "policy": policy, "sample_requests": sample_requests
+    }

@@ -12,12 +12,22 @@ other NumPy columns of the compiled trace, as a caller may pass them. A Hypothes
 down, a long schedule checks that the router's per-live-mask memos stay
 bounded without changing a single counter, and a disarm test checks
 that a finished replay's barriers do not leak into later live batches.
+
+A fault timeline's samples are not barriers: they fall inside windows
+and read the counters as they stood there. A second property holds
+every driver's whole cluster report -- timeline, crash records, miss
+cost, recovery, per-shard counters -- to the reference, which stops at
+every sample.
 """
 
 from __future__ import annotations
 
+import json
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.faults import FAULT_POLICIES
 from repro.cluster.routing import TraceColumns
 from repro.sim import Scenario, load_workload
 from repro.sim.runner import prepare_cluster
@@ -45,9 +55,9 @@ def spy_on_barriers(cluster):
     offset_now = [None]
     barrier = cluster._barrier
 
-    def spy_barrier(offset, injector=None):
+    def spy_barrier(offset, *rest):
         offset_now[0] = offset
-        barrier(offset, injector)
+        barrier(offset, *rest)
 
     cluster._barrier = spy_barrier
     for owner, name, kind in (
@@ -126,6 +136,47 @@ def test_barriers_fire_identically_for_every_driver(faults, epoch, sizes):
         ]
 
 
+def report_bytes(cluster):
+    """The cluster report as canonical JSON text, with the per-shard
+    counters behind it."""
+    counters = [
+        sorted(counters_snapshot(server.stats).items(), key=repr)
+        for server in cluster.servers
+    ]
+    return json.dumps([cluster.report().to_dict(), counters], sort_keys=True)
+
+
+@pytest.mark.parametrize("policy", FAULT_POLICIES)
+@settings(max_examples=6, deadline=None)
+@given(
+    faults=schedules(TOTAL),
+    epoch=st.sampled_from([0, 97, 400]),
+    sizes=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=6),
+)
+def test_mid_window_samples_match_the_reference(policy, faults, epoch, sizes):
+    scenario = BASE.replace(
+        faults=dict(faults, policy=policy),
+        rebalance={"epoch_requests": epoch, "policy": "shadow"},
+    )
+    expected = report_bytes(run_reference(scenario).cluster)
+
+    offline, compiled = prepare_cluster(scenario, WORKLOAD)
+    offline.replay_compiled(compiled)
+    pooled, _ = prepare_cluster(
+        scenario.replace(cluster=dict(scenario.cluster, parallel_workers=2)),
+        WORKLOAD,
+    )
+    pooled.replay_compiled(compiled)
+    live, _ = prepare_cluster(scenario, WORKLOAD)
+    serve_in_batches(live, compiled, sizes)
+    # Booleans, not the texts: a diff of two long reports is slow to render.
+    matches = {
+        name: report_bytes(cluster) == expected
+        for name, cluster in (("offline", offline), ("pooled", pooled), ("live", live))
+    }
+    assert matches == dict.fromkeys(matches, True)
+
+
 def test_live_mask_memos_stay_bounded_on_a_long_schedule(monkeypatch):
     # Five distinct live sets (all-live, {1}, {1,2}, {2}, {3} down) under
     # failover: each memo may keep the all-live entry plus the latest.
@@ -190,9 +241,9 @@ def test_finished_replay_leaves_no_barriers_for_live_batches():
     drive = cluster._drive
 
     def spy_drive(clock, count, replay_window):
-        def counted(start, stop, mask, dead):
+        def counted(start, stop, *rest):
             windows.append(stop - start)
-            replay_window(start, stop, mask, dead)
+            return replay_window(start, stop, *rest)
 
         drive(clock, count, counted)
 

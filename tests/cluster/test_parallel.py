@@ -488,8 +488,9 @@ def make_direct_cluster(workers=0):
 
 
 def kernel_runs(servers, compiled, plan, stop=None, **kwargs):
-    """One kernel call over ``[0, stop)`` of ``compiled`` for ``servers``."""
-    return replay_runs(
+    """One kernel call's runs over ``[0, stop)`` of ``compiled`` for
+    ``servers``."""
+    runs, _ = replay_runs(
         servers,
         compiled.app_table,
         compiled.replay_columns(),
@@ -499,6 +500,7 @@ def kernel_runs(servers, compiled, plan, stop=None, **kwargs):
         len(compiled) if stop is None else stop,
         **kwargs,
     )
+    return runs
 
 
 def owned_lookup(cluster, shards):

@@ -14,10 +14,17 @@ tables recorded with the call budgets; ``python -m tests.perf_counts
 --record`` re-counts every row it holds and rewrites it, and
 :func:`diff` names the functions a new count moved against it.
 
+One row, :data:`CLUSTER_ROW`, counts the other side of the engines:
+:func:`count_cluster_calls` counts the Python calls one in-process
+cluster replay of :data:`GATHER_SCENARIO` makes around them -- kernel,
+window driver, barrier hooks, rerouting, flush, stats -- per request of
+the trace
+(``python -m tests.perf_counts cluster replay`` prints it).
+
 :func:`count_gathers` counts the replay kernel's NumPy gathers instead:
-``ndarray.tolist`` calls per cluster window, on :data:`GATHER_SCENARIO`
-unless told otherwise. ``python -m tests.perf_counts --gathers`` prints
-them.
+``ndarray.tolist`` calls per cluster window, beside the window's blocks
+of runs, on :data:`GATHER_SCENARIO` unless told otherwise. ``python -m
+tests.perf_counts --gathers`` prints them.
 """
 
 from __future__ import annotations
@@ -30,20 +37,34 @@ from typing import Dict, List, Tuple
 
 import repro
 from repro.cache import kernel
+from repro.cluster.routing import build_routing_plan
 from repro.sim import Scenario, build_server, load_workload, replay_on_cluster
+from repro.sim.runner import prepare_cluster
 from repro.sim.scenario import SOLVER_PLANS
 
 WARMUP = 20_000
 MEASURED = 2_000
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+#: Where engine code lives: :func:`count_cluster_calls` skips these
+#: frames and every call made under them.
+_ENGINE_SRC = tuple(
+    _SRC + path
+    for path in (
+        os.path.join("core", ""),
+        os.path.join("cache", "policies", ""),
+        os.path.join("cache", "engines.py"),
+        os.path.join("cache", "log_structured.py"),
+    )
+)
 
 #: ``{"scheme/policy": {function: calls over the MEASURED rows}}``.
 TABLES_PATH = os.path.join(os.path.dirname(__file__), "sim", "call_tables.json")
 
 #: A small dynamic cluster: the two apps of the call-count slice on four
 #: shards, rebalance epochs, and a crash and a restart under
-#: ``failover`` -- every kind of barrier that cuts a replay into windows.
+#: ``failover`` -- every kind of barrier that cuts a replay into windows,
+#: and a fault timeline sampled inside them.
 GATHER_SCENARIO = Scenario(
     workload="memcachier",
     workload_params={"apps": [5, 19]},
@@ -59,6 +80,12 @@ GATHER_SCENARIO = Scenario(
         "policy": "failover",
     },
 )
+
+
+#: The ``(scheme, policy)``-shaped key of the cluster replay's row.
+CLUSTER_ROW = ("cluster", "replay")
+#: :data:`GATHER_SCENARIO`'s trace length: the cluster row's requests.
+CLUSTER_REQUESTS = 36_000
 
 
 def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
@@ -101,56 +128,114 @@ def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
             process(*row)
     finally:
         sys.setprofile(None)
-    return {
-        f"{code.co_filename[len(_SRC):]}:{code.co_qualname}": calls
-        for code, calls in counts.items()
-    }
+    return _named(counts)
 
 
-def count_gathers(scenario: Scenario = GATHER_SCENARIO) -> List[int]:
-    """``ndarray.tolist`` calls per window -- per call of
+def _named(counts: Counter) -> Dict[str, int]:
+    """Calls by ``"module.py:Qualified.name"``; code objects that share a
+    name (two comprehensions in one function) add up."""
+    named: Counter = Counter()
+    for code, calls in counts.items():
+        named[f"{code.co_filename[len(_SRC):]}:{code.co_qualname}"] += calls
+    return dict(named)
+
+
+def count_cluster_calls() -> Dict[str, int]:
+    """``{"module.py:Qualified.name": calls}`` over one in-process
+    cluster replay of :data:`GATHER_SCENARIO`'s whole trace
+    (:data:`CLUSTER_REQUESTS` requests) on a routing plan built
+    beforehand: every call under ``src/repro`` except engine code
+    (:data:`_ENGINE_SRC`) and what it calls."""
+    scenario = GATHER_SCENARIO
+    trace = load_workload(
+        scenario.workload, scenario.scale, scenario.seed,
+        **scenario.workload_params,
+    )
+    cluster, compiled = prepare_cluster(scenario, trace)
+    assert len(compiled) == CLUSTER_REQUESTS
+    plan = build_routing_plan(compiled, cluster.ring, cluster.replication)
+    counts: Counter = Counter()
+    depth = 0
+
+    def count(frame, event, arg):
+        nonlocal depth
+        code = frame.f_code
+        if not code.co_filename.startswith(_SRC):
+            return
+        engine = code.co_filename.startswith(_ENGINE_SRC)
+        if event == "call":
+            if engine:
+                depth += 1
+            elif not depth:
+                counts[code] += 1
+        elif event == "return" and engine:
+            depth -= 1
+
+    sys.setprofile(count)
+    try:
+        cluster.replay_compiled(compiled, plan)
+    finally:
+        sys.setprofile(None)
+    return _named(counts)
+
+
+def count_row(row: Tuple[str, str]) -> Dict[str, int]:
+    """The per-function calls of one ``BUDGET`` row."""
+    return count_cluster_calls() if row == CLUSTER_ROW else count_calls(*row)
+
+
+def requests_of(row: Tuple[str, str]) -> int:
+    """How many requests one ``BUDGET`` row's calls served."""
+    return CLUSTER_REQUESTS if row == CLUSTER_ROW else MEASURED
+
+
+def count_gathers(
+    scenario: Scenario = GATHER_SCENARIO,
+) -> List[Tuple[int, int]]:
+    """``(ndarray.tolist calls, blocks)`` per window -- per call of
     :func:`repro.cache.kernel.replay_runs` -- over one in-process
-    cluster replay of ``scenario``."""
+    cluster replay of ``scenario``. A block is one ``bisect_right``
+    call: the kernel makes one to size each block of runs it gathers."""
     trace = load_workload(
         scenario.workload, scenario.scale, scenario.seed,
         **scenario.workload_params,
     )
     kernel_code = kernel.replay_runs.__code__
-    windows: List[int] = []
+    windows: List[List[int]] = []
     depth = 0
 
     def count(frame, event, arg):
         nonlocal depth
         if event == "call" and frame.f_code is kernel_code:
             depth += 1
-            windows.append(0)
+            windows.append([0, 0])
         elif event == "return" and frame.f_code is kernel_code:
             depth -= 1
-        elif (
-            event == "c_call"
-            and depth
-            and getattr(arg, "__qualname__", None) == "ndarray.tolist"
-        ):
-            windows[-1] += 1
+        elif event == "c_call" and depth:
+            name = getattr(arg, "__qualname__", None)
+            if name == "ndarray.tolist":
+                windows[-1][0] += 1
+            elif name == "bisect_right":
+                windows[-1][1] += 1
 
     sys.setprofile(count)
     try:
         replay_on_cluster(scenario, trace)
     finally:
         sys.setprofile(None)
-    return windows
+    return [(calls, blocks) for calls, blocks in windows]
 
 
-def per_request(calls: Dict[str, int]) -> float:
-    """Total calls per measured request."""
-    return sum(calls.values()) / MEASURED
+def per_request(calls: Dict[str, int], requests: int = MEASURED) -> float:
+    """Total calls per request."""
+    return sum(calls.values()) / requests
 
 
-def render(calls: Dict[str, int], n: int = 8) -> str:
+def render(calls: Dict[str, int], n: int = 8, requests: int = MEASURED) -> str:
     """Calls per request: the total, then the ``n`` largest shares."""
-    lines = [f"{per_request(calls):8.4f}  total"]
+    lines = [f"{per_request(calls, requests):8.4f}  total"]
     for name, count in Counter(calls).most_common(n):
-        lines.append(f"{count / MEASURED:8.4f}  {name}")
+        lines.append(f"{count / requests:8.4f}  {name}")
     return "\n".join(lines)
 
 
@@ -163,27 +248,29 @@ def load_tables() -> Dict[Tuple[str, str], Dict[str, int]]:
 
 def record() -> None:
     """Re-count every row of :data:`TABLES_PATH` and rewrite it."""
-    tables = {
-        f"{scheme}/{policy}": count_calls(scheme, policy)
-        for scheme, policy in load_tables()
-    }
+    tables = {"/".join(row): count_row(row) for row in load_tables()}
     with open(TABLES_PATH, "w") as handle:
         json.dump(tables, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
 
-def diff(calls: Dict[str, int], recorded: Dict[str, int]) -> str:
+def diff(
+    calls: Dict[str, int], recorded: Dict[str, int], requests: int = MEASURED
+) -> str:
     """Calls per request: both totals, then every function whose count
     moved against ``recorded``, largest move first."""
     moved = Counter(calls)
     moved.subtract(recorded)
-    lines = [f"{per_request(recorded):8.4f} -> {per_request(calls):.4f}  total"]
+    lines = [
+        f"{per_request(recorded, requests):8.4f} -> "
+        f"{per_request(calls, requests):.4f}  total"
+    ]
     for name, delta in sorted(moved.items(), key=lambda item: -abs(item[1])):
         if delta:
             lines.append(
-                f"{delta / MEASURED:+8.4f}  {name} "
-                f"({recorded.get(name, 0) / MEASURED:.4f} -> "
-                f"{calls.get(name, 0) / MEASURED:.4f})"
+                f"{delta / requests:+8.4f}  {name} "
+                f"({recorded.get(name, 0) / requests:.4f} -> "
+                f"{calls.get(name, 0) / requests:.4f})"
             )
     return "\n".join(lines)
 
@@ -192,11 +279,14 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--record"]:
         record()
     elif sys.argv[1:] == ["--gathers"]:
-        gathers = count_gathers()
+        windows = count_gathers()
+        calls = [calls for calls, _ in windows]
         print(
-            f"{len(gathers)} windows, {sum(gathers)} tolist calls: "
-            f"max {max(gathers)}, mean {sum(gathers) / len(gathers):.2f} "
-            "per window"
+            f"{len(windows)} windows, "
+            f"{sum(blocks for _, blocks in windows)} blocks, "
+            f"{sum(calls)} tolist calls: max {max(calls)}, "
+            f"mean {sum(calls) / len(calls):.2f} per window"
         )
     else:
-        print(render(count_calls(*sys.argv[1:3]), n=20))
+        row = tuple(sys.argv[1:3]) if len(sys.argv) > 2 else (sys.argv[1], "lru")
+        print(render(count_row(row), n=20, requests=requests_of(row)))
