@@ -54,24 +54,6 @@ class AllocationPlan:
     expected_hit_rates: Dict[QueueId, float] = field(default_factory=dict)
     expected_overall_hit_rate: float = 0.0
 
-    @property
-    def total(self) -> float:
-        return sum(self.allocations.values())
-
-    def describe(self) -> str:
-        lines = ["queue        alloc       exp.hitrate"]
-        for queue_id in sorted(self.allocations, key=str):
-            rate = self.expected_hit_rates.get(queue_id, float("nan"))
-            lines.append(
-                f"{str(queue_id):<12} {self.allocations[queue_id]:>10.0f} "
-                f"{rate:>10.4f}"
-            )
-        lines.append(
-            f"overall expected hit rate: "
-            f"{self.expected_overall_hit_rate:.4f}"
-        )
-        return "\n".join(lines)
-
 
 class DynacacheSolver:
     """Greedy marginal-utility solver for concave hit-rate curves.

@@ -111,10 +111,10 @@ class Engine(abc.ABC):
         self.budget_bytes = max(0.0, self.budget_bytes - delta_bytes)
         return self._enforce_budget()
 
+    @abc.abstractmethod
     def _enforce_budget(self) -> int:
-        """Subclasses shrink internal queues until within budget; returns
-        evicted item count. Default: nothing to do."""
-        return 0
+        """Shrink internal queues until within budget; returns the
+        evicted item count."""
 
 
 class SlabEngineBase(Engine):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -86,28 +86,6 @@ class SlabGeometry:
         return cls(tuple(sizes))
 
     @classmethod
-    def memcached(
-        cls,
-        base: int = 96,
-        growth: float = 1.25,
-        max_chunk: int = MAX_CHUNK_BYTES,
-        max_classes: int = 42,
-    ) -> "SlabGeometry":
-        """Memcached's default geometry (growth factor 1.25)."""
-        if base <= 0 or growth <= 1.0:
-            raise ConfigurationError(
-                f"invalid memcached geometry base={base} growth={growth}"
-            )
-        sizes = []
-        size = float(base)
-        while len(sizes) < max_classes and size <= max_chunk:
-            aligned = int(size)
-            if not sizes or aligned > sizes[-1]:
-                sizes.append(aligned)
-            size *= growth
-        return cls(tuple(sizes))
-
-    @classmethod
     def default(cls) -> "SlabGeometry":
         """The geometry used throughout the reproduction (15 classes)."""
         geometry = cls.power_of_two()
@@ -120,10 +98,6 @@ class SlabGeometry:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.chunk_sizes)
 
     def chunk_size(self, class_index: int) -> int:
         """Chunk size in bytes of slab class ``class_index``."""
@@ -173,25 +147,3 @@ class SlabGeometry:
         ladder = np.asarray(self.chunk_sizes, dtype=np.int64)
         classes = np.searchsorted(ladder, totals, side="left")
         return classes, ladder[classes], item_bytes
-
-    def class_ranges(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(class_index, min_size, max_size)`` for documentation
-        and pretty-printing (min is exclusive of the previous chunk)."""
-        prev = 0
-        for idx, chunk in enumerate(self.chunk_sizes):
-            yield idx, prev + 1, chunk
-            prev = chunk
-
-    def describe(self) -> str:
-        """Human-readable table of the ladder."""
-        lines = ["class  chunk(B)   stores(B)"]
-        for idx, lo, hi in self.class_ranges():
-            lines.append(f"{idx:>5}  {hi:>8}   {lo}-{hi}")
-        return "\n".join(lines)
-
-
-def chunks_for_bytes(capacity_bytes: float, chunk_size: int) -> int:
-    """How many whole chunks fit into ``capacity_bytes``."""
-    if chunk_size <= 0:
-        raise ConfigurationError(f"chunk_size must be positive: {chunk_size}")
-    return max(0, int(capacity_bytes // chunk_size))

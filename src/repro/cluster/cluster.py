@@ -162,9 +162,7 @@ class ShardLoad:
 def render_cluster_report(payload: Dict[str, Any]) -> List[str]:
     """Plain-text lines for a cluster-report dict.
 
-    The single formatter behind :meth:`ClusterReport.render` and
-    :meth:`repro.sim.ScenarioResult.render`, so the two outputs cannot
-    drift.
+    The formatter behind :meth:`repro.sim.ScenarioResult.render`.
     """
     hot = set(payload["hot_shards"])
     lines = [
@@ -308,10 +306,6 @@ class ClusterReport:
                 dict(self.serve) if self.serve is not None else None
             ),
         }
-
-    def render(self) -> str:
-        """Per-shard loads plus the balance summary."""
-        return "\n".join(render_cluster_report(self.to_dict()))
 
 
 #: Every spelling of an op a live batch accepts: its name or its code.

@@ -9,8 +9,10 @@ growing an ``N``-shard ring to ``N+1`` shards leaves every existing
 shard's tokens in place, so only the keys captured by the new shard's
 tokens -- ``~1/(N+1)`` of the key space -- change owners.
 
-Replica sets (:meth:`HashRing.shards_for`) are the next *distinct*
+Replica sets (:meth:`HashRing.successor_table`) are the next *distinct*
 shards clockwise of the key, the standard successor-list placement.
+``tests/cluster/reference.py`` walks the ring once per key, the oracle
+the bulk tables are checked against.
 """
 
 from __future__ import annotations
@@ -70,30 +72,13 @@ class HashRing:
         token = stable_hash_u64(key, salt=self.seed)
         return bisect_right(self._tokens, token) % len(self._tokens)
 
-    def shard_for(self, key: object) -> int:
-        """The shard owning ``key`` (its primary)."""
-        return self._owners[self.position_for(key)]
-
-    def shards_for(self, key: object, count: int) -> List[int]:
-        """The first ``count`` distinct shards clockwise of ``key``.
-
-        Index 0 is the primary (== :meth:`shard_for`); ``count`` is
-        clamped to the shard total.
-        """
-        if count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {count}")
-        return self._distinct_owners_from(
-            self.position_for(key), min(count, self.shards)
-        )
-
     def _distinct_owners_from(
         self, start: int, count: int, live: Optional[Sequence[bool]] = None
     ) -> List[int]:
         """The first ``count`` distinct (``live``, if given) owners
         walking clockwise from ring position ``start`` -- the one
-        replica-placement walk behind the per-key oracles
-        (:meth:`shards_for`, :meth:`shards_for_live`) and the bulk table
-        (:meth:`successor_table`), so they can never diverge."""
+        replica-placement walk behind the bulk tables
+        (:meth:`successor_table`, :meth:`live_successor_table`)."""
         total = len(self._tokens)
         replicas: List[int] = []
         for step in range(total):
@@ -115,22 +100,6 @@ class HashRing:
                 "crash every shard at once"
             )
         return min(count, alive)
-
-    def shards_for_live(
-        self, key: object, count: int, live: Sequence[bool]
-    ) -> List[int]:
-        """The first ``count`` distinct *live* shards clockwise of ``key``.
-
-        The failover walk: a key whose successors are crashed simply
-        keeps walking the ring, so its requests land on the next live
-        shard(s) -- and when the dead shard restarts, the same walk
-        routes the key straight back. ``count`` is clamped to the number
-        of live shards; with every shard live this equals
-        :meth:`shards_for`.
-        """
-        return self._distinct_owners_from(
-            self.position_for(key), self._live_count(count, live), live
-        )
 
     def live_successor_table(
         self, count: int, live: Sequence[bool]
@@ -170,9 +139,9 @@ class HashRing:
         """Per ring position, the first ``count`` distinct owners
         clockwise -- the replica set of every key bisecting there.
 
-        ``successor_table(c)[p]`` equals :meth:`shards_for` for any key
-        hashing to position ``p``; precomputing it once per ring turns
-        the per-key clockwise walk into a table lookup.
+        ``successor_table(c)[p]`` is the replica set of every key hashing
+        to position ``p``; precomputing it once per ring turns the per-key
+        clockwise walk into a table lookup.
         """
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")

@@ -298,7 +298,7 @@ class Router:
     dicts: a key -> position memo (a cache, capped at
     :data:`POSITION_MEMO_CAP`) and ``spread``, each key's request count
     so far (round-robin *state*: turns never reset when the live set
-    changes, like lazy counters over :meth:`HashRing.shards_for_live`).
+    changes, like lazy counters over a per-key walk of the live ring).
     """
 
     def __init__(self, ring: "HashRing", replication: int) -> None:
@@ -417,11 +417,11 @@ def build_routing_plan(
 ) -> RoutingPlan:
     """Route every request of a compiled trace through ``ring`` at once.
 
-    Bit-identical to routing the trace through
-    :meth:`~repro.cluster.hashring.HashRing.shard_for` /
-    ``shards_for`` with lazy per-key round-robin counters starting at 0
-    (what one ``Cluster.replay_compiled`` call does): the replica turn is
-    the key's occurrence index in this trace.
+    Bit-identical to walking the ring for each request's replica set
+    (``tests/cluster/reference.py::shards_for``) with lazy per-key
+    round-robin counters starting at 0 (what one
+    ``Cluster.replay_compiled`` call does): the replica turn is the key's
+    occurrence index in this trace.
     """
     if replication < 1:
         raise ConfigurationError(

@@ -9,8 +9,8 @@ the cache simulator, the profilers and the allocation algorithms:
 * :mod:`repro.common.hashing` -- deterministic, seed-stable hashing used to
   route keys between partitioned queues (Python's builtin ``hash`` is salted
   per process and therefore unusable for reproducible simulation).
-* :mod:`repro.common.mathutils` -- concave hulls, interpolation, clamping and
-  exponential moving averages.
+* :mod:`repro.common.mathutils` -- the concave hull Talus interpolates
+  along.
 """
 
 from repro.common.constants import (
@@ -29,12 +29,7 @@ from repro.common.errors import (
     TraceFormatError,
 )
 from repro.common.hashing import stable_hash_u64, unit_interval_hash
-from repro.common.mathutils import (
-    clamp,
-    concave_hull,
-    ExponentialMovingAverage,
-    interpolate,
-)
+from repro.common.mathutils import concave_hull
 
 __all__ = [
     "AVG_KEY_BYTES",
@@ -50,8 +45,5 @@ __all__ = [
     "TraceFormatError",
     "stable_hash_u64",
     "unit_interval_hash",
-    "clamp",
     "concave_hull",
-    "ExponentialMovingAverage",
-    "interpolate",
 ]

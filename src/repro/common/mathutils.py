@@ -12,54 +12,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 
-def clamp(value: float, low: float, high: float) -> float:
-    """Clamp ``value`` into ``[low, high]``.
-
-    Raises ``ValueError`` if the interval is empty, which always indicates
-    a configuration bug at the call site.
-    """
-    if low > high:
-        raise ValueError(f"empty clamp interval [{low}, {high}]")
-    if value < low:
-        return low
-    if value > high:
-        return high
-    return value
-
-
-def interpolate(
-    xs: Sequence[float], ys: Sequence[float], x: float
-) -> float:
-    """Piecewise-linear interpolation of ``(xs, ys)`` at ``x``.
-
-    ``xs`` must be sorted ascending. Values outside the range are clamped
-    to the boundary values (a hit-rate curve is flat beyond its last
-    measured size and zero-ish before its first).
-    """
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    if not xs:
-        raise ValueError("cannot interpolate empty curve")
-    if x <= xs[0]:
-        return ys[0]
-    if x >= xs[-1]:
-        return ys[-1]
-    # Binary search for the bracketing segment.
-    lo, hi = 0, len(xs) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= x:
-            lo = mid
-        else:
-            hi = mid
-    x0, x1 = xs[lo], xs[hi]
-    y0, y1 = ys[lo], ys[hi]
-    if x1 == x0:
-        return max(y0, y1)
-    t = (x - x0) / (x1 - x0)
-    return y0 + t * (y1 - y0)
-
-
 def concave_hull(
     points: Sequence[Tuple[float, float]]
 ) -> List[Tuple[float, float]]:
@@ -98,28 +50,3 @@ def concave_hull(
         hull.append((float(x), float(y)))
     return hull
 
-
-class ExponentialMovingAverage:
-    """A numerically simple EMA used for smoothed online statistics.
-
-    ``alpha`` is the weight of each new observation. Before the first
-    update, :attr:`value` is ``None``.
-    """
-
-    def __init__(self, alpha: float) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.value: float | None = None
-
-    def update(self, observation: float) -> float:
-        """Fold in ``observation`` and return the new average."""
-        if self.value is None:
-            self.value = float(observation)
-        else:
-            self.value += self.alpha * (observation - self.value)
-        return self.value
-
-    def reset(self) -> None:
-        """Forget all history."""
-        self.value = None

@@ -9,15 +9,17 @@ inheriting :class:`Spec`. Its fields *are* the schema: ``to_dict``,
 A field is an ``int`` / ``float`` / ``str`` scalar (or ``Optional`` of
 one), an optional nested block held as its normalized plain dict
 (``block=``), or a tuple of block instances (``items=``); any other
-type passes through untouched. Scalars may declare ``choices`` and a
-lower bound (``ge`` inclusive, ``gt`` exclusive). Rules spanning fields
-stay in the class's ``__post_init__``, after ``super().__post_init__()``.
+type passes through untouched. A ``float`` must be finite. Scalars may
+declare ``choices`` and a lower bound (``ge`` inclusive, ``gt``
+exclusive). Rules spanning fields stay in the class's ``__post_init__``,
+after ``super().__post_init__()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import (
     Any, Callable, ClassVar, Dict, Mapping, Optional, Sequence, Tuple, Type,
     TypeVar, Union, get_args, get_origin, get_type_hints,
@@ -26,7 +28,7 @@ from typing import (
 from repro.common.errors import ConfigurationError
 
 SpecT = TypeVar("SpecT", bound="Spec")
-_KINDS = {int: "an integer", float: "a number", str: "a string"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def spec_field(
@@ -56,13 +58,6 @@ def _hints(cls: type) -> Dict[str, Any]:
     """Resolved field annotations, once per class: evaluating the
     string annotations dominates construction otherwise."""
     return get_type_hints(cls)
-
-
-def choices_of(cls: Type["Spec"], name: str) -> Tuple[str, ...]:
-    """The declared ``choices`` of field ``name`` (CLI flags reuse them);
-    empty when any value of the field's type goes."""
-    (field,) = [field for field in _fields(cls) if field.name == name]
-    return tuple(field.metadata.get("choices", ()))
 
 
 def _plain(value: Any) -> Any:
@@ -116,15 +111,17 @@ class Spec:
         if hint not in _KINDS:
             return value
         # One rule for every block: int() / float() / str() of a JSON
-        # scalar; booleans and fractional integers are refused, never
-        # truncated.
+        # scalar; booleans, fractional integers and non-finite numbers
+        # (JSON's Infinity / NaN, or "inf") are refused, never truncated.
         try:
             if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                 raise ValueError
             coerced = hint(value)
             if hint is int and isinstance(value, float) and coerced != value:
                 raise ValueError
-        except ValueError:
+            if hint is float and not math.isfinite(coerced):
+                raise ValueError
+        except (ValueError, OverflowError):
             raise ConfigurationError(
                 f"bad {self.BLOCK} block: {where} must be {_KINDS[hint]}, "
                 f"got {value!r}"
@@ -134,7 +131,6 @@ class Spec:
                 f"{where} must be one of {', '.join(rules['choices'])}; "
                 f"got {coerced!r}"
             )
-        # Negated comparisons, so that NaN fails its bound.
         if "ge" in rules and not coerced >= rules["ge"]:
             raise ConfigurationError(
                 f"{where} must be >= {rules['ge']}, got {coerced}"

@@ -161,19 +161,8 @@ class _Partition:
     # Read surface
     # ------------------------------------------------------------------
 
-    @property
-    def physical_capacity(self) -> float:
-        return self.capacity[SEG_MAIN] + self.capacity[SEG_TAIL]
-
     def physical_len(self) -> int:
         return len(self.main) + len(self.tail)
-
-    def segment_of(self, key: object) -> Optional[int]:
-        """Index of the segment holding ``key``, or None."""
-        for index, keys in enumerate(self.sets):
-            if key in keys:
-                return index
-        return None
 
     def segments(self) -> List[Tuple[float, List[object]]]:
         """``(capacity bytes, keys MRU first)`` per segment, main first."""
@@ -350,19 +339,6 @@ class CliffhangerQueue:
             >= self.config.min_queue_items_for_cliff * self.config.chunk_size
         )
 
-    def partition_sizes(self) -> Tuple[float, float]:
-        return (
-            self.left.physical_capacity,
-            self.right.physical_capacity,
-        )
-
-    def overhead_items(self) -> int:
-        """Keys held only in shadow segments (memory-overhead audit)."""
-        return sum(
-            len(partition.cliff) + len(partition.hill)
-            for partition in (self.left, self.right)
-        )
-
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
@@ -374,7 +350,7 @@ class CliffhangerQueue:
         insertion to the caller.
 
         One pass of membership tests looks for the key, the routed
-        partition's segments first. :meth:`_observe_hit` and
+        partition's segments first. The hit-rate EMA update and
         :meth:`_Partition.push` are written inline.
         """
         self._requests_seen += 1
@@ -552,15 +528,6 @@ class CliffhangerQueue:
         self._stale_misses = 0
         self._update_split_state()
         self._recompute_ratio()
-
-    def _observe_hit(self, hit: bool) -> None:
-        """Update the hit-rate EMA and run any due split evaluation (what
-        :meth:`access` does inline)."""
-        self._hit_ema_value += self._hit_ema_alpha * (
-            (1.0 if hit else 0.0) - self._hit_ema_value
-        )
-        if self._split and self._requests_seen >= self._split_eval_due:
-            self._evaluate_split()
 
     def _evaluate_split(self) -> None:
         """The due split evaluation: revert a split whose hit-rate EMA

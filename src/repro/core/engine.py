@@ -244,9 +244,6 @@ class HillClimbEngine(ClimbingEngine):
             name=name,
         )
 
-    def shadow_overhead_bytes(self) -> float:
-        return sum(queue.overhead_bytes() for queue in self.queues.values())
-
 
 class CliffhangerEngine(ClimbingEngine):
     """The combined system: hill climbing + cliff scaling (section 4.3)."""

@@ -27,7 +27,7 @@ applications (:class:`repro.core.crossapp.CrossAppHillClimber`).
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.common.constants import DEFAULT_CREDIT_BYTES, MIN_QUEUE_BYTES
 from repro.common.errors import ConfigurationError
@@ -92,10 +92,6 @@ class HillClimber:
         if queue_id in self._targets:
             raise ConfigurationError(f"queue {queue_id!r} already registered")
         self._targets[queue_id] = _Target(get_capacity, set_capacity)
-
-    @property
-    def queue_ids(self) -> List[QueueId]:
-        return list(self._targets)
 
     # ------------------------------------------------------------------
 

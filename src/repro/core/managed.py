@@ -8,8 +8,7 @@ current size, which is all Algorithm 1 needs.
 
 Shadow capacity is measured in the bytes the shadowed items *represent*
 ("shadow queues that represent 1 MB of requests", section 5.7); the actual
-memory overhead is only the keys, which :meth:`ShadowedQueue.overhead_bytes`
-accounts for separately.
+memory overhead is only the keys.
 
 The queue protocol. :class:`ShadowedQueue` and the partitioned
 :class:`~repro.core.cliff_scaling.CliffhangerQueue` are the two per-class
@@ -41,7 +40,7 @@ repeated the shadow test), and ``cliffhanger`` 3.0 (5.4).
 
 from __future__ import annotations
 
-from repro.common.constants import AVG_KEY_BYTES, HILL_CLIMB_SHADOW_BYTES
+from repro.common.constants import HILL_CLIMB_SHADOW_BYTES
 from repro.cache.policies.base import Evicted, EvictionPolicy
 from repro.cache.policies.lru import LRUPolicy
 from repro.core.cliff_scaling import ACCESS_HILL_FIND, ACCESS_HIT, ACCESS_MISS
@@ -61,12 +60,10 @@ class ShadowedQueue:
         policy: EvictionPolicy,
         shadow_bytes: float = HILL_CLIMB_SHADOW_BYTES,
         name: str = "",
-        avg_key_bytes: int = AVG_KEY_BYTES,
     ) -> None:
         self.policy = policy
         self.shadow = LRUPolicy(shadow_bytes, name=f"{name}/shadow")
         self.name = name
-        self.avg_key_bytes = avg_key_bytes
         self.shadow_hits = 0
 
     # ------------------------------------------------------------------
@@ -81,10 +78,6 @@ class ShadowedQueue:
 
     def __len__(self) -> int:
         return len(self.policy)
-
-    def overhead_bytes(self) -> float:
-        """Extra memory the shadow queue costs (keys only)."""
-        return len(self.shadow) * self.avg_key_bytes
 
     # ------------------------------------------------------------------
 

@@ -14,13 +14,21 @@ heavily loaded run (restart at 62.5%) in three modes:
 * ``miss-through``   -- fire-once clients, dead shard's keys answered
   as tagged misses;
 * ``failover+retry`` -- dead shard's keys re-routed to ring successors,
-  clients retry BUSY responses with capped exponential backoff under a
-  retry budget.
+  with the scenario's ``retry`` block set.
+
+The retry block cannot fire here. A client retries only a ``SERVER_ERROR
+busy`` reply, or a GET whose connection was lost; the scenario's server
+(:func:`repro.serve.harness.run_serve`) queues with backpressure and no
+deadline or in-flight cap, so it never answers busy, and its in-memory
+connections never drop. The table's ``retries`` column reads 0: a retry
+block acts only against a server that sheds, and the shedding settings
+belong to the ``repro-serve`` listener, which scenarios do not drive.
 
 Expected: ``failover+retry`` ends the run with a hit rate above
-``miss-through`` (successors absorb and re-warm the dead shard's
-keyspace instead of eating every request as a miss) and its final
-latency-timeline window's p99 recovers from the worst (outage) window.
+``miss-through`` -- a gain that comes from failover alone (successors
+absorb and re-warm the dead shard's keyspace instead of eating every
+request as a miss) -- and its final latency-timeline window's p99
+recovers from the worst (outage) window.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from repro.sim import run_scenario
 
 #: Offered rate over calibrated capacity. Just under the harness's
 #: sustainable rate: the *crash* is what tips the run into overload
-#: (successors absorb the dead shard's keys cold, retries add traffic),
+#: (successors absorb the dead shard's keys cold),
 #: and the post-restart windows show the queue draining back down --
 #: at >= 1x the open-loop backlog would grow monotonically and the
 #: final window could never recover.
@@ -159,6 +167,7 @@ def run(
         f"capacity; shard {busiest} (busiest) crashes at request "
         f"{crash_at:,} of {total:,} and restarts cold at {restart_at:,}; "
         "failover+retry should end with a hit rate above miss-through "
-        "and a final-window p99 below the outage window's"
+        "and a final-window p99 below the outage window's; the gain is "
+        "failover's: this server never sheds, so no retry fires"
     )
     return result

@@ -128,22 +128,6 @@ class HitRateCurve:
             np.interp(size, self.sizes, self.hit_rates)
         )
 
-    def hits(self, size: float) -> float:
-        """Absolute expected hits at ``size``."""
-        return self.hit_rate(size) * self.total_requests
-
-    def gradient(self, size: float, window: Optional[float] = None) -> float:
-        """Forward-difference gradient of the hit rate at ``size``.
-
-        ``window`` defaults to 1% of the size axis -- the finite shadow
-        queue the real system would use.
-        """
-        if window is None:
-            window = max(self.max_size * 0.01, 1.0)
-        lo = self.hit_rate(size)
-        hi = self.hit_rate(size + window)
-        return (hi - lo) / window
-
     # ------------------------------------------------------------------
     # Hulls and cliffs
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Deque, Dict, Iterable, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Set
 
 from repro.common.errors import ConfigurationError
 
@@ -87,9 +87,6 @@ class MimirProfiler:
         self.distances.append(estimate)
         self._maybe_rotate()
         return estimate
-
-    def record_all(self, keys: Iterable[object]) -> List[Optional[float]]:
-        return [self.record(key) for key in keys]
 
     # ------------------------------------------------------------------
 

@@ -7,41 +7,17 @@ property -- an LRU cache of capacity C (in items) hits a request iff its
 stack distance is <= C -- is what turns a distance histogram into a
 hit-rate curve, and it is property-tested against the simulator.
 
-Two implementations are provided:
-
-* :func:`naive_stack_distances` -- the O(N^2) definition, used as the test
-  oracle.
-* :class:`StackDistanceProfiler` -- an O(N log N) online profiler using a
-  Fenwick (binary indexed) tree over access timestamps: the distance of a
-  re-access is one plus the number of *distinct* keys touched since the
-  previous access, which equals the number of live timestamp markers after
-  that previous access.
+:class:`StackDistanceProfiler` is an O(N log N) online profiler using a
+Fenwick (binary indexed) tree over access timestamps: the distance of a
+re-access is one plus the number of *distinct* keys touched since the
+previous access, which equals the number of live timestamp markers after
+that previous access. Its test oracle, the O(N^2) definition, lives in
+``tests/profiling/reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
-
-
-def naive_stack_distances(keys: Iterable[object]) -> List[Optional[int]]:
-    """Reference implementation straight from the definition.
-
-    Returns one distance per access; ``None`` marks a cold (infinite
-    distance) access. Quadratic -- use only in tests.
-    """
-    stack: List[object] = []  # index 0 = top of stack
-    distances: List[Optional[int]] = []
-    for key in keys:
-        try:
-            rank = stack.index(key)  # 0-based depth
-        except ValueError:
-            distances.append(None)
-            stack.insert(0, key)
-        else:
-            distances.append(rank + 1)
-            stack.pop(rank)
-            stack.insert(0, key)
-    return distances
+from typing import Dict, List, Optional
 
 
 class _Fenwick:
@@ -153,10 +129,3 @@ class StackDistanceProfiler:
         self.distances.append(distance)
         return distance
 
-    def record_all(self, keys: Iterable[object]) -> List[Optional[float]]:
-        """Convenience: record a whole stream, returning its distances."""
-        return [self.record(key) for key in keys]
-
-    @property
-    def unique_keys(self) -> int:
-        return len(self._last)

@@ -10,7 +10,7 @@ the property tail percentiles need. Counts, sum, min and max are exact.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict
 
 #: Latencies are clamped into [FLOOR, CEILING) seconds before bucketing.
 FLOOR = 1e-6
@@ -51,14 +51,6 @@ class LatencyHistogram:
         index = int(math.log(value / FLOOR) / _LOG_GROWTH) + 1
         return min(index, _NUM_BUCKETS - 1)
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        for i, count in enumerate(other._counts):
-            self._counts[i] += count
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     # ------------------------------------------------------------------
 
     def percentile(self, quantile: float) -> float:
@@ -98,11 +90,3 @@ class LatencyHistogram:
             "mean": self.mean() * 1e3,
             "max": (self.max if self.count else 0.0) * 1e3,
         }
-
-    def nonzero_buckets(self) -> List[Tuple[float, int]]:
-        """``(upper_edge_seconds, count)`` rows, for debugging/plots."""
-        return [
-            (FLOOR * math.exp(index * _LOG_GROWTH), count)
-            for index, count in enumerate(self._counts)
-            if count
-        ]

@@ -117,13 +117,12 @@ class Command:
         self.data = data
         self.noreply = noreply
 
-    def _fields(self) -> Tuple[object, ...]:
-        return (self.op, self.keys, self.flags, self.data, self.noreply)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()  # type: ignore[attr-defined]
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
 
     def __repr__(self) -> str:
         return (

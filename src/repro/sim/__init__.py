@@ -32,8 +32,6 @@ from repro.sim.registries import (
     Registry,
     SCHEMES,
     WORKLOADS,
-    list_schemes,
-    list_workloads,
     register_scheme,
     register_workload,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "SyntheticTrace",
     "build_cluster",
     "build_server",
-    "list_schemes",
-    "list_workloads",
     "load_workload",
     "make_engine",
     "miss_reduction",

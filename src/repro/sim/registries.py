@@ -96,11 +96,3 @@ WORKLOADS = Registry("workload")
 
 register_scheme = SCHEMES.register
 register_workload = WORKLOADS.register
-
-
-def list_schemes() -> List[str]:
-    return SCHEMES.names()
-
-
-def list_workloads() -> List[str]:
-    return WORKLOADS.names()

@@ -147,14 +147,6 @@ class Scenario(Spec):
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid scenario JSON: {exc}") from None
-        return cls.from_dict(payload)
-
     # ------------------------------------------------------------------
 
     def replace(self, **changes: Any) -> "Scenario":

@@ -168,14 +168,6 @@ class Sweep:
 
     # ------------------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "base": self.base.to_dict(),
-            "axes": {path: list(values) for path, values in self.axes.items()},
-            "name": self.name,
-            "workers": self.workers,
-        }
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Sweep":
         if not isinstance(payload, dict):

@@ -66,10 +66,6 @@ class SyntheticTrace:
     def app_names(self) -> List[str]:
         return list(self.reservations)
 
-    @property
-    def total_requests(self) -> int:
-        return sum(self.requests_per_app.values())
-
     def compiled_for(self, app: str) -> CompiledTrace:
         """One app's compiled sub-trace (stable-merge filtering keeps the
         per-app order identical to regenerating the app's stream)."""

@@ -289,10 +289,6 @@ class CompiledTrace:
     def __len__(self) -> int:
         return len(self.key_ids)
 
-    @property
-    def app_names(self) -> List[str]:
-        return list(self.app_table)
-
     def replay_columns(self) -> ReplayColumns:
         """The five columns :func:`repro.cache.kernel.replay_runs` reads:
         ``(keys, op_codes, slab_classes, chunk_bytes, item_bytes)``."""

@@ -10,8 +10,8 @@ matter to the paper in different ways:
 
 * :class:`ZipfStream` -- skewed reuse: concave hit-rate curves, the
   regime where plain hill climbing is provably near-optimal (section 4.1).
-* :class:`ScanStream` -- cyclic sequential scans: the canonical
-  performance-cliff generator ("Cliffs occur, for example, with
+* :class:`ReuseDistanceStream` -- re-references at a fixed per-key
+  distance: a performance cliff ("Cliffs occur, for example, with
   sequential accesses under LRU ... increasing the cache size from 9 MB
   to 10 MB will increase the hit rate from 0% to 100%", section 3.5).
 
@@ -282,32 +282,6 @@ class FlashCrowdStream(RequestStream):
         rows, kept = np.flatnonzero(in_crowd), np.flatnonzero(~in_crowd)
         crowd = _keyed(self, crowd_ranks[rows], times[rows], base.op_codes[rows])
         return _assemble(self.app, times, [(kept, base, kept), (rows, crowd, slice(None))])
-
-
-@dataclass
-class ScanStream(RequestStream):
-    """A cyclic sequential scan over ``num_keys`` keys.
-
-    Under LRU this is the adversarial pattern: with fewer than
-    ``num_keys`` cache slots the hit rate is ~0, with ``num_keys`` slots
-    it is ~1 -- a cliff exactly at the scan length.
-    """
-
-    app: str
-    num_keys: int
-    size_model: SizeModel
-    namespace: str = "s"
-    start_offset: int = 0
-    seed: int = 0  # unused; kept for interface uniformity
-
-    def __post_init__(self) -> None:
-        if self.num_keys < 1:
-            raise ConfigurationError(f"num_keys must be >= 1, got {self.num_keys}")
-
-    def columns(self, num_requests: int, duration: float, start_time: float = 0.0) -> Columns:
-        times = _timestamps(num_requests, duration, start_time)
-        positions = (self.start_offset + np.arange(num_requests)) % self.num_keys
-        return _keyed(self, positions, times, np.full(num_requests, OP_GET))
 
 
 @dataclass

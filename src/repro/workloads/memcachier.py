@@ -555,11 +555,6 @@ class MemcachierTrace:
                 self.requests_per_app[spec.name], WEEK_SECONDS
             )
 
-    @property
-    def app_names(self) -> List[str]:
-        return [spec.name for spec in self.specs.values()]
-
-
 def build_memcachier_trace(
     scale: float = 1.0,
     seed: int = 0,

@@ -14,9 +14,6 @@ micro-benchmarks use via mutilate (section 5.1/5.6).
 from __future__ import annotations
 
 import abc
-import math
-from statistics import NormalDist
-from typing import Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import unit_interval_hash
@@ -50,37 +47,6 @@ class FixedSize(SizeModel):
         return self.size
 
 
-class UniformSize(SizeModel):
-    """Value sizes uniform in ``[low, high]`` (hash-derived)."""
-
-    def __init__(self, low: int, high: int, salt: int = 101) -> None:
-        if not 1 <= low <= high:
-            raise ConfigurationError(f"bad range [{low}, {high}]")
-        self.low, self.high, self.salt = low, high, salt
-
-    def size_of(self, key: str) -> int:
-        u = unit_interval_hash(key, self.salt)
-        return self._clamp(self.low + u * (self.high - self.low))
-
-
-class LogNormalSize(SizeModel):
-    """Log-normally distributed value sizes around a median."""
-
-    def __init__(self, median: int, sigma: float = 0.8, salt: int = 103) -> None:
-        if median < 1:
-            raise ConfigurationError(f"median must be >= 1, got {median}")
-        if sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        self.median, self.sigma, self.salt = median, sigma, salt
-        self._normal = NormalDist(mu=math.log(median), sigma=sigma)
-
-    def size_of(self, key: str) -> int:
-        u = unit_interval_hash(key, self.salt)
-        # Guard the inverse CDF's open interval.
-        u = min(max(u, 1e-12), 1.0 - 1e-12)
-        return self._clamp(math.exp(self._normal.inv_cdf(u)))
-
-
 class GeneralizedParetoSize(SizeModel):
     """Facebook ETC value sizes: GP(location=0, scale=214.476, shape=0.348).
 
@@ -107,37 +73,3 @@ class GeneralizedParetoSize(SizeModel):
         x = self.scale / self.shape * ((1.0 - u) ** (-self.shape) - 1.0)
         return self._clamp(max(self.minimum, x))
 
-
-class MixtureSize(SizeModel):
-    """Each key is assigned (by hash) to one of several size models.
-
-    This is how multi-slab-class applications are synthesized: e.g. 70%
-    of keys small and 30% large reproduces the "large requests take up too
-    much space at the expense of smaller requests" pathology of Table 1.
-    """
-
-    def __init__(
-        self,
-        components: Sequence[Tuple[float, SizeModel]],
-        salt: int = 109,
-    ) -> None:
-        if not components:
-            raise ConfigurationError("mixture needs at least one component")
-        total = sum(weight for weight, _ in components)
-        if total <= 0:
-            raise ConfigurationError("mixture weights must sum > 0")
-        self.salt = salt
-        self._thresholds = []
-        acc = 0.0
-        for weight, model in components:
-            if weight < 0:
-                raise ConfigurationError("negative mixture weight")
-            acc += weight / total
-            self._thresholds.append((acc, model))
-
-    def size_of(self, key: str) -> int:
-        u = unit_interval_hash(key, self.salt)
-        for threshold, model in self._thresholds:
-            if u <= threshold:
-                return model.size_of(key)
-        return self._thresholds[-1][1].size_of(key)

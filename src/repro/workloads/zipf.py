@@ -54,10 +54,3 @@ class ZipfSampler:
             raise ConfigurationError(f"count must be >= 0, got {count}")
         uniforms = self.rng.random(count)
         return np.searchsorted(self._cdf, uniforms, side="left")
-
-    def probability(self, rank: int) -> float:
-        """P(rank); useful for analytic checks in tests."""
-        if not 0 <= rank < self.num_keys:
-            raise ConfigurationError(f"rank {rank} out of range")
-        lower = self._cdf[rank - 1] if rank > 0 else 0.0
-        return float(self._cdf[rank] - lower)

@@ -66,7 +66,7 @@ class TestConcaveOptimality:
         plan = DynacacheSolver(granularity=10).allocate(
             {"a": curve, "b": curve}, {"a": 1, "b": 1}, 500
         )
-        assert plan.total == pytest.approx(500)
+        assert sum(plan.allocations.values()) == pytest.approx(500)
 
     def test_matches_water_filling_on_analytic_curves(self):
         """For h_a with twice the slope of h_b and equal frequency, the

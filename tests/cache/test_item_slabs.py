@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.slabs import SlabGeometry, chunks_for_bytes
+from repro.cache.slabs import SlabGeometry
 from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import CacheError, ConfigurationError
 
@@ -90,7 +90,7 @@ class TestRowRule:
 class TestSlabGeometry:
     def test_default_is_power_of_two_15_classes(self):
         geometry = SlabGeometry.default()
-        assert geometry.num_classes == 15
+        assert len(geometry.chunk_sizes) == 15
         assert geometry.chunk_sizes[0] == 64
         assert geometry.chunk_sizes[-1] == 1 << 20
         for a, b in zip(geometry.chunk_sizes, geometry.chunk_sizes[1:]):
@@ -113,37 +113,6 @@ class TestSlabGeometry:
         with pytest.raises(CacheError):
             SlabGeometry.default().class_for_size(0)
 
-    def test_memcached_geometry_growth(self):
-        geometry = SlabGeometry.memcached()
-        sizes = geometry.chunk_sizes
-        assert sizes[0] == 96
-        assert all(b > a for a, b in zip(sizes, sizes[1:]))
-
     def test_unsorted_rejected(self):
         with pytest.raises(ConfigurationError):
             SlabGeometry((128, 64))
-
-    def test_describe_mentions_every_class(self):
-        geometry = SlabGeometry.default()
-        text = geometry.describe()
-        assert str(1 << 20) in text
-        assert "64" in text
-
-    def test_class_ranges_cover_contiguously(self):
-        geometry = SlabGeometry.default()
-        previous_hi = 0
-        for _, lo, hi in geometry.class_ranges():
-            assert lo == previous_hi + 1
-            previous_hi = hi
-
-
-class TestChunksForBytes:
-    def test_floor_division(self):
-        assert chunks_for_bytes(1000, 256) == 3
-
-    def test_zero_capacity(self):
-        assert chunks_for_bytes(0, 64) == 0
-
-    def test_invalid_chunk(self):
-        with pytest.raises(ConfigurationError):
-            chunks_for_bytes(100, 0)

@@ -3,11 +3,47 @@ per entry point -- :func:`replay_reference` for the offline replay
 (:meth:`Cluster.replay_compiled`), :func:`process_reference` for the
 live batches (:meth:`Cluster.process_batch`). Both serve a request with
 ``engine.process_fast`` and record its packed code with
-``stats.record_code``."""
+``stats.record_code``, and both route it with :func:`shards_for` /
+:func:`shards_for_live`, the per-key ring walk the bulk routing tables
+(:class:`repro.cluster.routing.Router`) are held to."""
 
 from __future__ import annotations
 
 from repro.cache.stats import OP_CODES, OUTCOME_DEAD
+from repro.common.errors import ConfigurationError
+
+
+def shards_for_live(ring, key, count, live=None):
+    """The first ``count`` distinct shards clockwise of ``key`` on
+    ``ring``, skipping the shards ``live`` marks dead (none when
+    ``live`` is None); ``count`` is clamped to the shards the walk can
+    reach. A key whose successors are crashed keeps walking, so its
+    requests land on the next live shard(s) -- the failover walk."""
+    if count < 1:
+        raise ConfigurationError(f"count must be >= 1, got {count}")
+    if live is not None and not any(live):
+        raise ConfigurationError("no live shards on the ring")
+    _, owners = ring.token_table()
+    start = ring.position_for(key)
+    replicas = []
+    for step in range(len(owners)):
+        owner = owners[(start + step) % len(owners)]
+        if owner not in replicas and (live is None or live[owner]):
+            replicas.append(owner)
+            if len(replicas) == count:
+                break
+    return replicas
+
+
+def shards_for(ring, key, count):
+    """The first ``count`` distinct shards clockwise of ``key``; index 0
+    is the primary (:func:`shard_for`)."""
+    return shards_for_live(ring, key, count)
+
+
+def shard_for(ring, key):
+    """The shard owning ``key`` (its primary)."""
+    return shards_for_live(ring, key, 1)[0]
 
 
 def naive_windows(total, epoch, injector):
@@ -74,9 +110,9 @@ def replay_reference(cluster, trace):
             choices = replicas_of_key.get(key_id)
             if choices is None:
                 choices = replicas_of_key[key_id] = (
-                    ring.shards_for_live(key, replication, live)
+                    shards_for_live(ring, key, replication, live)
                     if failover
-                    else ring.shards_for(key, replication)
+                    else shards_for(ring, key, replication)
                 )
             shard = choices[turn_of_key[key_id] % len(choices)]
             turn_of_key[key_id] += 1
@@ -121,11 +157,11 @@ def process_reference(cluster, request):
     """
     injector = cluster.fault_injector
     if injector is not None and injector.policy == "failover":
-        replicas = cluster.ring.shards_for_live(
-            request.key, cluster.replication, injector.live
+        replicas = shards_for_live(
+            cluster.ring, request.key, cluster.replication, injector.live
         )
     else:
-        replicas = cluster.ring.shards_for(request.key, cluster.replication)
+        replicas = shards_for(cluster.ring, request.key, cluster.replication)
     if cluster.replication == 1:
         shard = replicas[0]
     else:

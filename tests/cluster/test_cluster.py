@@ -5,9 +5,11 @@ import pytest
 from repro.cache.engines import FirstComeFirstServeEngine
 from repro.cache.slabs import SlabGeometry
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cluster import render_cluster_report
 from repro.common.errors import ConfigurationError
 from repro.workloads.compiled import CompiledTrace
 from repro.workloads.trace import Request
+from tests.cluster.reference import shard_for
 
 GEO = SlabGeometry.default()
 
@@ -87,7 +89,7 @@ class TestRouting:
     def test_object_api_routes_like_the_ring(self):
         cluster = build(3)
         cluster.process_batch(["hot"], "get", 100, "a")
-        shard = cluster.ring.shard_for("hot")
+        shard = shard_for(cluster.ring, "hot")
         assert cluster.servers[shard].stats.total.gets == 1
 
     def test_unknown_app_rejected(self):
@@ -151,11 +153,11 @@ class TestReport:
         payload = report.to_dict()
         assert payload["shards"] == 4
         assert len(payload["shard_loads"]) == 4
-        assert "hot shards" in report.render()
+        assert "hot shards" in "\n".join(render_cluster_report(payload))
 
     def test_hot_shard_detection(self):
         cluster = build(4)
-        hot_shard = cluster.ring.shard_for("hot")
+        hot_shard = shard_for(cluster.ring, "hot")
         keys = ["hot"] * 900 + [f"k{i}" for i in range(100)]
         cluster.replay_compiled(compile_gets(keys))
         report = cluster.report()
@@ -194,7 +196,7 @@ class TestRebalancerAttachment:
             )
         )
         # One hot key dominates: its shard should win every epoch.
-        hot_shard = cluster.ring.shard_for("hot")
+        hot_shard = shard_for(cluster.ring, "hot")
         keys = (["hot"] * 9 + ["cold"]) * 100
         cluster.replay_compiled(compile_gets(keys))
         report = cluster.report().to_dict()["rebalance"]
@@ -203,4 +205,6 @@ class TestRebalancerAttachment:
         budgets = report["shard_budgets"]
         assert budgets[hot_shard] == max(budgets)
         assert sum(budgets) == pytest.approx(1 << 20)  # app total conserved
-        assert "rebalance (load)" in cluster.report().render()
+        assert "rebalance (load)" in "\n".join(
+            render_cluster_report(cluster.report().to_dict())
+        )

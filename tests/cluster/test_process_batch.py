@@ -30,11 +30,16 @@ from repro.cluster import (
     Rebalancer,
 )
 from repro.common.errors import CacheError, ConfigurationError
-from repro.sim import list_schemes
+from repro.sim import SCHEMES
 from repro.sim.runner import ScenarioEngineFactory
 from repro.workloads.compiled import CompiledTrace
 from repro.workloads.trace import Request
-from tests.cluster.reference import process_reference
+from tests.cluster.reference import (
+    process_reference,
+    shard_for,
+    shards_for,
+    shards_for_live,
+)
 from tests.workloads.reference_streams import iter_requests
 
 GEO = SlabGeometry.default()
@@ -292,7 +297,7 @@ class TestOfflineLiveParity:
     off the row (``chunk`` or ``item_bytes``)."""
 
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("scheme", list_schemes())
+    @pytest.mark.parametrize("scheme", SCHEMES.names())
     def test_every_scheme_scores_the_same_through_every_door(
         self, scheme, shards
     ):
@@ -472,11 +477,11 @@ class TestRouteMemoization:
         single = build(shards=5, replication=1)
         for i in range(40):
             key = f"k{i}"
-            assert single.route(key) == single.ring.shard_for(key)
+            assert single.route(key) == shard_for(single.ring, key)
         spread = build(shards=5, replication=3)
         for i in range(10):
             key = f"r{i}"
-            replicas = spread.ring.shards_for(key, 3)
+            replicas = shards_for(spread.ring, key, 3)
             seen = [spread.route(key) for _ in range(6)]
             assert seen == (replicas * 2)
 
@@ -499,8 +504,8 @@ class TestRouteMemoization:
         cluster.fault_injector.live[healthy] = False
         rerouted = cluster.route(key)
         assert rerouted != healthy
-        assert rerouted == cluster.ring.shards_for_live(
-            key, 1, cluster.fault_injector.live
+        assert rerouted == shards_for_live(
+            cluster.ring, key, 1, cluster.fault_injector.live
         )[0]
         # Both live sets keep their columns; recovery reuses the first.
         assert len(cluster.router._successors) == 2

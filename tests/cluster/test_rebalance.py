@@ -16,6 +16,7 @@ import pytest
 from repro.cluster import RebalanceConfig, Rebalancer
 from repro.common.errors import ConfigurationError
 from repro.sim import Scenario, Sweep, run_scenario
+from tests.cluster.reference import shard_for
 
 SHARDS = 4
 MIN_FRACTION = 0.1
@@ -172,7 +173,7 @@ def test_zero_floor_drained_shard_regrows_without_destroying_credit():
     while any(key is None for key in hot.values()):
         key = f"k{probe}"
         probe += 1
-        shard = cluster.ring.shard_for(key)
+        shard = shard_for(cluster.ring, key)
         if hot[shard] is None:
             hot[shard] = key
     # Epoch 1: shard 0 wins and drains shard 1 to 0; epoch 2: shard 1

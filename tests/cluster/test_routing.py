@@ -43,7 +43,12 @@ from repro.common.errors import ConfigurationError, TraceFormatError
 from repro.common.hashing import stable_hash_u64
 from repro.workloads.compiled import CompiledTrace, TraceCache
 from repro.workloads.trace import Request
-from tests.cluster.reference import replay_reference
+from tests.cluster.reference import (
+    replay_reference,
+    shard_for,
+    shards_for,
+    shards_for_live,
+)
 
 GEO = SlabGeometry.default()
 
@@ -111,14 +116,14 @@ def test_plan_matches_lazy_routing(shards, replication, seed, vnodes):
         if effective > 1:
             choices = replicas_of.get(key_id)
             if choices is None:
-                choices = replicas_of[key_id] = ring.shards_for(
-                    key, effective
+                choices = replicas_of[key_id] = shards_for(
+                    ring, key, effective
                 )
             turn = turn_of.get(key_id, 0)
             turn_of[key_id] = turn + 1
             expected.append(choices[turn % len(choices)])
         else:
-            expected.append(ring.shard_for(key))
+            expected.append(shard_for(ring, key))
     assert plan.shard_ids.tolist() == expected
     assert plan.shards == shards
     assert plan.replication == effective
@@ -155,7 +160,7 @@ def test_every_route_agrees_with_the_ring_walk(
         turns = {}
         routed = []
         for key in keys:
-            replicas = ring.shards_for_live(key, replication, live)
+            replicas = shards_for_live(ring, key, replication, live)
             turn = turns.get(key, 0)
             turns[key] = turn + 1
             routed.append(replicas[turn % len(replicas)])
@@ -190,7 +195,7 @@ def test_successor_table_matches_shards_for():
         position = np.searchsorted(
             np.asarray(tokens, dtype=np.uint64), token, side="right"
         ) % len(tokens)
-        assert table[position] == ring.shards_for(key, 3)
+        assert table[position] == shards_for(ring, key, 3)
 
 
 def test_stale_cached_plan_is_rebuilt_and_repaired(tmp_path):

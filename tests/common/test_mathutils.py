@@ -1,45 +1,9 @@
-"""Tests for concave hulls, interpolation and EMA."""
+"""Tests for the concave hull."""
 
-import pytest
+import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.common.mathutils import (
-    ExponentialMovingAverage,
-    clamp,
-    concave_hull,
-    interpolate,
-)
-
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(5, 0, 10) == 5
-
-    def test_below_and_above(self):
-        assert clamp(-1, 0, 10) == 0
-        assert clamp(11, 0, 10) == 10
-
-    def test_empty_interval_raises(self):
-        with pytest.raises(ValueError):
-            clamp(1, 5, 2)
-
-
-class TestInterpolate:
-    def test_exact_points(self):
-        xs, ys = [0, 10, 20], [0.0, 1.0, 4.0]
-        for x, y in zip(xs, ys):
-            assert interpolate(xs, ys, x) == pytest.approx(y)
-
-    def test_midpoint(self):
-        assert interpolate([0, 10], [0.0, 1.0], 5) == pytest.approx(0.5)
-
-    def test_clamps_outside_range(self):
-        assert interpolate([0, 10], [0.2, 0.8], -5) == pytest.approx(0.2)
-        assert interpolate([0, 10], [0.2, 0.8], 50) == pytest.approx(0.8)
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError):
-            interpolate([0, 1], [0.0], 0.5)
+from repro.common.mathutils import concave_hull
 
 
 class TestConcaveHull:
@@ -86,7 +50,7 @@ class TestConcaveHull:
         ys = [p[1] for p in hull]
         for x, y in points:
             if xs[0] <= x <= xs[-1]:
-                assert interpolate(xs, ys, x) >= y - 1e-9
+                assert np.interp(x, xs, ys) >= y - 1e-9
 
     @given(
         st.lists(
@@ -108,27 +72,3 @@ class TestConcaveHull:
         for s0, s1 in zip(slopes, slopes[1:]):
             assert s1 <= s0 + 1e-9
 
-
-class TestEMA:
-    def test_first_update_sets_value(self):
-        ema = ExponentialMovingAverage(0.5)
-        assert ema.value is None
-        assert ema.update(10.0) == 10.0
-
-    def test_converges_to_constant(self):
-        ema = ExponentialMovingAverage(0.2)
-        for _ in range(200):
-            ema.update(3.0)
-        assert ema.value == pytest.approx(3.0)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(0.0)
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(1.5)
-
-    def test_reset(self):
-        ema = ExponentialMovingAverage(0.3)
-        ema.update(1.0)
-        ema.reset()
-        assert ema.value is None

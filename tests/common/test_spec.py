@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,10 @@ from repro.cluster import (
     RebalanceConfig,
 )
 from repro.common.errors import ConfigurationError
-from repro.common.spec import Spec, choices_of
+from repro.common.spec import Spec
 from repro.serve import RetryPolicy, ServeConfig
 from repro.sim import Scenario
+from tests.common.spec_fields import choices_of
 
 SPEC_CLASSES = (
     ClusterConfig,
@@ -268,3 +271,66 @@ def test_describe_names_every_field_and_choice():
     assert "events [{kind (crash|restart), shard, at}, ...]" in (
         FaultSchedule.describe()
     )
+
+
+# ---------------------------------------------------------------------------
+# Non-finite numbers: JSON's Infinity / NaN pass every ``ge`` / ``gt``
+# bound, so each float field refuses them by name.
+# ---------------------------------------------------------------------------
+
+
+def float_fields():
+    """``(class, field name)`` of every float field of every block."""
+    for cls in SPEC_CLASSES:
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            hint = hints[field.name]
+            if typing.get_origin(hint) is typing.Union:
+                inner = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+                hint = inner[0] if len(inner) == 1 else None
+            if hint is float:
+                yield cls, field.name
+
+
+#: What a block needs besides the field under test.
+REQUIRED = {FaultEvent: {"kind": "crash", "shard": 0, "at": 1}}
+
+
+def test_every_float_field_is_covered():
+    assert sorted(f"{cls.BLOCK}.{name}" for cls, name in float_fields()) == [
+        "faults.recovery_epsilon",
+        "rebalance.credit_bytes",
+        "rebalance.min_shard_fraction",
+        "retry.base_backoff_s",
+        "retry.budget",
+        "retry.max_backoff_s",
+        "scenario.scale",
+        "serve.duration_s",
+        "serve.rate",
+    ]
+
+
+@pytest.mark.parametrize(
+    "value", [math.inf, -math.inf, math.nan, "inf", "-Infinity", "nan"]
+)
+@pytest.mark.parametrize(
+    "cls, name",
+    list(float_fields()),
+    ids=lambda item: item if isinstance(item, str) else item.BLOCK,
+)
+def test_float_fields_refuse_non_finite_values(cls, name, value):
+    with pytest.raises(
+        ConfigurationError,
+        match=f"^bad {re.escape(cls.BLOCK)} block: "
+        f"{re.escape(cls.BLOCK)}.{name} must be a finite number",
+    ):
+        cls.from_dict({**REQUIRED.get(cls, {}), name: value})
+
+
+def test_non_finite_values_are_refused_inside_nested_blocks():
+    with pytest.raises(ConfigurationError, match="serve.rate must be a finite"):
+        Scenario(cluster={"shards": 2}, serve={"rate": math.inf})
+    with pytest.raises(ConfigurationError, match="retry.budget must be a finite"):
+        ServeConfig(retry={"budget": math.nan})
+    with pytest.raises(ConfigurationError, match="cluster.shards must be an integer"):
+        ClusterConfig(shards=math.inf)

@@ -262,6 +262,15 @@ class ReferenceQueue(CliffhangerQueue):
             return self.left, self.right
         return self.right, self.left
 
+    def _observe_hit(self, hit: bool) -> None:
+        """Update the hit-rate EMA and run any due split evaluation (what
+        :meth:`CliffhangerQueue.access` does inline)."""
+        self._hit_ema_value += self._hit_ema_alpha * (
+            (1.0 if hit else 0.0) - self._hit_ema_value
+        )
+        if self._split and self._requests_seen >= self._split_eval_due:
+            self._evaluate_split()
+
     def _physical_len(self) -> int:
         return self.left.physical_len() + self.right.physical_len()
 

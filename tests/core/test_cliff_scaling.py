@@ -37,6 +37,11 @@ def config(**overrides):
     return CliffConfig(**defaults)
 
 
+def physical_bytes(partition) -> float:
+    """A partition's physical region: main plus the tail probe."""
+    return partition.capacity[SEG_MAIN] + partition.capacity[SEG_TAIL]
+
+
 def replay(queue, keys):
     hits = 0
     for key in keys:
@@ -90,9 +95,8 @@ class TestBasics:
             "q", 50 * CHUNK, config(min_queue_items_for_cliff=1000)
         )
         assert queue.cliff_active is False
-        left, right = queue.partition_sizes()
-        assert left == 0.0
-        assert right == pytest.approx(50 * CHUNK)
+        assert physical_bytes(queue.left) == 0.0
+        assert physical_bytes(queue.right) == pytest.approx(50 * CHUNK)
 
     def test_disabled_cliff_scaling_never_splits(self):
         queue = CliffhangerQueue(
@@ -161,8 +165,8 @@ class TestCliffScaling:
             "q", 300 * CHUNK, config(resize_on_miss=False)
         )
         replay(queue, keys)
-        left, right = queue.partition_sizes()
-        assert left + right == pytest.approx(300 * CHUNK, rel=1e-6)
+        total = physical_bytes(queue.left) + physical_bytes(queue.right)
+        assert total == pytest.approx(300 * CHUNK, rel=1e-6)
 
     def test_resize_on_miss_defers_repartition(self):
         queue = CliffhangerQueue("q", 300 * CHUNK, config())
@@ -190,7 +194,10 @@ class TestHillClimbIntegration:
         queue = CliffhangerQueue("q", 10 * CHUNK, config())
         for i in range(200):
             queue.insert(f"k{i}")
-        assert queue.overhead_items() > 0
+        assert any(
+            partition.cliff or partition.hill
+            for partition in (queue.left, queue.right)
+        )
 
     def test_hill_shadow_reports_demand_beyond_capacity(self):
         queue = CliffhangerQueue("q", 5 * CHUNK, config())
@@ -377,7 +384,7 @@ class TestPartition:
         for physical in (6.5, 6.999, 6.0, 9.0):
             assert part.set_physical(physical * CHUNK) == 0
             assert [keys for _, keys in part.segments()] == keys
-            assert part.physical_capacity == physical * CHUNK
+            assert physical_bytes(part) == physical * CHUNK
             part.check_invariants()
 
     def test_resize_that_shrinks_only_the_tail_still_cascades(self):

@@ -23,7 +23,6 @@ from repro.core.cliff_scaling import (
     ACCESS_HILL_FIND,
     ACCESS_HIT,
     ACCESS_MISS,
-    SEG_TAIL,
     CliffConfig,
     CliffhangerQueue,
 )
@@ -57,8 +56,7 @@ def is_physical(queue, key) -> bool:
     if isinstance(queue, ShadowedQueue):
         return key in queue.policy
     return any(
-        (segment := partition.segment_of(key)) is not None
-        and segment <= SEG_TAIL
+        key in partition.main or key in partition.tail
         for partition in (queue.left, queue.right)
     )
 

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cliff_scaling import (
     ACCESS_HIT,
     SEG_HILL,
+    SEG_MAIN,
+    SEG_TAIL,
     CliffConfig,
     CliffhangerQueue,
 )
@@ -49,6 +51,16 @@ def segments(queue):
     return [partition.segments() for partition in (queue.left, queue.right)]
 
 
+def in_partition(partition, key) -> bool:
+    """Whether any of ``partition``'s four segments holds ``key``."""
+    return any(key in keys for keys in partition.sets)
+
+
+def physical_bytes(partition) -> float:
+    """A partition's physical region: main plus the tail probe."""
+    return partition.capacity[SEG_MAIN] + partition.capacity[SEG_TAIL]
+
+
 class Pair:
     """The queue under test and the reference, driven in lockstep."""
 
@@ -74,12 +86,12 @@ class Pair:
 
     def get(self, key: str) -> None:
         """GET with fill on miss, as the engine does it."""
-        in_left = self.queue.left.segment_of(key) is not None
+        in_left = in_partition(self.queue.left, key)
         result = self.both("access", key)
         self.deferred += self.queue._pending_resize
         if result != ACCESS_HIT:
             self.both("insert", key)
-        elif in_left != (self.queue.left.segment_of(key) is not None):
+        elif in_left != in_partition(self.queue.left, key):
             self.migrations += 1
 
     def scan(self, laps: int) -> None:
@@ -146,11 +158,11 @@ def test_one_repartition_shrinks_physical_while_raising_the_hill_share():
     queue = pair.queue
     right = queue.right
     assert queue._split and not queue._pending_resize
-    physical, hill = right.physical_capacity, right.capacity[SEG_HILL]
+    physical, hill = physical_bytes(right), right.capacity[SEG_HILL]
     assert len(right.hill) == right.hill_limit  # the hill shadow is full
     old_limit = right.hill_limit
     pair.both("set_capacity", 20 * CHUNK)
-    assert right.physical_capacity < physical
+    assert physical_bytes(right) < physical
     assert right.capacity[SEG_HILL] > hill and right.hill_limit > old_limit
     assert len(right.hill) == old_limit
 

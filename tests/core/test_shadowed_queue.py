@@ -60,12 +60,6 @@ class TestShadowedQueue:
         # The evicted keys are shadow-visible.
         assert queue.access("a") == ACCESS_HILL_FIND
 
-    def test_overhead_accounts_keys_only(self):
-        queue = make(capacity=1, shadow=100)
-        for i in range(5):
-            queue.insert(f"k{i}", 1)
-        assert queue.overhead_bytes() == len(queue.shadow) * queue.avg_key_bytes
-
     def test_no_double_residency(self):
         queue = make(capacity=2, shadow=10)
         queue.insert("a", 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
 
@@ -76,7 +77,7 @@ def test_list_is_generated_from_the_declarations(capsys):
     from repro.cluster import (
         ClusterConfig, FaultEvent, FaultSchedule, RebalanceConfig,
     )
-    from repro.common.spec import choices_of
+    from tests.common.spec_fields import choices_of
     from repro.serve import RetryPolicy, ServeConfig
     from repro.sim import SCHEMES, WORKLOADS, Scenario
 
@@ -209,6 +210,28 @@ def test_bad_scalar_in_any_block_exits_2_naming_the_field(
     spec = {**TINY_SCENARIO, "cluster": {"shards": 2}, **block}
     assert main(["run", json.dumps(spec)]) == 2
     assert names in one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "block, name",
+    [
+        ({"scale": math.inf}, "scenario.scale"),
+        ({"serve": {"rate": math.inf}}, "serve.rate"),
+        ({"serve": {"duration_s": -math.inf}}, "serve.duration_s"),
+        (
+            {"rebalance": {"epoch_requests": 100, "credit_bytes": math.inf}},
+            "rebalance.credit_bytes",
+        ),
+    ],
+)
+def test_non_finite_number_exits_2_naming_the_field(capsys, block, name):
+    """JSON's ``Infinity`` passes every lower bound, so it is refused as
+    not finite (it used to end in an OverflowError traceback, or in a
+    rebalancer moving "inf KB" credits)."""
+    text = json.dumps({**TINY_SCENARIO, "cluster": {"shards": 2}, **block})
+    assert "Infinity" in text
+    assert main(["run", text]) == 2
+    assert f"{name} must be a finite number" in one_error_line(capsys)
 
 
 def test_retired_partitioned_replay_knob_exits_2(capsys):

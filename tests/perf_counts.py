@@ -1,9 +1,10 @@
 """Python calls per request, by function, for one engine's request path.
 
-A ``sys.setprofile`` hook counts ``"call"`` events while rows go
-straight to each engine's ``process_fast``, and keeps only frames whose
-code lives under ``src/repro``: NumPy's Python wrappers and stdlib
-internals drop out, so the count does not move with their versions.
+A ``sys.setprofile`` hook (:func:`tests.profile_hook.src_hook`) counts
+``"call"`` events while rows go straight to each engine's
+``process_fast``, and keeps only frames whose code lives under
+``src/repro``: NumPy's Python wrappers and stdlib internals drop out, so
+the count does not move with their versions.
 ``process_fast`` itself is one of the calls.
 
 The slice is fixed: memcachier apps 5 and 19 (scale 0.012, seed 0),
@@ -35,21 +36,20 @@ import sys
 from collections import Counter
 from typing import Dict, List, Tuple
 
-import repro
 from repro.cache import kernel
 from repro.cluster.routing import build_routing_plan
 from repro.sim import Scenario, build_server, load_workload, replay_on_cluster
 from repro.sim.runner import prepare_cluster
 from repro.sim.scenario import SOLVER_PLANS
+from tests.profile_hook import SRC, src_hook
 
 WARMUP = 20_000
 MEASURED = 2_000
 
-_SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 #: Where engine code lives: :func:`count_cluster_calls` skips these
 #: frames and every call made under them.
 _ENGINE_SRC = tuple(
-    _SRC + path
+    SRC + path
     for path in (
         os.path.join("core", ""),
         os.path.join("cache", "policies", ""),
@@ -116,13 +116,11 @@ def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
     ]
     counts: Counter = Counter()
 
-    def count(frame, event, arg):
+    def count(event, code):
         if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(_SRC):
-                counts[code] += 1
+            counts[code] += 1
 
-    sys.setprofile(count)
+    sys.setprofile(src_hook(count))
     try:
         for process, row in zip(processes, rows):
             process(*row)
@@ -136,7 +134,7 @@ def _named(counts: Counter) -> Dict[str, int]:
     name (two comprehensions in one function) add up."""
     named: Counter = Counter()
     for code, calls in counts.items():
-        named[f"{code.co_filename[len(_SRC):]}:{code.co_qualname}"] += calls
+        named[f"{code.co_filename[len(SRC):]}:{code.co_qualname}"] += calls
     return dict(named)
 
 
@@ -157,21 +155,18 @@ def count_cluster_calls() -> Dict[str, int]:
     counts: Counter = Counter()
     depth = 0
 
-    def count(frame, event, arg):
+    def count(event, code):
         nonlocal depth
-        code = frame.f_code
-        if not code.co_filename.startswith(_SRC):
-            return
         engine = code.co_filename.startswith(_ENGINE_SRC)
         if event == "call":
             if engine:
                 depth += 1
             elif not depth:
                 counts[code] += 1
-        elif event == "return" and engine:
+        elif engine:
             depth -= 1
 
-    sys.setprofile(count)
+    sys.setprofile(src_hook(count))
     try:
         cluster.replay_compiled(compiled, plan)
     finally:

@@ -53,17 +53,6 @@ class TestEvaluation:
         assert curve.hit_rate(-5) == 0.0
         assert curve.hit_rate(10_000) == pytest.approx(0.95)
 
-    def test_hits_scales_by_total(self):
-        curve = sigmoid_curve()
-        assert curve.hits(300) == pytest.approx(950)
-
-    def test_gradient_positive_on_ramp(self):
-        curve = sigmoid_curve()
-        assert curve.gradient(150, window=10) > 0
-        assert curve.gradient(150, window=10) > curve.gradient(
-            250, window=10
-        )
-
 
 class TestHullAndCliffs:
     def test_hull_dominates_curve(self):

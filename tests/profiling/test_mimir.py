@@ -8,6 +8,7 @@ from repro.common.errors import ConfigurationError
 from repro.profiling.mimir import MimirProfiler
 from repro.profiling.stack_distance import StackDistanceProfiler
 from repro.workloads.zipf import ZipfSampler
+from tests.profiling.reference import record_all
 
 
 class ReferenceMimir:
@@ -65,8 +66,8 @@ class TestMimirAccuracy:
         relative error bounded, ordering preserved on average. (The
         paper relies on it being *imperfect*, so the bound is loose.)"""
         keys = [f"k{rng.randrange(200)}" for _ in range(20000)]
-        exact = StackDistanceProfiler().record_all(keys)
-        estimated = MimirProfiler(num_buckets=100).record_all(keys)
+        exact = record_all(StackDistanceProfiler(), keys)
+        estimated = record_all(MimirProfiler(num_buckets=100), keys)
         pairs = [
             (e, m)
             for e, m in zip(exact, estimated)
@@ -80,8 +81,8 @@ class TestMimirAccuracy:
         """More buckets -> finer resolution: estimates take more
         distinct values."""
         keys = [f"k{rng.randrange(100)}" for _ in range(5000)]
-        coarse = MimirProfiler(num_buckets=4).record_all(keys)
-        fine = MimirProfiler(num_buckets=100).record_all(keys)
+        coarse = record_all(MimirProfiler(num_buckets=4), keys)
+        fine = record_all(MimirProfiler(num_buckets=100), keys)
         distinct_coarse = len({d for d in coarse if d is not None})
         distinct_fine = len({d for d in fine if d is not None})
         assert distinct_fine >= distinct_coarse
@@ -93,4 +94,4 @@ def test_prefix_sum_matches_resumming_the_buckets():
     keys = ZipfSampler(20_000, 0.9, seed=1).sample(50_000).tolist()
     profiler = MimirProfiler()
     reference = ReferenceMimir()
-    assert profiler.record_all(keys) == [reference.record(key) for key in keys]
+    assert record_all(profiler, keys) == [reference.record(key) for key in keys]

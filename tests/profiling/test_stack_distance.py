@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.policies import make_policy
-from repro.profiling.stack_distance import (
-    StackDistanceProfiler,
-    naive_stack_distances,
-)
+from repro.profiling.stack_distance import StackDistanceProfiler
 from repro.workloads.zipf import ZipfSampler
+from tests.profiling.reference import naive_stack_distances, record_all
 
 
 class TestNaiveOracle:
@@ -36,7 +34,7 @@ class TestFenwickProfiler:
         keys = [f"k{i}" for i in key_ids]
         expected = naive_stack_distances(keys)
         profiler = StackDistanceProfiler()
-        got = profiler.record_all(keys)
+        got = record_all(profiler, keys)
         for e, g in zip(expected, got):
             if e is None:
                 assert g is None
@@ -49,22 +47,22 @@ class TestFenwickProfiler:
         sampler = ZipfSampler(4000, 1.0, rng=np.random.default_rng(42))
         keys = [f"z{rank}" for rank in sampler.sample(5_000)]
         expected = naive_stack_distances(keys)
-        got = StackDistanceProfiler().record_all(keys)
+        got = record_all(StackDistanceProfiler(), keys)
         assert got == [None if d is None else float(d) for d in expected]
         assert max(d for d in expected if d is not None) > 1_000
 
     def test_grows_past_initial_capacity(self):
         profiler = StackDistanceProfiler()
         keys = [f"k{i % 7}" for i in range(5000)]
-        profiler.record_all(keys)
-        assert profiler.unique_keys == 7
+        record_all(profiler, keys)
+        assert len(profiler._last) == 7
         # steady state distance of a 7-key round robin is 7
         assert profiler.distances[-1] == pytest.approx(7)
 
     def test_inclusion_property_vs_lru(self, rng):
         """Mattson: LRU of capacity C hits iff stack distance <= C."""
         keys = [f"k{rng.randrange(60)}" for _ in range(3000)]
-        distances = StackDistanceProfiler().record_all(keys)
+        distances = record_all(StackDistanceProfiler(), keys)
         for capacity in (1, 5, 17, 40, 80):
             policy = make_policy("lru", capacity)
             hits = 0

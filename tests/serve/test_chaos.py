@@ -179,7 +179,7 @@ class TestScenarioChaosServing:
                 "retry": {"max_attempts": 3, "base_backoff_s": 0.001},
             }
         )
-        clone = Scenario.from_json(scenario.to_json())
+        clone = Scenario.from_dict(json.loads(scenario.to_json()))
         assert clone.to_dict() == scenario.to_dict()
         assert clone.serve["retry"]["max_attempts"] == 3
         # Normalization filled the retry defaults in.
@@ -203,10 +203,12 @@ class TestScenarioChaosServing:
         ]
 
     def test_failover_with_retry_beats_miss_through(self):
-        """Served live through a mid-run crash, rerouting plus client
-        retries keeps more hits than answering the dead shard's keys as
-        misses. Hit rates count cluster requests, not wall-clock, so
-        the comparison is as stable as the fault timeline."""
+        """Served live through a mid-run crash, rerouting keeps more hits
+        than answering the dead shard's keys as misses. The retry block
+        never fires here (run_serve's server never sheds and its
+        in-memory connections never drop), so the gain is failover's.
+        Hit rates count cluster requests, not wall-clock, so the
+        comparison is as stable as the fault timeline."""
         base = Scenario(
             workload="zipf",
             workload_params={

@@ -1,8 +1,6 @@
-"""Latency histogram: exact counters, bounded-error percentiles, merge."""
+"""Latency histogram: exact counters, bounded-error percentiles."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,43 +106,3 @@ class TestPercentiles:
         assert summary["max"] == pytest.approx(10.0)
         assert summary["p50"] == pytest.approx(10.0, rel=1e-9)
         assert summary["mean"] == pytest.approx(10.0)
-
-
-class TestMerge:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        left=st.lists(LATENCIES, max_size=80),
-        right=st.lists(LATENCIES, max_size=80),
-    )
-    def test_merge_equals_combined_recording(self, left, right):
-        separate = LatencyHistogram()
-        for value in left:
-            separate.record(value)
-        other = LatencyHistogram()
-        for value in right:
-            other.record(value)
-        separate.merge(other)
-        combined = LatencyHistogram()
-        for value in left + right:
-            combined.record(value)
-        assert separate.count == combined.count
-        assert separate.total == pytest.approx(combined.total)
-        assert separate._counts == combined._counts
-        if left or right:
-            assert separate.max == combined.max
-            assert separate.min == combined.min
-            for quantile in (0.5, 0.99):
-                assert separate.percentile(quantile) == pytest.approx(
-                    combined.percentile(quantile)
-                )
-
-    def test_nonzero_buckets_cover_all_counts(self):
-        hist = LatencyHistogram()
-        for value in (0.001, 0.001, 0.1, 3.0):
-            hist.record(value)
-        buckets = hist.nonzero_buckets()
-        assert sum(count for _, count in buckets) == 4
-        edges = [edge for edge, _ in buckets]
-        assert edges == sorted(edges)
-        assert all(edge >= FLOOR * 0.999 for edge in edges)
-        assert math.isfinite(edges[-1])

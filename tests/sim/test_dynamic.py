@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.sim import list_workloads, load_workload
+from repro.sim import WORKLOADS, load_workload
 from repro.workloads.generators import (
     FlashCrowdStream,
     PhasedZipfStream,
@@ -125,7 +125,7 @@ class TestFlashCrowdStream:
 
 class TestRegisteredWorkloads:
     def test_both_workloads_registered(self):
-        names = list_workloads()
+        names = WORKLOADS.names()
         assert "zipf-phases" in names
         assert "flash-crowd" in names
 

@@ -11,8 +11,6 @@ from repro.sim import (
     SCHEMES,
     WORKLOADS,
     Scenario,
-    list_schemes,
-    list_workloads,
     make_engine,
     run_scenario,
 )
@@ -32,7 +30,7 @@ BUILTIN_SCHEMES = (
 def test_builtin_schemes_registered():
     # Subset, not equality: other tests may register extra schemes and
     # the global registry forbids re-registration, so leaks are sticky.
-    assert set(BUILTIN_SCHEMES) <= set(list_schemes())
+    assert set(BUILTIN_SCHEMES) <= set(SCHEMES.names())
 
 
 def shrink_evictions(scheme):
@@ -67,7 +65,7 @@ def test_shrink_budget_counts_agree_across_shadow_schemes():
 
 
 def test_builtin_workloads_registered():
-    assert {"memcachier", "zipf", "facebook"} <= set(list_workloads())
+    assert {"memcachier", "zipf", "facebook"} <= set(WORKLOADS.names())
 
 
 def test_unknown_scheme_rejected():

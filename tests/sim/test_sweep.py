@@ -186,7 +186,6 @@ def test_spec_workers_key_is_wired_through():
     assert outcome.workers == 2
     # ...and an explicit argument still overrides the spec.
     assert sweep.run(workers=1).workers == 1
-    assert sweep.to_dict()["workers"] == 2
 
 
 def test_bad_workers_rejected():

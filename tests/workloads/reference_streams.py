@@ -152,21 +152,6 @@ def _flash_crowd(self, num_requests, duration, start_time=0.0):
             yield request
 
 
-def _scan(self, num_requests, duration, start_time=0.0):
-    times = _timestamps(num_requests, duration, start_time)
-    position = self.start_offset % max(1, self.num_keys)
-    for i in range(num_requests):
-        key = f"{self.app}:{self.namespace}:{position}"
-        position = (position + 1) % self.num_keys
-        yield Request(
-            time=float(times[i]),
-            app=self.app,
-            key=key,
-            op="get",
-            value_size=self.size_model.size_of(key),
-        )
-
-
 def _reuse_distance(self, num_requests, duration, start_time=0.0):
     rng = np.random.default_rng(self.seed)
     times = _timestamps(num_requests, duration, start_time)
@@ -290,7 +275,6 @@ _BODIES = {
     generators.ZipfStream: _zipf,
     generators.PhasedZipfStream: _phased_zipf,
     generators.FlashCrowdStream: _flash_crowd,
-    generators.ScanStream: _scan,
     generators.ReuseDistanceStream: _reuse_distance,
     generators.MixtureStream: _mixture,
     facebook.FacebookETCStream: _facebook_etc,

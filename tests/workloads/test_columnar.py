@@ -23,11 +23,10 @@ from repro.workloads.generators import (
     Phase,
     PhasedZipfStream,
     ReuseDistanceStream,
-    ScanStream,
     ZipfPhase,
     ZipfStream,
 )
-from repro.workloads.sizes import FixedSize, GeneralizedParetoSize, UniformSize
+from repro.workloads.sizes import FixedSize, GeneralizedParetoSize
 from tests.workloads import reference_streams as reference
 
 GEOMETRY = SlabGeometry.default()
@@ -38,7 +37,7 @@ seeds = st.integers(0, 2**16)
 unit = st.floats(0.0, 1.0, allow_nan=False)
 size_models = st.one_of(
     st.integers(1, 3000).map(FixedSize),
-    st.builds(UniformSize, st.integers(1, 64), st.integers(64, 2000)),
+    st.builds(GeneralizedParetoSize, st.floats(10.0, 500.0), st.floats(0.05, 0.6)),
     st.just(GeneralizedParetoSize()),
 )
 #: Two namespaces, so sibling components can share key strings (with
@@ -65,7 +64,7 @@ def phases(draw, n):
 
 @st.composite
 def streams(draw, n, app="a", depth=2):
-    kinds = ["zipf", "phased", "scan", "reuse", "etc", "unique"]
+    kinds = ["zipf", "phased", "reuse", "etc", "unique"]
     if depth:
         kinds += ["flash", "mixture"]
     kind = draw(st.sampled_from(kinds))
@@ -87,11 +86,6 @@ def streams(draw, n, app="a", depth=2):
             ],
             draw(size_models), draw(namespaces), draw(unit), seed,
         )
-    if kind == "scan":
-        num_keys = draw(st.integers(1, 30))
-        # start_offset >= num_keys wraps.
-        offset = draw(st.integers(0, 3 * num_keys))
-        return ScanStream(app, num_keys, draw(size_models), draw(namespaces), offset)
     if kind == "reuse":
         return ReuseDistanceStream(
             app, draw(st.integers(2, 40)), draw(st.integers(1, 20)),

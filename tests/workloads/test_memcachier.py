@@ -44,7 +44,7 @@ class TestSpecs:
 class TestBuild:
     def test_subset_selection(self):
         trace = build_memcachier_trace(scale=0.01, apps=[3, 5])
-        assert trace.app_names == ["app03", "app05"]
+        assert list(trace.specs) == ["app03", "app05"]
 
     def test_unknown_subset_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -116,7 +116,7 @@ class TestLoaded:
             "app19": 660864.0,
         }
         assert trace.requests_per_app == {"app03": 17142, "app19": 20000}
-        assert trace.total_requests == 37142
+        assert sum(trace.requests_per_app.values()) == 37142
         assert {
             app: (spec.index, spec.has_cliff)
             for app, spec in trace.specs.items()
