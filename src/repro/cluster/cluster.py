@@ -237,8 +237,6 @@ def render_cluster_report(payload: Dict[str, Any]) -> List[str]:
                 f"    queue depth: mean "
                 f"{sum(depths) / len(depths):.1f}, max {max(depths)}"
             )
-        if serve["retries"]:
-            lines.append(f"    retries {serve['retries']:,}")
         serve_faults = serve.get("faults")
         if serve_faults is not None:
             timeline = serve_faults.get("latency_timeline", [])

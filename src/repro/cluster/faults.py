@@ -184,11 +184,6 @@ class FaultInjector:
 
     def __init__(self, cluster, schedule: FaultSchedule) -> None:
         schedule.validate_for(cluster.shards)
-        if cluster.shards == 1 and schedule.enabled:
-            raise ConfigurationError(
-                "fault injection needs at least two shards: crashing the "
-                "only shard would leave no live shard"
-            )
         self.cluster = cluster
         self.schedule = schedule
         self.policy = schedule.policy

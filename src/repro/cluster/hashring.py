@@ -18,7 +18,7 @@ the bulk tables are checked against.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import stable_hash_u64
@@ -72,18 +72,16 @@ class HashRing:
         token = stable_hash_u64(key, salt=self.seed)
         return bisect_right(self._tokens, token) % len(self._tokens)
 
-    def _distinct_owners_from(
-        self, start: int, count: int, live: Optional[Sequence[bool]] = None
-    ) -> List[int]:
-        """The first ``count`` distinct (``live``, if given) owners
-        walking clockwise from ring position ``start`` -- the one
-        replica-placement walk behind the bulk tables
-        (:meth:`successor_table`, :meth:`live_successor_table`)."""
+    def _distinct_owners_from(self, start: int, count: int) -> List[int]:
+        """The first ``count`` distinct owners walking clockwise from
+        ring position ``start`` -- the one replica-placement walk behind
+        the bulk tables (:meth:`successor_table`, and through it
+        :meth:`live_successor_table`)."""
         total = len(self._tokens)
         replicas: List[int] = []
         for step in range(total):
             owner = self._owners[(start + step) % total]
-            if owner not in replicas and (live is None or live[owner]):
+            if owner not in replicas:
                 replicas.append(owner)
                 if len(replicas) == count:
                     break

@@ -1,7 +1,7 @@
 """The one codec behind every declarative spec block.
 
 Each block of a scenario (``cluster``, ``rebalance``, ``faults`` and its
-events, ``serve`` and its ``retry``, the scenario itself) is a dataclass
+events, ``serve``, the scenario itself) is a dataclass
 inheriting :class:`Spec`. Its fields *are* the schema: ``to_dict``,
 ``from_dict``, construction-time coercion and validation, and the
 ``--list`` text all derive from them, so a field is declared once.

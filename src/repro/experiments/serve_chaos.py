@@ -10,25 +10,14 @@ The run calibrates the harness's sustainable rate, picks the busiest
 shard from a fault-free reference run, then crashes it at 50% of a
 heavily loaded run (restart at 62.5%) in three modes:
 
-* ``none``           -- fault-free reference at the same offered rate;
-* ``miss-through``   -- fire-once clients, dead shard's keys answered
-  as tagged misses;
-* ``failover+retry`` -- dead shard's keys re-routed to ring successors,
-  with the scenario's ``retry`` block set.
+* ``none``         -- fault-free reference at the same offered rate;
+* ``miss-through`` -- dead shard's keys answered as tagged misses;
+* ``failover``     -- dead shard's keys re-routed to ring successors.
 
-The retry block cannot fire here. A client retries only a ``SERVER_ERROR
-busy`` reply, or a GET whose connection was lost; the scenario's server
-(:func:`repro.serve.harness.run_serve`) queues with backpressure and no
-deadline or in-flight cap, so it never answers busy, and its in-memory
-connections never drop. The table's ``retries`` column reads 0: a retry
-block acts only against a server that sheds, and the shedding settings
-belong to the ``repro-serve`` listener, which scenarios do not drive.
-
-Expected: ``failover+retry`` ends the run with a hit rate above
-``miss-through`` -- a gain that comes from failover alone (successors
-absorb and re-warm the dead shard's keyspace instead of eating every
-request as a miss) -- and its final latency-timeline window's p99
-recovers from the worst (outage) window.
+Expected: ``failover`` ends the run with a hit rate above
+``miss-through`` (successors absorb and re-warm the dead shard's
+keyspace instead of eating every request as a miss), and its final
+latency-timeline window's p99 recovers from the worst (outage) window.
 """
 
 from __future__ import annotations
@@ -49,13 +38,6 @@ from repro.sim import run_scenario
 #: at >= 1x the open-loop backlog would grow monotonically and the
 #: final window could never recover.
 OVERLOAD_FRACTION = 0.75
-
-RETRY_BLOCK = {
-    "max_attempts": 3,
-    "base_backoff_s": 0.001,
-    "max_backoff_s": 0.010,
-    "budget": 0.5,
-}
 
 
 def _window_p99s(serve) -> tuple:
@@ -91,11 +73,6 @@ def run(
         "duration_s": duration_s,
         "arrivals": "poisson",
     }
-    modes = (
-        ("none", None, None),
-        ("miss-through", "miss-through", None),
-        ("failover+retry", "failover", dict(RETRY_BLOCK)),
-    )
     result = ExperimentResult(
         experiment_id="serve_chaos",
         title="Chaos under load: crash the busiest shard mid-serve",
@@ -104,7 +81,6 @@ def run(
             "hit_rate",
             "completed",
             "errors",
-            "retries",
             "dead_requests",
             "p99_ms",
             "outage_p99_ms",
@@ -113,12 +89,12 @@ def run(
         ],
         paper_reference=(
             "beyond the paper: live fault injection over the serving "
-            "path, with client retry/backoff and shard failover"
+            "path, with shard failover"
         ),
     )
-    for mode, policy, retry in modes:
+    for policy in (None, "miss-through", "failover"):
         scenario = base.replace(
-            serve=dict(serve_block, retry=retry),
+            serve=serve_block,
             faults=(
                 {
                     "events": [
@@ -149,11 +125,10 @@ def run(
             dead = 0
         result.rows.append(
             [
-                mode,
+                policy or "none",
                 outcome.overall_hit_rate,
                 serve["completed"],
                 serve["errors"],
-                serve["retries"],
                 dead,
                 serve["latency_ms"]["p99"],
                 outage_p99,
@@ -166,8 +141,7 @@ def run(
         f"offered {rate:,.0f} req/s = {OVERLOAD_FRACTION:g}x calibrated "
         f"capacity; shard {busiest} (busiest) crashes at request "
         f"{crash_at:,} of {total:,} and restarts cold at {restart_at:,}; "
-        "failover+retry should end with a hit rate above miss-through "
-        "and a final-window p99 below the outage window's; the gain is "
-        "failover's: this server never sheds, so no retry fires"
+        "failover should end with a hit rate above miss-through "
+        "and a final-window p99 below the outage window's"
     )
     return result

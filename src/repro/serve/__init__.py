@@ -5,7 +5,8 @@ been"; this package answers "what does it feel like to *serve*": an
 asyncio memcached-style server fronting a
 :class:`~repro.cluster.Cluster` (pipelined connections, bounded request
 queue, shed-vs-queue backpressure) and an open-loop load generator that
-reports latency percentiles and achieved-vs-offered throughput. The
+sends each request once and reports latency percentiles and
+achieved-vs-offered throughput. The
 server's hot path is :meth:`~repro.cluster.Cluster.process_batch` --
 every queue drain executes as one call.
 """
@@ -16,7 +17,6 @@ from repro.serve.loadgen import (
     LoadGenerator,
     LoadResult,
     LoadWindow,
-    RetryPolicy,
     commands_from_trace,
 )
 from repro.serve.protocol import Command, ProtocolParser
@@ -33,7 +33,6 @@ __all__ = [
     "LoadWindow",
     "MemoryClient",
     "ProtocolParser",
-    "RetryPolicy",
     "ServeConfig",
     "ServeReport",
     "commands_from_trace",

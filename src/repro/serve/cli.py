@@ -5,7 +5,7 @@ get/set/delete/stats/quit)::
 
     python -m repro.serve --listen 127.0.0.1:11311 --shards 4
 
-Measured runs -- open-loop load, faults, retries -- are scenarios:
+Measured runs -- open-loop load, faults -- are scenarios:
 ``python -m repro.experiments run '{..., "serve": {...}}'``.
 
 Configuration mistakes exit with status 2 and a one-line message,

@@ -35,7 +35,6 @@ from repro.serve.loadgen import (
     DEFAULT_TIMELINE_WINDOWS,
     LoadGenerator,
     LoadResult,
-    RetryPolicy,
     commands_from_trace,
 )
 from repro.serve.server import CacheServerProcess, MemoryClient
@@ -57,9 +56,6 @@ class ServeConfig(Spec):
     rate: float = spec_field(2_000.0, gt=0)
     duration_s: float = spec_field(1.0, gt=0)
     arrivals: str = spec_field("poisson", choices=ARRIVAL_MODES)
-    #: Client retry/backoff block, normalized through
-    #: :class:`RetryPolicy`; ``None`` means fire-once clients.
-    retry: Optional[Dict[str, Any]] = spec_field(None, block=RetryPolicy)
 
 
 @dataclass
@@ -85,12 +81,6 @@ class ServeReport:
             "completed": self.result.completed,
             "shed": self.result.shed,
             "errors": self.result.errors,
-            "retries": self.result.retries,
-            "retry": (
-                dict(self.config.retry)
-                if self.config.retry is not None
-                else None
-            ),
             "latency_ms": self.result.histogram.summary_ms(),
             "queue_depth": {
                 "depths": list(self.queue_depths),
@@ -131,7 +121,6 @@ async def _run_serve(
         duration_s=config.duration_s,
         arrivals=config.arrivals,
         seed=seed,
-        retry=RetryPolicy.from_dict(config.retry),
         timeline_windows=(
             DEFAULT_TIMELINE_WINDOWS if injector is not None else 0
         ),

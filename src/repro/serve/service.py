@@ -38,6 +38,12 @@ from repro.serve.protocol import (
 #: Engine fill size for GETs of keys never SET through the wire.
 DEFAULT_VALUE_SIZE = 100
 
+#: Tenant for keys whose ``app:`` prefix names no registered app.
+DEFAULT_APP = "serve"
+
+#: Cluster-wide budget :data:`DEFAULT_APP` is registered with.
+DEFAULT_BUDGET_BYTES = 16 * (1 << 20)
+
 
 def synthesize_value(key: str, size: int) -> bytes:
     """Deterministic value bytes, the key repeated to ``size``: what an
@@ -55,21 +61,12 @@ class CacheService:
 
     ``app_of_key`` routes each key to a tenant: by default the key's
     ``app:`` prefix when it names a registered app (the synthetic
-    workloads' key shape), else ``default_app`` -- which is registered
-    on demand if the cluster does not know it yet.
+    workloads' key shape), else :data:`DEFAULT_APP` -- which is
+    registered on demand if the cluster does not know it yet.
     """
 
-    def __init__(
-        self,
-        cluster,
-        default_app: str = "serve",
-        default_value_size: int = DEFAULT_VALUE_SIZE,
-        default_budget_bytes: float = 16 * (1 << 20),
-    ) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.default_app = default_app
-        self.default_value_size = default_value_size
-        self.default_budget_bytes = default_budget_bytes
         self._apps = set(cluster.servers[0].engines)
         #: key -> (flags, payload or None-for-synthesized, value_size)
         self._values: Dict[str, Tuple[int, Optional[bytes], int]] = {}
@@ -77,7 +74,6 @@ class CacheService:
         #: ``stats`` wire command can surface server counters (shed,
         #: queue-depth high water) next to the cache totals.
         self.server_metrics = None
-        self.server = None
 
     # ------------------------------------------------------------------
 
@@ -85,7 +81,7 @@ class CacheService:
         prefix, _, rest = key.partition(":")
         if rest and prefix in self._apps:
             return prefix
-        if self.default_app not in self._apps:
+        if DEFAULT_APP not in self._apps:
             # Registered lazily: trace-driven serving (every key carries
             # a registered app prefix) never creates the catch-all app,
             # so its budget cannot distort per-tenant accounting or soak
@@ -94,14 +90,14 @@ class CacheService:
 
             geometry = self.cluster.geometry
             self.cluster.add_app(
-                self.default_app,
-                self.default_budget_bytes,
+                DEFAULT_APP,
+                DEFAULT_BUDGET_BYTES,
                 lambda shard, share: FirstComeFirstServeEngine(
-                    self.default_app, share, geometry
+                    DEFAULT_APP, share, geometry
                 ),
             )
-            self._apps.add(self.default_app)
-        return self.default_app
+            self._apps.add(DEFAULT_APP)
+        return DEFAULT_APP
 
     def _rows(
         self, commands: Sequence[Command]
@@ -153,7 +149,7 @@ class CacheService:
                 sizes.append(self._fill_size(key, resized))
                 apps.append(self.app_of_key(key))
                 owners.append(index)
-                resized[key] = self.default_value_size
+                resized[key] = DEFAULT_VALUE_SIZE
         return keys, ops, sizes, apps, owners, preset
 
     def _fill_size(self, key: str, resized: Dict[str, int]) -> int:
@@ -161,7 +157,7 @@ class CacheService:
         if size is not None:
             return size
         remembered = self._values.get(key)
-        return remembered[2] if remembered else self.default_value_size
+        return remembered[2] if remembered else DEFAULT_VALUE_SIZE
 
     # ------------------------------------------------------------------
 
@@ -209,7 +205,7 @@ class CacheService:
             elif command.op == "get":
                 if hit:
                     flags, payload, size = self._values.get(
-                        key, (0, None, self.default_value_size)
+                        key, (0, None, DEFAULT_VALUE_SIZE)
                     )
                     if payload is None:
                         payload = synthesize_value(key, size)

@@ -136,13 +136,9 @@ class Scenario(Spec):
                     f"a {block} block needs a cluster block: {why}"
                 )
         if self.faults is not None:
-            schedule = FaultSchedule.from_dict(self.faults)
-            schedule.validate_for(self.cluster["shards"])
-            if schedule.enabled and self.cluster["shards"] < 2:
-                raise ConfigurationError(
-                    "fault injection needs at least two shards: crashing "
-                    "the only shard would leave no live shard"
-                )
+            FaultSchedule.from_dict(self.faults).validate_for(
+                self.cluster["shards"]
+            )
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)

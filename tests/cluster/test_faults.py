@@ -154,13 +154,36 @@ def test_scenario_normalizes_faults_block():
     assert clone == scenario
 
 
+#: Every non-empty schedule a one-shard cluster could be handed, and the
+#: ``validate_for`` refusal each meets first.
+ONE_SHARD_SCHEDULES = [
+    ([{"kind": "crash", "shard": 0, "at": 10}], "crashes every shard"),
+    (
+        [
+            {"kind": "crash", "shard": 0, "at": 10},
+            {"kind": "restart", "shard": 0, "at": 20},
+        ],
+        "crashes every shard",
+    ),
+    ([{"kind": "crash", "shard": 1, "at": 10}], "targets shard 1"),
+]
+
+
 def test_single_shard_cluster_rejects_enabled_schedule():
-    # Crashing the only shard trips the at-least-one-live invariant.
-    with pytest.raises(ConfigurationError, match="live"):
-        BASE.replace(
-            cluster={"shards": 1},
-            faults={"events": [{"kind": "crash", "shard": 0, "at": 10}]},
-        )
+    # A one-shard cluster has no schedule to run: the only shard's first
+    # crash leaves none live, and any other shard is out of range. Both
+    # doors refuse: the scenario spec and a directly built injector.
+    from repro.sim.runner import build_cluster
+
+    one_shard = BASE.replace(cluster={"shards": 1})
+    trace = load_workload("zipf", scale=0.1, seed=SEED, **WORKLOAD_PARAMS)
+    cluster = build_cluster(one_shard, trace)
+    for events, message in ONE_SHARD_SCHEDULES:
+        with pytest.raises(ConfigurationError, match=message):
+            one_shard.replace(faults={"events": events})
+        schedule = FaultSchedule.from_dict({"events": events})
+        with pytest.raises(ConfigurationError, match=message):
+            FaultInjector(cluster, schedule)
 
 
 # ---------------------------------------------------------------------------

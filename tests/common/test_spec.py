@@ -26,7 +26,7 @@ from repro.cluster import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.spec import Spec
-from repro.serve import RetryPolicy, ServeConfig
+from repro.serve import ServeConfig
 from repro.sim import Scenario
 from tests.common.spec_fields import choices_of
 
@@ -36,7 +36,6 @@ SPEC_CLASSES = (
     FaultEvent,
     FaultSchedule,
     ServeConfig,
-    RetryPolicy,
     Scenario,
 )
 
@@ -46,8 +45,7 @@ FIELD_COUNTS = {
     RebalanceConfig: 4,
     FaultEvent: 3,
     FaultSchedule: 4,
-    ServeConfig: 4,
-    RetryPolicy: 4,
+    ServeConfig: 3,
     Scenario: 15,
 }
 
@@ -77,13 +75,6 @@ def crash_restart_events(shards: int = 4):
     return build()
 
 
-retry_policies = st.builds(
-    RetryPolicy,
-    max_attempts=st.integers(min_value=1, max_value=8),
-    base_backoff_s=st.floats(min_value=0.0, max_value=0.01),
-    max_backoff_s=st.floats(min_value=0.01, max_value=1.0),
-    budget=fractions,
-)
 fault_schedules = st.builds(
     FaultSchedule,
     events=crash_restart_events(),
@@ -96,7 +87,6 @@ serve_configs = st.builds(
     rate=positive,
     duration_s=positive,
     arrivals=st.sampled_from(choices_of(ServeConfig, "arrivals")),
-    retry=st.one_of(st.none(), retry_policies.map(RetryPolicy.to_dict)),
 )
 cluster_configs = st.builds(
     ClusterConfig,
@@ -151,12 +141,11 @@ INSTANCES = st.one_of(
     fault_events,
     fault_schedules,
     serve_configs,
-    retry_policies,
     scenarios,
 )
 
 
-def test_the_seven_spec_classes_and_their_field_counts():
+def test_the_six_spec_classes_and_their_field_counts():
     for cls in SPEC_CLASSES:
         assert issubclass(cls, Spec)
         assert len(dataclasses.fields(cls)) == FIELD_COUNTS[cls], cls
@@ -210,12 +199,6 @@ def test_required_fields_are_reported_by_name():
         (lambda: ServeConfig.from_dict({"rate": True}), "serve.rate"),
         (lambda: ServeConfig(duration_s=[4]), "serve.duration_s"),
         (lambda: ServeConfig(arrivals=["fixed"]), "serve.arrivals"),
-        (
-            lambda: ServeConfig(retry={"base_backoff_s": "lots"}),
-            "retry.base_backoff_s",
-        ),
-        (lambda: RetryPolicy(max_attempts="many"), "retry.max_attempts"),
-        (lambda: RetryPolicy.from_dict({"budget": None}), "retry.budget"),
         (lambda: ClusterConfig(shards=True), "cluster.shards"),
         (lambda: RebalanceConfig(credit_bytes="lots"), "rebalance.credit_bytes"),
         (lambda: RebalanceConfig(credit_bytes=float("nan")), "rebalance.credit_bytes"),
@@ -237,13 +220,11 @@ def test_bad_scalars_name_their_field(build, names):
 
 def test_json_scalars_coerce_the_same_way_in_every_block():
     assert ClusterConfig.from_dict({"shards": "4"}).shards == 4
-    serve = Scenario(
-        cluster={"shards": 2}, serve={"retry": {"max_attempts": "4"}}
-    ).serve
-    assert serve["retry"]["max_attempts"] == 4
+    serve = Scenario(cluster={"shards": 2}, serve={"rate": "4000"}).serve
+    assert serve["rate"] == 4000.0
     assert ServeConfig(rate=4000).to_dict()["rate"] == 4000.0
     assert isinstance(ServeConfig(rate=4000).rate, float)
-    assert RetryPolicy.from_dict({"max_attempts": 3.0}).max_attempts == 3
+    assert ClusterConfig.from_dict({"shards": 3.0}).shards == 3
     assert FaultEvent.from_dict({"kind": "crash", "shard": "1", "at": 7.0}) == (
         FaultEvent("crash", 1, 7)
     )
@@ -251,8 +232,8 @@ def test_json_scalars_coerce_the_same_way_in_every_block():
 
 
 def test_nested_blocks_normalize_and_tuples_accept_dicts():
-    config = ServeConfig(retry={"max_attempts": 2})
-    assert config.retry == RetryPolicy(max_attempts=2).to_dict()
+    scenario = Scenario(cluster={"shards": 2}, serve={"rate": 100})
+    assert scenario.serve == ServeConfig(rate=100).to_dict()
     schedule = FaultSchedule(events=[{"kind": "crash", "shard": 0, "at": 3}])
     assert schedule.events == (FaultEvent("crash", 0, 3),)
     assert schedule.to_dict()["events"] == [
@@ -267,7 +248,9 @@ def test_describe_names_every_field_and_choice():
             assert field.name in text
             for choice in choices_of(cls, field.name):
                 assert choice in text
-    assert "retry {max_attempts," in ServeConfig.describe()
+    assert "serve {rate, duration_s, arrivals (poisson|fixed)}" in (
+        Scenario.describe()
+    )
     assert "events [{kind (crash|restart), shard, at}, ...]" in (
         FaultSchedule.describe()
     )
@@ -301,9 +284,6 @@ def test_every_float_field_is_covered():
         "faults.recovery_epsilon",
         "rebalance.credit_bytes",
         "rebalance.min_shard_fraction",
-        "retry.base_backoff_s",
-        "retry.budget",
-        "retry.max_backoff_s",
         "scenario.scale",
         "serve.duration_s",
         "serve.rate",
@@ -330,7 +310,9 @@ def test_float_fields_refuse_non_finite_values(cls, name, value):
 def test_non_finite_values_are_refused_inside_nested_blocks():
     with pytest.raises(ConfigurationError, match="serve.rate must be a finite"):
         Scenario(cluster={"shards": 2}, serve={"rate": math.inf})
-    with pytest.raises(ConfigurationError, match="retry.budget must be a finite"):
-        ServeConfig(retry={"budget": math.nan})
+    with pytest.raises(
+        ConfigurationError, match="faults.recovery_epsilon must be a finite"
+    ):
+        Scenario(cluster={"shards": 2}, faults={"recovery_epsilon": math.nan})
     with pytest.raises(ConfigurationError, match="cluster.shards must be an integer"):
         ClusterConfig(shards=math.inf)

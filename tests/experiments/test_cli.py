@@ -78,14 +78,14 @@ def test_list_is_generated_from_the_declarations(capsys):
         ClusterConfig, FaultEvent, FaultSchedule, RebalanceConfig,
     )
     from tests.common.spec_fields import choices_of
-    from repro.serve import RetryPolicy, ServeConfig
+    from repro.serve import ServeConfig
     from repro.sim import SCHEMES, WORKLOADS, Scenario
 
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
     for cls in (
         Scenario, ClusterConfig, RebalanceConfig, FaultSchedule, FaultEvent,
-        ServeConfig, RetryPolicy,
+        ServeConfig,
     ):
         for field in dataclasses.fields(cls):
             assert field.name in out, (cls.__name__, field.name)
@@ -197,7 +197,7 @@ def test_unknown_scenario_field_exits_2(capsys):
         ({"serve": {"rate": "fast"}}, "serve.rate"),
         ({"serve": {"rate": True}}, "serve.rate"),
         ({"serve": {"duration_s": [4]}}, "serve.duration_s"),
-        ({"serve": {"retry": {"max_attempts": "many"}}}, "retry.max_attempts"),
+        ({"serve": {"arrivals": 5}}, "serve.arrivals"),
         ({"cluster": {"shards": "two"}}, "cluster.shards"),
         ({"rebalance": {"credit_bytes": "lots"}}, "rebalance.credit_bytes"),
         ({"faults": {"sample_requests": 1.5}}, "faults.sample_requests"),
@@ -329,7 +329,6 @@ CHAOS_SCENARIO = {
         "rate": 4000.0,
         "duration_s": 0.05,
         "arrivals": "fixed",
-        "retry": {"max_attempts": 2},
     },
 }
 
@@ -343,26 +342,12 @@ def test_chaos_serve_spec_runs(capsys):
 
 
 def test_retry_unknown_field_exits_2(capsys):
+    """The serve block has no ``retry``: its clients send each request
+    once, so the block is refused like any unknown field."""
     spec = dict(CHAOS_SCENARIO)
-    spec["serve"] = dict(
-        spec["serve"], retry={"max_attempts": 2, "attempts": 3}
-    )
+    spec["serve"] = dict(spec["serve"], retry={"max_attempts": 3})
     assert main(["run", json.dumps(spec)]) == 2
-    assert "attempts" in one_error_line(capsys)
-
-
-def test_retry_bad_value_exits_2(capsys):
-    spec = dict(CHAOS_SCENARIO)
-    spec["serve"] = dict(spec["serve"], retry={"max_attempts": 0})
-    assert main(["run", json.dumps(spec)]) == 2
-    assert "max_attempts" in one_error_line(capsys)
-
-
-def test_retry_non_mapping_exits_2(capsys):
-    spec = dict(CHAOS_SCENARIO)
-    spec["serve"] = dict(spec["serve"], retry=[1, 2])
-    assert main(["run", json.dumps(spec)]) == 2
-    assert "mapping" in one_error_line(capsys)
+    assert one_error_line(capsys) == "error: unknown serve fields: retry"
 
 
 def test_serve_bad_degradation_fields_exit_2(capsys):
@@ -382,11 +367,11 @@ def test_serve_bad_degradation_fields_exit_2(capsys):
         ({"queue_deadline_s": 0.2}, "unknown serve fields: queue_deadline_s"),
         (
             {"retry": {"max_attempts": 2, "hedge_after_s": 0.005}},
-            "unknown retry fields: hedge_after_s",
+            "unknown serve fields: retry",
         ),
         (
             {"retry": {"max_attempts": 2, "deadline_s": 0.1}},
-            "unknown retry fields: deadline_s",
+            "unknown serve fields: retry",
         ),
     ],
     ids=["transport", "queue_deadline_s", "hedge_after_s", "deadline_s"],

@@ -213,7 +213,7 @@ def entry_points(scratch: str) -> List[Tuple[str, Step]]:
         ("live chaos serve", _command(*experiments, "run", _scenario(
             workload="zipf", scale=0.05,
             cluster={"shards": 4},
-            serve={"rate": 3000, "duration_s": 0.4, "retry": {"max_attempts": 3}},
+            serve={"rate": 3000, "duration_s": 0.4},
             faults=crash_and_restart,
         ))),
         # A split that hurts is reverted (app 19 at sensitivity's scale).

@@ -173,42 +173,35 @@ class TestScenarioChaosServing:
 
     def test_scenario_json_round_trip(self):
         scenario = self.make_scenario(
-            serve={
-                "rate": 8000.0,
-                "duration_s": 0.05,
-                "retry": {"max_attempts": 3, "base_backoff_s": 0.001},
-            }
+            serve={"rate": 8000.0, "duration_s": 0.05}
         )
         clone = Scenario.from_dict(json.loads(scenario.to_json()))
         assert clone.to_dict() == scenario.to_dict()
-        assert clone.serve["retry"]["max_attempts"] == 3
-        # Normalization filled the retry defaults in.
-        assert clone.serve["retry"]["budget"] == 0.2
+        # Normalization filled the serve defaults in.
+        assert clone.serve["arrivals"] == "poisson"
 
-    def test_sweepable_retry_axis(self):
+    def test_sweepable_serve_and_fault_axes(self):
         from repro.sim.sweep import Sweep
 
         grid = Sweep(
             base=self.make_scenario(),
             axes={
-                "serve.retry.max_attempts": [1, 3],
+                "serve.rate": [4000.0, 8000.0],
                 "faults.policy": ["failover", "miss-through"],
             },
         ).scenarios()
-        assert [s.serve["retry"]["max_attempts"] for s in grid] == [
-            1, 1, 3, 3,
+        assert [s.serve["rate"] for s in grid] == [
+            4000.0, 4000.0, 8000.0, 8000.0,
         ]
         assert [s.faults["policy"] for s in grid] == [
             "failover", "miss-through", "failover", "miss-through",
         ]
 
-    def test_failover_with_retry_beats_miss_through(self):
+    def test_failover_beats_miss_through(self):
         """Served live through a mid-run crash, rerouting keeps more hits
-        than answering the dead shard's keys as misses. The retry block
-        never fires here (run_serve's server never sheds and its
-        in-memory connections never drop), so the gain is failover's.
-        Hit rates count cluster requests, not wall-clock, so the
-        comparison is as stable as the fault timeline."""
+        than answering the dead shard's keys as misses. Hit rates count
+        cluster requests, not wall-clock, so the comparison is as stable
+        as the fault timeline."""
         base = Scenario(
             workload="zipf",
             workload_params={
@@ -231,15 +224,7 @@ class TestScenarioChaosServing:
         )
         chaos = run_scenario(
             base.replace(
-                serve=dict(
-                    serve,
-                    retry={
-                        "max_attempts": 3,
-                        "base_backoff_s": 0.001,
-                        "max_backoff_s": 0.010,
-                        "budget": 0.5,
-                    },
-                ),
+                serve=serve,
                 faults={"events": events, "policy": "failover"},
             )
         )

@@ -15,7 +15,6 @@ import dataclasses
 
 from repro.common.errors import ConfigurationError
 from repro.serve.harness import ServeConfig, ServeReport, run_serve
-from repro.serve.loadgen import RetryPolicy
 from repro.sim.runner import run_scenario
 from repro.sim.scenario import Scenario
 
@@ -54,10 +53,7 @@ class TestServeConfig:
         def names(cls):
             return tuple(field.name for field in dataclasses.fields(cls))
 
-        assert names(ServeConfig) == ("rate", "duration_s", "arrivals", "retry")
-        assert names(RetryPolicy) == (
-            "max_attempts", "base_backoff_s", "max_backoff_s", "budget",
-        )
+        assert names(ServeConfig) == ("rate", "duration_s", "arrivals")
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown serve"):
@@ -136,7 +132,7 @@ class TestRunServe:
         assert set(payload) == {
             "arrivals", "offered_rate", "achieved_rate", "duration_s",
             "elapsed_s", "requests", "completed", "shed", "errors",
-            "retries", "retry", "latency_ms", "queue_depth", "faults",
+            "latency_ms", "queue_depth", "faults",
         }
         assert payload["requests"] == 100
         assert payload["arrivals"] == "fixed"
@@ -173,7 +169,6 @@ class TestScenarioValidation:
         scenario = make_scenario(serve={"rate": 123.0})
         assert scenario.serve == {
             "rate": 123.0, "duration_s": 1.0, "arrivals": "poisson",
-            "retry": None,
         }
 
     def test_bad_serve_field_rejected_at_construction(self):

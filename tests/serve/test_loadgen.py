@@ -30,8 +30,8 @@ class StubClient:
         self.responses = list(responses)
         self.seen = []
 
-    async def request(self, data: bytes, op: str = "") -> bytes:
-        self.seen.append((data, op))
+    async def request(self, data: bytes) -> bytes:
+        self.seen.append(data)
         if not self.responses:
             return b"END\r\n"
         return self.responses.pop(0)
@@ -79,7 +79,7 @@ class TestSchedules:
 
 
 class TestAccounting:
-    WORK = [(b"get k\r\n", "get")]
+    WORK = [b"get k\r\n"]
 
     def run(self, generator, clients):
         return asyncio.run(generator.run(clients, self.WORK))
@@ -108,7 +108,7 @@ class TestAccounting:
 
     def test_connection_error_counts_as_error(self):
         class Dropper:
-            async def request(self, data, op=""):
+            async def request(self, data):
                 raise ConnectionResetError
 
         generator = LoadGenerator(rate=3000.0, duration_s=0.001,
@@ -129,9 +129,9 @@ class TestAccounting:
         client = StubClient([])
         generator = LoadGenerator(rate=4000.0, duration_s=0.001,
                                   arrivals="fixed")
-        work = [(b"get a\r\n", "get"), (b"get b\r\n", "get")]
+        work = [b"get a\r\n", b"get b\r\n"]
         asyncio.run(generator.run([client], work))
-        assert [data for data, _ in client.seen] == [
+        assert client.seen == [
             b"get a\r\n", b"get b\r\n", b"get a\r\n", b"get b\r\n",
         ]
 
@@ -157,11 +157,11 @@ class TestTraceCompilation:
         assert 0 < len(work) <= 300
         parser = ProtocolParser()
         ops = set()
-        for data, op in work:
+        for data in work:
             parser.feed(data)
             event = parser.next_event()
             assert event is not None and event.command is not None
-            assert event.command.op == op
+            op = event.command.op
             ops.add(op)
             if op == "set":
                 assert event.command.data is not None
@@ -220,5 +220,5 @@ def walk_requests(trace, limit):
             command = Command(op="delete", keys=[request.key])
         else:
             command = Command(op="get", keys=[request.key])
-        work.append((encode_command(command), command.op))
+        work.append(encode_command(command))
     return work

@@ -61,20 +61,22 @@ def test_dotted_axes_reach_nested_fields():
 
 
 def test_deep_dotted_axis_leaves_the_base_untouched():
-    """``to_dict`` copies nested blocks, so an axis two levels down
-    (``serve.retry.*``) cannot write through into the base scenario."""
+    """``to_dict`` copies nested dicts, so an axis three levels down
+    (``workload_params.apps.<app>.*``) cannot write through into the
+    base scenario."""
     sweep = Sweep(
         base=Scenario(
             workload="zipf",
-            cluster={"shards": 2},
-            serve={"retry": {"max_attempts": 2}},
+            workload_params={"apps": {"zipf01": {"alpha": 0.9}}},
         ),
-        axes={"serve.retry.max_attempts": [5, 7]},
+        axes={"workload_params.apps.zipf01.alpha": [0.7, 1.1]},
     )
     grid = sweep.scenarios()
-    assert [s.serve["retry"]["max_attempts"] for s in grid] == [5, 7]
-    assert [s.label() for s in grid] == ["max_attempts=5", "max_attempts=7"]
-    assert sweep.base.serve["retry"]["max_attempts"] == 2
+    assert [
+        s.workload_params["apps"]["zipf01"]["alpha"] for s in grid
+    ] == [0.7, 1.1]
+    assert [s.label() for s in grid] == ["alpha=0.7", "alpha=1.1"]
+    assert sweep.base.workload_params["apps"]["zipf01"]["alpha"] == 0.9
 
 
 def test_bad_axes_rejected():
