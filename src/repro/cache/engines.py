@@ -11,9 +11,11 @@ baselines live here:
   Dynacache solver's allocation (paper section 2.1 / Figure 2) or a plan
   given by hand.
 
-A GET hit is ``process_fast`` plus the policy's ``access``, a steady-state
-miss or SET ``process_fast`` plus its ``store``; the engine's own
-``_admit`` runs only at start-up, for a starved class or a planned one.
+Every request path enters an engine through :meth:`Engine.process_run`:
+one call per (shard, app) run of rows, so a GET hit is one iteration of
+its loop plus the policy's ``access``, a steady-state miss or SET one
+iteration plus its ``store``; the engine's own ``_admit`` runs only at
+start-up, for a starved class or a planned one.
 
 The Cliffhanger engines (hill climbing, cliff scaling, combined) extend
 the same interface from :mod:`repro.core.engine`; the log-structured
@@ -23,7 +25,7 @@ global-LRU engine is in :mod:`repro.cache.log_structured`.
 from __future__ import annotations
 
 import abc
-from typing import Dict
+from typing import Dict, Iterable, List, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.cache.policies import EvictionPolicy, make_policy
@@ -38,14 +40,19 @@ from repro.cache.stats import (
     OpCounter,
 )
 
+#: One request as an engine takes it: ``(key, op, class_index, chunk,
+#: item_bytes)``.
+Row = Tuple[object, int, int, int, int]
+
 
 class Engine(abc.ABC):
     """Base class: one tenant's memory manager.
 
-    Subclasses implement :meth:`process_fast` -- the allocation-free hot
-    path taking pre-classified integer arguments and returning a packed
-    outcome code, and every request path's one entry point -- and expose
-    per-class capacities for the timeline experiments. Budgets are bytes.
+    Subclasses implement :meth:`process_run` -- the allocation-free hot
+    path, one call per run of pre-classified integer rows, returning a
+    packed outcome per row, and every request path's one entry point --
+    and expose per-class capacities for the timeline experiments.
+    Budgets are bytes.
     """
 
     def __init__(
@@ -71,20 +78,27 @@ class Engine(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
+    def process_run(self, rows: Iterable[Row]) -> List[int]:
+        """Apply one run of pre-classified requests, in order; return
+        ``(code << 2) | op`` per row, the replay kernel's tally format.
+
+        Each row is ``(key, op, class_index, chunk, item_bytes)``: ``op``
+        is an integer op code (:data:`repro.cache.stats.OP_GET` etc.);
+        the rest is the row :meth:`repro.cache.slabs.SlabGeometry.row` /
+        ``rows`` computes (``item_bytes`` is key + value, header
+        excluded; only engines without chunk rounding read it). ``code``
+        packs hit / shadow-hit flags, the slab class charged for
+        statistics and the eviction count (see
+        :func:`repro.cache.stats.pack_outcome`). Operation counts reach
+        :attr:`ops` by the time the call returns.
+        """
+
     def process_fast(
         self, key: object, op: int, class_index: int, chunk: int,
         item_bytes: int,
     ) -> int:
-        """Apply one pre-classified request; return a packed outcome code.
-
-        ``op`` is an integer op code (:data:`repro.cache.stats.OP_GET`
-        etc.); ``class_index``, ``chunk`` and ``item_bytes`` are the row
-        :meth:`repro.cache.slabs.SlabGeometry.row` / ``rows`` computes
-        (``item_bytes`` is key + value, header excluded; only engines
-        without chunk rounding read it). The return value packs hit /
-        shadow-hit flags, the slab class charged for statistics and the
-        eviction count (see :func:`repro.cache.stats.pack_outcome`).
-        """
+        """One request as a run of one row; its packed outcome code."""
+        return self.process_run(((key, op, class_index, chunk, item_bytes),))[0] >> 2
 
     @abc.abstractmethod
     def capacities(self) -> Dict[int, float]:
@@ -174,45 +188,68 @@ class SlabEngineBase(Engine):
 
     # -- request handling --------------------------------------------------
 
-    def process_fast(
-        self, key: object, op: int, class_index: int, chunk: int,
-        item_bytes: int,
-    ) -> int:
+    def process_run(self, rows: Iterable[Row]) -> List[int]:
         # One class lookup per request; a resident key's queue exists.
-        if op == OP_GET:
-            self.ops.hash_lookups += 1
-            resident_class = self._class_of_key.get(key)
-            if resident_class is not None and self.queues[
-                resident_class
-            ].access(key):
-                self.ops.promotes += 1
-                return ((resident_class + 1) << CLASS_SHIFT) | OUTCOME_HIT
-            if not self.fill_on_miss:
-                return (class_index + 1) << CLASS_SHIFT
-        elif op == OP_SET:
-            resident_class = self._class_of_key.get(key)
-        else:  # DELETE
-            self.ops.hash_lookups += 1
-            resident_class = self._class_of_key.pop(key, None)
-            if resident_class is None:
-                return (class_index + 1) << CLASS_SHIFT
-            self.queues[resident_class].remove(key)
-            return ((class_index + 1) << CLASS_SHIFT) | OUTCOME_HIT
-        if resident_class is not None and resident_class != class_index:
-            self.queues[resident_class].remove(key)  # the item changed class
-            del self._class_of_key[key]
-        queue = self.queues.get(class_index)
-        if queue is None:
-            queue = self._queue(class_index)
-        if queue.capacity < chunk or self._capacity_total + chunk <= self.budget_bytes:
-            if not self._admit(queue, class_index, chunk):
-                return (class_index + 1) << CLASS_SHIFT  # not resident
-        # Recorded first: the store may evict the key it just stored.
-        self._class_of_key[key] = class_index
-        evicted = queue.store(key, chunk, self._class_of_key)
-        self.ops.inserts += 1
-        self.ops.evictions += evicted
-        return (evicted << EVICTED_SHIFT) | ((class_index + 1) << CLASS_SHIFT)
+        # The capacity total is read per row: an ``_admit`` grows it.
+        queues = self.queues
+        class_of_key = self._class_of_key
+        fill_on_miss = self.fill_on_miss
+        lookups = promotes = inserts = evictions = 0
+        codes: List[int] = []
+        append = codes.append
+        for key, op, class_index, chunk, item_bytes in rows:
+            if op == OP_GET:
+                lookups += 1
+                resident_class = class_of_key.get(key)
+                if resident_class is not None and queues[
+                    resident_class
+                ].access(key):
+                    promotes += 1
+                    append(
+                        (((resident_class + 1) << CLASS_SHIFT) | OUTCOME_HIT) << 2
+                    )
+                    continue
+                if not fill_on_miss:
+                    append((class_index + 1) << CLASS_SHIFT << 2)
+                    continue
+            elif op == OP_SET:
+                resident_class = class_of_key.get(key)
+            else:  # DELETE
+                lookups += 1
+                resident_class = class_of_key.pop(key, None)
+                if resident_class is None:
+                    append(((class_index + 1) << CLASS_SHIFT << 2) | op)
+                    continue
+                queues[resident_class].remove(key)
+                append(
+                    ((((class_index + 1) << CLASS_SHIFT) | OUTCOME_HIT) << 2) | op
+                )
+                continue
+            if resident_class is not None and resident_class != class_index:
+                queues[resident_class].remove(key)  # the item changed class
+                del class_of_key[key]
+            queue = queues.get(class_index)
+            if queue is None:
+                queue = self._queue(class_index)
+            if (
+                queue.capacity < chunk
+                or self._capacity_total + chunk <= self.budget_bytes
+            ) and not self._admit(queue, class_index, chunk):
+                append(((class_index + 1) << CLASS_SHIFT << 2) | op)  # not resident
+                continue
+            # Recorded first: the store may evict the key it just stored.
+            class_of_key[key] = class_index
+            evicted = queue.store(key, chunk, class_of_key)
+            inserts += 1
+            evictions += evicted
+            code = (evicted << EVICTED_SHIFT) | ((class_index + 1) << CLASS_SHIFT)
+            append((code << 2) | op)
+        ops = self.ops
+        ops.hash_lookups += lookups
+        ops.promotes += promotes
+        ops.inserts += inserts
+        ops.evictions += evictions
+        return codes
 
     @abc.abstractmethod
     def _admit(self, queue: EvictionPolicy, class_index: int, chunk: int) -> bool:

@@ -3,7 +3,10 @@
 Cliffhanger "runs on each memory cache server and does not require any
 coordination between different servers" (paper section 4.3), so between
 two barriers a replay is nothing more than independent runs: one per
-(shard, app) pair, each touching one engine and one stats slice.
+(shard, app) pair, each touching one engine and one stats slice, and
+each one call of that engine's
+:meth:`~repro.cache.engines.Engine.process_run`, which owns the loop
+over the run's rows.
 :func:`replay_runs` is the only place that fact is written down. A single
 server (:meth:`repro.cache.server.CacheServer.replay_compiled`, the
 one-shard case), the offline cluster replay
@@ -31,11 +34,13 @@ per block instead of per run is what keeps its windows cheap, while the
 Python lists alive at any time stay bounded by ``max(GATHER_ROWS,
 longest run)`` rows.
 
-Two walks serve requests one at a time instead. The live
-:meth:`repro.cluster.Cluster.process_batch` serves a server's drain, a
-few to a few hundred rows, where the sort and gathers below cost more
-than they save; it tallies in the same driver windows and flushes
-through :func:`flush_runs` in this module's run order.
+The live :meth:`repro.cluster.Cluster.process_batch` serves a server's
+drain, a few to a few hundred rows, where the sort and gathers below
+cost more than they save: it buckets each driver window's rows into the
+same runs in plain Python, calls ``process_run`` per run in this
+module's run order and flushes through :func:`flush_runs`. One walk
+serves requests one at a time instead, through the engines' one-row
+``process_fast``:
 :meth:`repro.core.crossapp.CrossAppHillClimber.replay_compiled` moves
 memory between apps on a shadow hit, before the next request, so no two
 apps' runs are independent. (Moving that climber onto window barriers
@@ -109,15 +114,14 @@ def replay_runs(
     per-app engines and per-app stats share no state -- so the
     interleaved request order only matters *within* one (shard, app)
     run, which a stable sort on ``shard * num_apps + app`` preserves.
-    Each run then replays with everything hoisted out of the loop: the
-    engine's bound ``process_fast``, flat column gathers (``tolist``
-    hands the loop plain Python objects; keys stay the interned
-    strings), one list comprehension of packed ``(code << 2) | op``
-    outcomes, and a ``Counter`` of them (tallied in C, keyed in
-    first-seen order) instead of a per-request stats walk. Counters are
-    integer adds, so flushing a tally later is bit-identical to
-    recording each request as it happens. Runs come back in ascending
-    composite order.
+    Each run is then one ``process_run`` call on the run's rows, from
+    flat column gathers (``tolist`` hands the engine plain Python
+    objects; keys stay the interned strings); the engine returns the
+    packed ``(code << 2) | op`` outcomes, and a ``Counter`` of them
+    (tallied in C, keyed in first-seen order) stands in for a
+    per-request stats walk. Counters are integer adds, so flushing a
+    tally later is bit-identical to recording each request as it
+    happens. Runs come back in ascending composite order.
 
     The gathers are per block of runs (see the module docstring); each
     run draws exactly its own rows from its block's ``zip`` with
@@ -183,14 +187,12 @@ def replay_runs(
             shard, app_id = divmod(run_id, num_apps)
             rows = islice(requests, run_stop - run_start)
             run_start = run_stop
-            process = (
-                _dead if shard in dead
-                else servers[shard].engines[app_table[app_id]].process_fast
-            )
-            codes = [
-                (process(key, op, class_index, chunk, nbytes) << 2) | op
-                for key, op, class_index, chunk, nbytes in rows
-            ]
+            if shard in dead:
+                codes = [(OUTCOME_DEAD << 2) | row[1] for row in rows]
+            else:
+                codes = servers[shard].engines[app_table[app_id]].process_run(
+                    rows
+                )
             runs.append((shard, app_id, Counter(codes)))
             if cuts:
                 window_codes += codes
@@ -199,14 +201,6 @@ def replay_runs(
     if not cuts:
         return runs, []
     return runs, cut_tallies(np.array(window_codes), positions, cuts)
-
-
-def _dead(
-    key: object, op: int, class_index: int, chunk: int, nbytes: int
-) -> int:
-    """A dead shard's ``process_fast``: no engine, every request
-    ``OUTCOME_DEAD`` (GETs count as misses, SETs as sets)."""
-    return OUTCOME_DEAD
 
 
 def cut_tallies(

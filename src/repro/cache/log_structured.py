@@ -9,9 +9,9 @@ size (no chunk rounding, no fragmentation, no cleaner overhead).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable, List
 
-from repro.cache.engines import Engine
+from repro.cache.engines import Engine, Row
 from repro.cache.policies import EvictionPolicy, make_policy
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import (
@@ -65,21 +65,32 @@ class GlobalLRUEngine(Engine):
 
     # ------------------------------------------------------------------
 
-    def process_fast(
-        self, key: object, op: int, class_index: int, chunk: int,
-        item_bytes: int,
-    ) -> int:
-        class_code = (class_index + 1) << CLASS_SHIFT
-        if op == OP_GET:
-            self.ops.hash_lookups += 1
-            if self.queue.access(key):
-                self.ops.promotes += 1
-                return class_code | OUTCOME_HIT
-        elif op != OP_SET:  # DELETE
-            self.ops.hash_lookups += 1
-            present = self.queue.remove(key)
-            return class_code | OUTCOME_HIT if present else class_code
-        evicted = len(self.queue.insert(key, item_bytes))
-        self.ops.inserts += 1
-        self.ops.evictions += evicted
-        return (evicted << EVICTED_SHIFT) | class_code
+    def process_run(self, rows: Iterable[Row]) -> List[int]:
+        queue = self.queue
+        lookups = promotes = inserts = evictions = 0
+        codes: List[int] = []
+        append = codes.append
+        for key, op, class_index, chunk, item_bytes in rows:
+            class_code = (class_index + 1) << CLASS_SHIFT
+            if op == OP_GET:
+                lookups += 1
+                if queue.access(key):
+                    promotes += 1
+                    append((class_code | OUTCOME_HIT) << 2)
+                    continue
+            elif op != OP_SET:  # DELETE
+                lookups += 1
+                if queue.remove(key):
+                    class_code |= OUTCOME_HIT
+                append((class_code << 2) | op)
+                continue
+            evicted = len(queue.insert(key, item_bytes))
+            inserts += 1
+            evictions += evicted
+            append((((evicted << EVICTED_SHIFT) | class_code) << 2) | op)
+        ops = self.ops
+        ops.hash_lookups += lookups
+        ops.promotes += promotes
+        ops.inserts += inserts
+        ops.evictions += evictions
+        return codes

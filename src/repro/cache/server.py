@@ -83,9 +83,9 @@ class CacheServer:
         """Replay a :class:`~repro.workloads.compiled.CompiledTrace`.
 
         A single server is the one-shard case of the replay kernel
-        (:func:`repro.cache.kernel.replay_runs`): one run per app, each
-        looping :meth:`Engine.process_fast` over integer columns and
-        tallying packed outcome codes that are flushed to the registry
+        (:func:`repro.cache.kernel.replay_runs`): one
+        :meth:`Engine.process_run` call per app, over integer columns,
+        its packed outcome codes tallied and flushed to the registry
         once. No :class:`Request` objects exist on this path.
         """
         self.check_replayable(trace)

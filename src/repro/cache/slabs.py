@@ -7,8 +7,8 @@ reproduction models each slab class as an eviction queue whose capacity is
 measured in bytes and whose items each weigh exactly one chunk.
 
 :class:`SlabGeometry` also owns the one rule that turns a request's sizes
-into the ``(slab_class, chunk, item_bytes)`` row
-:meth:`repro.cache.engines.Engine.process_fast` takes; every door into
+into the ``(slab_class, chunk, item_bytes)`` of the rows
+:meth:`repro.cache.engines.Engine.process_run` takes; every door into
 the engines (trace compile, live batches, the object API, the wire
 service) classifies through it.
 """

@@ -42,8 +42,14 @@ from typing import (
 
 import numpy as np
 
-from repro.cache.engines import Engine
-from repro.cache.kernel import CutTally, cut_tallies, flush_runs, replay_runs
+from repro.cache.engines import Engine, Row
+from repro.cache.kernel import (
+    CutTally,
+    Run,
+    cut_tallies,
+    flush_runs,
+    replay_runs,
+)
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_CODES, OUTCOME_DEAD, HitMissCounter, StatsRegistry
@@ -608,17 +614,19 @@ class Cluster:
         apps: Union[str, Sequence[str]],
         key_sizes: Union[None, int, Sequence[int]] = None,
     ) -> np.ndarray:
-        """Serve a batch of object-API requests, one request at a time.
+        """Serve a batch of object-API requests.
 
         The serving hot path: :meth:`_drive` from the live clock
-        (``object_requests``) over this batch, each window a plain walk
-        -- :meth:`Router.route <repro.cluster.routing.Router.route>`,
-        then the engine's ``process_fast`` -- whose outcomes are tallied
-        per (shard, app) run and flushed at the window's end in the
-        order the replay kernel flushes them. A server's drain is a few
-        to a few hundred rows, where the kernel's sort and NumPy gathers
-        cost more than they save, so this path builds no columns.
-        Returns one packed outcome code per request
+        (``object_requests``) over this batch. Each window routes its
+        rows in request order (:meth:`Router.route
+        <repro.cluster.routing.Router.route>`, so replica turns advance
+        as they would one request at a time), buckets them into
+        (shard, app) runs, and hands each run to its engine's
+        ``process_run`` in the order the replay kernel runs and flushes
+        them; the codes go back to request order. A server's drain is a
+        few to a few hundred rows, where the kernel's sort and NumPy
+        gathers cost more than they save, so this path builds no
+        columns. Returns one packed outcome code per request
         (:func:`repro.cache.stats.pack_outcome`), in order.
 
         Bit-identical to handling the requests one at a time
@@ -632,7 +640,7 @@ class Cluster:
         ``key_sizes`` may each be a scalar broadcast across the batch,
         and any of them a list or a NumPy array. ``key_sizes`` defaults
         to each key's string length. Each request's sizes become its
-        ``process_fast`` row through
+        engine row through
         :meth:`~repro.cache.slabs.SlabGeometry.row`, the rule a compiled
         trace's columns come from (``item_bytes`` is key + value). Every
         row is checked before the first one is served, so a rejected
@@ -646,65 +654,60 @@ class Cluster:
         for name in app_names:
             if name not in engines:
                 raise ConfigurationError(f"request for unknown app {name!r}")
-        rows = self._batch_rows(keys, value_sizes, key_sizes, count)
-        codes = [0] * count
+        rows = self._batch_rows(keys, op_column, value_sizes, key_sizes, count)
+        packed = [0] * count
         num_apps = len(app_names)
         servers = self.servers
         route = self.router.route
 
         def replay_window(start, stop, mask, dead, cuts):
-            # Resolved per window: a restart at the barrier before it
-            # swaps in fresh engines. Dead shards get no handler.
-            handlers = [
-                None if shard in dead
-                else servers[shard].engines[name].process_fast
-                for shard in range(len(servers))
-                for name in app_names
-            ]
-            tallies: Dict[int, Dict[int, int]] = {}
+            members: Dict[int, List[int]] = {}
             for i in range(start, stop):
-                key = keys[i]
-                op = op_column[i]
-                run = route(key, mask) * num_apps + app_column[i]
-                process = handlers[run]
-                if process is None:
-                    code = OUTCOME_DEAD
+                run = route(keys[i], mask) * num_apps + app_column[i]
+                indices = members.get(run)
+                if indices is None:
+                    members[run] = [i]
                 else:
-                    code = process(key, op, *rows[i])
-                codes[i] = code
-                packed = (code << 2) | op
-                counts = tallies.get(run)
-                if counts is None:
-                    tallies[run] = {packed: 1}
+                    indices.append(i)
+            runs: List[Run] = []
+            for run in sorted(members):
+                shard, app_id = divmod(run, num_apps)
+                indices = members[run]
+                if shard in dead:
+                    codes = [(OUTCOME_DEAD << 2) | op_column[i] for i in indices]
                 else:
-                    counts[packed] = counts.get(packed, 0) + 1
-            flush_runs(
-                servers,
-                app_names,
-                [
-                    (*divmod(run, num_apps), tallies[run])
-                    for run in sorted(tallies)
-                ],
-            )
+                    # Resolved per window: a restart at the barrier
+                    # before it swaps in fresh engines.
+                    codes = servers[shard].engines[app_names[app_id]].process_run(
+                        map(rows.__getitem__, indices)
+                    )
+                counts: Dict[int, int] = {}
+                for i, code in zip(indices, codes):
+                    packed[i] = code
+                    counts[code] = counts.get(code, 0) + 1
+                runs.append((shard, app_id, counts))
+            flush_runs(servers, app_names, runs)
             if not cuts:
                 return []
-            outcomes = np.array(codes[start:stop]) << 2 | np.array(op_column[start:stop])
-            return cut_tallies(outcomes, np.arange(start, stop), cuts)
+            return cut_tallies(
+                np.array(packed[start:stop]), np.arange(start, stop), cuts
+            )
 
         self._drive(self.object_requests, count, replay_window)
         self.object_requests += count
-        return np.array(codes, dtype=np.int64)
+        return np.array(packed, dtype=np.int64) >> 2
 
     def _batch_rows(
         self,
         keys: List[object],
+        op_column: List[int],
         value_sizes: Union[int, Sequence[int]],
         key_sizes: Union[None, int, Sequence[int]],
         count: int,
-    ) -> List[Tuple[int, int, int]]:
-        """Each request's ``(slab_class, chunk, item_bytes)`` row. Checks
-        the caller's size columns (broadcast, length, no negative size);
-        the classification itself is
+    ) -> List[Row]:
+        """Each request's ``(key, op, slab_class, chunk, item_bytes)``
+        engine row. Checks the caller's size columns (broadcast, length,
+        no negative size); the classification itself is
         :meth:`~repro.cache.slabs.SlabGeometry.row`, which raises for an
         item past the largest chunk."""
         values = _batch_column(value_sizes, count, "value size")
@@ -715,7 +718,10 @@ class Cluster:
         if count and (min(values) < 0 or min(sizes) < 0):
             raise ConfigurationError("key and value sizes must be >= 0")
         row = self.geometry.row
-        return [row(size, value) for size, value in zip(sizes, values)]
+        return [
+            (key, op, *row(size, value))
+            for key, op, size, value in zip(keys, op_column, sizes, values)
+        ]
 
     def replay_compiled(
         self, trace, plan: Optional[RoutingPlan] = None

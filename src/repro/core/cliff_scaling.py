@@ -40,19 +40,22 @@ append per key, where the paper's single list would move a boundary
 pointer (in Python, a walk). Keys only move down, so the count leaving
 the tail probe is what left physical memory.
 
-The request path makes as few Python calls as it can. A GET looks for
-its key once, with inline membership tests; a GET-miss
-:meth:`CliffhangerQueue.fill` stores without searching again; a push or
-resize cascades only when a limit is exceeded or shrank. On the slice
+The request path makes as few Python calls as it can. The engine's
+``process_run`` loops over a whole run of rows, so a request costs no
+call of its own; a GET looks for its key once, with inline membership
+tests; a GET-miss :meth:`CliffhangerQueue.fill` stores without
+searching again and cascades inline; a push or resize cascades only
+when a limit is exceeded or shrank. On the slice
 ``tests/sim/test_call_budget.py`` gates, the ``cliffhanger`` engine
-makes 3.0 calls per request (5.4 before this layout was made lean),
-against 2.0 for the stock ``default`` engine.
+makes 1.5 calls per request (3.0 with a ``process_fast`` call per
+request, 5.4 before this layout was made lean), against 1.0 for the
+stock ``default`` engine.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.allocation.talus import compute_ratio
@@ -118,6 +121,9 @@ class CliffConfig:
     split_regression_margin: float = 0.01
     split_backoff_requests: int = 30000
 
+    #: ``probe_items`` chunks in bytes: derived, set once here.
+    probe_bytes: float = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
             raise ConfigurationError("chunk_size must be positive")
@@ -125,10 +131,9 @@ class CliffConfig:
             raise ConfigurationError("probe_items must be positive")
         if self.credit_bytes <= 0:
             raise ConfigurationError("credit_bytes must be positive")
-
-    @property
-    def probe_bytes(self) -> float:
-        return float(self.probe_items * self.chunk_size)
+        object.__setattr__(
+            self, "probe_bytes", float(self.probe_items * self.chunk_size)
+        )
 
 
 def chunk_limit(capacity: float, chunk: int) -> int:
@@ -359,12 +364,11 @@ class CliffhangerQueue:
         # does not need it costs accuracy to hash-thinning noise, which
         # is why the paper only runs cliff scaling on large queues
         # (section 5.1). See _pointer_event for the split trigger.
-        routed, other = self.right, self.left
-        if (
-            self._split
-            and unit_interval_hash(key, self.config.salt) < self.ratio
-        ):
-            routed, other = other, routed
+        split = self._split
+        if split and unit_interval_hash(key, self.config.salt) < self.ratio:
+            routed = self.left
+        else:
+            routed = self.right
         main = routed.main
         if key in main:
             # Promoted in place: no segment's length changes, so there is
@@ -373,7 +377,7 @@ class CliffhangerQueue:
             self._hit_ema_value += self._hit_ema_alpha * (
                 1.0 - self._hit_ema_value
             )
-            if self._split and self._requests_seen >= self._split_eval_due:
+            if split and self._requests_seen >= self._split_eval_due:
                 self._evaluate_split()
             return ACCESS_HIT
         holder = routed
@@ -387,7 +391,7 @@ class CliffhangerQueue:
             del routed.hill[key]
             segment = SEG_HILL
         else:
-            holder = other
+            holder = other = self.right if routed is self.left else self.left
             if key in other.main:
                 del other.main[key]
                 segment = SEG_MAIN
@@ -437,15 +441,21 @@ class CliffhangerQueue:
         is the only thing that can push an entry out of physical memory.
         ``weight`` is the queue protocol's (:mod:`repro.core.managed`);
         every item here weighs one chunk.
+
+        :meth:`_decay_pointers`' common branches -- zero the stale count
+        while both pointers sit at the operating point, else count one
+        more stale miss -- and :meth:`_Partition._cascade` are written
+        inline. Every segment is within its limit before the push, so at
+        most one key crosses each boundary.
         """
-        # _decay_pointers does nothing unless cliff scaling is active and
-        # a pointer is off the operating point or a stale count is left.
-        if self.cliff_active and (
-            self._stale_misses
-            or self.right_pointer != self._size
-            or self.left_pointer != self._size
-        ):
-            self._decay_pointers()
+        if self.cliff_active:
+            size = self._size
+            if self.right_pointer == size and self.left_pointer == size:
+                self._stale_misses = 0
+            elif self._stale_misses + 1 < self.config.stale_miss_limit:
+                self._stale_misses += 1
+            else:
+                self._decay_pointers()  # the miss that resets the search
         if self._pending_resize:
             self._apply_partition_targets()
         routed = self.right  # routed as in access()
@@ -456,9 +466,20 @@ class CliffhangerQueue:
             routed = self.left
         main = routed.main
         main[key] = None
-        if len(main) > routed.main_limit:
-            return routed._cascade()
-        return 0
+        if len(main) <= routed.main_limit:
+            return 0
+        tail = routed.tail
+        tail[main.popitem(False)[0]] = None
+        if len(tail) <= routed.tail_limit:
+            return 0
+        cliff = routed.cliff
+        cliff[tail.popitem(False)[0]] = None
+        if len(cliff) > routed.cliff_limit:
+            hill = routed.hill
+            hill[cliff.popitem(False)[0]] = None
+            if len(hill) > routed.hill_limit:
+                hill.popitem(False)
+        return 1
 
     def insert(self, key: object, weight: float = 0.0) -> int:
         """SET path: :meth:`fill` for a key any segment may hold. The key

@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.common.constants import (
     DEFAULT_CREDIT_BYTES,
     HILL_CLIMB_SHADOW_BYTES,
     MIN_QUEUE_BYTES,
 )
-from repro.cache.engines import Engine
+from repro.cache.engines import Engine, Row
 from repro.cache.policies import make_policy
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import (
@@ -125,72 +125,79 @@ class ClimbingEngine(Engine):
 
     # ------------------------------------------------------------------
 
-    def _fill(
-        self, queue: ClimbingQueue, key: object, chunk: int, purge: bool
-    ) -> int:
-        """Store an item, drawing start-up capacity from the free pool: a
-        SET (``purge``) through ``insert``, a GET-miss fill through
-        ``fill``, whose ``access`` just left the key non-resident.
+    def process_run(self, rows: Iterable[Row]) -> List[int]:
+        """The request path. A GET miss fills through the queue's
+        ``fill`` (its ``access`` just left the key non-resident), a SET
+        stores through ``insert``; both draw start-up capacity from the
+        free pool first.
 
         Growth is two chunks at a time: a partitioned queue splits its
         capacity in two, so a single spare chunk may not fit one item in
         either half. The pool test comes first: once start-up growth
-        has spent it, a fill never has to add up the queue's segments.
+        has spent it, a store never has to add up the queue's segments.
+        The pool is read per row: growth spends it mid-run.
         """
-        growth = 2 * chunk
-        if (
-            self._free_pool >= growth
-            and queue.used_bytes + growth > queue.capacity_bytes
-        ):
-            queue.set_capacity(queue.capacity_bytes + growth)
-            self._free_pool -= growth
+        queues = self.queues
+        on_shadow_hit = (
+            self.climber.on_shadow_hit if self.enable_hill_climbing else None
+        )
+        fill_on_miss = self.fill_on_miss
+        lookups = promotes = shadow_lookups = inserts = evictions = 0
+        codes: List[int] = []
+        append = codes.append
+        for key, op, class_index, chunk, item_bytes in rows:
+            queue = queues.get(class_index)
+            if queue is None:
+                queue = self._queue(class_index)
+            code = (class_index + 1) << CLASS_SHIFT
+            if op == OP_GET:
+                lookups += 1
+                result = queue.access(key)
+                if result == ACCESS_HIT:
+                    promotes += 1
+                    append((code | OUTCOME_HIT) << 2)
+                    continue
+                shadow_lookups += 1
+                if result == ACCESS_HILL_FIND:
+                    code |= OUTCOME_SHADOW_HIT
+                    if on_shadow_hit is not None:
+                        on_shadow_hit(class_index)
+                if not fill_on_miss:
+                    append(code << 2)
+                    continue
+            elif op != OP_SET:
+                # DELETE: a key remembered only by a shadow is not a hit.
+                lookups += 1
+                if queue.remove(key):
+                    code |= OUTCOME_HIT
+                append((code << 2) | op)
+                continue
+            growth = 2 * chunk
+            if (
+                self._free_pool >= growth
+                and queue.used_bytes + growth > queue.capacity_bytes
+            ):
+                queue.set_capacity(queue.capacity_bytes + growth)
+                self._free_pool -= growth
+            # Storing must clear any shadow entry for the key (real
+            # implementations look the key up in the shadow hash).
+            shadow_lookups += 1
+            if op == OP_GET:
+                evicted = queue.fill(key, chunk)
+            else:
+                evicted = queue.insert(key, chunk)
+            inserts += 1
+            evictions += evicted
+            append((((evicted << EVICTED_SHIFT) | code) << 2) | op)
         ops = self.ops
-        # Storing must clear any shadow entry for the key (real
-        # implementations look the key up in the shadow hash).
-        ops.shadow_lookups += 1
-        if purge:
-            evicted = queue.insert(key, chunk)
-        else:
-            evicted = queue.fill(key, chunk)
-        ops.inserts += 1
-        ops.evictions += evicted
-        ops.shadow_inserts += evicted  # evictions land in the shadow
-        return evicted
-
-    def process_fast(
-        self, key: object, op: int, class_index: int, chunk: int,
-        item_bytes: int,
-    ) -> int:
-        queue = self.queues.get(class_index)
-        if queue is None:
-            queue = self._queue(class_index)
-        # microbench swaps in a fresh OpCounter mid-run: read it per call.
-        ops = self.ops
-        ops.routes += self.routes_per_request
-        class_code = (class_index + 1) << CLASS_SHIFT
-        if op == OP_GET:
-            ops.hash_lookups += 1
-            result = queue.access(key)
-            if result == ACCESS_HIT:
-                ops.promotes += 1
-                return class_code | OUTCOME_HIT
-            ops.shadow_lookups += 1
-            code = class_code
-            if result == ACCESS_HILL_FIND:
-                code |= OUTCOME_SHADOW_HIT
-                if self.enable_hill_climbing:
-                    self.climber.on_shadow_hit(class_index)
-            if self.fill_on_miss:
-                code |= self._fill(queue, key, chunk, False) << EVICTED_SHIFT
-            return code
-        if op == OP_SET:
-            evicted = self._fill(queue, key, chunk, True)
-            return (evicted << EVICTED_SHIFT) | class_code
-        # DELETE path: a key remembered only by a shadow is not a hit.
-        ops.hash_lookups += 1
-        if queue.remove(key):
-            return class_code | OUTCOME_HIT
-        return class_code
+        ops.routes += self.routes_per_request * len(codes)
+        ops.hash_lookups += lookups
+        ops.promotes += promotes
+        ops.shadow_lookups += shadow_lookups
+        ops.inserts += inserts
+        ops.evictions += evictions
+        ops.shadow_inserts += evictions  # evictions land in the shadow
+        return codes
 
     # ------------------------------------------------------------------
 

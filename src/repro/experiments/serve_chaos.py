@@ -40,15 +40,24 @@ from repro.sim import run_scenario
 OVERLOAD_FRACTION = 0.75
 
 
-def _window_p99s(serve) -> tuple:
-    """(worst, final) window p99 over occupied timeline windows."""
+def _window_p99s(serve, crash_at: int, restart_at: int) -> tuple:
+    """(outage, final) window p99 over occupied timeline windows: the
+    worst p99 among the windows whose ``[start, stop)`` overlaps the
+    outage ``[crash_at, restart_at)`` (0.0 if none does), and the last
+    window's."""
     timed = [
         w for w in serve["faults"]["latency_timeline"] if w["completed"] > 0
     ]
     if not timed:
         return 0.0, 0.0
-    worst = max(w["p99_ms"] for w in timed)
-    return worst, timed[-1]["p99_ms"]
+    outage = max(
+        (
+            w["p99_ms"] for w in timed
+            if w["start"] < restart_at and w["stop"] > crash_at
+        ),
+        default=0.0,
+    )
+    return outage, timed[-1]["p99_ms"]
 
 
 def run(
@@ -115,7 +124,7 @@ def run(
         serve = outcome.cluster_report["serve"]
         faults = serve.get("faults")
         if faults is not None:
-            outage_p99, final_p99 = _window_p99s(serve)
+            outage_p99, final_p99 = _window_p99s(serve, crash_at, restart_at)
             crashes = faults["crashes"]
             ttr = crashes[0]["time_to_recover"] if crashes else None
             dead = faults["dead_requests"]

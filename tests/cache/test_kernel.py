@@ -25,14 +25,18 @@ BLOCK_SIZES = (1, 7, 1 << 20)
 
 
 class RecordingEngine:
-    """Logs every ``process_fast`` row and answers a row-dependent code."""
+    """Logs every ``process_run`` row and answers a row-dependent code."""
 
     def __init__(self) -> None:
         self.rows = []
 
-    def process_fast(self, key, op, class_index, chunk, nbytes):
-        self.rows.append((key, op, class_index, chunk, nbytes))
-        return (len(key) + class_index + chunk + nbytes) % 5
+    def process_run(self, rows):
+        codes = []
+        for key, op, class_index, chunk, nbytes in rows:
+            self.rows.append((key, op, class_index, chunk, nbytes))
+            code = (len(key) + class_index + chunk + nbytes) % 5
+            codes.append((code << 2) | op)
+        return codes
 
 
 @st.composite

@@ -317,28 +317,26 @@ class TestOfflineLiveParity:
         assert per_shard_snapshot(oracle) == expected
 
     def test_compile_and_live_batches_build_the_same_rows(self):
-        """The ``(slab_class, chunk, item_bytes)`` rows the engines
-        receive through ``process_batch`` are the compiled columns."""
+        """The ``(key, op, slab_class, chunk, item_bytes)`` rows the
+        engines receive through ``process_batch`` are the compiled
+        columns: each engine gets its own rows in request order."""
         requests = mixed_stream(count=500)
         compiled = CompiledTrace.compile(requests, GEO)
-        expected = list(
-            zip(
-                compiled.slab_classes.tolist(),
-                compiled.chunk_bytes.tolist(),
-                compiled.item_bytes.tolist(),
-            )
-        )
+        expected = list(zip(*(c.tolist() for c in compiled.replay_columns())))
         for key_sizes in (None, [r.key_size for r in requests]):
             cluster = build(shards=3)
-            seen = []
+            logs = []
             for server in cluster.servers:
                 for engine in server.engines.values():
+                    log = []
+                    logs.append(log)
 
-                    def spy(key, op, *row, process=engine.process_fast):
-                        seen.append(row)
-                        return process(key, op, *row)
+                    def spy(rows, process=engine.process_run, log=log):
+                        rows = list(rows)
+                        log += rows
+                        return process(rows)
 
-                    engine.process_fast = spy
+                    engine.process_run = spy
             cluster.process_batch(
                 [r.key for r in requests],
                 [r.op for r in requests],
@@ -346,7 +344,10 @@ class TestOfflineLiveParity:
                 [r.app for r in requests],
                 key_sizes,
             )
-            assert seen == expected
+            assert sorted(row for log in logs for row in log) == sorted(expected)
+            for log in logs:  # each in request order
+                remaining = iter(expected)
+                assert all(row in remaining for row in log)
         assert len(set(compiled.slab_classes.tolist())) > 2
 
 

@@ -21,8 +21,8 @@ def rng() -> random.Random:
 
 
 def serve(engine, request) -> int:
-    """Apply one ``Request`` to ``engine`` through its only entry point:
-    ``SlabGeometry.row`` for the sizes, then ``process_fast``. Returns
+    """Apply one ``Request`` to ``engine``: ``SlabGeometry.row`` for the
+    sizes, then ``process_fast`` (a ``process_run`` of one row). Returns
     the packed outcome code; read it with the ``OUTCOME_*`` bits."""
     return engine.process_fast(
         request.key,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.engines import Engine
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import (
     OP_DELETE,
@@ -104,7 +105,8 @@ class TestCommonEngineBehaviour:
             if callable(value)
         }
         assert own == {"__init__", "_make_queue"}
-        assert engine_cls.process_fast is ClimbingEngine.process_fast
+        assert engine_cls.process_run is ClimbingEngine.process_run
+        assert engine_cls.process_fast is Engine.process_fast
 
     def test_routes_are_charged_per_scheme(self, engine_cls):
         """Hill climbing has no partitions to route between; the combined

@@ -1,11 +1,11 @@
 """Python calls per request, by function, for one engine's request path.
 
 A ``sys.setprofile`` hook (:func:`tests.profile_hook.src_hook`) counts
-``"call"`` events while rows go straight to each engine's
-``process_fast``, and keeps only frames whose code lives under
-``src/repro``: NumPy's Python wrappers and stdlib internals drop out, so
-the count does not move with their versions.
-``process_fast`` itself is one of the calls.
+``"call"`` events while rows go straight to the engines in the replay
+kernel's call shape -- one ``process_run`` per app, its rows in trace
+order -- and keeps only frames whose code lives under ``src/repro``:
+NumPy's Python wrappers and stdlib internals drop out, so the count does
+not move with their versions. Each ``process_run`` is one of the calls.
 
 The slice is fixed: memcachier apps 5 and 19 (scale 0.012, seed 0),
 warmed with the first ``WARMUP`` requests, then ``MEASURED`` rows
@@ -110,9 +110,13 @@ def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
     window = trace.compiled.slice(WARMUP, WARMUP + MEASURED)
     rows = list(zip(*(column.tolist() for column in window.replay_columns())))
     assert len(rows) == MEASURED
+    # One run per app, its rows in trace order: the kernel's call shape.
+    runs: Dict[int, List[tuple]] = {}
+    for app_id, row in zip(window.app_ids.tolist(), rows):
+        runs.setdefault(app_id, []).append(row)
     processes = [
-        server.engines[window.app_table[app_id]].process_fast
-        for app_id in window.app_ids.tolist()
+        (server.engines[window.app_table[app_id]].process_run, runs[app_id])
+        for app_id in sorted(runs)
     ]
     counts: Counter = Counter()
 
@@ -122,8 +126,8 @@ def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
 
     sys.setprofile(src_hook(count))
     try:
-        for process, row in zip(processes, rows):
-            process(*row)
+        for process, run in processes:
+            process(run)
     finally:
         sys.setprofile(None)
     return _named(counts)

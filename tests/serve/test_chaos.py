@@ -239,3 +239,25 @@ class TestScenarioChaosServing:
         text = "\n".join(render_cluster_report(result.cluster_report))
         assert "p99 timeline" in text
         assert "faults (failover)" in text
+
+
+def test_outage_p99_is_the_worst_window_inside_the_outage():
+    """``serve_chaos``'s outage column reads the windows that overlap
+    ``[crash_at, restart_at)``, not the worst window of the run: here
+    the final window is the slowest, and the two columns must differ."""
+    from repro.experiments.serve_chaos import _window_p99s
+
+    def window(start, stop, p99, completed=10):
+        return {"start": start, "stop": stop, "completed": completed,
+                "p99_ms": p99}
+
+    serve = {"faults": {"latency_timeline": [
+        window(0, 100, 1.0),
+        window(100, 200, 5.0),    # overlaps the outage
+        window(200, 300, 4.0),    # overlaps the outage
+        window(300, 400, 50.0, completed=0),  # unoccupied: ignored
+        window(400, 500, 9.0),    # the slowest, after the restart
+    ]}}
+    assert _window_p99s(serve, 150, 250) == (5.0, 9.0)
+    assert _window_p99s(serve, 150, 151) == (5.0, 9.0)
+    assert _window_p99s(serve, 600, 700) == (0.0, 9.0)
