@@ -8,9 +8,12 @@ measured in bytes and whose items each weigh exactly one chunk.
 
 :class:`SlabGeometry` also owns the one rule that turns a request's sizes
 into the ``(slab_class, chunk, item_bytes)`` of the rows
-:meth:`repro.cache.engines.Engine.process_run` takes; every door into
-the engines (trace compile, live batches, the object API, the wire
-service) classifies through it.
+:meth:`repro.cache.engines.Engine.process_run` takes. A trace compile
+classifies through :meth:`SlabGeometry.rows`; the live batch path
+(``Cluster._batch_rows``) and the wire service's too-large check apply
+the same rule inline, once per row, and
+``tests/cluster/test_process_batch.py`` holds the live rows to the
+compiled ones.
 """
 
 from __future__ import annotations

@@ -35,9 +35,11 @@ the static path).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union, cast,
+    Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -53,7 +55,8 @@ from repro.cache.kernel import (
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_CODES, OUTCOME_DEAD, HitMissCounter, StatsRegistry
-from repro.common.errors import ConfigurationError
+from repro.common.constants import ITEM_OVERHEAD_BYTES
+from repro.common.errors import CacheError, ConfigurationError
 from repro.common.spec import Spec, spec_field
 from repro.cluster.hashring import HashRing
 from repro.cluster.routing import (
@@ -333,10 +336,10 @@ def _batch_column(values: Any, count: int, what: str) -> List[Any]:
 
 def _batch_ops(ops: Any, count: int) -> List[int]:
     column = _batch_column(ops, count, "op")
-    codes = [_OP_LOOKUP.get(op) for op in column]
-    if None in codes:
-        raise ConfigurationError(f"unknown op {column[codes.index(None)]!r}")
-    return cast(List[int], codes)
+    codes = [_OP_LOOKUP.get(op, -1) for op in column]
+    if -1 in codes:
+        raise ConfigurationError(f"unknown op {column[codes.index(-1)]!r}")
+    return codes
 
 
 def _batch_apps(apps: Any, count: int) -> Tuple[List[str], List[int]]:
@@ -618,9 +621,9 @@ class Cluster:
 
         The serving hot path: :meth:`_drive` from the live clock
         (``object_requests``) over this batch. Each window routes its
-        rows in request order (:meth:`Router.route
-        <repro.cluster.routing.Router.route>`, so replica turns advance
-        as they would one request at a time), buckets them into
+        rows in request order through one :meth:`Router.route_keys
+        <repro.cluster.routing.Router.route_keys>` loop (replica turns
+        advance as they would one request at a time), buckets them into
         (shard, app) runs, and hands each run to its engine's
         ``process_run`` in the order the replay kernel runs and flushes
         them; the codes go back to request order. A server's drain is a
@@ -639,12 +642,12 @@ class Cluster:
         integer codes; ``ops``, ``value_sizes``, ``apps`` and
         ``key_sizes`` may each be a scalar broadcast across the batch,
         and any of them a list or a NumPy array. ``key_sizes`` defaults
-        to each key's string length. Each request's sizes become its
-        engine row through
-        :meth:`~repro.cache.slabs.SlabGeometry.row`, the rule a compiled
-        trace's columns come from (``item_bytes`` is key + value). Every
-        row is checked before the first one is served, so a rejected
-        batch changes nothing.
+        to each key's string length. Each request is classified once,
+        inline, by the :class:`~repro.cache.slabs.SlabGeometry` rule a
+        compiled trace's columns come from (``bisect_left`` over
+        ``chunk_sizes``; ``item_bytes`` is key + value). Every row is
+        checked before the first one is served, so a rejected batch
+        changes nothing.
         """
         count = len(keys)
         keys = _batch_column(keys, count, "key")
@@ -658,12 +661,13 @@ class Cluster:
         packed = [0] * count
         num_apps = len(app_names)
         servers = self.servers
-        route = self.router.route
+        route_keys = self.router.route_keys
 
         def replay_window(start, stop, mask, dead, cuts):
             members: Dict[int, List[int]] = {}
-            for i in range(start, stop):
-                run = route(keys[i], mask) * num_apps + app_column[i]
+            shards = route_keys(keys[start:stop], mask)
+            for i, shard in enumerate(shards, start):
+                run = shard * num_apps + app_column[i]
                 indices = members.get(run)
                 if indices is None:
                     members[run] = [i]
@@ -707,21 +711,35 @@ class Cluster:
     ) -> List[Row]:
         """Each request's ``(key, op, slab_class, chunk, item_bytes)``
         engine row. Checks the caller's size columns (broadcast, length,
-        no negative size); the classification itself is
-        :meth:`~repro.cache.slabs.SlabGeometry.row`, which raises for an
-        item past the largest chunk."""
+        no negative size), then classifies each row once, inline: the
+        :class:`~repro.cache.slabs.SlabGeometry` rule (``bisect_left``
+        over ``chunk_sizes`` of key + value + ``ITEM_OVERHEAD_BYTES``),
+        raising :class:`CacheError` for an item past the largest chunk
+        as :meth:`~repro.cache.slabs.SlabGeometry.row` does. No per-size
+        memo: item sizes come from clients."""
         values = _batch_column(value_sizes, count, "value size")
+        sizes: Iterable[int]
         if key_sizes is None:
-            sizes = [len(str(key)) for key in keys]
+            sizes = map(len, map(str, keys))
         else:
             sizes = _batch_column(key_sizes, count, "key size")
-        if count and (min(values) < 0 or min(sizes) < 0):
+            if count and min(sizes) < 0:
+                raise ConfigurationError("key and value sizes must be >= 0")
+        if count and min(values) < 0:
             raise ConfigurationError("key and value sizes must be >= 0")
-        row = self.geometry.row
-        return [
-            (key, op, *row(size, value))
-            for key, op, size, value in zip(keys, op_column, sizes, values)
-        ]
+        chunks = self.geometry.chunk_sizes
+        largest = chunks[-1]
+        rows: List[Row] = []
+        for key, op, size, value in zip(keys, op_column, sizes, values):
+            item_bytes = size + value
+            total = item_bytes + ITEM_OVERHEAD_BYTES
+            if total > largest:
+                raise CacheError(
+                    f"item of {total}B exceeds largest chunk {largest}B"
+                )
+            slab_class = bisect_left(chunks, total)
+            rows.append((key, op, slab_class, chunks[slab_class], item_bytes))
+        return rows
 
     def replay_compiled(
         self, trace, plan: Optional[RoutingPlan] = None

@@ -19,8 +19,9 @@ Its callers differ only in where positions and turns come from:
 :func:`build_routing_plan` (a whole compiled trace, all shards live,
 cached through :func:`get_routing_plan` so sweeps re-route nothing),
 :class:`TraceColumns` (the same trace under another live mask --
-``failover`` with a shard down) and :meth:`Router.route` (one live
-request, from a per-key position memo and per-key turn counters).
+``failover`` with a shard down) and :meth:`Router.route_keys` (live
+requests, in order, from a per-key position memo and per-key turn
+counters; :meth:`Router.route` is its one-key case).
 
 A :class:`RoutingPlan` keeps the positions and turns it was built from
 (int32, at most 8 bytes per request; a plan loaded from disk derives
@@ -33,7 +34,9 @@ once per replay.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union, cast
+from typing import (
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union, cast,
+)
 
 import numpy as np
 
@@ -294,11 +297,14 @@ class Router:
     """Key -> shard under a live mask and a replica turn (the module
     docstring lists the three steps and the callers).
 
-    The live path (:meth:`route`, one request at a time) keeps two
-    dicts: a key -> position memo (a cache, capped at
-    :data:`POSITION_MEMO_CAP`) and ``spread``, each key's request count
-    so far (round-robin *state*: turns never reset when the live set
-    changes, like lazy counters over a per-key walk of the live ring).
+    The live path is one loop, :meth:`route_keys`: a window's keys in
+    request order against one read of the successor table.
+    :meth:`route` is its one-key case, so the memo and turn logic is
+    written once. It keeps two dicts: a key -> position memo (a cache,
+    capped at :data:`POSITION_MEMO_CAP`) and ``spread``, each key's
+    request count so far (round-robin *state*: turns never reset when
+    the live set changes, like lazy counters over a per-key walk of the
+    live ring).
     """
 
     def __init__(self, ring: "HashRing", replication: int) -> None:
@@ -368,20 +374,41 @@ class Router:
 
     def route(self, key: object, mask: Tuple[bool, ...]) -> int:
         """Shard serving the next request for ``key`` under ``mask``,
-        advancing the key's replica turn in ``spread``."""
-        memo = self._position_memo
-        position = memo.get(key)
-        if position is None:
-            position = self.ring.position_for(key)
-            if len(memo) >= POSITION_MEMO_CAP:
-                memo.clear()
-            memo[key] = position
+        advancing the key's replica turn in ``spread``: the one-key case
+        of :meth:`route_keys`."""
+        return self.route_keys((key,), mask)[0]
+
+    def route_keys(
+        self, keys: Sequence[object], mask: Tuple[bool, ...]
+    ) -> List[int]:
+        """Per key, in order, the shard serving its next request under
+        ``mask`` -- exactly what calling :meth:`route` once per key
+        would return, with the successor table read once for all of
+        them. A key's ring position comes from the memo (hashed on a
+        miss; the memo is dropped whole at
+        :data:`POSITION_MEMO_CAP`), and at ``replication > 1`` each
+        request takes the key's next turn from ``spread``."""
         table = self.successors(mask)
-        if self.replication == 1:
-            return table.item(position, 0)
-        turn = self.spread.get(key, 0)
-        self.spread[key] = turn + 1
-        return table.item(position, turn % table.shape[1])
+        item = table.item
+        width = table.shape[1]
+        spread = self.spread if self.replication > 1 else None
+        memo = self._position_memo
+        position_for = self.ring.position_for
+        shards: List[int] = []
+        for key in keys:
+            position = memo.get(key)
+            if position is None:
+                position = position_for(key)
+                if len(memo) >= POSITION_MEMO_CAP:
+                    memo.clear()
+                memo[key] = position
+            if spread is None:
+                shards.append(item(position, 0))
+            else:
+                turn = spread.get(key, 0)
+                spread[key] = turn + 1
+                shards.append(item(position, turn % width))
+        return shards
 
 
 class TraceColumns:

@@ -25,7 +25,14 @@ overloaded server sheds, or ``object too large for cache``).
 
 The parser is sans-IO -- feed it bytes, pull typed events -- so the
 asyncio server, the in-memory transport and the fuzz tests all drive
-the exact same code.
+the exact same code. It runs once per command on the server's one
+thread, so :meth:`ProtocolParser.next_event` is one frame per command:
+line framing, the key and number checks and a buffered ``set`` data
+block are all handled inline. A command line is capped at
+:data:`MAX_LINE_BYTES`; a longer one is one ``ERROR`` and is dropped
+through its newline, wherever the reads cut it.
+``tests/serve/reference_protocol.py`` keeps the field-by-field parser
+this one replaced as its oracle.
 """
 
 from __future__ import annotations
@@ -166,28 +173,6 @@ class ProtocolEvent:
         )
 
 
-def _valid_key(key: str) -> bool:
-    """Every character in 33..126 (printable ASCII, no space), 1-250 of
-    them -- stated with C-level predicates, not a loop per character."""
-    return (
-        0 < len(key) <= MAX_KEY_BYTES
-        and key.isascii()
-        and key.isprintable()
-        and " " not in key
-    )
-
-
-def _number(text: str, signed: bool = True) -> Optional[int]:
-    """``text`` as an integer when it is ASCII digits, after one leading
-    ``-`` if ``signed``; otherwise ``None``. ``int()`` alone would also
-    take ``+5``, ``1_0``, padding spaces and non-ASCII digits, which
-    memcached refuses."""
-    digits = text[1:] if signed and text[:1] == "-" else text
-    if digits.isascii() and digits.isdigit():
-        return int(text)
-    return None
-
-
 class ProtocolParser:
     """Incremental parser over a byte stream.
 
@@ -195,155 +180,139 @@ class ProtocolParser:
     :class:`ProtocolEvent`, or None when more bytes are needed.
     Malformed input produces error-response events and resynchronizes
     at the next line, so one bad command never poisons the connection.
+
+    One call, one frame: ``next_event`` frames the line, checks its keys
+    and numbers inline, and finishes a ``set`` whose data block is
+    already buffered without calling itself again.
+
+    * A key is 1-250 characters in 33..126; a line that decodes as
+      ASCII and is printable throughout has no bad character in any of
+      its keys, so only a line that is not (or is longer than a key may
+      be) checks its keys one by one.
+    * ``<flags>`` is ASCII digits, ``<exptime>`` and ``<bytes>`` may
+      have one leading ``-``: ``int()`` alone would also take ``+5``,
+      ``1_0`` and padding, which memcached refuses.
+    * A line is the bytes before its newline, a carriage return
+      included; one longer than :data:`MAX_LINE_BYTES` is one ``ERROR``,
+      and input is dropped through its newline wherever the reads cut it
+      -- as after a bad data trailer -- so no part of it runs as a
+      command.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        #: A ``set`` header waiting for its data block.
-        self._pending: Optional[Command] = None
-        self._pending_size = 0
-        #: Answer for a ``set`` refused at its header, sent once its data
-        #: block has been consumed so the pipeline stays framed.
-        self._pending_refusal: Optional[bytes] = None
-        #: After a bad data trailer: drop input through the next
-        #: newline, whenever it arrives.
+        #: A ``set`` waiting for its data block: ``(key, flags, noreply,
+        #: size, refusal)``, where ``refusal`` is the answer for a
+        #: ``set`` refused at its header, sent once its data block has
+        #: been consumed so the pipeline stays framed.
+        self._pending: Optional[
+            Tuple[str, int, bool, int, Optional[bytes]]
+        ] = None
+        #: After a bad data trailer or an overlong line: drop input
+        #: through the next newline, whenever it arrives.
         self._resyncing = False
 
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)
 
     def next_event(self) -> Optional[ProtocolEvent]:
-        if self._pending is not None:
-            return self._read_data_block()
-        if self._resyncing:
-            index = self._buffer.find(b"\n")
+        buffer = self._buffer
+        pending = self._pending
+        if pending is None:
+            if self._resyncing:
+                index = buffer.find(b"\n")
+                if index < 0:
+                    buffer.clear()  # still inside the line to drop
+                    return None
+                del buffer[: index + 1]
+                self._resyncing = False
+            index = buffer.find(b"\n")
             if index < 0:
-                self._buffer.clear()  # still inside the line to drop
+                if len(buffer) > MAX_LINE_BYTES:
+                    buffer.clear()
+                    self._resyncing = True
+                    return ProtocolEvent(response=ERROR)
                 return None
-            del self._buffer[: index + 1]
-            self._resyncing = False
-        line = self._read_line()
-        if line is None:
+            if index > MAX_LINE_BYTES:
+                del buffer[: index + 1]
+                return ProtocolEvent(response=ERROR)
+            line = buffer[: index - 1 if index and buffer[index - 1] == 13 else index]
+            del buffer[: index + 1]
+            try:
+                text = line.decode("ascii")
+            except UnicodeDecodeError:
+                return ProtocolEvent(response=client_error("malformed request"))
+            parts = text.split()
+            if not parts:
+                # Bare CRLF between commands: memcached answers ERROR.
+                return ProtocolEvent(response=ERROR)
+            op = parts[0].lower()
+            if op == "get" or op == "gets":
+                keys = parts[1:]
+                if not keys:
+                    return ProtocolEvent(response=ERROR)
+                noreply = False
+            elif op == "set" or op == "delete":
+                noreply = parts[-1] == "noreply"
+                if noreply:
+                    del parts[-1]
+                if len(parts) != (5 if op == "set" else 2):
+                    return ProtocolEvent(
+                        response=client_error("bad command line format")
+                    )
+                keys = parts[1:2]
+            elif op == "stats" or op == "quit":
+                return ProtocolEvent(command=Command(op))
+            else:
+                return ProtocolEvent(response=ERROR)
+            if len(text) > MAX_KEY_BYTES or not text.isprintable():
+                for key in keys:
+                    if len(key) > MAX_KEY_BYTES or not key.isprintable():
+                        return ProtocolEvent(response=client_error("bad key"))
+            if op == "delete":
+                return ProtocolEvent(Command(op, keys, 0, b"", noreply))
+            if op != "set":
+                return ProtocolEvent(Command("get", keys))
+            _, key, flags, exptime, nbytes = parts
+            expiry = exptime[1:] if exptime[:1] == "-" else exptime
+            digits = nbytes[1:] if nbytes[:1] == "-" else nbytes
+            flags_value = int(flags) if flags.isdigit() else -1
+            if not (
+                0 <= flags_value <= MAX_FLAGS
+                and expiry.isdigit()
+                and digits.isdigit()
+            ):
+                return ProtocolEvent(
+                    response=client_error("bad command line format")
+                )
+            size = int(nbytes)
+            if size < 0 or size > MAX_VALUE_BYTES:
+                return ProtocolEvent(
+                    response=server_error("object too large for cache")
+                )
+            refusal: Optional[bytes] = None
+            if int(exptime) != 0:
+                # No TTLs: storing the item forever would silently break
+                # the sender's contract, so refuse it (silently under
+                # noreply).
+                refusal = (
+                    b"" if noreply else client_error("expiry is not supported")
+                )
+            pending = (key, flags_value, noreply, size, refusal)
+        key, flags_value, noreply, size, refusal = pending
+        needed = size + 2
+        if len(buffer) < needed:
+            self._pending = pending
             return None
-        if line == b"":
-            # Bare CRLF between commands: memcached answers ERROR.
-            return ProtocolEvent(response=ERROR)
-        try:
-            text = line.decode("ascii")
-        except UnicodeDecodeError:
-            return ProtocolEvent(response=client_error("malformed request"))
-        parts = text.split()
-        if not parts:
-            return ProtocolEvent(response=ERROR)
-        op = parts[0].lower()
-        if op == "get" or op == "gets":
-            return self._parse_get(parts)
-        if op == "set":
-            return self._parse_set(parts)
-        if op == "delete":
-            return self._parse_delete(parts)
-        if op == "stats":
-            return ProtocolEvent(command=Command(op="stats"))
-        if op == "quit":
-            return ProtocolEvent(command=Command(op="quit"))
-        return ProtocolEvent(response=ERROR)
-
-    # ------------------------------------------------------------------
-
-    def _read_line(self) -> Optional[bytes]:
-        index = self._buffer.find(b"\n")
-        if index < 0:
-            if len(self._buffer) > MAX_LINE_BYTES:
-                # Unterminated garbage: drop it rather than buffer
-                # without bound; the next line starts clean.
-                self._buffer.clear()
-                return b"\x00overlong"  # unparseable -> ERROR below
-            return None
-        line = bytes(self._buffer[:index])
-        del self._buffer[: index + 1]
-        return line[:-1] if line.endswith(b"\r") else line
-
-    def _parse_get(self, parts: List[str]) -> ProtocolEvent:
-        keys = parts[1:]
-        if not keys:
-            return ProtocolEvent(response=ERROR)
-        for key in keys:
-            if not _valid_key(key):
-                return ProtocolEvent(response=client_error("bad key"))
-        return ProtocolEvent(command=Command(op="get", keys=keys))
-
-    def _parse_set(self, parts: List[str]) -> ProtocolEvent:
-        noreply = False
-        if parts and parts[-1] == "noreply":
-            noreply = True
-            parts = parts[:-1]
-        if len(parts) != 5:
-            return ProtocolEvent(
-                response=client_error("bad command line format")
-            )
-        _, key, flags, exptime, nbytes = parts
-        if not _valid_key(key):
-            return ProtocolEvent(response=client_error("bad key"))
-        flags_value = _number(flags, signed=False)
-        expires = _number(exptime)
-        size = _number(nbytes)
-        if (
-            flags_value is None
-            or flags_value > MAX_FLAGS
-            or expires is None
-            or size is None
-        ):
-            return ProtocolEvent(
-                response=client_error("bad command line format")
-            )
-        if size < 0 or size > MAX_VALUE_BYTES:
-            return ProtocolEvent(
-                response=server_error("object too large for cache")
-            )
-        self._pending = Command(
-            op="set", keys=[key], flags=flags_value, noreply=noreply
-        )
-        self._pending_size = size
-        if expires != 0:
-            # No TTLs: storing the item forever would silently break the
-            # sender's contract, so refuse it (silently under noreply).
-            self._pending_refusal = (
-                b"" if noreply else client_error("expiry is not supported")
-            )
-        return self.next_event()
-
-    def _read_data_block(self) -> Optional[ProtocolEvent]:
-        needed = self._pending_size + len(CRLF)
-        if len(self._buffer) < needed:
-            return None
-        command = self._pending
         self._pending = None
-        refusal, self._pending_refusal = self._pending_refusal, None
-        data = bytes(self._buffer[: self._pending_size])
-        trailer = bytes(self._buffer[self._pending_size : needed])
-        del self._buffer[:needed]
-        if trailer != CRLF:
+        if not buffer.startswith(CRLF, size):
             # Resynchronize at the next line -- wherever the reads cut
             # the stream, so the skip outlives this call.
+            del buffer[:needed]
             self._resyncing = True
             return ProtocolEvent(response=client_error("bad data chunk"))
+        data = bytes(buffer[:size])
+        del buffer[:needed]
         if refusal is not None:
             return ProtocolEvent(response=refusal)
-        command.data = data
-        return ProtocolEvent(command=command)
-
-    def _parse_delete(self, parts: List[str]) -> ProtocolEvent:
-        noreply = False
-        if parts and parts[-1] == "noreply":
-            noreply = True
-            parts = parts[:-1]
-        if len(parts) != 2:
-            return ProtocolEvent(
-                response=client_error("bad command line format")
-            )
-        key = parts[1]
-        if not _valid_key(key):
-            return ProtocolEvent(response=client_error("bad key"))
-        return ProtocolEvent(
-            command=Command(op="delete", keys=[key], noreply=noreply)
-        )
+        return ProtocolEvent(Command("set", [key], flags_value, data, noreply))

@@ -8,6 +8,12 @@ rides the same router, engines and window driver as offline replay
 (the batch walks its rows; a trace goes through the replay kernel).
 Control commands answer after the batch's data-plane rows, so a
 ``stats`` mid-batch already counts the commands queued behind it.
+Flattening the commands into rows makes no call per row: a key's
+tenant comes from its ``app:`` prefix inline (only keys bound for the
+catch-all app call :meth:`CacheService.app_of_key`), its fill size from
+the batch's own earlier rows or the value store, and a SET too large
+for the largest slab chunk is answered before the cluster sees it, by
+the item-size rule of :class:`~repro.cache.slabs.SlabGeometry`.
 
 The simulator models sizes, not payloads, so the service keeps a small
 real value store on the side: SETs remember their bytes, GETs serve
@@ -22,7 +28,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.stats import OP_CODES, OUTCOME_HIT
+from repro.cache.stats import OP_CODES, OP_GET, OP_SET, OUTCOME_HIT
+from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import CacheError, ConfigurationError
 from repro.serve.protocol import (
     DELETED,
@@ -43,6 +50,10 @@ DEFAULT_APP = "serve"
 
 #: Cluster-wide budget :data:`DEFAULT_APP` is registered with.
 DEFAULT_BUDGET_BYTES = 16 * (1 << 20)
+
+#: What a GET hit on a key with nothing in the value store serves from:
+#: a synthesized payload of :data:`DEFAULT_VALUE_SIZE`.
+_UNKNOWN: Tuple[int, Optional[bytes], int] = (0, None, DEFAULT_VALUE_SIZE)
 
 
 def synthesize_value(key: str, size: int) -> bytes:
@@ -109,7 +120,13 @@ class CacheService:
         key; a multi-get contributes one row per key). ``preset`` maps
         command indices answered without touching the cluster -- e.g. a
         SET whose item exceeds the largest slab chunk, which must not
-        poison the commands batched alongside it."""
+        poison the commands batched alongside it.
+
+        One pass, no call per row: a key's tenant is its ``app:`` prefix
+        when that names a registered app (only other keys go through
+        :meth:`app_of_key`), and a GET or DELETE row is sized from what
+        the batch's own earlier rows left behind, else the value store,
+        else :data:`DEFAULT_VALUE_SIZE`."""
         keys: List[str] = []
         ops: List[int] = []
         sizes: List[int] = []
@@ -120,44 +137,39 @@ class CacheService:
         # row for the same key must be sized as if they had already run,
         # or where a wake cuts the stream would show in the counters.
         resized: Dict[str, int] = {}
-        row = self.cluster.geometry.row
+        values = self._values
+        registered = self._apps
+        largest = self.cluster.geometry.chunk_sizes[-1] - ITEM_OVERHEAD_BYTES
         for index, command in enumerate(commands):
-            if command.op == "set":
+            op = command.op
+            if op == "set":
                 key = command.keys[0]
-                try:
-                    row(len(key), len(command.data))
-                except CacheError:
+                size = len(command.data)
+                if len(key) + size > largest:
                     preset[index] = server_error("object too large for cache")
                     continue
+                resized[key] = size
+            elif op != "get" and op != "delete":
+                continue
+            code = OP_CODES[op]
+            for key in command.keys:
+                if op != "set":
+                    size = resized.get(key, -1)
+                    if size < 0:
+                        remembered = values.get(key)
+                        size = remembered[2] if remembered else DEFAULT_VALUE_SIZE
+                prefix, _, rest = key.partition(":")
                 keys.append(key)
-                ops.append(OP_CODES["set"])
-                sizes.append(len(command.data))
-                apps.append(self.app_of_key(key))
+                ops.append(code)
+                sizes.append(size)
+                apps.append(
+                    prefix if rest and prefix in registered
+                    else self.app_of_key(key)
+                )
                 owners.append(index)
-                resized[key] = len(command.data)
-            elif command.op == "get":
-                for key in command.keys:
-                    keys.append(key)
-                    ops.append(OP_CODES["get"])
-                    sizes.append(self._fill_size(key, resized))
-                    apps.append(self.app_of_key(key))
-                    owners.append(index)
-            elif command.op == "delete":
-                key = command.keys[0]
-                keys.append(key)
-                ops.append(OP_CODES["delete"])
-                sizes.append(self._fill_size(key, resized))
-                apps.append(self.app_of_key(key))
-                owners.append(index)
+            if op == "delete":
                 resized[key] = DEFAULT_VALUE_SIZE
         return keys, ops, sizes, apps, owners, preset
-
-    def _fill_size(self, key: str, resized: Dict[str, int]) -> int:
-        size = resized.get(key)
-        if size is not None:
-            return size
-        remembered = self._values.get(key)
-        return remembered[2] if remembered else DEFAULT_VALUE_SIZE
 
     # ------------------------------------------------------------------
 
@@ -190,40 +202,39 @@ class CacheService:
         codes: List[int],
         preset: Dict[int, bytes],
     ) -> List[bytes]:
-        responses: List[bytearray] = [bytearray() for _ in commands]
-        for row, (key, code) in enumerate(zip(keys, codes)):
-            command = commands[owners[row]]
-            out = responses[owners[row]]
-            hit = code & OUTCOME_HIT
-            if command.op == "set":
-                self._values[key] = (
-                    command.flags,
-                    command.data,
-                    len(command.data),
-                )
-                out += STORED
-            elif command.op == "get":
-                if hit:
-                    flags, payload, size = self._values.get(
-                        key, (0, None, DEFAULT_VALUE_SIZE)
-                    )
+        """One response per command from its rows' outcome codes; a
+        GET's ``VALUE`` blocks are joined once, with its ``END``."""
+        values = self._values
+        rendered: List[bytes] = [b""] * len(commands)
+        blocks: Dict[int, List[bytes]] = {}  # GET command -> VALUE blocks
+        for key, op, index, code in zip(keys, ops, owners, codes):
+            if op == OP_GET:
+                if code & OUTCOME_HIT:
+                    flags, payload, size = values.get(key, _UNKNOWN)
                     if payload is None:
                         payload = synthesize_value(key, size)
-                    out += encode_value(key, flags, payload)
-            elif command.op == "delete":
-                self._values.pop(key, None)
-                out += DELETED if hit else NOT_FOUND
-        rendered: List[bytes] = []
-        for index, (command, out) in enumerate(zip(commands, responses)):
-            if index in preset:
-                rendered.append(preset[index])
-            elif command.op == "get":
-                out += END
-                rendered.append(bytes(out))
-            elif command.op in ("set", "delete"):
-                rendered.append(bytes(out))
+                    block = encode_value(key, flags, payload)
+                    found = blocks.get(index)
+                    if found is None:
+                        blocks[index] = [block]
+                    else:
+                        found.append(block)
+            elif op == OP_SET:
+                command = commands[index]
+                values[key] = (command.flags, command.data, len(command.data))
+                rendered[index] = STORED
             else:
-                rendered.append(self._control(command))
+                values.pop(key, None)
+                rendered[index] = DELETED if code & OUTCOME_HIT else NOT_FOUND
+        for index, command in enumerate(commands):
+            op = command.op
+            if op == "get":
+                found = blocks.get(index)
+                rendered[index] = END if found is None else b"".join([*found, END])
+            elif op != "set" and op != "delete":
+                rendered[index] = self._control(command)
+        for index, response in preset.items():
+            rendered[index] = response
         return rendered
 
     def _control(self, command: Command) -> bytes:

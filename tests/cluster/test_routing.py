@@ -186,6 +186,54 @@ def test_every_route_agrees_with_the_ring_walk(
     assert [scalar.route(key, mask) for key in keys] == walk(mask)
 
 
+@pytest.mark.parametrize("cap", [5, None])
+@pytest.mark.parametrize("replication", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_routing_a_batch_is_routing_each_key_in_turn(
+    monkeypatch, seed, replication, cap
+):
+    """``Router.route_keys`` over a window equals ``Router.route`` once
+    per key, in order: the same shards, and the same ``spread`` and
+    position memo afterwards. Keys repeat, the live mask loses a shard
+    and gets it back between windows (``failover`` turns go on across
+    the change), and at ``cap`` 5 the memo is dropped mid-window."""
+    import random
+
+    from repro.cluster import routing
+
+    if cap is not None:
+        monkeypatch.setattr(routing, "POSITION_MEMO_CAP", cap)
+    rng = random.Random(seed)
+    shards = 4
+    ring = HashRing(shards, seed=seed, virtual_nodes=4)
+    batched, scalar = Router(ring, replication), Router(ring, replication)
+    down = rng.randrange(shards)
+    masks = [
+        (True,) * shards,
+        tuple(shard != down for shard in range(shards)),
+        (True,) * shards,
+    ]
+    turns = {}
+    for window in range(6):
+        mask = masks[window % 3]
+        keys = [f"k{rng.randrange(12)}" for _ in range(rng.randrange(1, 20))]
+        routed = batched.route_keys(keys, mask)
+        assert routed == [scalar.route(key, mask) for key in keys]
+        for key, shard in zip(keys, routed):  # the ring walk agrees
+            replicas = shards_for_live(ring, key, replication, mask)
+            turn = turns.get(key, 0) if replication > 1 else 0
+            turns[key] = turn + 1
+            assert shard == replicas[turn % len(replicas)]
+        assert batched.spread == scalar.spread
+        assert list(batched._position_memo.items()) == list(
+            scalar._position_memo.items()
+        )
+        if cap is not None:
+            assert len(batched._position_memo) <= cap
+    if replication == 1:
+        assert batched.spread == {}
+
+
 def test_successor_table_matches_shards_for():
     ring = HashRing(5, seed=2, virtual_nodes=8)
     tokens, _ = ring.token_table()

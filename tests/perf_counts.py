@@ -26,19 +26,39 @@ the trace
 ``ndarray.tolist`` calls per cluster window, beside the window's blocks
 of runs, on :data:`GATHER_SCENARIO` unless told otherwise. ``python -m
 tests.perf_counts --gathers`` prints them.
+
+Two rows, ``serve/4`` and ``serve/32``, count what a served command
+costs from its wire bytes to its reply: :func:`count_serve_calls` feeds
+:func:`serve_commands` (the ``serve_write`` mix: 45% GET / 50% SET / 5%
+DELETE, values of 64 B-8 KiB, over two Zipf tenants on four shards) one
+batch per read into a :class:`~repro.serve.protocol.ProtocolParser`,
+and hands each batch's commands to one
+:meth:`~repro.serve.service.CacheService.execute`, as a server's drain
+does; every call under ``src/repro`` counts, engines included, per
+command (``python -m tests.perf_counts serve 4`` prints one).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import sys
 from collections import Counter
 from typing import Dict, List, Tuple
 
 from repro.cache import kernel
 from repro.cluster.routing import build_routing_plan
-from repro.sim import Scenario, build_server, load_workload, replay_on_cluster
+from repro.serve.protocol import ProtocolParser
+from repro.serve.service import CacheService
+from repro.sim import (
+    Scenario,
+    build_cluster,
+    build_server,
+    load_workload,
+    replay_on_cluster,
+)
 from repro.sim.runner import prepare_cluster
 from repro.sim.scenario import SOLVER_PLANS
 from tests.profile_hook import SRC, src_hook
@@ -86,6 +106,80 @@ GATHER_SCENARIO = Scenario(
 CLUSTER_ROW = ("cluster", "replay")
 #: :data:`GATHER_SCENARIO`'s trace length: the cluster row's requests.
 CLUSTER_REQUESTS = 36_000
+
+
+#: The serve rows' server: the ``zipf`` workload's two tenants
+#: (``zipf01``, ``zipf02``) on four shards of ``default`` engines.
+SERVE_SCENARIO = Scenario(
+    workload="zipf", scale=0.05, seed=0, cluster={"shards": 4}
+)
+#: Keys per tenant in :func:`serve_commands`.
+SERVE_KEYS = 2_000
+#: Commands served before the counted ones, and the counted ones.
+SERVE_WARMUP = 4_096
+SERVE_MEASURED = 1_024
+
+
+def serve_commands(count: int, seed: int = 0) -> List[bytes]:
+    """``count`` commands of the ``serve_write`` mix as wire bytes: Zipf
+    keys over two tenants, 45% ``get`` / 50% ``set`` / 5% ``delete``,
+    each key's value size drawn once, log-uniform over 64 B-8 KiB."""
+    rng = random.Random(seed)
+    keys = [
+        f"{tenant}:b:{rank}"
+        for tenant in ("zipf01", "zipf02")
+        for rank in range(SERVE_KEYS)
+    ]
+    sizes = [int(math.exp(rng.uniform(math.log(64), math.log(8192)))) for _ in keys]
+    weights = [1.0 / (rank + 1) for rank in range(SERVE_KEYS)] * 2
+    commands = []
+    for index in rng.choices(range(len(keys)), weights, k=count):
+        key = keys[index]
+        draw = rng.random()
+        if draw < 0.45:
+            commands.append(f"get {key}\r\n".encode())
+        elif draw < 0.95:
+            size = sizes[index]
+            commands.append(
+                f"set {key} 0 0 {size}\r\n".encode() + b"v" * size + b"\r\n"
+            )
+        else:
+            commands.append(f"delete {key}\r\n".encode())
+    return commands
+
+
+def count_serve_calls(batch: int) -> Dict[str, int]:
+    """``{"module.py:Qualified.name": calls}`` over the
+    ``SERVE_MEASURED`` commands after ``SERVE_WARMUP``, served ``batch``
+    at a time: one ``feed`` of the batch's bytes, ``next_event`` until it
+    is drained, one ``CacheService.execute`` of its commands."""
+    scenario = SERVE_SCENARIO
+    trace = load_workload(scenario.workload, scenario.scale, scenario.seed)
+    service = CacheService(build_cluster(scenario, trace))
+    parser = ProtocolParser()
+    stream = serve_commands(SERVE_WARMUP + SERVE_MEASURED)
+
+    def serve(low: int, high: int) -> None:
+        for start in range(low, high, batch):
+            parser.feed(b"".join(stream[start : min(start + batch, high)]))
+            commands = []
+            while (event := parser.next_event()) is not None:
+                commands.append(event.command)
+            service.execute(commands)
+
+    serve(0, SERVE_WARMUP)
+    counts: Counter = Counter()
+
+    def count(event, code):
+        if event == "call":
+            counts[code] += 1
+
+    sys.setprofile(src_hook(count))
+    try:
+        serve(SERVE_WARMUP, SERVE_WARMUP + SERVE_MEASURED)
+    finally:
+        sys.setprofile(None)
+    return _named(counts)
 
 
 def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
@@ -178,14 +272,27 @@ def count_cluster_calls() -> Dict[str, int]:
     return _named(counts)
 
 
+def is_engine_row(row: Tuple[str, str]) -> bool:
+    """Whether a ``BUDGET`` row counts one engine scheme's own calls
+    (every row but the cluster replay's and the two serve rows)."""
+    return row != CLUSTER_ROW and row[0] != "serve"
+
+
 def count_row(row: Tuple[str, str]) -> Dict[str, int]:
     """The per-function calls of one ``BUDGET`` row."""
-    return count_cluster_calls() if row == CLUSTER_ROW else count_calls(*row)
+    if row == CLUSTER_ROW:
+        return count_cluster_calls()
+    if row[0] == "serve":
+        return count_serve_calls(int(row[1]))
+    return count_calls(*row)
 
 
 def requests_of(row: Tuple[str, str]) -> int:
-    """How many requests one ``BUDGET`` row's calls served."""
-    return CLUSTER_REQUESTS if row == CLUSTER_ROW else MEASURED
+    """How many requests (commands, on a serve row) one ``BUDGET`` row's
+    calls served."""
+    if row == CLUSTER_ROW:
+        return CLUSTER_REQUESTS
+    return SERVE_MEASURED if row[0] == "serve" else MEASURED
 
 
 def count_gathers(

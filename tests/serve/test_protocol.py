@@ -27,6 +27,7 @@ from repro.serve.protocol import (
     encode_value,
     server_error,
 )
+from tests.serve.reference_protocol import ReferenceParser, _valid_key
 
 
 def drain(parser):
@@ -40,6 +41,12 @@ def drain(parser):
 
 def parse_all(data: bytes):
     parser = ProtocolParser()
+    parser.feed(data)
+    return drain(parser)
+
+
+def oracle_events(data: bytes):
+    parser = ReferenceParser()
     parser.feed(data)
     return drain(parser)
 
@@ -214,9 +221,40 @@ class TestMalformed:
         parser.feed(b"g" * (MAX_LINE_BYTES + 10))
         (event,) = drain(parser)
         assert event.response == ERROR
-        parser.feed(b"get ok\r\n")
+        parser.feed(b"\r\nget ok\r\n")
         (event,) = drain(parser)
         assert event.command.keys == ["ok"]
+
+    #: A multi-get line past :data:`MAX_LINE_BYTES` with a ``delete``
+    #: at its end.
+    OVERLONG = b"get " + b"a " * 4200 + b"delete victim\r\n"
+
+    @pytest.mark.parametrize(
+        "cut", [0, 1, MAX_LINE_BYTES, MAX_LINE_BYTES + 1, len(OVERLONG) - 15,
+                len(OVERLONG) - 1]
+    )
+    def test_overlong_line_is_one_error_however_the_reads_cut_it(self, cut):
+        """Regression: fed whole, the line above was one ``get`` of
+        4,202 keys; cut before ``delete``, it was ``ERROR`` and then an
+        executed ``delete victim``. Any line past the cap is one
+        ``ERROR``, dropped through its newline."""
+        parser = ProtocolParser()
+        parser.feed(self.OVERLONG[:cut])
+        events = drain(parser)
+        parser.feed(self.OVERLONG[cut:] + b"get ok\r\n")
+        events += drain(parser)
+        assert [(e.response, e.command) for e in events] == [
+            (ERROR, None),
+            (None, Command(op="get", keys=["ok"])),
+        ]
+
+    def test_line_at_the_cap_still_parses(self):
+        line = b"get " + b"k " * 4093 + b"kk"
+        assert len(line) == MAX_LINE_BYTES
+        (event,) = parse_all(line + b"\n")
+        assert len(event.command.keys) == 4094
+        # The "\r" of a CRLF is part of the line.
+        assert parse_all(line + b"\r\n") == parse_all(b"bogus\r\n")
 
     def test_non_ascii_command_line(self):
         (event,) = parse_all("get café\r\n".encode("utf-8"))
@@ -380,23 +418,38 @@ class TestParsedObjects:
 
 
 class TestValidKey:
+    """The key rule is the oracle's ``_valid_key``; the live parser
+    checks it inline, so it is held to the oracle's events."""
+
     def test_agrees_with_33_to_126_for_every_code_point(self):
         """Alone and embedded, every code point below U+3000: valid iff
-        it is in 33..126 (printable ASCII, no space, no DEL)."""
-        from repro.serve.protocol import _valid_key
-
+        it is in 33..126 (printable ASCII, no space, no DEL), and every
+        command naming such a key parses as the oracle parses it."""
         for point in range(0x3000):
             expected = 33 <= point <= 126
             char = chr(point)
             assert _valid_key(char) is expected, point
             assert _valid_key("a" + char + "b") is expected, point
+            for key in (char, "a" + char + "b"):
+                stream = (
+                    f"get {key} z\r\nset {key} 0 0 1\r\nx\r\n"
+                    f"delete {key}\r\n"
+                ).encode("utf-8")
+                assert parse_all(stream) == oracle_events(stream), point
 
     def test_length_limits(self):
-        from repro.serve.protocol import _valid_key
-
         assert not _valid_key("")
         assert _valid_key("k" * MAX_KEY_BYTES)
         assert not _valid_key("k" * (MAX_KEY_BYTES + 1))
+        for size in (MAX_KEY_BYTES, MAX_KEY_BYTES + 1):
+            for line in (b"get a %s\r\n", b"delete %s\r\n",
+                         b"set %s 0 0 1\r\nx\r\n"):
+                stream = line % (b"k" * size)
+                events = parse_all(stream)
+                assert events == oracle_events(stream)
+                assert (events[0].command is not None) is (
+                    size == MAX_KEY_BYTES
+                )
 
 
 class TestResynchronizationIsCutInvariant:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.slabs import SlabGeometry
+from repro.common.constants import ITEM_OVERHEAD_BYTES
+from repro.common.errors import CacheError
 from repro.cluster import Cluster, ClusterConfig
 from repro.serve.protocol import (
     DELETED,
@@ -97,6 +99,24 @@ class TestWireSemantics:
         assert responses[0] == STORED
         assert responses[1].startswith(b"SERVER_ERROR object too large")
         assert responses[2].startswith(b"VALUE ok")
+
+    def test_too_large_is_the_slab_geometry_rule_to_the_byte(self):
+        """The inline size check refuses exactly what
+        :meth:`SlabGeometry.row` refuses: the largest chunk holds key +
+        value + item header and not one byte more."""
+        service = make_service()
+        fits = GEO.chunk_sizes[-1] - ITEM_OVERHEAD_BYTES - len("key")
+        for size, refused in ((fits, False), (fits + 1, True)):
+            try:
+                GEO.row(len("key"), size)
+            except CacheError:
+                assert refused
+            else:
+                assert not refused
+            (response,) = service.execute(
+                [Command(op="set", keys=["key"], data=b"v" * size)]
+            )
+            assert (response == STORED) is not refused, size
 
     def test_stats_and_quit(self):
         service = make_service()

@@ -11,7 +11,9 @@ plans), the hill climber (``hill`` over LRU and Facebook) and the three
 Cliffhanger queue schemes. One more row counts the other side: the
 calls an in-process dynamic cluster replay makes around its engines
 (kernel, window driver, barrier hooks, rerouting, flush, stats), per
-request of its trace.
+request of its trace. Two more count a served command, wire bytes to
+reply: ``ProtocolParser`` plus one ``CacheService.execute`` per batch of
+4 or of 32 commands of the ``serve_write`` mix, engines included.
 
 Each row's per-function table is checked in beside this file
 (``call_tables.json``), and a row over its budget prints its diff
@@ -34,6 +36,7 @@ import pytest
 from tests.perf_counts import (
     CLUSTER_REQUESTS,
     CLUSTER_ROW,
+    SERVE_MEASURED,
     count_gathers,
     count_row,
     diff,
@@ -67,7 +70,15 @@ from tests.perf_counts import (
 #: (``hill`` over LRU / Facebook), 3.001 (``cliffhanger``), 3.0655
 #: (``cliff-only``) and 2.827 (``hill-only``); a combined-engine miss
 #: also called ``_fill`` and ``_decay_pointers``, and the cluster
-#: replay made 3,976 calls.
+#: replay made 3,976 calls. A served command made 25.2 calls in
+#: 4-command batches and 18.8 in 32-command ones (25,810 and 19,276
+#: over the serve rows' 1,024 commands) while the parser framed a line
+#: in ``_read_line``, checked it in ``_parse_get`` / ``_parse_set`` /
+#: ``_valid_key`` / ``_number`` and called ``next_event`` again for a
+#: SET's data block, the service called ``app_of_key`` and
+#: ``_fill_size`` per row and ``SlabGeometry.row`` per SET, and the
+#: cluster classified each row through ``row`` + ``class_for_size`` and
+#: routed it through one ``Router.route`` + ``successors`` call.
 BUDGET = {
     ("default", "lru"): 1.001,
     ("default", "facebook"): 1.774,
@@ -80,6 +91,8 @@ BUDGET = {
     ("cliff-only", "lru"): 1.498,
     ("hill-only", "lru"): 1.468,
     CLUSTER_ROW: 3_838 / CLUSTER_REQUESTS,
+    ("serve", "4"): 13_094 / SERVE_MEASURED,
+    ("serve", "32"): 7_008 / SERVE_MEASURED,
 }
 
 

@@ -37,7 +37,7 @@ from repro.cache.stats import (
 )
 from repro.core.engine import ClimbingEngine
 from repro.sim import make_engine
-from tests.perf_counts import CLUSTER_ROW
+from tests.perf_counts import is_engine_row
 from tests.sim.test_call_budget import BUDGET
 
 GEO = SlabGeometry.default()
@@ -45,7 +45,7 @@ GEO = SlabGeometry.default()
 VALUE_SIZES = (40, 200, 900)
 CLASSES = sorted({GEO.row(2, size)[0] for size in VALUE_SIZES})
 BIGGEST_CHUNK = GEO.chunk_size(CLASSES[-1])
-ENGINE_ROWS = sorted(row for row in BUDGET if row != CLUSTER_ROW)
+ENGINE_ROWS = sorted(filter(is_engine_row, BUDGET))
 
 ROWS = st.tuples(
     st.integers(0, 11).map(lambda i: f"k{i}"),
