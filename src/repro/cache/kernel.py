@@ -36,9 +36,12 @@ longest run)`` rows.
 
 The live :meth:`repro.cluster.Cluster.process_batch` serves a server's
 drain, a few to a few hundred rows, where the sort and gathers below
-cost more than they save: it buckets each driver window's rows into the
-same runs in plain Python, calls ``process_run`` per run in this
-module's run order and flushes through :func:`flush_runs`. One walk
+cost more than they save. It takes the wire service's four plain lists
+(keys, op codes, value sizes, app names; a key's size is its length),
+classifies and checks every row in one loop before serving any, buckets
+each driver window's rows into the same runs in plain Python, calls
+``process_run`` per run in this module's run order, flushes through
+:func:`flush_runs` and returns a plain list of outcome codes. One walk
 serves requests one at a time instead, through the engines' one-row
 ``process_fast``:
 :meth:`repro.core.crossapp.CrossAppHillClimber.replay_compiled` moves

@@ -10,7 +10,7 @@ measured in bytes and whose items each weigh exactly one chunk.
 into the ``(slab_class, chunk, item_bytes)`` of the rows
 :meth:`repro.cache.engines.Engine.process_run` takes. A trace compile
 classifies through :meth:`SlabGeometry.rows`; the live batch path
-(``Cluster._batch_rows``) and the wire service's too-large check apply
+(``Cluster.process_batch``) and the wire service's too-large check apply
 the same rule inline, once per row, and
 ``tests/cluster/test_process_batch.py`` holds the live rows to the
 compiled ones.

@@ -38,8 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple,
-    Union,
+    Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -54,7 +53,7 @@ from repro.cache.kernel import (
 )
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import OP_CODES, OUTCOME_DEAD, HitMissCounter, StatsRegistry
+from repro.cache.stats import OUTCOME_DEAD, HitMissCounter, StatsRegistry
 from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import CacheError, ConfigurationError
 from repro.common.spec import Spec, spec_field
@@ -313,43 +312,6 @@ class ClusterReport:
                 dict(self.serve) if self.serve is not None else None
             ),
         }
-
-
-#: Every spelling of an op a live batch accepts: its name or its code.
-_OP_LOOKUP: Dict[object, int] = {**OP_CODES, **{c: c for c in OP_CODES.values()}}
-
-
-def _batch_column(values: Any, count: int, what: str) -> List[Any]:
-    """One per-request column of a live batch as a plain list: a NumPy
-    array converted once (the walk then never sees a NumPy scalar), a
-    scalar broadcast."""
-    if isinstance(values, (np.ndarray, np.generic)):
-        values = values.tolist()
-    if isinstance(values, (str, int, float)):
-        return [values] * count
-    if len(values) != count:
-        raise ConfigurationError(
-            f"process_batch got {count} key(s) but {len(values)} {what}(s)"
-        )
-    return list(values)
-
-
-def _batch_ops(ops: Any, count: int) -> List[int]:
-    column = _batch_column(ops, count, "op")
-    codes = [_OP_LOOKUP.get(op, -1) for op in column]
-    if -1 in codes:
-        raise ConfigurationError(f"unknown op {column[codes.index(-1)]!r}")
-    return codes
-
-
-def _batch_apps(apps: Any, count: int) -> Tuple[List[str], List[int]]:
-    """The batch's app names in first-seen order, and each row's index
-    into them."""
-    column = _batch_column(apps, count, "app")
-    ids: Dict[str, int] = {}
-    for app in column:
-        ids.setdefault(app, len(ids))
-    return list(ids), [ids[app] for app in column]
 
 
 class Cluster:
@@ -611,12 +573,11 @@ class Cluster:
 
     def process_batch(
         self,
-        keys: Sequence[object],
-        ops: Union[str, Sequence[object]],
-        value_sizes: Union[int, Sequence[int]],
-        apps: Union[str, Sequence[str]],
-        key_sizes: Union[None, int, Sequence[int]] = None,
-    ) -> np.ndarray:
+        keys: List[str],
+        ops: List[int],
+        value_sizes: List[int],
+        apps: List[str],
+    ) -> List[int]:
         """Serve a batch of object-API requests.
 
         The serving hot path: :meth:`_drive` from the live clock
@@ -629,7 +590,7 @@ class Cluster:
         them; the codes go back to request order. A server's drain is a
         few to a few hundred rows, where the kernel's sort and NumPy
         gathers cost more than they save, so this path builds no
-        columns. Returns one packed outcome code per request
+        columns. Returns one outcome code per request
         (:func:`repro.cache.stats.pack_outcome`), in order.
 
         Bit-identical to handling the requests one at a time
@@ -638,27 +599,45 @@ class Cluster:
         round-robin state, and rebalance epochs and fault barriers
         landing mid-batch; the property tests pin the parity down.
 
-        ``ops`` entries are ``"get"``/``"set"``/``"delete"`` or their
-        integer codes; ``ops``, ``value_sizes``, ``apps`` and
-        ``key_sizes`` may each be a scalar broadcast across the batch,
-        and any of them a list or a NumPy array. ``key_sizes`` defaults
-        to each key's string length. Each request is classified once,
-        inline, by the :class:`~repro.cache.slabs.SlabGeometry` rule a
-        compiled trace's columns come from (``bisect_left`` over
-        ``chunk_sizes``; ``item_bytes`` is key + value). Every row is
-        checked before the first one is served, so a rejected batch
-        changes nothing.
+        The batch is what the wire service sends: four equal-length
+        lists of ``str`` keys, op codes (``OP_GET`` / ``OP_SET`` /
+        ``OP_DELETE``), value sizes ``>= 0`` and app names. A key's size
+        is ``len(key)``, the rule the service's too-large check uses, so
+        a trace whose key sizes are not its keys' lengths (Facebook
+        ETC's) replays only offline, through :meth:`replay_compiled`.
+        Each request is classified once, inline, by the
+        :class:`~repro.cache.slabs.SlabGeometry` rule a compiled trace's
+        columns come from (``bisect_left`` over ``chunk_sizes``;
+        ``item_bytes`` is key + value). Every row's app and item size is
+        checked before the first one is served, so a batch with an
+        unknown app (:class:`ConfigurationError`) or an item past the
+        largest chunk (:class:`CacheError`) changes nothing. No per-size
+        memo: item sizes come from clients.
         """
         count = len(keys)
-        keys = _batch_column(keys, count, "key")
-        op_column = _batch_ops(ops, count)
-        app_names, app_column = _batch_apps(apps, count)
         engines = self.servers[0].engines
-        for name in app_names:
-            if name not in engines:
-                raise ConfigurationError(f"request for unknown app {name!r}")
-        rows = self._batch_rows(keys, op_column, value_sizes, key_sizes, count)
-        packed = [0] * count
+        chunks = self.geometry.chunk_sizes
+        largest = chunks[-1]
+        app_ids: Dict[str, int] = {}
+        app_column: List[int] = []
+        rows: List[Row] = []
+        for key, op, value, app in zip(keys, ops, value_sizes, apps):
+            app_id = app_ids.get(app)
+            if app_id is None:
+                if app not in engines:
+                    raise ConfigurationError(f"request for unknown app {app!r}")
+                app_id = app_ids[app] = len(app_ids)
+            app_column.append(app_id)
+            item_bytes = len(key) + value
+            total = item_bytes + ITEM_OVERHEAD_BYTES
+            if total > largest:
+                raise CacheError(
+                    f"item of {total}B exceeds largest chunk {largest}B"
+                )
+            slab_class = bisect_left(chunks, total)
+            rows.append((key, op, slab_class, chunks[slab_class], item_bytes))
+        app_names = list(app_ids)
+        outcomes = [0] * count
         num_apps = len(app_names)
         servers = self.servers
         route_keys = self.router.route_keys
@@ -678,7 +657,7 @@ class Cluster:
                 shard, app_id = divmod(run, num_apps)
                 indices = members[run]
                 if shard in dead:
-                    codes = [(OUTCOME_DEAD << 2) | op_column[i] for i in indices]
+                    codes = [(OUTCOME_DEAD << 2) | ops[i] for i in indices]
                 else:
                     # Resolved per window: a restart at the barrier
                     # before it swaps in fresh engines.
@@ -687,59 +666,18 @@ class Cluster:
                     )
                 counts: Dict[int, int] = {}
                 for i, code in zip(indices, codes):
-                    packed[i] = code
+                    outcomes[i] = code >> 2
                     counts[code] = counts.get(code, 0) + 1
                 runs.append((shard, app_id, counts))
             flush_runs(servers, app_names, runs)
             if not cuts:
                 return []
-            return cut_tallies(
-                np.array(packed[start:stop]), np.arange(start, stop), cuts
-            )
+            packed = np.array(outcomes[start:stop]) << 2 | np.array(ops[start:stop])
+            return cut_tallies(packed, np.arange(start, stop), cuts)
 
         self._drive(self.object_requests, count, replay_window)
         self.object_requests += count
-        return np.array(packed, dtype=np.int64) >> 2
-
-    def _batch_rows(
-        self,
-        keys: List[object],
-        op_column: List[int],
-        value_sizes: Union[int, Sequence[int]],
-        key_sizes: Union[None, int, Sequence[int]],
-        count: int,
-    ) -> List[Row]:
-        """Each request's ``(key, op, slab_class, chunk, item_bytes)``
-        engine row. Checks the caller's size columns (broadcast, length,
-        no negative size), then classifies each row once, inline: the
-        :class:`~repro.cache.slabs.SlabGeometry` rule (``bisect_left``
-        over ``chunk_sizes`` of key + value + ``ITEM_OVERHEAD_BYTES``),
-        raising :class:`CacheError` for an item past the largest chunk
-        as :meth:`~repro.cache.slabs.SlabGeometry.row` does. No per-size
-        memo: item sizes come from clients."""
-        values = _batch_column(value_sizes, count, "value size")
-        sizes: Iterable[int]
-        if key_sizes is None:
-            sizes = map(len, map(str, keys))
-        else:
-            sizes = _batch_column(key_sizes, count, "key size")
-            if count and min(sizes) < 0:
-                raise ConfigurationError("key and value sizes must be >= 0")
-        if count and min(values) < 0:
-            raise ConfigurationError("key and value sizes must be >= 0")
-        chunks = self.geometry.chunk_sizes
-        largest = chunks[-1]
-        rows: List[Row] = []
-        for key, op, size, value in zip(keys, op_column, sizes, values):
-            item_bytes = size + value
-            total = item_bytes + ITEM_OVERHEAD_BYTES
-            if total > largest:
-                raise CacheError(
-                    f"item of {total}B exceeds largest chunk {largest}B"
-                )
-            slab_class = bisect_left(chunks, total)
-            rows.append((key, op, slab_class, chunks[slab_class], item_bytes))
-        return rows
+        return outcomes
 
     def replay_compiled(
         self, trace, plan: Optional[RoutingPlan] = None

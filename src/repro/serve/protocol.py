@@ -9,11 +9,12 @@ Commands (a subset of the memcached text protocol, CRLF-terminated)::
     quit
 
 ``<flags>`` is ASCII digits below 2**32, ``<exptime>`` and ``<bytes>``
-are ``-?[0-9]+``; any other spelling is ``CLIENT_ERROR bad command line
-format``, as in memcached. There are no TTLs: ``<exptime>`` must be
-``0``. A ``set`` with any other value has its data block consumed and
-is answered ``CLIENT_ERROR expiry is not supported`` (nothing under
-``noreply``) instead of being stored forever.
+are ``-?[0-9]+``, each of any length; any other spelling is
+``CLIENT_ERROR bad command line format``, as in memcached. There are no
+TTLs: ``<exptime>`` must be ``0``. A ``set`` with any other value has
+its data block consumed and is answered ``CLIENT_ERROR expiry is not
+supported`` (nothing under ``noreply``) instead of being stored
+forever.
 
 Responses follow memcached: ``VALUE <key> <flags> <bytes>`` + data +
 ``END`` for gets, ``STORED`` / ``DELETED`` / ``NOT_FOUND``,
@@ -48,6 +49,9 @@ MAX_VALUE_BYTES = 1 << 20
 MAX_FLAGS = (1 << 32) - 1
 #: Cap on one command line (a pipelined multi-get of ~250B keys).
 MAX_LINE_BYTES = 8192
+#: Significant digits of the largest ``<flags>`` and ``<bytes>``.
+_FLAGS_DIGITS = len(str(MAX_FLAGS))
+_SIZE_DIGITS = len(str(MAX_VALUE_BYTES))
 
 CRLF = b"\r\n"
 
@@ -191,7 +195,10 @@ class ProtocolParser:
       be) checks its keys one by one.
     * ``<flags>`` is ASCII digits, ``<exptime>`` and ``<bytes>`` may
       have one leading ``-``: ``int()`` alone would also take ``+5``,
-      ``1_0`` and padding, which memcached refuses.
+      ``1_0`` and padding, which memcached refuses. A field is read
+      from its significant digits, and only once their count fits the
+      field's range (``int()`` refuses more than 4,300 digits), so a
+      5,000-digit field is answered for its value like a short one.
     * A line is the bytes before its newline, a carriage return
       included; one longer than :data:`MAX_LINE_BYTES` is one ``ERROR``,
       and input is dropped through its newline wherever the reads cut it
@@ -276,7 +283,13 @@ class ProtocolParser:
             _, key, flags, exptime, nbytes = parts
             expiry = exptime[1:] if exptime[:1] == "-" else exptime
             digits = nbytes[1:] if nbytes[:1] == "-" else nbytes
-            flags_value = int(flags) if flags.isdigit() else -1
+            # Significant digits, counted before ``int()`` reads them.
+            flags = flags.lstrip("0") or "0"
+            flags_value = (
+                int(flags)
+                if flags.isdigit() and len(flags) <= _FLAGS_DIGITS
+                else -1
+            )
             if not (
                 0 <= flags_value <= MAX_FLAGS
                 and expiry.isdigit()
@@ -285,13 +298,16 @@ class ProtocolParser:
                 return ProtocolEvent(
                     response=client_error("bad command line format")
                 )
-            size = int(nbytes)
-            if size < 0 or size > MAX_VALUE_BYTES:
+            digits = digits.lstrip("0") or "0"
+            size = (
+                int(digits) if len(digits) <= _SIZE_DIGITS else MAX_VALUE_BYTES + 1
+            )
+            if size > MAX_VALUE_BYTES or (size and nbytes[0] == "-"):
                 return ProtocolEvent(
                     response=server_error("object too large for cache")
                 )
             refusal: Optional[bytes] = None
-            if int(exptime) != 0:
+            if expiry.lstrip("0"):
                 # No TTLs: storing the item forever would silently break
                 # the sender's contract, so refuse it (silently under
                 # noreply).

@@ -179,7 +179,7 @@ class CacheService:
         keys, ops, sizes, apps, owners, preset = self._rows(commands)
         if keys:
             try:
-                codes = self.cluster.process_batch(keys, ops, sizes, apps).tolist()
+                codes = self.cluster.process_batch(keys, ops, sizes, apps)
             except (CacheError, ConfigurationError) as exc:
                 failure = server_error(str(exc))
                 return [

@@ -7,11 +7,13 @@ fault events -- so a seed and a schedule fix *where* every hook fires
 no matter which of them is driving. They differ only in the
 ``replay_window`` callback ``_drive`` hands each window to: the replay
 kernel (in-process or on the worker pool) offline, a per-request walk
-for live batches. Live batches arrive as int8 ``op_codes`` slices and
-other NumPy columns of the compiled trace, as a caller may pass them. A Hypothesis property pins that
-down, a long schedule checks that the router's per-live-mask memos stay
-bounded without changing a single counter, and a disarm test checks
-that a finished replay's barriers do not leak into later live batches.
+for live batches. Live batches arrive as the wire service sends them:
+list slices of the compiled trace's keys, op codes, value sizes and
+app names (the zipf workload's key sizes are its keys' lengths). A
+Hypothesis property pins that down, a long schedule checks that the
+router's per-live-mask memos stay bounded without changing a single
+counter, and a disarm test checks that a finished replay's barriers do
+not leak into later live batches.
 
 A fault timeline's samples are not barriers: they fall inside windows
 and read the counters as they stood there. A second property holds
@@ -27,6 +29,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.stats import OP_GET, OP_SET
 from repro.cluster.faults import FAULT_POLICIES
 from repro.cluster.routing import TraceColumns
 from repro.sim import Scenario, load_workload
@@ -84,16 +87,15 @@ def serve_in_batches(cluster, compiled, sizes):
     injector = cluster.fault_injector
     if injector is not None:
         injector.begin(len(compiled))
+    keys = compiled.keys.tolist()
+    ops = compiled.op_codes.tolist()
+    values = compiled.value_sizes.tolist()
     apps = [compiled.app_table[app_id] for app_id in compiled.app_ids]
     start = turn = 0
     while start < len(compiled):
         stop = min(len(compiled), start + sizes[turn % len(sizes)])
         cluster.process_batch(
-            compiled.keys[start:stop],
-            compiled.op_codes[start:stop],
-            compiled.value_sizes[start:stop],
-            apps[start:stop],
-            key_sizes=compiled.key_sizes[start:stop],
+            keys[start:stop], ops[start:stop], values[start:stop], apps[start:stop]
         )
         start, turn = stop, turn + 1
     if injector is not None:
@@ -177,6 +179,31 @@ def test_mid_window_samples_match_the_reference(policy, faults, epoch, sizes):
     assert matches == dict.fromkeys(matches, True)
 
 
+@pytest.mark.parametrize("policy", FAULT_POLICIES)
+def test_live_cuts_count_gets_by_op_among_sets(policy):
+    """The workload above is all GETs, so a cut that miscounted SETs as
+    GETs would pass there. With 30% SETs a live batch's cut tallies
+    must still equal the reference's samples."""
+    params = dict(WORKLOAD_PARAMS, set_fraction=0.3)
+    scenario = BASE.replace(
+        workload_params=params,
+        faults={
+            "events": [
+                {"kind": "crash", "shard": 1, "at": 400},
+                {"kind": "restart", "shard": 1, "at": 900},
+            ],
+            "policy": policy,
+            "sample_requests": 37,
+        },
+    )
+    expected = report_bytes(run_reference(scenario).cluster)
+    workload = load_workload("zipf", scale=0.1, seed=0, **params)
+    live, compiled = prepare_cluster(scenario, workload)
+    assert 0 < int((compiled.op_codes == OP_SET).sum()) < len(compiled)
+    serve_in_batches(live, compiled, [50, 7, 123])
+    assert report_bytes(live) == expected
+
+
 def test_live_mask_memos_stay_bounded_on_a_long_schedule(monkeypatch):
     # Five distinct live sets (all-live, {1}, {1,2}, {2}, {3} down) under
     # failover: each memo may keep the all-live entry plus the latest.
@@ -249,7 +276,8 @@ def test_finished_replay_leaves_no_barriers_for_live_batches():
 
     cluster._drive = spy_drive
     cluster.process_batch(
-        compiled.keys[:400], "get", 100, compiled.app_table[0], key_sizes=0
+        compiled.keys[:400].tolist(), [OP_GET] * 400, [100] * 400,
+        [compiled.app_table[0]] * 400,
     )
     assert windows == [400]
     assert log == []

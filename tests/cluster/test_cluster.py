@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.engines import FirstComeFirstServeEngine
 from repro.cache.slabs import SlabGeometry
+from repro.cache.stats import OP_GET
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.cluster import render_cluster_report
 from repro.common.errors import ConfigurationError
@@ -88,7 +89,7 @@ class TestRouting:
 
     def test_object_api_routes_like_the_ring(self):
         cluster = build(3)
-        cluster.process_batch(["hot"], "get", 100, "a")
+        cluster.process_batch(["hot"], [OP_GET], [100], ["a"])
         shard = shard_for(cluster.ring, "hot")
         assert cluster.servers[shard].stats.total.gets == 1
 

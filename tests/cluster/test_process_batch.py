@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.cache.engines import FirstComeFirstServeEngine
 from repro.cache.log_structured import GlobalLRUEngine
 from repro.cache.slabs import SlabGeometry
+from repro.cache.stats import OP_CODES, OP_GET, OP_SET
 from repro.cluster import (
     Cluster,
     ClusterConfig,
@@ -29,6 +30,7 @@ from repro.cluster import (
     RebalanceConfig,
     Rebalancer,
 )
+from repro.common.constants import ITEM_OVERHEAD_BYTES
 from repro.common.errors import CacheError, ConfigurationError
 from repro.sim import SCHEMES
 from repro.sim.runner import ScenarioEngineFactory
@@ -88,11 +90,10 @@ def run_oracle(cluster, requests):
 def run_batch(cluster, requests):
     return cluster.process_batch(
         [r.key for r in requests],
-        [r.op for r in requests],
+        [OP_CODES[r.op] for r in requests],
         [r.value_size for r in requests],
         [r.app for r in requests],
-        [r.key_size for r in requests],
-    ).tolist()
+    )
 
 
 def per_shard_snapshot(cluster):
@@ -323,31 +324,24 @@ class TestOfflineLiveParity:
         requests = mixed_stream(count=500)
         compiled = CompiledTrace.compile(requests, GEO)
         expected = list(zip(*(c.tolist() for c in compiled.replay_columns())))
-        for key_sizes in (None, [r.key_size for r in requests]):
-            cluster = build(shards=3)
-            logs = []
-            for server in cluster.servers:
-                for engine in server.engines.values():
-                    log = []
-                    logs.append(log)
+        cluster = build(shards=3)
+        logs = []
+        for server in cluster.servers:
+            for engine in server.engines.values():
+                log = []
+                logs.append(log)
 
-                    def spy(rows, process=engine.process_run, log=log):
-                        rows = list(rows)
-                        log += rows
-                        return process(rows)
+                def spy(rows, process=engine.process_run, log=log):
+                    rows = list(rows)
+                    log += rows
+                    return process(rows)
 
-                    engine.process_run = spy
-            cluster.process_batch(
-                [r.key for r in requests],
-                [r.op for r in requests],
-                [r.value_size for r in requests],
-                [r.app for r in requests],
-                key_sizes,
-            )
-            assert sorted(row for log in logs for row in log) == sorted(expected)
-            for log in logs:  # each in request order
-                remaining = iter(expected)
-                assert all(row in remaining for row in log)
+                engine.process_run = spy
+        run_batch(cluster, requests)
+        assert sorted(row for log in logs for row in log) == sorted(expected)
+        for log in logs:  # each in request order
+            remaining = iter(expected)
+            assert all(row in remaining for row in log)
         assert len(set(compiled.slab_classes.tolist())) > 2
 
 
@@ -375,16 +369,19 @@ class TestRejectedBatch:
     @pytest.mark.parametrize(
         "bad, error, match",
         [
-            (dict(ops=["set", "get", "put"]), ConfigurationError, "unknown op"),
             (dict(apps=["a", "b", "ghost"]), ConfigurationError, "unknown app"),
-            (dict(value_sizes=[100, 100, -1]), ConfigurationError, ">= 0"),
             (
-                dict(value_sizes=[100, 100, (1 << 20) - 60], key_sizes=[3, 3, 60]),
+                # One byte past the largest chunk with its 4-byte key.
+                dict(
+                    value_sizes=[
+                        100, 100, GEO.chunk_sizes[-1] - ITEM_OVERHEAD_BYTES - 3
+                    ]
+                ),
                 CacheError,
                 "exceeds largest chunk",
             ),
         ],
-        ids=["unknown-op", "unknown-app", "negative-value", "oversized"],
+        ids=["unknown-app", "oversized"],
     )
     def test_bad_last_row_changes_nothing(self, bad, error, match):
         cluster = build(shards=3, replication=2)
@@ -393,70 +390,44 @@ class TestRejectedBatch:
         before = cluster_state(cluster)
         batch = dict(
             keys=["k001", "fresh", "k002"],
-            ops=["set", "get", "get"],
+            ops=[OP_SET, OP_GET, OP_GET],
             value_sizes=[100, 100, 100],
             apps=["a", "b", "a"],
-            key_sizes=None,
         )
         batch.update(bad)
         with pytest.raises(error, match=match):
             cluster.process_batch(**batch)
         assert cluster_state(cluster) == before
         # The same batch with its bad row fixed is served.
-        cluster.process_batch(["k001", "fresh"], ["set", "get"], 100, ["a", "b"])
+        cluster.process_batch(
+            ["k001", "fresh"], [OP_SET, OP_GET], [100, 100], ["a", "b"]
+        )
         assert cluster_state(cluster) != before
 
 
 class TestBatchInterface:
-    def test_scalar_broadcast(self):
-        cluster = build(shards=2, apps=("a",))
-        codes = cluster.process_batch(
-            ["x", "y", "x"], "get", 100, "a"
-        )
-        assert len(codes) == 3
-        assert cluster.aggregate_stats().total.gets == 3
-
     def test_integer_op_codes_accepted(self):
         cluster = build(shards=2, apps=("a",))
         set_then_get = cluster.process_batch(
-            ["x", "x"], [1, 0], [100, 100], "a"
+            ["x", "x"], [OP_SET, OP_GET], [100, 100], ["a", "a"]
         )
         assert set_then_get[1] & 1  # the GET after the SET hits
 
     def test_unknown_app_fails_fast_without_mutating(self):
         cluster = build(shards=2)
         with pytest.raises(ConfigurationError, match="unknown app"):
-            cluster.process_batch(["x", "y"], "get", 100, ["a", "ghost"])
+            cluster.process_batch(
+                ["x", "y"], [OP_GET, OP_GET], [100, 100], ["a", "ghost"]
+            )
         assert cluster.aggregate_stats().total.gets == 0
-
-    def test_unknown_op_rejected(self):
-        cluster = build(shards=2)
-        with pytest.raises(ConfigurationError, match="unknown op"):
-            cluster.process_batch(["x"], "put", 100, "a")
-        with pytest.raises(ConfigurationError, match="unknown op"):
-            cluster.process_batch(["x"], [7], 100, "a")
-
-    def test_length_mismatches_rejected(self):
-        cluster = build(shards=2)
-        with pytest.raises(ConfigurationError, match="op"):
-            cluster.process_batch(["x", "y"], ["get"], 100, "a")
-        with pytest.raises(ConfigurationError, match="app"):
-            cluster.process_batch(["x", "y"], "get", 100, ["a"])
-        with pytest.raises(ConfigurationError, match="value size"):
-            cluster.process_batch(["x", "y"], "get", [100], "a")
 
     def test_oversized_item_raises_before_processing(self):
         cluster = build(shards=2)
         with pytest.raises(CacheError, match="exceeds largest chunk"):
             cluster.process_batch(
-                ["ok", "huge"], "set", [100, 1 << 21], "a"
+                ["ok", "huge"], [OP_SET, OP_SET], [100, 1 << 21], ["a", "a"]
             )
         assert cluster.aggregate_stats().total.sets == 0
-
-    def test_negative_value_size_rejected(self):
-        cluster = build(shards=2)
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            cluster.process_batch(["x"], "get", -1, "a")
 
 
 class TestRouteMemoization:
@@ -489,7 +460,7 @@ class TestRouteMemoization:
     def test_batch_reuses_and_fills_the_position_memo(self):
         cluster = build(shards=4, apps=("a",))
         cluster.route("x")  # memoized by the scalar path
-        cluster.process_batch(["x", "y", "z"], "get", 100, "a")
+        cluster.process_batch(["x", "y", "z"], [OP_GET] * 3, [100] * 3, ["a"] * 3)
         memo = cluster.router._position_memo
         assert set(memo) == {"x", "y", "z"}
         assert memo["y"] == cluster.ring.position_for("y")
@@ -531,7 +502,10 @@ class TestRouteMemoization:
             shards = []
             for low in range(0, len(stream), 48):
                 chunk = stream[low : low + 48]
-                cluster.process_batch(chunk, "set", 100, "a")
+                count = len(chunk)
+                cluster.process_batch(
+                    chunk, [OP_SET] * count, [100] * count, ["a"] * count
+                )
                 shards.extend(cluster.route(key) for key in chunk[:3])
             return cluster, shards
 

@@ -197,6 +197,25 @@ class TestShape:
 
         asyncio.run(scenario())
 
+    def test_a_5000_digit_field_is_answered_and_the_connection_lives(self):
+        """Regression: the parser raised ``ValueError`` on a number past
+        CPython's 4,300-digit ``int()`` limit, out of ``data_received``,
+        and the connection was torn down."""
+
+        async def scenario():
+            server = make_server()
+            await server.start()
+            client = MemoryClient(server)
+            assert await client.request(
+                b"set k 0 0 " + b"1" * 5000 + b"\r\n"
+            ) == b"SERVER_ERROR object too large for cache\r\n"
+            assert await client.request(b"set k 0 0 2\r\nhi\r\nget k\r\n") == (
+                STORED + b"VALUE k 0 2\r\nhi\r\nEND\r\n"
+            )
+            await server.close()
+
+        asyncio.run(scenario())
+
     def test_a_command_split_across_requests_answers_where_it_ends(self):
         async def scenario():
             server = make_server()

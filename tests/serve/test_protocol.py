@@ -164,6 +164,46 @@ class TestMalformed:
         (event,) = parse_all(b"set k " + fields + b"\r\n")
         assert event.response == client_error("bad command line format")
 
+    #: 5,000 digits: past CPython's 4,300-digit ``int()`` limit, well
+    #: inside :data:`MAX_LINE_BYTES`.
+    LONG = b"1" * 5000
+    ZEROS = b"0" * 5000
+
+    @pytest.mark.parametrize(
+        "fields, response",
+        [
+            (b"0 0 " + LONG, server_error("object too large for cache")),
+            (b"0 0 -" + LONG, server_error("object too large for cache")),
+            (b"0 0 " + ZEROS + b"1048577", server_error("object too large for cache")),
+            (LONG + b" 0 2", client_error("bad command line format")),
+            (ZEROS + b"4294967296 0 2", client_error("bad command line format")),
+        ],
+        ids=["bytes", "negative-bytes", "padded-bytes", "flags", "padded-flags"],
+    )
+    def test_long_numbers_are_answered_by_their_value(self, fields, response):
+        """Regression: a field of more than 4,300 digits raised
+        ``ValueError`` out of the parser. Each field is answered for
+        its value, as its short spelling is."""
+        (event,) = parse_all(b"set k " + fields + b"\r\n")
+        assert event.response == response
+
+    def test_long_nonzero_exptime_is_refused_and_stays_framed(self):
+        events = parse_all(b"set k 0 " + self.LONG + b" 2\r\nhi\r\nget after\r\n")
+        assert [event.response for event in events] == [
+            client_error("expiry is not supported"),
+            None,
+        ]
+        assert events[1].command.keys == ["after"]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [ZEROS + b"7 0 2", b"7 " + ZEROS + b" 2", b"7 0 " + ZEROS + b"2"],
+        ids=["flags", "exptime", "bytes"],
+    )
+    def test_leading_zeros_do_not_change_a_number(self, fields):
+        (event,) = parse_all(b"set k " + fields + b"\r\nhi\r\n")
+        assert event.command == Command("set", ["k"], 7, b"hi")
+
     def test_largest_flags_value_is_accepted(self):
         (event,) = parse_all(b"set k 4294967295 0 2\r\nhi\r\n")
         assert event.command.flags == 4294967295

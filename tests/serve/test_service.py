@@ -11,11 +11,14 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.serve.protocol import (
     DELETED,
     END,
+    MAX_KEY_BYTES,
     NOT_FOUND,
     STORED,
     Command,
     ProtocolParser,
     client_error,
+    encode_command,
+    server_error,
 )
 from repro.serve.service import CacheService
 from tests.cluster.helpers import counters_snapshot
@@ -218,3 +221,67 @@ class TestBatchingIsInvisible:
             for command, response in zip(commands, one_by_one)
         ]
         assert shard_counters(batched) == shard_counters(singly)
+
+
+#: Wire keys: 1-250 printable, non-space ASCII characters.
+WIRE_KEYS = st.text(
+    st.characters(min_codepoint=33, max_codepoint=126),
+    min_size=1,
+    max_size=MAX_KEY_BYTES,
+)
+TOO_LARGE = server_error("object too large for cache")
+
+
+@st.composite
+def parsed_batches(draw):
+    """Batches of ``set`` / multi-``get`` / ``delete`` commands over a
+    few shared keys, sent as wire bytes and parsed back. A ``set``'s
+    value is near the largest one its key fits in the largest chunk:
+    up to two bytes under it, at it, or up to two bytes over."""
+    keys = draw(st.lists(WIRE_KEYS, min_size=1, max_size=4, unique=True))
+    largest = GEO.chunk_sizes[-1] - ITEM_OVERHEAD_BYTES
+    pick = st.sampled_from(keys)
+    command = st.one_of(
+        st.builds(
+            lambda key, over: Command(
+                "set", [key], 0, b"v" * (largest - len(key) + over)
+            ),
+            pick,
+            st.integers(min_value=-2, max_value=2),
+        ),
+        st.builds(
+            lambda chosen: Command("get", chosen),
+            st.lists(pick, min_size=1, max_size=3),
+        ),
+        st.builds(lambda key: Command("delete", [key]), pick),
+    )
+    batches = draw(
+        st.lists(st.lists(command, min_size=1, max_size=4), min_size=1, max_size=3)
+    )
+    parsed = []
+    for batch in batches:
+        parser = ProtocolParser()
+        parser.feed(b"".join(map(encode_command, batch)))
+        events = []
+        while (event := parser.next_event()) is not None:
+            events.append(event)
+        assert [event.command for event in events] == batch
+        parsed.append([event.command for event in events])
+    return parsed
+
+
+class TestServedRowsAreAlwaysServable:
+    @settings(max_examples=25, deadline=None)
+    @given(batches=parsed_batches())
+    def test_only_too_large_is_a_server_error(self, batches):
+        """The rows :meth:`CacheService.execute` hands the cluster are
+        the shape ``Cluster.process_batch`` takes and never trip its
+        guards: whatever parsed ``set`` / ``get`` / ``delete`` traffic a
+        client sends, the one ``SERVER_ERROR`` it can see is a ``set``
+        too large for the largest chunk."""
+        service = make_service()
+        for batch in batches:
+            for command, response in zip(batch, service.execute(batch)):
+                if response.startswith(b"SERVER_ERROR"):
+                    assert response == TOO_LARGE
+                    assert command.op == "set"

@@ -78,7 +78,12 @@ from tests.perf_counts import (
 #: SET's data block, the service called ``app_of_key`` and
 #: ``_fill_size`` per row and ``SlabGeometry.row`` per SET, and the
 #: cluster classified each row through ``row`` + ``class_for_size`` and
-#: routed it through one ``Router.route`` + ``successors`` call.
+#: routed it through one ``Router.route`` + ``successors`` call. While
+#: ``Cluster.process_batch`` took scalars, NumPy columns and op names
+#: (``_batch_column`` x4, ``_batch_ops``, ``_batch_apps`` and their
+#: comprehensions, ``_batch_rows`` per batch), a served command made
+#: 12.79 calls in 4-command batches and 6.84 in 32-command ones (13,094
+#: and 7,008).
 BUDGET = {
     ("default", "lru"): 1.001,
     ("default", "facebook"): 1.774,
@@ -91,8 +96,8 @@ BUDGET = {
     ("cliff-only", "lru"): 1.498,
     ("hill-only", "lru"): 1.468,
     CLUSTER_ROW: 3_838 / CLUSTER_REQUESTS,
-    ("serve", "4"): 13_094 / SERVE_MEASURED,
-    ("serve", "32"): 7_008 / SERVE_MEASURED,
+    ("serve", "4"): 10_790 / SERVE_MEASURED,
+    ("serve", "32"): 6_720 / SERVE_MEASURED,
 }
 
 
