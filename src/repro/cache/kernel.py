@@ -11,11 +11,11 @@ over the run's rows.
 server (:meth:`repro.cache.server.CacheServer.replay_compiled`, the
 one-shard case), the offline cluster replay
 (:meth:`repro.cluster.Cluster.replay_compiled`, through the cluster's
-window driver ``Cluster._drive``) and the parallel workers
-(:mod:`repro.cluster.parallel`) all call it; they differ only in which
-columns they pass (a worker's came with its start-up arguments) and
-where the returned tallies go (:func:`flush_runs` in-process, a pipe
-from a worker).
+window driver ``Cluster._drive``) and the parallel replay's workers
+(:mod:`repro.cluster.parallel`, one call over the whole trace each) all
+call it; they differ only in which columns they pass (a worker's came
+with its start-up arguments) and where the returned tallies go
+(:func:`flush_runs` in-process, one reply from a worker).
 
 Only what changes state is a barrier: a rebalance epoch, a fault event,
 the run's end. A fault timeline's samples only read counters, so they
@@ -133,9 +133,9 @@ def replay_runs(
     ``dead`` shards (the fault layer's ``miss-through`` policy) never
     reach an engine: their runs tally ``OUTCOME_DEAD`` per op -- GETs
     count as misses, SETs as sets. ``owned`` is a per-shard boolean lookup
-    restricting the window to a worker's shards; a stable sort of a
-    subsequence keeps each run's request order, so a worker's runs equal
-    the serial loop's.
+    restricting the window to a parallel worker's shards; a stable sort
+    of a subsequence keeps each run's request order, so a worker's runs
+    equal the serial loop's.
 
     ``cuts`` are ascending row offsets inside the window where a caller
     wants to read counters without stopping the replay (a fault
@@ -230,9 +230,9 @@ def flush_runs(
     """Add run tallies to the shard registries, in the order given.
 
     :func:`replay_runs` returns runs in ascending composite order and
-    the worker pool concatenates its workers' contiguous shard blocks in
-    worker order, so registry keys are inserted in the same order
-    whichever executor produced the tallies.
+    the parallel replay concatenates its workers' contiguous shard
+    blocks in worker order, so registry keys are inserted in the same
+    order whichever executor produced the tallies.
     """
     for shard, app_id, counts in runs:
         record_bulk = servers[shard].stats.record_code_bulk

@@ -14,10 +14,9 @@ One clock, one window driver, one router: requests count on a single
 clock (trace position offline, requests served live); one loop
 (:meth:`Cluster._drive`) runs them window by window between barriers --
 rebalance epochs, the armed fault injector's events and end -- for the
-offline replay, the worker pool and the live
-:meth:`Cluster.process_batch` alike, and samples the fault timeline
-inside windows; one :class:`Router` turns keys into shards for all of
-them.
+offline replay and the live :meth:`Cluster.process_batch` alike, and
+samples the fault timeline inside windows; one :class:`Router` turns
+keys into shards for all of them.
 Inside an offline window each (shard, app) run goes through the cache
 layer's one replay kernel (:mod:`repro.cache.kernel`), as on a bare
 ``CacheServer``; a live batch walks its few rows one at a time.

@@ -18,10 +18,11 @@ request-execution path a single server already has
   comes back with the GET hits and GETs before each cut, and the cut
   samples fire through :meth:`Cluster._barrier` with those totals before
   the window's own barrier. The offline replay drives a whole trace
-  from clock 0 through the kernel (in-process or on a worker pool); the
-  live batch path walks one batch, request by request, from the
-  requests served so far. Same loop, so a seed and a schedule fix where
-  every hook fires whoever is driving.
+  from clock 0 through the kernel; the live batch path walks one batch,
+  request by request, from the requests served so far. Same loop, so a
+  seed and a schedule fix where every hook fires whoever is driving. A
+  cluster with no barrier hooks may instead replay in worker processes
+  (:mod:`repro.cluster.parallel`): its only barrier is the trace's end.
 
 A one-shard cluster is the N=1 case and replays bit-identically to a
 bare :class:`CacheServer`. Replication (R > 1) spreads each key's
@@ -82,15 +83,12 @@ HOT_FACTOR = 1.5
 def scale_engine_budgets(engines, target: float) -> int:
     """Proportionally scale a shard's engine budgets to sum to ``target``.
 
-    The single canonical implementation behind every shard resize --
-    rebalance transfers, fault-time drains and reclaims, serial or
-    parallel -- so the budget float arithmetic is identical everywhere
-    it runs (the parallel replay re-executes it in the owning worker and
-    relies on exact agreement with the parent's bookkeeping copy).
-    Proportional scaling keeps the apps' relative shares on the shard
-    intact; only the shard's total moves, mirroring how an operator
-    resizes a memcache instance rather than one tenant on it. Returns
-    the evictions the shrink enforced.
+    The one implementation behind every shard resize -- rebalance
+    transfers, fault-time drains and reclaims. Proportional scaling
+    keeps the apps' relative shares on the shard intact; only the
+    shard's total moves, mirroring how an operator resizes a memcache
+    instance rather than one tenant on it. Returns the evictions the
+    shrink enforced.
     """
     engines = list(engines)
     current = sum(engine.budget_bytes for engine in engines)
@@ -123,14 +121,14 @@ class ClusterConfig(Spec):
     the same effective value (and shard-count sweeps with a fixed
     replication stay valid at small shard counts).
 
-    ``parallel_workers`` (default ``0``) fans the replay's per-shard
-    runs out across that many worker processes, each started with the
-    trace's columns (see :mod:`repro.cluster.parallel`). ``0`` and ``1`` replay
-    in-process; values above the shard count clamp to it, and a
-    one-shard cluster always replays in-process. The two executors run
-    the same kernel and are bit-identical -- the property tests pin
-    that down -- so this knob trades nothing but processes for
-    wall-clock.
+    ``parallel_workers`` (default ``0``) splits an offline replay's
+    shards across that many worker processes (see
+    :mod:`repro.cluster.parallel`), bit-identically. ``0`` and ``1``
+    replay in-process; values above the shard count clamp to it, and a
+    one-shard cluster always replays in-process. Only a cluster with no
+    barrier hooks replays in parallel: with a ``rebalance`` or
+    ``faults`` block attached, the replay raises
+    :class:`ConfigurationError` instead.
     """
 
     BLOCK = "cluster"
@@ -353,14 +351,10 @@ class Cluster:
         #: (insertion order = registration order); the parallel replay's
         #: workers rebuild their shards' engines from these.
         self.app_shares: Dict[str, float] = {}
-        #: Live :class:`~repro.cluster.parallel.WorkerPool` while a
-        #: parallel replay is driving; :meth:`scale_shard_budget` and
-        #: :meth:`restart_shard` forward through it to the owning worker.
-        self._parallel = None
-        #: Per-shard used-bytes reported by the workers at the end of a
-        #: parallel replay (the parent's engines stay empty mirrors);
-        #: consulted by :meth:`report` / :meth:`memory_in_use`.
-        self._parallel_memory: Optional[Dict[int, float]] = None
+        #: Per-shard used bytes the workers of a parallel replay reported
+        #: (the parent's engines never saw a request); consulted by
+        #: :meth:`report` / :meth:`memory_in_use`.
+        self._worker_memory: Optional[Dict[int, float]] = None
         #: The live clock: requests served through :meth:`process_batch`
         #: so far. Epochs and fault offsets count on it exactly as they
         #: count trace positions in an offline replay.
@@ -404,33 +398,21 @@ class Cluster:
         Every budget move -- rebalance transfers and fault-time
         drains/reclaims -- goes through here. Returns the evictions the
         shrink enforced (callers charge them to their own counters).
-        During a parallel replay the parent's engines are empty
-        bookkeeping mirrors: the same arithmetic runs both here (so
-        parent-side signals, floors, and reports see the right budgets)
-        and in the owning worker, whose engines hold the actual items
-        and therefore report the real eviction count.
         """
-        evictions = scale_engine_budgets(
+        return scale_engine_budgets(
             self.servers[shard].engines.values(), target
         )
-        if self._parallel is not None:
-            evictions += self._parallel.scale_shard(shard, target)
-        return evictions
 
     def restart_shard(
         self, shard: int, budgets: Dict[str, float]
     ) -> None:
         """Cold-restart ``shard``: factory-fresh engines at ``budgets``
         (app -> bytes). A zero-budget engine was fully drained at crash
-        time, so it is already cold and stays in place. In a parallel
-        replay the owning worker rebuilds the same engines from the same
-        factories."""
+        time, so it is already cold and stays in place."""
         server = self.servers[shard]
         for app, budget in budgets.items():
             if budget > 0:
                 server.replace_app(self.engine_factories[app](shard, budget))
-        if self._parallel is not None:
-            self._parallel.restart_shard(shard, budgets)
 
     def attach_rebalancer(self, rebalancer) -> None:
         """Install a :class:`~repro.cluster.rebalance.Rebalancer`; the
@@ -696,8 +678,12 @@ class Cluster:
           shard down :class:`~repro.cluster.routing.TraceColumns`
           re-derives the column for the live set, while ``miss-through``
           keeps the plan and marks the down shards ``dead``;
-        * **executor** -- in-process or, with ``parallel_workers >= 2``,
-          a :class:`~repro.cluster.parallel.WorkerPool`;
+        * **executor** -- the one place it is picked: in-process, or with
+          ``parallel_workers >= 2`` on more than one shard
+          :func:`~repro.cluster.parallel.replay_parallel`, which needs a
+          fresh cluster with no barrier hooks (a rebalancer or fault
+          injector raises :class:`ConfigurationError` here, before
+          anything changes);
         * **faults** -- an attached injector is armed for
           ``len(trace)`` requests and disarmed afterwards.
 
@@ -706,28 +692,30 @@ class Cluster:
         (``tests/cluster/reference.py`` is that loop).
         """
         injector = self.fault_injector
+        parallel = self.config.parallel_workers > 1 and self.shards > 1
+        if parallel and (injector is not None or self.rebalancer is not None):
+            raise ConfigurationError(
+                "parallel_workers replays only a cluster without rebalance "
+                "or faults; set parallel_workers to 0 to replay it in-process"
+            )
         # Every shard has the same ladder and tenants as shard 0.
         self.servers[0].check_replayable(trace)
         plan = self._resolve_plan(trace, plan)
-        routes = TraceColumns(self.router, trace, plan)
-        pool = None
-        if self.config.parallel_workers > 1 and self.shards > 1:
-            from repro.cluster.parallel import WorkerPool
+        if parallel:
+            from repro.cluster.parallel import replay_parallel
 
-            pool = self._parallel = WorkerPool(self, trace, plan)
-            self._parallel_memory = None
+            self._worker_memory = replay_parallel(self, trace, plan)
+            return self.aggregate_stats()
+        routes = TraceColumns(self.router, trace, plan)
         app_table = trace.app_table
         columns = trace.replay_columns()
 
         def replay_window(start, stop, mask, dead, cuts):
-            shard_column = routes.shard_ids(mask)
-            if pool is not None:
-                return pool.replay_window(start, stop, shard_column, dead, cuts)
             runs, tallies = replay_runs(
                 self.servers,
                 app_table,
                 columns,
-                shard_column,
+                routes.shard_ids(mask),
                 trace.app_ids,
                 start,
                 stop,
@@ -738,20 +726,12 @@ class Cluster:
             return tallies
 
         try:
-            # The pool is up before the injector begins: an offset-0
-            # crash already moves budgets, and those moves must reach
-            # the workers' engines too.
             if injector is not None:
                 injector.begin(len(trace))
             self._drive(0, len(trace), replay_window)
-            if pool is not None:
-                self._parallel_memory = pool.finish()
         finally:
             if injector is not None:
                 injector.finish(len(trace))
-            if pool is not None:
-                self._parallel = None
-                pool.shutdown()
         return self.aggregate_stats()
 
     def _resolve_plan(self, trace, plan: Optional[RoutingPlan]) -> RoutingPlan:
@@ -851,12 +831,10 @@ class Cluster:
 
     def shard_memory_in_use(self, shard: int) -> float:
         """Used bytes on one shard; after a parallel replay this is the
-        owning worker's figure (the parent's engines are empty mirrors
-        whose budgets are right but whose queues never saw an item)."""
-        if self._parallel_memory is not None:
-            used = self._parallel_memory.get(shard)
-            if used is not None:
-                return used
+        owning worker's figure (the parent's engines never saw an
+        item)."""
+        if self._worker_memory is not None:
+            return self._worker_memory[shard]
         return self.servers[shard].memory_in_use()
 
     def memory_in_use(self) -> float:

@@ -15,8 +15,8 @@ round-trips through JSON (the scenario ``faults`` block) and is
 sweepable like every other block. Offsets count requests on the
 cluster's one clock (trace position offline, requests served live), and
 the one window driver stops at each of them and at the rebalancer's
-epochs whoever is driving -- offline replay, worker pool or live
-batches -- and samples the metric grid mid-window, from the counters as
+epochs whoever is driving -- offline replay or live batches -- and
+samples the metric grid mid-window, from the counters as
 they stood at each grid offset, so a seed fixes the fault timeline.
 
 Two degradation policies model the two real memcache behaviors:

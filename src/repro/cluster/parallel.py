@@ -1,53 +1,44 @@
-"""The worker-pool executor: replay windows across processes.
+"""Parallel replay: a barrier-free cluster replay split across processes.
 
-The cluster's window driver (``Cluster._drive``) has two executors.
-In-process it calls the replay kernel
-(:func:`repro.cache.kernel.replay_runs`) directly; with
-``cluster.parallel_workers >= 2`` an offline replay hands each window to
-the :class:`WorkerPool` here, whose workers run the *same* kernel restricted
-to the shards they own. Shards are independent between barriers (paper
-section 4.3), so the fan-out changes nothing but wall-clock:
+Shards are independent between barriers (paper section 4.3), and a
+cluster with neither a rebalancer nor a fault injector has no barrier
+but the trace's end: its whole replay is one window, and each shard's
+runs can be replayed in another process. With
+``cluster.parallel_workers >= 2``,
+:meth:`~repro.cluster.Cluster.replay_compiled` hands such a replay to
+:func:`replay_parallel`, and refuses a rebalanced or faulted one before
+anything changes:
 
+* Each worker owns a contiguous block of shards and builds those
+  shards' engines cold through the cluster's registered factories.
 * The trace's replay columns, its ``app_ids`` column and the routing
   plan's ``shard_ids`` -- the arrays the trace and the plan hold, not
   copies -- travel in each worker's start-up arguments: inherited under
-  ``fork``, pickled once under ``spawn`` (the engine factories already
-  travel this way).
-* Each worker owns a contiguous block of shards and builds those
-  shards' engines cold through the cluster's registered factories.
-* :meth:`WorkerPool.replay_window` is the synchronization point: it
-  returns once every worker's run tallies for the window have been
-  flushed into the parent's shard registries, so the driver's barrier
-  (sample, rebalance epoch, fault events) reads exactly the state the
-  in-process executor would have left. A worker's GET hits and GETs
-  before each of the window's sample cuts come back with its runs, and
-  the parent sums them in worker order.
+  ``fork``, pickled once under ``spawn`` (the engine factories travel
+  the same way).
+* A worker replays rows ``[0, len(trace))`` of its own shards through
+  the replay kernel (:func:`~repro.cache.kernel.replay_runs` with
+  ``owned``) and sends one message back: its run tallies and the used
+  bytes of each of its shards.
 
-The parent's engines never process a request: they are empty
-*bookkeeping mirrors*. Budget moves go through
-:meth:`~repro.cluster.Cluster.scale_shard_budget`, which runs the same
-proportional arithmetic on the parent's empty engines (so signals,
-floors, and reports see the right budgets -- ``grow_budget`` and
-``shrink_budget`` touch only ``budget_bytes`` floats, identical whether
-the queues hold items or not) and forwards the command to the owning
-worker, whose engines hold the actual items and report the real
-eviction counts. A routing column other than the plan's (``failover``
-with a shard down) reaches workers as the window's own slice of it,
-inside the window message.
+The parent flushes the runs in worker order -- contiguous shard blocks
+in worker order are the in-process run order, so the registries come
+out bit-identical -- and keeps the used bytes for the report. Its own
+engines never process a request.
 """
 
 
 from __future__ import annotations
 
 import traceback
-from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.kernel import CutTally, Run, flush_runs, replay_runs
+from repro.cache.kernel import Run, flush_runs, replay_runs
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
-from repro.cluster.cluster import Cluster, scale_engine_budgets
+from repro.cluster.cluster import Cluster
 from repro.cluster.routing import RoutingPlan
 from repro.common.errors import ConfigurationError
 from repro.common.mp import get_mp_context
@@ -98,85 +89,56 @@ def build_shard_servers(
 
 
 def _worker_main(conn, parent_ends, payload: Dict[str, Any]) -> None:
-    """Worker process entry: build owned shards, serve commands until
-    ``finish``. Any exception is shipped back as an ``("error",
-    traceback)`` reply instead of dying silently.
+    """Worker process entry: send one reply, ``("ok", (runs, used bytes
+    per shard))`` from :func:`_replay_owned`, or ``("error",
+    traceback)`` instead of dying silently.
 
     ``parent_ends`` are the parent's pipe ends this process came to
     hold a copy of by being created (``fork`` inherits every open one);
-    they are closed first, so that the parent closing *its* copy reads
-    as EOF here -- a parent that went away ends the worker quietly.
+    they are closed first, so that a parent that closed its end reads
+    as a broken pipe here -- nobody waits for the reply, and the worker
+    ends quietly.
     """
     for end in parent_ends:
         end.close()
     try:
-        apps = payload["apps"]
-        servers = build_shard_servers(
-            payload["geometry"], payload["owned"], apps
-        )
-        factories = {app: factory for app, _, factory in apps}
-        owned = np.zeros(payload["total_shards"], dtype=bool)
-        owned[payload["owned"]] = True
-        plan_column = payload["shard_ids"]
-        rerouted_column = None
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                return
-            command = message[0]
-            try:
-                if command == "window":
-                    _, start, stop, rerouted, dead, cuts = message
-                    shard_column = plan_column
-                    if rerouted is not None:
-                        if rerouted_column is None:
-                            rerouted_column = plan_column.copy()
-                        rerouted_column[start:stop] = rerouted
-                        shard_column = rerouted_column
-                    replayed = replay_runs(
-                        servers,
-                        payload["app_table"],
-                        payload["replay_columns"],
-                        shard_column,
-                        payload["app_ids"],
-                        start,
-                        stop,
-                        dead=dead,
-                        owned=owned,
-                        cuts=cuts,
-                    )
-                    conn.send(("ok", replayed))
-                elif command == "scale":
-                    _, shard, target = message
-                    engines = servers[shard].engines.values()
-                    conn.send(("ok", scale_engine_budgets(engines, target)))
-                elif command == "restart":
-                    _, shard, budgets = message
-                    server = servers[shard]
-                    for app, budget in budgets.items():
-                        if budget > 0:
-                            server.replace_app(factories[app](shard, budget))
-                    conn.send(("ok", None))
-                else:  # "finish"
-                    used = {
-                        shard: server.memory_in_use()
-                        for shard, server in servers.items()
-                    }
-                    conn.send(("ok", used))
-                    return
-            except Exception:
-                conn.send(("error", traceback.format_exc()))
-                return
-    finally:
-        conn.close()
+        reply = ("ok", _replay_owned(payload))
+    except Exception:
+        reply = ("error", traceback.format_exc())
+    try:
+        conn.send(reply)
+    except OSError:
+        pass
+    conn.close()
+
+
+def _replay_owned(payload: Dict[str, Any]) -> Tuple[List[Run], Dict[int, float]]:
+    """Build the owned shards cold and replay the whole trace on them:
+    their runs, and each one's used bytes."""
+    servers = build_shard_servers(
+        payload["geometry"], payload["owned"], payload["apps"]
+    )
+    owned = np.zeros(payload["total_shards"], dtype=bool)
+    owned[payload["owned"]] = True
+    shard_ids = payload["shard_ids"]
+    runs, _ = replay_runs(
+        servers,
+        payload["app_table"],
+        payload["replay_columns"],
+        shard_ids,
+        payload["app_ids"],
+        0,
+        len(shard_ids),
+        owned=owned,
+    )
+    used = {shard: server.memory_in_use() for shard, server in servers.items()}
+    return runs, used
 
 
 class WorkerPool:
     """The parent's handle on one parallel replay's worker processes:
-    one duplex pipe per worker and the shard -> worker ownership map
-    that :meth:`scale_shard` / :meth:`restart_shard` route commands with.
-    """
+    started by the constructor, read once by :meth:`results`, torn down
+    by :meth:`shutdown`."""
 
     def __init__(
         self,
@@ -187,16 +149,6 @@ class WorkerPool:
     ) -> None:
         _require_fresh(cluster)
         context = get_mp_context(start_method)
-        self.cluster = cluster
-        self.app_table = list(trace.app_table)
-        self._plan_column = plan.shard_ids
-        blocks = partition_shards(
-            cluster.shards, cluster.config.parallel_workers
-        )
-        self.owner: Dict[int, int] = {}
-        for worker, owned in enumerate(blocks):
-            for shard in owned:
-                self.owner[shard] = worker
         shared = {
             "replay_columns": trace.replay_columns(),
             "app_ids": trace.app_ids,
@@ -206,13 +158,15 @@ class WorkerPool:
                 (app, cluster.app_shares[app], cluster.engine_factories[app])
                 for app in cluster.engine_factories
             ],
-            "app_table": self.app_table,
+            "app_table": list(trace.app_table),
             "total_shards": cluster.shards,
         }
         self.connections = []
         self.processes = []
         try:
-            for owned in blocks:
+            for owned in partition_shards(
+                cluster.shards, cluster.config.parallel_workers
+            ):
                 parent_end, child_end = context.Pipe()
                 self.connections.append(parent_end)
                 process = context.Process(
@@ -231,95 +185,29 @@ class WorkerPool:
             self.shutdown()
             raise
 
-    # -- command plumbing ----------------------------------------------
-
-    def _send(self, worker: int, message) -> None:
-        try:
-            self.connections[worker].send(message)
-        except OSError:
-            raise RuntimeError(_DIED.format(worker)) from None
-
-    def _receive(self, worker: int):
-        try:
-            status, value = self.connections[worker].recv()
-        except (EOFError, OSError):
-            raise RuntimeError(_DIED.format(worker)) from None
-        if status != "ok":
-            raise RuntimeError(
-                f"parallel replay worker {worker} failed:\n{value}"
-            )
-        return value
-
-    def _call(self, worker: int, message):
-        self._send(worker, message)
-        return self._receive(worker)
-
-    def _broadcast(self, message) -> List[Any]:
-        """Send to every worker first (they overlap), then collect the
-        replies in worker order (the merged result is deterministic)."""
-        workers = range(len(self.connections))
-        for worker in workers:
-            self._send(worker, message)
-        return [self._receive(worker) for worker in workers]
-
-    # -- replay protocol -----------------------------------------------
-
-    def replay_window(
-        self,
-        start: int,
-        stop: int,
-        shard_column: np.ndarray,
-        dead: Collection[int] = (),
-        cuts: Sequence[int] = (),
-    ) -> List[CutTally]:
-        """Replay ``[start, stop)`` on every worker and flush the merged
-        tallies into the parent's registries; returns only when the
-        whole window is done and accounted, with each of the ``cuts``'
-        GET hits and GETs summed over the workers (see
-        :func:`~repro.cache.kernel.replay_runs`).
-
-        Workers hold the plan's column already; any other
-        ``shard_column`` (the router hands back the plan's own array
-        while every shard is live) travels as this window's slice of it.
-        """
-        rerouted = None
-        if shard_column is not self._plan_column:
-            rerouted = shard_column[start:stop]
+    def results(self) -> Tuple[List[Run], Dict[int, float]]:
+        """Every worker's reply, read in worker order: the runs in the
+        in-process run order, and each shard's used bytes. A worker
+        that failed raises with its traceback; one that died raises a
+        one-line error."""
         runs: List[Run] = []
-        tallies = [(0, 0)] * len(cuts)
-        for worker_runs, worker_tallies in self._broadcast(
-            ("window", start, stop, rerouted, tuple(dead), cuts)
-        ):
-            runs.extend(worker_runs)
-            tallies = [
-                (hits + more_hits, gets + more_gets)
-                for (hits, gets), (more_hits, more_gets) in zip(
-                    tallies, worker_tallies
+        used: Dict[int, float] = {}
+        for worker, connection in enumerate(self.connections):
+            try:
+                status, value = connection.recv()
+            except (EOFError, OSError):
+                raise RuntimeError(_DIED.format(worker)) from None
+            if status != "ok":
+                raise RuntimeError(
+                    f"parallel replay worker {worker} failed:\n{value}"
                 )
-            ]
-        flush_runs(self.cluster.servers, self.app_table, runs)
-        return tallies
-
-    def scale_shard(self, shard: int, target: float) -> int:
-        """Forward a budget resize to the owning worker; returns the
-        evictions its engines enforced."""
-        return self._call(self.owner[shard], ("scale", shard, target))
-
-    def restart_shard(self, shard: int, budgets: Dict[str, float]) -> None:
-        """Forward a cold restart to the owning worker."""
-        self._call(self.owner[shard], ("restart", shard, dict(budgets)))
-
-    def finish(self) -> Dict[int, float]:
-        """Collect per-shard used-bytes and let the workers exit."""
-        memory: Dict[int, float] = {}
-        for worker_memory in self._broadcast(("finish",)):
-            memory.update(worker_memory)
-        return memory
+            runs.extend(value[0])
+            used.update(value[1])
+        return runs, used
 
     def shutdown(self) -> None:
         """Tear everything down; safe to call twice and mid-error. A
-        live worker reads its closed pipe as EOF and returns; one caught
-        inside a long window is terminated, not waited for."""
+        worker still replaying is terminated once the join times out."""
         for connection in self.connections:
             try:
                 connection.close()
@@ -330,6 +218,24 @@ class WorkerPool:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5)
+
+
+def replay_parallel(
+    cluster: Cluster,
+    trace,
+    plan: RoutingPlan,
+    start_method: Optional[str] = None,
+) -> Dict[int, float]:
+    """Replay ``trace`` on a fresh, barrier-free ``cluster`` across its
+    workers, flush the tallies into the cluster's shard registries and
+    return each shard's used bytes (the parent's engines stay empty)."""
+    pool = WorkerPool(cluster, trace, plan, start_method)
+    try:
+        runs, used = pool.results()
+    finally:
+        pool.shutdown()
+    flush_runs(cluster.servers, trace.app_table, runs)
+    return used
 
 
 def _require_fresh(cluster: Cluster) -> None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union, cast,
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -316,22 +316,14 @@ class Router:
         self._position_memo: Dict[object, int] = {}
         self.spread: Dict[object, int] = {}
 
-    def positions(self, keys: Sequence[object]) -> np.ndarray:
+    def positions(self, keys: Sequence[str]) -> np.ndarray:
         """Per key, the ring position its hash bisects to: the row of
         :meth:`successors` its replica set sits in."""
-        if all(isinstance(key, str) for key in keys):
-            hashes = hash_keys_u64(
-                cast("Sequence[str]", keys), salt=self.ring.seed
-            )
-            # bisect_right then wrap-to-0 at the end of the ring == mod.
-            return np.searchsorted(
-                self._tokens, hashes, side="right"
-            ) % len(self._tokens)
-        return np.fromiter(  # exotic keys: the ring's scalar walk
-            (self.ring.position_for(key) for key in keys),
-            dtype=np.int64,
-            count=len(keys),
-        )
+        hashes = hash_keys_u64(keys, salt=self.ring.seed)
+        # bisect_right then wrap-to-0 at the end of the ring == mod.
+        return np.searchsorted(
+            self._tokens, hashes, side="right"
+        ) % len(self._tokens)
 
     def successors(self, mask: Tuple[bool, ...]) -> np.ndarray:
         """Per ring position, the first ``min(replication, alive)``
@@ -414,11 +406,9 @@ class Router:
 class TraceColumns:
     """One compiled trace's full-length shard column per live mask.
 
-    The all-live column *is* the routing plan's own ``shard_ids`` array
-    (the same object: the worker pool's workers already hold it, and
-    are sent windows of any other column); any other mask costs one
-    :meth:`Router.gather` over the plan's routing rows
-    (:meth:`RoutingPlan.routing_rows`). Memoized through
+    The all-live column *is* the routing plan's own ``shard_ids`` array;
+    any other mask costs one :meth:`Router.gather` over the plan's
+    routing rows (:meth:`RoutingPlan.routing_rows`). Memoized through
     :func:`remember_column`.
     """
 

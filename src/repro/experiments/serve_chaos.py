@@ -3,8 +3,11 @@
 Beyond the paper: ``cluster_faults`` measures crash/recovery on the
 offline replay; this experiment fires the same fault schedule through
 the **live** serving path (:mod:`repro.serve`) while the open-loop load
-generator keeps arrivals coming -- the fault lands on the virtual-time
-request-count axis, so a fixed seed reproduces the identical timeline.
+generator keeps arrivals coming. The fault lands on the request-count
+axis, but the run is sized from the wall-clock rate
+:func:`~repro.experiments.common.probe_capacity` measures, so the
+request count and the crash and restart offsets -- and with them the
+timeline -- change from run to run at a fixed seed.
 
 The run calibrates the harness's sustainable rate, picks the busiest
 shard from a fault-free reference run, then crashes it at 50% of a

@@ -20,8 +20,8 @@ or, for the generated workloads, from each application's
 The result is one table of typed NumPy columns, a row per request
 (:data:`COLUMN_DTYPES`; an ``.npz`` holds :data:`STORED_COLUMNS`, the
 rest are rebuilt from them). The replay kernel
-(:func:`repro.cache.kernel.replay_runs`), routing and the worker pool
-read the columns as they are; sub-traces index them (a ``slice`` is a
+(:func:`repro.cache.kernel.replay_runs`), routing and the parallel
+replay's workers read the columns as they are; sub-traces index them (a ``slice`` is a
 view, nothing is copied); the few Python loops left over a column take
 ``.tolist()`` once at the top. :class:`TraceCache` stores compiled
 traces on disk (``.npz``) and in process memory so the ~17 experiment

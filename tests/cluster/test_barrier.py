@@ -1,15 +1,17 @@
-"""One clock, one window driver, three callers.
+"""One clock, one window driver, two callers.
 
-The offline replay, the worker pool and the live batch path
-(:meth:`Cluster.process_batch`) all run ``Cluster._drive`` and hand
+The offline replay and the live batch path
+(:meth:`Cluster.process_batch`) both run ``Cluster._drive`` and hand
 control to the same ``Cluster._barrier`` -- sample, rebalance epoch,
 fault events -- so a seed and a schedule fix *where* every hook fires
-no matter which of them is driving. They differ only in the
+whichever of them is driving. They differ only in the
 ``replay_window`` callback ``_drive`` hands each window to: the replay
-kernel (in-process or on the worker pool) offline, a per-request walk
-for live batches. Live batches arrive as the wire service sends them:
-list slices of the compiled trace's keys, op codes, value sizes and
-app names (the zipf workload's key sizes are its keys' lengths). A
+kernel offline, a per-request walk for live batches. (The parallel
+replay runs no barrier hook at all: a cluster with a rebalancer or a
+fault injector refuses it, ``tests/cluster/test_parallel.py``.) Live
+batches arrive as the wire service sends them: list slices of the
+compiled trace's keys, op codes, value sizes and app names (the zipf
+workload's key sizes are its keys' lengths). A
 Hypothesis property pins that down, a long schedule checks that the
 router's per-live-mask memos stay bounded without changing a single
 counter, and a disarm test checks that a finished replay's barriers do
@@ -121,21 +123,14 @@ def test_barriers_fire_identically_for_every_driver(faults, epoch, sizes):
     offline, compiled, offline_log = prepared(scenario)
     offline.replay_compiled(compiled)
 
-    pooled, _, pooled_log = prepared(
-        scenario.replace(cluster=dict(scenario.cluster, parallel_workers=2))
-    )
-    pooled.replay_compiled(compiled)
-
     live, _, live_log = prepared(scenario)
     serve_in_batches(live, compiled, sizes)
 
     assert offline_log  # every schedule has at least its own barriers
-    assert pooled_log == offline_log
     assert live_log == offline_log
-    for other in (pooled, live):
-        assert [counters_snapshot(s.stats) for s in other.servers] == [
-            counters_snapshot(s.stats) for s in offline.servers
-        ]
+    assert [counters_snapshot(s.stats) for s in live.servers] == [
+        counters_snapshot(s.stats) for s in offline.servers
+    ]
 
 
 def report_bytes(cluster):
@@ -164,17 +159,12 @@ def test_mid_window_samples_match_the_reference(policy, faults, epoch, sizes):
 
     offline, compiled = prepare_cluster(scenario, WORKLOAD)
     offline.replay_compiled(compiled)
-    pooled, _ = prepare_cluster(
-        scenario.replace(cluster=dict(scenario.cluster, parallel_workers=2)),
-        WORKLOAD,
-    )
-    pooled.replay_compiled(compiled)
     live, _ = prepare_cluster(scenario, WORKLOAD)
     serve_in_batches(live, compiled, sizes)
     # Booleans, not the texts: a diff of two long reports is slow to render.
     matches = {
         name: report_bytes(cluster) == expected
-        for name, cluster in (("offline", offline), ("pooled", pooled), ("live", live))
+        for name, cluster in (("offline", offline), ("live", live))
     }
     assert matches == dict.fromkeys(matches, True)
 

@@ -1,14 +1,17 @@
-"""Process-parallel replay: bit-exact parity with the in-process one.
+"""Process-parallel replay: bit-exact parity with the in-process one,
+and a refusal wherever a barrier hook would have to cross processes.
 
-The worker pool's contract is absolute: fanning the per-shard runs out
-to worker processes must change *nothing* -- per-shard per-(app, class)
-counters, rebalance timelines, fault records, shard load reports --
-versus the in-process executor, which itself is pinned against the
-per-request reference. These tests compare whole serialized results
-(minus wall-clock timings and the worker-count knob itself), under
-every replay mode the cluster has: static, rebalanced, faulted (both
-policies), faulted + rebalanced, fork and spawn start methods, and
-Hypothesis-driven random fault schedules.
+A cluster with no rebalancer and no fault injector replays its whole
+trace as one window, so splitting its shards across worker processes
+must change *nothing* -- per-shard per-(app, class) counters, shard
+load reports, used bytes -- versus the in-process executor, which
+itself is pinned against the per-request reference. These tests compare
+whole serialized results (minus wall-clock timings and the worker-count
+knob itself) for static, replicated and clamped clusters, under the
+``fork`` and ``spawn`` start methods. A rebalanced or faulted cluster
+with ``parallel_workers >= 2`` raises a one-line
+:class:`ConfigurationError` before any engine, counter or injector
+record changes.
 
 Alongside parity: the knob's validation surface, the fresh-cluster
 guard, sweep reachability, worker-failure propagation (a reply, a death,
@@ -41,10 +44,12 @@ from repro.cluster.parallel import (
     WorkerPool,
     build_shard_servers,
     partition_shards,
+    replay_parallel,
 )
 from repro.common.errors import ConfigurationError
+from repro.experiments.cli import main
 from repro.sim import Scenario, load_workload, run_scenario
-from repro.sim.runner import build_cluster
+from repro.sim.runner import build_cluster, prepare_cluster
 from tests.cluster.helpers import counters_snapshot, shard_snapshots
 
 SEED = 0
@@ -65,11 +70,8 @@ BASE = Scenario(
     cluster={"shards": SHARDS, "virtual_nodes": 4},
 )
 
-TOTAL = sum(
-    load_workload(
-        "zipf", scale=0.1, seed=SEED, **WORKLOAD_PARAMS
-    ).requests_per_app.values()
-)
+WORKLOAD = load_workload("zipf", scale=0.1, seed=SEED, **WORKLOAD_PARAMS)
+TOTAL = len(WORKLOAD.compiled)
 
 REBALANCE = {"epoch_requests": 400, "policy": "shadow"}
 
@@ -117,72 +119,17 @@ def assert_parity(scenario, workers=2):
     assert comparable(parallel) == comparable(serial)
     assert shard_snapshots(parallel) == shard_snapshots(serial)
     assert shm_entries() == []
+    assert not multiprocessing.active_children()
     return serial, parallel
 
 
-def assert_faults_fired(result, policy):
-    """Both ``FAULTS`` crashes happened, and cost requests only where
-    the policy lets a dead shard answer."""
-    faults = result.cluster_report["faults"]
-    assert len(faults["crashes"]) == 2
-    assert (faults["dead_requests"] > 0) == (policy == "miss-through")
-
-
 # ---------------------------------------------------------------------------
-# Parity: every replay mode, whole serialized results
+# Parity: whole serialized results of barrier-free replays
 # ---------------------------------------------------------------------------
 
 
 def test_static_parallel_identical_to_serial():
     assert_parity(BASE)
-
-
-def test_rebalanced_parallel_identical_to_serial():
-    serial, parallel = assert_parity(
-        BASE.replace(rebalance=dict(REBALANCE)), workers=3
-    )
-    assert (
-        parallel.cluster_report["rebalance"]
-        == serial.cluster_report["rebalance"]
-    )
-    assert parallel.cluster_report["rebalance"]["transfers"] > 0
-
-
-@pytest.mark.parametrize("policy", ["failover", "miss-through"])
-def test_faulted_parallel_identical_to_serial(policy):
-    serial, parallel = assert_parity(
-        BASE.replace(faults=dict(FAULTS, policy=policy))
-    )
-    assert (
-        parallel.cluster_report["faults"]
-        == serial.cluster_report["faults"]
-    )
-    assert_faults_fired(serial, policy)
-
-
-@pytest.mark.parametrize("policy", ["failover", "miss-through"])
-def test_faulted_rebalanced_parallel_identical_to_serial(policy):
-    serial, _ = assert_parity(
-        BASE.replace(
-            faults=dict(FAULTS, policy=policy),
-            rebalance=dict(REBALANCE),
-        ),
-        workers=3,
-    )
-    assert_faults_fired(serial, policy)
-
-
-def test_offset_zero_crash_reaches_the_workers():
-    # A crash at offset 0 drains budgets before the first window: the
-    # pool must already be up so the workers' engines shrink too.
-    serial, _ = assert_parity(
-        BASE.replace(
-            faults={"events": [{"kind": "crash", "shard": 0, "at": 0}]},
-            rebalance=dict(REBALANCE),
-        )
-    )
-    crash = serial.cluster_report["faults"]["crashes"][0]
-    assert crash["budget_moved_bytes"] > 0
 
 
 def test_replicated_parallel_identical_to_serial():
@@ -198,19 +145,14 @@ def test_more_workers_than_shards_clamps():
 
 
 def test_spawn_pool_tallies_identical_to_in_process_kernel():
-    # The pool under the ``spawn`` start method (fresh interpreters,
-    # pickled factories) against the kernel called in-process: same
-    # window, same registries, same used bytes.
+    # The workers under the ``spawn`` start method (fresh interpreters,
+    # pickled columns and factories) against the kernel called
+    # in-process: same registries, same used bytes.
     pool_cluster, compiled = make_direct_cluster(workers=2)
     plan = build_routing_plan(
         compiled, pool_cluster.ring, pool_cluster.replication
     )
-    pool = WorkerPool(pool_cluster, compiled, plan, start_method="spawn")
-    try:
-        pool.replay_window(0, len(compiled), plan.shard_ids)
-        memory = pool.finish()
-    finally:
-        pool.shutdown()
+    memory = replay_parallel(pool_cluster, compiled, plan, start_method="spawn")
     local_cluster, _ = make_direct_cluster()
     flush_runs(
         local_cluster.servers,
@@ -227,42 +169,116 @@ def test_spawn_pool_tallies_identical_to_in_process_kernel():
     assert shm_entries() == []
 
 
-def test_spawn_failover_restart_identical_to_serial(monkeypatch):
-    # Under ``spawn`` nothing is inherited: the columns arrive pickled,
-    # and with ``failover`` every window between a crash and its restart
-    # carries its rerouted slice through the pipe.
+def test_spawn_replay_identical_to_serial(monkeypatch):
+    # A whole scenario under ``spawn``: nothing is inherited, the
+    # columns and factories arrive pickled, and the report (used bytes
+    # per shard included) still matches the in-process replay.
     monkeypatch.setattr("repro.common.mp.DEFAULT_START_METHOD", "spawn")
-    serial, parallel = assert_parity(
-        BASE.replace(faults=dict(FAULTS, policy="failover"))
-    )
-    assert (
-        parallel.cluster_report["faults"]
-        == serial.cluster_report["faults"]
-    )
-    assert len(serial.cluster_report["faults"]["crashes"]) == 2
+    assert_parity(BASE)
 
 
 def test_parallel_replay_creates_no_shared_memory(monkeypatch):
     # Not merely "leaves none behind": none is ever asked for, in the
-    # parent or (forked after the patch) in a worker, rerouted windows
-    # included.
+    # parent or (forked after the patch) in a worker.
     def refuse(*args, **kwargs):
         raise AssertionError("parallel replay created a shm segment")
 
     monkeypatch.setattr(
         multiprocessing.shared_memory, "SharedMemory", refuse
     )
-    assert_parity(BASE.replace(faults=dict(FAULTS, policy="failover")))
+    assert_parity(BASE)
+
+
+# ---------------------------------------------------------------------------
+# Refusal: barrier hooks stay in-process
+# ---------------------------------------------------------------------------
+
+
+def cluster_state(cluster):
+    """What a refused replay must leave as it found it: every engine
+    (the object and its budget), every counter, every shard's used
+    bytes, and the injector's and rebalancer's state."""
+    injector = cluster.fault_injector
+    rebalancer = cluster.rebalancer
+    return json.dumps(
+        {
+            "engines": [
+                [
+                    [app, id(engine), engine.budget_bytes]
+                    for app, engine in server.engines.items()
+                ]
+                for server in cluster.servers
+            ],
+            "counters": [
+                sorted(counters_snapshot(server.stats).items(), key=repr)
+                for server in cluster.servers
+            ],
+            "used": [server.memory_in_use() for server in cluster.servers],
+            "injector": None if injector is None else [
+                injector.live,
+                injector.to_dict(),
+                injector.next_barrier(-1),
+            ],
+            "rebalancer": None if rebalancer is None else rebalancer.to_dict(),
+        },
+        sort_keys=True,
+        default=repr,
+    )
+
+
+def assert_refused(scenario, workers=2):
+    """``scenario`` with ``workers`` workers raises one line naming the
+    knob, and leaves its cluster untouched."""
+    cluster, compiled = prepare_cluster(
+        with_workers(scenario, workers), WORKLOAD
+    )
+    before = cluster_state(cluster)
+    with pytest.raises(ConfigurationError, match="parallel_workers") as caught:
+        cluster.replay_compiled(compiled)
+    assert "\n" not in str(caught.value)
+    assert cluster_state(cluster) == before
+    assert not multiprocessing.active_children()
+    return cluster
+
+
+BARRIER_BLOCKS = {
+    "rebalance": {"rebalance": REBALANCE},
+    "failover": {"faults": dict(FAULTS, policy="failover")},
+    "miss-through": {"faults": dict(FAULTS, policy="miss-through")},
+    "failover+rebalance": {
+        "faults": dict(FAULTS, policy="failover"), "rebalance": REBALANCE,
+    },
+    "miss-through+rebalance": {
+        "faults": dict(FAULTS, policy="miss-through"), "rebalance": REBALANCE,
+    },
+}
+
+
+@pytest.mark.parametrize("blocks", list(BARRIER_BLOCKS))
+def test_parallel_replay_refuses_barrier_hooks(blocks):
+    assert_refused(BASE.replace(**BARRIER_BLOCKS[blocks]))
+
+
+def test_refusal_precedes_an_offset_zero_crash():
+    # An offset-0 crash would drain shard 0's budgets the moment the
+    # injector is armed: the refusal comes first, so it never is.
+    cluster = assert_refused(
+        BASE.replace(
+            faults={"events": [{"kind": "crash", "shard": 0, "at": 0}]},
+        )
+    )
+    assert cluster.fault_injector.live == [True] * SHARDS
+    assert cluster.fault_injector.records == []
 
 
 @settings(max_examples=5, deadline=None)
 @given(
     workers=st.integers(min_value=2, max_value=5),
-    crash_at=st.integers(min_value=1, max_value=TOTAL - 2),
+    crash_at=st.integers(min_value=0, max_value=TOTAL - 2),
     policy=st.sampled_from(["failover", "miss-through"]),
     rebalance=st.booleans(),
 )
-def test_parallel_matches_serial_on_random_schedules(
+def test_parallel_refusal_changes_nothing_on_random_schedules(
     workers, crash_at, policy, rebalance
 ):
     extra = {"rebalance": dict(REBALANCE)} if rebalance else {}
@@ -276,12 +292,16 @@ def test_parallel_matches_serial_on_random_schedules(
         },
         **extra,
     )
-    serial = run_scenario(scenario, keep_server=True)
-    parallel = run_scenario(
-        with_workers(scenario, workers), keep_server=True
-    )
-    assert comparable(parallel) == comparable(serial)
-    assert shard_snapshots(parallel) == shard_snapshots(serial)
+    assert_refused(scenario, workers)
+
+
+def test_cli_refuses_a_rebalanced_parallel_replay_in_one_line(capsys):
+    spec = with_workers(BASE.replace(rebalance=dict(REBALANCE)), 2)
+    assert main(["run", json.dumps(spec.to_dict())]) == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if line]
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "parallel_workers" in lines[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,54 +376,71 @@ def test_parallel_replay_requires_unscaled_budgets():
     assert shm_entries() == []
 
 
+class BrokenFactory:
+    """An engine factory that fails wherever it is called."""
+
+    def __call__(self, shard, share):
+        raise ValueError(f"no engine for shard {shard}")
+
+
+class StalledFactory:
+    """Builds shard 0's engines only after a minute, the others at
+    once: a worker owning shard 0 is still starting when a test kills
+    it, and the others finish."""
+
+    def __init__(self, factory):
+        self.factory = factory
+
+    def __call__(self, shard, share):
+        if shard == 0:
+            time.sleep(60)
+        return self.factory(shard, share)
+
+
 def test_worker_failure_propagates_and_cleans_up():
-    workload = load_workload("zipf", scale=0.1, seed=SEED, **WORKLOAD_PARAMS)
-    compiled = workload.compiled
-    scenario = with_workers(BASE, 2)
-    cluster = build_cluster(scenario, workload)
-    plan = build_routing_plan(compiled, cluster.ring, cluster.replication)
-    pool = WorkerPool(cluster, compiled, plan)
-    try:
-        with pytest.raises(RuntimeError, match="worker 0"):
-            # Shard 99 does not exist on any worker: the owning-side
-            # KeyError must come back as a parent-side RuntimeError
-            # carrying the worker traceback.
-            pool._call(0, ("scale", 99, 1.0))
-    finally:
-        pool.shutdown()
+    cluster, compiled = make_direct_cluster(workers=2)
+    # Registered factories are what the workers build from; the
+    # parent's engines already exist, so only the workers fail.
+    cluster.engine_factories["zipf01"] = BrokenFactory()
+    with pytest.raises(RuntimeError, match="worker 0 failed") as caught:
+        cluster.replay_compiled(compiled)
+    # The worker's traceback comes back with the error.
+    assert "no engine for shard 0" in str(caught.value)
+    assert not multiprocessing.active_children()
     assert shm_entries() == []
 
 
 def pool_with_dead_worker():
-    """A 2-worker pool one window into a replay whose worker 0 was just
-    SIGKILLed, plus the plan to send it more windows of."""
+    """A 2-worker pool whose worker 0 was SIGKILLed while still building
+    its shards; worker 1 replays its shards and replies."""
     cluster, compiled = make_direct_cluster(workers=2)
+    for app, factory in list(cluster.engine_factories.items()):
+        cluster.engine_factories[app] = StalledFactory(factory)
     plan = build_routing_plan(compiled, cluster.ring, cluster.replication)
     pool = WorkerPool(cluster, compiled, plan)
     try:
-        pool.replay_window(0, 1_000, plan.shard_ids)
         os.kill(pool.processes[0].pid, signal.SIGKILL)
         pool.processes[0].join(timeout=5)
     except BaseException:
         pool.shutdown()
         raise
-    return pool, plan
+    return pool
 
 
 def test_dead_worker_surfaces_as_one_line_error():
-    pool, plan = pool_with_dead_worker()
+    pool = pool_with_dead_worker()
     try:
-        with pytest.raises(RuntimeError, match="worker 0 died"):
-            pool.replay_window(1_000, 2_000, plan.shard_ids)
+        with pytest.raises(RuntimeError, match="worker 0 died") as caught:
+            pool.results()
+        assert "\n" not in str(caught.value)
     finally:
         pool.shutdown()
 
 
 def test_shutdown_with_a_dead_worker_is_prompt_and_complete():
-    # The survivor must read the parent's close as EOF -- it does only
-    # if no process still holds a copy of the parent's end of its pipe
-    # -- and leave without a traceback.
-    pool, _ = pool_with_dead_worker()
+    # The survivor's one reply fits in its pipe: it exits on its own
+    # without a traceback, and teardown waits for no one.
+    pool = pool_with_dead_worker()
     started = time.monotonic()
     pool.shutdown()
     assert time.monotonic() - started < 5
@@ -608,9 +645,10 @@ def test_build_shard_servers_builds_cold_owned_shards():
 
 
 def test_scale_engine_budgets_parity_between_empty_and_full():
-    # The parent-mirror invariant: scaling an empty engine set and a
-    # full one moves budget_bytes identically (only eviction counts --
-    # returned, not stored -- may differ).
+    # Budget arithmetic does not depend on what the engines hold:
+    # scaling an empty engine set and a full one moves budget_bytes
+    # identically (only eviction counts -- returned, not stored -- may
+    # differ).
     cold, compiled = make_direct_cluster()
     warm, _ = make_direct_cluster()
     warm.replay_compiled(compiled)

@@ -203,12 +203,10 @@ def entry_points(scratch: str) -> List[Tuple[str, Step]]:
         ("--list", _command(*experiments, "--list")),
         ("run fig6 --out", _command(*experiments, "run", "fig6", "--scale", "0.012",
                                     "--seed", "0", "--out", os.path.join(scratch, "fig6"))),
-        ("parallel replay with faults and rebalance", _command(*experiments, "run", _scenario(
+        ("parallel replay", _command(*experiments, "run", _scenario(
             workload="flash-crowd", scale=0.1, seed=0,
             workload_params={"apps": 2, "num_keys": 4000, "requests_per_app": 8000},
             cluster={"shards": 4, "virtual_nodes": 4, "parallel_workers": 2},
-            rebalance={"epoch_requests": 400},
-            faults=crash_and_restart,
         ))),
         ("live chaos serve", _command(*experiments, "run", _scenario(
             workload="zipf", scale=0.05,

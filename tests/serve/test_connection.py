@@ -5,7 +5,9 @@ Shape pins (what a read costs), the overload rules counted in commands,
 and a property: however a pipeline is cut into reads and however the
 connections interleave, every connection gets exactly the bytes
 ``CacheService.execute`` produces for the same commands in arrival
-order, and the cluster's counters do not depend on the cuts.
+order, and the cluster's counters do not depend on the cuts. A second
+property feeds one connection grammar commands mixed with junk, cut
+anywhere, and counts one reply per line and a bounded parse buffer.
 
 Everything here drives :class:`~repro.serve.server.Connection` the way
 a transport does -- through :class:`MemoryClient`, or ``data_received``
@@ -23,7 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.slabs import SlabGeometry
 from repro.cluster import Cluster, ClusterConfig
-from repro.serve.protocol import BUSY, END, STORED, ProtocolParser
+from repro.serve.protocol import (
+    BUSY, END, MAX_LINE_BYTES, MAX_VALUE_BYTES, STORED, ProtocolParser,
+)
 from repro.serve.server import CacheServerProcess, Connection, MemoryClient
 from repro.serve.service import CacheService
 from tests.cluster.helpers import counters_snapshot
@@ -570,3 +574,136 @@ def test_a_full_queue_delays_replies_but_never_reorders_them(
     assert counters == expected_counters
     assert metrics.queue_depth_high_water <= queue_depth
     assert metrics.shed == 0
+
+
+# -- hostile streams ---------------------------------------------------------
+
+#: What may answer each kind of line, by the reply's first token.
+GET_REPLY = frozenset({b"VALUE", b"END"})
+ERROR_REPLY = frozenset({b"ERROR", b"CLIENT_ERROR", b"SERVER_ERROR"})
+COMMAND_WORDS = ("get", "gets", "set", "delete", "stats", "quit")
+FUZZ_KEYS = ["a", "app:b", "c" * 250]
+
+
+def is_command_line(line: bytes) -> bool:
+    """Whether the parser reads ``line``'s first word as a command."""
+    try:
+        parts = line.decode("ascii").split()
+    except UnicodeDecodeError:
+        return False
+    return bool(parts) and parts[0].lower() in COMMAND_WORDS
+
+
+@st.composite
+def fuzz_items(draw):
+    """One self-framing piece of a stream -- its bytes, and one set of
+    allowed reply tokens per reply it must get (none under
+    ``noreply``): a command from the grammar, or junk."""
+    kind = draw(st.sampled_from(["get", "set", "delete", "stats", "junk"]))
+    key = draw(st.sampled_from(FUZZ_KEYS)).encode()
+    noreply = draw(st.booleans())
+    suffix = b" noreply" if noreply else b""
+    if kind == "get":
+        more = draw(st.lists(st.sampled_from(FUZZ_KEYS), max_size=3))
+        op = draw(st.sampled_from([b"get", b"gets", b"GET"]))
+        line = b" ".join([op, key] + [k.encode() for k in more])
+        return line + b"\r\n", [GET_REPLY]
+    if kind == "set":
+        flags = draw(st.integers(0, (1 << 32) - 1))
+        size = draw(st.sampled_from([0, 5, 3000, MAX_LINE_BYTES + 100]))
+        data = draw(st.binary(min_size=size, max_size=size))
+        header = b"set %s %d 0 %d%s\r\n" % (key, flags, size, suffix)
+        return header + data + b"\r\n", [] if noreply else [
+            frozenset({b"STORED", b"SERVER_ERROR"})
+        ]
+    if kind == "delete":
+        return b"delete " + key + suffix + b"\r\n", [] if noreply else [
+            frozenset({b"DELETED", b"NOT_FOUND"})
+        ]
+    if kind == "stats":
+        return b"stats\r\n", [frozenset({b"STAT"})]
+    junk = draw(
+        st.one_of(
+            st.binary(max_size=30).filter(
+                lambda line: b"\n" not in line and not is_command_line(line)
+            ),
+            st.sampled_from(
+                [
+                    b"",
+                    b"get",
+                    b"set k 0 0",
+                    b"set k 0 x 1",
+                    b"delete",
+                    b"get " + b"k" * 300,
+                    b"set k 0 0 " + b"9" * 5000,
+                    b"set k 0 0 %d" % (MAX_VALUE_BYTES + 1),
+                    b"get " + b"k " * MAX_LINE_BYTES,
+                    b"set k 0 0 2\r\nxyz",
+                ]
+            ),
+        )
+    )
+    return junk + b"\r\n", [ERROR_REPLY]
+
+
+def split_replies(stream: bytes) -> List[bytes]:
+    """A connection's output cut into replies: a ``VALUE`` block run or
+    ``STAT`` lines up to their ``END``, every other reply one line."""
+    replies = []
+    at = 0
+    while at < len(stream):
+        start = at
+        while True:
+            stop = stream.index(b"\r\n", at) + 2
+            line, at = stream[at:stop], stop
+            if line.startswith(b"VALUE "):
+                at += int(line.split()[3]) + 2
+                assert stream[at - 2:at] == b"\r\n"
+            elif not line.startswith(b"STAT "):
+                break
+        reply = stream[start:at]
+        if reply.startswith((b"VALUE ", b"STAT ")):
+            assert reply.endswith(b"\r\nEND\r\n"), reply
+        replies.append(reply)
+    return replies
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fuzz_items(), min_size=1, max_size=20), st.data())
+def test_hostile_streams_get_one_reply_per_line(items, data):
+    """Grammar commands and junk, cut anywhere: ``data_received`` never
+    raises, each line gets exactly one reply of its kind (none under
+    ``noreply``), and between reads the parser buffers at most one
+    command line and one data block: no more than a line while no
+    ``set`` waits for its block, no more than the block while one
+    does."""
+    stream = b"".join(chunk for chunk, _ in items)
+    expected = [allowed for _, allowed_list in items for allowed in allowed_list]
+    cuts = sorted(
+        data.draw(st.lists(st.integers(0, len(stream)), max_size=12))
+    )
+    bound = MAX_LINE_BYTES + MAX_VALUE_BYTES + 2
+
+    async def scenario():
+        server = make_server()
+        await server.start()
+        connection, transport = connect(server)
+        parser = connection.parser
+        for low, high in zip([0] + cuts, cuts + [len(stream)]):
+            connection.data_received(stream[low:high])
+            buffered = len(parser._buffer)
+            assert buffered <= bound
+            pending = parser._pending
+            assert buffered <= (
+                MAX_LINE_BYTES if pending is None else pending[3] + 1
+            )
+            await asyncio.sleep(0)
+        await settle()
+        assert not transport.closed
+        await server.close()
+        return b"".join(transport.writes)
+
+    replies = split_replies(asyncio.run(scenario()))
+    assert len(replies) == len(expected)
+    for reply, allowed in zip(replies, expected):
+        assert reply.split(None, 1)[0] in allowed, (reply[:80], allowed)
