@@ -10,7 +10,15 @@ not move with their versions. Each ``process_run`` is one of the calls.
 The slice is fixed: memcachier apps 5 and 19 (scale 0.012, seed 0),
 warmed with the first ``WARMUP`` requests, then ``MEASURED`` rows
 counted. Print a scheme's table with ``PYTHONPATH=src python -m
-tests.perf_counts SCHEME [POLICY]``. :data:`TABLES_PATH` holds the
+tests.perf_counts SCHEME [POLICY]``.
+
+That slice rarely moves memory, so two rows, ``credit/1024`` and
+``credit/131072``, count the credit path on a slice that does:
+:func:`count_credit_calls` replays ``sensitivity``'s workload (memcachier
+app 19, scale 0.25, seed 0) under ``cliffhanger`` with a 1 MB hill
+shadow and 1 KB or 128 KB credits, warms it with the first
+``CREDIT_WARMUP`` requests and counts the next ``CREDIT_MEASURED``
+(``python -m tests.perf_counts credit 131072`` prints one). :data:`TABLES_PATH` holds the
 tables recorded with the call budgets; ``python -m tests.perf_counts
 --record`` re-counts every row it holds and rewrites it, and
 :func:`diff` names the functions a new count moved against it.
@@ -65,6 +73,13 @@ from tests.profile_hook import SRC, src_hook
 
 WARMUP = 20_000
 MEASURED = 2_000
+
+#: The credit rows' slice: ``sensitivity``'s app, scale and shadow size.
+CREDIT_APP = 19
+CREDIT_SCALE = 0.25
+CREDIT_SHADOW_BYTES = float(1 << 20)
+CREDIT_WARMUP = 100_000
+CREDIT_MEASURED = 20_000
 
 #: Where engine code lives: :func:`count_cluster_calls` skips these
 #: frames and every call made under them.
@@ -195,15 +210,43 @@ def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
         scale=0.012,
         seed=0,
     )
+    return _count_engine_calls(scenario, WARMUP, MEASURED)
+
+
+def count_credit_calls(credit_bytes: int) -> Dict[str, int]:
+    """:func:`count_calls` for ``cliffhanger`` on the credit slice: the
+    ``CREDIT_MEASURED`` rows after ``CREDIT_WARMUP`` of ``sensitivity``'s
+    workload, at ``credit_bytes`` per shadow hit."""
+    scenario = Scenario(
+        workload="memcachier",
+        workload_params={"apps": [CREDIT_APP]},
+        scheme="cliffhanger",
+        engine_overrides={
+            "credit_bytes": float(credit_bytes),
+            "hill_shadow_bytes": CREDIT_SHADOW_BYTES,
+        },
+        scale=CREDIT_SCALE,
+        seed=0,
+    )
+    return _count_engine_calls(scenario, CREDIT_WARMUP, CREDIT_MEASURED)
+
+
+def _count_engine_calls(
+    scenario: Scenario, warmup: int, measured: int
+) -> Dict[str, int]:
+    """Replay ``scenario``'s first ``warmup`` requests, then count the
+    calls under ``src/repro`` the next ``measured`` make through the
+    engines, one ``process_run`` per app as the replay kernel calls
+    them."""
     trace = load_workload(
         scenario.workload, scenario.scale, scenario.seed,
         **scenario.workload_params,
     )
     server = build_server(scenario, trace)
-    server.replay_compiled(trace.compiled.slice(0, WARMUP))
-    window = trace.compiled.slice(WARMUP, WARMUP + MEASURED)
+    server.replay_compiled(trace.compiled.slice(0, warmup))
+    window = trace.compiled.slice(warmup, warmup + measured)
     rows = list(zip(*(column.tolist() for column in window.replay_columns())))
-    assert len(rows) == MEASURED
+    assert len(rows) == measured
     # One run per app, its rows in trace order: the kernel's call shape.
     runs: Dict[int, List[tuple]] = {}
     for app_id, row in zip(window.app_ids.tolist(), rows):
@@ -273,9 +316,10 @@ def count_cluster_calls() -> Dict[str, int]:
 
 
 def is_engine_row(row: Tuple[str, str]) -> bool:
-    """Whether a ``BUDGET`` row counts one engine scheme's own calls
-    (every row but the cluster replay's and the two serve rows)."""
-    return row != CLUSTER_ROW and row[0] != "serve"
+    """Whether a ``BUDGET`` row counts one engine scheme's own calls on
+    the fixed slice (every row but the cluster replay's and the serve
+    and credit rows)."""
+    return row != CLUSTER_ROW and row[0] not in ("serve", "credit")
 
 
 def count_row(row: Tuple[str, str]) -> Dict[str, int]:
@@ -284,6 +328,8 @@ def count_row(row: Tuple[str, str]) -> Dict[str, int]:
         return count_cluster_calls()
     if row[0] == "serve":
         return count_serve_calls(int(row[1]))
+    if row[0] == "credit":
+        return count_credit_calls(int(row[1]))
     return count_calls(*row)
 
 
@@ -292,6 +338,8 @@ def requests_of(row: Tuple[str, str]) -> int:
     calls served."""
     if row == CLUSTER_ROW:
         return CLUSTER_REQUESTS
+    if row[0] == "credit":
+        return CREDIT_MEASURED
     return SERVE_MEASURED if row[0] == "serve" else MEASURED
 
 

@@ -13,7 +13,10 @@ calls an in-process dynamic cluster replay makes around its engines
 (kernel, window driver, barrier hooks, rerouting, flush, stats), per
 request of its trace. Two more count a served command, wire bytes to
 reply: ``ProtocolParser`` plus one ``CacheService.execute`` per batch of
-4 or of 32 commands of the ``serve_write`` mix, engines included.
+4 or of 32 commands of the ``serve_write`` mix, engines included. Two
+more count ``cliffhanger`` where memory moves: ``sensitivity``'s
+workload at 1 KB and at 128 KB credits, where start-up growth, credit
+transfers and repartitions run on most requests.
 
 Each row's per-function table is checked in beside this file
 (``call_tables.json``), and a row over its budget prints its diff
@@ -35,6 +38,7 @@ import pytest
 
 from tests.perf_counts import (
     CLUSTER_REQUESTS,
+    CREDIT_MEASURED,
     CLUSTER_ROW,
     SERVE_MEASURED,
     count_gathers,
@@ -98,6 +102,8 @@ BUDGET = {
     CLUSTER_ROW: 3_838 / CLUSTER_REQUESTS,
     ("serve", "4"): 10_790 / SERVE_MEASURED,
     ("serve", "32"): 6_720 / SERVE_MEASURED,
+    ("credit", "1024"): 70_596 / CREDIT_MEASURED,
+    ("credit", "131072"): 172_436 / CREDIT_MEASURED,
 }
 
 
