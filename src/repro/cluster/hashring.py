@@ -21,7 +21,7 @@ from bisect import bisect_right
 from typing import List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.hashing import stable_hash_u64
+from repro.common.hashing import premix_salt, premixed_hash_u64
 
 
 class HashRing:
@@ -48,11 +48,13 @@ class HashRing:
         self.shards = shards
         self.seed = seed
         self.virtual_nodes = virtual_nodes
+        #: ``seed`` through its splitmix round, once per ring.
+        self._seed_mix = seed_mix = premix_salt(seed)
         points = []
         for shard in range(shards):
             for vnode in range(virtual_nodes):
-                token = stable_hash_u64(
-                    f"shard{shard:06d}:vnode{vnode:06d}", salt=seed
+                token = premixed_hash_u64(
+                    f"shard{shard:06d}:vnode{vnode:06d}", seed_mix
                 )
                 points.append((token, shard))
         points.sort()
@@ -69,7 +71,7 @@ class HashRing:
         callers that route many keys can hash each key once and reuse
         the precomputed tables across live sets.
         """
-        token = stable_hash_u64(key, salt=self.seed)
+        token = premixed_hash_u64(key, self._seed_mix)
         return bisect_right(self._tokens, token) % len(self._tokens)
 
     def _distinct_owners_from(self, start: int, count: int) -> List[int]:

@@ -48,7 +48,7 @@ from repro.common.constants import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.spec import Spec, spec_field
-from repro.core.hill_climbing import HillClimber
+from repro.core.hill_climbing import CallbackTarget, HillClimber
 
 #: Signal policies :class:`RebalanceConfig` accepts.
 POLICIES = ("shadow", "load")
@@ -117,9 +117,9 @@ class Rebalancer:
         for shard in range(cluster.shards):
             self.climber.register(
                 shard,
-                get_capacity=lambda s=shard: self.shard_budget(s),
-                set_capacity=lambda cap, s=shard: self._set_shard_budget(
-                    s, cap
+                CallbackTarget(
+                    lambda s=shard: self.shard_budget(s),
+                    lambda cap, s=shard: self._set_shard_budget(s, cap),
                 ),
             )
         self.epochs = 0

@@ -41,7 +41,7 @@ from typing import (
 import numpy as np
 
 from repro.common.errors import ConfigurationError, TraceFormatError
-from repro.common.hashing import _splitmix64
+from repro.common.hashing import premix_salt
 
 if TYPE_CHECKING:  # circular at runtime: compiled.py routes through us
     from repro.cluster.hashring import HashRing
@@ -96,7 +96,7 @@ def hash_keys_u64(keys: Sequence[str], salt: int = 0) -> np.ndarray:
         seeds[live] = (
             seeds[live] ^ flat[offsets[live] + position]
         ) * _FNV_PRIME
-    salt_mix = np.uint64(_splitmix64(salt & ((1 << 64) - 1)))
+    salt_mix = np.uint64(premix_salt(salt))
     return _splitmix64_array(seeds ^ salt_mix)
 
 

@@ -45,11 +45,28 @@ The request path makes as few Python calls as it can. The engine's
 call of its own; a GET looks for its key once, with inline membership
 tests; a GET-miss :meth:`CliffhangerQueue.fill` stores without
 searching again and cascades inline; a push or resize cascades only
-when a limit is exceeded or shrank. On the slice
-``tests/sim/test_call_budget.py`` gates, the ``cliffhanger`` engine
-makes 1.5 calls per request (3.0 with a ``process_fast`` call per
-request, 5.4 before this layout was made lean), against 1.0 for the
-stock ``default`` engine.
+when a limit is exceeded or shrank. A split queue routes a key through
+:func:`~repro.common.hashing.routing_hash`, whose memo hashes a hot
+key once (and a miss's ``fill`` not again after its ``access``). On
+the slice ``tests/sim/test_call_budget.py`` gates, the ``cliffhanger``
+engine makes 1.26 calls per request (1.49 before the credit path below
+was made lean, 3.0 with a ``process_fast`` call per request, 5.4 before
+this layout was made lean), against 1.0 for the stock ``default``
+engine.
+
+The credit path costs what it moves. :meth:`CliffhangerQueue.set_capacity`
+runs the size gate, the pointer clamps and the ratio inline and, while
+the queue stays unsplit with nothing pending, resizes only the right
+partition; a pointer event that leaves the queue unsplit marks no
+repartition, since an unsplit queue's targets are ``(0, size)`` wherever
+its pointers sit. :meth:`CliffhangerQueue.grow` is the engine's start-up
+growth test and resize in one call. On ``sensitivity``'s workload (the
+``credit/1024`` and ``credit/131072`` budget rows), where memory moves on
+most requests, the engine makes 1.77 calls per request at 1 KB credits
+and 2.94 at 128 KB -- 3.53 and 8.62 while every resize and pointer event
+fanned out to both partitions through ``_partition_targets``,
+``_effective_ratio`` and ``_cliff_gate``. ``tests/core/test_credit_path.py``
+holds this path to that fan-out step by step.
 """
 
 from __future__ import annotations
@@ -66,7 +83,7 @@ from repro.common.constants import (
     HILL_CLIMB_SHADOW_BYTES,
 )
 from repro.common.errors import CacheError, ConfigurationError
-from repro.common.hashing import unit_interval_hash
+from repro.common.hashing import premix_salt, routing_hash
 
 # Segment indices within a partition.
 SEG_MAIN = 0
@@ -121,8 +138,13 @@ class CliffConfig:
     split_regression_margin: float = 0.01
     split_backoff_requests: int = 30000
 
-    #: ``probe_items`` chunks in bytes: derived, set once here.
+    #: Derived, set once here: ``probe_items`` chunks in bytes, the
+    #: size gate and the split threshold in bytes, and ``salt`` through
+    #: its splitmix round.
     probe_bytes: float = field(init=False, repr=False, compare=False)
+    cliff_gate_bytes: int = field(init=False, repr=False, compare=False)
+    split_threshold_bytes: float = field(init=False, repr=False, compare=False)
+    salt_mix: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
@@ -134,6 +156,17 @@ class CliffConfig:
         object.__setattr__(
             self, "probe_bytes", float(self.probe_items * self.chunk_size)
         )
+        object.__setattr__(
+            self,
+            "cliff_gate_bytes",
+            self.min_queue_items_for_cliff * self.chunk_size,
+        )
+        object.__setattr__(
+            self,
+            "split_threshold_bytes",
+            self.split_threshold_probes * self.probe_bytes,
+        )
+        object.__setattr__(self, "salt_mix", premix_salt(self.salt))
 
 
 def chunk_limit(capacity: float, chunk: int) -> int:
@@ -224,7 +257,8 @@ class _Partition:
         """Resize the physical region, keeping the tail probe at its
         configured width (shrinking it only when the whole partition is
         smaller than one probe). Returns how many items that evicts."""
-        tail_bytes = min(self.probe_bytes, physical_bytes)
+        probe = self.probe_bytes
+        tail_bytes = physical_bytes if physical_bytes < probe else probe
         main_bytes = physical_bytes - tail_bytes
         self.capacity[SEG_MAIN] = main_bytes
         self.capacity[SEG_TAIL] = tail_bytes
@@ -276,6 +310,9 @@ class CliffhangerQueue:
     under the 1000-item threshold) the pointers stay pinned at the
     operating point, giving the even split that is behaviorally identical
     to a single queue. Capacities are bytes; every item weighs one chunk.
+
+    :attr:`capacity_bytes` is a plain attribute (the climber reads it per
+    donor); only :meth:`set_capacity` writes it.
     """
 
     def __init__(
@@ -290,11 +327,15 @@ class CliffhangerQueue:
         self.name = name
         self.config = config
         self.enable_cliff_scaling = enable_cliff_scaling
-        self._size = float(capacity_bytes)
-        self.cliff_active = self._cliff_gate()
+        self.capacity_bytes = size = float(capacity_bytes)
+        #: Whether cliff scaling runs at the current size; only
+        #: :meth:`set_capacity` refreshes it.
+        self.cliff_active = (
+            enable_cliff_scaling and size >= config.cliff_gate_bytes
+        )
         # Algorithm 2, INIT: ratio = 1/2, both pointers at queue.size.
-        self.left_pointer = self._size
-        self.right_pointer = self._size
+        self.left_pointer = size
+        self.right_pointer = size
         self.ratio = 0.5
         self.left = _Partition(config)
         self.right = _Partition(config)
@@ -326,23 +367,9 @@ class CliffhangerQueue:
     # ------------------------------------------------------------------
 
     @property
-    def capacity_bytes(self) -> float:
-        return self._size
-
-    @property
     def used_bytes(self) -> float:
         held = self.left.physical_len() + self.right.physical_len()
         return float(held * self.config.chunk_size)
-
-    def _cliff_gate(self) -> bool:
-        """Whether cliff scaling runs at the current size: the value of
-        :attr:`cliff_active`, which only ``__init__`` and
-        :meth:`set_capacity` (the two writers of ``_size``) refresh."""
-        return (
-            self.enable_cliff_scaling
-            and self._size
-            >= self.config.min_queue_items_for_cliff * self.config.chunk_size
-        )
 
     # ------------------------------------------------------------------
     # Request path
@@ -365,7 +392,7 @@ class CliffhangerQueue:
         # is why the paper only runs cliff scaling on large queues
         # (section 5.1). See _pointer_event for the split trigger.
         split = self._split
-        if split and unit_interval_hash(key, self.config.salt) < self.ratio:
+        if split and routing_hash(key, self.config.salt_mix) < self.ratio:
             routed = self.left
         else:
             routed = self.right
@@ -374,9 +401,8 @@ class CliffhangerQueue:
             # Promoted in place: no segment's length changes, so there is
             # nothing to push down.
             main.move_to_end(key)
-            self._hit_ema_value += self._hit_ema_alpha * (
-                1.0 - self._hit_ema_value
-            )
+            ema = self._hit_ema_value
+            self._hit_ema_value = ema + self._hit_ema_alpha * (1.0 - ema)
             if split and self._requests_seen >= self._split_eval_due:
                 self._evaluate_split()
             return ACCESS_HIT
@@ -425,9 +451,8 @@ class CliffhangerQueue:
             result = (
                 ACCESS_HILL_FIND if segment == SEG_HILL else ACCESS_CLIFF_FIND
             )
-        self._hit_ema_value += self._hit_ema_alpha * (
-            hit - self._hit_ema_value
-        )
+        ema = self._hit_ema_value
+        self._hit_ema_value = ema + self._hit_ema_alpha * (hit - ema)
         if self._split and self._requests_seen >= self._split_eval_due:
             self._evaluate_split()
         return result
@@ -449,7 +474,7 @@ class CliffhangerQueue:
         most one key crosses each boundary.
         """
         if self.cliff_active:
-            size = self._size
+            size = self.capacity_bytes
             if self.right_pointer == size and self.left_pointer == size:
                 self._stale_misses = 0
             elif self._stale_misses + 1 < self.config.stale_miss_limit:
@@ -459,10 +484,7 @@ class CliffhangerQueue:
         if self._pending_resize:
             self._apply_partition_targets()
         routed = self.right  # routed as in access()
-        if (
-            self._split
-            and unit_interval_hash(key, self.config.salt) < self.ratio
-        ):
+        if self._split and routing_hash(key, self.config.salt_mix) < self.ratio:
             routed = self.left
         main = routed.main
         main[key] = None
@@ -489,10 +511,7 @@ class CliffhangerQueue:
         if self._pending_resize:
             self._apply_partition_targets()
         routed, other = self.right, self.left
-        if (
-            self._split
-            and unit_interval_hash(key, self.config.salt) < self.ratio
-        ):
+        if self._split and routing_hash(key, self.config.salt_mix) < self.ratio:
             routed, other = other, routed
         if routed.discard(key) is None:
             other.discard(key)
@@ -516,7 +535,7 @@ class CliffhangerQueue:
         if not self.cliff_active:
             return
         credit = self.config.credit_bytes
-        size = self._size
+        size = self.capacity_bytes
         if partition is self.right:
             if segment == SEG_CLIFF:
                 # Hit right of the right pointer: the cliff continues.
@@ -547,8 +566,16 @@ class CliffhangerQueue:
                 return
         self.pointer_updates += 1
         self._stale_misses = 0
-        self._update_split_state()
-        self._recompute_ratio()
+        # An unsplit queue's targets are (0, size) wherever its pointers
+        # sit: a move that leaves it unsplit changes no ratio or target.
+        # It splits once the right pointer has cleared the threshold and
+        # the back-off ran out (_update_split_state's test, inline).
+        if self._split or (
+            self.right_pointer - size >= self.config.split_threshold_bytes
+            and self._requests_seen >= self._split_backoff_until
+        ):
+            self._update_split_state()
+            self._recompute_ratio()
 
     def _evaluate_split(self) -> None:
         """The due split evaluation: revert a split whose hit-rate EMA
@@ -570,8 +597,8 @@ class CliffhangerQueue:
         """Undo a split judged harmful and back off exponentially."""
         self._split = False
         self.merges += 1
-        self.left_pointer = self._size
-        self.right_pointer = self._size
+        self.left_pointer = self.capacity_bytes
+        self.right_pointer = self.capacity_bytes
         self._split_baseline = None
         self._split_backoff_until = self._requests_seen + self._split_backoff
         self._split_backoff = min(
@@ -585,7 +612,7 @@ class CliffhangerQueue:
         :attr:`CliffConfig.stale_miss_limit`); called once per miss."""
         if not self.cliff_active:
             return
-        size = self._size
+        size = self.capacity_bytes
         if self.right_pointer == size and self.left_pointer == size:
             self._stale_misses = 0
             return
@@ -595,6 +622,7 @@ class CliffhangerQueue:
         self._stale_misses = 0
         self.right_pointer = size
         self.left_pointer = size
+        # Unsplit, the reset moves no target (see _pointer_event).
         if self._split:
             self._split = False
             self.merges += 1
@@ -602,8 +630,8 @@ class CliffhangerQueue:
             self._split_backoff_until = (
                 self._requests_seen + self.config.split_backoff_requests
             )
-        self.ratio = self._effective_ratio()
-        self._pending_resize = True
+            self.ratio = self._effective_ratio()
+            self._pending_resize = True
 
     def _update_split_state(self) -> None:
         """Lazy splitting with hysteresis.
@@ -621,18 +649,15 @@ class CliffhangerQueue:
         formulation; the engaged-state behaviour is Algorithms 2+3
         verbatim.
         """
-        distance_right = self.right_pointer - self._size
+        distance_right = self.right_pointer - self.capacity_bytes
         if not self._split:
-            threshold = (
-                self.config.split_threshold_probes * self.config.probe_bytes
-            )
             if (
-                distance_right >= threshold
+                distance_right >= self.config.split_threshold_bytes
                 and self._requests_seen >= self._split_backoff_until
             ):
                 self._split = True
                 self.splits += 1
-                self.left_pointer = self._size
+                self.left_pointer = self.capacity_bytes
                 self._split_baseline = self._hit_ema_value
                 self._split_eval_due = (
                     self._requests_seen + self.config.split_eval_requests
@@ -640,7 +665,7 @@ class CliffhangerQueue:
         elif distance_right < self.config.probe_bytes:
             self._split = False
             self.merges += 1
-            self.left_pointer = self._size
+            self.left_pointer = self.capacity_bytes
             # Any merge imposes the (non-doubling) backoff: a pointer
             # that collapsed back was diffusion noise, and re-splitting
             # immediately would churn capacity on concave workloads.
@@ -655,7 +680,7 @@ class CliffhangerQueue:
         if not (self.cliff_active and self._split):
             return 0.5
         return compute_ratio(
-            self._size, self.left_pointer, self.right_pointer
+            self.capacity_bytes, self.left_pointer, self.right_pointer
         )
 
     def _recompute_ratio(self) -> None:
@@ -665,8 +690,9 @@ class CliffhangerQueue:
         else:
             self._apply_partition_targets()
 
-    def _partition_targets(self) -> Tuple[float, float]:
-        """Algorithm 3, UPDATEPHYSICALQUEUES, normalized to the budget.
+    def _apply_partition_targets(self) -> int:
+        """Algorithm 3, UPDATEPHYSICALQUEUES, normalized to the budget:
+        resize both partitions to their targets; returns evictions.
 
         ``left = leftPointer * ratio`` and ``right = rightPointer *
         (1 - ratio)`` sum exactly to the operating point whenever both
@@ -674,30 +700,32 @@ class CliffhangerQueue:
         has moved the raw sum can exceed the budget, so we rescale
         proportionally -- a budget-safety correction to the paper's
         pseudocode. While the queue is unsplit everything belongs to the
-        right partition.
+        right partition. The hill shadow is shared in proportion to the
+        targets.
         """
-        if not (self.cliff_active and self._split):
-            return (0.0, self._size)
-        left_raw = self.left_pointer * self.ratio
-        right_raw = self.right_pointer * (1.0 - self.ratio)
-        total = left_raw + right_raw
-        if total <= 0:
-            return (self._size / 2.0, self._size / 2.0)
-        scale = self._size / total
-        return (left_raw * scale, right_raw * scale)
-
-    def _apply_partition_targets(self) -> int:
-        """Resize both partitions to their targets; returns evictions."""
-        left_target, right_target = self._partition_targets()
-        evicted = self.left.set_physical(left_target)
-        evicted += self.right.set_physical(right_target)
-        hill = self.config.hill_shadow_bytes
-        if self._size > 0:
-            self.left.set_hill(hill * left_target / self._size)
-            self.right.set_hill(hill * right_target / self._size)
+        size = self.capacity_bytes
+        if self._split:  # only ever True while cliff_active
+            left_raw = self.left_pointer * self.ratio
+            right_raw = self.right_pointer * (1.0 - self.ratio)
+            total = left_raw + right_raw
+            if total <= 0:
+                left_target = right_target = size / 2.0
+            else:
+                scale = size / total
+                left_target = left_raw * scale
+                right_target = right_raw * scale
         else:
-            self.left.set_hill(hill / 2.0)
-            self.right.set_hill(hill / 2.0)
+            left_target, right_target = 0.0, size
+        left, right = self.left, self.right
+        evicted = left.set_physical(left_target)
+        evicted += right.set_physical(right_target)
+        hill = self.config.hill_shadow_bytes
+        if size > 0:
+            left.set_hill(hill * left_target / size)
+            right.set_hill(hill * right_target / size)
+        else:
+            left.set_hill(hill / 2.0)
+            right.set_hill(hill / 2.0)
         self._pending_resize = False
         self.repartitions += 1
         return evicted
@@ -706,24 +734,75 @@ class CliffhangerQueue:
     # Hill-climbing integration
     # ------------------------------------------------------------------
 
+    def grow(self, nbytes: float) -> bool:
+        """Start-up growth: add ``nbytes`` of capacity when the physical
+        region has less than ``nbytes`` free; return whether it grew. The
+        held bytes are :attr:`used_bytes`, added up inline."""
+        left, right = self.left, self.right
+        held = len(left.main) + len(left.tail) + len(right.main) + len(right.tail)
+        if held * self.config.chunk_size + nbytes <= self.capacity_bytes:
+            return False
+        self.set_capacity(self.capacity_bytes + nbytes)
+        return True
+
     def set_capacity(self, capacity_bytes: float) -> int:
         """Resize the whole logical queue (Algorithm 1 moves memory here).
 
         Pointers are clamped to keep ``left <= size <= right`` and the
         partitions are resized immediately so byte accounting stays exact.
         Returns the items evicted from physical memory.
+
+        The size gate, the clamps and the ratio are written inline. A
+        queue unsplit before and after, with no repartition pending,
+        resizes only its right partition: the left one holds no physical
+        bytes, and its hill share moves only when the size reaches or
+        leaves zero.
         """
         if capacity_bytes < 0:
             raise ConfigurationError("capacity must be >= 0")
-        self._size = float(capacity_bytes)
-        self.cliff_active = self._cliff_gate()
-        if not self.cliff_active:
-            self.left_pointer = self._size
-            self.right_pointer = self._size
-            self._split = False
+        old_size = self.capacity_bytes
+        was_split = self._split
+        size = self.capacity_bytes = float(capacity_bytes)
+        config = self.config
+        if self.enable_cliff_scaling and size >= config.cliff_gate_bytes:
+            self.cliff_active = True
+            if self.left_pointer > size:
+                self.left_pointer = size
+            if self.right_pointer < size:
+                self.right_pointer = size
+            # Unsplit, _update_split_state acts only once the right
+            # pointer has cleared the threshold and the back-off ran out.
+            if self._split or (
+                self.right_pointer - size >= config.split_threshold_bytes
+                and self._requests_seen >= self._split_backoff_until
+            ):
+                self._update_split_state()
         else:
-            self.left_pointer = min(self.left_pointer, self._size)
-            self.right_pointer = max(self.right_pointer, self._size)
-            self._update_split_state()
-        self.ratio = self._effective_ratio()
-        return self._apply_partition_targets()
+            self.cliff_active = False
+            self.left_pointer = self.right_pointer = size
+            self._split = False
+        if (
+            self._split
+            or was_split
+            or self._pending_resize
+            or (old_size > 0) != (size > 0)
+        ):
+            self.ratio = (
+                compute_ratio(size, self.left_pointer, self.right_pointer)
+                if self._split
+                else 0.5
+            )
+            return self._apply_partition_targets()
+        # Unsplit throughout: the ratio is already 1/2, and only the
+        # right partition's target moved: (size, hill * size / size), or
+        # (0, hill / 2) at zero. Its hill share was set from the old size
+        # the same way, so an unchanged share is not set again.
+        right = self.right
+        evicted = right.set_physical(size)
+        if size > 0:
+            hill = config.hill_shadow_bytes
+            share = hill * size / size
+            if share != hill * old_size / old_size:
+                right.set_hill(share)
+        self.repartitions += 1
+        return evicted

@@ -35,7 +35,7 @@ from repro.cache.policies.lru import LRUPolicy
 from repro.cache.server import CacheServer
 from repro.cache.stats import OP_GET, OUTCOME_HIT, StatsRegistry
 from repro.core.cliff_scaling import ACCESS_HILL_FIND, ACCESS_HIT
-from repro.core.hill_climbing import HillClimber
+from repro.core.hill_climbing import CallbackTarget, HillClimber
 from repro.core.managed import ShadowedQueue
 
 
@@ -73,8 +73,10 @@ class CrossAppHillClimber:
             )
             self.climber.register(
                 app,
-                get_capacity=lambda e=engine: e.budget_bytes,
-                set_capacity=lambda cap, a=app: self._apply_budget(a, cap),
+                CallbackTarget(
+                    lambda e=engine: e.budget_bytes,
+                    lambda cap, a=app: self._apply_budget(a, cap),
+                ),
             )
 
     # ------------------------------------------------------------------

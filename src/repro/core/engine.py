@@ -15,8 +15,9 @@ HillClimber` wiring -- and the two engines are its two queue factories:
   hill shadows feed the climber while cliff scaling runs inside it. The
   two algorithms toggle independently for the Table 4 ablation.
 
-The skeleton knows its queues only through the seven-name protocol
-both answer, spelled out in :mod:`repro.core.managed`.
+The skeleton knows its queues only through the eight-name protocol
+both answer, spelled out in :mod:`repro.core.managed`. Each queue is
+its own resize target in the climber.
 
 The engines bootstrap like stock Memcached -- classes grab chunks from
 the free reservation on demand -- so the adaptive algorithms start from
@@ -107,11 +108,7 @@ class ClimbingEngine(Engine):
         """First request of a slab class: build its queue and enter it
         into the climber's optimization set."""
         queue = self.queues[class_index] = self._make_queue(class_index)
-        self.climber.register(
-            class_index,
-            get_capacity=lambda: queue.capacity_bytes,
-            set_capacity=queue.set_capacity,
-        )
+        self.climber.register(class_index, queue)
         return queue
 
     def capacities(self) -> Dict[int, float]:
@@ -135,7 +132,8 @@ class ClimbingEngine(Engine):
         capacity in two, so a single spare chunk may not fit one item in
         either half. The pool test comes first: once start-up growth
         has spent it, a store never has to add up the queue's segments.
-        The pool is read per row: growth spends it mid-run.
+        The pool is read per row: growth spends it mid-run. The queue's
+        ``grow`` makes the room test and the resize in one call.
         """
         queues = self.queues
         on_shadow_hit = (
@@ -173,11 +171,7 @@ class ClimbingEngine(Engine):
                 append((code << 2) | op)
                 continue
             growth = 2 * chunk
-            if (
-                self._free_pool >= growth
-                and queue.used_bytes + growth > queue.capacity_bytes
-            ):
-                queue.set_capacity(queue.capacity_bytes + growth)
+            if self._free_pool >= growth and queue.grow(growth):
                 self._free_pool -= growth
             # Storing must clear any shadow entry for the key (real
             # implementations look the key up in the shadow hash).

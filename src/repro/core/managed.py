@@ -13,7 +13,7 @@ memory overhead is only the keys.
 The queue protocol. :class:`ShadowedQueue` and the partitioned
 :class:`~repro.core.cliff_scaling.CliffhangerQueue` are the two per-class
 queues :class:`~repro.core.engine.ClimbingEngine` can run, and it drives
-both through the same seven names:
+both through the same eight names:
 
 * ``access(key)`` -- GET; returns an ``ACCESS_*`` int. Only
   ``ACCESS_HIT`` was served from physical memory; ``ACCESS_HILL_FIND``
@@ -27,9 +27,13 @@ both through the same seven names:
   then store it as ``fill`` does; returns the same count.
 * ``set_capacity(capacity_bytes)`` -- resize the physical region; returns
   how many entries that pushed out of physical memory.
+* ``grow(nbytes)`` -- start-up growth: ``set_capacity(capacity_bytes +
+  nbytes)`` when fewer than ``nbytes`` of the physical region are free;
+  returns whether it grew.
 * ``remove(key)`` -- DELETE; purges the key everywhere and returns
   whether it was in physical memory. A shadow never claims residency.
-* ``capacity_bytes`` / ``used_bytes`` -- physical bytes reserved / held.
+* ``capacity_bytes`` / ``used_bytes`` -- physical bytes reserved / held
+  (``capacity_bytes`` is what the hill climber reads per donor).
 
 The shadow is an :class:`~repro.cache.policies.lru.LRUPolicy` over the
 evicted keys, and what it evicts is forgotten. With ``fill`` the
@@ -116,6 +120,15 @@ class ShadowedQueue:
         a shadow-only key is purged but reported absent."""
         self.shadow.remove(key)
         return self.policy.remove(key)
+
+    def grow(self, nbytes: float) -> bool:
+        """Start-up growth: add ``nbytes`` of capacity when fewer than
+        ``nbytes`` are free; return whether it grew."""
+        policy = self.policy
+        if policy.used + nbytes <= policy.capacity:
+            return False
+        self.set_capacity(policy.capacity + nbytes)
+        return True
 
     def set_capacity(self, capacity_bytes: float) -> int:
         """Resize the physical queue; shrink evictions enter the shadow.

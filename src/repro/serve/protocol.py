@@ -16,6 +16,14 @@ its data block consumed and is answered ``CLIENT_ERROR expiry is not
 supported`` (nothing under ``noreply``) instead of being stored
 forever.
 
+A ``set`` whose ``<bytes>`` is past :data:`MAX_VALUE_BYTES` is answered
+``SERVER_ERROR object too large for cache`` (nothing under ``noreply``)
+and, as memcached's ``conn_swallow`` does, the ``<bytes>`` + 2 bytes of
+its data block are dropped as they arrive -- never parsed as commands --
+as long as ``<bytes>`` fits memcached's own bound
+(:data:`MAX_SWALLOW_BYTES`). A larger or negative ``<bytes>`` gets the
+same answer and swallows nothing.
+
 Responses follow memcached: ``VALUE <key> <flags> <bytes>`` + data +
 ``END`` for gets, ``STORED`` / ``DELETED`` / ``NOT_FOUND``,
 ``STAT <name> <value>`` + ``END`` for stats, and the three error
@@ -49,9 +57,12 @@ MAX_VALUE_BYTES = 1 << 20
 MAX_FLAGS = (1 << 32) - 1
 #: Cap on one command line (a pipelined multi-get of ~250B keys).
 MAX_LINE_BYTES = 8192
+#: Largest ``<bytes>`` memcached reads (``INT_MAX - 2``): an oversized
+#: ``set`` up to it has its data block swallowed.
+MAX_SWALLOW_BYTES = (1 << 31) - 3
 #: Significant digits of the largest ``<flags>`` and ``<bytes>``.
 _FLAGS_DIGITS = len(str(MAX_FLAGS))
-_SIZE_DIGITS = len(str(MAX_VALUE_BYTES))
+_SIZE_DIGITS = len(str(MAX_SWALLOW_BYTES))
 
 CRLF = b"\r\n"
 
@@ -218,12 +229,20 @@ class ProtocolParser:
         #: After a bad data trailer or an overlong line: drop input
         #: through the next newline, whenever it arrives.
         self._resyncing = False
+        #: Bytes of an oversized ``set``'s data block still to drop.
+        self._swallow = 0
 
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)
 
     def next_event(self) -> Optional[ProtocolEvent]:
         buffer = self._buffer
+        if self._swallow:
+            dropped = min(self._swallow, len(buffer))
+            del buffer[:dropped]
+            self._swallow -= dropped
+            if self._swallow:
+                return None
         pending = self._pending
         if pending is None:
             if self._resyncing:
@@ -300,12 +319,16 @@ class ProtocolParser:
                 )
             digits = digits.lstrip("0") or "0"
             size = (
-                int(digits) if len(digits) <= _SIZE_DIGITS else MAX_VALUE_BYTES + 1
+                int(digits)
+                if len(digits) <= _SIZE_DIGITS
+                else MAX_SWALLOW_BYTES + 1
             )
             if size > MAX_VALUE_BYTES or (size and nbytes[0] == "-"):
-                return ProtocolEvent(
-                    response=server_error("object too large for cache")
-                )
+                too_large = server_error("object too large for cache")
+                if nbytes[0] == "-" or size > MAX_SWALLOW_BYTES:
+                    return ProtocolEvent(response=too_large)
+                self._swallow = size + 2
+                return ProtocolEvent(response=b"" if noreply else too_large)
             refusal: Optional[bytes] = None
             if expiry.lstrip("0"):
                 # No TTLs: storing the item forever would silently break

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.cache.stats import OP_GET, OP_SET
 from repro.common.errors import ConfigurationError
-from repro.common.hashing import stable_hash_u64
+from repro.common.hashing import premix_salt, premixed_hash_u64
 from repro.workloads.compiled import Columns
 from repro.workloads.generators import RequestStream, _keyed, _timestamps
 from repro.workloads.sizes import GeneralizedParetoSize, SizeModel
@@ -29,11 +29,13 @@ from repro.workloads.zipf import ZipfSampler
 
 #: The production GET fraction the paper quotes (Table 7, first row).
 FACEBOOK_GET_FRACTION = 0.967
+#: The key-size hash's salt (211), mixed once.
+_KEY_SIZE_SALT_MIX = premix_salt(211)
 
 
 def _etc_key_size(key: str) -> int:
     """ETC key sizes cluster in 16-45 bytes (Atikoglu et al., Fig. 2)."""
-    return 16 + stable_hash_u64(key, salt=211) % 30
+    return 16 + premixed_hash_u64(key, _KEY_SIZE_SALT_MIX) % 30
 
 
 @dataclass

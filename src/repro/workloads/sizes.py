@@ -16,7 +16,7 @@ from __future__ import annotations
 import abc
 
 from repro.common.errors import ConfigurationError
-from repro.common.hashing import unit_interval_hash
+from repro.common.hashing import premix_salt, premixed_unit_hash
 
 #: Memcached's largest storable value in the default geometry; all models
 #: clamp to it so generated items always fit a slab class.
@@ -66,9 +66,10 @@ class GeneralizedParetoSize(SizeModel):
             raise ConfigurationError("scale and shape must be positive")
         self.scale, self.shape = scale, shape
         self.minimum, self.salt = minimum, salt
+        self._salt_mix = premix_salt(salt)
 
     def size_of(self, key: str) -> int:
-        u = unit_interval_hash(key, self.salt)
+        u = premixed_unit_hash(key, self._salt_mix)
         u = min(u, 1.0 - 1e-12)
         x = self.scale / self.shape * ((1.0 - u) ** (-self.shape) - 1.0)
         return self._clamp(max(self.minimum, x))

@@ -11,13 +11,10 @@ from repro.core.hill_climbing import HillClimber
 
 class FakeQueue:
     def __init__(self, capacity):
-        self.capacity = float(capacity)
+        self.capacity_bytes = float(capacity)
 
-    def get(self):
-        return self.capacity
-
-    def set(self, value):
-        self.capacity = value
+    def set_capacity(self, value):
+        self.capacity_bytes = value
 
 
 def make_climber(capacities, credit=10, minimum=0, seed=1):
@@ -26,7 +23,7 @@ def make_climber(capacities, credit=10, minimum=0, seed=1):
         credit_bytes=credit, min_bytes=minimum, rng=random.Random(seed)
     )
     for name, queue in queues.items():
-        climber.register(name, queue.get, queue.set)
+        climber.register(name, queue)
     return climber, queues
 
 
@@ -35,9 +32,9 @@ class TestMechanics:
         climber, queues = make_climber({"a": 100, "b": 100, "c": 100})
         for _ in range(50):
             climber.on_shadow_hit("a")
-        total = sum(q.capacity for q in queues.values())
+        total = sum(q.capacity_bytes for q in queues.values())
         assert total == pytest.approx(300)
-        assert queues["a"].capacity > 100
+        assert queues["a"].capacity_bytes > 100
 
     def test_victim_is_never_the_winner(self):
         climber, queues = make_climber({"a": 100, "b": 100})
@@ -51,7 +48,7 @@ class TestMechanics:
         )
         for _ in range(50):
             climber.on_shadow_hit("a")
-        assert queues["b"].capacity >= 20 - 1e-9
+        assert queues["b"].capacity_bytes >= 20 - 1e-9
 
     def test_no_donor_returns_none(self):
         climber, queues = make_climber({"a": 100, "b": 5}, minimum=5)
@@ -60,7 +57,7 @@ class TestMechanics:
     def test_single_queue_is_noop(self):
         climber, queues = make_climber({"a": 100})
         assert climber.on_shadow_hit("a") is None
-        assert queues["a"].capacity == 100
+        assert queues["a"].capacity_bytes == 100
 
     def test_unknown_queue_raises(self):
         climber, _ = make_climber({"a": 100})
@@ -70,7 +67,7 @@ class TestMechanics:
     def test_duplicate_registration_rejected(self):
         climber, _ = make_climber({"a": 100})
         with pytest.raises(ConfigurationError):
-            climber.register("a", lambda: 0, lambda v: None)
+            climber.register("a", FakeQueue(0))
 
     def test_invalid_credit(self):
         with pytest.raises(ConfigurationError):
@@ -94,7 +91,7 @@ class TestEquilibrium:
         rng = random.Random(99)
 
         def gradient(name):
-            m = queues[name].capacity
+            m = queues[name].capacity_bytes
             return freqs[name] * math.exp(-m / taus[name]) / taus[name]
 
         # Drive shadow hits with probability proportional to the local
@@ -111,15 +108,15 @@ class TestEquilibrium:
                     break
         final = [gradient(name) for name in taus]
         spread = max(final) / max(min(final), 1e-12)
-        assert spread < 2.0, (final, {n: q.capacity for n, q in queues.items()})
+        assert spread < 2.0, (final, {n: q.capacity_bytes for n, q in queues.items()})
         # And memory sums unchanged.
-        assert sum(q.capacity for q in queues.values()) == pytest.approx(600)
+        assert sum(q.capacity_bytes for q in queues.values()) == pytest.approx(600)
 
     def test_starved_queue_recovers_when_demand_returns(self):
         climber, queues = make_climber({"a": 100, "b": 100}, credit=5)
         for _ in range(30):
             climber.on_shadow_hit("a")
-        assert queues["b"].capacity < 100
+        assert queues["b"].capacity_bytes < 100
         for _ in range(60):
             climber.on_shadow_hit("b")
-        assert queues["b"].capacity > 100
+        assert queues["b"].capacity_bytes > 100

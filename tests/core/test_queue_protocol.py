@@ -2,10 +2,10 @@
 
 :class:`ShadowedQueue` (over every eviction policy) and
 :class:`CliffhangerQueue` must answer ``access`` / ``fill`` / ``insert``
-/ ``set_capacity`` / ``remove`` the same way, because the engine's request
-path is written once against those answers: eviction counts come straight
-from the return values, and only a *physical* hit or delete may set the
-hit bit.
+/ ``set_capacity`` / ``grow`` / ``remove`` the same way, because the
+engine's request path is written once against those answers: eviction
+counts come straight from the return values, and only a *physical* hit
+or delete may set the hit bit.
 
 The Cliffhanger queue runs below its size gate here, so it never has a
 repartition pending; what its ``insert`` reports once it splits is pinned
@@ -98,10 +98,19 @@ def test_both_queue_types_answer_the_protocol(kind, seed):
         elif roll < 0.9:
             assert queue.remove(key) is resident
             assert queue.access(key) == ACCESS_MISS  # shadows purged too
-        else:
+        elif roll < 0.95:
             before = physical_len(queue)
             evicted = queue.set_capacity(rng.randrange(2, 2 * ITEMS) * CHUNK)
             assert evicted == before - physical_len(queue)
+        else:
+            # Start-up growth: resized exactly when the free bytes fall
+            # short, and by exactly the bytes asked for.
+            nbytes = rng.randrange(1, 3) * CHUNK
+            capacity, short = queue.capacity_bytes, (
+                queue.used_bytes + nbytes > queue.capacity_bytes
+            )
+            assert queue.grow(nbytes) is short
+            assert queue.capacity_bytes == capacity + (nbytes if short else 0)
         assert queue.used_bytes <= queue.capacity_bytes + 1e-6
     assert finds > 0  # the shadow segments were actually exercised
 

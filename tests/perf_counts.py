@@ -18,10 +18,12 @@ That slice rarely moves memory, so two rows, ``credit/1024`` and
 app 19, scale 0.25, seed 0) under ``cliffhanger`` with a 1 MB hill
 shadow and 1 KB or 128 KB credits, warms it with the first
 ``CREDIT_WARMUP`` requests and counts the next ``CREDIT_MEASURED``
-(``python -m tests.perf_counts credit 131072`` prints one). :data:`TABLES_PATH` holds the
-tables recorded with the call budgets; ``python -m tests.perf_counts
---record`` re-counts every row it holds and rewrites it, and
-:func:`diff` names the functions a new count moved against it.
+(``python -m tests.perf_counts credit 131072`` prints one).
+
+:data:`TABLES_PATH` holds the tables recorded with the call budgets;
+``python -m tests.perf_counts --record`` re-counts every row it holds
+and rewrites it, and :func:`diff` names the functions a new count moved
+against it.
 
 One row, :data:`CLUSTER_ROW`, counts the other side of the engines:
 :func:`count_cluster_calls` counts the Python calls one in-process

@@ -290,7 +290,8 @@ def _exchange(address: Tuple[str, int], data: bytes, half_close: bool = False) -
 
 def serve_session(scheme: str) -> Step:
     """A ``repro.serve --listen`` session: set / get / delete / stats, a
-    bad command, a bad key, an oversized set, ``quit``; a half-closed
+    bad command, a bad key, an oversized set (its data block swallowed),
+    ``quit``; a half-closed
     client; a client that stops reading its replies until the server
     pauses writing; then SIGINT."""
 
@@ -307,7 +308,8 @@ def serve_session(scheme: str) -> Step:
             # A tenant's key prefix reaches that tenant's engines.
             reply = _exchange(address, b"set zipf01:k 0 0 2\r\nhi\r\nget zipf01:k\r\n"
                               b"delete zipf01:k\r\ndelete zipf01:k\r\nstats\r\nbogus\r\n"
-                              b"get " + b"x" * 300 + b"\r\nset big 0 0 99999999\r\nquit\r\n")
+                              b"get " + b"x" * 300 + b"\r\nset big 0 0 1048577\r\n"
+                              + b"x" * 1048577 + b"\r\nquit\r\n")
             assert reply.startswith(b"STORED\r\nVALUE zipf01:k 0 2\r\nhi\r\nEND\r\n"
                                     b"DELETED\r\nNOT_FOUND\r\n"), reply
             assert reply.endswith(b"ERROR\r\nCLIENT_ERROR bad key\r\n"

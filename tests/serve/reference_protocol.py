@@ -5,9 +5,12 @@ This is the parser the server ran before its parse became one frame per
 command: a line is framed by ``_read_line``, then ``_parse_get`` /
 ``_parse_set`` / ``_parse_delete`` check it field by field through
 ``_valid_key`` and ``_number``, and a ``set`` waits for its data block
-in ``_read_data_block``. It carries one fix over that parser: a line
+in ``_read_data_block``. It carries two fixes over that parser: a line
 longer than :data:`~repro.serve.protocol.MAX_LINE_BYTES` is one
-``ERROR`` and is dropped through its newline, however the reads cut it.
+``ERROR`` and is dropped through its newline, however the reads cut it;
+a ``set`` past :data:`~repro.serve.protocol.MAX_VALUE_BYTES` (up to
+:data:`~repro.serve.protocol.MAX_SWALLOW_BYTES`) has its data block
+swallowed, as memcached does.
 ``tests/serve/test_protocol_oracle.py`` holds the live parser to it:
 the same :class:`~repro.serve.protocol.ProtocolEvent` sequence for any
 command stream, cut anywhere.
@@ -23,6 +26,7 @@ from repro.serve.protocol import (
     MAX_FLAGS,
     MAX_KEY_BYTES,
     MAX_LINE_BYTES,
+    MAX_SWALLOW_BYTES,
     MAX_VALUE_BYTES,
     Command,
     ProtocolEvent,
@@ -73,11 +77,19 @@ class ReferenceParser:
         #: After a bad data trailer or an overlong line: drop input
         #: through the next newline, whenever it arrives.
         self._resyncing = False
+        #: Bytes of an oversized ``set``'s data block still to drop.
+        self._swallowing = 0
 
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)
 
     def next_event(self) -> Optional[ProtocolEvent]:
+        if self._swallowing:
+            dropped = min(self._swallowing, len(self._buffer))
+            del self._buffer[:dropped]
+            self._swallowing -= dropped
+            if self._swallowing:
+                return None
         if self._pending is not None:
             return self._read_data_block()
         if self._resyncing:
@@ -166,9 +178,12 @@ class ReferenceParser:
                 response=client_error("bad command line format")
             )
         if size < 0 or size > MAX_VALUE_BYTES:
-            return ProtocolEvent(
-                response=server_error("object too large for cache")
-            )
+            too_large = server_error("object too large for cache")
+            if size < 0 or size > MAX_SWALLOW_BYTES:
+                return ProtocolEvent(response=too_large)
+            # memcached's conn_swallow: the block is dropped unread.
+            self._swallowing = size + len(CRLF)
+            return ProtocolEvent(response=b"" if noreply else too_large)
         self._pending = Command(
             op="set", keys=[key], flags=flags_value, noreply=noreply
         )

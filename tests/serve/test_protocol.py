@@ -18,6 +18,7 @@ from repro.serve.protocol import (
     ERROR,
     MAX_KEY_BYTES,
     MAX_LINE_BYTES,
+    MAX_SWALLOW_BYTES,
     MAX_VALUE_BYTES,
     Command,
     ProtocolParser,
@@ -137,6 +138,50 @@ class TestMalformed:
         size = MAX_VALUE_BYTES + 1
         (event,) = parse_all(f"set k 0 0 {size}\r\n".encode())
         assert event.response == server_error("object too large for cache")
+
+    #: An oversized ``set``'s data block made of commands.
+    SMUGGLED = (b"delete victim\r\n" * (MAX_VALUE_BYTES // 15 + 1))[
+        : MAX_VALUE_BYTES + 1
+    ]
+
+    @pytest.mark.parametrize("noreply", [False, True])
+    @pytest.mark.parametrize("read", [MAX_VALUE_BYTES + 100, 4096])
+    def test_oversized_set_swallows_its_data_block(self, noreply, read):
+        """Regression: the data block of a ``set`` past the value limit
+        was parsed as commands -- 69,905 ``delete victim`` here. As
+        memcached's ``conn_swallow``, its ``<bytes>`` + 2 are dropped
+        unread, however the reads cut them, and one answer is sent
+        (none under ``noreply``)."""
+        suffix = b" noreply" if noreply else b""
+        stream = (
+            b"set big 0 0 %d%s\r\n" % (MAX_VALUE_BYTES + 1, suffix)
+            + self.SMUGGLED + b"\r\nget after\r\n"
+        )
+        parser = ProtocolParser()
+        events = []
+        for start in range(0, len(stream), read):
+            parser.feed(stream[start : start + read])
+            events += drain(parser)
+            assert len(parser._buffer) <= read
+        too_large = server_error("object too large for cache")
+        assert [event.response for event in events] == [
+            b"" if noreply else too_large,
+            None,
+        ]
+        assert events[1].command == Command("get", ["after"])
+
+    def test_swallowing_stops_at_memcacheds_bound(self):
+        """Past ``INT_MAX - 2`` memcached refuses the header before
+        anything is swallowed: the next line is a command."""
+        too_large = server_error("object too large for cache")
+        events = parse_all(
+            b"set k 0 0 %d\r\nget after\r\n" % (MAX_SWALLOW_BYTES + 1)
+        )
+        assert [event.response for event in events] == [too_large, None]
+        events = parse_all(
+            b"set k 0 0 %d\r\nget after\r\n" % MAX_SWALLOW_BYTES
+        )
+        assert [event.response for event in events] == [too_large]
 
     def test_negative_size_rejected(self):
         (event,) = parse_all(b"set k 0 0 -5\r\n")
