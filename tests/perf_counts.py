@@ -12,7 +12,12 @@ warmed with the first ``WARMUP`` requests, then ``MEASURED`` rows
 counted. Print a scheme's table with ``PYTHONPATH=src python -m
 tests.perf_counts SCHEME [POLICY]``.
 
-That slice rarely moves memory, so two rows, ``credit/1024`` and
+Warmed up, that slice never grows a class, so one row,
+:data:`STARTUP_ROW`, counts ``default`` over LRU on the same
+``MEASURED`` rows from an empty engine, where stores grow their classes
+(``python -m tests.perf_counts startup default`` prints it).
+
+That slice rarely moves memory either, so two rows, ``credit/1024`` and
 ``credit/131072``, count the credit path on a slice that does:
 :func:`count_credit_calls` replays ``sensitivity``'s workload (memcachier
 app 19, scale 0.25, seed 0) under ``cliffhanger`` with a 1 MB hill
@@ -119,6 +124,9 @@ GATHER_SCENARIO = Scenario(
 )
 
 
+#: The ``(scheme, policy)``-shaped key of the stock start-up row.
+STARTUP_ROW = ("startup", "default")
+
 #: The ``(scheme, policy)``-shaped key of the cluster replay's row.
 CLUSTER_ROW = ("cluster", "replay")
 #: :data:`GATHER_SCENARIO`'s trace length: the cluster row's requests.
@@ -215,6 +223,19 @@ def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
     return _count_engine_calls(scenario, WARMUP, MEASURED)
 
 
+def count_startup_calls() -> Dict[str, int]:
+    """:func:`count_calls` for ``default`` over LRU with no warm-up: the
+    same ``MEASURED`` rows, served by empty engines."""
+    scenario = Scenario(
+        workload="memcachier",
+        workload_params={"apps": [5, 19]},
+        scheme="default",
+        scale=0.012,
+        seed=0,
+    )
+    return _count_engine_calls(scenario, WARMUP, MEASURED, warm=False)
+
+
 def count_credit_calls(credit_bytes: int) -> Dict[str, int]:
     """:func:`count_calls` for ``cliffhanger`` on the credit slice: the
     ``CREDIT_MEASURED`` rows after ``CREDIT_WARMUP`` of ``sensitivity``'s
@@ -234,18 +255,19 @@ def count_credit_calls(credit_bytes: int) -> Dict[str, int]:
 
 
 def _count_engine_calls(
-    scenario: Scenario, warmup: int, measured: int
+    scenario: Scenario, warmup: int, measured: int, warm: bool = True
 ) -> Dict[str, int]:
-    """Replay ``scenario``'s first ``warmup`` requests, then count the
-    calls under ``src/repro`` the next ``measured`` make through the
-    engines, one ``process_run`` per app as the replay kernel calls
-    them."""
+    """Replay ``scenario``'s first ``warmup`` requests (unless not
+    ``warm``), then count the calls under ``src/repro`` the next
+    ``measured`` make through the engines, one ``process_run`` per app
+    as the replay kernel calls them."""
     trace = load_workload(
         scenario.workload, scenario.scale, scenario.seed,
         **scenario.workload_params,
     )
     server = build_server(scenario, trace)
-    server.replay_compiled(trace.compiled.slice(0, warmup))
+    if warm:
+        server.replay_compiled(trace.compiled.slice(0, warmup))
     window = trace.compiled.slice(warmup, warmup + measured)
     rows = list(zip(*(column.tolist() for column in window.replay_columns())))
     assert len(rows) == measured
@@ -319,15 +341,19 @@ def count_cluster_calls() -> Dict[str, int]:
 
 def is_engine_row(row: Tuple[str, str]) -> bool:
     """Whether a ``BUDGET`` row counts one engine scheme's own calls on
-    the fixed slice (every row but the cluster replay's and the serve
-    and credit rows)."""
-    return row != CLUSTER_ROW and row[0] not in ("serve", "credit")
+    the fixed slice (every row but the cluster replay's, the start-up
+    row and the serve and credit rows)."""
+    return row not in (CLUSTER_ROW, STARTUP_ROW) and row[0] not in (
+        "serve", "credit"
+    )
 
 
 def count_row(row: Tuple[str, str]) -> Dict[str, int]:
     """The per-function calls of one ``BUDGET`` row."""
     if row == CLUSTER_ROW:
         return count_cluster_calls()
+    if row == STARTUP_ROW:
+        return count_startup_calls()
     if row[0] == "serve":
         return count_serve_calls(int(row[1]))
     if row[0] == "credit":
