@@ -12,10 +12,11 @@ baselines live here:
   given by hand.
 
 Every request path enters an engine through :meth:`Engine.process_run`:
-one call per (shard, app) run of rows, so a GET hit is one iteration of
-its loop plus the policy's ``access``, a steady-state miss or SET one
-iteration plus its ``store``; the engine's own ``_admit`` runs only at
-start-up, for a starved class or a planned one.
+one call per (shard, app) run of rows. A GET hit is one iteration of its
+loop plus the policy's ``touch`` (under LRU a C call, no Python frame),
+a steady-state miss or SET one iteration plus its ``store``. The
+engine's own ``_admit`` runs only at start-up, for a starved class or a
+planned one; start-up growth is one step inside it, with no resize.
 
 The Cliffhanger engines (hill climbing, cliff scaling, combined) extend
 the same interface from :mod:`repro.core.engine`; the log-structured
@@ -154,8 +155,9 @@ class SlabEngineBase(Engine):
         self.queues: Dict[int, EvictionPolicy] = {}
         self._class_of_key: Dict[str, int] = {}
         #: Incrementally tracked sum of queue capacities -- every queue
-        #: resize must go through :meth:`_resize_queue` so the insert hot
-        #: path never re-scans the queues.
+        #: resize goes through :meth:`_resize_queue` (start-up growth
+        #: adds its chunk in place) so the insert hot path never re-scans
+        #: the queues.
         self._capacity_total = 0.0
 
     # -- queue management ------------------------------------------------
@@ -189,7 +191,8 @@ class SlabEngineBase(Engine):
     # -- request handling --------------------------------------------------
 
     def process_run(self, rows: Iterable[Row]) -> List[int]:
-        # One class lookup per request; a resident key's queue exists.
+        # One class lookup per request; a key in ``class_of_key`` is
+        # resident in its class's queue.
         # The capacity total is read per row: an ``_admit`` grows it.
         queues = self.queues
         class_of_key = self._class_of_key
@@ -201,9 +204,9 @@ class SlabEngineBase(Engine):
             if op == OP_GET:
                 lookups += 1
                 resident_class = class_of_key.get(key)
-                if resident_class is not None and queues[
-                    resident_class
-                ].access(key):
+                if resident_class is not None:
+                    # Resident in that class's queue: promote, test nothing.
+                    queues[resident_class].touch(key)
                     promotes += 1
                     append(
                         (((resident_class + 1) << CLASS_SHIFT) | OUTCOME_HIT) << 2
@@ -276,7 +279,9 @@ class FirstComeFirstServeEngine(SlabEngineBase):
         capacity = queue.capacity
         if queue.used + chunk > capacity:
             if self._capacity_total + chunk <= self.budget_bytes:
-                self._resize_queue(queue, capacity + chunk)
+                # Growth, in one step: a larger capacity evicts nothing.
+                queue.capacity = grown = capacity + chunk
+                self._capacity_total += grown - capacity
             elif capacity < chunk:
                 # Steal a chunk from the largest class. If no class owns a
                 # whole chunk, this queue can never fit the item: bypass

@@ -121,6 +121,9 @@ class ARCPolicy(EvictionPolicy):
             return True
         return False
 
+    #: Every resident key is a hit; the promotion is the same.
+    touch = access
+
     def insert(self, key: object, weight: float) -> Evicted:
         if weight < 0:
             raise CacheError(f"negative weight {weight} for key {key!r}")

@@ -2,17 +2,25 @@
 
 A policy manages the *physical* part of one queue: which keys are resident
 and which key to evict when space is needed. Weights and capacities are in
-bytes; ``capacity`` is a plain attribute. Policies never interact with
-shadow queues directly; engines forward the eviction lists returned by
-:meth:`insert` and :meth:`resize` into whatever shadow structure they
-maintain. A slab engine keeps none: :meth:`store` deletes the victims
-from its key map and returns their count.
+bytes; ``capacity`` is a plain attribute, and ``used`` may be one too.
+Policies never interact with shadow queues directly; engines forward the
+eviction lists returned by :meth:`insert` and :meth:`resize` into whatever
+shadow structure they maintain. A slab engine keeps none: :meth:`store`
+deletes the victims from its key map and returns their count.
+
+A caller that already knows a key is resident -- a slab engine whose key
+map names the key's class -- promotes it with ``touch(key)`` instead of
+:meth:`access`: the same promotion, with no residency test and no result
+worth reading. :class:`~repro.cache.policies.lru.LRUPolicy`'s ``touch``
+is its ordered dict's ``move_to_end`` (one C call); a policy whose
+``access`` already returns True for every resident key may alias
+``touch = access``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -23,6 +31,12 @@ class EvictionPolicy(abc.ABC):
     """Abstract base class for all eviction policies."""
 
     kind: str = "abstract"
+    #: Bytes currently occupied by resident keys: a plain attribute where
+    #: the policy keeps one total, a property where it sums several.
+    used: float
+    #: Promote ``key``, which the caller knows is resident, exactly as a
+    #: hit :meth:`access` would; the return value means nothing.
+    touch: Callable[[object], object]
 
     def __init__(self, capacity: float, name: str = "") -> None:
         if capacity < 0:
@@ -35,11 +49,6 @@ class EvictionPolicy(abc.ABC):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    @abc.abstractmethod
-    def used(self) -> float:
-        """Bytes currently occupied by resident keys."""
 
     @abc.abstractmethod
     def __len__(self) -> int:

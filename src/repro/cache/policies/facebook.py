@@ -98,6 +98,9 @@ class FacebookPolicy(EvictionPolicy):
             return True
         return False
 
+    #: Every resident key is a hit; the promotion is the same.
+    touch = access
+
     def insert(self, key: object, weight: float) -> Evicted:
         if weight < 0:
             raise CacheError(f"negative weight {weight} for key {key!r}")

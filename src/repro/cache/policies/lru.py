@@ -10,11 +10,17 @@ from repro.cache.policies.base import Evicted, EvictionPolicy
 
 
 class LRUPolicy(EvictionPolicy):
-    """Classic LRU over one ordered dict of key -> weight, MRU first.
+    """Classic LRU over one ordered dict of key -> weight, LRU first and
+    MRU last, the order :class:`~repro.core.cliff_scaling._Partition`'s
+    segments use.
 
-    Hits promote to the front; insertion is at the front; eviction is from
-    the back. This is the policy the paper's analysis, hill climbing and
-    cliff scaling assume by default, and the key-only shadow queue of
+    A fresh key is stored at the MRU end by assignment alone; a hit or a
+    re-store moves the key there; eviction pops the LRU end. ``keys()``
+    still yields MRU first. :attr:`touch` is the dict's own
+    ``move_to_end`` (``_entries`` is never rebound), so a slab engine's
+    GET hit is one C call, and :attr:`used` is a plain attribute. This is
+    the policy the paper's analysis, hill climbing and cliff scaling
+    assume by default, and the key-only shadow queue of
     :class:`~repro.core.managed.ShadowedQueue`. ``used`` moves in a fixed
     order (old weight out, new weight in, each victim out) and a hit
     leaves it alone, so for the engines' whole-byte weights it equals,
@@ -27,11 +33,8 @@ class LRUPolicy(EvictionPolicy):
     def __init__(self, capacity: float, name: str = "") -> None:
         super().__init__(capacity, name)
         self._entries: "OrderedDict[object, float]" = OrderedDict()
-        self._used = 0.0
-
-    @property
-    def used(self) -> float:
-        return self._used
+        self.used = 0.0
+        self.touch = self._entries.move_to_end
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -40,12 +43,12 @@ class LRUPolicy(EvictionPolicy):
         return key in self._entries
 
     def keys(self) -> Iterator[object]:
-        return iter(self._entries)
+        return reversed(self._entries)
 
     def access(self, key: object) -> bool:
         if key not in self._entries:
             return False
-        self._entries.move_to_end(key, last=False)
+        self._entries.move_to_end(key)
         return True
 
     def insert(self, key: object, weight: float) -> Evicted:
@@ -53,14 +56,14 @@ class LRUPolicy(EvictionPolicy):
             raise CacheError(f"negative weight {weight} for key {key!r}")
         entries = self._entries
         if key in entries:
-            self._used -= entries[key]
+            self.used -= entries[key]
+            entries.move_to_end(key)
         entries[key] = weight
-        entries.move_to_end(key, last=False)
-        self._used += weight
+        self.used += weight
         evicted: Evicted = []
-        while entries and self._used > self.capacity:
-            victim = entries.popitem(last=True)
-            self._used -= victim[1]
+        while entries and self.used > self.capacity:
+            victim = entries.popitem(False)
+            self.used -= victim[1]
             evicted.append(victim)
         return evicted
 
@@ -68,32 +71,32 @@ class LRUPolicy(EvictionPolicy):
         if weight < 0:
             raise CacheError(f"negative weight {weight} for key {key!r}")
         entries = self._entries
-        used = self._used
+        used = self.used
         if key in entries:
             used -= entries[key]
+            entries.move_to_end(key)
         entries[key] = weight
-        entries.move_to_end(key, last=False)
         used += weight
         victims = 0
         while entries and used > self.capacity:
-            victim, victim_weight = entries.popitem(last=True)
+            victim, victim_weight = entries.popitem(False)
             used -= victim_weight
             del resident[victim]
             victims += 1
-        self._used = used
+        self.used = used
         return victims
 
     def remove(self, key: object) -> bool:
         if key not in self._entries:
             return False
-        self._used -= self._entries.pop(key)
+        self.used -= self._entries.pop(key)
         return True
 
     def resize(self, capacity: float) -> Evicted:
         self._set_capacity(capacity)
         evicted: Evicted = []
-        while self._entries and self._used > self.capacity:
-            victim = self._entries.popitem(last=True)
-            self._used -= victim[1]
+        while self._entries and self.used > self.capacity:
+            victim = self._entries.popitem(False)
+            self.used -= victim[1]
             evicted.append(victim)
         return evicted

@@ -14,7 +14,7 @@ tests.perf_counts SCHEME [POLICY]``.
 
 Warmed up, that slice never grows a class, so one row,
 :data:`STARTUP_ROW`, counts ``default`` over LRU on the same
-``MEASURED`` rows from an empty engine, where stores grow their classes
+``MEASURED`` rows from empty engines, where stores grow their classes
 (``python -m tests.perf_counts startup default`` prints it).
 
 That slice rarely moves memory either, so two rows, ``credit/1024`` and
@@ -207,10 +207,12 @@ def count_serve_calls(batch: int) -> Dict[str, int]:
     return _named(counts)
 
 
-def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
+def count_calls(
+    scheme: str, policy: str = "lru", warm: bool = True
+) -> Dict[str, int]:
     """``{"module.py:Qualified.name": calls}`` over the ``MEASURED``
     rows, for the functions under ``src/repro`` that ``scheme``'s
-    request path calls."""
+    request path calls; with ``warm`` false, empty engines serve them."""
     scenario = Scenario(
         workload="memcachier",
         workload_params={"apps": [5, 19]},
@@ -220,20 +222,7 @@ def count_calls(scheme: str, policy: str = "lru") -> Dict[str, int]:
         scale=0.012,
         seed=0,
     )
-    return _count_engine_calls(scenario, WARMUP, MEASURED)
-
-
-def count_startup_calls() -> Dict[str, int]:
-    """:func:`count_calls` for ``default`` over LRU with no warm-up: the
-    same ``MEASURED`` rows, served by empty engines."""
-    scenario = Scenario(
-        workload="memcachier",
-        workload_params={"apps": [5, 19]},
-        scheme="default",
-        scale=0.012,
-        seed=0,
-    )
-    return _count_engine_calls(scenario, WARMUP, MEASURED, warm=False)
+    return _count_engine_calls(scenario, WARMUP, MEASURED, warm)
 
 
 def count_credit_calls(credit_bytes: int) -> Dict[str, int]:
@@ -353,7 +342,7 @@ def count_row(row: Tuple[str, str]) -> Dict[str, int]:
     if row == CLUSTER_ROW:
         return count_cluster_calls()
     if row == STARTUP_ROW:
-        return count_startup_calls()
+        return count_calls("default", warm=False)
     if row[0] == "serve":
         return count_serve_calls(int(row[1]))
     if row[0] == "credit":
