@@ -36,10 +36,10 @@ both through the same eight names:
   (``capacity_bytes`` is what the hill climber reads per donor).
 
 The shadow is an :class:`~repro.cache.policies.lru.LRUPolicy` over the
-evicted keys, and what it evicts is forgotten. With ``fill`` the
-``hill`` engine over LRU makes 4.27 Python calls per request on the
-slice ``tests/sim/test_call_budget.py`` gates (5.02 when every fill
-repeated the shadow test), and ``cliffhanger`` 3.0 (5.4).
+evicted keys, and what it evicts is forgotten. What the ``hill`` and
+``cliffhanger`` engines cost in Python calls per request is gated by
+the ``BUDGET`` table of ``tests/sim/test_call_budget.py``, with the
+per-function counts recorded in ``tests/sim/call_tables.json``.
 """
 
 from __future__ import annotations

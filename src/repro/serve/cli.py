@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _prepare_cluster(args):
     """The flags as a :class:`~repro.sim.Scenario`, wired by the same
     :func:`~repro.sim.runner.prepare_cluster` a scenario run uses, with
-    the rebalancer already attached."""
+    the rebalancer already attached. The server needs the workload's
+    reservations only: its requests are never generated."""
     from repro.sim import Scenario, load_workload
     from repro.sim.runner import prepare_cluster
 
@@ -107,8 +108,7 @@ def _prepare_cluster(args):
     trace = load_workload(
         scenario.workload, scale=scenario.scale, seed=scenario.seed
     )
-    cluster, _ = prepare_cluster(scenario, trace)
-    return cluster
+    return prepare_cluster(scenario, trace)
 
 
 def _run_listener(args) -> int:

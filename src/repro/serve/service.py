@@ -15,13 +15,20 @@ the batch's own earlier rows or the value store, and a SET too large
 for the largest slab chunk is answered before the cluster sees it, by
 the item-size rule of :class:`~repro.cache.slabs.SlabGeometry`.
 
-The simulator models sizes, not payloads, so the service keeps a small
-real value store on the side: SETs remember their bytes, GETs serve
-them back on a physical hit, and keys the engines filled on a GET miss
-(the trace-replay convention) serve a deterministic synthesized payload
-of the remembered size. A GET whose engine outcome is a miss returns no
+The simulator models sizes, not payloads, so the service keeps a real
+value store on the side: SETs remember their bytes, GETs serve them
+back on a physical hit, and keys the engines filled on a GET miss (the
+trace-replay convention) serve a deterministic synthesized payload of
+the remembered size. A GET whose engine outcome is a miss returns no
 VALUE block even though the engine filled the key -- wire semantics
 stay memcached's.
+
+The store is not small: it keeps every SET payload until a DELETE,
+whatever the engines evicted. It cannot simply drop evicted keys: a
+key that is evicted and then filled again on a GET miss must still
+serve its last SET bytes (the ledger's wire check requires exactly
+that), so bounding the store needs a decision about fill-on-miss in
+live serving first.
 """
 
 from __future__ import annotations

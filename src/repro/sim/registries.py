@@ -19,8 +19,8 @@ keyword context the runner supplies (``geometry``, ``scale``, ``seed``,
 Workload builders receive ``(scale, seed)`` plus the scenario's
 ``workload_params`` and return a trace-like object exposing
 ``app_names``, ``reservations``, ``scale``, ``seed`` and a ``compiled``
-:class:`~repro.workloads.compiled.CompiledTrace` (see
-:mod:`repro.sim.workloads`).
+:class:`~repro.workloads.compiled.CompiledTrace`, built on its first
+read (see :mod:`repro.sim.workloads`).
 """
 
 from __future__ import annotations

@@ -62,15 +62,9 @@ def _chosen_apps(scenario: Scenario, trace) -> List[str]:
 def _compiled_for(scenario: Scenario, trace):
     """The workload's compiled trace, narrowed to the replayed apps."""
     chosen = _chosen_apps(scenario, trace)
-    compiled = getattr(trace, "compiled", None)
-    if compiled is None:
-        raise ConfigurationError(
-            f"workload {scenario.workload!r} has no compiled trace; "
-            "scenarios replay compiled traces only"
-        )
     if set(chosen) != set(trace.app_names):
-        compiled = compiled.select_apps(chosen)
-    return compiled
+        return trace.compiled.select_apps(chosen)
+    return trace.compiled
 
 
 def build_server(
@@ -182,8 +176,10 @@ def build_cluster(
 
 
 def prepare_cluster(scenario: Scenario, trace):
-    """The scenario's cluster, ready to replay or serve, plus the
-    compiled trace it will see: ``(cluster, compiled)``.
+    """The scenario's cluster, wired to replay or serve: its engines
+    (:func:`build_cluster`), rebalancer and fault injector. It reads the
+    trace's reservations but no request (unless the scenario asks for
+    solver plans), so the live server starts without building one.
 
     A ``rebalance`` block with a nonzero ``epoch_requests`` attaches an
     online :class:`~repro.cluster.rebalance.Rebalancer` (seeded from the
@@ -200,7 +196,6 @@ def prepare_cluster(scenario: Scenario, trace):
         Rebalancer,
     )
 
-    compiled = _compiled_for(scenario, trace)
     cluster = build_cluster(scenario, trace)
     if scenario.rebalance is not None:
         rebalance = RebalanceConfig.from_dict(scenario.rebalance)
@@ -212,7 +207,7 @@ def prepare_cluster(scenario: Scenario, trace):
         schedule = FaultSchedule.from_dict(scenario.faults)
         if schedule.enabled:
             cluster.attach_faults(FaultInjector(cluster, schedule))
-    return cluster, compiled
+    return cluster
 
 
 def replay_on_cluster(
@@ -231,7 +226,8 @@ def replay_on_cluster(
     """
     from repro.cluster import get_routing_plan
 
-    cluster, compiled = prepare_cluster(scenario, trace)
+    compiled = _compiled_for(scenario, trace)
+    cluster = prepare_cluster(scenario, trace)
     started = time.perf_counter()
     plan = get_routing_plan(compiled, cluster.ring, cluster.replication)
     stats = cluster.replay_compiled(compiled, plan=plan)
@@ -258,7 +254,8 @@ def serve_on_cluster(
     """
     from repro.serve import ServeConfig, run_serve
 
-    cluster, compiled = prepare_cluster(scenario, trace)
+    compiled = _compiled_for(scenario, trace)
+    cluster = prepare_cluster(scenario, trace)
     config = ServeConfig.from_dict(scenario.serve)
     started = time.perf_counter()
     report = run_serve(cluster, compiled, config, seed=scenario.seed)

@@ -2,9 +2,14 @@
 
 A workload builder takes ``(scale, seed, **params)`` and returns the one
 loaded-trace type, :class:`SyntheticTrace`: ``app_names``,
-``reservations``, ``requests_per_app``, ``scale``, ``seed`` and a cached
+``reservations``, ``requests_per_app``, ``scale``, ``seed`` and a
 ``compiled`` :class:`~repro.workloads.compiled.CompiledTrace` that the
-replay fast path consumes. Three workloads are registered here:
+replay fast path consumes. Loading costs only the analytic per-app
+build, which validates every parameter and yields the reservations;
+the requests are generated and compiled on the first read of
+``compiled``, so a caller that needs only the reservations -- the live
+server's start-up -- never builds them. Three workloads are registered
+here:
 
 * ``memcachier`` -- the paper's synthetic 20-application trace
   (``params``: ``apps`` (1-based spec indices), ``total_requests``);
@@ -22,22 +27,24 @@ loaded by the one :class:`TenantWorkload`; each contributes only its
 per-app defaults table and the function that builds one tenant's
 stream and reservation.
 
-Everything goes through :data:`~repro.workloads.compiled.GLOBAL_TRACE_CACHE`
-so repeated scenario runs -- and sweep worker processes sharing the
-on-disk store -- never regenerate identical traces.
+That first read goes through
+:data:`~repro.workloads.compiled.GLOBAL_TRACE_CACHE`, so repeated
+scenario runs -- and sweep worker processes sharing the on-disk store
+-- never regenerate identical traces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.sim.defaults import FULL_SCALE, GEOMETRY
 from repro.sim.registries import WORKLOADS, register_workload
-from repro.workloads.compiled import CompiledTrace, GLOBAL_TRACE_CACHE
+from repro.workloads.compiled import Columns, CompiledTrace, GLOBAL_TRACE_CACHE
 from repro.workloads.facebook import (
     FACEBOOK_GET_FRACTION,
     FacebookETCStream,
@@ -48,19 +55,47 @@ from repro.workloads.memcachier import AppSpec, build_memcachier_trace
 from repro.workloads.sizes import FixedSize
 
 
-@dataclass
 class SyntheticTrace:
     """A loaded workload: per-app metadata from the cheap analytic build
-    plus the merged request stream as a cached :class:`CompiledTrace`,
-    so repeated runs sharing a scale/seed never regenerate it."""
+    plus the merged request stream as a :class:`CompiledTrace`.
 
-    scale: float
-    seed: int
-    reservations: Dict[str, float]
-    requests_per_app: Dict[str, int]
-    compiled: CompiledTrace
-    #: ``memcachier`` only: each app's :class:`AppSpec` (``has_cliff`` ...).
-    specs: Dict[str, AppSpec] = field(default_factory=dict)
+    ``compiled`` is either given (a trace compiled elsewhere) or built on
+    its first read: ``columns()`` compiled through
+    :data:`GLOBAL_TRACE_CACHE` under ``cache_key``, so runs sharing a
+    scale/seed never regenerate it. After that read it is a plain
+    instance attribute, and a second read builds and calls nothing.
+    """
+
+    def __init__(
+        self,
+        scale: float,
+        seed: int,
+        reservations: Dict[str, float],
+        requests_per_app: Dict[str, int],
+        compiled: Optional[CompiledTrace] = None,
+        specs: Optional[Dict[str, AppSpec]] = None,
+        *,
+        cache_key: Optional[str] = None,
+        columns: Optional[Callable[[], Iterable[Columns]]] = None,
+    ) -> None:
+        self.scale = scale
+        self.seed = seed
+        self.reservations = reservations
+        self.requests_per_app = requests_per_app
+        #: ``memcachier`` only: each app's :class:`AppSpec` (``has_cliff`` ...).
+        self.specs = specs if specs is not None else {}
+        self.cache_key = cache_key
+        self.columns = columns
+        if compiled is not None:
+            self.compiled = compiled
+
+    @cached_property
+    def compiled(self) -> CompiledTrace:
+        """The merged request stream, compiled (or loaded from the trace
+        cache) on first read."""
+        return GLOBAL_TRACE_CACHE.get_or_compile(
+            self.cache_key, self.columns, GEOMETRY
+        )
 
     @property
     def app_names(self) -> List[str]:
@@ -114,14 +149,14 @@ def _load_memcachier(
         f"memcachier-scale{scale!r}-seed{seed}-apps{app_part}"
         f"-total{total_requests if total_requests is not None else 'auto'}"
     )
-    compiled = GLOBAL_TRACE_CACHE.get_or_compile(key, meta.columns, GEOMETRY)
     return SyntheticTrace(
         scale=scale,
         seed=seed,
         reservations=meta.reservations,
         requests_per_app=meta.requests_per_app,
-        compiled=compiled,
         specs=meta.specs,
+        cache_key=key,
+        columns=meta.columns,
     )
 
 
@@ -213,17 +248,15 @@ class TenantWorkload:
             f"{self.name.replace('-', '')}-scale{scale!r}-seed{seed}-"
             f"{_params_tag({'apps': app_map, 'defaults': defaults})}"
         )
-        compiled = GLOBAL_TRACE_CACHE.get_or_compile(
-            key,
-            lambda: (stream.columns(counts[stream.app], 3600.0) for stream in streams),
-            GEOMETRY,
-        )
         return SyntheticTrace(
             scale=scale,
             seed=seed,
             reservations=reservations,
             requests_per_app=counts,
-            compiled=compiled,
+            cache_key=key,
+            columns=lambda: (
+                stream.columns(counts[stream.app], 3600.0) for stream in streams
+            ),
         )
 
 

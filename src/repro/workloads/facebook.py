@@ -49,6 +49,8 @@ class FacebookETCStream(RequestStream):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.alpha < 0:
+            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
         if not 0.0 <= self.get_fraction <= 1.0:
             raise ConfigurationError(
                 f"get_fraction must be in [0, 1]: {self.get_fraction}"

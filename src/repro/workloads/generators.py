@@ -119,6 +119,8 @@ class ZipfStream(RequestStream):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.alpha < 0:
+            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
         if not 0.0 <= self.set_fraction <= 1.0:
             raise ConfigurationError(
                 f"set_fraction must be in [0, 1]: {self.set_fraction}"
@@ -250,6 +252,10 @@ class FlashCrowdStream(RequestStream):
         if self.crowd_keys < 1:
             raise ConfigurationError(
                 f"crowd_keys must be >= 1, got {self.crowd_keys}"
+            )
+        if self.crowd_alpha < 0:
+            raise ConfigurationError(
+                f"crowd_alpha must be >= 0, got {self.crowd_alpha}"
             )
         if not 0.0 <= self.crowd_fraction <= 1.0:
             raise ConfigurationError(

@@ -44,7 +44,8 @@ def run_reference(scenario):
         seed=scenario.seed,
         **scenario.workload_params,
     )
-    cluster, compiled = prepare_cluster(scenario, trace)
+    cluster = prepare_cluster(scenario, trace)
+    compiled = trace.compiled
     stats = replay_reference(cluster, compiled)
     return SimpleNamespace(
         cluster=cluster,

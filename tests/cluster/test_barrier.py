@@ -105,8 +105,8 @@ def serve_in_batches(cluster, compiled, sizes):
 
 
 def prepared(scenario):
-    cluster, compiled = prepare_cluster(scenario, WORKLOAD)
-    return cluster, compiled, spy_on_barriers(cluster)
+    cluster = prepare_cluster(scenario, WORKLOAD)
+    return cluster, WORKLOAD.compiled, spy_on_barriers(cluster)
 
 
 @settings(max_examples=10, deadline=None)
@@ -157,9 +157,10 @@ def test_mid_window_samples_match_the_reference(policy, faults, epoch, sizes):
     )
     expected = report_bytes(run_reference(scenario).cluster)
 
-    offline, compiled = prepare_cluster(scenario, WORKLOAD)
+    compiled = WORKLOAD.compiled
+    offline = prepare_cluster(scenario, WORKLOAD)
     offline.replay_compiled(compiled)
-    live, _ = prepare_cluster(scenario, WORKLOAD)
+    live = prepare_cluster(scenario, WORKLOAD)
     serve_in_batches(live, compiled, sizes)
     # Booleans, not the texts: a diff of two long reports is slow to render.
     matches = {
@@ -188,7 +189,8 @@ def test_live_cuts_count_gets_by_op_among_sets(policy):
     )
     expected = report_bytes(run_reference(scenario).cluster)
     workload = load_workload("zipf", scale=0.1, seed=0, **params)
-    live, compiled = prepare_cluster(scenario, workload)
+    live = prepare_cluster(scenario, workload)
+    compiled = workload.compiled
     assert 0 < int((compiled.op_codes == OP_SET).sum()) < len(compiled)
     serve_in_batches(live, compiled, [50, 7, 123])
     assert report_bytes(live) == expected
@@ -221,7 +223,8 @@ def test_live_mask_memos_stay_bounded_on_a_long_schedule(monkeypatch):
             traces.append(self)
 
     monkeypatch.setattr("repro.cluster.cluster.TraceColumns", SpyColumns)
-    offline, compiled = prepare_cluster(scenario, WORKLOAD)
+    compiled = WORKLOAD.compiled
+    offline = prepare_cluster(scenario, WORKLOAD)
     offline.replay_compiled(compiled)
     (columns,) = traces
     assert len(columns._columns) <= 2
@@ -229,7 +232,7 @@ def test_live_mask_memos_stay_bounded_on_a_long_schedule(monkeypatch):
     assert len(offline.router._successors) <= 2
     assert [counters_snapshot(s.stats) for s in offline.servers] == expected
 
-    live, _ = prepare_cluster(scenario, WORKLOAD)
+    live = prepare_cluster(scenario, WORKLOAD)
     serve_in_batches(live, compiled, [64])
     assert len(live.router._successors) <= 2
     assert (True,) * 4 in live.router._successors
@@ -248,7 +251,8 @@ def test_finished_replay_leaves_no_barriers_for_live_batches():
     scenario = BASE.replace(
         faults={"events": events, "policy": "failover", "sample_requests": 50}
     )
-    cluster, compiled = prepare_cluster(scenario, WORKLOAD)
+    cluster = prepare_cluster(scenario, WORKLOAD)
+    compiled = WORKLOAD.compiled
     cluster.replay_compiled(compiled)
     injector = cluster.fault_injector
     assert injector.next_barrier(0) is None

@@ -229,12 +229,10 @@ def cluster_state(cluster):
 def assert_refused(scenario, workers=2):
     """``scenario`` with ``workers`` workers raises one line naming the
     knob, and leaves its cluster untouched."""
-    cluster, compiled = prepare_cluster(
-        with_workers(scenario, workers), WORKLOAD
-    )
+    cluster = prepare_cluster(with_workers(scenario, workers), WORKLOAD)
     before = cluster_state(cluster)
     with pytest.raises(ConfigurationError, match="parallel_workers") as caught:
-        cluster.replay_compiled(compiled)
+        cluster.replay_compiled(WORKLOAD.compiled)
     assert "\n" not in str(caught.value)
     assert cluster_state(cluster) == before
     assert not multiprocessing.active_children()

@@ -303,7 +303,8 @@ def count_cluster_calls() -> Dict[str, int]:
         scenario.workload, scenario.scale, scenario.seed,
         **scenario.workload_params,
     )
-    cluster, compiled = prepare_cluster(scenario, trace)
+    cluster = prepare_cluster(scenario, trace)
+    compiled = trace.compiled
     assert len(compiled) == CLUSTER_REQUESTS
     plan = build_routing_plan(compiled, cluster.ring, cluster.replication)
     counts: Counter = Counter()

@@ -14,10 +14,11 @@ import socket
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 
 import pytest
 
-from repro.serve.cli import build_parser, main
+from repro.serve.cli import _prepare_cluster, build_parser, main
 
 LISTEN = ["--listen", "127.0.0.1:0"]
 
@@ -107,6 +108,45 @@ class TestListenerArguments:
     def test_bad_listen_exits_2(self, capsys):
         assert main(["--listen", "nocolon"]) == 2
         assert main(["--listen", "127.0.0.1:notaport"]) == 2
+
+
+def test_the_listener_wires_the_scenario_cluster_and_builds_no_trace(
+    tmp_path, monkeypatch
+):
+    """``_prepare_cluster`` gives the cluster a scenario run wires --
+    same apps, same per-shard budgets, a rebalancer attached -- from the
+    workload's reservations alone: a fresh trace cache stays empty."""
+    from repro.sim import Scenario, load_workload
+    from repro.sim.runner import prepare_cluster
+    from repro.workloads.compiled import GLOBAL_TRACE_CACHE
+
+    cache = tmp_path / "traces"
+    cache.mkdir()
+    monkeypatch.setattr(GLOBAL_TRACE_CACHE, "directory", cache)
+    monkeypatch.setattr(GLOBAL_TRACE_CACHE, "_memory", OrderedDict())
+    args = build_parser().parse_args(
+        LISTEN
+        + ["--workload", "zipf", "--scale", "0.02", "--shards", "2"]
+        + ["--rebalance-epoch", "50"]
+    )
+    live = _prepare_cluster(args)
+    assert list(cache.iterdir()) == []
+
+    scenario = Scenario(
+        workload="zipf",
+        scale=0.02,
+        seed=0,
+        cluster={"shards": 2, "replication": args.replication},
+        rebalance={"epoch_requests": 50, "policy": "load"},
+    )
+    wired = prepare_cluster(scenario, load_workload("zipf", scale=0.02, seed=0))
+    assert list(live.app_shares) == list(wired.app_shares) == ["zipf01", "zipf02"]
+    assert live.app_shares == wired.app_shares
+    assert [live.shard_budget(s) for s in range(2)] == [
+        wired.shard_budget(s) for s in range(2)
+    ]
+    assert live.rebalancer is not None
+    assert live.rebalancer.config == wired.rebalancer.config
 
 
 def start_listener(*flags):

@@ -176,27 +176,3 @@ def test_facebook_unique_keys_all_miss():
         )
     )
     assert result.overall_hit_rate == 0.0
-
-
-def test_trace_without_a_compiled_form_fails_before_any_engine_is_built(
-    monkeypatch,
-):
-    """Every registered workload returns a compiled trace; anything else
-    is refused up front, for single-server and cluster replays alike."""
-    from repro.sim import replay_on_cluster, replay_on_trace, schemes
-
-    class Uncompiled:
-        app_names = ["a"]
-        reservations = {"a": 1 << 20}
-        scale = 1.0
-
-    def no_engines(*args, **kwargs):
-        raise AssertionError("an engine was built")
-
-    monkeypatch.setattr(schemes.SCHEMES, "get", no_engines)
-    for replay, scenario in (
-        (replay_on_trace, Scenario(workload="zipf")),
-        (replay_on_cluster, Scenario(workload="zipf", cluster={"shards": 2})),
-    ):
-        with pytest.raises(ConfigurationError, match="no compiled trace"):
-            replay(scenario, Uncompiled())

@@ -1,6 +1,7 @@
 """Tests for the workload generators, size models and trace records."""
 
 import itertools
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from repro.common.errors import ConfigurationError, TraceFormatError
 from repro.profiling.hrc import HitRateCurve
 from repro.profiling.stack_distance import StackDistanceProfiler
 from repro.sim import load_workload
-from repro.workloads.compiled import Columns, CompiledTrace
+from repro.sim.defaults import GEOMETRY
+from repro.workloads.compiled import (
+    COLUMN_DTYPES,
+    GLOBAL_TRACE_CACHE,
+    Columns,
+    CompiledTrace,
+)
 from repro.workloads.facebook import (
     FACEBOOK_GET_FRACTION,
     FacebookETCStream,
@@ -199,3 +206,99 @@ class TestTraceIO:
         trace = load_workload("zipf", scale=0.05, seed=0, apps=[])
         assert len(trace.compiled) == 0
         assert trace.compiled.app_table == trace.compiled.key_table == []
+
+
+#: One small case of each kind of loader: the paper's mix, a stationary
+#: tenant workload and a time-dynamic one.
+LAZY_CASES = {
+    "memcachier": {"scale": 0.012, "apps": [1, 20]},
+    "zipf": {"scale": 0.02},
+    "flash-crowd": {"scale": 0.02},
+}
+
+
+class TestLazyLoad:
+    """``load_workload`` costs the analytic per-app build only: its
+    requests are generated and compiled on the first read of
+    ``compiled``, through the trace cache under the same key as ever."""
+
+    @pytest.fixture
+    def fresh_cache(self, tmp_path, monkeypatch):
+        """An empty on-disk and in-process trace cache."""
+        directory = tmp_path / "traces"
+        directory.mkdir()
+        monkeypatch.setattr(GLOBAL_TRACE_CACHE, "directory", directory)
+        monkeypatch.setattr(GLOBAL_TRACE_CACHE, "_memory", OrderedDict())
+        return directory
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Every ``CompiledTrace.compile`` call, by its geometry."""
+        calls = []
+        compile_ = CompiledTrace.compile
+
+        def spy(source, geometry=None):
+            calls.append(geometry)
+            return compile_(source, geometry)
+
+        monkeypatch.setattr(CompiledTrace, "compile", staticmethod(spy))
+        return calls
+
+    @pytest.mark.parametrize("workload", sorted(LAZY_CASES))
+    def test_requests_are_built_on_first_read_only(
+        self, workload, fresh_cache, compiles, monkeypatch
+    ):
+        keys = []
+        get_or_compile = GLOBAL_TRACE_CACHE.get_or_compile
+
+        def recording(key, *args, **kwargs):
+            keys.append(key)
+            return get_or_compile(key, *args, **kwargs)
+
+        monkeypatch.setattr(GLOBAL_TRACE_CACHE, "get_or_compile", recording)
+        trace = load_workload(workload, seed=0, **LAZY_CASES[workload])
+        assert trace.reservations and all(trace.requests_per_app.values())
+        assert (compiles, keys) == ([], [])
+        assert list(fresh_cache.iterdir()) == []
+
+        compiled = trace.compiled
+        assert (compiles, keys) == ([GEOMETRY], [trace.cache_key])
+        assert len(compiled) == sum(trace.requests_per_app.values())
+        assert compiled.app_table == trace.app_names
+        assert trace.compiled is compiled
+        assert len(compiles) == len(keys) == 1
+
+        # The same key compiled eagerly, from a cache that has neither.
+        monkeypatch.setattr(
+            GLOBAL_TRACE_CACHE, "directory", fresh_cache.parent / "eager"
+        )
+        monkeypatch.setattr(GLOBAL_TRACE_CACHE, "_memory", OrderedDict())
+        again = load_workload(workload, seed=0, **LAZY_CASES[workload])
+        eager = get_or_compile(trace.cache_key, again.columns, GEOMETRY)
+        assert len(compiles) == 2
+        assert eager.app_table == compiled.app_table
+        assert eager.key_table == compiled.key_table
+        for name in COLUMN_DTYPES:
+            assert np.array_equal(getattr(eager, name), getattr(compiled, name))
+
+    @pytest.mark.parametrize(
+        "workload, params, match",
+        [
+            ("zipf", {"zipf_alpha": 1.0}, "unknown zipf workload params"),
+            ("flash-crowd", {"crowd": 1}, "unknown flash-crowd"),
+            ("zipf", {"alpha": -1.0}, "alpha must be >= 0"),
+            ("flash-crowd", {"crowd_alpha": -1.0}, "crowd_alpha must be"),
+            ("facebook", {"alpha": -1.0}, "alpha must be >= 0"),
+            ("zipf", {"scale": 0.0}, "scale must be positive"),
+            ("memcachier", {"scale": -1.0}, "scale must be positive"),
+            ("memcachier", {"apps": []}, "no applications selected"),
+        ],
+    )
+    def test_a_bad_parameter_raises_from_load_workload(
+        self, workload, params, match, fresh_cache, compiles
+    ):
+        params = {"scale": 0.02, **params}
+        with pytest.raises(ConfigurationError, match=match):
+            load_workload(workload, seed=0, **params)
+        assert compiles == []
+        assert list(fresh_cache.iterdir()) == []
