@@ -51,6 +51,13 @@ and hands each batch's commands to one
 :meth:`~repro.serve.service.CacheService.execute`, as a server's drain
 does; every call under ``src/repro`` counts, engines included, per
 command (``python -m tests.perf_counts serve 4`` prints one).
+
+The memcachier slice is all GETs, so two rows, ``write/cliffhanger`` and
+``write/default``, count the write path: :func:`count_write_calls`
+compiles the same mix (:func:`write_mix`) into a trace for the serve
+rows' two tenants, gives them one engine each and counts ``MEASURED``
+rows after ``WARMUP``, as the memcachier rows do (``python -m
+tests.perf_counts write cliffhanger`` prints one).
 """
 
 from __future__ import annotations
@@ -61,14 +68,16 @@ import os
 import random
 import sys
 from collections import Counter
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache import kernel
 from repro.cluster.routing import build_routing_plan
 from repro.serve.protocol import ProtocolParser
 from repro.serve.service import CacheService
 from repro.sim import (
+    GEOMETRY,
     Scenario,
+    SyntheticTrace,
     build_cluster,
     build_server,
     load_workload,
@@ -76,6 +85,8 @@ from repro.sim import (
 )
 from repro.sim.runner import prepare_cluster
 from repro.sim.scenario import SOLVER_PLANS
+from repro.workloads.compiled import CompiledTrace
+from repro.workloads.trace import Request
 from tests.profile_hook import SRC, src_hook
 
 WARMUP = 20_000
@@ -145,31 +156,37 @@ SERVE_WARMUP = 4_096
 SERVE_MEASURED = 1_024
 
 
-def serve_commands(count: int, seed: int = 0) -> List[bytes]:
-    """``count`` commands of the ``serve_write`` mix as wire bytes: Zipf
-    keys over two tenants, 45% ``get`` / 50% ``set`` / 5% ``delete``,
-    each key's value size drawn once, log-uniform over 64 B-8 KiB."""
+def write_mix(
+    count: int, seed: int = 0, keys: int = SERVE_KEYS
+) -> List[Tuple[str, str, int]]:
+    """``count`` requests of the ``serve_write`` mix as ``(op, key, value
+    bytes)``: Zipf keys over two tenants of ``keys`` keys each, 45%
+    ``get`` / 50% ``set`` / 5% ``delete``, each key's value size drawn
+    once, log-uniform over 64 B-8 KiB."""
     rng = random.Random(seed)
-    keys = [
-        f"{tenant}:b:{rank}"
-        for tenant in ("zipf01", "zipf02")
-        for rank in range(SERVE_KEYS)
+    names = [
+        f"{tenant}:b:{rank}" for tenant in ("zipf01", "zipf02") for rank in range(keys)
     ]
-    sizes = [int(math.exp(rng.uniform(math.log(64), math.log(8192)))) for _ in keys]
-    weights = [1.0 / (rank + 1) for rank in range(SERVE_KEYS)] * 2
-    commands = []
-    for index in rng.choices(range(len(keys)), weights, k=count):
-        key = keys[index]
+    sizes = [int(math.exp(rng.uniform(math.log(64), math.log(8192)))) for _ in names]
+    weights = [1.0 / (rank + 1) for rank in range(keys)] * 2
+    mix = []
+    for index in rng.choices(range(len(names)), weights, k=count):
         draw = rng.random()
-        if draw < 0.45:
-            commands.append(f"get {key}\r\n".encode())
-        elif draw < 0.95:
-            size = sizes[index]
+        op = "get" if draw < 0.45 else "set" if draw < 0.95 else "delete"
+        mix.append((op, names[index], sizes[index]))
+    return mix
+
+
+def serve_commands(count: int, seed: int = 0) -> List[bytes]:
+    """``count`` commands of :func:`write_mix` as wire bytes."""
+    commands = []
+    for op, key, size in write_mix(count, seed):
+        if op == "set":
             commands.append(
                 f"set {key} 0 0 {size}\r\n".encode() + b"v" * size + b"\r\n"
             )
         else:
-            commands.append(f"delete {key}\r\n".encode())
+            commands.append(f"{op} {key}\r\n".encode())
     return commands
 
 
@@ -243,17 +260,56 @@ def count_credit_calls(credit_bytes: int) -> Dict[str, int]:
     return _count_engine_calls(scenario, CREDIT_WARMUP, CREDIT_MEASURED)
 
 
-def _count_engine_calls(
-    scenario: Scenario, warmup: int, measured: int, warm: bool = True
-) -> Dict[str, int]:
-    """Replay ``scenario``'s first ``warmup`` requests (unless not
-    ``warm``), then count the calls under ``src/repro`` the next
-    ``measured`` make through the engines, one ``process_run`` per app
-    as the replay kernel calls them."""
-    trace = load_workload(
-        scenario.workload, scenario.scale, scenario.seed,
-        **scenario.workload_params,
+def count_write_calls(scheme: str) -> Dict[str, int]:
+    """:func:`count_calls` for ``scheme`` on the write slice: the
+    ``MEASURED`` rows after ``WARMUP`` of :func:`write_mix`, served by
+    one engine per tenant of :data:`SERVE_SCENARIO`."""
+    scenario = Scenario(
+        workload=SERVE_SCENARIO.workload,
+        scheme=scheme,
+        scale=SERVE_SCENARIO.scale,
+        seed=SERVE_SCENARIO.seed,
     )
+    tenants = load_workload(scenario.workload, scenario.scale, scenario.seed)
+    compiled = CompiledTrace.compile(
+        (
+            Request(
+                time=float(index),
+                app=key.partition(":")[0],
+                key=key,
+                op=op,
+                value_size=size,
+            )
+            for index, (op, key, size) in enumerate(write_mix(WARMUP + MEASURED))
+        ),
+        GEOMETRY,
+    )
+    trace = SyntheticTrace(
+        scale=scenario.scale,
+        seed=scenario.seed,
+        reservations=dict(tenants.reservations),
+        requests_per_app={},
+        compiled=compiled,
+    )
+    return _count_engine_calls(scenario, WARMUP, MEASURED, trace=trace)
+
+
+def _count_engine_calls(
+    scenario: Scenario,
+    warmup: int,
+    measured: int,
+    warm: bool = True,
+    trace: Optional[SyntheticTrace] = None,
+) -> Dict[str, int]:
+    """Replay the first ``warmup`` requests of ``trace`` (``scenario``'s
+    workload unless given; none unless ``warm``), then count the calls
+    under ``src/repro`` the next ``measured`` make through the engines,
+    one ``process_run`` per app as the replay kernel calls them."""
+    if trace is None:
+        trace = load_workload(
+            scenario.workload, scenario.scale, scenario.seed,
+            **scenario.workload_params,
+        )
     server = build_server(scenario, trace)
     if warm:
         server.replay_compiled(trace.compiled.slice(0, warmup))
@@ -332,9 +388,9 @@ def count_cluster_calls() -> Dict[str, int]:
 def is_engine_row(row: Tuple[str, str]) -> bool:
     """Whether a ``BUDGET`` row counts one engine scheme's own calls on
     the fixed slice (every row but the cluster replay's, the start-up
-    row and the serve and credit rows)."""
+    row and the serve, credit and write rows)."""
     return row not in (CLUSTER_ROW, STARTUP_ROW) and row[0] not in (
-        "serve", "credit"
+        "serve", "credit", "write"
     )
 
 
@@ -348,6 +404,8 @@ def count_row(row: Tuple[str, str]) -> Dict[str, int]:
         return count_serve_calls(int(row[1]))
     if row[0] == "credit":
         return count_credit_calls(int(row[1]))
+    if row[0] == "write":
+        return count_write_calls(row[1])
     return count_calls(*row)
 
 

@@ -18,7 +18,10 @@ reply: ``ProtocolParser`` plus one ``CacheService.execute`` per batch of
 4 or of 32 commands of the ``serve_write`` mix, engines included. Two
 more count ``cliffhanger`` where memory moves: ``sensitivity``'s
 workload at 1 KB and at 128 KB credits, where start-up growth, credit
-transfers and repartitions run on most requests.
+transfers and repartitions run on most requests. Two more count the
+write path, which the all-GET memcachier slice never takes:
+``cliffhanger`` and ``default`` engines serving the ``serve_write`` mix
+(45% GET / 50% SET / 5% DELETE) as trace rows.
 
 Each row's per-function table is checked in beside this file
 (``call_tables.json``), and a row over its budget prints its diff
@@ -126,6 +129,8 @@ BUDGET = {
     ("serve", "32"): 6_295 / SERVE_MEASURED,
     ("credit", "1024"): 33_989 / CREDIT_MEASURED,
     ("credit", "131072"): 58_735 / CREDIT_MEASURED,
+    ("write", "cliffhanger"): 3.697,
+    ("write", "default"): 0.7675,
 }
 
 
