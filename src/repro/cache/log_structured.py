@@ -30,6 +30,12 @@ class GlobalLRUEngine(Engine):
     any replacement scheme over its log; the paper's Table 2 uses LRU.
     Slab classes are still computed for every request so statistics remain
     comparable with the slab engines, but they play no allocation role.
+
+    As in :class:`~repro.cache.engines.SlabEngineBase`, a key map says
+    what is resident: a GET hit promotes with the policy's ``touch`` (no
+    residency test), a store records the key and the policy's ``store``
+    deletes each victim from the map, and a resize forgets what it
+    evicts.
     """
 
     def __init__(
@@ -43,6 +49,8 @@ class GlobalLRUEngine(Engine):
         self.queue: EvictionPolicy = make_policy(
             policy, budget_bytes, name=f"{app}/log"
         )
+        #: Resident key -> slab class.
+        self._resident: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -54,19 +62,28 @@ class GlobalLRUEngine(Engine):
     def used_bytes(self) -> float:
         return self.queue.used
 
-    def _enforce_budget(self) -> int:
+    def _resize(self) -> int:
+        """Resize the log to the budget; forget and count what it evicts."""
         evicted = self.queue.resize(self.budget_bytes)
-        self.ops.evictions += len(evicted)
+        for key, _ in evicted:
+            self._resident.pop(key, None)
         return len(evicted)
+
+    def _enforce_budget(self) -> int:
+        evicted = self._resize()
+        self.ops.evictions += evicted
+        return evicted
 
     def grow_budget(self, delta_bytes: float) -> None:
         super().grow_budget(delta_bytes)
-        self.queue.resize(self.budget_bytes)
+        self._resize()
 
     # ------------------------------------------------------------------
 
     def process_run(self, rows: Iterable[Row]) -> List[int]:
         queue = self.queue
+        touch = queue.touch
+        resident = self._resident
         lookups = promotes = inserts = evictions = 0
         codes: List[int] = []
         append = codes.append
@@ -74,17 +91,21 @@ class GlobalLRUEngine(Engine):
             class_code = (class_index + 1) << CLASS_SHIFT
             if op == OP_GET:
                 lookups += 1
-                if queue.access(key):
+                if key in resident:
+                    touch(key)
                     promotes += 1
                     append((class_code | OUTCOME_HIT) << 2)
                     continue
             elif op != OP_SET:  # DELETE
                 lookups += 1
-                if queue.remove(key):
+                if resident.pop(key, None) is not None:
+                    queue.remove(key)
                     class_code |= OUTCOME_HIT
                 append((class_code << 2) | op)
                 continue
-            evicted = len(queue.insert(key, item_bytes))
+            # Recorded first: the store may evict the key it just stored.
+            resident[key] = class_index
+            evicted = queue.store(key, item_bytes, resident)
             inserts += 1
             evictions += evicted
             append((((evicted << EVICTED_SHIFT) | class_code) << 2) | op)

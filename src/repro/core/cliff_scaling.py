@@ -44,15 +44,18 @@ The request path makes as few Python calls as it can. The engine's
 ``process_run`` loops over a whole run of rows, so a request costs no
 call of its own; a GET looks for its key once, with inline membership
 tests; a GET-miss :meth:`CliffhangerQueue.fill` stores without
-searching again and cascades inline; a push or resize cascades only
-when a limit is exceeded or shrank. A split queue routes a key through
-:func:`~repro.common.hashing.routing_hash`, whose memo hashes a hot
-key once (and a miss's ``fill`` not again after its ``access``). On
-the slice ``tests/sim/test_call_budget.py`` gates, the ``cliffhanger``
-engine makes 1.25 calls per request (1.49 before the credit path below
-was made lean, 3.0 with a ``process_fast`` call per request, 5.4 before
-this layout was made lean), against 0.19 for the stock ``default``
-engine, whose GET hit makes no Python call (1.0 while it did).
+searching again, and a SET's :meth:`CliffhangerQueue.insert` purges
+with inline membership tests; both count stale misses inline and
+store with one step per segment boundary. A DELETE's
+:meth:`CliffhangerQueue.remove` stops at the first partition that held
+the key. A resize cascades only when a limit shrank. A split queue
+routes a key through :func:`~repro.common.hashing.routing_hash`, whose
+memo hashes a hot key once (and a miss's ``fill`` not again after its
+``access``). What that costs in Python calls per request is gated by
+``tests/sim/test_call_budget.py::BUDGET``: its ``cliffhanger`` row
+counts the all-GET memcachier slice, its ``write/cliffhanger`` row the
+``serve_write`` mix of GETs, SETs and DELETEs, each against the stock
+engine's row on the same slice (``default``, ``write/default``).
 
 The credit path costs what it moves. :meth:`CliffhangerQueue.set_capacity`
 runs the size gate, the pointer clamps and the ratio inline and, while
@@ -60,13 +63,12 @@ the queue stays unsplit with nothing pending, resizes only the right
 partition; a pointer event that leaves the queue unsplit marks no
 repartition, since an unsplit queue's targets are ``(0, size)`` wherever
 its pointers sit. :meth:`CliffhangerQueue.grow` is the engine's start-up
-growth test and resize in one call. On ``sensitivity``'s workload (the
-``credit/1024`` and ``credit/131072`` budget rows), where memory moves on
-most requests, the engine makes 1.70 calls per request at 1 KB credits
-and 2.94 at 128 KB -- 3.53 and 8.62 while every resize and pointer event
-fanned out to both partitions through ``_partition_targets``,
-``_effective_ratio`` and ``_cliff_gate``. ``tests/core/test_credit_path.py``
-holds this path to that fan-out step by step.
+growth test and resize in one call. The ``credit/1024`` and
+``credit/131072`` budget rows count ``sensitivity``'s workload, where
+memory moves on most requests. ``tests/core/test_credit_path.py`` holds
+this path to the fan-out it replaced, and
+``tests/core/test_write_path.py`` holds the write path to the purge and
+cascade it replaced.
 """
 
 from __future__ import annotations
@@ -246,12 +248,6 @@ class _Partition:
             del hill[key]
             return SEG_HILL
         return None
-
-    def push(self, key: object) -> int:
-        """Store ``key`` (held by no segment) at the MRU end of main;
-        return how many keys that pushed out of physical memory."""
-        self.main[key] = None
-        return self._cascade()
 
     def set_physical(self, physical_bytes: float) -> int:
         """Resize the physical region, keeping the tail probe at its
@@ -512,28 +508,87 @@ class CliffhangerQueue:
         return 1
 
     def insert(self, key: object, weight: float = 0.0) -> int:
-        """SET path: :meth:`fill` for a key any segment may hold. The key
-        is purged only after the pending repartition, whose cascade must
-        see it where it is."""
-        self._decay_pointers()
+        """SET path: :meth:`fill` for a key any segment may hold, in one
+        frame. The stale-pointer count and the pending repartition come
+        first, as in :meth:`fill`; then the key is purged -- after the
+        repartition, whose cascade must see it where it is -- from the
+        routed partition's segments, or from the other partition's when
+        the routed one does not hold it (a key sits in at most one
+        segment of the queue). The store is :meth:`fill`'s: the purge
+        only shrank segments, so every one is within its limit before
+        the push and at most one key crosses each boundary.
+        """
+        if self.cliff_active:
+            size = self.capacity_bytes
+            if self.right_pointer == size and self.left_pointer == size:
+                self._stale_misses = 0
+            elif self._stale_misses + 1 < self.config.stale_miss_limit:
+                self._stale_misses += 1
+            else:
+                self._decay_pointers()  # the miss that resets the search
         if self._pending_resize:
             self._apply_partition_targets()
-        routed, other = self.right, self.left
+        routed = other = self.right
         if self._split and routing_hash(key, self.config.salt_mix) < self.ratio:
-            routed, other = other, routed
-        if routed.discard(key) is None:
-            other.discard(key)
-        return routed.push(key)
+            routed = self.left
+        else:
+            other = self.left
+        main = routed.main
+        if key in main:
+            del main[key]
+        elif key in routed.tail:
+            del routed.tail[key]
+        elif key in routed.cliff:
+            del routed.cliff[key]
+        elif key in routed.hill:
+            del routed.hill[key]
+        elif key in other.main:
+            del other.main[key]
+        elif key in other.tail:
+            del other.tail[key]
+        elif key in other.cliff:
+            del other.cliff[key]
+        elif key in other.hill:
+            del other.hill[key]
+        # fill's ladder, written out again: a shared helper would cost a
+        # Python call per store on both paths.
+        main[key] = None
+        if len(main) <= routed.main_limit:
+            return 0
+        tail = routed.tail
+        tail[main.popitem(False)[0]] = None
+        if len(tail) <= routed.tail_limit:
+            return 0
+        cliff = routed.cliff
+        cliff[tail.popitem(False)[0]] = None
+        if len(cliff) > routed.cliff_limit:
+            hill = routed.hill
+            hill[cliff.popitem(False)[0]] = None
+            if len(hill) > routed.hill_limit:
+                hill.popitem(False)
+        return 1
 
     def remove(self, key: object) -> bool:
-        """DELETE path: purge ``key`` from every segment; True only when
-        it was in physical memory (main or tail probe)."""
-        resident = False
+        """DELETE path: purge ``key``; True only when it was in physical
+        memory (main or tail probe). A key sits in at most one segment of
+        the queue, so the search stops at the first partition that held
+        it, the right one (all of an unsplit queue) first."""
+        segment = self.right.discard(key)
+        if segment is None:
+            segment = self.left.discard(key)
+        return segment is not None and segment <= SEG_TAIL
+
+    def check_invariants(self) -> None:
+        """Raise :class:`CacheError` if either partition breaks its
+        invariants (:meth:`_Partition.check_invariants`) or a key sits in
+        both partitions."""
+        held = set()
         for partition in (self.left, self.right):
-            segment = partition.discard(key)
-            if segment is not None:
-                resident = resident or segment <= SEG_TAIL
-        return resident
+            partition.check_invariants()
+            keys = [key for _, segment in partition.segments() for key in segment]
+            if not held.isdisjoint(keys):
+                raise CacheError("a key sits in both partitions")
+            held.update(keys)
 
     # ------------------------------------------------------------------
     # Algorithm 2: pointer updates

@@ -23,15 +23,20 @@ both through the same eight names:
   growth and credit transfers only resize), so the queue skips
   searching for it; returns how many entries that pushed out of
   physical memory (into the shadow).
-* ``insert(key, weight)`` -- SET: purge the key from every segment,
-  then store it as ``fill`` does; returns the same count.
+* ``insert(key, weight)`` -- SET: purge the key wherever the queue
+  holds it, then store it as ``fill`` does; returns the same count.
+  ``CliffhangerQueue`` does both in one frame: it searches the routed
+  partition's segments, then the other partition's, and pushes down
+  with ``fill``'s one step per segment boundary.
 * ``set_capacity(capacity_bytes)`` -- resize the physical region; returns
   how many entries that pushed out of physical memory.
 * ``grow(nbytes)`` -- start-up growth: ``set_capacity(capacity_bytes +
   nbytes)`` when fewer than ``nbytes`` of the physical region are free;
   returns whether it grew.
-* ``remove(key)`` -- DELETE; purges the key everywhere and returns
-  whether it was in physical memory. A shadow never claims residency.
+* ``remove(key)`` -- DELETE; purges the key and returns whether it was
+  in physical memory. A shadow never claims residency. A key sits in
+  one place of a queue at most, so ``CliffhangerQueue`` stops at the
+  first partition that held it.
 * ``capacity_bytes`` / ``used_bytes`` -- physical bytes reserved / held
   (``capacity_bytes`` is what the hill climber reads per donor).
 

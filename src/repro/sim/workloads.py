@@ -139,8 +139,13 @@ def _load_memcachier(
     seed: int,
     apps: Optional[List[int]] = None,
     total_requests: Optional[int] = None,
+    **unknown: Any,
 ) -> SyntheticTrace:
     """The paper's synthetic 20-application Memcachier-like trace."""
+    if unknown:
+        raise ConfigurationError(
+            f"unknown memcachier workload params: {', '.join(sorted(unknown))}"
+        )
     meta = build_memcachier_trace(
         scale=scale, seed=seed, apps=apps, total_requests=total_requests
     )

@@ -13,6 +13,11 @@ plus budget shrinks and grows, and checks after every step:
 * no queue holds more bytes than its capacity;
 * a GET or DELETE hits exactly when the key was resident, and only for a
   key stored and not deleted since.
+
+The log-structured engine keeps the same kind of map over its one queue
+(``GlobalLRUEngine._resident``); :class:`LogResidency` holds it to the
+queue's keys the same way, with items of several sizes, one of them
+larger than the smallest budget.
 """
 
 import math
@@ -26,6 +31,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cache.engines import FirstComeFirstServeEngine, PlannedEngine
+from repro.cache.log_structured import GlobalLRUEngine
 from repro.cache.policies import POLICIES
 from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_DELETE, OP_GET, OP_SET, OUTCOME_HIT
@@ -127,4 +133,64 @@ class SlabResidency(RuleBasedStateMachine):
 TestSlabResidency = SlabResidency.TestCase
 TestSlabResidency.settings = settings(
     max_examples=300, stateful_step_count=25, deadline=None
+)
+
+
+class LogResidency(RuleBasedStateMachine):
+    @initialize(
+        policy=st.sampled_from(sorted(POLICIES)),
+        budget=st.sampled_from((300.0, 1000.0)),
+    )
+    def build(self, policy, budget):
+        self.engine = GlobalLRUEngine("a", budget, GEO, policy=policy)
+        self.live = set()  # stored and not deleted since
+
+    def _resident(self, key):
+        return key in self.engine.queue
+
+    def _process(self, key, op, item_bytes):
+        class_index, chunk, _ = GEO.row(len(key), item_bytes)
+        return self.engine.process_fast(key, op, class_index, chunk, item_bytes)
+
+    @rule(key=KEYS, item_bytes=st.sampled_from((100, 250, 400)))
+    def get(self, key, item_bytes):
+        resident = self._resident(key)
+        hit = bool(self._process(key, OP_GET, item_bytes) & OUTCOME_HIT)
+        assert hit == resident
+        assert not hit or key in self.live
+        self.live.add(key)  # a miss fills
+
+    @rule(key=KEYS, item_bytes=st.sampled_from((100, 250, 400)))
+    def set(self, key, item_bytes):
+        self._process(key, OP_SET, item_bytes)
+        self.live.add(key)
+
+    @rule(key=KEYS)
+    def delete(self, key):
+        resident = self._resident(key)
+        hit = bool(self._process(key, OP_DELETE, 100) & OUTCOME_HIT)
+        assert hit == resident
+        assert not hit or key in self.live
+        self.live.discard(key)
+        assert not self._resident(key)
+
+    @rule(delta=st.sampled_from((100.0, 400.0)))
+    def shrink_budget(self, delta):
+        self.engine.shrink_budget(delta)
+
+    @rule(delta=st.sampled_from((100.0, 400.0)))
+    def grow_budget(self, delta):
+        self.engine.grow_budget(delta)
+
+    @invariant()
+    def bookkeeping_matches_the_queue(self):
+        queue = self.engine.queue
+        assert set(self.engine._resident) == set(queue.keys())
+        assert len(self.engine._resident) == len(queue)
+        assert queue.used <= queue.capacity
+
+
+TestLogResidency = LogResidency.TestCase
+TestLogResidency.settings = settings(
+    max_examples=150, stateful_step_count=25, deadline=None
 )

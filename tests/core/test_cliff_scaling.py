@@ -21,6 +21,7 @@ from repro.core.cliff_scaling import (
 )
 from repro.workloads.generators import ReuseDistanceStream
 from repro.workloads.sizes import FixedSize
+from tests.core.reference_write import push
 
 CHUNK = 256
 
@@ -282,7 +283,7 @@ def touch(part, key):
     """A GET with promote-to-MRU on any find, as one LRU list would do:
     the segment ``key`` was in (None on a miss)."""
     segment = part.discard(key)
-    part.push(key)
+    push(part, key)
     return segment
 
 
@@ -359,7 +360,7 @@ class TestPartition:
             if op == "insert":
                 key = f"k{argument}"
                 physical = part.discard(key) in (SEG_MAIN, SEG_TAIL)
-                crossed = part.push(key)
+                crossed = push(part, key)
                 added = 0 if physical else 1
                 assert crossed == before + added - part.physical_len()
             elif op == "physical":
@@ -378,7 +379,7 @@ class TestPartition:
         0 and leaves every key where it was; the capacities move."""
         part = partition(main_items=4, probe_items=2, hill_items=5)
         for index in range(16):
-            part.push(f"k{index}")
+            push(part, f"k{index}")
         keys = [keys for _, keys in part.segments()]
         assert [len(segment) for segment in keys] == [4, 2, 2, 5]
         for physical in (6.5, 6.999, 6.0, 9.0):
@@ -392,7 +393,7 @@ class TestPartition:
         limit changes: the tail's LRU key still moves down."""
         part = partition(main_items=0, probe_items=4, hill_items=5)
         for index in range(8):
-            part.push(f"k{index}")
+            push(part, f"k{index}")
         assert part.main_limit == 0 and list(part.tail) == [
             "k4", "k5", "k6", "k7",
         ]

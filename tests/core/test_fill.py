@@ -23,8 +23,7 @@ def cliffhanger():
 
 def cliff_state(queue):
     """Every field, and each partition's segments (checked first)."""
-    for partition in (queue.left, queue.right):
-        partition.check_invariants()
+    queue.check_invariants()
     fields = {
         name: value
         for name, value in vars(queue).items()

@@ -179,6 +179,12 @@ def test_unknown_workload_exits_2(capsys):
     assert "mystery-trace" in one_error_line(capsys)
 
 
+def test_unknown_memcachier_workload_param_exits_2(capsys):
+    spec = {"workload": "memcachier", "scale": 0.012, "workload_params": {"foo": 1}}
+    assert main(["run", json.dumps(spec)]) == 2
+    assert one_error_line(capsys) == "error: unknown memcachier workload params: foo"
+
+
 def test_unknown_experiment_id_exits_2(capsys):
     assert main(["run", "fig99"]) == 2
     assert "fig99" in one_error_line(capsys)
