@@ -101,6 +101,10 @@ ACCESS_HIT = 1
 ACCESS_HILL_FIND = 2
 ACCESS_CLIFF_FIND = 3
 
+#: How far a split's hit-rate EMA may fall below its pre-split baseline
+#: before the evaluation reverts the split.
+SPLIT_REGRESSION_MARGIN = 0.01
+
 
 @dataclass(frozen=True)
 class CliffConfig:
@@ -130,14 +134,14 @@ class CliffConfig:
     #: ramp walks past it.
     split_threshold_probes: float = 4.0
     #: Requests after a split at which the split is judged against the
-    #: pre-split hit-rate EMA; a regression beyond the margin reverts the
-    #: split and backs off exponentially. Splitting can only win when the
-    #: operating point sits in a genuinely convex region -- this guard
+    #: pre-split hit-rate EMA; a regression beyond
+    #: :data:`SPLIT_REGRESSION_MARGIN` reverts the split and backs off
+    #: exponentially. Splitting can only win when the operating point
+    #: sits in a genuinely convex region -- this guard
     #: bounds the damage of a false engage near a cliff edge, where
     #: anchor noise can otherwise cost more than the (near-zero)
     #: theoretical gain. (Engineering addition to the paper.)
     split_eval_requests: int = 6000
-    split_regression_margin: float = 0.01
     split_backoff_requests: int = 30000
 
     #: Derived, set once here: ``probe_items`` chunks in bytes, the
@@ -646,7 +650,7 @@ class CliffhangerQueue:
         baseline = self._split_baseline
         if baseline is None:
             return
-        if self._hit_ema_value < baseline - self.config.split_regression_margin:
+        if self._hit_ema_value < baseline - SPLIT_REGRESSION_MARGIN:
             self._revert_split()
         else:
             # Keep monitoring against the pre-split baseline: the damage

@@ -29,12 +29,11 @@ A target is anything with a ``capacity_bytes`` and a ``set_capacity``
 building the donor list reads one attribute per queue and calls
 nothing; budgets that are sums or live elsewhere come through a
 :class:`CallbackTarget`. A shadow hit in a climber with one queue
-returns at once. On ``sensitivity``'s workload at 128 KB credits
-(``tests/sim/test_call_budget.py``'s ``credit/131072`` row) the climber
-makes 0.38 calls per request, one per shadow hit; it made 2.97 while its
-donor list was a comprehension calling a capacity closure (and, through
-it, a property) per donor. The victim is drawn with ``rng.choice``,
-which draws exactly as ``donors[rng.randrange(len(donors))]`` did.
+returns at once. A shadow hit costs one frame, counted in the
+``credit/1024`` and ``credit/131072`` rows of
+``tests/sim/test_call_budget.py::BUDGET``. The victim is drawn with
+``rng.choice``, which draws exactly as
+``donors[rng.randrange(len(donors))]`` would.
 """
 
 from __future__ import annotations

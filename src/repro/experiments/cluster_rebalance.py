@@ -6,7 +6,7 @@ experiment replays a flash-crowd workload over a deliberately uneven ring
 (few virtual nodes, so consistent hashing hands some shards a larger
 slice of the keyspace) and compares three allocations:
 
-* ``static``  -- the frozen even split (PR 3 behaviour);
+* ``static``  -- the frozen even split a plain cluster runs;
 * ``shadow``  -- epoch-driven budget stealing toward the shard with the
   most shadow hits (the paper's gradient signal, aggregated per server);
 * ``load``    -- the same stealing toward the busiest shard (byte-blind,

@@ -1,8 +1,7 @@
 """Decorator-based registries for engine schemes and workloads.
 
-The original harness dispatched on scheme names through an ``if/elif``
-chain and hard-coded the Memcachier loader; these registries make both
-axes pluggable::
+Schemes and workloads are looked up by name here, so a new one plugs
+in with a decorator and no harness edit::
 
     from repro.sim import register_scheme
 

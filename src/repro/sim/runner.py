@@ -48,14 +48,23 @@ def _resolve_plans(
 
 
 def _chosen_apps(scenario: Scenario, trace) -> List[str]:
+    """The replayed apps, once every app the scenario names (in
+    ``apps``, ``budgets`` or ``plans``) is known to be the workload's."""
+    plans = scenario.plans if isinstance(scenario.plans, dict) else None
+    for field, named in (
+        ("apps", scenario.apps),
+        ("budgets", scenario.budgets),
+        ("plans", plans),
+    ):
+        unknown = [app for app in named or () if app not in trace.reservations]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown app(s) {', '.join(map(repr, unknown))} in {field} "
+                f"for workload {scenario.workload!r}; "
+                f"known: {', '.join(trace.app_names)}"
+            )
     if scenario.apps is None:
         return list(trace.app_names)
-    unknown = [app for app in scenario.apps if app not in trace.reservations]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown app(s) {', '.join(map(repr, unknown))} for workload "
-            f"{scenario.workload!r}; known: {', '.join(trace.app_names)}"
-        )
     return list(scenario.apps)
 
 

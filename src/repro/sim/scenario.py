@@ -15,6 +15,7 @@ per-app miss reductions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
@@ -115,9 +116,19 @@ class Scenario(Spec):
             if self.apps is not None:
                 self.apps = [str(app) for app in self.apps]
             if self.budgets is not None:
-                self.budgets = {
-                    str(app): float(b) for app, b in self.budgets.items()
-                }
+                budgets = {}
+                for app, value in self.budgets.items():
+                    # A boolean is refused, not read as a 1-byte budget.
+                    budget = float(value)
+                    if isinstance(value, bool) or not (
+                        math.isfinite(budget) and budget > 0
+                    ):
+                        raise ConfigurationError(
+                            f"budgets.{app} must be a finite number > 0, "
+                            f"got {value!r}"
+                        )
+                    budgets[str(app)] = budget
+                self.budgets = budgets
             if isinstance(self.plans, dict):
                 # JSON turns integer slab-class keys into strings.
                 self.plans = {

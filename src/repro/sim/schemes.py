@@ -1,8 +1,7 @@
 """Built-in engine schemes, registered on :data:`repro.sim.SCHEMES`.
 
-Each builder instantiates one tenant engine; the if/elif factory the
-experiment harness used to carry lives on only as the thin
-:func:`make_engine` dispatch wrapper.
+Each builder instantiates one tenant engine; :func:`make_engine`
+looks the scheme up by name and calls its builder.
 
 Schemes: ``default`` (stock FCFS), ``planned`` (a solver plan), ``lsm``
 (global LRU), ``hill`` (Algorithm 1 only, any policy), ``cliff-only``,
@@ -76,7 +75,7 @@ def _build_planned(
     **_context,
 ) -> Engine:
     if plan is None:
-        raise ConfigurationError("planned engine needs a plan")
+        raise ConfigurationError(f"planned engine needs a plan for app {app!r}")
     return PlannedEngine(app, budget_bytes, geometry, plan, policy=policy)
 
 

@@ -185,6 +185,44 @@ def test_unknown_memcachier_workload_param_exits_2(capsys):
     assert one_error_line(capsys) == "error: unknown memcachier workload params: foo"
 
 
+@pytest.mark.parametrize(
+    "budget, shown",
+    [(1e400, "inf"), (math.nan, "nan"), (0, "0"), (-5, "-5"), (True, "True")],
+)
+def test_non_finite_or_non_positive_budget_exits_2_naming_the_app(
+    capsys, budget, shown
+):
+    spec = {"workload": "zipf", "scale": 0.012, "budgets": {"zipf01": budget}}
+    assert main(["run", json.dumps(spec)]) == 2
+    assert one_error_line(capsys) == (
+        f"error: budgets.zipf01 must be a finite number > 0, got {shown}"
+    )
+
+
+@pytest.mark.parametrize("field", ["budgets", "plans"])
+def test_app_the_workload_lacks_exits_2(capsys, field):
+    """A typo'd app in ``budgets`` or ``plans`` is refused, as one in
+    ``apps`` is, instead of being silently ignored."""
+    value = 65536 if field == "budgets" else {"0": 65536}
+    spec = {"workload": "zipf", "scale": 0.012, field: {"zipf1": value}}
+    assert main(["run", json.dumps(spec)]) == 2
+    assert one_error_line(capsys) == (
+        f"error: unknown app(s) 'zipf1' in {field} for workload 'zipf'; "
+        "known: zipf01, zipf02"
+    )
+
+
+def test_partial_plans_exit_2_naming_the_planless_app(capsys):
+    spec = {
+        "workload": "zipf", "scale": 0.012, "scheme": "planned",
+        "plans": {"zipf01": {"0": 65536}},
+    }
+    assert main(["run", json.dumps(spec)]) == 2
+    assert one_error_line(capsys) == (
+        "error: planned engine needs a plan for app 'zipf02'"
+    )
+
+
 def test_unknown_experiment_id_exits_2(capsys):
     assert main(["run", "fig99"]) == 2
     assert "fig99" in one_error_line(capsys)

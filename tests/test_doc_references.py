@@ -1,6 +1,8 @@
 """Every ``tests/<path>.py`` the sources, README or examples cite exists,
 and so does every ``::<name>`` after it (a class, function or assignment,
-``::Class::method`` looked up inside the class)."""
+``::Class::method`` looked up inside the class). The docs stay short and
+state the present: README and the verify skill keep to their line limits
+and quote no before / after figure."""
 
 import ast
 import re
@@ -53,4 +55,47 @@ def test_every_cited_test_path_and_name_exists():
         for path, match in references
         if not resolves(match)
     ]
+    assert broken == []
+
+
+SKILL = ".claude/skills/verify/SKILL.md"
+#: Each doc's line limit: one screen per subsystem, not a changelog.
+LINE_LIMITS = {"README.md": 400, SKILL: 200}
+#: A figure beside "before" / "while", after "was" / "were", or on either
+#: side of an arrow: history, which CHANGES.md keeps.
+HISTORY = re.compile(
+    r"(?:\d+\.\d+|\d[\d,]*k)\s+(?:before|while)\b"
+    r"|\b(?:was|were)\s+\d+\.\d"
+    r"|\d\s*(?:→|->)\s*\d"
+)
+
+
+def test_docs_state_the_present():
+    """README and the verify skill fit their limits, and no doc, source
+    or example line quotes a superseded figure (cite the gate or ledger
+    metric that records it instead)."""
+    lengths = {
+        name: len((ROOT / name).read_text().splitlines())
+        for name in LINE_LIMITS
+    }
+    too_long = {
+        name: lines
+        for name, lines in lengths.items()
+        if lines > LINE_LIMITS[name]
+    }
+    paths = [ROOT / name for name in LINE_LIMITS]
+    paths += sorted((ROOT / "src").rglob("*.py"))
+    paths += sorted(p for p in (ROOT / "examples").rglob("*") if p.is_file())
+    history = [
+        f"{path.relative_to(ROOT)}:{number}: {match.group(0)}"
+        for path in paths
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        for match in HISTORY.finditer(line)
+    ]
+    assert (too_long, history) == ({}, [])
+
+
+def test_every_test_path_the_verify_skill_cites_exists():
+    text = (ROOT / SKILL).read_text()
+    broken = [m.group(0) for m in REFERENCE.finditer(text) if not resolves(m)]
     assert broken == []
