@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, Iterable, List, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import CacheError, ConfigurationError
 from repro.cache.policies import EvictionPolicy, make_policy
 from repro.cache.policies.base import Evicted
 from repro.cache.slabs import SlabGeometry
@@ -41,9 +41,10 @@ from repro.cache.stats import (
     OpCounter,
 )
 
-#: One request as an engine takes it: ``(key, op, class_index, chunk,
-#: item_bytes)``.
-Row = Tuple[object, int, int, int, int]
+#: One request as an engine takes it: ``(key, op, class_index,
+#: item_bytes)``. The item's chunk is ``geometry.chunk_sizes[class_index]``
+#: of the engine's own ladder, read on the store path only.
+Row = Tuple[object, int, int, int]
 
 
 class Engine(abc.ABC):
@@ -83,12 +84,13 @@ class Engine(abc.ABC):
         """Apply one run of pre-classified requests, in order; return
         ``(code << 2) | op`` per row, the replay kernel's tally format.
 
-        Each row is ``(key, op, class_index, chunk, item_bytes)``: ``op``
-        is an integer op code (:data:`repro.cache.stats.OP_GET` etc.);
-        the rest is the row :meth:`repro.cache.slabs.SlabGeometry.row` /
-        ``rows`` computes (``item_bytes`` is key + value, header
-        excluded; only engines without chunk rounding read it). ``code``
-        packs hit / shadow-hit flags, the slab class charged for
+        Each row is ``(key, op, class_index, item_bytes)``: ``op`` is an
+        integer op code (:data:`repro.cache.stats.OP_GET` etc.); the rest
+        is the row :meth:`repro.cache.slabs.SlabGeometry.row` / ``rows``
+        computes, less its chunk, which is :attr:`geometry`'s
+        ``chunk_sizes[class_index]`` (``item_bytes`` is key + value,
+        header excluded; only engines without chunk rounding read it).
+        ``code`` packs hit / shadow-hit flags, the slab class charged for
         statistics and the eviction count (see
         :func:`repro.cache.stats.pack_outcome`). Operation counts reach
         :attr:`ops` by the time the call returns.
@@ -98,8 +100,16 @@ class Engine(abc.ABC):
         self, key: object, op: int, class_index: int, chunk: int,
         item_bytes: int,
     ) -> int:
-        """One request as a run of one row; its packed outcome code."""
-        return self.process_run(((key, op, class_index, chunk, item_bytes),))[0] >> 2
+        """One request as a run of one row; its packed outcome code.
+        ``chunk`` must be this engine's ladder's chunk for the class
+        (:class:`CacheError` otherwise): a row carries no chunk, so one
+        from another ladder would be charged at this one's."""
+        if chunk != self.geometry.chunk_sizes[class_index]:
+            raise CacheError(
+                f"chunk {chunk}B is not {self.app!r}'s slab class "
+                f"{class_index} ({self.geometry.chunk_sizes[class_index]}B)"
+            )
+        return self.process_run(((key, op, class_index, item_bytes),))[0] >> 2
 
     @abc.abstractmethod
     def capacities(self) -> Dict[int, float]:
@@ -195,12 +205,13 @@ class SlabEngineBase(Engine):
         # resident in its class's queue.
         # The capacity total is read per row: an ``_admit`` grows it.
         queues = self.queues
+        chunks = self.geometry.chunk_sizes
         class_of_key = self._class_of_key
         fill_on_miss = self.fill_on_miss
         lookups = promotes = inserts = evictions = 0
         codes: List[int] = []
         append = codes.append
-        for key, op, class_index, chunk, item_bytes in rows:
+        for key, op, class_index, item_bytes in rows:
             if op == OP_GET:
                 lookups += 1
                 resident_class = class_of_key.get(key)
@@ -234,6 +245,7 @@ class SlabEngineBase(Engine):
             queue = queues.get(class_index)
             if queue is None:
                 queue = self._queue(class_index)
+            chunk = chunks[class_index]
             if (
                 queue.capacity < chunk
                 or self._capacity_total + chunk <= self.budget_bytes

@@ -27,7 +27,7 @@ each sample, mid-window.
 
 The columns reach the loop in blocks: consecutive runs of a window are
 grouped into blocks of at most :data:`GATHER_ROWS` rows (a longer run is
-a block of its own), each block gathers its five columns once, and
+a block of its own), each block gathers its four columns once, and
 every run takes its rows from the block's one row iterator. A dynamic
 cluster's window holds hundreds of runs of a few rows each, so gathering
 per block instead of per run is what keeps its windows cheap, while the
@@ -83,19 +83,22 @@ if TYPE_CHECKING:  # circular at runtime: server.py replays through us
 #: enough that a block's lists stay cache-resident while its runs read
 #: them, however long the window between two epochs or events; large
 #: enough that one block holds dozens of a dynamic cluster's short runs,
-#: so a window makes a handful of gathers, not five per run.
+#: so a window makes a handful of gathers, not four per run.
 GATHER_ROWS = 1024
 
 #: One run's outcome tally: ``(shard, app_id, {(code << 2) | op: count})``.
 Run = Tuple[int, int, Dict[int, int]]
 #: ``(GET hits, GETs)`` of the rows between two cuts of a window.
 CutTally = Tuple[int, int]
-#: ``(keys, op_codes, slab_classes, chunk_bytes, item_bytes)`` -- keys as
-#: an object array, the rest integer arrays, one row per request: a
-#: compiled trace's own columns (``CompiledTrace.replay_columns``).
-ReplayColumns = Tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-]
+#: ``(keys, op_codes, slab_classes, item_bytes)`` -- keys as an object
+#: array, the rest integer arrays, one row per request: the compiled
+#: trace columns an engine reads (``CompiledTrace.replay_columns``). A
+#: row's chunk is its engine's ladder's chunk for the class.
+ReplayColumns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Run ids below this sort as ``uint16``, where NumPy's stable argsort is
+#: a radix sort; a window with more (shard, app) pairs sorts as
+#: ``int64``. Either way the order is the same.
+RADIX_RUNS = 1 << 16
 
 
 def replay_runs(
@@ -116,15 +119,16 @@ def replay_runs(
     Within one window shards are independent servers and, on each shard,
     per-app engines and per-app stats share no state -- so the
     interleaved request order only matters *within* one (shard, app)
-    run, which a stable sort on ``shard * num_apps + app`` preserves.
-    Each run is then one ``process_run`` call on the run's rows, from
-    flat column gathers (``tolist`` hands the engine plain Python
-    objects; keys stay the interned strings); the engine returns the
-    packed ``(code << 2) | op`` outcomes, and a ``Counter`` of them
-    (tallied in C, keyed in first-seen order) stands in for a
-    per-request stats walk. Counters are integer adds, so flushing a
-    tally later is bit-identical to recording each request as it
-    happens. Runs come back in ascending composite order.
+    run, which a stable sort on ``shard * num_apps + app`` preserves
+    (in the narrowest dtype that holds the window's run ids, see
+    :data:`RADIX_RUNS`). Each run is then one ``process_run`` call on
+    the run's rows, from flat column gathers (``tolist`` hands the
+    engine plain Python objects; keys stay the interned strings); the
+    engine returns the packed ``(code << 2) | op`` outcomes, and a
+    ``Counter`` of them (tallied in C, keyed in first-seen order) stands
+    in for a per-request stats walk. Counters are integer adds, so
+    flushing a tally later is bit-identical to recording each request
+    as it happens. Runs come back in ascending composite order.
 
     The gathers are per block of runs (see the module docstring); each
     run draws exactly its own rows from its block's ``zip`` with
@@ -157,13 +161,15 @@ def replay_runs(
         return runs, [(0, 0)] * len(cuts)
     num_apps = len(app_table)
     composite = window_shards.astype(np.int64) * num_apps + window_apps
+    if composite.max() < RADIX_RUNS:
+        composite = composite.astype(np.uint16)
     order = np.argsort(composite, kind="stable")
     sorted_runs = composite[order]
     positions = order if members is None else members[order]
     if start:
         positions = positions + start
     run_bounds = np.flatnonzero(sorted_runs[1:] != sorted_runs[:-1]) + 1
-    keys, op_codes, slab_classes, chunk_bytes, item_bytes = columns
+    keys, op_codes, slab_classes, item_bytes = columns
     run_ids = sorted_runs[np.concatenate(([0], run_bounds))].tolist()
     run_stops = run_bounds.tolist()
     run_stops.append(len(sorted_runs))
@@ -182,7 +188,6 @@ def replay_runs(
             keys[picks].tolist(),
             op_codes[picks].tolist(),
             slab_classes[picks].tolist(),
-            chunk_bytes[picks].tolist(),
             item_bytes[picks].tolist(),
         )
         run_start = block_start

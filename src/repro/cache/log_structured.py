@@ -87,7 +87,7 @@ class GlobalLRUEngine(Engine):
         lookups = promotes = inserts = evictions = 0
         codes: List[int] = []
         append = codes.append
-        for key, op, class_index, chunk, item_bytes in rows:
+        for key, op, class_index, item_bytes in rows:
             class_code = (class_index + 1) << CLASS_SHIFT
             if op == OP_GET:
                 lookups += 1

@@ -37,9 +37,17 @@ class CacheServer:
     # ------------------------------------------------------------------
 
     def add_app(self, engine: Engine) -> None:
-        """Register a tenant. The engine's ``app`` name must be unique."""
+        """Register a tenant. The engine's ``app`` name must be unique,
+        and its slab ladder this server's: a replayed row carries its
+        class, not its chunk, and an engine charges the chunk its own
+        ladder gives that class."""
         if engine.app in self.engines:
             raise ConfigurationError(f"app {engine.app!r} already registered")
+        if engine.geometry.chunk_sizes != self.geometry.chunk_sizes:
+            raise ConfigurationError(
+                f"app {engine.app!r}'s engine has a different slab geometry "
+                f"({engine.geometry.chunk_sizes} vs {self.geometry.chunk_sizes})"
+            )
         self.engines[engine.app] = engine
 
     def replace_app(self, engine: Engine) -> Engine:
@@ -53,6 +61,11 @@ class CacheServer:
         if engine.app not in self.engines:
             raise ConfigurationError(
                 f"app {engine.app!r} not registered; use add_app"
+            )
+        if engine.geometry.chunk_sizes != self.geometry.chunk_sizes:
+            raise ConfigurationError(
+                f"app {engine.app!r}'s engine has a different slab geometry "
+                f"({engine.geometry.chunk_sizes} vs {self.geometry.chunk_sizes})"
             )
         old = self.engines[engine.app]
         self.engines[engine.app] = engine

@@ -7,9 +7,10 @@ reproduction models each slab class as an eviction queue whose capacity is
 measured in bytes and whose items each weigh exactly one chunk.
 
 :class:`SlabGeometry` also owns the one rule that turns a request's sizes
-into the ``(slab_class, chunk, item_bytes)`` of the rows
-:meth:`repro.cache.engines.Engine.process_run` takes. A trace compile
-classifies through :meth:`SlabGeometry.rows`; the live batch path
+into its ``(slab_class, chunk, item_bytes)``. The rows
+:meth:`repro.cache.engines.Engine.process_run` takes carry the class
+and item bytes; an engine reads the chunk off its own ladder. A trace
+compile classifies through :meth:`SlabGeometry.rows`; the live batch path
 (``Cluster.process_batch``) and the wire service's too-large check apply
 the same rule inline, once per row, and
 ``tests/cluster/test_process_batch.py`` holds the live rows to the

@@ -617,7 +617,7 @@ class Cluster:
                     f"item of {total}B exceeds largest chunk {largest}B"
                 )
             slab_class = bisect_left(chunks, total)
-            rows.append((key, op, slab_class, chunks[slab_class], item_bytes))
+            rows.append((key, op, slab_class, item_bytes))
         app_names = list(app_ids)
         outcomes = [0] * count
         num_apps = len(app_names)

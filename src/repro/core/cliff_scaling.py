@@ -48,10 +48,11 @@ searching again, and a SET's :meth:`CliffhangerQueue.insert` purges
 with inline membership tests; both count stale misses inline and
 store with one step per segment boundary. A DELETE's
 :meth:`CliffhangerQueue.remove` stops at the first partition that held
-the key. A resize cascades only when a limit shrank. A split queue
-routes a key through :func:`~repro.common.hashing.routing_hash`, whose
-memo hashes a hot key once (and a miss's ``fill`` not again after its
-``access``). What that costs in Python calls per request is gated by
+the key. Until a queue first splits its left partition is empty, and
+no request searches it. A resize cascades only when a limit shrank. A
+split queue routes a key through
+:func:`~repro.common.hashing.routing_hash`, whose memo hashes a hot key
+once (and a miss's ``fill`` not again after its ``access``). What that costs in Python calls per request is gated by
 ``tests/sim/test_call_budget.py::BUDGET``: its ``cliffhanger`` row
 counts the all-GET memcachier slice, its ``write/cliffhanger`` row the
 ``serve_write`` mix of GETs, SETs and DELETEs, each against the stock
@@ -345,6 +346,10 @@ class CliffhangerQueue:
         # _pointer_event); it merges back with hysteresis. Only ever
         # True while cliff_active, so the request path tests it alone.
         self._split = False
+        #: Whether the queue has ever split. Until it has, no key was
+        #: routed left, so the left partition is empty and the request
+        #: path does not search it; only _update_split_state sets it.
+        self._left_used = False
         self._stale_misses = 0
         # Split self-evaluation state (see CliffConfig.split_eval_requests).
         self._requests_seen = 0
@@ -419,6 +424,8 @@ class CliffhangerQueue:
         elif key in routed.hill:
             del routed.hill[key]
             segment = SEG_HILL
+        elif not self._left_used:
+            segment = -1  # routed is the right partition; the left is empty
         else:
             holder = other = self.right if routed is self.left else self.left
             if key in other.main:
@@ -546,6 +553,8 @@ class CliffhangerQueue:
             del routed.cliff[key]
         elif key in routed.hill:
             del routed.hill[key]
+        elif not self._left_used:
+            pass  # routed is the right partition; the left is empty
         elif key in other.main:
             del other.main[key]
         elif key in other.tail:
@@ -576,9 +585,10 @@ class CliffhangerQueue:
         """DELETE path: purge ``key``; True only when it was in physical
         memory (main or tail probe). A key sits in at most one segment of
         the queue, so the search stops at the first partition that held
-        it, the right one (all of an unsplit queue) first."""
+        it, the right one (all of an unsplit queue) first, and never
+        reaches the left one of a queue that has never split."""
         segment = self.right.discard(key)
-        if segment is None:
+        if segment is None and self._left_used:
             segment = self.left.discard(key)
         return segment is not None and segment <= SEG_TAIL
 
@@ -722,7 +732,7 @@ class CliffhangerQueue:
                 distance_right >= self.config.split_threshold_bytes
                 and self._requests_seen >= self._split_backoff_until
             ):
-                self._split = True
+                self._split = self._left_used = True
                 self.splits += 1
                 self.left_pointer = self.capacity_bytes
                 self._split_baseline = self._hit_ema_value

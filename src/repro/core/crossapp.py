@@ -108,16 +108,13 @@ class CrossAppHillClimber:
         apps = trace.app_table
         engines = [server.engines.get(app) for app in apps]
         monitors = [self.monitors.get(app) for app in apps]
-        keys, op_codes, slab_classes, chunk_bytes, item_bytes = (
-            trace.replay_columns()
-        )
         for app_id, key, op, class_index, chunk, nbytes in zip(
             trace.app_ids.tolist(),
-            keys.tolist(),
-            op_codes.tolist(),
-            slab_classes.tolist(),
-            chunk_bytes.tolist(),
-            item_bytes.tolist(),
+            trace.keys.tolist(),
+            trace.op_codes.tolist(),
+            trace.slab_classes.tolist(),
+            trace.chunk_bytes.tolist(),
+            trace.item_bytes.tolist(),
         ):
             code = engines[app_id].process_fast(
                 key, op, class_index, chunk, nbytes

@@ -136,6 +136,7 @@ class ClimbingEngine(Engine):
         ``grow`` makes the room test and the resize in one call.
         """
         queues = self.queues
+        chunks = self.geometry.chunk_sizes
         on_shadow_hit = (
             self.climber.on_shadow_hit if self.enable_hill_climbing else None
         )
@@ -143,7 +144,7 @@ class ClimbingEngine(Engine):
         lookups = promotes = shadow_lookups = inserts = evictions = 0
         codes: List[int] = []
         append = codes.append
-        for key, op, class_index, chunk, item_bytes in rows:
+        for key, op, class_index, item_bytes in rows:
             queue = queues.get(class_index)
             if queue is None:
                 queue = self._queue(class_index)
@@ -170,6 +171,7 @@ class ClimbingEngine(Engine):
                     code |= OUTCOME_HIT
                 append((code << 2) | op)
                 continue
+            chunk = chunks[class_index]
             growth = 2 * chunk
             if self._free_pool >= growth and queue.grow(growth):
                 self._free_pool -= growth

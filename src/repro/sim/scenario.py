@@ -130,11 +130,21 @@ class Scenario(Spec):
                     budgets[str(app)] = budget
                 self.budgets = budgets
             if isinstance(self.plans, dict):
-                # JSON turns integer slab-class keys into strings.
-                self.plans = {
-                    app: {int(c): float(b) for c, b in plan.items()}
-                    for app, plan in self.plans.items()
-                }
+                plans = {}
+                for app, plan in self.plans.items():
+                    entries = plans[app] = {}
+                    for slab_class, value in plan.items():
+                        # JSON turns integer slab-class keys into strings.
+                        capacity = float(value)
+                        if isinstance(value, bool) or not (
+                            math.isfinite(capacity) and capacity >= 0
+                        ):
+                            raise ConfigurationError(
+                                f"plans.{app}.{slab_class} must be a finite "
+                                f"number >= 0, got {value!r}"
+                            )
+                        entries[int(slab_class)] = capacity
+                self.plans = plans
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigurationError(f"bad scenario spec: {exc}") from None
         for block, why in (

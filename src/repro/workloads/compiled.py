@@ -290,9 +290,12 @@ class CompiledTrace:
         return len(self.key_ids)
 
     def replay_columns(self) -> ReplayColumns:
-        """The five columns :func:`repro.cache.kernel.replay_runs` reads:
-        ``(keys, op_codes, slab_classes, chunk_bytes, item_bytes)``."""
-        return self.keys, self.op_codes, self.slab_classes, self.chunk_bytes, self.item_bytes
+        """The four columns :func:`repro.cache.kernel.replay_runs` reads:
+        ``(keys, op_codes, slab_classes, item_bytes)``. An engine takes
+        a row's chunk from its own ladder, the one
+        :meth:`~repro.cache.server.CacheServer.check_replayable` holds
+        this trace's to, so ``chunk_bytes`` stays off the rows."""
+        return self.keys, self.op_codes, self.slab_classes, self.item_bytes
 
     def routing_digest(self) -> str:
         """128-bit digest of the routed key sequence.

@@ -6,8 +6,9 @@ from repro.cache.engines import FirstComeFirstServeEngine, PlannedEngine
 from repro.cache.log_structured import GlobalLRUEngine
 from repro.cache.server import CacheServer
 from repro.cache.slabs import SlabGeometry
-from repro.cache.stats import EVICTED_SHIFT, OUTCOME_HIT
-from repro.common.errors import ConfigurationError
+from repro.cache.stats import EVICTED_SHIFT, OP_SET, OUTCOME_HIT
+from repro.common.errors import CacheError, ConfigurationError
+from repro.sim import make_engine
 from repro.workloads.compiled import CompiledTrace
 from repro.workloads.trace import Request
 from tests.conftest import serve
@@ -335,6 +336,21 @@ class TestCacheServer:
             server.replay_compiled(trace)
         assert server.stats.total.gets == 0
 
+    def test_engine_on_another_ladder_is_refused_naming_its_app(self):
+        """A row carries its slab class, not its chunk: an engine built
+        for another ladder would charge a replayed item the wrong chunk,
+        so neither door lets one in."""
+        other = SlabGeometry((64, 4096))
+        server = CacheServer(GEO)
+        with pytest.raises(ConfigurationError, match="app 'a'.*geometry"):
+            server.add_app(FirstComeFirstServeEngine("a", 1 << 20, other))
+        assert server.engines == {}
+        kept = FirstComeFirstServeEngine("a", 1 << 20, GEO)
+        server.add_app(kept)
+        with pytest.raises(ConfigurationError, match="app 'a'.*geometry"):
+            server.replace_app(GlobalLRUEngine("a", 1 << 20, other))
+        assert server.engines["a"] is kept
+
     def test_unknown_app_in_compiled_trace_raises_before_replaying(self):
         """Regression: a trace naming an unregistered app used to replay
         its prefix and only then raise, leaving engines and stats
@@ -346,3 +362,22 @@ class TestCacheServer:
             server.replay_compiled(trace)
         assert server.stats.total.gets + server.stats.total.sets == 0
         assert server.memory_in_use() == 0
+
+
+@pytest.mark.parametrize(
+    "scheme", ["default", "planned", "lsm", "hill", "cliffhanger"]
+)
+def test_process_fast_refuses_a_chunk_its_ladder_does_not_give_the_class(
+    scheme,
+):
+    """``process_fast`` keeps its chunk argument, but a row no longer
+    carries one: a chunk that is not the engine's own for the class is
+    refused before anything is served."""
+    plan = {2: float(1 << 19)} if scheme == "planned" else None
+    engine = make_engine(scheme, "a", 1 << 20, plan=plan, geometry=GEO)
+    class_index, chunk, item_bytes = GEO.row(2, 100)
+    with pytest.raises(CacheError, match="slab class 2"):
+        engine.process_fast("k", OP_SET, class_index, 2 * chunk, item_bytes)
+    assert engine.used_bytes() == 0
+    engine.process_fast("k", OP_SET, class_index, chunk, item_bytes)
+    assert engine.used_bytes() > 0

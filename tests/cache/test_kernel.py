@@ -11,10 +11,12 @@ depends on the row.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import kernel
@@ -32,9 +34,9 @@ class RecordingEngine:
 
     def process_run(self, rows):
         codes = []
-        for key, op, class_index, chunk, nbytes in rows:
-            self.rows.append((key, op, class_index, chunk, nbytes))
-            code = (len(key) + class_index + chunk + nbytes) % 5
+        for key, op, class_index, nbytes in rows:
+            self.rows.append((key, op, class_index, nbytes))
+            code = (len(key) + class_index + nbytes) % 5
             codes.append((code << 2) | op)
         return codes
 
@@ -56,7 +58,6 @@ def windows(draw):
         keys,
         np.array(column(st.integers(0, 1)), dtype=np.int8),
         np.array(column(st.integers(0, 3)), dtype=np.int16),
-        np.array(column(ints), dtype=np.int32),
         np.array(column(ints), dtype=np.int32),
     )
     shard_column = np.array(column(st.integers(0, shards - 1)), dtype=np.int32)
@@ -120,3 +121,41 @@ def test_block_size_changes_no_run(window):
             assert all(packed >> 2 == OUTCOME_DEAD for packed, _ in counts)
         else:
             assert logs[shard][app] == run_rows
+
+
+@pytest.mark.parametrize(
+    ("shards", "apps"),
+    [(4, 5), (1, 1 << 16), (2, 1 << 15), (2, (1 << 15) + 1), (3, 70_000)],
+)
+def test_runs_follow_the_int64_stable_sort(shards, apps):
+    """Run ids below :data:`kernel.RADIX_RUNS` sort as ``uint16``, the
+    rest as ``int64``; on either side of that line (here up to 209,999)
+    the rows reach the engines in the order of the ``int64`` stable
+    argsort of ``shard * apps + app``."""
+    rng = np.random.default_rng(apps)
+    total = 600
+    shard_column = rng.integers(0, shards, total).astype(np.int32)
+    app_column = rng.integers(0, apps, total).astype(np.int32)
+    # The first and the last run id are always present.
+    shard_column[:2] = (0, shards - 1)
+    app_column[:2] = (0, apps - 1)
+    keys = np.array([f"r{i}" for i in range(total)], dtype=object)
+    zeros = np.zeros(total, dtype=np.int32)
+    app_table = [f"app{a}" for a in range(apps)]
+    servers = [
+        SimpleNamespace(engines=defaultdict(RecordingEngine))
+        for _ in range(shards)
+    ]
+    runs, _ = kernel.replay_runs(
+        servers, app_table, (keys, zeros, zeros, zeros), shard_column,
+        app_column, 0, total,
+    )
+    composite = shard_column.astype(np.int64) * apps + app_column
+    expected = keys[np.argsort(composite, kind="stable")].tolist()
+    served = [
+        row[0]
+        for shard, app_id, _ in runs
+        for row in servers[shard].engines[app_table[app_id]].rows
+    ]
+    assert served == expected
+    assert (composite.max() < kernel.RADIX_RUNS) == (shards * apps <= 1 << 16)

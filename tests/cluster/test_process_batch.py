@@ -318,9 +318,9 @@ class TestOfflineLiveParity:
         assert per_shard_snapshot(oracle) == expected
 
     def test_compile_and_live_batches_build_the_same_rows(self):
-        """The ``(key, op, slab_class, chunk, item_bytes)`` rows the
-        engines receive through ``process_batch`` are the compiled
-        columns: each engine gets its own rows in request order."""
+        """The ``(key, op, slab_class, item_bytes)`` rows the engines
+        receive through ``process_batch`` are the compiled columns: each
+        engine gets its own rows in request order."""
         requests = mixed_stream(count=500)
         compiled = CompiledTrace.compile(requests, GEO)
         expected = list(zip(*(c.tolist() for c in compiled.replay_columns())))

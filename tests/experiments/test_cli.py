@@ -199,6 +199,34 @@ def test_non_finite_or_non_positive_budget_exits_2_naming_the_app(
     )
 
 
+@pytest.mark.parametrize(
+    "entry, shown",
+    [(True, "True"), (math.nan, "nan"), (1e400, "inf"), (-100, "-100")],
+)
+def test_non_finite_negative_or_boolean_plan_entry_exits_2_naming_it(
+    capsys, entry, shown
+):
+    """A plan entry is a byte capacity: a boolean is not read as 1 byte
+    and NaN is not replayed; the error names the app and the class."""
+    spec = {
+        "workload": "zipf", "scale": 0.012, "scheme": "planned",
+        "plans": {"zipf01": {"0": entry}, "zipf02": {"0": 65536}},
+    }
+    assert main(["run", json.dumps(spec)]) == 2
+    assert one_error_line(capsys) == (
+        f"error: plans.zipf01.0 must be a finite number >= 0, got {shown}"
+    )
+
+
+def test_zero_plan_entry_replays(capsys):
+    spec = {
+        "workload": "zipf", "scale": 0.012, "scheme": "planned",
+        "plans": {"zipf01": {"0": 0}, "zipf02": {"0": 65536}},
+    }
+    assert main(["run", json.dumps(spec)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("field", ["budgets", "plans"])
 def test_app_the_workload_lacks_exits_2(capsys, field):
     """A typo'd app in ``budgets`` or ``plans`` is refused, as one in

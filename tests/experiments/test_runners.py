@@ -135,13 +135,21 @@ def fig8_memory_timeline(result):
     assert moved
 
 
-def fig9_convergence(result):
+def fig9_early_and_stable(result):
+    """Mean window hit rate of the first three active windows, and of
+    the stable (pre-burst) windows, 45-70% of the way through."""
     active = [row for row in result.rows if row[1] > 0]
     assert len(active) >= 10
-    # The stable window beats the earliest windows (the climb).
     early = sum(r[2] for r in active[:3]) / 3
     mid = active[int(len(active) * 0.45): int(len(active) * 0.7)]
-    stable = sum(r[2] for r in mid) / max(1, len(mid))
+    return early, sum(r[2] for r in mid) / max(1, len(mid))
+
+
+def fig9_convergence(result):
+    early, stable = fig9_early_and_stable(result)
+    # The stable windows do not fall below the earliest ones. This is
+    # not the paper's climb, which test_fig9_climbs_as_in_the_paper asks
+    # for and which does not hold.
     assert stable >= early - 0.05
 
 
@@ -260,6 +268,21 @@ def test_paper_claims(experiment_id, kwargs, check):
     )
     assert result.rows, experiment_id
     check(result)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="fig9 does not climb: README.md, 'Paper claims that do not hold'",
+)
+def test_fig9_climbs_as_in_the_paper():
+    """The paper's fig9 climbs from ~0.70 to ~0.997 as the pointers find
+    the cliff: early windows below 0.8, the stable ones at least 0.1
+    above them. Strict, so it turns red once fig9 climbs."""
+    early, stable = fig9_early_and_stable(
+        get_runner("fig9")(scale=BENCH_SCALE, seed=0)
+    )
+    assert early < 0.8
+    assert stable >= early + 0.1
 
 
 class TestQualitativeClaims:

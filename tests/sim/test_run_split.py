@@ -47,11 +47,18 @@ CLASSES = sorted({GEO.row(2, size)[0] for size in VALUE_SIZES})
 BIGGEST_CHUNK = GEO.chunk_size(CLASSES[-1])
 ENGINE_ROWS = sorted(filter(is_engine_row, BUDGET))
 
+def row_sizes(key_size, value_size):
+    """``(class_index, item_bytes)``: ``SlabGeometry.row`` less the
+    chunk, which an engine reads from its own ladder."""
+    class_index, _, item_bytes = GEO.row(key_size, value_size)
+    return class_index, item_bytes
+
+
 ROWS = st.tuples(
     st.integers(0, 11).map(lambda i: f"k{i}"),
     st.sampled_from((OP_GET, OP_GET, OP_SET, OP_DELETE)),
     st.sampled_from(VALUE_SIZES),
-).map(lambda row: (row[0], row[1], *GEO.row(len(row[0]), row[2])))
+).map(lambda row: (row[0], row[1], *row_sizes(len(row[0]), row[2])))
 #: A budget change between two runs: ``(grow?, bytes)``.
 CHANGES = st.none() | st.tuples(
     st.booleans(), st.integers(0, 3 * BIGGEST_CHUNK)

@@ -1,8 +1,9 @@
 """Every ``tests/<path>.py`` the sources, README or examples cite exists,
 and so does every ``::<name>`` after it (a class, function or assignment,
 ``::Class::method`` looked up inside the class). The docs stay short and
-state the present: README and the verify skill keep to their line limits
-and quote no before / after figure."""
+state the present: README and the verify skill keep to their line limits,
+and they, the sources, the examples and the call-budget gate quote no
+before / after figure."""
 
 import ast
 import re
@@ -61,19 +62,23 @@ def test_every_cited_test_path_and_name_exists():
 SKILL = ".claude/skills/verify/SKILL.md"
 #: Each doc's line limit: one screen per subsystem, not a changelog.
 LINE_LIMITS = {"README.md": 400, SKILL: 200}
-#: A figure beside "before" / "while", after "was" / "were", or on either
-#: side of an arrow: history, which CHANGES.md keeps.
+#: A figure beside "before" / "while", after "was" / "were" / "made", or
+#: on either side of an arrow: history, which CHANGES.md keeps.
 HISTORY = re.compile(
     r"(?:\d+\.\d+|\d[\d,]*k)\s+(?:before|while)\b"
     r"|\b(?:was|were)\s+\d+\.\d"
+    r"|\bmade\s+\d"
     r"|\d\s*(?:→|->)\s*\d"
 )
+#: Besides the docs, sources and examples: the call-budget gate, whose
+#: figures are the kind a history comment collects.
+CHECKED_TESTS = ("tests/sim/test_call_budget.py",)
 
 
 def test_docs_state_the_present():
-    """README and the verify skill fit their limits, and no doc, source
-    or example line quotes a superseded figure (cite the gate or ledger
-    metric that records it instead)."""
+    """README and the verify skill fit their limits, and no doc, source,
+    example or call-budget line quotes a superseded figure (cite the
+    gate or ledger metric that records it instead)."""
     lengths = {
         name: len((ROOT / name).read_text().splitlines())
         for name in LINE_LIMITS
@@ -86,6 +91,7 @@ def test_docs_state_the_present():
     paths = [ROOT / name for name in LINE_LIMITS]
     paths += sorted((ROOT / "src").rglob("*.py"))
     paths += sorted(p for p in (ROOT / "examples").rglob("*") if p.is_file())
+    paths += [ROOT / name for name in CHECKED_TESTS]
     history = [
         f"{path.relative_to(ROOT)}:{number}: {match.group(0)}"
         for path in paths
