@@ -228,8 +228,8 @@ def render_cluster_report(payload: Dict[str, Any]) -> List[str]:
         lines.append(
             f"  serve ({serve['arrivals']} arrivals): "
             f"offered {serve['offered_rate']:,.0f} req/s, achieved "
-            f"{serve['achieved_rate']:,.0f} req/s, shed {serve['shed']:,} "
-            f"of {serve['requests']:,}"
+            f"{serve['achieved_rate']:,.0f} req/s, completed "
+            f"{serve['completed']:,} of {serve['requests']:,}"
         )
         latency = serve["latency_ms"]
         lines.append(
@@ -285,7 +285,7 @@ class ClusterReport:
     #: timeline); None when no fault injector was attached.
     faults: Optional[Dict[str, Any]] = None
     #: :meth:`repro.serve.ServeReport.to_dict` payload (offered/achieved
-    #: rate, latency percentiles, shed count, queue-depth timeline);
+    #: rate, latency percentiles, queue-depth timeline);
     #: None when the replay was offline (no ``serve`` block).
     serve: Optional[Dict[str, Any]] = None
 

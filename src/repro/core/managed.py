@@ -32,13 +32,18 @@ both through the same eight names:
   how many entries that pushed out of physical memory.
 * ``grow(nbytes)`` -- start-up growth: ``set_capacity(capacity_bytes +
   nbytes)`` when fewer than ``nbytes`` of the physical region are free;
-  returns whether it grew.
+  returns whether it grew. A larger capacity evicts nothing, so
+  :class:`ShadowedQueue` sets its policy's ``capacity`` in place here and
+  on a growing ``set_capacity``, as
+  :meth:`~repro.cache.engines.FirstComeFirstServeEngine._admit` does.
 * ``remove(key)`` -- DELETE; purges the key and returns whether it was
   in physical memory. A shadow never claims residency. A key sits in
   one place of a queue at most, so ``CliffhangerQueue`` stops at the
   first partition that held it.
 * ``capacity_bytes`` / ``used_bytes`` -- physical bytes reserved / held
-  (``capacity_bytes`` is what the hill climber reads per donor).
+  (``capacity_bytes`` is what the hill climber reads per donor; on both
+  queues a plain attribute that only ``set_capacity`` and ``grow``
+  write).
 
 The shadow is an :class:`~repro.cache.policies.lru.LRUPolicy` over the
 evicted keys, and what it evicts is forgotten. What the ``hill`` and
@@ -74,12 +79,10 @@ class ShadowedQueue:
         self.shadow = LRUPolicy(shadow_bytes, name=f"{name}/shadow")
         self.name = name
         self.shadow_hits = 0
+        #: ``policy.capacity``, kept by :meth:`set_capacity` and :meth:`grow`.
+        self.capacity_bytes = policy.capacity
 
     # ------------------------------------------------------------------
-
-    @property
-    def capacity_bytes(self) -> float:
-        return self.policy.capacity
 
     @property
     def used_bytes(self) -> float:
@@ -130,9 +133,11 @@ class ShadowedQueue:
         """Start-up growth: add ``nbytes`` of capacity when fewer than
         ``nbytes`` are free; return whether it grew."""
         policy = self.policy
-        if policy.used + nbytes <= policy.capacity:
+        capacity = self.capacity_bytes
+        if policy.used + nbytes <= capacity:
             return False
-        self.set_capacity(policy.capacity + nbytes)
+        # Growth, in one step: a larger capacity evicts nothing.
+        self.capacity_bytes = policy.capacity = capacity + nbytes
         return True
 
     def set_capacity(self, capacity_bytes: float) -> int:
@@ -140,7 +145,14 @@ class ShadowedQueue:
 
         Returns the number of items evicted from physical memory.
         """
-        return self._to_shadow(self.policy.resize(capacity_bytes))
+        policy = self.policy
+        if capacity_bytes >= self.capacity_bytes:
+            # Growth, in one step: a larger capacity evicts nothing.
+            self.capacity_bytes = policy.capacity = float(capacity_bytes)
+            return 0
+        evicted = policy.resize(capacity_bytes)
+        self.capacity_bytes = policy.capacity
+        return self._to_shadow(evicted)
 
     def _to_shadow(self, evicted: Evicted) -> int:
         """Push physical evictions onto the shadow; returns their count."""

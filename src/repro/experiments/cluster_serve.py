@@ -65,7 +65,6 @@ def run(
             "achieved_rate",
             "p50_ms",
             "p99_ms",
-            "shed",
             "hit_rate",
         ],
         paper_reference=(
@@ -99,7 +98,6 @@ def run(
                     round(serve["achieved_rate"]),
                     serve["latency_ms"]["p50"],
                     serve["latency_ms"]["p99"],
-                    serve["shed"],
                     outcome.overall_hit_rate,
                 ]
             )

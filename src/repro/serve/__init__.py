@@ -3,12 +3,12 @@
 The simulator's replay paths answer "what would the hit rate have
 been"; this package answers "what does it feel like to *serve*": an
 asyncio memcached-style server fronting a
-:class:`~repro.cluster.Cluster` (pipelined connections, bounded request
-queue, shed-vs-queue backpressure) and an open-loop load generator that
-sends each request once and reports latency percentiles and
-achieved-vs-offered throughput. The
-server's hot path is :meth:`~repro.cluster.Cluster.process_batch` --
-every queue drain executes as one call.
+:class:`~repro.cluster.Cluster` (pipelined connections, a bounded
+request queue whose overflow backpressures the client) and an open-loop
+load generator that sends each request once and reports latency
+percentiles and achieved-vs-offered throughput. The server's hot path
+is :meth:`~repro.cluster.Cluster.process_batch` -- every queue drain
+executes as one call.
 """
 
 from repro.serve.harness import ServeConfig, ServeReport, run_serve

@@ -22,11 +22,7 @@ from typing import List, Optional
 
 from repro.cluster import ClusterConfig
 from repro.common.errors import ConfigurationError
-from repro.serve.server import (
-    BACKPRESSURE_POLICIES,
-    DEFAULT_MAX_BATCH,
-    DEFAULT_QUEUE_DEPTH,
-)
+from repro.serve.server import DEFAULT_MAX_BATCH, DEFAULT_QUEUE_DEPTH
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,29 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach a load-policy rebalancer every N requests (0 = off)",
     )
     # The server's own defaults (CacheServerProcess's signature).
-    parser.add_argument(
-        "--backpressure",
-        default=BACKPRESSURE_POLICIES[0],
-        choices=BACKPRESSURE_POLICIES,
-    )
     parser.add_argument("--queue-depth", type=int, default=DEFAULT_QUEUE_DEPTH)
     parser.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH)
-    parser.add_argument(
-        "--queue-deadline",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="server sheds queued commands older than S seconds "
-        "(0 = never)",
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=0,
-        metavar="N",
-        help="per-connection in-flight cap; excess answered BUSY "
-        "(0 = unlimited)",
-    )
     return parser
 
 
@@ -126,18 +101,24 @@ def _run_listener(args) -> int:
         raise ConfigurationError(
             f"--listen wants a numeric port, got {port_text!r}"
         )
+    if not 0 <= port <= 65535:
+        raise ConfigurationError(
+            f"--listen wants a port in 0-65535, got {port}"
+        )
     cluster = _prepare_cluster(args)
 
     async def serve_forever() -> None:
         server = CacheServerProcess(
             CacheService(cluster),
-            backpressure=args.backpressure,
             queue_depth=args.queue_depth,
             max_batch=args.max_batch,
-            queue_deadline_s=args.queue_deadline,
-            max_inflight=args.max_inflight,
         )
-        bound_host, bound_port = await server.start_tcp(host, port)
+        try:
+            bound_host, bound_port = await server.start_tcp(host, port)
+        except OSError as exc:  # address in use, unresolvable host, ...
+            raise ConfigurationError(
+                f"cannot listen on {args.listen}: {exc.strerror or exc}"
+            ) from None
         print(f"serving on {bound_host}:{bound_port} (Ctrl-C stops)")
         sys.stdout.flush()
         stopping = asyncio.Event()

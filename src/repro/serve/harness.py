@@ -8,8 +8,8 @@ compiled trace open-loop through the
 :class:`ServeReport` whose ``to_dict`` payload is exactly what
 :func:`repro.cluster.cluster.render_cluster_report` renders as the
 ``serve`` section. The server runs with
-:class:`~repro.serve.server.CacheServerProcess`'s defaults; its overload
-knobs are deployment settings of the ``repro-serve`` listener.
+:class:`~repro.serve.server.CacheServerProcess`'s defaults; its queue
+bounds are deployment settings of the ``repro-serve`` listener.
 
 Chaos serving: when the cluster arrives with a
 :class:`~repro.cluster.faults.FaultInjector` attached, the harness arms
@@ -79,7 +79,6 @@ class ServeReport:
             "elapsed_s": self.result.elapsed_s,
             "requests": self.result.issued,
             "completed": self.result.completed,
-            "shed": self.result.shed,
             "errors": self.result.errors,
             "latency_ms": self.result.histogram.summary_ms(),
             "queue_depth": {

@@ -13,8 +13,8 @@ spacing -- a stress clock). The request count is ``rate * duration_s``
 rounded, deterministic per config, so runs at the same seed replay the
 same schedule.
 
-Each request is sent once. A ``SERVER_ERROR busy`` answer counts as
-shed, any other error response or a dropped connection as an error.
+Each request is sent once. An error response or a dropped connection
+counts as an error.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.cache.stats import OP_NAMES, OP_SET
 from repro.common.errors import ConfigurationError
 from repro.serve.histogram import LatencyHistogram
-from repro.serve.protocol import (
-    BUSY,
-    MAX_VALUE_BYTES,
-    Command,
-    encode_command,
-)
+from repro.serve.protocol import MAX_VALUE_BYTES, Command, encode_command
 from repro.serve.service import synthesize_value
 
 ARRIVAL_MODES = ("poisson", "fixed")
@@ -79,7 +74,6 @@ class LoadWindow:
     start: int
     stop: int
     completed: int = 0
-    shed: int = 0
     errors: int = 0
     histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
 
@@ -89,7 +83,6 @@ class LoadWindow:
             "start": self.start,
             "stop": self.stop,
             "completed": self.completed,
-            "shed": self.shed,
             "errors": self.errors,
             "p50_ms": summary["p50"],
             "p99_ms": summary["p99"],
@@ -105,7 +98,6 @@ class LoadResult:
     arrivals: str
     issued: int = 0
     completed: int = 0
-    shed: int = 0
     errors: int = 0
     elapsed_s: float = 0.0
     histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
@@ -180,7 +172,7 @@ class LoadGenerator:
         work: Sequence[bytes],
     ) -> LoadResult:
         """Issue the schedule round-robin across ``clients``, cycling
-        through ``work``; collect latency/shed/error counts."""
+        through ``work``; collect latency and error counts."""
         result = LoadResult(
             offered_rate=self.rate,
             duration_s=self.duration_s,
@@ -229,24 +221,14 @@ class LoadGenerator:
             response: Optional[bytes] = await client.request(data)
         except OSError:  # ConnectionError included
             response = None
-        if response is not None and self._usable(response):
+        if response is not None and not response.startswith(_ERROR_PREFIXES):
             latency = asyncio.get_running_loop().time() - target
             result.completed += 1
             result.histogram.record(latency)
             if window is not None:
                 window.completed += 1
                 window.histogram.record(latency)
-        elif response == BUSY:
-            # Shed requests are counted, not timed: their "latency" is
-            # the rejection, and mixing it in would flatter the tail.
-            result.shed += 1
-            if window is not None:
-                window.shed += 1
         else:
             result.errors += 1
             if window is not None:
                 window.errors += 1
-
-    @staticmethod
-    def _usable(response: bytes) -> bool:
-        return response != BUSY and not response.startswith(_ERROR_PREFIXES)

@@ -29,8 +29,7 @@ Responses follow memcached: ``VALUE <key> <flags> <bytes>`` + data +
 ``STAT <name> <value>`` + ``END`` for stats, and the three error
 shapes -- ``ERROR`` (unknown command), ``CLIENT_ERROR <msg>`` (a
 malformed request; the connection survives), ``SERVER_ERROR <msg>``
-(the server cannot serve it, e.g. ``SERVER_ERROR busy`` when an
-overloaded server sheds, or ``object too large for cache``).
+(the server cannot serve it, e.g. ``object too large for cache``).
 
 The parser is sans-IO -- feed it bytes, pull typed events -- so the
 asyncio server, the in-memory transport and the fuzz tests all drive
@@ -71,7 +70,6 @@ STORED = b"STORED\r\n"
 DELETED = b"DELETED\r\n"
 NOT_FOUND = b"NOT_FOUND\r\n"
 END = b"END\r\n"
-BUSY = b"SERVER_ERROR busy\r\n"
 
 
 def client_error(message: str) -> bytes:

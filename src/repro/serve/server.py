@@ -5,26 +5,22 @@ Every connection is one :class:`Connection` -- an
 ``data_received`` feeds the sans-IO
 :class:`~repro.serve.protocol.ProtocolParser` and turns the read's
 complete commands into **jobs**: at most ``max_batch`` commands each,
-with a reply slot per parsed event, so a malformed line, a shed command
-and an executed one keep their pipeline order. Jobs wait in one queue
-bounded at ``queue_depth`` *commands*. A single drain callback pops
-whole jobs off its head -- across connections, at most ``max_batch``
-commands -- runs them as one
-:meth:`~repro.serve.service.CacheService.execute` call (hence one
-:meth:`~repro.cluster.Cluster.process_batch`), fills their slots, and
-has each connection it touched write the finished jobs at the head of
-its FIFO with one ``transport.write``.
+with a reply slot per parsed event, so a malformed line and an executed
+command keep their pipeline order. Jobs wait in one queue bounded at
+``queue_depth`` *commands*. A single drain callback pops whole jobs off
+its head -- across connections, at most ``max_batch`` commands -- runs
+them as one :meth:`~repro.serve.service.CacheService.execute` call
+(hence one :meth:`~repro.cluster.Cluster.process_batch`), fills their
+slots, and has each connection it touched write the finished jobs at
+the head of its FIFO with one ``transport.write``.
 
-Overload rules count commands. ``backpressure="queue"``: the bound is
-hard; a connection whose read does not fit holds the jobs that do not,
-stops reading its transport (the backlog moves into the kernel socket
-buffers and onto the client -- closed-loop backpressure) and queues them
-as the drain frees room. ``backpressure="shed"``: commands that do not
-fit are answered ``SERVER_ERROR busy`` in their pipeline position and
-the connection keeps reading. ``max_inflight``: a connection with that
-many commands unanswered has its next ones answered ``busy``.
-``queue_deadline_s``: a job older than this when the drain reaches it is
-answered ``busy`` unexecuted (a read's commands share one enqueue time).
+Overload has one rule, backpressure, and it counts commands: the queue
+bound is hard, and a connection whose read does not fit holds the jobs
+that do not, stops reading its transport (the backlog moves into the
+kernel socket buffers and onto the client -- closed-loop backpressure)
+and queues them as the drain frees room. Nothing is refused for load:
+every parsed command is executed and answered. Memory stays bounded by
+the queue bound plus each connection's held read.
 
 A peer that does not read its replies pauses only itself: while its
 transport is above the high-water mark the connection neither reads nor
@@ -40,7 +36,7 @@ from contextlib import suppress
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.serve.protocol import BUSY, Command, ProtocolParser, server_error
+from repro.serve.protocol import Command, ProtocolParser, server_error
 from repro.serve.service import CacheService
 
 #: Default bound on the shared request queue, in commands.
@@ -54,25 +50,18 @@ MAX_QUEUE_DEPTH_SAMPLES = 4096
 #: How long ``close()`` lets closing sockets flush what was written.
 CLOSE_GRACE_S = 2.0
 
-BACKPRESSURE_POLICIES = ("queue", "shed")
-
 
 class ServerMetrics:
-    """Server counters: totals and sheds (the ``stats`` command reports
-    them) and the queue-depth samples (the harness reports those)."""
+    """Server counters: totals (the ``stats`` command reports them) and
+    the queue-depth samples (the harness reports those)."""
 
     __slots__ = (
-        "requests", "shed", "shed_expired", "shed_inflight", "batches",
-        "queue_depths", "queue_depth_high_water", "_depth_stride",
+        "requests", "batches", "queue_depths", "queue_depth_high_water",
+        "_depth_stride",
     )
 
     def __init__(self) -> None:
         self.requests = 0
-        self.shed = 0
-        #: Queued commands that outlived the queue deadline unexecuted.
-        self.shed_expired = 0
-        #: Commands refused at the per-connection in-flight cap.
-        self.shed_inflight = 0
         self.batches = 0
         #: Queue depth (commands pending, the batch about to run
         #: included) at every ``_depth_stride``-th drain: the overload
@@ -99,16 +88,15 @@ class ServerMetrics:
 class _Job:
     """A run of one read's events: at most ``max_batch`` commands, and a
     ``replies`` slot per event that gets a reply -- bytes made at parse
-    time (an error, ``BUSY``) or ``None`` for a queued command's.
+    time (a parser error) or ``None`` for a queued command's.
     ``payload`` is the joined replies once they are all known."""
 
-    __slots__ = ("connection", "commands", "replies", "enqueued_at", "payload")
+    __slots__ = ("connection", "commands", "replies", "payload")
 
-    def __init__(self, connection: "Connection", enqueued_at: float) -> None:
+    def __init__(self, connection: "Connection") -> None:
         self.connection = connection
         self.commands: List[Command] = []
         self.replies: List[Optional[bytes]] = []
-        self.enqueued_at = enqueued_at
         self.payload: Optional[bytes] = None
 
     def fill(self, responses: List[bytes]) -> None:
@@ -117,7 +105,6 @@ class _Job:
             queued = iter(answers)
             answers = [next(queued) if r is None else r for r in self.replies]
         self.payload = b"".join(answers)
-        self.connection.inflight -= len(self.commands)
 
 
 class Connection(asyncio.Protocol):
@@ -129,11 +116,9 @@ class Connection(asyncio.Protocol):
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.parser = ProtocolParser()
-        #: Commands parsed and not yet answered (``max_inflight`` caps it).
-        self.inflight = 0
         #: Jobs in arrival order, answered or not; only the head writes.
         self._fifo: Deque[_Job] = deque()
-        #: Jobs the full queue (``backpressure="queue"``) has no room for.
+        #: Jobs the full queue has no room for.
         self._held: Deque[_Job] = deque()
         self._write_paused = False
         #: ``quit`` or EOF seen: parse no more, close once all is written.
@@ -163,10 +148,6 @@ class Connection(asyncio.Protocol):
         metrics = server.metrics
         self.parser.feed(data)
         next_event = self.parser.next_event
-        now = asyncio.get_running_loop().time() if server.queue_deadline_s > 0 else 0.0
-        # Only "shed" refuses the commands that find no room, and does so here.
-        shedding = server.backpressure == "shed"
-        room = server.queue_depth - server._depth if shedding else float("inf")
         # A job is cut so that an empty queue can always take it.
         limit = min(server.max_batch, server.queue_depth)
         job: Optional[_Job] = None
@@ -179,7 +160,7 @@ class Connection(asyncio.Protocol):
                 self._finishing = True
                 break
             if job is None or len(job.commands) == limit:
-                job = _Job(self, now)
+                job = _Job(self)
                 jobs.append(job)
                 self._fifo.append(job)
                 self._held.append(job)
@@ -187,18 +168,9 @@ class Connection(asyncio.Protocol):
                 job.replies.append(event.response)
                 continue
             metrics.requests += 1
-            if server.max_inflight and self.inflight >= server.max_inflight:
-                metrics.shed_inflight += 1
-            elif room:
-                room -= 1
-                self.inflight += 1
-                job.commands.append(command)
-                if not command.noreply:
-                    job.replies.append(None)
-                continue
-            metrics.shed += 1
+            job.commands.append(command)
             if not command.noreply:
-                job.replies.append(BUSY)
+                job.replies.append(None)
         self._release()
         return jobs
 
@@ -271,30 +243,15 @@ class CacheServerProcess:
     connections parse and queue but nothing executes."""
 
     def __init__(
-        self, service: CacheService, backpressure: str = "queue",
+        self, service: CacheService,
         queue_depth: int = DEFAULT_QUEUE_DEPTH, max_batch: int = DEFAULT_MAX_BATCH,
-        queue_deadline_s: float = 0.0, max_inflight: int = 0,
     ) -> None:
-        if backpressure not in BACKPRESSURE_POLICIES:
-            raise ConfigurationError(
-                f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
-                f"got {backpressure!r}"
-            )
-        for name, value, least in (
-            ("queue_depth", queue_depth, 1), ("max_batch", max_batch, 1),
-            ("queue_deadline_s", queue_deadline_s, 0), ("max_inflight", max_inflight, 0),
-        ):
-            if value < least:
-                raise ConfigurationError(f"{name} must be >= {least}")
+        for name, value in (("queue_depth", queue_depth), ("max_batch", max_batch)):
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         self.service = service
-        self.backpressure = backpressure
         self.queue_depth = queue_depth
         self.max_batch = max_batch
-        #: Graceful degradation: a job queued longer than this is answered
-        #: ``BUSY`` unexecuted -- its client already gave up (0 = never).
-        self.queue_deadline_s = queue_deadline_s
-        #: Unanswered commands one connection may have (0 = unlimited).
-        self.max_inflight = max_inflight
         self.metrics = ServerMetrics()
         # ``stats`` surfaces these counters alongside the cache totals.
         service.server_metrics = self.metrics
@@ -368,28 +325,17 @@ class CacheServerProcess:
             count += len(batch[-1].commands)
         self.metrics.record_wake(self._depth)
         self._depth -= count
-        touched = {job.connection for job in batch}
-        if self.queue_deadline_s > 0:
-            # Executing what its client gave up on only stretches the queue.
-            cutoff = asyncio.get_running_loop().time() - self.queue_deadline_s
-            for job in batch:
-                if job.enqueued_at < cutoff:
-                    self.metrics.shed_expired += len(job.commands)
-                    self.metrics.shed += len(job.commands)
-                    job.fill([BUSY] * len(job.commands))
-            batch = [job for job in batch if job.payload is None]
         commands = [command for job in batch for command in job.commands]
-        if commands:
-            try:
-                responses = self.service.execute(commands)
-            except Exception:  # the server must never die mid-batch
-                responses = [server_error("internal error")] * len(commands)
-            start = 0
-            for job in batch:
-                stop = start + len(job.commands)
-                job.fill(responses[start:stop])
-                start = stop
-        for connection in touched:
+        try:
+            responses = self.service.execute(commands)
+        except Exception:  # the server must never die mid-batch
+            responses = [server_error("internal error")] * len(commands)
+        start = 0
+        for job in batch:
+            stop = start + len(job.commands)
+            job.fill(responses[start:stop])
+            start = stop
+        for connection in {job.connection for job in batch}:
             connection._flush()
         for connection in list(self._holding):
             connection._release()

@@ -89,7 +89,7 @@ class CacheService:
         #: key -> (flags, payload or None-for-synthesized, value_size)
         self._values: Dict[str, Tuple[int, Optional[bytes], int]] = {}
         #: Set by :class:`~repro.serve.server.CacheServerProcess` so the
-        #: ``stats`` wire command can surface server counters (shed,
+        #: ``stats`` wire command can surface server counters (requests,
         #: queue-depth high water) next to the cache totals.
         self.server_metrics = None
 
@@ -269,9 +269,11 @@ class CacheService:
             pairs.extend(
                 [
                     ("server_requests", metrics.requests),
-                    ("server_shed", metrics.shed),
-                    ("server_shed_expired", metrics.shed_expired),
-                    ("server_shed_inflight", metrics.shed_inflight),
+                    # The server refuses nothing for load, so this is
+                    # always 0. Its reader is the ledger's wire check,
+                    # benchmarks/ledger/serving.py:217 (check_totals),
+                    # which fails a run without it.
+                    ("server_shed", 0),
                     ("server_batches", metrics.batches),
                     (
                         "queue_depth_high_water",

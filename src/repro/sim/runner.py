@@ -256,10 +256,10 @@ def serve_on_cluster(
     and fault injector), but requests flow through the asyncio server's
     batch hot path (:meth:`~repro.cluster.Cluster.process_batch`)
     instead of the offline replay, so the stats afterwards reflect
-    whatever the open-loop schedule actually delivered -- shed requests
-    never reach the cluster. The serve harness arms an attached fault
-    injector on the virtual-time axis so the fault timeline is
-    seed-deterministic even though wall-clock latencies are not.
+    what the open-loop schedule actually delivered. The serve harness
+    arms an attached fault injector on the virtual-time axis so the
+    fault timeline is seed-deterministic even though wall-clock
+    latencies are not.
     """
     from repro.serve import ServeConfig, run_serve
 
@@ -312,7 +312,7 @@ def run_scenario(
     block replaces the offline replay entirely: the trace is served
     live through the asyncio server (see :mod:`repro.serve`) and the
     cluster report grows a ``serve`` section (latency percentiles,
-    shed count, queue-depth timeline).
+    queue-depth timeline).
     """
     trace = load_workload(
         scenario.workload,

@@ -321,6 +321,21 @@ class TestCacheServer:
         with pytest.raises(ConfigurationError, match="unknown app 'ghost'"):
             server.check_replayable(compiled(get("k", app="ghost")))
 
+    def test_unknown_app_named_is_the_lowest_present_id(self):
+        """Only apps with a row count, and the error names the one with
+        the lowest id in the trace's app table."""
+        server = CacheServer(GEO)
+        server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))
+        trace = compiled(
+            get("k", app="ghost2"), get("k", app="a"), get("k", app="ghost1")
+        )
+        assert trace.app_table == ["ghost2", "a", "ghost1"]
+        with pytest.raises(ConfigurationError, match="unknown app 'ghost2'"):
+            server.check_replayable(trace)
+        with pytest.raises(ConfigurationError, match="unknown app 'ghost1'"):
+            server.check_replayable(trace.slice(1))
+        server.check_replayable(trace.slice(1, 2))
+
     def test_memory_accounting(self):
         server = CacheServer(GEO)
         server.add_app(FirstComeFirstServeEngine("a", 1 << 20, GEO))

@@ -75,7 +75,7 @@ class TestFaultsThroughServing:
         assert timeline, "serve+faults must produce latency windows"
         for window in timeline:
             assert set(window) == {
-                "start", "stop", "completed", "shed", "errors",
+                "start", "stop", "completed", "errors",
                 "p50_ms", "p99_ms",
             }
         # Windows tile the scheduled index space exactly.
@@ -101,7 +101,7 @@ class TestFaultsThroughServing:
             sections.append(json.dumps(section, sort_keys=True))
             occupancies.append(
                 [
-                    (w["start"], w["stop"], w["completed"], w["shed"])
+                    (w["start"], w["stop"], w["completed"], w["errors"])
                     for w in timeline
                 ]
             )

@@ -39,33 +39,31 @@ REMOVED_FLAGS = [
     ["--fault-policy", "miss-through"],
 ]
 
+#: The server's retired overload modes, each with a sample value: the
+#: one overload rule left is queue backpressure.
+REMOVED_OVERLOAD_FLAGS = [
+    ["--backpressure", "shed"],
+    ["--queue-deadline", "0.5"],
+    ["--max-inflight", "1"],
+]
+
 
 def test_flag_defaults_and_choices_come_from_the_spec_fields():
     """The CLI re-types no default: ``--replication`` parses to the
-    cluster spec field's default, and each server-policy flag to the
-    default of the :class:`CacheServerProcess` parameter it sets, with
-    the server's backpressure policies as its only choices."""
+    cluster spec field's default, and each server flag to the default of
+    the :class:`CacheServerProcess` parameter it sets."""
     import inspect
 
     from repro.cluster import ClusterConfig
-    from repro.serve.server import BACKPRESSURE_POLICIES, CacheServerProcess
+    from repro.serve.server import CacheServerProcess
 
-    parser = build_parser()
-    args = parser.parse_args(LISTEN)
-    actions = {action.dest: action for action in parser._actions}
+    args = build_parser().parse_args(LISTEN)
     assert args.replication == ClusterConfig().replication
     server = inspect.signature(CacheServerProcess).parameters
-    for dest, parameter in {
-        "backpressure": "backpressure",
-        "queue_depth": "queue_depth",
-        "max_batch": "max_batch",
-        "queue_deadline": "queue_deadline_s",
-        "max_inflight": "max_inflight",
-    }.items():
-        default = server[parameter].default
-        assert getattr(args, dest) == default, dest
-        assert type(getattr(args, dest)) is type(default), dest
-    assert tuple(actions["backpressure"].choices) == BACKPRESSURE_POLICIES
+    for name in ("queue_depth", "max_batch"):
+        default = server[name].default
+        assert getattr(args, name) == default, name
+        assert type(getattr(args, name)) is type(default), name
     # The values this repo has always shipped.
     assert (args.queue_depth, args.max_batch) == (1024, 256)
 
@@ -79,8 +77,7 @@ def test_only_listener_flags():
     assert flags == {
         "-h", "--help", "--listen", "--workload", "--scheme", "--scale",
         "--seed", "--shards", "--replication", "--rebalance-epoch",
-        "--backpressure", "--queue-depth", "--max-batch",
-        "--queue-deadline", "--max-inflight",
+        "--queue-depth", "--max-batch",
     }
 
 
@@ -105,9 +102,40 @@ class TestListenerArguments:
         assert usage.value.code == 2
         assert "--per-request" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        REMOVED_OVERLOAD_FLAGS,
+        ids=[flag[0] for flag in REMOVED_OVERLOAD_FLAGS],
+    )
+    def test_removed_overload_flags_exit_2(self, flag, capsys):
+        # Parsed only: were a flag still accepted, ``main`` would serve.
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(LISTEN + flag)
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_bad_listen_exits_2(self, capsys):
         assert main(["--listen", "nocolon"]) == 2
         assert main(["--listen", "127.0.0.1:notaport"]) == 2
+
+    @pytest.mark.parametrize("port", ["70000", "99999", "-1"])
+    def test_out_of_range_port_exits_2_in_one_line(self, port, capsys):
+        assert main(["--listen", f"127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --listen wants a port in 0-65535, got {port}\n"
+
+    def test_a_port_in_use_exits_2_in_one_line(self, capsys):
+        """The port is held by a listening socket of the test's own, so
+        the listener's bind fails and no server comes up."""
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            code = main(["--listen", f"127.0.0.1:{port}", "--scale", "0.01"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1
 
 
 def test_the_listener_wires_the_scenario_cluster_and_builds_no_trace(
@@ -175,25 +203,6 @@ def stop(proc):
     if proc.poll() is None:
         proc.kill()
         proc.communicate()
-
-
-class TestListenerFlags:
-    def test_max_inflight_answers_busy_beyond_the_cap(self):
-        proc, port = start_listener("--max-inflight", "1")
-        try:
-            with socket.create_connection(("127.0.0.1", port), 10) as sock:
-                sock.settimeout(10)
-                sock.sendall(b"get a\r\nget b\r\n")
-                expected = b"END\r\nSERVER_ERROR busy\r\n"
-                data = b""
-                while len(data) < len(expected):
-                    chunk = sock.recv(4096)
-                    if not chunk:
-                        break
-                    data += chunk
-            assert data == expected
-        finally:
-            stop(proc)
 
 
 class TestListenerGracefulShutdown:

@@ -1,7 +1,7 @@
 """The connection path: reads become jobs, jobs become one execute and
 one write.
 
-Shape pins (what a read costs), the overload rules counted in commands,
+Shape pins (what a read costs), the overload rule counted in commands,
 and a property: however a pipeline is cut into reads and however the
 connections interleave, every connection gets exactly the bytes
 ``CacheService.execute`` produces for the same commands in arrival
@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.slabs import SlabGeometry
 from repro.cluster import Cluster, ClusterConfig
 from repro.serve.protocol import (
-    BUSY, END, MAX_LINE_BYTES, MAX_VALUE_BYTES, STORED, ProtocolParser,
+    END, MAX_LINE_BYTES, MAX_VALUE_BYTES, STORED, ProtocolParser,
 )
 from repro.serve.server import CacheServerProcess, Connection, MemoryClient
 from repro.serve.service import CacheService
@@ -235,24 +235,9 @@ class TestShape:
 
 
 class TestOverloadCountsCommands:
-    def test_shed_answers_busy_in_place(self):
-        async def scenario():
-            server = make_server(backpressure="shed", queue_depth=8)
-            connection, transport = connect(server)
-            connection.data_received(gets(20))  # not started: nothing drains
-            assert server.metrics.shed == 12
-            assert transport.writes == [] and transport.reading
-            await server.start()
-            await settle()
-            assert transport.writes == [END * 8 + BUSY * 12]
-            assert server.metrics.queue_depth_high_water == 8
-            await server.close()
-
-        asyncio.run(scenario())
-
     def test_queue_holds_what_does_not_fit_and_stops_reading(self):
         async def scenario():
-            server = make_server(backpressure="queue", queue_depth=8)
+            server = make_server(queue_depth=8)
             sizes = spy_on_execute(server)
             connection, transport = connect(server)
             connection.data_received(gets(20))
@@ -267,39 +252,6 @@ class TestOverloadCountsCommands:
             assert transport.reading and other_transport.reading
             assert sum(sizes) == 22 and max(sizes) <= 8
             assert server.metrics.queue_depth_high_water <= 8
-            assert server.metrics.shed == 0
-            await server.close()
-
-        asyncio.run(scenario())
-
-    def test_max_inflight_counts_held_and_queued_commands(self):
-        async def scenario():
-            server = make_server(queue_depth=2, max_inflight=5)
-            connection, transport = connect(server)
-            connection.data_received(gets(9))
-            assert server.metrics.shed_inflight == 4
-            await server.start()
-            await settle()
-            assert b"".join(transport.writes) == END * 5 + BUSY * 4
-            connection.data_received(gets(1, start=99))
-            await settle()
-            assert transport.writes[-1] == END  # the slots were released
-            await server.close()
-
-        asyncio.run(scenario())
-
-    def test_noreply_stays_silent_when_shed(self):
-        async def scenario():
-            server = make_server(backpressure="shed", queue_depth=1)
-            connection, transport = connect(server)
-            connection.data_received(
-                b"get a\r\nset b 0 0 1 noreply\r\nB\r\ndelete a noreply\r\n"
-                b"get c\r\n"
-            )
-            assert server.metrics.shed == 3
-            await server.start()
-            await settle()
-            assert transport.writes == [END + BUSY]
             await server.close()
 
         asyncio.run(scenario())
@@ -541,13 +493,12 @@ def test_any_cut_any_interleaving_same_bytes_as_one_execute(delivery, max_batch)
     -- which also makes the counters independent of where reads and
     drains cut the stream."""
     pipelines, schedule, yields = delivery
-    streams, counters, metrics = serve(
+    streams, counters, _ = serve(
         pipelines, schedule, yields, max_batch=max_batch
     )
     expected, expected_counters = expected_streams(pipelines, schedule)
     assert streams == expected
     assert counters == expected_counters
-    assert metrics.shed == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -559,11 +510,10 @@ def test_any_cut_any_interleaving_same_bytes_as_one_execute(delivery, max_batch)
 def test_a_full_queue_delays_replies_but_never_reorders_them(
     delivery, queue_depth, max_batch
 ):
-    """``backpressure="queue"`` with a queue far smaller than the
-    pipelines: jobs are held and queued later, so order *across*
-    connections is no longer arrival order. Each connection has its own
-    keys, and must still see exactly its own pipeline's replies, with
-    the queue never deeper than its bound."""
+    """A queue far smaller than the pipelines: jobs are held and queued
+    later, so order *across* connections is no longer arrival order.
+    Each connection has its own keys, and must still see exactly its own
+    pipeline's replies, with the queue never deeper than its bound."""
     pipelines, schedule, yields = delivery
     streams, counters, metrics = serve(
         pipelines, schedule, yields, queue_depth=queue_depth, max_batch=max_batch
@@ -573,7 +523,6 @@ def test_a_full_queue_delays_replies_but_never_reorders_them(
     assert streams == expected
     assert counters == expected_counters
     assert metrics.queue_depth_high_water <= queue_depth
-    assert metrics.shed == 0
 
 
 # -- hostile streams ---------------------------------------------------------

@@ -104,7 +104,7 @@ class TestRunServe:
         assert isinstance(report, ServeReport)
         result = report.result
         assert result.issued == 200
-        assert result.completed + result.shed + result.errors == 200
+        assert result.completed + result.errors == 200
         assert result.errors == 0
         assert result.completed > 0
         assert result.histogram.count == result.completed
@@ -131,7 +131,7 @@ class TestRunServe:
         payload = run_serve(cluster, compiled, config, seed=0).to_dict()
         assert set(payload) == {
             "arrivals", "offered_rate", "achieved_rate", "duration_s",
-            "elapsed_s", "requests", "completed", "shed", "errors",
+            "elapsed_s", "requests", "completed", "errors",
             "latency_ms", "queue_depth", "faults",
         }
         assert payload["requests"] == 100

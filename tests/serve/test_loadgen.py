@@ -13,7 +13,6 @@ from repro.serve.loadgen import (
     commands_from_trace,
 )
 from repro.serve.protocol import (
-    BUSY,
     MAX_VALUE_BYTES,
     Command,
     ProtocolParser,
@@ -84,10 +83,10 @@ class TestAccounting:
     def run(self, generator, clients):
         return asyncio.run(generator.run(clients, self.WORK))
 
-    def test_completed_shed_error_tallies(self):
+    def test_completed_and_error_tallies(self):
         responses = [
             b"VALUE k 0 1\r\nx\r\nEND\r\n",
-            BUSY,
+            b"ERROR\r\n",
             b"SERVER_ERROR internal error\r\n",
             b"END\r\n",
             b"CLIENT_ERROR bad\r\n",
@@ -98,8 +97,7 @@ class TestAccounting:
         result = self.run(generator, [client])
         assert result.issued == 5
         assert result.completed == 2
-        assert result.shed == 1
-        assert result.errors == 2
+        assert result.errors == 3
         # Only completed requests are timed.
         assert result.histogram.count == 2
         assert result.achieved_rate == pytest.approx(

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serve.protocol import (
-    BUSY,
     CRLF,
     END,
     ERROR,
@@ -414,8 +413,8 @@ class TestEncoders:
         block = encode_stats([("a", 1), ("b", "x")])
         assert block == b"STAT a 1\r\nSTAT b x\r\n" + END
 
-    def test_busy_is_a_server_error(self):
-        assert BUSY == server_error("busy")
+    def test_server_error_shape(self):
+        assert server_error("internal error") == b"SERVER_ERROR internal error\r\n"
 
     @pytest.mark.parametrize(
         "command",

@@ -3,9 +3,9 @@
 The acceptance bar: a real socket client can round-trip
 get/set/delete; malformed input answers an error without killing the
 connection or the server; an abrupt disconnect mid-pipeline never
-leaks a request-queue slot; shed backpressure answers
-``SERVER_ERROR busy``; concurrent connections each get their own
-correctly-ordered responses.
+leaks a request-queue slot; a full queue holds a pipeline until there
+is room instead of refusing it; concurrent connections each get their
+own correctly-ordered responses.
 
 Every test runs its own event loop via ``asyncio.run`` -- no plugin
 dependencies, and no wall-clock assertions that could flake in CI.
@@ -26,7 +26,7 @@ import pytest
 
 from repro.cache.slabs import SlabGeometry
 from repro.cluster import Cluster, ClusterConfig
-from repro.serve.protocol import BUSY, END
+from repro.serve.protocol import END
 from repro.serve.server import (
     MAX_QUEUE_DEPTH_SAMPLES,
     CacheServerProcess,
@@ -227,34 +227,9 @@ class TestLoopbackTCP:
 
 
 class TestOverload:
-    def test_shed_answers_busy_when_queue_full(self):
-        async def scenario():
-            # Not started: the queue cannot drain, so the bound is hit
-            # deterministically.
-            server = make_server(backpressure="shed", queue_depth=2)
-            client = MemoryClient(server)
-            pipeline = asyncio.ensure_future(
-                client.request(b"".join(b"get k%d\r\n" % i for i in range(5)))
-            )
-            await asyncio.sleep(0)
-            assert not pipeline.done()  # two commands hold their slots
-            assert server.metrics.requests == 5
-            assert server.metrics.shed == 3
-            # Draining frees the slots: queued requests complete, the
-            # shed ones were answered BUSY in their pipeline position,
-            # and new commands are accepted again.
-            await server.start()
-            assert await pipeline == END * 2 + BUSY * 3
-            retry = await client.request(b"get again\r\n")
-            assert retry.endswith(b"END\r\n")
-            assert server.metrics.shed == 3
-            await server.close()
-
-        asyncio.run(scenario())
-
     def test_queue_policy_blocks_instead_of_shedding(self):
         async def scenario():
-            server = make_server(backpressure="queue", queue_depth=1)
+            server = make_server(queue_depth=1)
             first = asyncio.ensure_future(
                 MemoryClient(server).request(b"get a\r\n")
             )
@@ -262,14 +237,13 @@ class TestOverload:
                 MemoryClient(server).request(b"get b\r\nget c\r\n")
             )
             await asyncio.sleep(0)
-            # Held until there is a slot: not shed, not queued.
+            # Held until there is a slot, not queued.
             assert not first.done() and not blocked.done()
             assert server.metrics.requests == 3
             await server.start()
             results = await asyncio.gather(first, blocked)
             assert results == [END, END * 2]
             assert server.metrics.requests == 3
-            assert server.metrics.shed == 0
             assert server.metrics.queue_depth_high_water == 1
             await server.close()
 
@@ -277,7 +251,7 @@ class TestOverload:
 
     def test_abrupt_disconnect_mid_pipeline_leaks_nothing(self):
         async def scenario():
-            server = make_server(backpressure="shed", queue_depth=64)
+            server = make_server(queue_depth=64)
             host, port = await server.start_tcp()
             # Blast a pipeline and vanish without reading a byte.
             reader, writer = await raw_client(host, port)
@@ -295,12 +269,12 @@ class TestOverload:
             )
             assert stored == b"STORED\r\n"
             # ... and afterwards every slot is free again: a pipeline as
-            # deep as the queue is admitted whole, nothing shed.
+            # deep as the queue is admitted whole (a leaked slot would
+            # hold it forever).
             writer2.write(b"get ok\r\n" * 64)
             await writer2.drain()
             full = b"VALUE ok 0 2\r\nok\r\nEND\r\n" * 64
-            assert await reader2.readexactly(len(full)) == full
-            assert server.metrics.shed == 0
+            assert await asyncio.wait_for(reader2.readexactly(len(full)), 10) == full
             writer2.close()
             await server.close()
 
@@ -454,23 +428,22 @@ class TestMemoryTransport:
 
 
 class TestConfigValidation:
-    def test_bad_backpressure_rejected(self):
+    def test_bad_queue_bounds_rejected(self):
         from repro.common.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError, match="backpressure"):
-            make_server(backpressure="drop")
         with pytest.raises(ConfigurationError, match="queue_depth"):
             make_server(queue_depth=0)
         with pytest.raises(ConfigurationError, match="max_batch"):
             make_server(max_batch=0)
 
-    def test_degradation_knobs_validated(self):
-        from repro.common.errors import ConfigurationError
+    def test_the_queue_bounds_are_the_only_settings(self):
+        """Overload has one rule, queue backpressure: there is no shed
+        policy, queue deadline or in-flight cap to set."""
+        import inspect
 
-        with pytest.raises(ConfigurationError, match="queue_deadline_s"):
-            make_server(queue_deadline_s=-0.1)
-        with pytest.raises(ConfigurationError, match="max_inflight"):
-            make_server(max_inflight=-1)
+        assert list(inspect.signature(CacheServerProcess).parameters) == [
+            "service", "queue_depth", "max_batch",
+        ]
 
 
 class TestClientHardening:
@@ -590,70 +563,18 @@ class TestGracefulShutdown:
         asyncio.run(scenario())
 
 
-class TestGracefulDegradation:
-    def test_queue_deadline_sheds_expired_commands(self):
-        async def scenario():
-            # Not started yet: the commands age in the queue, then the
-            # drain with a tiny deadline sheds them all as BUSY.
-            server = make_server(queue_deadline_s=0.01)
-            client = MemoryClient(server)
-            aged = asyncio.ensure_future(
-                client.request(b"".join(b"get k%d\r\n" % i for i in range(4)))
-            )
-            await asyncio.sleep(0.05)
-            await server.start()
-            assert await aged == BUSY * 4
-            assert server.metrics.shed_expired == 4
-            assert server.metrics.shed == 4
-            # Fresh commands execute normally.
-            fresh = await client.request(b"get new\r\n")
-            assert fresh.endswith(b"END\r\n")
-            assert server.metrics.shed_expired == 4
-            await server.close()
-
-        asyncio.run(scenario())
-
-    def test_max_inflight_caps_per_connection(self):
-        async def scenario():
-            server = make_server(max_inflight=2)
-            client = MemoryClient(server)
-            capped = asyncio.ensure_future(
-                client.request(b"".join(b"get k%d\r\n" % i for i in range(5)))
-            )
-            await asyncio.sleep(0)
-            assert server.metrics.shed_inflight == 3
-            assert server.metrics.shed == 3
-            # Another connection has its own budget.
-            other = asyncio.ensure_future(
-                MemoryClient(server).request(b"get other\r\n")
-            )
-            await asyncio.sleep(0)
-            assert not other.done()
-            assert server.metrics.shed_inflight == 3
-            await server.start()
-            assert await capped == END * 2 + BUSY * 3
-            assert await other == END
-            # Completion released the slots: the same connection can
-            # send again.
-            retry = await client.request(b"get again\r\n")
-            assert retry.endswith(b"END\r\n")
-            await server.close()
-
-        asyncio.run(scenario())
-
-
 class TestStatsWire:
     def test_stats_surfaces_server_metrics_over_tcp(self):
         async def scenario():
-            server = make_server(backpressure="shed", queue_depth=1)
-            # Shed a couple of requests first so the counters are warm
-            # (not started yet: the second and third commands shed).
+            server = make_server(queue_depth=1)
+            # Warm the counters first (not started yet: the second and
+            # third commands are held for room, then answered).
             warm = asyncio.ensure_future(
                 MemoryClient(server).request(b"get k0\r\nget k1\r\nget k2\r\n")
             )
             await asyncio.sleep(0)
             host, port = await server.start_tcp()
-            assert await warm == END + BUSY * 2
+            assert await warm == END * 3
             reader, writer = await raw_client(host, port)
             try:
                 data = await send_and_read(
@@ -664,10 +585,11 @@ class TestStatsWire:
                     for line in data.decode().splitlines()
                     if line.startswith("STAT ")
                 }
-                assert stats["server_shed"] == "2"
+                # Nothing is refused for load, yet the line stays: the
+                # performance ledger's wire check reads it.
+                assert stats["server_shed"] == "0"
                 assert int(stats["server_requests"]) >= 3
-                assert "server_shed_expired" in stats
-                assert "server_shed_inflight" in stats
+                assert not {"server_shed_expired", "server_shed_inflight"} & set(stats)
                 assert int(stats["queue_depth_high_water"]) >= 1
                 assert stats["live_shards"] == "2"
                 assert "dead_requests" in stats

@@ -65,8 +65,8 @@ BUDGET = {
     ("default", "arc"): 1.372,
     ("lsm", "lru"): 0.1325,
     ("planned", "lru"): 0.1785,
-    ("hill", "lru"): 3.03,
-    ("hill", "facebook"): 3.517,
+    ("hill", "lru"): 2.945,
+    ("hill", "facebook"): 3.43,
     ("cliffhanger", "lru"): 1.247,
     ("cliff-only", "lru"): 1.2485,
     ("hill-only", "lru"): 1.2365,
