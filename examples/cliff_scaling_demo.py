@@ -16,7 +16,7 @@ from repro.allocation.talus import plan_talus_partition
 from repro.cache.policies import make_policy
 from repro.core.cliff_scaling import ACCESS_HIT, CliffConfig, CliffhangerQueue
 from repro.profiling.hrc import HitRateCurve
-from repro.profiling.stack_distance import StackDistanceProfiler
+from repro.profiling.stack_distance import stack_distances
 from repro.workloads.generators import ReuseDistanceStream
 from repro.workloads.sizes import FixedSize
 
@@ -38,10 +38,7 @@ def main() -> None:
 
     # Profile the true hit-rate curve (the operator would not have this;
     # Cliffhanger does not use it -- we print it for perspective).
-    profiler = StackDistanceProfiler()
-    for key in keys:
-        profiler.record(key)
-    curve = HitRateCurve.from_stack_distances(profiler.distances)
+    curve = HitRateCurve.from_stack_distances(stack_distances(keys))
     cliffs = curve.cliffs(tolerance=0.02)
     print(f"detected cliff regions (items): {[(int(a), int(b)) for a, b in cliffs]}")
 

@@ -38,8 +38,8 @@ from repro.core.engine import CliffhangerEngine, HillClimbEngine
 from repro.core.hill_climbing import HillClimber
 from repro.core.managed import ShadowedQueue
 from repro.profiling.hrc import HitRateCurve
-from repro.profiling.mimir import MimirProfiler
-from repro.profiling.stack_distance import StackDistanceProfiler
+from repro.profiling.mimir import mimir_distances
+from repro.profiling.stack_distance import stack_distances
 from repro.workloads.trace import Request
 
 __version__ = "0.8.0"
@@ -58,8 +58,8 @@ __all__ = [
     "ShadowedQueue",
     "CrossAppHillClimber",
     "HitRateCurve",
-    "MimirProfiler",
-    "StackDistanceProfiler",
+    "mimir_distances",
+    "stack_distances",
     "Request",
     "__version__",
 ]

@@ -85,11 +85,13 @@ def _load_spec(target: str) -> dict:
 
 def _run_experiments(args: argparse.Namespace) -> int:
     ids = list_experiments() if args.target == "all" else [args.target]
+    kwargs = {"seed": args.seed or 0}
+    if args.scale is not None:
+        kwargs["scale"] = args.scale
+    # A runner's seed and scale follow a scenario's rules.
+    Scenario(**kwargs)
     for experiment_id in ids:
         runner = get_runner(experiment_id)
-        kwargs = {"seed": args.seed if args.seed is not None else 0}
-        if args.scale is not None:
-            kwargs["scale"] = args.scale
         started = time.perf_counter()
         result = runner(**kwargs)
         elapsed = time.perf_counter() - started

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+import numpy as np
+
 from repro.allocation.dynacache import DynacacheSolver
 from repro.cache.stats import OP_GET
 from repro.experiments.common import ExperimentResult
 from repro.profiling.hrc import HitRateCurve
-from repro.profiling.stack_distance import StackDistanceProfiler
+from repro.profiling.stack_distance import stack_distances
 from repro.sim import FULL_SCALE, Scenario, load_workload, run_scenario
 
 APPS = (1, 2, 3, 4, 5)
@@ -31,21 +33,15 @@ def _app_byte_curves(
     frequencies = {}
     for app in trace.app_names:
         compiled = trace.compiled_for(app)
-        profiler = StackDistanceProfiler()
-        gets = 0
-        for key, op, item_bytes in zip(
-            compiled.keys.tolist(),
-            compiled.op_codes.tolist(),
-            compiled.item_bytes.tolist(),
-        ):
-            if op != OP_GET:
-                continue
-            gets += 1
-            profiler.record(key, weight=float(item_bytes))
-        frequencies[app] = gets
-        if gets >= 2:
+        gets = compiled.op_codes == OP_GET
+        frequencies[app] = int(np.count_nonzero(gets))
+        if frequencies[app] >= 2:
+            distances = stack_distances(
+                compiled.keys[gets].tolist(),
+                compiled.item_bytes[gets].tolist(),
+            )
             curves[app] = HitRateCurve.from_stack_distances(
-                profiler.distances, unit="bytes"
+                distances, unit="bytes"
             )
     return curves, frequencies
 

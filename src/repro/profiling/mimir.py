@@ -15,89 +15,60 @@ newest bucket. When the newest bucket grows past the average bucket
 population the window rotates: a fresh bucket opens and the two oldest
 buckets merge, which is where resolution (and accuracy on big curves) is
 lost.
+
+:func:`mimir_distances` runs the scheme over a whole key column, known
+before it starts, and returns every access's estimate (None = cold).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from repro.common.errors import ConfigurationError
 
 #: Default bucket count; the paper used 100 buckets.
 DEFAULT_BUCKETS = 100
 
+#: Newest-bucket population below which the window never rotates
+#: (avoids degenerate rotation on tiny streams).
+MIN_ROTATION = 8
 
-class MimirProfiler:
-    """Bucketed stack-distance estimator (O(N/B) resolution).
 
-    Args:
-        num_buckets: Number of aging buckets ``B``.
-        min_rotation: Newest-bucket population below which the window
-            never rotates (avoids degenerate rotation on tiny streams).
-    """
-
-    def __init__(
-        self,
-        num_buckets: int = DEFAULT_BUCKETS,
-        min_rotation: int = 8,
-    ) -> None:
-        if num_buckets < 2:
-            raise ConfigurationError(
-                f"need at least 2 buckets, got {num_buckets}"
-            )
-        self.num_buckets = num_buckets
-        self.min_rotation = min_rotation
-        # buckets[0] is the newest. Each bucket is a set of keys.
-        self._buckets: Deque[Set[object]] = deque([set()])
-        # key -> round id; the newest bucket's round id is _head_round.
-        self._round_of: Dict[object, int] = {}
-        self._head_round = 0
-        self.distances: List[Optional[float]] = []
-
-    # ------------------------------------------------------------------
-
-    @property
-    def tracked(self) -> int:
-        return len(self._round_of)
-
-    def _bucket_index(self, round_id: int) -> int:
-        """Map a key's round id to its current bucket index (0=newest).
-
-        Rounds older than the window live in the oldest bucket (they were
-        merged into it during rotation).
-        """
-        offset = self._head_round - round_id
-        return min(offset, len(self._buckets) - 1)
-
-    def record(self, key: object) -> Optional[float]:
-        """Process one access; returns the *estimated* stack distance
-        (float, bucket-resolution) or None for a cold access."""
-        round_id = self._round_of.get(key)
+def mimir_distances(
+    keys: Sequence[object],
+    num_buckets: int = DEFAULT_BUCKETS,
+) -> List[Optional[float]]:
+    """Every access's *estimated* stack distance (bucket resolution), in
+    order; None marks a cold access. ``num_buckets`` is ``B``."""
+    if num_buckets < 2:
+        raise ConfigurationError(f"need at least 2 buckets, got {num_buckets}")
+    # buckets[0] is the newest; a key's round id maps to its bucket, and
+    # rounds older than the window live in the oldest bucket (they were
+    # merged into it during rotation).
+    buckets: Deque[Set[object]] = deque([set()])
+    round_of: Dict[object, int] = {}
+    head_round = 0
+    distances: List[Optional[float]] = []
+    for key in keys:
+        round_id = round_of.get(key)
         if round_id is None:
-            estimate: Optional[float] = None
+            distances.append(None)
         else:
-            index = self._bucket_index(round_id)
-            newer = sum(map(len, islice(self._buckets, index)))
-            estimate = newer + len(self._buckets[index]) / 2.0
-            self._buckets[index].discard(key)
-        self._buckets[0].add(key)
-        self._round_of[key] = self._head_round
-        self.distances.append(estimate)
-        self._maybe_rotate()
-        return estimate
-
-    # ------------------------------------------------------------------
-
-    def _maybe_rotate(self) -> None:
-        target = max(self.min_rotation, self.tracked // self.num_buckets)
-        if len(self._buckets[0]) < target:
-            return
-        self._buckets.appendleft(set())
-        self._head_round += 1
-        if len(self._buckets) > self.num_buckets:
-            # Merge the two oldest buckets; their keys' round ids already
-            # map onto the last index via _bucket_index's clamp.
-            oldest = self._buckets.pop()
-            self._buckets[-1] |= oldest
+            index = min(head_round - round_id, len(buckets) - 1)
+            bucket = buckets[index]
+            newer = sum(map(len, islice(buckets, index)))
+            distances.append(newer + len(bucket) / 2.0)
+            bucket.discard(key)
+        buckets[0].add(key)
+        round_of[key] = head_round
+        if len(buckets[0]) >= max(MIN_ROTATION, len(round_of) // num_buckets):
+            buckets.appendleft(set())
+            head_round += 1
+            if len(buckets) > num_buckets:
+                # Merge the two oldest buckets; their keys' round ids
+                # already map onto the last index through the clamp.
+                oldest = buckets.pop()
+                buckets[-1] |= oldest
+    return distances

@@ -1,22 +1,26 @@
 """Profiling and solver planning over traces.
 
-Per-slab-class hit-rate-curve profiling (exact Mattson stack distances or
-the Mimir bucket estimator) and the Dynacache solver pipeline that turns
-one application's week of requests into a byte plan per slab class. Used
-by the ``planned`` scheme (``Scenario(plans="solver")``) and by the
-figure/table runners that inspect curves directly.
+Per-slab-class hit-rate curves from a compiled trace's columns: the GET
+rows of each slab class go, as one key list, to an exact Mattson
+stack-distance function or to the Mimir bucket estimator. On top, the
+Dynacache solver pipeline turns one application's week of requests into
+a byte plan per slab class. Used by the ``planned`` scheme
+(``Scenario(plans="solver")``) and by the figure/table runners that
+inspect curves directly.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.allocation.dynacache import DynacacheSolver
 from repro.cache.stats import OP_GET
 from repro.common.errors import ConfigurationError
 from repro.profiling.hrc import HitRateCurve
-from repro.profiling.mimir import MimirProfiler
-from repro.profiling.stack_distance import StackDistanceProfiler
+from repro.profiling.mimir import mimir_distances
+from repro.profiling.stack_distance import stack_distances
 from repro.sim.defaults import GEOMETRY
 from repro.workloads.compiled import CompiledTrace
 
@@ -26,38 +30,33 @@ def profile_app_classes(
     estimator: str = "exact",
 ) -> Tuple[Dict[int, HitRateCurve], Dict[int, int]]:
     """Per-slab-class hit-rate curves (size axis: items) and GET counts
-    of a compiled trace.
+    of a compiled trace, for every class with at least two GETs, in the
+    order the trace first reaches each class.
 
     ``estimator``: ``exact`` uses Mattson stack distances; ``mimir`` the
     bucket estimator Dynacache really used (coarser, reproducing its
     estimation error).
     """
     if estimator == "exact":
-        make = StackDistanceProfiler
+        distances_of = stack_distances
     elif estimator == "mimir":
-        make = MimirProfiler
+        distances_of = mimir_distances
     else:
         raise ConfigurationError(f"unknown estimator {estimator!r}")
-    profilers: Dict[int, object] = {}
+    gets = trace.op_codes == OP_GET
+    keys = trace.keys[gets]
+    classes = trace.slab_classes[gets]
+    present, first_row = np.unique(classes, return_index=True)
+    curves: Dict[int, HitRateCurve] = {}
     frequencies: Dict[int, int] = {}
-    for key, op, class_index in zip(
-        trace.keys.tolist(),
-        trace.op_codes.tolist(),
-        trace.slab_classes.tolist(),
-    ):
-        if op != OP_GET:
-            continue
-        profiler = profilers.get(class_index)
-        if profiler is None:
-            profiler = profilers.setdefault(class_index, make())
-        profiler.record(key)
-        frequencies[class_index] = frequencies.get(class_index, 0) + 1
-    curves = {
-        class_index: HitRateCurve.from_stack_distances(profiler.distances)
-        for class_index, profiler in profilers.items()
-        if len(profiler.distances) >= 2
-    }
-    return curves, {c: frequencies[c] for c in curves}
+    for class_index in present[np.argsort(first_row)].tolist():
+        class_keys = keys[classes == class_index].tolist()
+        if len(class_keys) >= 2:
+            curves[class_index] = HitRateCurve.from_stack_distances(
+                distances_of(class_keys)
+            )
+            frequencies[class_index] = len(class_keys)
+    return curves, frequencies
 
 
 def solver_plan_for_app(

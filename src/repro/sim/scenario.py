@@ -91,7 +91,7 @@ class Scenario(Spec):
     workload: str = "memcachier"
     policy: str = spec_field("lru", choices=tuple(sorted(POLICIES)))
     scale: float = spec_field(FULL_SCALE, gt=0)
-    seed: int = 0
+    seed: int = spec_field(0, ge=0)
     apps: Optional[List[str]] = None
     budgets: Optional[Dict[str, float]] = None
     plans: Union[None, str, Dict[str, Dict[int, float]]] = None

@@ -244,5 +244,8 @@ def run_sweep(
     spec: Dict[str, Any], workers: Optional[int] = None
 ) -> SweepResult:
     """Run a sweep from a JSON-style spec: ``{"base": {...}, "axes":
-    {...}, "workers": N}``. ``workers`` overrides the spec's value."""
-    return Sweep.from_dict(spec).run(workers=workers)
+    {...}, "workers": N}``. ``workers`` overrides the spec's value and
+    is checked by the same rule."""
+    if workers is not None:
+        spec = {**spec, "workers": workers}
+    return Sweep.from_dict(spec).run()

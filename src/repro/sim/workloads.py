@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -109,8 +110,10 @@ class SyntheticTrace:
 
 def load_workload(name: str, scale: float = FULL_SCALE, seed: int = 0, **params):
     """Build (or fetch from cache) the named workload's loaded trace."""
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigurationError(
+            f"scale must be positive and finite, got {scale}"
+        )
     builder = WORKLOADS.get(name)
     return builder(scale, seed, **params)
 

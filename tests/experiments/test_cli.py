@@ -469,3 +469,41 @@ def test_bad_sweep_spec_exits_2(capsys):
     sweep["axis"] = sweep.pop("axes")  # typo'd field
     assert main(["sweep", json.dumps(sweep)]) == 2
     assert "axis" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", json.dumps(dict(TINY_SCENARIO, seed=-1))],
+        ["run", json.dumps(TINY_SCENARIO), "--seed", "-1"],
+        ["run", "tab6", "--scale", "0.012", "--seed", "-1"],
+    ],
+    ids=["spec", "spec-flag", "experiment-flag"],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert one_error_line(capsys) == "error: scenario.seed must be >= 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "experiment, scale", [("fig1", "nan"), ("fig1", "inf"), ("tab6", "nan")]
+)
+def test_non_finite_experiment_scale_exits_2(capsys, experiment, scale):
+    assert main(["run", experiment, "--scale", scale]) == 2
+    assert one_error_line(capsys) == (
+        f"error: bad scenario block: scenario.scale must be a finite "
+        f"number, got {scale}"
+    )
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_workers_flag_follows_the_spec_rule(capsys, monkeypatch, workers):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused sweep runs nothing")
+
+    monkeypatch.setattr("repro.sim.sweep.ProcessPoolExecutor", refuse)
+    monkeypatch.setattr("repro.sim.sweep.run_scenario", refuse)
+    assert main(["sweep", json.dumps(TINY_SWEEP), "--workers", str(workers)]) == 2
+    assert one_error_line(capsys) == (
+        f"error: workers must be a positive integer, got {workers}"
+    )

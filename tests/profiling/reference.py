@@ -1,32 +1,35 @@
-"""Oracles the profiler tests compare against."""
+"""The oracle the stack-distance tests compare against."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
-def naive_stack_distances(keys: Iterable[object]) -> List[Optional[int]]:
+def naive_stack_distances(
+    keys: Iterable[object],
+    weights: Optional[Sequence[float]] = None,
+) -> List[Optional[float]]:
     """Stack distances straight from the definition.
 
     Returns one distance per access; ``None`` marks a cold (infinite
-    distance) access. Quadratic: the reference
-    :class:`repro.profiling.stack_distance.StackDistanceProfiler` is held to.
+    distance) access. Unweighted, a distance is the 1-based rank in the
+    LRU stack. With ``weights`` it is the sum of the weights of the keys
+    above this one in the stack plus this access's own, each key charged
+    its latest size. Quadratic: the reference
+    :func:`repro.profiling.stack_distance.stack_distances` is held to.
     """
     stack: List[object] = []  # index 0 = top of stack
-    distances: List[Optional[int]] = []
-    for key in keys:
+    size: Dict[object, float] = {}  # key -> weight at its latest access
+    distances: List[Optional[float]] = []
+    for index, key in enumerate(keys):
+        weight = 1 if weights is None else weights[index]
         try:
             rank = stack.index(key)  # 0-based depth
         except ValueError:
             distances.append(None)
-            stack.insert(0, key)
         else:
-            distances.append(rank + 1)
+            distances.append(sum(size[k] for k in stack[:rank]) + weight)
             stack.pop(rank)
-            stack.insert(0, key)
+        stack.insert(0, key)
+        size[key] = weight
     return distances
-
-
-def record_all(profiler, keys: Iterable[object]) -> List[Optional[float]]:
-    """Feed ``keys`` to ``profiler`` one by one; its distances, in order."""
-    return [profiler.record(key) for key in keys]

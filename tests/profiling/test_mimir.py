@@ -5,19 +5,17 @@ from collections import deque
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.profiling.mimir import MimirProfiler
-from repro.profiling.stack_distance import StackDistanceProfiler
+from repro.profiling.mimir import mimir_distances
+from repro.profiling.stack_distance import stack_distances
 from repro.workloads.zipf import ZipfSampler
-from tests.profiling.reference import record_all
 
 
 class ReferenceMimir:
     """The estimator with its prefix sum written out in Python: every
     access re-sums the newer buckets' ``len`` one index at a time."""
 
-    def __init__(self, num_buckets=100, min_rotation=8):
+    def __init__(self, num_buckets=100):
         self.num_buckets = num_buckets
-        self.min_rotation = min_rotation
         self._buckets = deque([set()])
         self._round_of = {}
         self._head_round = 0
@@ -33,7 +31,8 @@ class ReferenceMimir:
             self._buckets[index].discard(key)
         self._buckets[0].add(key)
         self._round_of[key] = self._head_round
-        target = max(self.min_rotation, len(self._round_of) // self.num_buckets)
+        # The window never rotates below 8 keys in the newest bucket.
+        target = max(8, len(self._round_of) // self.num_buckets)
         if len(self._buckets[0]) >= target:
             self._buckets.appendleft(set())
             self._head_round += 1
@@ -45,19 +44,15 @@ class ReferenceMimir:
 
 class TestMimirBasics:
     def test_cold_access_is_none(self):
-        profiler = MimirProfiler()
-        assert profiler.record("a") is None
+        assert mimir_distances(["a"]) == [None]
 
     def test_rereference_estimates_positive(self):
-        profiler = MimirProfiler()
-        profiler.record("a")
-        profiler.record("b")
-        estimate = profiler.record("a")
+        estimate = mimir_distances(["a", "b", "a"])[-1]
         assert estimate is not None and estimate > 0
 
     def test_needs_two_buckets(self):
         with pytest.raises(ConfigurationError):
-            MimirProfiler(num_buckets=1)
+            mimir_distances(["a"], num_buckets=1)
 
 
 class TestMimirAccuracy:
@@ -66,8 +61,8 @@ class TestMimirAccuracy:
         relative error bounded, ordering preserved on average. (The
         paper relies on it being *imperfect*, so the bound is loose.)"""
         keys = [f"k{rng.randrange(200)}" for _ in range(20000)]
-        exact = record_all(StackDistanceProfiler(), keys)
-        estimated = record_all(MimirProfiler(num_buckets=100), keys)
+        exact = stack_distances(keys)
+        estimated = mimir_distances(keys, num_buckets=100)
         pairs = [
             (e, m)
             for e, m in zip(exact, estimated)
@@ -81,8 +76,8 @@ class TestMimirAccuracy:
         """More buckets -> finer resolution: estimates take more
         distinct values."""
         keys = [f"k{rng.randrange(100)}" for _ in range(5000)]
-        coarse = record_all(MimirProfiler(num_buckets=4), keys)
-        fine = record_all(MimirProfiler(num_buckets=100), keys)
+        coarse = mimir_distances(keys, num_buckets=4)
+        fine = mimir_distances(keys, num_buckets=100)
         distinct_coarse = len({d for d in coarse if d is not None})
         distinct_fine = len({d for d in fine if d is not None})
         assert distinct_fine >= distinct_coarse
@@ -92,6 +87,5 @@ def test_prefix_sum_matches_resumming_the_buckets():
     """On a 50k-request Zipf stream every estimate is bit-identical to
     re-summing the buckets one by one."""
     keys = ZipfSampler(20_000, 0.9, seed=1).sample(50_000).tolist()
-    profiler = MimirProfiler()
     reference = ReferenceMimir()
-    assert record_all(profiler, keys) == [reference.record(key) for key in keys]
+    assert mimir_distances(keys) == [reference.record(key) for key in keys]

@@ -1,15 +1,15 @@
-"""Tests for exact stack distances: the Fenwick profiler against the
-naive oracle, and the Mattson inclusion property against a real LRU."""
+"""Tests for exact stack distances: ``stack_distances`` (a Fenwick tree
+over access positions) against the naive oracle, unit and byte weighted,
+and the Mattson inclusion property against a real LRU."""
 
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.policies import make_policy
-from repro.profiling.stack_distance import StackDistanceProfiler
+from repro.profiling.stack_distance import stack_distances
 from repro.workloads.zipf import ZipfSampler
-from tests.profiling.reference import naive_stack_distances, record_all
+from tests.profiling.reference import naive_stack_distances
 
 
 class TestNaiveOracle:
@@ -32,37 +32,39 @@ class TestFenwickProfiler:
     @given(st.lists(st.integers(0, 30), max_size=400))
     def test_matches_naive(self, key_ids):
         keys = [f"k{i}" for i in key_ids]
-        expected = naive_stack_distances(keys)
-        profiler = StackDistanceProfiler()
-        got = record_all(profiler, keys)
-        for e, g in zip(expected, got):
-            if e is None:
-                assert g is None
-            else:
-                assert g == pytest.approx(e)
+        assert stack_distances(keys) == naive_stack_distances(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 20), st.integers(1, 10_000)),
+            max_size=300,
+        )
+    )
+    # k1 is 50 bytes, then 70; k0's re-access sees k1's 70 and its own 30.
+    @example([(0, 100), (1, 50), (1, 70), (0, 30)])
+    def test_weighted_matches_naive(self, accesses):
+        """Byte weights, including keys whose size changes between
+        accesses: each key above is charged its latest size."""
+        keys = [f"k{i}" for i, _ in accesses]
+        weights = [weight for _, weight in accesses]
+        assert stack_distances(keys, weights) == naive_stack_distances(
+            keys, weights
+        )
 
     def test_matches_naive_on_zipf_past_several_grows(self):
-        """A 5k-request Zipf stream: over a thousand distinct keys and
-        three doublings of the tree, still exactly the naive distances."""
+        """A 5k-request Zipf stream: over a thousand distinct keys,
+        still exactly the naive distances."""
         sampler = ZipfSampler(4000, 1.0, rng=np.random.default_rng(42))
         keys = [f"z{rank}" for rank in sampler.sample(5_000)]
         expected = naive_stack_distances(keys)
-        got = record_all(StackDistanceProfiler(), keys)
-        assert got == [None if d is None else float(d) for d in expected]
+        assert stack_distances(keys) == expected
         assert max(d for d in expected if d is not None) > 1_000
-
-    def test_grows_past_initial_capacity(self):
-        profiler = StackDistanceProfiler()
-        keys = [f"k{i % 7}" for i in range(5000)]
-        record_all(profiler, keys)
-        assert len(profiler._last) == 7
-        # steady state distance of a 7-key round robin is 7
-        assert profiler.distances[-1] == pytest.approx(7)
 
     def test_inclusion_property_vs_lru(self, rng):
         """Mattson: LRU of capacity C hits iff stack distance <= C."""
         keys = [f"k{rng.randrange(60)}" for _ in range(3000)]
-        distances = record_all(StackDistanceProfiler(), keys)
+        distances = stack_distances(keys)
         for capacity in (1, 5, 17, 40, 80):
             policy = make_policy("lru", capacity)
             hits = 0
@@ -78,19 +80,15 @@ class TestFenwickProfiler:
 
     def test_weighted_distances(self):
         """Byte-weighted mode: distance counts bytes of distinct keys."""
-        profiler = StackDistanceProfiler()
-        profiler.record("a", weight=100)
-        profiler.record("b", weight=50)
-        distance = profiler.record("a", weight=100)
+        distances = stack_distances(["a", "b", "a"], [100, 50, 100])
         # b's 50 bytes + a's own 100 bytes.
-        assert distance == pytest.approx(150)
+        assert distances == [None, None, 150.0]
 
     def test_weighted_inclusion_vs_byte_lru(self, rng):
         """Byte distances predict byte-capacity LRU hits (stable sizes)."""
         sizes = {f"k{i}": 20 + (i * 13) % 90 for i in range(40)}
         keys = [f"k{rng.randrange(40)}" for _ in range(2500)]
-        profiler = StackDistanceProfiler()
-        distances = [profiler.record(k, weight=sizes[k]) for k in keys]
+        distances = stack_distances(keys, [sizes[k] for k in keys])
         for capacity in (200, 800, 2000):
             policy = make_policy("lru", capacity)
             hits = 0

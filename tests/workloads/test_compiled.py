@@ -227,9 +227,9 @@ def test_subsets_equal_filtering_the_requests(requests, chosen, low, high, op):
 @given(traces())
 def test_python_loops_hand_out_plain_scalars(requests):
     """``iter_requests``, ``profile_app_classes`` and tab3's
-    ``_app_byte_curves`` are the loops left over a column; what leaves
-    them is plain ``int`` / ``float`` / ``str``, so a report built from
-    their dict keys and counts goes through ``json.dumps``."""
+    ``_app_byte_curves`` read the columns; what leaves them is plain
+    ``int`` / ``float`` / ``str``, so a report built from their dict
+    keys and counts goes through ``json.dumps``."""
     compiled = CompiledTrace.compile(requests, GEOMETRY)
     for request in iter_requests(compiled):
         assert _plain(request.time, float)

@@ -1,6 +1,7 @@
 """Tests for the workload generators, size models and trace records."""
 
 import itertools
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -10,7 +11,7 @@ from repro.cache.slabs import SlabGeometry
 from repro.cache.stats import OP_CODES
 from repro.common.errors import ConfigurationError, TraceFormatError
 from repro.profiling.hrc import HitRateCurve
-from repro.profiling.stack_distance import StackDistanceProfiler
+from repro.profiling.stack_distance import stack_distances
 from repro.sim import load_workload
 from repro.sim.defaults import GEOMETRY
 from repro.workloads.compiled import (
@@ -113,10 +114,8 @@ class TestStreams:
         stream = ReuseDistanceStream(
             "app", 300, 60, FixedSize(64), refs_per_key=9, seed=2
         )
-        profiler = StackDistanceProfiler()
-        for r in stream.generate(40000, 100.0):
-            profiler.record(r.key)
-        curve = HitRateCurve.from_stack_distances(profiler.distances)
+        keys = [r.key for r in stream.generate(40000, 100.0)]
+        curve = HitRateCurve.from_stack_distances(stack_distances(keys))
         # plateau near refs/(refs+1)
         assert curve.hit_rates[-1] == pytest.approx(0.9, abs=0.05)
         # flat well below the mean, steep at it
@@ -291,6 +290,8 @@ class TestLazyLoad:
             ("facebook", {"alpha": -1.0}, "alpha must be >= 0"),
             ("zipf", {"scale": 0.0}, "scale must be positive"),
             ("memcachier", {"scale": -1.0}, "scale must be positive"),
+            ("memcachier", {"scale": math.nan}, "scale must be positive"),
+            ("zipf", {"scale": math.inf}, "scale must be positive"),
             ("memcachier", {"apps": []}, "no applications selected"),
         ],
     )
